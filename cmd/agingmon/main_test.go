@@ -63,7 +63,7 @@ func newClusterPlane(t *testing.T) *jmxhttp.Client {
 		t.Fatal(err)
 	}
 	t.Cleanup(cs.Close)
-	if _, err := cs.InjectLeak("node2", tpcw.CompHome, 100<<10, 20, 7); err != nil {
+	if _, err := cs.Node("node2").InjectLeak(tpcw.CompHome, 100<<10, 20, 7); err != nil {
 		t.Fatal(err)
 	}
 	buf := jmxhttp.NewNotificationBuffer(cs.Server, 0)
@@ -99,7 +99,7 @@ func newRejuvPlane(t *testing.T) *jmxhttp.Client {
 		t.Fatal(err)
 	}
 	t.Cleanup(cs.Close)
-	if _, err := cs.InjectLeak("node2", tpcw.CompHome, 100<<10, 20, 7); err != nil {
+	if _, err := cs.Node("node2").InjectLeak(tpcw.CompHome, 100<<10, 20, 7); err != nil {
 		t.Fatal(err)
 	}
 	cs.Driver.Run([]eb.Phase{{Duration: 15 * time.Minute, EBs: 30}})

@@ -95,8 +95,7 @@ func loadConfig(opts loadOptions, index, count int) experiment.LoadConfig {
 		}
 		cfg.Monitor = true
 		cfg.MonitorInterval = opts.interval
-		cfg.MonitorWire = true
-		cfg.MonitorBatchRounds = opts.batch // 0 = LoadConfig's default of 8
+		cfg.Link = experiment.MonitorLink{Wire: true, BatchRounds: opts.batch} // 0 = LoadConfig's default of 8
 		cfg.IngestLanes = opts.lanes
 		cfg.FoldWorkers = opts.foldWork
 		// The experiment tiers' scenario tuning: a 20-round window with
@@ -122,7 +121,7 @@ func runLoadLocal(opts loadOptions) {
 	}
 	defer ls.Close()
 	if opts.monitor && opts.leakShard >= 0 && opts.leak != "" {
-		if _, err := ls.InjectLeak(opts.leakShard, opts.leak, opts.leakSize, opts.leakN, opts.seed); err != nil {
+		if _, err := ls.Shard(opts.leakShard).InjectLeak(opts.leak, opts.leakSize, opts.leakN, opts.seed); err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("injected %dB/N=%d memory leak into %s on shard %d",

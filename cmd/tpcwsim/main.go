@@ -39,12 +39,12 @@
 //	agingmon rejuv-history
 //
 // -transport picks how rounds travel from the nodes to the aggregator:
-// inproc (direct calls), gob, or binary (the delta-encoded wire codec) —
-// verdicts are transport-independent by construction. With -batch K
-// (binary transport only) each node's forwarder packs K rounds into one
-// v5 BATCH frame before writing; -lanes and -foldworkers size the
-// aggregator's sharded ingest plane and parallel fold pool (0 = package
-// defaults).
+// inproc (direct calls) or binary (the delta-encoded wire codec over a
+// per-node connection) — verdicts are transport-independent by
+// construction. With -batch K (binary transport only) each node's
+// forwarder packs K rounds into one BATCH frame before writing; -lanes
+// and -foldworkers size the aggregator's sharded ingest plane and
+// parallel fold pool (0 = package defaults).
 //
 // With -load the command runs the million-session load tier instead of
 // the monitored testbed: a struct-of-arrays session population over
@@ -87,7 +87,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/eb"
 	"repro/internal/experiment"
@@ -112,9 +111,9 @@ func main() {
 		hold     = flag.Bool("hold", false, "keep serving the management plane after the run ends")
 		nodes    = flag.Int("nodes", 1, "cluster size (1 = the paper's single-node testbed)")
 		leakNode = flag.String("leaknode", "node2", "node to arm the leak on in cluster mode")
-		trans    = flag.String("transport", "inproc", "cluster round transport: inproc, gob or binary")
+		trans    = flag.String("transport", "inproc", "cluster round transport: inproc or binary")
 		rejuvOn  = flag.Bool("rejuvenate", false, "cluster mode: actuate verdicts — drain, micro-reboot, probation, re-admit")
-		batch    = flag.Int("batch", 0, "rounds per v5 BATCH frame on the binary transport (0/1 = one round per frame)")
+		batch    = flag.Int("batch", 0, "rounds per BATCH frame on the binary transport (0/1 = one round per frame)")
 		lanes    = flag.Int("lanes", 0, "aggregator ingest lanes (0 = package default)")
 		foldWork = flag.Int("foldworkers", 0, "aggregator fold worker pool size (0 = package default)")
 
@@ -241,22 +240,18 @@ func runCluster(addr string, duration time.Duration, ebs int, leak string, leakS
 	}
 	switch transport {
 	case "inproc", "":
-	case "gob":
-		cfg.WireTransport = true
 	case "binary":
-		cfg.WireTransport = true
-		cfg.WireCodec = cluster.CodecBinary
+		cfg.Link.Wire = true
+	case "gob":
+		log.Fatal("-transport gob was removed; use binary")
 	default:
-		log.Fatalf("unknown -transport %q (want inproc, gob or binary)", transport)
+		log.Fatalf("unknown -transport %q (want inproc or binary)", transport)
 	}
 	if batch > 1 {
-		if transport != "binary" {
+		if !cfg.Link.Wire {
 			log.Fatalf("-batch needs -transport binary (got %q)", transport)
 		}
-		cfg.WireBatchRounds = batch
-		// A full batch lets the flushing node run `batch` epochs ahead of
-		// buffering peers; widen the staleness window so none is evicted.
-		cfg.StaleEpochs = 2 * batch
+		cfg.Link.BatchRounds = batch
 	}
 	cs, err := experiment.NewClusterStack(cfg)
 	if err != nil {
@@ -264,7 +259,7 @@ func runCluster(addr string, duration time.Duration, ebs int, leak string, leakS
 	}
 	defer cs.Close()
 	if leak != "" {
-		if _, err := cs.InjectLeak(leakNode, leak, leakSize, leakN, seed); err != nil {
+		if _, err := cs.Node(leakNode).InjectLeak(leak, leakSize, leakN, seed); err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("injected %dB/N=%d memory leak into %s on %s", leakSize, leakN, leak, leakNode)

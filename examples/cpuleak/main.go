@@ -32,7 +32,7 @@ func main() {
 		Component: tpcw.CompSearchResults,
 		Extra:     40 * time.Millisecond,
 	}
-	if err := stack.Weaver.Register(hog.Aspect()); err != nil {
+	if err := stack.Inject(hog); err != nil {
 		log.Fatal(err)
 	}
 	threads := &faultinject.ThreadLeak{
@@ -42,7 +42,7 @@ func main() {
 		Heap:      stack.Heap,
 		Seed:      5,
 	}
-	if err := stack.Weaver.Register(threads.Aspect()); err != nil {
+	if err := stack.Inject(threads); err != nil {
 		log.Fatal(err)
 	}
 

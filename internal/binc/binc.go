@@ -1,8 +1,9 @@
-// Package binc holds the low-level binary snapshot codec shared by the
-// durable-state surfaces (detect, cluster, rejuv): append-style writers
-// over varints/floats/strings and a bounds-checked sticky-error Parser.
-// It mirrors the idiom of the cluster wire codec's byteParser but lives
-// below detect in the import graph, because detect cannot import cluster.
+// Package binc holds the low-level binary codec shared by the cluster
+// wire format, the load-tier driver wire and the durable-state snapshots
+// (detect, cluster, rejuv): append-style writers over
+// varints/floats/strings and a bounds-checked sticky-error Parser — the
+// repo's one varint implementation. It lives below detect in the import
+// graph, because detect cannot import cluster.
 //
 // Encoding conventions, shared by every snapshot format built on top:
 //
@@ -91,29 +92,26 @@ func (p *Parser) fail(format string, args ...any) {
 	}
 }
 
-// uvarintLen returns the byte length of v's minimal uvarint encoding.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
 // Uvarint reads one uvarint. Non-minimal encodings (continuation-padded,
-// e.g. 0x84 0x00 for 4) are rejected: every value has exactly one valid
-// encoding, which is what makes snapshot formats canonical.
+// e.g. 0x84 0x00 for 4 — exactly the multi-byte encodings whose last
+// byte is zero) are rejected: every value has exactly one valid encoding,
+// which is what makes snapshot formats canonical.
 func (p *Parser) Uvarint() uint64 {
 	if p.err != nil {
 		return 0
+	}
+	// One-byte values dominate (steady-state wire residuals, small
+	// counts), and a single byte is minimal by construction.
+	if p.i < len(p.b) && p.b[p.i] < 0x80 {
+		p.i++
+		return uint64(p.b[p.i-1])
 	}
 	v, n := binary.Uvarint(p.b[p.i:])
 	if n <= 0 {
 		p.fail("bad uvarint")
 		return 0
 	}
-	if n != uvarintLen(v) {
+	if n > 1 && p.b[p.i+n-1] == 0 {
 		p.fail("non-minimal uvarint")
 		return 0
 	}
@@ -121,22 +119,14 @@ func (p *Parser) Uvarint() uint64 {
 	return v
 }
 
-// Varint reads one zigzag varint, rejecting non-minimal encodings like
-// Uvarint.
+// Varint reads one zigzag varint — a uvarint carrying the sign in its
+// low bit — rejecting non-minimal encodings like Uvarint.
 func (p *Parser) Varint() int64 {
-	if p.err != nil {
-		return 0
+	u := p.Uvarint()
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
 	}
-	v, n := binary.Varint(p.b[p.i:])
-	if n <= 0 {
-		p.fail("bad varint")
-		return 0
-	}
-	if n != uvarintLen(uint64(v)<<1^uint64(v>>63)) {
-		p.fail("non-minimal varint")
-		return 0
-	}
-	p.i += n
 	return v
 }
 

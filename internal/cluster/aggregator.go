@@ -766,15 +766,17 @@ func (a *Aggregator) ingestLocked(st *nodeState, r Round) int64 {
 	}
 	a.tlMu.Unlock()
 
-	a.total.Add(1)
-
-	// Publish the node's epoch watermark last, after the round's
-	// snapshots are recorded: a fold that sees the new epoch will also
-	// find the snapshots it implies (it re-synchronises on this lane's
-	// lock before reading them).
+	// Publish the node's epoch watermark after the round's snapshots are
+	// recorded: a fold that sees the new epoch will also find the
+	// snapshots it implies (it re-synchronises on this lane's lock before
+	// reading them).
 	epoch := st.epochBase + r.Seq
 	st.seqA.Store(r.Seq)
 	st.epochA.Store(epoch)
+	// Count the round last: Quiesce reads the count without the lane
+	// lock, and its SyncFolds must find the watermark of every round it
+	// has seen counted.
+	a.total.Add(1)
 	return epoch
 }
 
@@ -1168,19 +1170,41 @@ func (a *Aggregator) queueTransitions(sc *resourceFold, rep *ClusterReport, supp
 }
 
 // SyncFolds folds every epoch completable from the rounds already
-// ingested and blocks until any in-flight fold has published its
-// reports. The ingest path never needs it — maybeFold's gate guarantees
-// no completable epoch is left unfolded *eventually* — but a caller
-// that has just barriered on TotalRounds and is about to read reports
-// needs a synchronous point: a round is counted before the fold it
-// completes runs (and that fold may even be executed by another
-// publisher's in-flight completeEpochs loop), so "all rounds ingested"
-// does not mean "all epochs published" until this returns.
+// ingested and blocks until any in-flight fold has published its reports
+// and its epoch events are delivered. The ingest path never needs it —
+// maybeFold's gate guarantees no completable epoch is left unfolded
+// *eventually* — but a reader needs a synchronous point: the fold a
+// round completes may be executed by another publisher's in-flight
+// completeEpochs loop, so "all rounds counted" does not mean "all epochs
+// published" until this returns. Most callers want Quiesce, which waits
+// for the count first.
 func (a *Aggregator) SyncFolds() {
 	a.foldMu.Lock()
 	a.completeEpochs()
 	a.foldMu.Unlock()
 	a.deliverEpochEvents()
+}
+
+// Quiesce is the read barrier for asynchronous transports: it blocks
+// until want rounds have been counted or shed (wire frames decode on
+// serving goroutines, so a publisher can finish before the aggregator
+// does), then until every epoch those rounds complete is folded and
+// published and its epoch events are delivered. After it returns nil,
+// Epoch, Report and NodeReport are a function of the rounds alone. want
+// is the caller's count of rounds handed to transports that deliver;
+// past the deadline it gives up with the counts it saw. It polls: the
+// barrier runs once per experiment phase and must add nothing to the
+// Ingest path.
+func (a *Aggregator) Quiesce(want int64, deadline time.Time) error {
+	for a.TotalRounds()+a.ShedRounds() < want {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("cluster: aggregator absorbed %d of %d rounds before the deadline (%d ingested, %d shed)",
+				a.TotalRounds()+a.ShedRounds(), want, a.TotalRounds(), a.ShedRounds())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	a.SyncFolds()
+	return nil
 }
 
 // ShedRounds reports how many rounds the admission gate shed at a full

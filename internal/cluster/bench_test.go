@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"sync"
@@ -58,41 +56,33 @@ func (g *roundGen) at(seq int64) Round {
 func (g *roundGen) next() Round { return g.at(g.r.Seq + 1) }
 
 // BenchmarkWirePublish measures shipping one steady-state round through
-// each wire transport (encode + write to a discarded connection), and
+// the wire transport (encode + write to a discarded connection), and
 // reports the steady-state cost on the wire as bytes/round and
 // frames/round. The binary-batch8 case is the fleet fan-in flush policy
 // (8 rounds per BATCH frame), amortising the frame prefix and write
 // call across the batch.
 func BenchmarkWirePublish(b *testing.B) {
-	for _, codec := range []string{"gob", "binary", "binary-batch8"} {
-		b.Run(codec, func(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		batch int
+	}{{"binary", 1}, {"binary-batch8", 8}} {
+		b.Run(bc.name, func(b *testing.B) {
 			var counter countingConn
-			var tr Transport
-			switch codec {
-			case "gob":
-				tr = NewWire(&counter)
-			case "binary":
-				tr = NewBinaryWire(&counter)
-			case "binary-batch8":
-				bw := NewBinaryWire(&counter)
-				if err := bw.SetBatch(8, 0); err != nil {
-					b.Fatal(err)
-				}
-				tr = bw
+			bw := NewBinaryWire(&counter)
+			if err := bw.SetBatch(bc.batch, 0); err != nil {
+				b.Fatal(err)
 			}
 			gen := newRoundGen("node1")
 			publish := func() {
-				if err := tr.Publish(gen.next()); err != nil {
+				if err := bw.Publish(gen.next()); err != nil {
 					b.Fatal(err)
 				}
 			}
-			for gen.r.Seq < 32 { // warm: names interned, gob types sent
+			for gen.r.Seq < 32 { // warm: names interned
 				publish()
 			}
-			if bw, ok := tr.(*BinaryWire); ok {
-				if err := bw.Flush(); err != nil {
-					b.Fatal(err)
-				}
+			if err := bw.Flush(); err != nil {
+				b.Fatal(err)
 			}
 			startBytes, startWrites := counter.n.Load(), counter.writes.Load()
 			b.ReportAllocs()
@@ -102,10 +92,8 @@ func BenchmarkWirePublish(b *testing.B) {
 			}
 			b.StopTimer()
 			// Flush the tail so a partial batch's bytes are accounted.
-			if bw, ok := tr.(*BinaryWire); ok {
-				if err := bw.Flush(); err != nil {
-					b.Fatal(err)
-				}
+			if err := bw.Flush(); err != nil {
+				b.Fatal(err)
 			}
 			b.ReportMetric(float64(counter.n.Load()-startBytes)/float64(b.N), "wire-bytes/round")
 			b.ReportMetric(float64(counter.writes.Load()-startWrites)/float64(b.N), "frames/round")
@@ -128,40 +116,11 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// BenchmarkWireDecode measures decoding one steady-state round with each
-// codec, from a pre-encoded stream (the serving loop's work per round,
-// minus the socket).
+// BenchmarkWireDecode measures decoding one steady-state round from a
+// pre-encoded stream (the serving loop's work per round, minus the
+// socket).
 func BenchmarkWireDecode(b *testing.B) {
 	const chunk = 512
-	b.Run("gob", func(b *testing.B) {
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		gen := newRoundGen("node1")
-		for seq := int64(1); seq <= chunk; seq++ {
-			if err := enc.Encode(gen.next()); err != nil {
-				b.Fatal(err)
-			}
-		}
-		stream := buf.Bytes()
-		var dec *gob.Decoder
-		var rd *bytes.Reader
-		reset := func() {
-			rd = bytes.NewReader(stream)
-			dec = gob.NewDecoder(rd)
-		}
-		reset()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i%chunk == 0 {
-				reset()
-			}
-			var r Round
-			if err := dec.Decode(&r); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("binary", func(b *testing.B) {
 		enc := NewBinaryEncoder()
 		gen := newRoundGen("node1")
@@ -194,13 +153,22 @@ func BenchmarkWireDecode(b *testing.B) {
 	})
 }
 
+// benchAggregatorConfig pins FoldWorkers to 1, the value
+// BENCH_baseline.json's aggregation_plane entries were recorded at (a
+// one-thread container, where the GOMAXPROCS default resolves to 1): the
+// fold spawns FoldWorkers goroutines per epoch, so leaving the default
+// makes the absolute allocs/op gate depend on the host's core count.
+func benchAggregatorConfig() Config {
+	return Config{Detect: testDetect(), FoldWorkers: 1}
+}
+
 // BenchmarkAggregatorIngest measures folding one node round into the
 // aggregator: per-node detector banks, epoch fold, merged log — the
 // aggregator-side cost of one round at steady state.
 func BenchmarkAggregatorIngest(b *testing.B) {
 	for _, nodes := range []int{1, 3, 32, 128} {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			a := New(Config{Detect: testDetect()})
+			a := New(benchAggregatorConfig())
 			names := make([]string, nodes)
 			for i := range names {
 				names[i] = fmt.Sprintf("node%d", i+1)
@@ -243,7 +211,7 @@ func BenchmarkAggregatorIngest(b *testing.B) {
 func BenchmarkAggregatorParallelIngest(b *testing.B) {
 	for _, nodes := range []int{8, 32} {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			a := New(Config{Detect: testDetect()})
+			a := New(benchAggregatorConfig())
 			names := make([]string, nodes)
 			for i := range names {
 				names[i] = fmt.Sprintf("node%d", i+1)
@@ -303,7 +271,6 @@ func BenchmarkForwarderObserve(b *testing.B) {
 			a.Expect("node1")
 			return NewInProc(a)
 		}},
-		{"wire-gob", func() Transport { return NewWire(discardConn{}) }},
 		{"wire-binary", func() Transport { return NewBinaryWire(&countingConn{}) }},
 	}
 	for _, tc := range cases {

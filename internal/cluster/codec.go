@@ -6,13 +6,13 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/binc"
 	"repro/internal/core"
 )
 
-// This file implements the hand-rolled binary wire codec for sampling
-// rounds — the high-density alternative to the gob transport. The format
-// is specified in docs/architecture.md ("Binary wire format"); the golden
-// test in codec_test.go pins the bytes so the format cannot drift
+// This file implements the binary wire codec for sampling rounds. The
+// format is specified in docs/architecture.md ("Binary wire format"); the
+// golden test in codec_test.go pins the bytes so the format cannot drift
 // silently between versions, and FuzzBinaryCodec exercises the round-trip
 // over arbitrary rounds.
 //
@@ -34,44 +34,30 @@ import (
 // per-sample flag falling back to XOR-against-previous raw bits for
 // floats outside the nanosecond grid, so the codec stays lossless over
 // the full float64 domain. A steady-state round of N samples costs
-// roughly 4 + 7·N bytes on the wire, an order of magnitude under the
-// equivalent gob frame — and both encoder and decoder reuse their
-// buffers, so neither end allocates at steady state.
+// roughly 4 + 7·N bytes on the wire, and both encoder and decoder reuse
+// their buffers, so neither end allocates at steady state. All varints
+// go through internal/binc: the encoder emits minimal encodings and the
+// decoder rejects anything else, so every stream has one valid byte form.
 //
-// The codec deliberately carries less generality than gob: sampling
-// instants must be within the int64-nanosecond Unix range (years
-// 1678–2262; monitoring timestamps always are), and decoded times carry
-// the UTC location. Verdicts are unaffected — the aggregator consumes
-// instants, not locations — and TestClusterTransportParity holds the gob
-// and binary transports to byte-identical verdicts.
+// The codec is not fully general: sampling instants must be within the
+// int64-nanosecond Unix range (years 1678–2262; monitoring timestamps
+// always are), and decoded times carry the UTC location. Verdicts are
+// unaffected — the aggregator consumes instants, not locations — and
+// TestClusterTransportParity holds the in-process and wire transports to
+// byte-identical verdicts.
 
 // wireMagic opens every binary round stream: three identifying bytes and
 // one format version byte. Bump the version on any incompatible change;
 // the decoder refuses streams it does not speak so cross-version nodes
 // fail loudly at connect time, not subtly at fold time.
 //
-// Version history: 1 — initial first-order delta/XOR format; 2 — all
-// integer chains move to second-order deltas (delta-of-delta), and CPU
-// seconds ride the same chain as zigzag-encoded nanosecond residuals when
-// the quantisation is bit-exact (flagCPUNanos), falling back to the XOR'd
-// raw bits otherwise; 3 — samples carry the live handle count (a
-// double-delta int64 chain) and cumulative latency seconds (quantised
-// nanoseconds under flagLatNanos, XOR fallback otherwise, exactly the CPU
-// scheme) for the non-heap aging indicators; 4 — every frame is a BATCH
-// frame: the payload opens with a uvarint round count and carries that
-// many encoded rounds back to back, so a publisher flushing every K
-// rounds amortises the frame prefix and the peer's read across the batch
-// at fleet fan-in (an unbatched publisher ships batches of one); 5 —
-// every frame payload opens with a one-byte frame type discriminating
-// BATCH round frames from the CONTROL command/ack frames of the actuation
-// plane (control.go), which makes the stream bidirectional: rounds and
-// acks flow node→aggregator, drain/rejuvenate/re-admit commands flow
-// aggregator→node on the same connection; 6 — adds the SNAPSHOT frame
-// kind (standby.go): an active aggregator periodically ships its (and
-// its rejuvenation controller's) durable-state snapshot to a warm
-// standby, which can be promoted mid-epoch when the active dies.
-// SNAPSHOT frames travel only on dedicated standby connections, never on
-// node round streams.
+// The decoder speaks version 6 only: second-order integer deltas with
+// nanosecond-quantised CPU and latency seconds (XOR fallback off the
+// grid), a live handle count per sample, and length-prefixed frames whose
+// payload opens with a one-byte type — BATCH rounds and CONTROL-ACKs
+// node→aggregator, CONTROL commands aggregator→node on the same
+// connection (control.go), and SNAPSHOT frames on dedicated standby
+// connections only (standby.go).
 var wireMagic = [4]byte{'A', 'G', 'M', 6}
 
 // Frame types: the first byte of every v6 frame payload.
@@ -214,26 +200,17 @@ func NewBinaryEncoder() *BinaryEncoder {
 	}
 }
 
-// appendUvarint/appendZigzag are the primitive writers.
-func appendUvarint(dst []byte, v uint64) []byte {
-	return binary.AppendUvarint(dst, v)
-}
-
-func appendZigzag(dst []byte, v int64) []byte {
-	return binary.AppendVarint(dst, v)
-}
-
 // appendString writes a string reference: uvarint(id+1) for an interned
 // name, or 0 followed by the raw bytes for a first sighting (which
 // implicitly assigns the next dense id on both ends).
 func (e *BinaryEncoder) appendString(dst []byte, s string) ([]byte, uint32) {
 	if id, ok := e.names[s]; ok {
-		return appendUvarint(dst, uint64(id)+1), id
+		return binc.AppendUvarint(dst, uint64(id)+1), id
 	}
 	id := uint32(len(e.names))
 	e.names[s] = id
-	dst = appendUvarint(dst, 0)
-	dst = appendUvarint(dst, uint64(len(s)))
+	dst = binc.AppendUvarint(dst, 0)
+	dst = binc.AppendUvarint(dst, uint64(len(s)))
 	dst = append(dst, s...)
 	return dst, id
 }
@@ -261,9 +238,9 @@ func (e *BinaryEncoder) BufferRound(r Round) {
 		st = newNodeCodecState()
 		e.nodes[nodeID] = st
 	}
-	p = appendZigzag(p, step(&st.prevSeq, &st.dSeq, r.Seq))
-	p = appendZigzag(p, step(&st.prevTime, &st.dTime, r.Time.UnixNano()))
-	p = appendUvarint(p, uint64(len(r.Samples)))
+	p = binc.AppendVarint(p, step(&st.prevSeq, &st.dSeq, r.Seq))
+	p = binc.AppendVarint(p, step(&st.prevTime, &st.dTime, r.Time.UnixNano()))
+	p = binc.AppendUvarint(p, uint64(len(r.Samples)))
 	for _, s := range r.Samples {
 		var compID uint32
 		p, compID = e.appendString(p, s.Component)
@@ -285,20 +262,20 @@ func (e *BinaryEncoder) BufferRound(r Round) {
 			flags |= flagLatNanos
 		}
 		p = append(p, flags)
-		p = appendZigzag(p, step(&prev.size, &prev.dSize, s.Size))
-		p = appendZigzag(p, step(&prev.usage, &prev.dUsage, s.Usage))
-		p = appendZigzag(p, step(&prev.threads, &prev.dThreads, s.Threads))
-		p = appendZigzag(p, step(&prev.handles, &prev.dHandles, s.Handles))
-		p = appendZigzag(p, step(&prev.delta, &prev.dDelta, s.Delta))
+		p = binc.AppendVarint(p, step(&prev.size, &prev.dSize, s.Size))
+		p = binc.AppendVarint(p, step(&prev.usage, &prev.dUsage, s.Usage))
+		p = binc.AppendVarint(p, step(&prev.threads, &prev.dThreads, s.Threads))
+		p = binc.AppendVarint(p, step(&prev.handles, &prev.dHandles, s.Handles))
+		p = binc.AppendVarint(p, step(&prev.delta, &prev.dDelta, s.Delta))
 		cpuBits := math.Float64bits(s.CPUSeconds)
 		if quantised {
 			// Steady-state CPU advances by a near-constant per-round
 			// nanosecond delta: the second-order residual is a one-byte
 			// zigzag where the XOR of two entropy-dense mantissas costs
 			// 8-10 bytes.
-			p = appendZigzag(p, step(&prev.cpuNanos, &prev.dCPUNanos, nanos))
+			p = binc.AppendVarint(p, step(&prev.cpuNanos, &prev.dCPUNanos, nanos))
 		} else {
-			p = appendUvarint(p, cpuBits^prev.cpuBits)
+			p = binc.AppendUvarint(p, cpuBits^prev.cpuBits)
 			// Reset the nanosecond chain at the (identically derived)
 			// fallback base so a later quantised sample deltas against the
 			// same state on both ends.
@@ -308,9 +285,9 @@ func (e *BinaryEncoder) BufferRound(r Round) {
 		prev.cpuBits = cpuBits
 		latBits := math.Float64bits(s.LatencySeconds)
 		if latQuantised {
-			p = appendZigzag(p, step(&prev.latNanos, &prev.dLatNanos, latN))
+			p = binc.AppendVarint(p, step(&prev.latNanos, &prev.dLatNanos, latN))
 		} else {
-			p = appendUvarint(p, latBits^prev.latBits)
+			p = binc.AppendUvarint(p, latBits^prev.latBits)
 			prev.latNanos, _ = cpuNanos(s.LatencySeconds)
 			prev.dLatNanos = 0
 		}
@@ -334,57 +311,15 @@ func (e *BinaryEncoder) FlushFrame(dst []byte) []byte {
 		dst = append(dst, wireMagic[:]...)
 		e.started = true
 	}
-	var cnt [binary.MaxVarintLen64]byte
-	cn := binary.PutUvarint(cnt[:], uint64(e.pending))
-	dst = appendUvarint(dst, uint64(1+cn+len(e.batch)))
+	var scratch [binary.MaxVarintLen64]byte
+	cnt := binc.AppendUvarint(scratch[:0], uint64(e.pending))
+	dst = binc.AppendUvarint(dst, uint64(1+len(cnt)+len(e.batch)))
 	dst = append(dst, frameBatch)
-	dst = append(dst, cnt[:cn]...)
+	dst = append(dst, cnt...)
 	dst = append(dst, e.batch...)
 	e.batch = e.batch[:0]
 	e.pending = 0
 	return dst
-}
-
-// byteParser is a bounds-checked cursor over one frame payload.
-type byteParser struct {
-	b []byte
-	i int
-}
-
-func (p *byteParser) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(p.b[p.i:])
-	if n <= 0 {
-		return 0, fmt.Errorf("cluster: truncated uvarint at offset %d", p.i)
-	}
-	p.i += n
-	return v, nil
-}
-
-func (p *byteParser) zigzag() (int64, error) {
-	v, n := binary.Varint(p.b[p.i:])
-	if n <= 0 {
-		return 0, fmt.Errorf("cluster: truncated varint at offset %d", p.i)
-	}
-	p.i += n
-	return v, nil
-}
-
-func (p *byteParser) byte() (byte, error) {
-	if p.i >= len(p.b) {
-		return 0, fmt.Errorf("cluster: truncated frame at offset %d", p.i)
-	}
-	b := p.b[p.i]
-	p.i++
-	return b, nil
-}
-
-func (p *byteParser) bytes(n uint64) ([]byte, error) {
-	if n > uint64(len(p.b)-p.i) {
-		return nil, fmt.Errorf("cluster: string of %d bytes overruns frame", n)
-	}
-	out := p.b[p.i : p.i+int(n)]
-	p.i += int(n)
-	return out, nil
 }
 
 // BinaryDecoder decodes frames produced by a BinaryEncoder over one
@@ -404,20 +339,16 @@ func NewBinaryDecoder() *BinaryDecoder {
 }
 
 // readString resolves a string reference, interning first sightings.
-func (d *BinaryDecoder) readString(p *byteParser) (string, uint32, error) {
-	ref, err := p.uvarint()
-	if err != nil {
+func (d *BinaryDecoder) readString(p *binc.Parser) (string, uint32, error) {
+	ref := p.Uvarint()
+	var raw []byte
+	if ref == 0 {
+		raw = p.Bytes(p.Remaining())
+	}
+	if err := p.Err(); err != nil {
 		return "", 0, err
 	}
 	if ref == 0 {
-		n, err := p.uvarint()
-		if err != nil {
-			return "", 0, err
-		}
-		raw, err := p.bytes(n)
-		if err != nil {
-			return "", 0, err
-		}
 		id := uint32(len(d.names))
 		d.names = append(d.names, string(raw))
 		return d.names[id], id, nil
@@ -462,9 +393,9 @@ func (d *BinaryDecoder) DecodeBatch(payload []byte, emit func(Round) error) erro
 	if payload[0] != frameBatch {
 		return fmt.Errorf("cluster: frame type %d is not a BATCH frame", payload[0])
 	}
-	p := &byteParser{b: payload, i: 1}
-	count, err := p.uvarint()
-	if err != nil {
+	p := binc.NewParser(payload[1:])
+	count := p.Uvarint()
+	if err := p.Err(); err != nil {
 		return err
 	}
 	if count == 0 || count > uint64(len(payload)) {
@@ -481,19 +412,27 @@ func (d *BinaryDecoder) DecodeBatch(payload []byte, emit func(Round) error) erro
 			return err
 		}
 	}
-	if p.i != len(payload) {
-		return fmt.Errorf("cluster: %d trailing bytes in frame", len(payload)-p.i)
-	}
-	return nil
+	return p.Done()
 }
 
 // decodeRound decodes one round at the parser's cursor. The round's
-// Samples slice is reused by the next call.
-func (d *BinaryDecoder) decodeRound(p *byteParser) (Round, error) {
+// Samples slice is reused by the next call. The parser's error is sticky,
+// so each group of fields is read linearly and checked once, before any
+// of it touches the delta state.
+func (d *BinaryDecoder) decodeRound(p *binc.Parser) (Round, error) {
 	var r Round
 	node, nodeID, err := d.readString(p)
 	if err != nil {
 		return r, err
+	}
+	dseq, dt, n := p.Varint(), p.Varint(), p.Uvarint()
+	if err := p.Err(); err != nil {
+		return r, err
+	}
+	if n > uint64(p.Remaining()) {
+		// Each sample needs at least a handful of bytes; a count larger
+		// than the frame's remaining bytes is corruption, not a big round.
+		return r, fmt.Errorf("cluster: sample count %d exceeds frame size", n)
 	}
 	r.Node = node
 	st := d.nodes[nodeID]
@@ -501,29 +440,31 @@ func (d *BinaryDecoder) decodeRound(p *byteParser) (Round, error) {
 		st = newNodeCodecState()
 		d.nodes[nodeID] = st
 	}
-	dseq, err := p.zigzag()
-	if err != nil {
-		return r, err
-	}
 	r.Seq = unstep(&st.prevSeq, &st.dSeq, dseq)
-	dt, err := p.zigzag()
-	if err != nil {
-		return r, err
-	}
 	r.Time = time.Unix(0, unstep(&st.prevTime, &st.dTime, dt)).UTC()
-	n, err := p.uvarint()
-	if err != nil {
-		return r, err
-	}
-	if n > uint64(len(p.b)-p.i) {
-		// Each sample needs at least a handful of bytes; a count larger
-		// than the frame's remaining bytes is corruption, not a big round.
-		return r, fmt.Errorf("cluster: sample count %d exceeds frame size", n)
-	}
 	samples := d.samples[:0]
 	for i := uint64(0); i < n; i++ {
 		comp, compID, err := d.readString(p)
 		if err != nil {
+			return r, err
+		}
+		flags := p.Byte()
+		ds, du, dth, dh, dd := p.Varint(), p.Varint(), p.Varint(), p.Varint(), p.Varint()
+		// CPU and latency each ride as a zigzag nanosecond residual or,
+		// off the nanosecond grid, as XOR'd raw bits (see the flag bits).
+		var cpuRes, latRes int64
+		var cpuXor, latXor uint64
+		if flags&flagCPUNanos != 0 {
+			cpuRes = p.Varint()
+		} else {
+			cpuXor = p.Uvarint()
+		}
+		if flags&flagLatNanos != 0 {
+			latRes = p.Varint()
+		} else {
+			latXor = p.Uvarint()
+		}
+		if err := p.Err(); err != nil {
 			return r, err
 		}
 		prev := st.prev[compID]
@@ -531,81 +472,40 @@ func (d *BinaryDecoder) decodeRound(p *byteParser) (Round, error) {
 			prev = &prevSample{}
 			st.prev[compID] = prev
 		}
-		flags, err := p.byte()
-		if err != nil {
-			return r, err
-		}
-		ds, err := p.zigzag()
-		if err != nil {
-			return r, err
-		}
-		du, err := p.zigzag()
-		if err != nil {
-			return r, err
-		}
-		dth, err := p.zigzag()
-		if err != nil {
-			return r, err
-		}
-		dh, err := p.zigzag()
-		if err != nil {
-			return r, err
-		}
-		dd, err := p.zigzag()
-		if err != nil {
-			return r, err
-		}
-		var cpu float64
-		if flags&flagCPUNanos != 0 {
-			dn, err := p.zigzag()
-			if err != nil {
-				return r, err
-			}
-			cpu = cpuFromNanos(unstep(&prev.cpuNanos, &prev.dCPUNanos, dn))
-			prev.cpuBits = math.Float64bits(cpu)
-		} else {
-			cpuXor, err := p.uvarint()
-			if err != nil {
-				return r, err
-			}
-			prev.cpuBits ^= cpuXor
-			cpu = math.Float64frombits(prev.cpuBits)
-			// Mirror the encoder's state transition so a later quantised
-			// sample deltas against the same nanosecond base on both ends.
-			prev.cpuNanos, _ = cpuNanos(cpu)
-			prev.dCPUNanos = 0
-		}
-		var lat float64
-		if flags&flagLatNanos != 0 {
-			dn, err := p.zigzag()
-			if err != nil {
-				return r, err
-			}
-			lat = cpuFromNanos(unstep(&prev.latNanos, &prev.dLatNanos, dn))
-			prev.latBits = math.Float64bits(lat)
-		} else {
-			latXor, err := p.uvarint()
-			if err != nil {
-				return r, err
-			}
-			prev.latBits ^= latXor
-			lat = math.Float64frombits(prev.latBits)
-			prev.latNanos, _ = cpuNanos(lat)
-			prev.dLatNanos = 0
-		}
 		samples = append(samples, core.ComponentSample{
-			Component:      comp,
-			Size:           unstep(&prev.size, &prev.dSize, ds),
-			SizeOK:         flags&flagSizeOK != 0,
-			Usage:          unstep(&prev.usage, &prev.dUsage, du),
-			CPUSeconds:     cpu,
-			Threads:        unstep(&prev.threads, &prev.dThreads, dth),
-			Handles:        unstep(&prev.handles, &prev.dHandles, dh),
-			LatencySeconds: lat,
-			Delta:          unstep(&prev.delta, &prev.dDelta, dd),
+			Component: comp,
+			Size:      unstep(&prev.size, &prev.dSize, ds),
+			SizeOK:    flags&flagSizeOK != 0,
+			Usage:     unstep(&prev.usage, &prev.dUsage, du),
+			CPUSeconds: unquantise(flags&flagCPUNanos != 0, cpuRes, cpuXor,
+				&prev.cpuNanos, &prev.dCPUNanos, &prev.cpuBits),
+			Threads: unstep(&prev.threads, &prev.dThreads, dth),
+			Handles: unstep(&prev.handles, &prev.dHandles, dh),
+			LatencySeconds: unquantise(flags&flagLatNanos != 0, latRes, latXor,
+				&prev.latNanos, &prev.dLatNanos, &prev.latBits),
+			Delta: unstep(&prev.delta, &prev.dDelta, dd),
 		})
 	}
 	d.samples = samples
 	r.Samples = samples
 	return r, nil
+}
+
+// unquantise reconstructs one seconds field (CPU or latency) from its
+// wire form and advances both of the field's chains: a quantised field
+// folds its residual into the nanosecond chain; a raw field XORs its bits
+// and resets the nanosecond chain at the identically derived base —
+// mirroring the encoder, so a later quantised sample deltas against the
+// same state on both ends.
+func unquantise(quantised bool, res int64, xor uint64, nanos, dNanos *int64, bits *uint64) float64 {
+	if quantised {
+		v := cpuFromNanos(unstep(nanos, dNanos, res))
+		*bits = math.Float64bits(v)
+		return v
+	}
+	*bits ^= xor
+	v := math.Float64frombits(*bits)
+	*nanos, _ = cpuNanos(v)
+	*dNanos = 0
+	return v
 }

@@ -94,8 +94,9 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 
 // TestBinaryCodecSteadyStateDensity pins the codec's reason to exist: at
 // steady state (names interned, deltas small) a round must cost a small
-// fraction of its gob equivalent — the acceptance bar is 2×, the codec
-// does far better.
+// fraction of a self-describing encoding of the same round (stdlib gob,
+// here only as the yardstick — the gob transport itself is gone) — the
+// acceptance bar is 2×, the codec does far better.
 func TestBinaryCodecSteadyStateDensity(t *testing.T) {
 	enc := NewBinaryEncoder()
 	var gobBytes, binBytes int
@@ -268,6 +269,12 @@ func TestBinaryDecoderRejectsCorruption(t *testing.T) {
 	bad = append(bad, binary.AppendUvarint(nil, 201)...)
 	if _, err := NewBinaryDecoder().DecodeFrame(bad); err == nil {
 		t.Fatal("dangling string reference decoded without error")
+	}
+	// A non-minimal varint: the round count 1 padded to two bytes (0x81
+	// 0x00). Outside input has exactly one valid encoding per value.
+	padded := append([]byte{frameBatch, 0x81, 0x00}, payload[2:]...)
+	if _, err := NewBinaryDecoder().DecodeFrame(padded); err == nil {
+		t.Fatal("non-minimal varint decoded without error")
 	}
 	// Trailing garbage after a valid frame.
 	full := append(append([]byte(nil), payload...), 0xFF)

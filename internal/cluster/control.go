@@ -3,7 +3,7 @@
 // Sampling rounds flow node → aggregator; closing the rejuvenation loop
 // needs the opposite direction — the controller (internal/rejuv) sitting
 // next to the aggregator must drain, micro-reboot and re-admit components
-// on remote nodes. Codec v5 makes the binary stream bidirectional: the
+// on remote nodes. The binary stream is therefore bidirectional: the
 // aggregator pushes CONTROL frames (one command each) down the same
 // connection a node publishes rounds on, and the node answers with ACK
 // frames interleaved between its BATCH frames. Control frames are
@@ -14,7 +14,7 @@
 // Routing is learned, not configured: ServeBinaryConn registers each node
 // name it decodes rounds for against that connection, so a command to
 // node N rides whatever connection N last published on. In-process nodes
-// (InProc or gob transports, tests, the simulated cluster) register a
+// (the InProc transport: tests, the simulated cluster) register a
 // ControlHandler directly with BindLocalControl; local handlers run
 // synchronously on the sender's goroutine, which keeps single-process
 // scenarios deterministic.
@@ -30,6 +30,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/binc"
 	"repro/internal/core"
 )
 
@@ -87,37 +88,17 @@ type ControlHandler func(ControlCommand) ControlAck
 // frames; anything longer is corruption, not a long name.
 const maxControlString = 4096
 
-func appendControlString(dst []byte, s string) []byte {
-	dst = appendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func parseControlString(p *byteParser) (string, error) {
-	n, err := p.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > maxControlString {
-		return "", fmt.Errorf("cluster: control string of %d bytes exceeds limit", n)
-	}
-	raw, err := p.bytes(n)
-	if err != nil {
-		return "", err
-	}
-	return string(raw), nil
-}
-
 // AppendControlFrame appends one length-prefixed CONTROL frame to dst.
 // Control frames carry no stream state, so they need no header and may
 // interleave anywhere between BATCH frames.
 func AppendControlFrame(dst []byte, cmd ControlCommand) []byte {
 	var p []byte
 	p = append(p, frameControl, byte(cmd.Kind))
-	p = appendUvarint(p, cmd.Seq)
-	p = appendControlString(p, cmd.Node)
-	p = appendControlString(p, cmd.Component)
-	p = appendZigzag(p, cmd.Weight)
-	dst = appendUvarint(dst, uint64(len(p)))
+	p = binc.AppendUvarint(p, cmd.Seq)
+	p = binc.AppendString(p, cmd.Node)
+	p = binc.AppendString(p, cmd.Component)
+	p = binc.AppendVarint(p, cmd.Weight)
+	dst = binc.AppendUvarint(dst, uint64(len(p)))
 	return append(dst, p...)
 }
 
@@ -125,15 +106,11 @@ func AppendControlFrame(dst []byte, cmd ControlCommand) []byte {
 func AppendControlAckFrame(dst []byte, ack ControlAck) []byte {
 	var p []byte
 	p = append(p, frameControlAck, byte(ack.Kind))
-	p = appendUvarint(p, ack.Seq)
-	ok := byte(0)
-	if ack.OK {
-		ok = 1
-	}
-	p = append(p, ok)
-	p = appendZigzag(p, ack.Freed)
-	p = appendControlString(p, ack.Err)
-	dst = appendUvarint(dst, uint64(len(p)))
+	p = binc.AppendUvarint(p, ack.Seq)
+	p = binc.AppendBool(p, ack.OK)
+	p = binc.AppendVarint(p, ack.Freed)
+	p = binc.AppendString(p, ack.Err)
+	dst = binc.AppendUvarint(dst, uint64(len(p)))
 	return append(dst, p...)
 }
 
@@ -148,29 +125,17 @@ func DecodeControlCommand(payload []byte) (ControlCommand, error) {
 	if len(payload) == 0 || payload[0] != frameControl {
 		return cmd, fmt.Errorf("cluster: not a CONTROL frame")
 	}
-	p := &byteParser{b: payload, i: 1}
-	kind, err := p.byte()
-	if err != nil {
+	p := binc.NewParser(payload[1:])
+	cmd.Kind = ControlKind(p.Byte())
+	cmd.Seq = p.Uvarint()
+	cmd.Node = p.String(maxControlString)
+	cmd.Component = p.String(maxControlString)
+	cmd.Weight = p.Varint()
+	if err := p.Done(); err != nil {
 		return cmd, err
 	}
-	cmd.Kind = ControlKind(kind)
 	if !controlKindValid(cmd.Kind) {
-		return cmd, fmt.Errorf("cluster: unknown control kind %d", kind)
-	}
-	if cmd.Seq, err = p.uvarint(); err != nil {
-		return cmd, err
-	}
-	if cmd.Node, err = parseControlString(p); err != nil {
-		return cmd, err
-	}
-	if cmd.Component, err = parseControlString(p); err != nil {
-		return cmd, err
-	}
-	if cmd.Weight, err = p.zigzag(); err != nil {
-		return cmd, err
-	}
-	if p.i != len(payload) {
-		return cmd, fmt.Errorf("cluster: %d trailing bytes in CONTROL frame", len(payload)-p.i)
+		return cmd, fmt.Errorf("cluster: unknown control kind %d", cmd.Kind)
 	}
 	return cmd, nil
 }
@@ -182,34 +147,17 @@ func DecodeControlAck(payload []byte) (ControlAck, error) {
 	if len(payload) == 0 || payload[0] != frameControlAck {
 		return ack, fmt.Errorf("cluster: not an ACK frame")
 	}
-	p := &byteParser{b: payload, i: 1}
-	kind, err := p.byte()
-	if err != nil {
+	p := binc.NewParser(payload[1:])
+	ack.Kind = ControlKind(p.Byte())
+	ack.Seq = p.Uvarint()
+	ack.OK = p.Bool()
+	ack.Freed = p.Varint()
+	ack.Err = p.String(maxControlString)
+	if err := p.Done(); err != nil {
 		return ack, err
 	}
-	ack.Kind = ControlKind(kind)
 	if !controlKindValid(ack.Kind) {
-		return ack, fmt.Errorf("cluster: unknown control kind %d", kind)
-	}
-	if ack.Seq, err = p.uvarint(); err != nil {
-		return ack, err
-	}
-	okb, err := p.byte()
-	if err != nil {
-		return ack, err
-	}
-	if okb > 1 {
-		return ack, fmt.Errorf("cluster: corrupt ack flag %d", okb)
-	}
-	ack.OK = okb == 1
-	if ack.Freed, err = p.zigzag(); err != nil {
-		return ack, err
-	}
-	if ack.Err, err = parseControlString(p); err != nil {
-		return ack, err
-	}
-	if p.i != len(payload) {
-		return ack, fmt.Errorf("cluster: %d trailing bytes in ACK frame", len(payload)-p.i)
+		return ack, fmt.Errorf("cluster: unknown control kind %d", ack.Kind)
 	}
 	return ack, nil
 }
@@ -246,7 +194,7 @@ type pendingControl struct {
 
 // BindLocalControl registers a synchronous in-process control handler
 // for node — the actuation route for nodes sharing the aggregator's
-// process (InProc and gob transports, whose streams carry no control
+// process (the InProc transport, which has no stream to carry control
 // frames). A local binding takes precedence over a learned wire route.
 func (a *Aggregator) BindLocalControl(node string, h ControlHandler) {
 	a.ctlMu.Lock()

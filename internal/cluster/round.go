@@ -25,7 +25,7 @@
 // its own small mutex per request; requests are emulated-browser
 // interactions (think-time scale), not join points.
 //
-// The wire also carries the actuation direction (codec v5, control.go):
+// The wire also carries the actuation direction (control.go):
 // the aggregator pushes drain/rejuvenate/re-admit CONTROL frames down
 // the connection a node publishes rounds on, and the node's BinaryWire
 // answers with ACK frames interleaved between its BATCH frames. Control
@@ -44,8 +44,8 @@ import (
 
 // Round is one node's sampling round as shipped to the aggregator: the
 // node identity, the node-local 1-based sequence number, the node-local
-// sampling instant, and the per-component measurements. All fields are
-// exported so rounds cross process boundaries unchanged (gob over net).
+// sampling instant, and the per-component measurements — everything the
+// wire codec carries across a process boundary.
 //
 // Samples is borrowed along the whole shipping path: the forwarder passes
 // the collector's round buffer through Publish, and the wire decoders

@@ -33,6 +33,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/binc"
 )
 
 // StandbySnapshot is one shipped durable-state generation: the
@@ -52,12 +54,10 @@ func AppendSnapshotFrame(dst []byte, s StandbySnapshot) []byte {
 		binary.MaxVarintLen64 + len(s.Controller)
 	p := make([]byte, 0, n)
 	p = append(p, frameSnapshot)
-	p = appendUvarint(p, s.Generation)
-	p = appendUvarint(p, uint64(len(s.Aggregator)))
-	p = append(p, s.Aggregator...)
-	p = appendUvarint(p, uint64(len(s.Controller)))
-	p = append(p, s.Controller...)
-	dst = appendUvarint(dst, uint64(len(p)))
+	p = binc.AppendUvarint(p, s.Generation)
+	p = binc.AppendBytes(p, s.Aggregator)
+	p = binc.AppendBytes(p, s.Controller)
+	dst = binc.AppendUvarint(dst, uint64(len(p)))
 	return append(dst, p...)
 }
 
@@ -70,28 +70,11 @@ func DecodeSnapshotFrame(payload []byte) (StandbySnapshot, error) {
 	if len(payload) == 0 || payload[0] != frameSnapshot {
 		return s, fmt.Errorf("cluster: not a SNAPSHOT frame")
 	}
-	p := &byteParser{b: payload, i: 1}
-	var err error
-	if s.Generation, err = p.uvarint(); err != nil {
-		return s, err
-	}
-	n, err := p.uvarint()
-	if err != nil {
-		return s, err
-	}
-	if s.Aggregator, err = p.bytes(n); err != nil {
-		return s, err
-	}
-	if n, err = p.uvarint(); err != nil {
-		return s, err
-	}
-	if s.Controller, err = p.bytes(n); err != nil {
-		return s, err
-	}
-	if p.i != len(payload) {
-		return s, fmt.Errorf("cluster: %d trailing bytes in SNAPSHOT frame", len(payload)-p.i)
-	}
-	return s, nil
+	p := binc.NewParser(payload[1:])
+	s.Generation = p.Uvarint()
+	s.Aggregator = p.Bytes(p.Remaining())
+	s.Controller = p.Bytes(p.Remaining())
+	return s, p.Done()
 }
 
 // Snapshotter is the durable-state surface a shipper bundles alongside
@@ -191,24 +174,21 @@ func (s *StandbyShipper) Ship() error {
 	s.gen++
 	p := s.payload[:0]
 	p = append(p, frameSnapshot)
-	p = appendUvarint(p, s.gen)
+	p = binc.AppendUvarint(p, s.gen)
 	s.scratch = s.agg.AppendSnapshot(s.scratch[:0])
-	p = appendUvarint(p, uint64(len(s.scratch)))
-	p = append(p, s.scratch...)
+	p = binc.AppendBytes(p, s.scratch)
+	s.scratch = s.scratch[:0]
 	if s.ctl != nil {
-		s.scratch = s.ctl.AppendSnapshot(s.scratch[:0])
-		p = appendUvarint(p, uint64(len(s.scratch)))
-		p = append(p, s.scratch...)
-	} else {
-		p = appendUvarint(p, 0)
+		s.scratch = s.ctl.AppendSnapshot(s.scratch)
 	}
+	p = binc.AppendBytes(p, s.scratch)
 	s.payload = p
 
 	f := s.frame[:0]
 	if !s.started {
 		f = append(f, wireMagic[:]...)
 	}
-	f = appendUvarint(f, uint64(len(p)))
+	f = binc.AppendUvarint(f, uint64(len(p)))
 	f = append(f, p...)
 	s.frame = f
 

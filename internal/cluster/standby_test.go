@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net"
 	"strings"
 	"testing"
@@ -14,12 +15,11 @@ func TestSnapshotFrameRoundTrip(t *testing.T) {
 	in := StandbySnapshot{Generation: 7, Aggregator: []byte("agg-state"), Controller: []byte("ctl")}
 	frame := AppendSnapshotFrame(nil, in)
 	// Strip the length prefix the read loop consumes.
-	p := &byteParser{b: frame}
-	n, err := p.uvarint()
-	if err != nil || n != uint64(len(frame)-p.i) {
-		t.Fatalf("frame length prefix: n=%d err=%v", n, err)
+	n, w := binary.Uvarint(frame)
+	if w <= 0 || n != uint64(len(frame)-w) {
+		t.Fatalf("frame length prefix: n=%d width=%d", n, w)
 	}
-	payload := frame[p.i:]
+	payload := frame[w:]
 	out, err := DecodeSnapshotFrame(payload)
 	if err != nil {
 		t.Fatalf("DecodeSnapshotFrame: %v", err)
@@ -30,11 +30,8 @@ func TestSnapshotFrameRoundTrip(t *testing.T) {
 
 	// Controller-less snapshots round-trip with a zero-length blob.
 	frame = AppendSnapshotFrame(nil, StandbySnapshot{Generation: 1, Aggregator: []byte("a")})
-	p = &byteParser{b: frame}
-	if _, err := p.uvarint(); err != nil {
-		t.Fatal(err)
-	}
-	out, err = DecodeSnapshotFrame(frame[p.i:])
+	_, w = binary.Uvarint(frame)
+	out, err = DecodeSnapshotFrame(frame[w:])
 	if err != nil || len(out.Controller) != 0 {
 		t.Fatalf("controller-less round trip: %+v err=%v", out, err)
 	}

@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -17,9 +15,7 @@ import (
 // Transport carries sampling rounds from a node's collector to an
 // aggregator. Implementations must preserve per-node publish order;
 // nothing else is assumed — the in-process transport is a direct call,
-// the wire transport is gob frames over a net.Conn, and other codecs
-// (JSON, protobuf) can slot in without the collector or the aggregator
-// noticing.
+// the wire transport is binary-codec frames over a net.Conn.
 type Transport interface {
 	// Publish ships one round. It may block briefly (wire flow control)
 	// but must not be called concurrently for the same node. The round's
@@ -29,29 +25,6 @@ type Transport interface {
 	Publish(Round) error
 	// Close releases the transport. Publishing after Close fails.
 	Close() error
-}
-
-// WireCodec names a wire serialisation for callers that assemble
-// clusters generically (the experiment stack, the simulator front-end).
-type WireCodec int
-
-// Available wire codecs.
-const (
-	// CodecGob is the reflective stdlib codec: self-describing, format-
-	// stable across field additions, ~2.5× the bytes and an order of
-	// magnitude more decode work than the binary codec.
-	CodecGob WireCodec = iota
-	// CodecBinary is the hand-rolled delta codec of codec.go.
-	CodecBinary
-)
-
-func (c WireCodec) String() string {
-	switch c {
-	case CodecBinary:
-		return "binary"
-	default:
-		return "gob"
-	}
 }
 
 // InProc is the zero-copy transport for nodes living in the aggregator's
@@ -100,9 +73,9 @@ const DefaultWireTimeout = 5 * time.Second
 // jittered backoff between tries; the zero value (Attempts <= 1) keeps
 // the historical fail-on-first-error behaviour. Retrying is safe exactly
 // because nothing reached the peer — the identical frame goes out again,
-// so neither gob's type-definition stream nor the binary codec's delta
-// chains can desynchronise. A write that fails after placing bytes on
-// the stream is never retried: the peer's framing is already corrupt.
+// so the codec's delta chains cannot desynchronise. A write that fails
+// after placing bytes on the stream is never retried: the peer's framing
+// is already corrupt.
 type RetryPolicy struct {
 	Attempts int           // total write attempts per frame (<= 1: no retry)
 	Base     time.Duration // backoff before the first retry (default 10ms)
@@ -171,120 +144,17 @@ func writeFrameRetry(conn net.Conn, frame []byte, timeout time.Duration, p Retry
 	}
 }
 
-// Wire ships rounds as gob frames over a net.Conn, so a node can live in
-// a different process (or host) from its aggregator. The encoder is
-// guarded by a mutex in case one process multiplexes several nodes'
-// forwarders onto one connection; per-node ordering is then the caller's
-// sampling order, which the collector already serialises.
-//
-// Each round gob-encodes into a staging buffer and ships as one whole
-// write, so a publish failure never leaves a partially encoded frame on
-// the stream. A zero-byte write failure retries under the RetryPolicy;
-// when retries exhaust, the frame is dropped and counted — gob fields
-// are absolute, so the receiver survives a lost frame — unless it was
-// the first frame (which carries the type definitions every later frame
-// references) or the write was partial, either of which latches the
-// wire broken.
-type Wire struct {
-	mu       sync.Mutex
-	conn     net.Conn
-	enc      *gob.Encoder
-	buf      bytes.Buffer // frame staging: enc writes here, Publish ships it whole
-	timeout  time.Duration
-	retry    RetryPolicy
-	rng      uint64
-	sentOnce bool
-	broken   bool
-	dropped  atomic.Int64
-}
-
-// NewWire wraps an established connection (one end of a net.Pipe, a
-// dialed TCP/unix socket, ...) as a publishing transport with the
-// default write timeout.
-func NewWire(conn net.Conn) *Wire {
-	w := &Wire{conn: conn, timeout: DefaultWireTimeout}
-	w.enc = gob.NewEncoder(&w.buf)
-	return w
-}
-
-// SetTimeout overrides the per-publish write bound (0 disables it).
-func (w *Wire) SetTimeout(d time.Duration) {
-	w.mu.Lock()
-	w.timeout = d
-	w.mu.Unlock()
-}
-
-// SetRetry installs the transient-write retry policy.
-func (w *Wire) SetRetry(p RetryPolicy) {
-	w.mu.Lock()
-	w.retry = p
-	w.mu.Unlock()
-}
-
-// DroppedRounds reports rounds this wire accepted but never delivered:
-// frames dropped when a write exhausted its retries, plus every publish
-// refused after the broken latch.
-func (w *Wire) DroppedRounds() int64 { return w.dropped.Load() }
-
-// DialWire connects to an aggregator's wire listener and returns the
-// publishing end.
-func DialWire(network, addr string) (*Wire, error) {
-	conn, err := net.Dial(network, addr)
-	if err != nil {
-		return nil, err
-	}
-	return NewWire(conn), nil
-}
-
-// Publish implements Transport: one gob frame per round, staged in the
-// frame buffer and shipped as a single bounded write under the retry
-// policy.
-func (w *Wire) Publish(r Round) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.broken {
-		w.dropped.Add(1)
-		return errors.New("cluster: wire broken by an earlier failed write")
-	}
-	w.buf.Reset()
-	if err := w.enc.Encode(r); err != nil {
-		// The encoder's type-definition state may now disagree with what
-		// the buffer (and so the stream) will carry; nothing safe follows.
-		w.broken = true
-		w.dropped.Add(1)
-		_ = w.conn.Close()
-		return err
-	}
-	partial, err := writeFrameRetry(w.conn, w.buf.Bytes(), w.timeout, w.retry, &w.rng)
-	if err != nil {
-		w.dropped.Add(1)
-		if partial || !w.sentOnce {
-			// A partial write corrupts the peer's framing; a lost first
-			// frame loses the gob type definitions every later frame
-			// references. Either way the stream is unrecoverable.
-			w.broken = true
-			_ = w.conn.Close()
-		}
-		return err
-	}
-	w.sentOnce = true
-	return nil
-}
-
-// Close implements Transport.
-func (w *Wire) Close() error { return w.conn.Close() }
-
 // BinaryWire ships rounds as delta-encoded binary frames (see codec.go)
-// over a net.Conn — the high-density counterpart of the gob Wire, behind
-// the same Transport interface, for deployments where bytes-on-wire and
-// per-round garbage matter: names are interned per connection and every
-// numeric field rides as a small varint delta, cutting a steady-state
-// round several-fold versus gob, and Publish reuses one frame buffer so
-// it allocates nothing. SetBatch turns on multi-round BATCH frames with
-// a count/deadline flush policy for fleet fan-in. Like Wire, the publish
-// mutex admits several forwarders multiplexed onto one connection, and a
-// timed-out write may leave a partial frame after which the receiver
-// errors and drops the connection — fail-stop, never wedged.
+// over a net.Conn, so a node can live in a different process (or host)
+// from its aggregator: names are interned per connection and every
+// numeric field rides as a small varint delta, and Publish reuses one
+// frame buffer so it allocates nothing. SetBatch turns on multi-round
+// BATCH frames with a count/deadline flush policy for fleet fan-in. The
+// publish mutex admits several forwarders multiplexed onto one
+// connection (per-node ordering is then the caller's sampling order,
+// which the collector already serialises), and a timed-out write may
+// leave a partial frame after which the receiver errors and drops the
+// connection — fail-stop, never wedged.
 type BinaryWire struct {
 	mu      sync.Mutex
 	conn    net.Conn
@@ -304,9 +174,8 @@ type BinaryWire struct {
 
 // NewBinaryWire wraps an established connection as a binary-codec
 // publishing transport with the default write timeout. The peer must
-// serve it with ServeBinaryConn/ServeBinary — the gob and binary stream
-// formats are not interchangeable (the stream header makes a mismatch
-// fail at connect time).
+// serve it with ServeBinaryConn/ServeBinary (the stream header makes a
+// peer that speaks anything else fail at connect time).
 func NewBinaryWire(conn net.Conn) *BinaryWire {
 	return &BinaryWire{conn: conn, enc: NewBinaryEncoder(), timeout: DefaultWireTimeout}
 }
@@ -372,12 +241,11 @@ func (w *BinaryWire) SetBatch(rounds int, delay time.Duration) error {
 // once when unbatched, else on the count or deadline trigger. The frame
 // buffer is reused across publishes.
 //
-// A failed or short write breaks the transport permanently: unlike gob
-// (whose fields are absolute, so the receiver survives a lost frame),
-// the binary codec's deltas and XOR chains assume the decoder saw every
-// frame the encoder produced — the encoder's state already reflects the
-// lost round, so continuing would make every later round decode to
-// silently wrong values. The wire latches the error, closes the
+// A failed or short write breaks the transport permanently: the codec's
+// deltas and XOR chains assume the decoder saw every frame the encoder
+// produced — the encoder's state already reflects the lost round, so
+// continuing would make every later round decode to silently wrong
+// values. The wire latches the error, closes the
 // connection, and fails every subsequent Publish; the owner reconnects
 // with a fresh wire (and therefore fresh codec state on both ends).
 // Under batching a write error surfaces on the Publish (or Flush, or
@@ -562,42 +430,6 @@ func (a *Aggregator) ServeBinary(ln net.Listener) {
 		go func() {
 			defer conn.Close()
 			_ = a.ServeBinaryConn(conn)
-		}()
-	}
-}
-
-// ServeConn decodes rounds from conn into the aggregator until the
-// connection closes. It returns nil on a clean EOF; on a decode error it
-// closes the connection (fail-stop for the publisher) and returns the
-// error. Run it on its own goroutine, one per node connection — per-node
-// ordering is then the connection's byte order.
-func (a *Aggregator) ServeConn(conn net.Conn) error {
-	dec := gob.NewDecoder(conn)
-	for {
-		var r Round
-		if err := dec.Decode(&r); err != nil {
-			if errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF) {
-				return nil
-			}
-			_ = conn.Close()
-			return err
-		}
-		a.Ingest(r)
-	}
-}
-
-// Serve accepts node connections from ln and serves each on its own
-// goroutine until the listener closes, closing each connection when its
-// serving loop ends. It blocks; run it on a goroutine.
-func (a *Aggregator) Serve(ln net.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		go func() {
-			defer conn.Close()
-			_ = a.ServeConn(conn)
 		}()
 	}
 }

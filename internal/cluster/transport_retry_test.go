@@ -127,60 +127,8 @@ func TestBinaryWireBatchedRetryDropCountsRounds(t *testing.T) {
 	}
 }
 
-// TestGobWireRetryRecoversTransient mirrors the binary test for the gob
-// wire.
-func TestGobWireRetryRecoversTransient(t *testing.T) {
-	c := &flakyConn{failures: 1}
-	w := NewWire(c)
-	w.SetRetry(RetryPolicy{Attempts: 2, Base: time.Microsecond, Max: time.Microsecond})
-	gen := newRoundGen("node1")
-	if err := w.Publish(gen.next()); err != nil {
-		t.Fatalf("publish did not recover: %v", err)
-	}
-	if w.DroppedRounds() != 0 {
-		t.Fatalf("dropped = %d, want 0", w.DroppedRounds())
-	}
-}
-
-// TestGobWireDropsNonFirstFrame pins the gob wire's looser loss
-// discipline: losing a whole non-first frame is survivable (fields are
-// absolute), so the wire counts the drop and keeps publishing.
-func TestGobWireDropsNonFirstFrame(t *testing.T) {
-	c := &flakyConn{}
-	w := NewWire(c)
-	gen := newRoundGen("node1")
-	if err := w.Publish(gen.next()); err != nil {
-		t.Fatal(err)
-	}
-	c.failures = 1
-	if err := w.Publish(gen.next()); err == nil {
-		t.Fatal("lost frame not surfaced")
-	}
-	if w.DroppedRounds() != 1 {
-		t.Fatalf("dropped = %d, want 1", w.DroppedRounds())
-	}
-	if err := w.Publish(gen.next()); err != nil {
-		t.Fatalf("gob wire latched broken on a survivable frame loss: %v", err)
-	}
-}
-
-// TestGobWireFirstFrameLossLatches pins that losing the first frame — the
-// one carrying gob's type definitions — latches the wire broken.
-func TestGobWireFirstFrameLossLatches(t *testing.T) {
-	c := &flakyConn{failures: 1}
-	w := NewWire(c)
-	gen := newRoundGen("node1")
-	if err := w.Publish(gen.next()); err == nil {
-		t.Fatal("lost first frame not surfaced")
-	}
-	c.failures = 0
-	if err := w.Publish(gen.next()); err == nil {
-		t.Fatal("wire did not latch broken after losing the type-definition frame")
-	}
-}
-
 // TestPartialWriteNeverRetried pins that once any byte reaches the
-// stream, both wires fail immediately — a retry would corrupt the peer's
+// stream, the wire fails immediately — a retry would corrupt the peer's
 // framing — even with a generous retry budget.
 func TestPartialWriteNeverRetried(t *testing.T) {
 	bw := NewBinaryWire(&partialConn{})
@@ -193,13 +141,4 @@ func TestPartialWriteNeverRetried(t *testing.T) {
 		t.Fatal("binary wire not latched after a partial write")
 	}
 
-	gw := NewWire(&partialConn{})
-	gw.SetRetry(RetryPolicy{Attempts: 10, Base: time.Microsecond})
-	gen2 := newRoundGen("node1")
-	if err := gw.Publish(gen2.next()); err == nil {
-		t.Fatal("partial write not surfaced")
-	}
-	if err := gw.Publish(gen2.next()); err == nil {
-		t.Fatal("gob wire not latched after a partial write")
-	}
 }

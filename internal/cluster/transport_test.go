@@ -32,20 +32,10 @@ func feedCluster(t *testing.T, agg *Aggregator, trs map[string]Transport, leaks 
 			}(node, tr)
 		}
 		wg.Wait()
-		waitRounds(t, agg, int64(len(trs))*seq)
-	}
-}
-
-// waitRounds blocks until the aggregator has ingested n rounds (wire
-// delivery is asynchronous) or the deadline passes.
-func waitRounds(t *testing.T, a *Aggregator, n int64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for a.TotalRounds() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("aggregator ingested %d/%d rounds before deadline", a.TotalRounds(), n)
+		// Wire delivery is asynchronous: barrier on the fold, not the count.
+		if err := agg.Quiesce(int64(len(trs))*seq, time.Now().Add(5*time.Second)); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -61,11 +51,11 @@ func clusterVerdictsOf(rep *ClusterReport) any {
 }
 
 // TestWireAndInProcProduceIdenticalVerdicts runs the same three-node
-// round set through the in-process transport and through both wire
-// codecs (gob and binary) over net pipes with concurrent per-node
-// publishers, and requires byte-identical cluster and per-node verdicts:
-// the epoch fold must absorb arbitrary cross-node interleaving, and the
-// codec choice must be invisible to detection.
+// round set through the in-process transport and through the binary wire
+// over net pipes with concurrent per-node publishers, and requires
+// byte-identical cluster and per-node verdicts: the epoch fold must
+// absorb arbitrary cross-node interleaving, and the codec must be
+// invisible to detection.
 func TestWireAndInProcProduceIdenticalVerdicts(t *testing.T) {
 	nodes := []string{"node1", "node2", "node3"}
 	leaks := map[string]int64{"node1": 0, "node2": 4096, "node3": 0}
@@ -84,55 +74,44 @@ func TestWireAndInProcProduceIdenticalVerdicts(t *testing.T) {
 		}
 	}
 
-	for _, codec := range []string{"gob", "binary"} {
-		t.Run(codec, func(t *testing.T) {
-			wired := New(Config{Detect: testDetect()})
-			wired.Expect(nodes...)
-			trs := make(map[string]Transport, len(nodes))
-			for _, n := range nodes {
-				client, server := net.Pipe()
-				if codec == "gob" {
-					go func() { _ = wired.ServeConn(server) }()
-					w := NewWire(client)
-					defer w.Close()
-					trs[n] = w
-				} else {
-					go func() { _ = wired.ServeBinaryConn(server) }()
-					w := NewBinaryWire(client)
-					defer w.Close()
-					trs[n] = w
-				}
-			}
-			feedCluster(t, wired, trs, leaks, rounds)
+	wired := New(Config{Detect: testDetect()})
+	wired.Expect(nodes...)
+	trs := make(map[string]Transport, len(nodes))
+	for _, n := range nodes {
+		client, server := net.Pipe()
+		go func() { _ = wired.ServeBinaryConn(server) }()
+		w := NewBinaryWire(client)
+		defer w.Close()
+		trs[n] = w
+	}
+	feedCluster(t, wired, trs, leaks, rounds)
 
-			for _, res := range core.DetectorResources {
-				a, b := clusterVerdictsOf(inproc.Report(res)), clusterVerdictsOf(wired.Report(res))
-				if !reflect.DeepEqual(a, b) {
-					t.Fatalf("%s cluster reports differ:\ninproc: %+v\nwire:   %+v", res, a, b)
-				}
+	for _, res := range core.DetectorResources {
+		a, b := clusterVerdictsOf(inproc.Report(res)), clusterVerdictsOf(wired.Report(res))
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s cluster reports differ:\ninproc: %+v\nwire:   %+v", res, a, b)
+		}
+	}
+	// Per-node verdict streams must agree too.
+	for _, n := range nodes {
+		for _, res := range core.DetectorResources {
+			ra, rb := inproc.NodeReport(n, res), wired.NodeReport(n, res)
+			if (ra == nil) != (rb == nil) {
+				t.Fatalf("%s/%s: one transport missing a report", n, res)
 			}
-			// Per-node verdict streams must agree too.
-			for _, n := range nodes {
-				for _, res := range core.DetectorResources {
-					ra, rb := inproc.NodeReport(n, res), wired.NodeReport(n, res)
-					if (ra == nil) != (rb == nil) {
-						t.Fatalf("%s/%s: one transport missing a report", n, res)
-					}
-					if ra == nil {
-						continue
-					}
-					va, vb := ra.Components, rb.Components
-					if !reflect.DeepEqual(va, vb) {
-						t.Fatalf("%s/%s verdicts differ:\ninproc: %+v\nwire:   %+v", n, res, va, vb)
-					}
-				}
+			if ra == nil {
+				continue
 			}
-			// And the wire run must still name the sick pair.
-			top, ok := wired.Report(core.ResourceMemory).Top()
-			if !ok || top.Pair() != "node2/leaky" {
-				t.Fatalf("wire top = %+v", top)
+			va, vb := ra.Components, rb.Components
+			if !reflect.DeepEqual(va, vb) {
+				t.Fatalf("%s/%s verdicts differ:\ninproc: %+v\nwire:   %+v", n, res, va, vb)
 			}
-		})
+		}
+	}
+	// And the wire run must still name the sick pair.
+	top, ok := wired.Report(core.ResourceMemory).Top()
+	if !ok || top.Pair() != "node2/leaky" {
+		t.Fatalf("wire top = %+v", top)
 	}
 }
 
@@ -167,39 +146,6 @@ func TestBinaryWireOverTCP(t *testing.T) {
 	top, ok := rep.Top()
 	if !ok || top.Component != "leaky" || !top.ClusterWide {
 		t.Fatalf("binary TCP cluster verdict wrong: %v", rep)
-	}
-}
-
-// TestWireOverTCP exercises the real-socket path end to end: an
-// aggregator serving a TCP listener, three dialed node connections.
-func TestWireOverTCP(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("cannot listen on loopback: %v", err)
-	}
-	defer ln.Close()
-
-	agg := New(Config{Detect: testDetect()})
-	nodes := []string{"node1", "node2", "node3"}
-	agg.Expect(nodes...)
-	go agg.Serve(ln)
-
-	const rounds = 12
-	trs := make(map[string]Transport, len(nodes))
-	for _, n := range nodes {
-		w, err := DialWire("tcp", ln.Addr().String())
-		if err != nil {
-			t.Fatalf("dial: %v", err)
-		}
-		defer w.Close()
-		trs[n] = w
-	}
-	feedCluster(t, agg, trs, map[string]int64{"node1": 4096, "node2": 4096, "node3": 4096}, rounds)
-
-	rep := agg.Report(core.ResourceMemory)
-	top, ok := rep.Top()
-	if !ok || top.Component != "leaky" || !top.ClusterWide {
-		t.Fatalf("TCP cluster verdict wrong: %v", rep)
 	}
 }
 
@@ -242,8 +188,8 @@ func TestTransportClosedPublishFails(t *testing.T) {
 
 	client, server := net.Pipe()
 	done := make(chan struct{})
-	go func() { _ = agg.ServeConn(server); close(done) }()
-	w := NewWire(client)
+	go func() { _ = agg.ServeBinaryConn(server); close(done) }()
+	w := NewBinaryWire(client)
 	if err := w.Publish(Round{Node: "n", Seq: 1, Time: time.Unix(0, 0)}); err != nil {
 		t.Fatalf("publish on open pipe: %v", err)
 	}

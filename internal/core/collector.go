@@ -74,8 +74,8 @@ type Collector struct {
 
 // ComponentSample is one component's measurements in a sampling round, as
 // delivered to subscribed SampleObservers and shipped to cluster
-// aggregators. All fields are exported so a round crosses process
-// boundaries unchanged (gob/JSON wire transports).
+// aggregators. All fields are exported: the cluster wire codec, one
+// package up, carries each of them across process boundaries.
 type ComponentSample struct {
 	// Component is the component name.
 	Component string

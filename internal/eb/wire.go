@@ -9,6 +9,7 @@ import (
 	"net"
 	"time"
 
+	"repro/internal/binc"
 	"repro/internal/sim"
 )
 
@@ -49,8 +50,7 @@ const (
 // uvarint-write scratch; writers are single-goroutine so a local is fine.
 func writeUvarint(w *bufio.Writer, v uint64) error {
 	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := w.Write(buf[:n])
+	_, err := w.Write(binc.AppendUvarint(buf[:0], v))
 	return err
 }
 

@@ -188,8 +188,13 @@ func S9PoolExhaustion(cfg Config) Result {
 		quiet:     []string{core.ResourceMemory, core.ResourceCPU, core.ResourceThreads},
 		expected:  "zero steady-phase alarms; the handle stream names A within the round bound; memory/CPU/threads stay quiet",
 		arm: func(s *Stack) error {
-			_, err := s.InjectPoolExhaustion(ComponentA, 30, 2*time.Millisecond, cfg.Seed)
-			return err
+			return s.Inject(&faultinject.PoolExhaustion{
+				Component:     ComponentA,
+				N:             30,
+				PerHandleWait: 2 * time.Millisecond,
+				Agent:         s.Framework.HandleAgent(),
+				Seed:          cfg.Seed,
+			})
 		},
 	})
 }
@@ -207,8 +212,13 @@ func S10HandleLeak(cfg Config) Result {
 		quiet:     []string{core.ResourceCPU, core.ResourceThreads},
 		expected:  "zero steady-phase alarms; the handle stream names B within the round bound; CPU/threads stay quiet",
 		arm: func(s *Stack) error {
-			_, err := s.InjectHandleLeak(ComponentB, 30, cfg.Seed)
-			return err
+			return s.Inject(&faultinject.HandleLeak{
+				Component: ComponentB,
+				N:         30,
+				Agent:     s.Framework.HandleAgent(),
+				Heap:      s.Heap,
+				Seed:      cfg.Seed,
+			})
 		},
 	})
 }
@@ -231,8 +241,13 @@ func S11LockContention(cfg Config) Result {
 			// Step/Growth fixes the per-request wait creep; at A's ~1.3
 			// req/s the 1.5ms/request creep is a ~2e-3 s/inv-per-second
 			// latency slope, 4x the DefaultLatencyMinSlope floor.
-			_, err := s.InjectLockContention(ComponentA, 3*time.Millisecond, 2, 200*time.Microsecond, cfg.Seed)
-			return err
+			return s.Inject(&faultinject.LockContention{
+				Component: ComponentA,
+				Step:      3 * time.Millisecond,
+				Growth:    2,
+				Jitter:    200 * time.Microsecond,
+				Seed:      cfg.Seed,
+			})
 		},
 	})
 }
@@ -251,8 +266,18 @@ func S12FragmentationBloat(cfg Config) Result {
 			core.ResourceHandles, core.ResourceLatency},
 		expected: "zero steady-phase alarms; the memory stream names B within the round bound despite the shallow slope",
 		arm: func(s *Stack) error {
-			_, err := s.InjectFragmentationBloat(ComponentB, 8*KB, 10, cfg.Seed)
-			return err
+			target, err := s.retainer(ComponentB)
+			if err != nil {
+				return err
+			}
+			return s.Inject(&faultinject.FragmentationBloat{
+				Component: ComponentB,
+				Target:    target,
+				Base:      8 * KB,
+				N:         10,
+				Heap:      s.Heap,
+				Seed:      cfg.Seed,
+			})
 		},
 	})
 }
@@ -274,8 +299,12 @@ func S13StaleCacheDecay(cfg Config) Result {
 			// ~1.3 req/s this is ~1.5e-3 s/inv per second, 3x the
 			// DefaultCPUMinSlope floor, and the decay ramp (400 requests,
 			// ~10 sampling rounds) outlasts the detection window.
-			_, err := s.InjectStaleCacheDecay(ComponentA, 450*time.Millisecond, 400, cfg.Seed)
-			return err
+			return s.Inject(&faultinject.StaleCacheDecay{
+				Component: ComponentA,
+				MissCost:  450 * time.Millisecond,
+				Decay:     400,
+				Seed:      cfg.Seed,
+			})
 		},
 	})
 }
@@ -436,7 +465,7 @@ func S16ClockSkew(cfg Config) Result {
 	}
 	defer cs.Close()
 	chaos.SetSkew(2 * time.Minute)
-	if _, err := cs.InjectLeak("node1", ComponentA, 100*KB, 100, cfg.Seed); err != nil {
+	if _, err := cs.Node("node1").InjectLeak(ComponentA, 100*KB, 100, cfg.Seed); err != nil {
 		return errorResult("S16", err)
 	}
 

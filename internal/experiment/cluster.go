@@ -6,18 +6,12 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/aspect"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/eb"
-	"repro/internal/faultinject"
 	"repro/internal/jmx"
-	"repro/internal/jvmheap"
 	"repro/internal/rejuv"
-	"repro/internal/servlet"
 	"repro/internal/sim"
-	"repro/internal/sqldb"
 	"repro/internal/tpcw"
 )
 
@@ -46,27 +40,11 @@ type ClusterConfig struct {
 	Detect detect.Config
 	// Policy selects the balancer's assignment policy.
 	Policy cluster.Policy
-	// Quorum overrides the aggregator's cluster-wide quorum fraction.
-	Quorum float64
-	// WireTransport ships rounds over net.Pipe connections instead of
-	// in-process calls, exercising a real serialisation path; verdicts
-	// must not depend on the choice.
-	WireTransport bool
-	// WireCodec selects the serialisation when WireTransport is set:
-	// gob (the default) or the delta-encoded binary codec.
-	WireCodec cluster.WireCodec
-	// WireBatchRounds, when > 1 with the binary codec, buffers that many
-	// rounds per BATCH frame on each node's wire (the fleet fan-in flush
-	// policy). Verdicts must not depend on it — Sync flushes partial
-	// batches before its round barrier. A node that flushes a full batch
-	// runs up to WireBatchRounds epochs ahead of peers still buffering,
-	// so StaleEpochs must exceed the batch or laggards evict spuriously.
-	WireBatchRounds int
-	// WireBatchDelay bounds how long a partial batch may wait for its
-	// count trigger (0: only the count and Sync flush).
-	WireBatchDelay time.Duration
+	// Link picks how each node's rounds reach the aggregator; Sync
+	// flushes a batched link's partial frames before its round barrier.
+	Link MonitorLink
 	// StaleEpochs overrides the aggregator's laggard-eviction window
-	// (0 = its default). Size it above WireBatchRounds when batching.
+	// (0 = its default; a batched Link widens it to twice the batch).
 	StaleEpochs int
 	// IngestLanes and FoldWorkers tune the aggregator's sharded ingest
 	// plane (0 = defaults; 1/1 = the serial reference configuration).
@@ -76,8 +54,8 @@ type ClusterConfig struct {
 	// Rejuv, when non-nil, closes the loop: a rejuvenation controller
 	// subscribes to the aggregator's epoch verdicts and drives the
 	// drain / micro-reboot / probation / re-admit cycle against the
-	// balancer and the nodes' frameworks (wire control frames under
-	// WireTransport+CodecBinary, synchronous local handlers otherwise).
+	// balancer and the nodes' frameworks (control frames on a wire Link,
+	// synchronous local handlers on the in-process one).
 	Rejuv *rejuv.Config
 	// RejuvControl, when set with Rejuv, wraps the controller's command
 	// channel — the hook chaos scenarios use to lose or delay actuation
@@ -97,39 +75,10 @@ type ClusterConfig struct {
 	// round transport (the per-node wire rebind is a deployment concern
 	// the simulation does not model).
 	Standby bool
-	// LaneQueueDepth and NotifCap pass through to the aggregator's
-	// overload protection (0 = defaults): the per-lane ingest admission
-	// bound and the pending-notification cap.
+	// LaneQueueDepth passes through to the aggregator's overload
+	// protection (0 = default): the per-lane ingest admission bound.
 	LaneQueueDepth int
-	NotifCap       int
 }
-
-// ClusterNode is one application-server node of a ClusterStack.
-type ClusterNode struct {
-	Name      string
-	Weaver    *aspect.Weaver
-	DB        *sqldb.DB
-	App       *tpcw.App
-	Heap      *jvmheap.Heap
-	Container *servlet.Container
-	Framework *core.Framework
-
-	transport    cluster.Transport
-	forwarder    *cluster.Forwarder
-	flushWire    func() error // ships a partial BATCH now (nil when unbatched)
-	stopSampling func()
-	inCluster    bool
-	// Failover plumbing (Standby stacks only): the swappable transport
-	// the forwarder publishes through, and the node's control handler
-	// for re-binding on the promoted aggregator.
-	retarget *retargetTransport
-	control  cluster.ControlHandler
-}
-
-// Forwarder exposes the node's round forwarder, whose publish/error/drop
-// counters are the node-side half of the wire accounting (the aggregator
-// holds the ingest/shed half).
-func (n *ClusterNode) Forwarder() *cluster.Forwarder { return n.forwarder }
 
 // retargetTransport lets FailOver repoint a node's publish stream at the
 // promoted aggregator without touching the forwarder above it — the
@@ -166,7 +115,7 @@ func (t *retargetTransport) set(tr cluster.Transport) {
 // bean and its notifications, and an EB driver aimed at the balancer.
 type ClusterStack struct {
 	Engine     *sim.Engine
-	Nodes      []*ClusterNode
+	Nodes      []*Node
 	Balancer   *cluster.Balancer
 	Aggregator *cluster.Aggregator
 	Server     *jmx.Server // cluster management plane
@@ -182,6 +131,7 @@ type ClusterStack struct {
 	aggCfg     cluster.Config
 	rejuvCfg   *rejuv.Config
 	rejuvWrap  func(rejuv.CommandSender) rejuv.CommandSender
+	retargets  []*retargetTransport // one per node, in Nodes order
 	shipper    *cluster.StandbyShipper
 	standby    *cluster.StandbyReceiver
 	standbyErr chan error
@@ -195,28 +145,23 @@ func NewClusterStack(cfg ClusterConfig) (*ClusterStack, error) {
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("experiment: ClusterConfig.Nodes must be >= 1")
 	}
-	if cfg.HeapBytes <= 0 {
-		cfg.HeapBytes = jvmheap.DefaultCapacity
-	}
 	if cfg.SampleInterval <= 0 {
 		cfg.SampleInterval = 30 * time.Second
 	}
 	if cfg.Scale.Seed == 0 {
 		cfg.Scale.Seed = cfg.Seed + 1
 	}
-	if cfg.Standby && cfg.WireTransport {
+	if cfg.Standby && cfg.Link.Wire {
 		return nil, fmt.Errorf("experiment: Standby failover requires the in-process transport")
 	}
 	engine := sim.NewEngine()
-	aggCfg := cluster.Config{
+	aggCfg := cfg.Link.aggregatorConfig(cluster.Config{
 		Detect:         cfg.Detect,
-		Quorum:         cfg.Quorum,
 		StaleEpochs:    cfg.StaleEpochs,
 		IngestLanes:    cfg.IngestLanes,
 		FoldWorkers:    cfg.FoldWorkers,
 		LaneQueueDepth: cfg.LaneQueueDepth,
-		NotifCap:       cfg.NotifCap,
-	}
+	})
 	agg := cluster.New(aggCfg)
 	clusterServer := jmx.NewServer(engine.Clock())
 	if err := clusterServer.Register(cluster.AggregatorName(), agg.Bean()); err != nil {
@@ -294,98 +239,32 @@ func NewClusterStack(cfg ClusterConfig) (*ClusterStack, error) {
 	return cs, nil
 }
 
-// buildNode assembles one full application-server node with its own
-// weaver, database replica, heap, container and monitoring framework.
-func (cs *ClusterStack) buildNode(name string, cfg ClusterConfig) (*ClusterNode, error) {
-	engine := cs.Engine
-	weaver := aspect.NewWeaver(engine.Clock())
-	db := sqldb.NewDB()
-	app, err := tpcw.NewApp(db, weaver, engine.Clock(), cfg.Scale)
-	if err != nil {
-		return nil, err
-	}
-	heap := jvmheap.New(cfg.HeapBytes, engine.Clock())
-	container := servlet.NewContainer(engine, weaver, db, heap, servlet.Config{})
-	if err := app.DeployAll(container); err != nil {
-		return nil, err
-	}
-	if err := container.Start(); err != nil {
-		return nil, err
-	}
-	f, err := core.New(core.Options{
-		Weaver:         weaver,
-		Clock:          engine.Clock(),
-		Heap:           heap,
+// buildNode assembles one monitored application-server node and links
+// it to the aggregator.
+func (cs *ClusterStack) buildNode(name string, cfg ClusterConfig) (*Node, error) {
+	node, err := buildNode(cs.Engine, nodeConfig{
+		Name:           name,
+		Scale:          cfg.Scale,
+		HeapBytes:      cfg.HeapBytes,
+		Monitored:      true,
 		SampleInterval: cfg.SampleInterval,
-		Node:           name,
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, comp := range tpcw.Interactions {
-		servletObj, _ := app.Servlet(comp)
-		if err := f.InstrumentComponent(comp, servletObj); err != nil {
-			return nil, err
+	err = attach(cs.Aggregator, node, cfg.Link, func(tr cluster.Transport) cluster.Transport {
+		if cfg.Chaos != nil {
+			tr = cfg.Chaos(name, tr)
 		}
-	}
-
-	var tr cluster.Transport
-	var flushWire func() error
-	wireControl := false
-	if cfg.WireTransport {
-		client, server := net.Pipe()
-		switch cfg.WireCodec {
-		case cluster.CodecBinary:
-			go func() { _ = cs.Aggregator.ServeBinaryConn(server) }()
-			bw := cluster.NewBinaryWire(client)
-			if cfg.WireBatchRounds > 1 {
-				if err := bw.SetBatch(cfg.WireBatchRounds, cfg.WireBatchDelay); err != nil {
-					return nil, err
-				}
-				// Keep the raw wire in hand: Chaos may wrap the transport,
-				// but Sync's barrier still needs to flush partial batches.
-				flushWire = bw.Flush
-			}
-			// The actuation direction of the same connection: control
-			// frames in, ACK frames out, interleaved with BATCH frames.
-			go func() { _ = bw.ServeControl(cluster.FrameworkControlHandler(f)) }()
-			wireControl = true
-			tr = bw
-		default:
-			go func() { _ = cs.Aggregator.ServeConn(server) }()
-			tr = cluster.NewWire(client)
+		if cfg.Standby {
+			rt := &retargetTransport{inner: tr}
+			cs.retargets = append(cs.retargets, rt)
+			tr = rt
 		}
-	} else {
-		tr = cluster.NewInProc(cs.Aggregator)
-	}
-	var control cluster.ControlHandler
-	if !wireControl {
-		// Gob and in-process streams carry no control frames; actuation
-		// reaches the framework through a synchronous local binding.
-		control = cluster.FrameworkControlHandler(f)
-		cs.Aggregator.BindLocalControl(name, control)
-	}
-	if cfg.Chaos != nil {
-		tr = cfg.Chaos(name, tr)
-	}
-	var retarget *retargetTransport
-	if cfg.Standby {
-		retarget = &retargetTransport{inner: tr}
-		tr = retarget
-	}
-	node := &ClusterNode{
-		Name:      name,
-		Weaver:    weaver,
-		DB:        db,
-		App:       app,
-		Heap:      heap,
-		Container: container,
-		Framework: f,
-		transport: tr,
-		flushWire: flushWire,
-		forwarder: cluster.Attach(f, tr),
-		retarget:  retarget,
-		control:   control,
+		return tr
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := cs.Server.Register(cluster.ForwarderName(name), node.forwarder.Bean()); err != nil {
 		return nil, err
@@ -395,17 +274,16 @@ func (cs *ClusterStack) buildNode(name string, cfg ClusterConfig) (*ClusterNode,
 
 // activate puts a node into service: balancer membership plus periodic
 // sampling (whose rounds flow to the aggregator via the forwarder).
-func (cs *ClusterStack) activate(node *ClusterNode) {
-	if node.inCluster {
+func (cs *ClusterStack) activate(node *Node) {
+	if node.stopSampling != nil {
 		return
 	}
-	node.inCluster = true
 	cs.Balancer.AddNode(node.Name, node.Container, 1)
-	node.stopSampling = node.Framework.StartSampling(cs.Engine)
+	node.startSampling()
 }
 
 // Node returns a node by name (nil when unknown).
-func (cs *ClusterStack) Node(name string) *ClusterNode {
+func (cs *ClusterStack) Node(name string) *Node {
 	for _, n := range cs.Nodes {
 		if n.Name == name {
 			return n
@@ -436,15 +314,11 @@ func (cs *ClusterStack) Leave(name string) error {
 	if node == nil {
 		return fmt.Errorf("experiment: no node %q", name)
 	}
-	if !node.inCluster {
+	if node.stopSampling == nil {
 		return fmt.Errorf("experiment: node %q is not in the cluster", name)
 	}
-	node.inCluster = false
 	cs.Balancer.RemoveNode(name)
-	if node.stopSampling != nil {
-		node.stopSampling()
-		node.stopSampling = nil
-	}
+	node.haltSampling()
 	// Drain rounds already in flight on a wire transport before marking
 	// the node gone, so a frame decoded after Leave cannot rejoin it.
 	if err := cs.Sync(); err != nil {
@@ -454,69 +328,26 @@ func (cs *ClusterStack) Leave(name string) error {
 	return nil
 }
 
-// InjectLeak arms the paper's memory-leak error in one component on one
-// node — the "sick replica" topology a single-process deployment cannot
-// express.
-func (cs *ClusterStack) InjectLeak(nodeName, component string, size, n int, seed uint64) (*faultinject.MemoryLeak, error) {
-	node := cs.Node(nodeName)
-	if node == nil {
-		return nil, fmt.Errorf("experiment: no node %q", nodeName)
-	}
-	target, ok := node.App.Servlet(component)
-	if !ok {
-		return nil, fmt.Errorf("experiment: no servlet %q on %s", component, nodeName)
-	}
-	retainer, ok := target.(faultinject.Retainer)
-	if !ok {
-		return nil, fmt.Errorf("experiment: servlet %q is not injectable", component)
-	}
-	leak := &faultinject.MemoryLeak{
-		Component: component,
-		Target:    retainer,
-		Size:      size,
-		N:         n,
-		Heap:      node.Heap,
-		Seed:      seed,
-	}
-	if err := node.Weaver.Register(leak.Aspect()); err != nil {
-		return nil, err
-	}
-	return leak, nil
-}
-
-// Sync blocks until every published round has been ingested — a no-op
-// for the in-process transport, and the wire transports' drain barrier
-// (gob decoding happens on reader goroutines, so the engine can finish a
-// schedule a few rounds before the aggregator does). Batched binary
-// wires flush their partial frames first, so a buffered round cannot
-// stall the barrier.
+// Sync blocks until every published round has been ingested and folded
+// — a no-op for the in-process link, and the wire links' drain barrier
+// (frames decode on serving goroutines, so the engine can finish a
+// schedule a few rounds before the aggregator does). Batched wires flush
+// their partial frames first, so a buffered round cannot stall the
+// barrier.
 func (cs *ClusterStack) Sync() error {
 	var want int64
 	for _, n := range cs.Nodes {
-		if n.flushWire != nil {
-			// A flush error means the wire is broken; its lost rounds
-			// surface as forwarder errors on later publishes, and the
-			// barrier below already tolerates what never arrived only via
-			// the deadline — fail loudly there with the ingest count.
-			_ = n.flushWire()
+		delivered, err := n.flushLink()
+		if err != nil {
+			return err
 		}
-		if n.forwarder != nil {
-			want += n.forwarder.Rounds() - n.forwarder.Errors()
-		}
+		want += delivered
 	}
 	// Rounds that died with a failed-over aggregator can never arrive.
 	want -= cs.lostRounds
-	deadline := time.Now().Add(10 * time.Second)
-	for cs.Aggregator.TotalRounds() < want {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("experiment: aggregator ingested %d of %d rounds",
-				cs.Aggregator.TotalRounds(), want)
-		}
-		time.Sleep(time.Millisecond)
+	if err := cs.Aggregator.Quiesce(want, time.Now().Add(10*time.Second)); err != nil {
+		return err
 	}
-	// Rounds are counted before the folds they complete publish; fold to
-	// the final watermark before callers read reports.
-	cs.Aggregator.SyncFolds()
 	cs.FlushNotifications()
 	return nil
 }
@@ -582,20 +413,15 @@ func (cs *ClusterStack) FailOver() error {
 	// Account for the failover window before any new round arrives.
 	var published int64
 	for _, n := range cs.Nodes {
-		if n.forwarder != nil {
-			published += n.forwarder.Rounds() - n.forwarder.Errors()
-		}
+		published += n.forwarder.Rounds() - n.forwarder.Errors()
 	}
 	cs.lostRounds += published - promoted.TotalRounds()
 
-	// Repoint every node at the promoted plane.
-	for _, n := range cs.Nodes {
-		if n.retarget != nil {
-			n.retarget.set(cluster.NewInProc(promoted))
-		}
-		if n.control != nil {
-			promoted.BindLocalControl(n.Name, n.control)
-		}
+	// Repoint every node at the promoted plane (Standby stacks are
+	// in-process: the publish stream and the local control binding).
+	for i, n := range cs.Nodes {
+		cs.retargets[i].set(cluster.NewInProc(promoted))
+		promoted.BindLocalControl(n.Name, cluster.FrameworkControlHandler(n.Framework))
 	}
 	// The dead active keeps no wires; its epoch subscribers (the old
 	// controller, the old shipper) die with it.
@@ -640,14 +466,6 @@ func (cs *ClusterStack) Close() {
 		_ = cs.shipper.Close()
 	}
 	for _, n := range cs.Nodes {
-		if n.stopSampling != nil {
-			n.stopSampling()
-		}
-		if n.transport != nil {
-			_ = n.transport.Close()
-		}
-		if n.Container != nil {
-			n.Container.Stop()
-		}
+		n.Close()
 	}
 }

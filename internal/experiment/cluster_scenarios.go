@@ -21,20 +21,17 @@ import (
 // topology-only events (join, leave, traffic skew) must end with zero
 // alarms.
 
-// clusterScenarioStack assembles an N-node cluster with the scenario
-// detector tuning and a cluster-alarm log. codec selects the wire
-// serialisation when wire is set (pass cluster.CodecGob otherwise).
-func clusterScenarioStack(cfg Config, nodes, spares int, policy cluster.Policy, wire bool, codec cluster.WireCodec) (*ClusterStack, *alarmLog, error) {
+// clusterScenarioStack assembles an N-node in-process cluster with the
+// scenario detector tuning and a cluster-alarm log.
+func clusterScenarioStack(cfg Config, nodes, spares int, policy cluster.Policy) (*ClusterStack, *alarmLog, error) {
 	cs, err := NewClusterStack(ClusterConfig{
-		Nodes:         nodes,
-		Spares:        spares,
-		Seed:          cfg.Seed,
-		Scale:         scenarioScale(cfg),
-		Mix:           eb.Shopping,
-		Detect:        scenarioDetectConfig(),
-		Policy:        policy,
-		WireTransport: wire,
-		WireCodec:     codec,
+		Nodes:  nodes,
+		Spares: spares,
+		Seed:   cfg.Seed,
+		Scale:  scenarioScale(cfg),
+		Mix:    eb.Shopping,
+		Detect: scenarioDetectConfig(),
+		Policy: policy,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -64,12 +61,12 @@ func clusterEpochBound() int64 {
 // within the epoch bound, with the healthy replicas staying clean.
 func S5SingleNodeLeak(cfg Config) Result {
 	cfg = cfg.withDefaults()
-	cs, log, err := clusterScenarioStack(cfg, 3, 0, cluster.RoundRobin, false, cluster.CodecGob)
+	cs, log, err := clusterScenarioStack(cfg, 3, 0, cluster.RoundRobin)
 	if err != nil {
 		return errorResult("S5", err)
 	}
 	defer cs.Close()
-	if _, err := cs.InjectLeak("node2", ComponentA, 100*KB, 100, cfg.Seed); err != nil {
+	if _, err := cs.Node("node2").InjectLeak(ComponentA, 100*KB, 100, cfg.Seed); err != nil {
 		return errorResult("S5", err)
 	}
 
@@ -117,13 +114,13 @@ func S5SingleNodeLeak(cfg Config) Result {
 // component to a cluster-wide verdict (quorum), not blame one replica.
 func S6UniformLeak(cfg Config) Result {
 	cfg = cfg.withDefaults()
-	cs, log, err := clusterScenarioStack(cfg, 3, 0, cluster.RoundRobin, false, cluster.CodecGob)
+	cs, log, err := clusterScenarioStack(cfg, 3, 0, cluster.RoundRobin)
 	if err != nil {
 		return errorResult("S6", err)
 	}
 	defer cs.Close()
 	for _, node := range []string{"node1", "node2", "node3"} {
-		if _, err := cs.InjectLeak(node, ComponentA, 100*KB, 100, cfg.Seed); err != nil {
+		if _, err := cs.Node(node).InjectLeak(ComponentA, 100*KB, 100, cfg.Seed); err != nil {
 			return errorResult("S6", err)
 		}
 	}
@@ -165,7 +162,7 @@ func S6UniformLeak(cfg Config) Result {
 // correct final membership.
 func S7NodeChurn(cfg Config) Result {
 	cfg = cfg.withDefaults()
-	cs, log, err := clusterScenarioStack(cfg, 3, 1, cluster.RoundRobin, false, cluster.CodecGob)
+	cs, log, err := clusterScenarioStack(cfg, 3, 1, cluster.RoundRobin)
 	if err != nil {
 		return errorResult("S7", err)
 	}
@@ -217,7 +214,7 @@ func S7NodeChurn(cfg Config) Result {
 // the skew (it engages, and no verdict or alarm survives to the end).
 func S8SkewedBalancer(cfg Config) Result {
 	cfg = cfg.withDefaults()
-	cs, log, err := clusterScenarioStack(cfg, 3, 0, cluster.Weighted, false, cluster.CodecGob)
+	cs, log, err := clusterScenarioStack(cfg, 3, 0, cluster.Weighted)
 	if err != nil {
 		return errorResult("S8", err)
 	}

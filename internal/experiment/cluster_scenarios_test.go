@@ -90,7 +90,7 @@ func runParityScenario(t *testing.T, cfg Config, cc ClusterConfig) parityOutcome
 		t.Fatal(err)
 	}
 	defer cs.Close()
-	if _, err := cs.InjectLeak("node2", ComponentA, 100*KB, 100, cfg.Seed); err != nil {
+	if _, err := cs.Node("node2").InjectLeak(ComponentA, 100*KB, 100, cfg.Seed); err != nil {
 		t.Fatal(err)
 	}
 	cs.Driver.Run([]eb.Phase{{Duration: scaleDuration(time.Hour, cfg.TimeScale), EBs: cfg.EBs}})
@@ -116,34 +116,28 @@ func runParityScenario(t *testing.T, cfg Config, cc ClusterConfig) parityOutcome
 	return out
 }
 
-// parityVariants is the transport × aggregator-plane matrix every parity
-// run must agree across: the serial reference aggregator in-process,
-// then the sharded/parallel-fold aggregator over every transport —
-// in-process, gob on net pipes, the delta-encoded binary codec, and the
-// binary codec with the v5 BATCH flush policy (4 rounds per frame with a
-// short deadline).
+// parityVariants is the link × aggregator-plane matrix every parity run
+// must agree across: the serial reference aggregator in-process, then the
+// sharded/parallel-fold aggregator over every link — in-process, the
+// binary wire on net pipes, and the binary wire with the BATCH flush
+// policy (4 rounds per frame; the staleness window widens with the batch,
+// and eviction never fires in any parity run, so that changes no
+// verdict).
 var parityVariants = []struct {
 	name string
 	cc   ClusterConfig
 }{
 	{"inproc-sharded", ClusterConfig{IngestLanes: 8, FoldWorkers: 4}},
-	{"gob-sharded", ClusterConfig{WireTransport: true, IngestLanes: 8, FoldWorkers: 4}},
-	{"binary-sharded", ClusterConfig{WireTransport: true, WireCodec: cluster.CodecBinary, IngestLanes: 8, FoldWorkers: 4}},
-	// Batching lets the flushing node run WireBatchRounds epochs ahead,
-	// so the staleness window widens with it (StaleEpochs > batch) — the
-	// deployment rule ClusterConfig documents. Eviction never fires in
-	// any parity run, so the widened window changes no verdict.
-	{"binary-batched-sharded", ClusterConfig{WireTransport: true, WireCodec: cluster.CodecBinary,
-		WireBatchRounds: 4, WireBatchDelay: 2 * time.Millisecond, StaleEpochs: 8,
-		IngestLanes: 8, FoldWorkers: 4}},
+	{"binary-sharded", ClusterConfig{Link: MonitorLink{Wire: true}, IngestLanes: 8, FoldWorkers: 4}},
+	{"binary-batched-sharded", ClusterConfig{Link: MonitorLink{Wire: true, BatchRounds: 4}, IngestLanes: 8, FoldWorkers: 4}},
 }
 
 // TestClusterTransportParity is the transport- and plane-independence
 // contract: the same three-node leak scenario must produce identical
 // cluster and per-node verdicts whatever carries the rounds (in-process
-// calls, gob frames, binary v5 frames, batched binary v5 frames) and
-// whatever folds them (the serial reference aggregator or the sharded
-// ingest plane with a parallel fold pool).
+// calls, binary frames, batched binary frames) and whatever folds them
+// (the serial reference aggregator or the sharded ingest plane with a
+// parallel fold pool).
 func TestClusterTransportParity(t *testing.T) {
 	serial := runParityScenario(t, scenarioCfg, ClusterConfig{IngestLanes: 1, FoldWorkers: 1})
 	for _, v := range parityVariants {

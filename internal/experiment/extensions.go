@@ -37,7 +37,7 @@ func E8CPUThreadLeaks(cfg Config) Result {
 		Extra:     40 * time.Millisecond,
 		EveryN:    1,
 	}
-	if err := s.Weaver.Register(hog.Aspect()); err != nil {
+	if err := s.Inject(hog); err != nil {
 		return errResult("E8", err)
 	}
 	tl := &faultinject.ThreadLeak{
@@ -47,7 +47,7 @@ func E8CPUThreadLeaks(cfg Config) Result {
 		Heap:      s.Heap,
 		Seed:      cfg.Seed,
 	}
-	if err := s.Weaver.Register(tl.Aspect()); err != nil {
+	if err := s.Inject(tl); err != nil {
 		return errResult("E8", err)
 	}
 

@@ -2,19 +2,13 @@ package experiment
 
 import (
 	"fmt"
-	"net"
 	"time"
 
-	"repro/internal/aspect"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/eb"
-	"repro/internal/faultinject"
-	"repro/internal/jvmheap"
 	"repro/internal/servlet"
 	"repro/internal/sim"
-	"repro/internal/sqldb"
 	"repro/internal/tpcw"
 )
 
@@ -86,45 +80,24 @@ type LoadConfig struct {
 	MonitorInterval time.Duration
 	// Detect tunes the aggregator's per-shard detector banks.
 	Detect detect.Config
-	// MonitorWire ships rounds over per-shard binary net.Pipe wires with
-	// the v5 BATCH flush policy instead of in-process calls;
-	// MonitorBatchRounds sets the rounds-per-frame flush count (default
-	// 8). The aggregator's staleness window is widened past the batch
-	// so a shard flushing a full frame never evicts its peers.
-	MonitorWire        bool
-	MonitorBatchRounds int
+	// Link picks how each shard's rounds reach the aggregator. A wire
+	// link batches 8 rounds per frame unless BatchRounds says otherwise
+	// (fleet fan-in is what BATCH frames exist for).
+	Link MonitorLink
 	// IngestLanes and FoldWorkers tune the aggregator's sharded ingest
 	// plane (0 = defaults).
 	IngestLanes int
 	FoldWorkers int
 }
 
-// LoadShard is one shard's full application stack (BackendContainer
-// only), with its monitoring attachment when LoadConfig.Monitor is set.
-type LoadShard struct {
-	Name      string
-	Container *servlet.Container
-	App       *tpcw.App
-	Weaver    *aspect.Weaver
-	Heap      *jvmheap.Heap
-	Framework *core.Framework // nil unless monitored
-
-	transport    cluster.Transport
-	forwarder    *cluster.Forwarder
-	flushWire    func() error
-	stopSampling func()
-}
-
 // LoadStack is the assembled load tier of one process: a sharded driver
 // and its per-shard backends, plus the aggregation plane when monitored.
 type LoadStack struct {
 	Driver *eb.ShardedDriver
-	// Containers holds the per-shard application stacks
+	// Shards holds the per-shard application stacks, in shard order,
+	// each with its monitoring attachment when LoadConfig.Monitor is set
 	// (BackendContainer only; empty for the model backend).
-	Containers []*servlet.Container
-	// Shards holds the per-shard stacks behind Containers, in shard
-	// order (BackendContainer only).
-	Shards []*LoadShard
+	Shards []*Node
 	// Aggregator is the shared cluster aggregator ingesting every
 	// shard's sampling rounds (nil unless LoadConfig.Monitor).
 	Aggregator *cluster.Aggregator
@@ -138,27 +111,19 @@ func NewLoadStack(cfg LoadConfig) (*LoadStack, error) {
 	if cfg.MonitorInterval <= 0 {
 		cfg.MonitorInterval = 30 * time.Second
 	}
-	if cfg.MonitorBatchRounds <= 0 {
-		cfg.MonitorBatchRounds = 8
+	if cfg.Link.Wire && cfg.Link.BatchRounds <= 0 {
+		cfg.Link.BatchRounds = 8
 	}
 	ls := &LoadStack{}
 	if cfg.Monitor {
 		if cfg.Backend != BackendContainer {
 			return nil, fmt.Errorf("experiment: LoadConfig.Monitor requires BackendContainer")
 		}
-		stale := 0
-		if cfg.MonitorWire && cfg.MonitorBatchRounds > 1 {
-			// A shard flushing a full BATCH frame runs MonitorBatchRounds
-			// epochs ahead of peers still buffering; widen the staleness
-			// window so that never reads as a dead shard.
-			stale = 2 * cfg.MonitorBatchRounds
-		}
-		ls.Aggregator = cluster.New(cluster.Config{
+		ls.Aggregator = cluster.New(cfg.Link.aggregatorConfig(cluster.Config{
 			Detect:      cfg.Detect,
-			StaleEpochs: stale,
 			IngestLanes: cfg.IngestLanes,
 			FoldWorkers: cfg.FoldWorkers,
-		})
+		}))
 	}
 	var factory eb.TargetFactory
 	var buildErr error
@@ -166,40 +131,29 @@ func NewLoadStack(cfg LoadConfig) (*LoadStack, error) {
 	case BackendModel:
 		factory = nil // ShardedDriver builds ModelTargets
 	case BackendContainer:
+		// Each shard's node samples on the shard's own engine, so rounds
+		// publish from the shard's goroutine at window pace — exactly the
+		// concurrent fan-in the sharded ingest lanes absorb.
 		factory = func(shard int, engine *sim.Engine) eb.Target {
-			weaver := aspect.NewWeaver(engine.Clock())
-			db := sqldb.NewDB()
-			app, err := tpcw.NewApp(db, weaver, engine.Clock(), cfg.Scale)
+			node, err := buildNode(engine, nodeConfig{
+				Name:           fmt.Sprintf("shard%02d", shard+1),
+				Scale:          cfg.Scale,
+				Container:      cfg.Container,
+				Monitored:      cfg.Monitor,
+				SampleInterval: cfg.MonitorInterval,
+			})
+			if err == nil && cfg.Monitor {
+				err = attach(ls.Aggregator, node, cfg.Link, nil)
+			}
 			if err != nil {
 				buildErr = err
 				return nil
 			}
-			heap := jvmheap.New(jvmheap.DefaultCapacity, engine.Clock())
-			container := servlet.NewContainer(engine, weaver, db, heap, cfg.Container)
-			if err := app.DeployAll(container); err != nil {
-				buildErr = err
-				return nil
-			}
-			if err := container.Start(); err != nil {
-				buildErr = err
-				return nil
-			}
-			sh := &LoadShard{
-				Name:      fmt.Sprintf("shard%02d", shard+1),
-				Container: container,
-				App:       app,
-				Weaver:    weaver,
-				Heap:      heap,
-			}
 			if cfg.Monitor {
-				if err := ls.monitorShard(sh, cfg, engine); err != nil {
-					buildErr = err
-					return nil
-				}
+				node.startSampling()
 			}
-			ls.Containers = append(ls.Containers, container)
-			ls.Shards = append(ls.Shards, sh)
-			return container
+			ls.Shards = append(ls.Shards, node)
+			return node.Container
 		}
 	default:
 		return nil, fmt.Errorf("experiment: unknown load backend %d", cfg.Backend)
@@ -246,106 +200,32 @@ func NewLoadStack(cfg LoadConfig) (*LoadStack, error) {
 	return ls, nil
 }
 
-// monitorShard attaches one shard stack to the aggregation plane: its
-// own monitoring framework over the shard's servlets, a transport into
-// the shared aggregator, and periodic sampling on the shard's engine —
-// so rounds publish from the shard's goroutine at window pace, which is
-// exactly the concurrent fan-in the sharded ingest lanes absorb.
-func (ls *LoadStack) monitorShard(sh *LoadShard, cfg LoadConfig, engine *sim.Engine) error {
-	f, err := core.New(core.Options{
-		Weaver:         sh.Weaver,
-		Clock:          engine.Clock(),
-		Heap:           sh.Heap,
-		SampleInterval: cfg.MonitorInterval,
-		Node:           sh.Name,
-	})
-	if err != nil {
-		return err
-	}
-	for _, comp := range tpcw.Interactions {
-		servletObj, _ := sh.App.Servlet(comp)
-		if err := f.InstrumentComponent(comp, servletObj); err != nil {
-			return err
-		}
-	}
-	if cfg.MonitorWire {
-		client, server := net.Pipe()
-		go func() { _ = ls.Aggregator.ServeBinaryConn(server) }()
-		bw := cluster.NewBinaryWire(client)
-		if cfg.MonitorBatchRounds > 1 {
-			// Count-triggered flushes only: a real-time flush deadline has
-			// no meaning on a virtual-time engine that runs hours in
-			// seconds, and SyncMonitor flushes the tail.
-			if err := bw.SetBatch(cfg.MonitorBatchRounds, 0); err != nil {
-				return err
-			}
-			sh.flushWire = bw.Flush
-		}
-		sh.transport = bw
-	} else {
-		sh.transport = cluster.NewInProc(ls.Aggregator)
-	}
-	sh.Framework = f
-	sh.forwarder = cluster.Attach(f, sh.transport)
-	sh.stopSampling = f.StartSampling(engine)
-	return nil
-}
-
-// InjectLeak arms the paper's memory-leak error in one component of one
-// shard's stack — the sick-shard topology for fleet-scale verdict runs.
-func (ls *LoadStack) InjectLeak(shard int, component string, size, n int, seed uint64) (*faultinject.MemoryLeak, error) {
+// Shard returns the shard-th application stack (nil when out of range or
+// on the model backend).
+func (ls *LoadStack) Shard(shard int) *Node {
 	if shard < 0 || shard >= len(ls.Shards) {
-		return nil, fmt.Errorf("experiment: no shard %d", shard)
+		return nil
 	}
-	sh := ls.Shards[shard]
-	target, ok := sh.App.Servlet(component)
-	if !ok {
-		return nil, fmt.Errorf("experiment: no servlet %q on %s", component, sh.Name)
-	}
-	retainer, ok := target.(faultinject.Retainer)
-	if !ok {
-		return nil, fmt.Errorf("experiment: servlet %q is not injectable", component)
-	}
-	leak := &faultinject.MemoryLeak{
-		Component: component,
-		Target:    retainer,
-		Size:      size,
-		N:         n,
-		Heap:      sh.Heap,
-		Seed:      seed,
-	}
-	if err := sh.Weaver.Register(leak.Aspect()); err != nil {
-		return nil, err
-	}
-	return leak, nil
+	return ls.Shards[shard]
 }
 
 // SyncMonitor flushes any partial BATCH frames and blocks until the
-// aggregator has ingested every round the shard forwarders published —
-// the monitored-run counterpart of ClusterStack.Sync. No-op when the
-// stack is unmonitored.
+// aggregator has ingested and folded every round the shard forwarders
+// published — the monitored-run counterpart of ClusterStack.Sync. No-op
+// when the stack is unmonitored.
 func (ls *LoadStack) SyncMonitor() error {
 	if ls.Aggregator == nil {
 		return nil
 	}
 	var want int64
 	for _, sh := range ls.Shards {
-		if sh.flushWire != nil {
-			_ = sh.flushWire() // a broken wire fails loudly at the deadline below
+		delivered, err := sh.flushLink()
+		if err != nil {
+			return err
 		}
-		if sh.forwarder != nil {
-			want += sh.forwarder.Rounds() - sh.forwarder.Errors()
-		}
+		want += delivered
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for ls.Aggregator.TotalRounds() < want {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("experiment: aggregator ingested %d of %d shard rounds",
-				ls.Aggregator.TotalRounds(), want)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return nil
+	return ls.Aggregator.Quiesce(want, time.Now().Add(10*time.Second))
 }
 
 // Node wraps the stack as a wire-paced fleet member for the given run
@@ -370,18 +250,10 @@ func (ls *LoadStack) PeakWIPS() uint32 {
 	return peak
 }
 
-// Close stops shard sampling and transports, then the per-shard
-// containers (no-op for the model backend).
+// Close stops every shard's sampling, link and container (no-op for the
+// model backend).
 func (ls *LoadStack) Close() {
 	for _, sh := range ls.Shards {
-		if sh.stopSampling != nil {
-			sh.stopSampling()
-		}
-		if sh.transport != nil {
-			_ = sh.transport.Close()
-		}
-	}
-	for _, c := range ls.Containers {
-		c.Stop()
+		sh.Close()
 	}
 }

@@ -131,7 +131,7 @@ func S17RejuvenateSickReplica(cfg Config) Result {
 		return errorResult("S17", err)
 	}
 	defer cs.Close()
-	if _, err := cs.InjectLeak("node2", ComponentA, 100*KB, 100, cfg.Seed); err != nil {
+	if _, err := cs.Node("node2").InjectLeak(ComponentA, 100*KB, 100, cfg.Seed); err != nil {
 		return errorResult("S17", err)
 	}
 
@@ -331,7 +331,7 @@ func S19ControlLossDuringDrain(cfg Config) Result {
 		return errorResult("S19", err)
 	}
 	defer cs.Close()
-	if _, err := cs.InjectLeak("node2", ComponentA, 100*KB, 100, cfg.Seed); err != nil {
+	if _, err := cs.Node("node2").InjectLeak(ComponentA, 100*KB, 100, cfg.Seed); err != nil {
 		return errorResult("S19", err)
 	}
 

@@ -69,7 +69,7 @@ func S20KillAggregatorMidLeak(cfg Config) Result {
 		return errorResult("S20", err)
 	}
 	defer cs.Close()
-	if _, err := cs.InjectLeak("node2", ComponentA, 100*KB, 100, cfg.Seed); err != nil {
+	if _, err := cs.Node("node2").InjectLeak(ComponentA, 100*KB, 100, cfg.Seed); err != nil {
 		return errorResult("S20", err)
 	}
 
@@ -147,7 +147,7 @@ func S21FailoverMidDrain(cfg Config) Result {
 		return errorResult("S21", err)
 	}
 	defer cs.Close()
-	if _, err := cs.InjectLeak("node2", ComponentA, 100*KB, 100, cfg.Seed); err != nil {
+	if _, err := cs.Node("node2").InjectLeak(ComponentA, 100*KB, 100, cfg.Seed); err != nil {
 		return errorResult("S21", err)
 	}
 
@@ -257,7 +257,7 @@ func S22RoundStormOverload(cfg Config) Result {
 		return errorResult("S22", err)
 	}
 	defer cs.Close()
-	if _, err := cs.InjectLeak("node2", ComponentA, 100*KB, 100, cfg.Seed); err != nil {
+	if _, err := cs.Node("node2").InjectLeak(ComponentA, 100*KB, 100, cfg.Seed); err != nil {
 		return errorResult("S22", err)
 	}
 

@@ -10,17 +10,11 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/aspect"
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/eb"
-	"repro/internal/faultinject"
-	"repro/internal/jvmheap"
-	"repro/internal/monitor"
 	"repro/internal/rootcause"
-	"repro/internal/servlet"
 	"repro/internal/sim"
-	"repro/internal/sqldb"
 	"repro/internal/tpcw"
 )
 
@@ -49,20 +43,14 @@ type StackConfig struct {
 	DetectConfig detect.Config
 }
 
-// Stack is one fully assembled system under test.
+// Stack is one fully assembled system under test: the paper's testbed,
+// one Node under an emulated-browser driver.
 type Stack struct {
+	*Node
 	Engine    *sim.Engine
-	Weaver    *aspect.Weaver
-	DB        *sqldb.DB
-	App       *tpcw.App
-	Heap      *jvmheap.Heap
-	Container *servlet.Container
-	Framework *core.Framework    // nil when not monitored
 	Detectors *core.DetectorBank // nil unless cfg.Detect
 	Driver    *eb.Driver
 	Traces    *rootcause.TraceCollector // nil unless collecting
-
-	stopSampling func()
 }
 
 // NewStack builds and starts a system.
@@ -70,217 +58,41 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 	if cfg.Detect && !cfg.Monitored {
 		return nil, fmt.Errorf("experiment: StackConfig.Detect requires Monitored (detectors ride the manager's sampling rounds)")
 	}
-	if cfg.HeapBytes <= 0 {
-		cfg.HeapBytes = jvmheap.DefaultCapacity
-	}
 	if cfg.Scale.Seed == 0 {
 		cfg.Scale.Seed = cfg.Seed + 1
 	}
 	engine := sim.NewEngine()
-	weaver := aspect.NewWeaver(engine.Clock())
-	db := sqldb.NewDB()
-	app, err := tpcw.NewApp(db, weaver, engine.Clock(), cfg.Scale)
+	node, err := buildNode(engine, nodeConfig{
+		Scale:          cfg.Scale,
+		HeapBytes:      cfg.HeapBytes,
+		Monitored:      cfg.Monitored,
+		SampleInterval: cfg.SampleInterval,
+	})
 	if err != nil {
 		return nil, err
 	}
-	heap := jvmheap.New(cfg.HeapBytes, engine.Clock())
-	container := servlet.NewContainer(engine, weaver, db, heap, servlet.Config{})
-	if err := app.DeployAll(container); err != nil {
-		return nil, err
-	}
-	if err := container.Start(); err != nil {
-		return nil, err
-	}
-	s := &Stack{
-		Engine:    engine,
-		Weaver:    weaver,
-		DB:        db,
-		App:       app,
-		Heap:      heap,
-		Container: container,
-	}
+	s := &Stack{Node: node, Engine: engine}
 	if cfg.Monitored {
-		f, err := core.New(core.Options{
-			Weaver:         weaver,
-			Clock:          engine.Clock(),
-			Heap:           heap,
-			SampleInterval: cfg.SampleInterval,
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, name := range tpcw.Interactions {
-			servletObj, _ := app.Servlet(name)
-			if err := f.InstrumentComponent(name, servletObj); err != nil {
-				return nil, err
-			}
-		}
-		s.Framework = f
 		if cfg.Detect {
-			bank, err := f.AttachDetectors(cfg.DetectConfig)
-			if err != nil {
+			if s.Detectors, err = node.Framework.AttachDetectors(cfg.DetectConfig); err != nil {
 				return nil, err
 			}
-			s.Detectors = bank
 		}
-		s.stopSampling = f.StartSampling(engine)
+		node.startSampling()
 	}
 	if cfg.CollectTraces {
 		s.Traces = rootcause.NewTraceCollector(0)
-		if err := weaver.Register(s.Traces.Aspect()); err != nil {
+		if err := node.Weaver.Register(s.Traces.Aspect()); err != nil {
 			return nil, err
 		}
 	}
-	s.Driver = eb.NewDriver(engine, container, eb.Config{
+	s.Driver = eb.NewDriver(engine, node.Container, eb.Config{
 		Mix:       cfg.Mix,
 		Seed:      cfg.Seed,
 		Items:     cfg.Scale.Items,
 		Customers: cfg.Scale.Customers,
 	})
 	return s, nil
-}
-
-// InjectLeak arms the paper's memory-leak error in a component and
-// returns the injector for inspection.
-func (s *Stack) InjectLeak(component string, size, n int, seed uint64) (*faultinject.MemoryLeak, error) {
-	retainer, err := s.servletRetainer(component)
-	if err != nil {
-		return nil, err
-	}
-	leak := &faultinject.MemoryLeak{
-		Component: component,
-		Target:    retainer,
-		Size:      size,
-		N:         n,
-		Heap:      s.Heap,
-		Seed:      seed,
-	}
-	if err := s.Weaver.Register(leak.Aspect()); err != nil {
-		return nil, err
-	}
-	return leak, nil
-}
-
-// servletRetainer resolves a component's servlet as an injection target.
-func (s *Stack) servletRetainer(component string) (faultinject.Retainer, error) {
-	target, ok := s.App.Servlet(component)
-	if !ok {
-		return nil, fmt.Errorf("experiment: no servlet %q", component)
-	}
-	retainer, ok := target.(faultinject.Retainer)
-	if !ok {
-		return nil, fmt.Errorf("experiment: servlet %q is not injectable", component)
-	}
-	return retainer, nil
-}
-
-// handleAgent resolves the handle agent the handle-based injectors
-// report to (monitored stacks only).
-func (s *Stack) handleAgent() (*monitor.HandleAgent, error) {
-	if s.Framework == nil {
-		return nil, fmt.Errorf("experiment: handle injection needs a monitored stack")
-	}
-	return s.Framework.HandleAgent(), nil
-}
-
-// InjectPoolExhaustion arms connection-pool exhaustion in a component:
-// leaked pool handles on the handle agent plus growing queueing wait.
-func (s *Stack) InjectPoolExhaustion(component string, n int, perHandleWait time.Duration, seed uint64) (*faultinject.PoolExhaustion, error) {
-	agent, err := s.handleAgent()
-	if err != nil {
-		return nil, err
-	}
-	inj := &faultinject.PoolExhaustion{
-		Component:     component,
-		N:             n,
-		PerHandleWait: perHandleWait,
-		Agent:         agent,
-		Seed:          seed,
-	}
-	if err := s.Weaver.Register(inj.Aspect()); err != nil {
-		return nil, err
-	}
-	return inj, nil
-}
-
-// InjectHandleLeak arms a file-descriptor/session-handle leak in a
-// component.
-func (s *Stack) InjectHandleLeak(component string, n int, seed uint64) (*faultinject.HandleLeak, error) {
-	agent, err := s.handleAgent()
-	if err != nil {
-		return nil, err
-	}
-	inj := &faultinject.HandleLeak{
-		Component: component,
-		N:         n,
-		Agent:     agent,
-		Heap:      s.Heap,
-		Seed:      seed,
-	}
-	if err := s.Weaver.Register(inj.Aspect()); err != nil {
-		return nil, err
-	}
-	return inj, nil
-}
-
-// InjectLockContention arms contention aging in a component: latency
-// creeps one step per growth executions with no resource growth.
-func (s *Stack) InjectLockContention(component string, step time.Duration, growth int, jitter time.Duration, seed uint64) (*faultinject.LockContention, error) {
-	inj := &faultinject.LockContention{
-		Component: component,
-		Step:      step,
-		Growth:    growth,
-		Jitter:    jitter,
-		Seed:      seed,
-	}
-	if err := s.Weaver.Register(inj.Aspect()); err != nil {
-		return nil, err
-	}
-	return inj, nil
-}
-
-// InjectFragmentationBloat arms fragmentation-style slow bloat in a
-// component: jitter-sized fragments retained every [0,N] requests.
-func (s *Stack) InjectFragmentationBloat(component string, base, n int, seed uint64) (*faultinject.FragmentationBloat, error) {
-	retainer, err := s.servletRetainer(component)
-	if err != nil {
-		return nil, err
-	}
-	inj := &faultinject.FragmentationBloat{
-		Component: component,
-		Target:    retainer,
-		Base:      base,
-		N:         n,
-		Heap:      s.Heap,
-		Seed:      seed,
-	}
-	if err := s.Weaver.Register(inj.Aspect()); err != nil {
-		return nil, err
-	}
-	return inj, nil
-}
-
-// InjectStaleCacheDecay arms cache-decay aging in a component: the miss
-// probability climbs to 1 over decay requests, each miss costing CPU.
-func (s *Stack) InjectStaleCacheDecay(component string, missCost time.Duration, decay int, seed uint64) (*faultinject.StaleCacheDecay, error) {
-	inj := &faultinject.StaleCacheDecay{
-		Component: component,
-		MissCost:  missCost,
-		Decay:     decay,
-		Seed:      seed,
-	}
-	if err := s.Weaver.Register(inj.Aspect()); err != nil {
-		return nil, err
-	}
-	return inj, nil
-}
-
-// Close stops background sampling.
-func (s *Stack) Close() {
-	if s.stopSampling != nil {
-		s.stopSampling()
-	}
-	s.Container.Stop()
 }
 
 // scalePhases multiplies every phase duration by factor (factor <= 0

@@ -9,8 +9,8 @@
 #                 and share cores, so this is a smoke gate against
 #                 order-of-magnitude regressions, not a perf lab)
 #   -b benchtime  go test -benchtime (default 2000x — enough iterations to
-#                 amortise cold starts like gob's type descriptors while
-#                 staying a few seconds of CI time)
+#                 amortise cold starts like name interning while staying
+#                 a few seconds of CI time)
 #   bench_regex   which benchmarks to run (default: the monitoring-plane and
 #                 request-path set; the sub-10ns aspect fast-path benches are
 #                 excluded because a fixed-iteration run of a nanosecond op
@@ -48,6 +48,9 @@ REGEX="${1:-BenchmarkMonitorObserve|BenchmarkWirePublish|BenchmarkWireDecode|Ben
 
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT
+# The baseline was recorded on one hardware thread; say what this run
+# used, so a timing or allocation difference can be read against it.
+echo "benchdiff: GOMAXPROCS=${GOMAXPROCS:-$(nproc)}"
 echo "running: go test -run '^$' -bench \"$REGEX\" -benchtime $BENCHTIME -benchmem ./..." >&2
 go test -run '^$' -bench "$REGEX" -benchtime "$BENCHTIME" -benchmem ./... 2>/dev/null | tee "$OUT" >&2
 
