@@ -1,11 +1,15 @@
 package repro
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/aspect"
 	"repro/internal/servlet"
+	"repro/internal/sqldb"
 	"repro/internal/tpcw"
 )
 
@@ -106,4 +110,84 @@ func TestRequestPoolNoAliasingUnderLoad(t *testing.T) {
 		t.Fatalf("request failed under concurrent load: %v", err)
 	}
 	runtime.KeepAlive(container)
+}
+
+// TestQueryPathsSteadyStateAllocs extends the zero-garbage contract from
+// point reads to the planned access paths: on a warmed connection the
+// latest-by-key select, the best-sellers range through Select and through
+// Each, an indexed string lookup and CatalogDAO.BestSellers itself
+// allocate nothing — no predicate slice, no boxed operand, no visitor
+// closure, no candidate list. Operands vary per call and are too large
+// for the runtime's small-integer boxes, so a value that escaped would
+// show.
+func TestQueryPathsSteadyStateAllocs(t *testing.T) {
+	db := sqldb.NewDB()
+	app, err := tpcw.NewApp(db, aspect.NewWeaver(nil), nil, tpcw.Scale{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := sqldb.NewPool(db, 1)
+	conn := pool.Acquire()
+	defer pool.Release(conn)
+	unames := make([]string, 64)
+	for i := range unames {
+		unames[i] = tpcw.Uname(i + 1)
+	}
+	var qty int64
+	i := 0
+	for _, tc := range []struct {
+		name string
+		step func() error
+	}{
+		{"latest order by key", func() error {
+			rows, err := conn.Select(tpcw.TableOrders, sqldb.Query{}.Ordered("o_id", true).Limited(1))
+			if err == nil && len(rows) != 1 {
+				err = fmt.Errorf("%d rows", len(rows))
+			}
+			return err
+		}},
+		{"range Select", func() error {
+			rows, err := conn.Select(tpcw.TableOrderLine, sqldb.Where("ol_o_id", sqldb.Gt, int64(300+i%500)))
+			if err == nil && len(rows) == 0 {
+				err = errors.New("no rows")
+			}
+			return err
+		}},
+		{"range Each", func() error {
+			return conn.Each(tpcw.TableOrderLine, sqldb.Where("ol_o_id", sqldb.Gt, int64(300+i%500)), func(r sqldb.Row) bool {
+				qty += r[3].(int64)
+				return true
+			})
+		}},
+		{"indexed string Eq", func() error {
+			rows, err := conn.Select(tpcw.TableCustomer, sqldb.Where("c_uname", sqldb.Eq, unames[i%len(unames)]).Limited(1))
+			if err == nil && len(rows) != 1 {
+				err = fmt.Errorf("%d rows", len(rows))
+			}
+			return err
+		}},
+		{"CatalogDAO.BestSellers", func() error {
+			items, err := app.Catalog.BestSellers(conn, tpcw.Subjects[i%len(tpcw.Subjects)])
+			if err == nil && len(items) == 0 {
+				err = errors.New("no best sellers")
+			}
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			step := func() {
+				i++
+				if err := tc.step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for n := 0; n < 100; n++ { // grow the connection's buffers to the working set
+				step()
+			}
+			if allocs := testing.AllocsPerRun(500, step); allocs > 0 {
+				t.Fatalf("%.2f allocs per call at steady state", allocs)
+			}
+		})
+	}
+	runtime.KeepAlive(qty)
 }

@@ -5,12 +5,14 @@
 // Usage:
 //
 //	experiments [-run all|T1,F3,F4,...] [-scale 1.0] [-seed 42] [-ebs 50] [-accuracy report.json]
+//	            [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
 // -scale 1.0 runs the paper's full one-hour scenarios in virtual time;
 // smaller factors shorten them proportionally. -accuracy writes the
 // machine-readable precision/recall/time-to-detect report built from the
 // S-series scenarios' fault-injection ground truth (the scenario-matrix
-// CI gate consumes it).
+// CI gate consumes it). -cpuprofile and -memprofile profile the selected
+// experiments as they run (go tool pprof reads the files).
 package main
 
 import (
@@ -20,6 +22,7 @@ import (
 	"strings"
 
 	"repro/internal/experiment"
+	"repro/internal/profiling"
 )
 
 func main() {
@@ -31,6 +34,8 @@ func main() {
 		items     = flag.Int("items", 0, "TPC-W item scale (0 selects the package default)")
 		customers = flag.Int("customers", 0, "TPC-W customer scale (0 selects the package default)")
 		accuracy  = flag.String("accuracy", "", "write the S-series accuracy report (JSON) to this path")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this path")
+		memProf   = flag.String("memprofile", "", "write a heap profile at the end of the run to this path")
 	)
 	flag.Parse()
 
@@ -91,6 +96,11 @@ func main() {
 		}
 	}
 
+	stopProfiles, err := profiling.Start(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	failures := 0
 	var verdicts []string
 	var results []experiment.Result
@@ -103,6 +113,12 @@ func main() {
 		if !res.Pass {
 			failures++
 		}
+	}
+	// The profiles cover the experiments, not the reporting, and must be
+	// complete before any exit below.
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	fmt.Println("==== summary ====")
 	for _, v := range verdicts {

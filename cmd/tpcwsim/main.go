@@ -77,6 +77,10 @@
 //
 //	tpcwsim -load -backend container -monitor -sessions 1000000 -shards 4 \
 //	        -workers 1000 -leakshard 1 -monitor-interval 5s -duration 2m
+//
+// -load -cpuprofile cpu.prof -memprofile mem.prof profile that run end to
+// end (go tool pprof reads the files); a run that dies in log.Fatal
+// leaves them truncated.
 package main
 
 import (
@@ -92,6 +96,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/jmx"
 	"repro/internal/jmxhttp"
+	"repro/internal/profiling"
 	"repro/internal/rejuv"
 	"repro/internal/sim"
 	"repro/internal/tpcw"
@@ -131,10 +136,16 @@ func main() {
 		workers   = flag.Int("workers", 0, "load tier: container workers per shard (0 = servlet default of 50; size for the offered load at large populations)")
 		leakShard = flag.Int("leakshard", -1, "load tier: arm the -leak injection on this shard index (-1 = no injection)")
 		monIntvl  = flag.Duration("monitor-interval", 30*time.Second, "load tier: sampling cadence of the monitoring plane")
+		cpuProf   = flag.String("cpuprofile", "", "load tier: write a CPU profile of the run to this path")
+		memProf   = flag.String("memprofile", "", "load tier: write a heap profile at the end of the run to this path")
 	)
 	flag.Parse()
 
 	if *load {
+		stopProfiles, err := profiling.Start(*cpuProf, *memProf)
+		if err != nil {
+			log.Fatal(err)
+		}
 		runLoad(loadOptions{
 			duration:  *duration,
 			sessions:  *sessions,
@@ -158,6 +169,9 @@ func main() {
 			lanes:     *lanes,
 			foldWork:  *foldWork,
 		})
+		if err := stopProfiles(); err != nil {
+			log.Fatal(err)
+		}
 		return
 	}
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/aspect"
 	"repro/internal/jvmheap"
 	"repro/internal/monitor"
+	"repro/internal/objsize"
 )
 
 type fakeComponent struct {
@@ -28,6 +29,40 @@ func TestLeakStore(t *testing.T) {
 	}
 	if s.LeakedBytes() != 0 {
 		t.Fatal("Release did not clear")
+	}
+}
+
+// The object-size agent charges the buffer's capacity, so the detectors'
+// input is the capacity staircase: growing without the copy must climb
+// exactly the steps a plain append climbs.
+func TestLeakStoreCapacityFollowsAppend(t *testing.T) {
+	sizer := objsize.New(objsize.OneLevel)
+	empty := sizer.Of(&LeakStore{})
+	for _, size := range []int{1, 100, 1000, 4097, 10 << 10, 33 << 10, 100 << 10, 1 << 20} {
+		steps := min(600, (64<<20)/size)
+		var s LeakStore
+		var ref []byte
+		for i := 0; i < steps; i++ {
+			n := size
+			if i%7 == 3 {
+				n = 3*size + i // off the regular grid
+			}
+			s.Retain(n)
+			ref = append(ref, make([]byte, n)...)
+			if len(s.buf) != len(ref) || cap(s.buf) != cap(ref) {
+				t.Fatalf("size %d step %d: len/cap = %d/%d, append gives %d/%d",
+					size, i, len(s.buf), cap(s.buf), len(ref), cap(ref))
+			}
+			if got := sizer.Of(&s); got != empty+int64(cap(ref)) {
+				t.Fatalf("size %d step %d: measured %d, want %d + cap %d", size, i, got, empty, cap(ref))
+			}
+		}
+		if got := s.Release(); got != len(ref) {
+			t.Fatalf("size %d: Release = %d, want %d", size, got, len(ref))
+		}
+		if got := sizer.Of(&s); got != empty {
+			t.Fatalf("size %d: measured %d after Release, want %d", size, got, empty)
+		}
 	}
 }
 

@@ -17,10 +17,36 @@ import (
 // object-size policy measures them (a fresh allocation per leak would hide
 // behind a second level of indirection). A LeakStore is safe for
 // concurrent use.
+//
+// The object-size agent charges a slice its capacity, so what the
+// detectors see is buf's capacity staircase, and that staircase is
+// append's: a quarter more each step, rounded up to whole heap pages.
+// append would also copy the whole buffer into a fresh allocation at every
+// step and abandon the old one — five times the leak in garbage, every
+// page of it touched, refaulted or not as the collector's timing has it,
+// which made a leaking run's wall time and resident size differ from one
+// run to the next. Nothing reads or writes the retained bytes, so past
+// smallBuf the store does neither: buf is a prefix of reserve, cut with a
+// three-index slice to the capacity append would have picked, and reserve
+// is reallocated only when that capacity outgrows it, at least doubling.
+// A block twice the size of the last fits in nothing the collector has
+// freed, so it is always fresh memory that nobody touches: a growing leak
+// costs the host process neither copies nor page faults, whenever the
+// collector runs.
 type LeakStore struct {
-	mu  sync.Mutex
-	buf []byte
+	mu      sync.Mutex
+	buf     []byte // len: bytes retained; cap: what the object-size agent charges
+	reserve []byte // the allocation buf is a prefix of (same array: measured once)
 }
+
+const (
+	// smallBuf is the size up to which the buffer grows by plain append:
+	// below it capacities follow the allocator's size classes and a copy
+	// costs nothing.
+	smallBuf = 32 << 10
+	// heapPage is the granule the Go allocator rounds a large block to.
+	heapPage = 8 << 10
+)
 
 // Retain appends n leaked bytes to the store.
 func (s *LeakStore) Retain(n int) {
@@ -28,8 +54,34 @@ func (s *LeakStore) Retain(n int) {
 		panic("faultinject: negative leak size")
 	}
 	s.mu.Lock()
-	s.buf = append(s.buf, make([]byte, n)...)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	need := len(s.buf) + n
+	switch {
+	case need <= cap(s.buf):
+		s.buf = s.buf[:need]
+	case need <= smallBuf:
+		s.buf = append(s.buf, make([]byte, n)...)
+	default:
+		visible := appendCap(need, cap(s.buf))
+		if visible > cap(s.reserve) {
+			s.reserve = make([]byte, 0, max(visible, 2*cap(s.reserve)))
+		}
+		s.buf = s.reserve[:need:visible]
+	}
+}
+
+// appendCap is the capacity append gives a []byte of capacity oldCap that
+// has to grow to need bytes, for need above smallBuf (the runtime's
+// nextslicecap and roundupsize; TestLeakStoreCapacityFollowsAppend holds
+// it to the real thing).
+func appendCap(need, oldCap int) int {
+	c := need
+	if need <= 2*oldCap {
+		for c = oldCap; c < need; {
+			c += (c + 3*256) >> 2
+		}
+	}
+	return (c + heapPage - 1) &^ (heapPage - 1)
 }
 
 // LeakedBytes returns the number of bytes retained so far.
@@ -45,7 +97,7 @@ func (s *LeakStore) Release() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := len(s.buf)
-	s.buf = nil
+	s.buf, s.reserve = nil, nil
 	return n
 }
 

@@ -29,19 +29,29 @@ type CostModel struct {
 }
 
 // DefaultCostModel returns the calibrated model used by the experiments.
-// PerJoinPoint is calibrated against the paper's Fig. 3: each advised
-// execution performs the AC's before/after advice plus MBeanServer round
-// trips to the monitoring agents, which on the paper's 2010 JVM costs on
-// the order of 200µs; with the TPC-W shopping mix crossing 1-3 advised
-// components per request this lands at the paper's ~5% throughput
-// overhead.
+// PerJoinPoint is the one constant derived from the paper rather than
+// chosen: Fig. 3 reports ~5% overhead with every component monitored, and
+// the model's overhead is
+//
+//	mean join points per interaction × PerJoinPoint ÷ mean service time.
+//
+// The Shopping mix crosses 1.9 advised executions per interaction (the
+// servlet plus the DAO components it calls). With the other four constants
+// as below its mean service time is 2.4 ms at the test scale (500 items,
+// 300 customers), 2.8 ms at the default population run for 0.35 of the
+// schedule and 3.2 ms for the full schedule, so 5% asks for 62, 72 and
+// 83 µs; 70 µs puts the three Fig. 3 runs at 5.6%, 4.8% and 4.3%. The
+// constant has to be re-derived whenever the queries an interaction issues
+// change, because the denominator moves: it was 200 µs while best_sellers
+// fetched every sold item with a Get of its own and the mean service time
+// was 4.6 to 8.2 ms.
 func DefaultCostModel() CostModel {
 	return CostModel{
 		PerRequest:     1500 * time.Microsecond,
 		PerQuery:       250 * time.Microsecond,
 		PerRowScanned:  2 * time.Microsecond,
 		PerRowReturned: 6 * time.Microsecond,
-		PerJoinPoint:   200 * time.Microsecond,
+		PerJoinPoint:   70 * time.Microsecond,
 	}
 }
 

@@ -72,6 +72,30 @@ func (c *Conn) Select(table string, q Query) ([]Row, error) {
 	return rows, err
 }
 
+// Each runs q against the named table and calls fn with every matching
+// row, in the order Select would return them, until fn returns false —
+// Select without the copy, for callers that fold rows into something
+// smaller. It charges RowsScanned for the rows examined and RowsReturned
+// for the rows fn saw.
+//
+// Borrow rule: the row is the engine's own, lent for the duration of one
+// call. fn must not keep it or any slice of it, must not write to it, and
+// — because it runs under the table's read lock — must not call back into
+// the same table, through this or any other connection: a write would wait
+// on that lock forever, and so would a read once a writer is queued.
+func (c *Conn) Each(table string, q Query, fn func(Row) bool) error {
+	t, err := c.db.Table(table)
+	if err != nil {
+		return err
+	}
+	scanned, visited, err := t.each(q, &c.scratch, fn)
+	c.cost.Queries++
+	c.cost.RowsScanned += scanned
+	c.cost.RowsReturned += visited
+	c.db.charge(1, scanned)
+	return err
+}
+
 // Get reads one row by primary key. The returned row is valid until the
 // next operation on this Conn (see the borrow contract in the Conn doc).
 func (c *Conn) Get(table string, pk any) (Row, bool, error) {

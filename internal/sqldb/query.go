@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"strings"
 )
@@ -82,98 +83,124 @@ func (q Query) Limited(n int) Query {
 	return q
 }
 
-// matches evaluates all predicates against row r of schema s.
-func (q Query) matches(s Schema, r Row) (bool, error) {
-	for _, p := range q.Where {
-		i := s.colIndex(p.Col)
-		if i < 0 {
-			return false, fmt.Errorf("sqldb: no column %q in %q", p.Col, s.Name)
-		}
-		ok, err := evalPred(s.Columns[i].Type, r[i], p.Op, p.Val)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
-	}
-	return true, nil
+// operand is a comparison value unpacked from its interface once, so a
+// query type-checks each predicate value when it is planned rather than on
+// every row, and the value's box never outlives the call that passed it.
+type operand struct {
+	t ColType
+	i int64 // Int64; Bool as 0 or 1
+	f float64
+	s string
+	b []byte
 }
 
-func evalPred(t ColType, have any, op Op, want any) (bool, error) {
-	if op == Contains {
-		if t != String {
-			return false, fmt.Errorf("sqldb: CONTAINS on non-string column type %s", t)
-		}
-		h, _ := have.(string)
-		w, ok := want.(string)
-		if !ok {
-			return false, fmt.Errorf("%w: CONTAINS wants string, got %T", ErrBadValue, want)
-		}
-		return strings.Contains(h, w), nil
-	}
-	c, err := compare(t, have, want)
-	if err != nil {
-		return false, err
-	}
-	switch op {
-	case Eq:
-		return c == 0, nil
-	case Ne:
-		return c != 0, nil
-	case Lt:
-		return c < 0, nil
-	case Le:
-		return c <= 0, nil
-	case Gt:
-		return c > 0, nil
-	case Ge:
-		return c >= 0, nil
-	default:
-		return false, fmt.Errorf("sqldb: unknown operator %d", op)
-	}
-}
-
-// compare orders two values of column type t.
-func compare(t ColType, a, b any) (int, error) {
-	if err := checkValue(t, a); err != nil {
-		return 0, err
-	}
-	if err := checkValue(t, b); err != nil {
-		return 0, err
-	}
+// storedOperand unpacks a value of column type t that checkValue has
+// already passed, as every stored value and every bound predicate has.
+func storedOperand(t ColType, v any) operand {
+	o := operand{t: t}
 	switch t {
 	case Int64:
-		x, y := a.(int64), b.(int64)
-		return cmpOrdered(x, y), nil
+		o.i = v.(int64)
 	case Float64:
-		x, y := a.(float64), b.(float64)
-		return cmpOrdered(x, y), nil
+		o.f = v.(float64)
 	case String:
-		return strings.Compare(a.(string), b.(string)), nil
+		o.s = v.(string)
 	case Bool:
-		x, y := a.(bool), b.(bool)
-		switch {
-		case x == y:
-			return 0, nil
-		case !x:
-			return -1, nil
-		default:
-			return 1, nil
+		if v.(bool) {
+			o.i = 1
 		}
 	case Bytes:
-		return bytes.Compare(a.([]byte), b.([]byte)), nil
+		o.b = v.([]byte)
 	}
-	return 0, fmt.Errorf("sqldb: cannot compare type %s", t)
+	return o
 }
 
-func cmpOrdered[T int64 | float64](x, y T) int {
-	switch {
-	case x < y:
-		return -1
-	case x > y:
-		return 1
+// cmp orders the stored value v, which the table type-checked on the way
+// in, against the operand: negative when v sorts first.
+func (o *operand) cmp(v any) int {
+	switch o.t {
+	case Int64:
+		return cmp.Compare(v.(int64), o.i)
+	case Float64:
+		return cmp.Compare(v.(float64), o.f)
+	case String:
+		return strings.Compare(v.(string), o.s)
+	case Bool:
+		var x int64
+		if v.(bool) {
+			x = 1
+		}
+		return cmp.Compare(x, o.i)
 	default:
-		return 0
+		return bytes.Compare(v.([]byte), o.b)
 	}
+}
+
+// cmpValues orders two stored values of column type t.
+func cmpValues(t ColType, a, b any) int {
+	o := storedOperand(t, b)
+	return o.cmp(a)
+}
+
+// boundPred is a predicate resolved against a schema: column position,
+// operator and unpacked value.
+type boundPred struct {
+	ci int
+	op Op
+	operand
+}
+
+// bind resolves the query's predicates against s, appending to buf. Error
+// messages name clones of the query's strings: handing fmt the originals
+// would, as far as escape analysis can tell, publish the whole query, and
+// every caller's predicate slice and boxed values would move to the heap.
+func (q Query) bind(s Schema, buf []boundPred) ([]boundPred, error) {
+	for _, p := range q.Where {
+		ci := s.colIndex(p.Col)
+		if ci < 0 {
+			return nil, fmt.Errorf("%w: %q in %q", ErrNoSuchColumn, strings.Clone(p.Col), s.Name)
+		}
+		ct := s.Columns[ci].Type
+		if p.Op < Eq || p.Op > Contains {
+			return nil, fmt.Errorf("sqldb: unknown operator %d", p.Op)
+		}
+		if p.Op == Contains && ct != String {
+			return nil, fmt.Errorf("sqldb: CONTAINS on non-string column type %s", ct)
+		}
+		if err := checkValue(ct, p.Val); err != nil {
+			return nil, fmt.Errorf("%s %q: %w", p.Op, strings.Clone(p.Col), err)
+		}
+		buf = append(buf, boundPred{ci: ci, op: p.Op, operand: storedOperand(ct, p.Val)})
+	}
+	return buf, nil
+}
+
+func (p *boundPred) matches(r Row) bool {
+	if p.op == Contains {
+		return strings.Contains(r[p.ci].(string), p.s)
+	}
+	c := p.cmp(r[p.ci])
+	switch p.op {
+	case Eq:
+		return c == 0
+	case Ne:
+		return c != 0
+	case Lt:
+		return c < 0
+	case Le:
+		return c <= 0
+	case Gt:
+		return c > 0
+	default: // Ge; bind admits no other operator
+		return c >= 0
+	}
+}
+
+func matchesAll(preds []boundPred, r Row) bool {
+	for i := range preds {
+		if !preds[i].matches(r) {
+			return false
+		}
+	}
+	return true
 }

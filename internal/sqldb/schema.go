@@ -1,16 +1,48 @@
 // Package sqldb is the in-memory relational storage engine the TPC-W
 // application runs against — the reproduction's stand-in for the paper's
 // MySQL 5 server. It supports typed schemas, primary keys with
-// auto-increment, secondary hash indexes, predicate scans with ordering and
-// limits, and per-connection cost accounting (queries issued, rows scanned,
-// rows returned). The cost figures drive the simulation's service-time
-// model, so query shape — index hit vs. full scan — affects virtual
-// latency the way it would on a real database.
+// auto-increment, ordered secondary indexes, predicate queries with
+// ordering and limits, and per-connection cost accounting (queries issued,
+// rows scanned, rows returned). The cost figures drive the simulation's
+// service-time model, so query shape — index window vs. full scan —
+// affects virtual latency the way it would on a real database.
+//
+// # Access paths
+//
+// A table keeps its rows in insertion order and notes whether that is also
+// primary-key order, which it is for as long as every insert carried a key
+// above the previous one (auto-increment keys always do). A secondary
+// index is the row positions sorted by column value, then insertion order.
+// One planner (Table.planLocked) serves every query from those, choosing
+// by what the query asks and what the table knows about itself — there is
+// no hint, option or flag:
+//
+//   - Candidates: an Eq on the primary key is one probe; else the first
+//     predicate an index can serve (Eq, Lt, Le, Gt, Ge on an indexed
+//     column) narrows them to that index's window, found by binary search;
+//     else every row is a candidate. Remaining predicates are evaluated on
+//     each candidate. Predicates are bound to column positions and
+//     type-checked once per query, not per row.
+//   - Order: candidates are walked in insertion order. Without ORDER BY
+//     that is the result order, whatever the access path (an index window
+//     that interleaved writers or updates left out of insertion order is
+//     put back first). ORDER BY on the primary key of a key-ordered table
+//     is the same walk, from the end for DESC. Only ORDER BY on another
+//     column, or on the key of a table that received keys out of order,
+//     collects every match and sorts.
+//   - LIMIT k: unless a sort follows, the walk stops at the k-th match.
+//
+// RowsScanned is the number of candidates examined, so "latest row by
+// key" costs 1 and a range costs its window, on any table size.
+//
+// Select copies the matches into connection-owned buffers; Conn.Each
+// lends each matching row to a callback instead (see its borrow rule).
 package sqldb
 
 import (
 	"errors"
 	"fmt"
+	"reflect"
 )
 
 // ColType is the type of a column.
@@ -118,7 +150,9 @@ func checkValue(t ColType, v any) error {
 		_, ok = v.([]byte)
 	}
 	if !ok {
-		return fmt.Errorf("%w: %T is not %s", ErrBadValue, v, t)
+		// reflect.TypeOf rather than %T: handing v itself to fmt would move
+		// every value checked here, predicate operands included, to the heap.
+		return fmt.Errorf("%w: %v is not %s", ErrBadValue, reflect.TypeOf(v), t)
 	}
 	return nil
 }

@@ -3,7 +3,9 @@ package sqldb
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -14,25 +16,29 @@ var (
 	ErrNoSuchColumn = errors.New("sqldb: no such column")
 )
 
-// Table is one table: rows keyed by primary key plus optional secondary
-// hash indexes. Tables are safe for concurrent use.
+// Table is one table: rows in insertion order, a primary-key map into them
+// and optional ordered secondary indexes. Tables are safe for concurrent
+// use.
 type Table struct {
 	schema Schema
 	pkIdx  int
 
-	mu      sync.RWMutex
-	rows    map[any]Row
-	order   []any // insertion order of live keys
-	indexes map[string]map[any][]any
-	autoinc int64
+	mu    sync.RWMutex
+	rows  []Row       // in insertion order; a row's position is its slot
+	byKey map[any]int // primary key -> slot
+	// keyOrdered records that every row so far arrived with a primary key
+	// above its predecessor's — auto-increment keys always do — so rows is
+	// also sorted by key and ORDER BY on the key needs no sort.
+	keyOrdered bool
+	indexes    []*index
+	autoinc    int64
 }
 
 func newTable(s Schema) *Table {
 	return &Table{
-		schema:  s,
-		pkIdx:   s.colIndex(s.PrimaryKey),
-		rows:    make(map[any]Row),
-		indexes: make(map[string]map[any][]any),
+		schema: s,
+		pkIdx:  s.colIndex(s.PrimaryKey),
+		byKey:  make(map[any]int),
 	}
 }
 
@@ -46,8 +52,9 @@ func (t *Table) Len() int {
 	return len(t.rows)
 }
 
-// CreateIndex builds a secondary hash index on col. Only Eq predicates use
-// indexes. Creating an existing index is a no-op.
+// CreateIndex builds an ordered secondary index on col, which Eq, Lt, Le,
+// Gt and Ge predicates on col then use. Creating an existing index is a
+// no-op.
 func (t *Table) CreateIndex(col string) error {
 	ci := t.schema.colIndex(col)
 	if ci < 0 {
@@ -55,15 +62,19 @@ func (t *Table) CreateIndex(col string) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.indexes[col]; ok {
-		return nil
+	if t.indexOn(ci) == nil {
+		t.indexes = append(t.indexes, newIndex(ci, t.schema.Columns[ci].Type, t.rows))
 	}
-	idx := make(map[any][]any)
-	for _, key := range t.order {
-		v := t.rows[key][ci]
-		idx[v] = append(idx[v], key)
+	return nil
+}
+
+// indexOn returns the index on column ci, or nil.
+func (t *Table) indexOn(ci int) *index {
+	for _, x := range t.indexes {
+		if x.ci == ci {
+			return x
+		}
 	}
-	t.indexes[col] = idx
 	return nil
 }
 
@@ -79,7 +90,8 @@ func (t *Table) Insert(row Row) (any, error) {
 	// One copy serves both the autoincrement fill-in and the table's
 	// ownership of the stored row.
 	stored := append(Row(nil), row...)
-	if stored[t.pkIdx] == nil && t.schema.Columns[t.pkIdx].Type == Int64 {
+	pkType := t.schema.Columns[t.pkIdx].Type
+	if stored[t.pkIdx] == nil && pkType == Int64 {
 		t.autoinc++
 		stored[t.pkIdx] = t.autoinc
 	}
@@ -89,14 +101,22 @@ func (t *Table) Insert(row Row) (any, error) {
 		}
 	}
 	key := stored[t.pkIdx]
-	if _, dup := t.rows[key]; dup {
+	if _, dup := t.byKey[key]; dup {
 		return nil, fmt.Errorf("%w: %v in %q", ErrDuplicateKey, key, t.schema.Name)
 	}
-	t.rows[key] = stored
-	t.order = append(t.order, key)
-	for col, idx := range t.indexes {
-		v := stored[t.schema.colIndex(col)]
-		idx[v] = append(idx[v], key)
+	slot := len(t.rows)
+	if slot == math.MaxInt32 {
+		return nil, fmt.Errorf("sqldb: table %q is full", t.schema.Name) // indexes hold slots as int32
+	}
+	if slot == 0 {
+		t.keyOrdered = true
+	} else if t.keyOrdered {
+		t.keyOrdered = cmpValues(pkType, t.rows[slot-1][t.pkIdx], key) < 0
+	}
+	t.byKey[key] = slot
+	t.rows = append(t.rows, stored)
+	for _, x := range t.indexes {
+		x.add(t.rows, slot)
 	}
 	// Keep auto-increment ahead of explicit integer keys.
 	if k, ok := key.(int64); ok && k > t.autoinc {
@@ -116,11 +136,11 @@ func (t *Table) Get(pk any) (Row, bool) {
 func (t *Table) getRow(pk any, buf Row) (Row, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	r, ok := t.rows[pk]
+	slot, ok := t.byKey[pk]
 	if !ok {
 		return nil, false
 	}
-	return append(buf[:0], r...), true
+	return append(buf[:0], t.rows[slot]...), true
 }
 
 // UpdateCol applies a single column=value assignment to the row with the
@@ -129,29 +149,15 @@ func (t *Table) getRow(pk any, buf Row) (Row, bool) {
 func (t *Table) UpdateCol(pk any, col string, val any) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	r, ok := t.rows[pk]
+	slot, ok := t.byKey[pk]
 	if !ok {
 		return fmt.Errorf("%w: %v in %q", ErrNoSuchRow, pk, t.schema.Name)
 	}
-	ci := t.schema.colIndex(col)
-	if ci < 0 {
-		return fmt.Errorf("%w: %q in %q", ErrNoSuchColumn, col, t.schema.Name)
+	ci, err := t.checkAssignment(col, val)
+	if err != nil {
+		return err
 	}
-	if ci == t.pkIdx {
-		return fmt.Errorf("sqldb: cannot update primary key of %q", t.schema.Name)
-	}
-	if err := checkValue(t.schema.Columns[ci].Type, val); err != nil {
-		return fmt.Errorf("column %q: %w", col, err)
-	}
-	if idx, ok := t.indexes[col]; ok {
-		old := r[ci]
-		idx[old] = removeKey(idx[old], pk)
-		if len(idx[old]) == 0 {
-			delete(idx, old)
-		}
-		idx[val] = append(idx[val], pk)
-	}
-	r[ci] = val
+	t.assign(slot, ci, val)
 	return nil
 }
 
@@ -160,190 +166,268 @@ func (t *Table) UpdateCol(pk any, col string, val any) error {
 func (t *Table) Update(pk any, set map[string]any) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	r, ok := t.rows[pk]
+	slot, ok := t.byKey[pk]
 	if !ok {
 		return fmt.Errorf("%w: %v in %q", ErrNoSuchRow, pk, t.schema.Name)
 	}
+	// Check every assignment before applying any.
 	for col, v := range set {
-		ci := t.schema.colIndex(col)
-		if ci < 0 {
-			return fmt.Errorf("%w: %q in %q", ErrNoSuchColumn, col, t.schema.Name)
-		}
-		if ci == t.pkIdx {
-			return fmt.Errorf("sqldb: cannot update primary key of %q", t.schema.Name)
-		}
-		if err := checkValue(t.schema.Columns[ci].Type, v); err != nil {
-			return fmt.Errorf("column %q: %w", col, err)
+		if _, err := t.checkAssignment(col, v); err != nil {
+			return err
 		}
 	}
 	for col, v := range set {
-		ci := t.schema.colIndex(col)
-		if idx, ok := t.indexes[col]; ok {
-			old := r[ci]
-			idx[old] = removeKey(idx[old], pk)
-			if len(idx[old]) == 0 {
-				delete(idx, old)
-			}
-			idx[v] = append(idx[v], pk)
-		}
-		r[ci] = v
+		t.assign(slot, t.schema.colIndex(col), v)
 	}
 	return nil
 }
 
+// checkAssignment validates col = val and returns col's position.
+func (t *Table) checkAssignment(col string, val any) (int, error) {
+	ci := t.schema.colIndex(col)
+	if ci < 0 {
+		return 0, fmt.Errorf("%w: %q in %q", ErrNoSuchColumn, col, t.schema.Name)
+	}
+	if ci == t.pkIdx {
+		return 0, fmt.Errorf("sqldb: cannot update primary key of %q", t.schema.Name)
+	}
+	if err := checkValue(t.schema.Columns[ci].Type, val); err != nil {
+		return 0, fmt.Errorf("column %q: %w", col, err)
+	}
+	return ci, nil
+}
+
+// assign stores val in column ci of the row at slot, moving its index
+// entry if the column is indexed.
+func (t *Table) assign(slot, ci int, val any) {
+	x := t.indexOn(ci)
+	if x != nil {
+		x.remove(t.rows, slot)
+	}
+	t.rows[slot][ci] = val
+	if x != nil {
+		x.add(t.rows, slot)
+	}
+}
+
 // Delete removes the row with the given primary key, reporting whether it
-// existed.
+// existed. Later rows move down one slot, so a delete costs O(table);
+// nothing on the TPC-W request path deletes.
 func (t *Table) Delete(pk any) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	r, ok := t.rows[pk]
+	slot, ok := t.byKey[pk]
 	if !ok {
 		return false
 	}
-	for col, idx := range t.indexes {
-		v := r[t.schema.colIndex(col)]
-		idx[v] = removeKey(idx[v], pk)
-		if len(idx[v]) == 0 {
-			delete(idx, v)
-		}
+	for _, x := range t.indexes {
+		x.remove(t.rows, slot)
+		x.closeGap(slot)
 	}
-	delete(t.rows, pk)
-	for i, k := range t.order {
-		if k == pk {
-			t.order = append(t.order[:i], t.order[i+1:]...)
-			break
-		}
+	delete(t.byKey, pk)
+	t.rows = slices.Delete(t.rows, slot, slot+1)
+	for s := slot; s < len(t.rows); s++ {
+		t.byKey[t.rows[s][t.pkIdx]] = s
 	}
 	return true
 }
 
-func removeKey(keys []any, pk any) []any {
-	for i, k := range keys {
-		if k == pk {
-			return append(keys[:i], keys[i+1:]...)
-		}
-	}
-	return keys
+// queryScratch is the reusable storage one query fills: the result row
+// headers and the flat value arena the rows point into, plus the slot list
+// of an index window that had to be put back into insertion order. A Conn
+// owns one and passes it to every query, so the per-query make-and-copy of
+// the result set amortises to zero once the buffers have grown to the
+// connection's working set.
+type queryScratch struct {
+	rows  []Row
+	arena []any
+	slots []int32
 }
 
-// queryScratch is the reusable storage one Select fills: the candidate
-// key buffer, the result row headers and the flat value arena the rows
-// point into. A Conn owns one and passes it to every selectRows, so the
-// per-query make-and-copy of the result set amortises to zero once the
-// buffers have grown to the connection's working set.
-type queryScratch struct {
-	keys   []any
-	rows   []Row
-	arena  []any
-	sorter rowSorter
+// plan is how one query will be evaluated: which rows are candidates, in
+// which direction they are walked, and what is left to do to the matches.
+type plan struct {
+	preds []boundPred
+	// Candidates are the rows at idx.slots[lo:hi], or rows[lo:hi] when idx
+	// is nil.
+	idx    *index
+	lo, hi int
+	// fromEnd walks the candidates last to first: ORDER BY key DESC on a
+	// key-ordered table.
+	fromEnd bool
+	// sortCol is the column the matches must still be sorted by, -1 when
+	// the walk already yields the requested order; sortDesc is its
+	// direction.
+	sortCol  int
+	sortDesc bool
+	// limit is the most rows the query wants (0: all). Without a sort the
+	// walk ends at that many matches; a sort needs every match first and
+	// is cut afterwards.
+	limit int
+}
+
+// planLocked binds q to the table and picks its access path: an Eq on the
+// primary key is one probe, else the first predicate an index can serve
+// narrows the candidates to that index's window, else every row is a
+// candidate. Candidates are always walked in insertion order, which on a
+// key-ordered table is key order — so there ORDER BY on the key costs
+// nothing and a LIMIT ends the walk early.
+func (t *Table) planLocked(q Query, buf []boundPred) (plan, error) {
+	p := plan{sortCol: -1, hi: len(t.rows), limit: q.Limit}
+	var err error
+	if p.preds, err = q.bind(t.schema, buf); err != nil {
+		return p, err
+	}
+	if q.OrderBy != "" {
+		ci := t.schema.colIndex(q.OrderBy)
+		switch {
+		case ci < 0:
+			return p, fmt.Errorf("%w: order by %q in %q", ErrNoSuchColumn, strings.Clone(q.OrderBy), t.schema.Name) // a clone, see Query.bind
+		case ci == t.pkIdx && t.keyOrdered:
+			p.fromEnd = q.Desc
+		default:
+			p.sortCol, p.sortDesc = ci, q.Desc
+		}
+	}
+	for i := range p.preds {
+		if pr := &p.preds[i]; pr.op == Eq && pr.ci == t.pkIdx {
+			p.lo, p.hi = 0, 0
+			if slot, ok := t.byKey[q.Where[i].Val]; ok {
+				p.lo, p.hi = slot, slot+1
+			}
+			return p, nil
+		}
+	}
+	for i := range p.preds {
+		pr := &p.preds[i]
+		if pr.op == Ne || pr.op == Contains {
+			continue
+		}
+		if x := t.indexOn(pr.ci); x != nil {
+			p.idx = x
+			p.lo, p.hi = x.window(t.rows, pr.op, &pr.operand)
+			return p, nil
+		}
+	}
+	return p, nil
+}
+
+// scanLocked walks the plan's candidates and calls visit with each row
+// that satisfies every predicate, until visit returns false or the plan's
+// limit is reached. It returns the rows examined and the rows visited.
+// visit sees the table's own row: it must not keep or change it.
+func (t *Table) scanLocked(p *plan, sc *queryScratch, visit func(Row) bool) (scanned, visited int64) {
+	// An index window lists rows by value first; when that is not
+	// insertion order (interleaved writers, updated values) walk a sorted
+	// copy of its slots instead.
+	var window []int32
+	if p.idx != nil {
+		window = p.idx.slots[p.lo:p.hi]
+		if !slices.IsSorted(window) {
+			sc.slots = append(sc.slots[:0], window...)
+			window = sc.slots
+			slices.Sort(window)
+		}
+	}
+	for n := 0; n < p.hi-p.lo; n++ {
+		i := n
+		if p.fromEnd {
+			i = p.hi - p.lo - 1 - n
+		}
+		slot := p.lo + i
+		if p.idx != nil {
+			slot = int(window[i])
+		}
+		r := t.rows[slot]
+		scanned++
+		if !matchesAll(p.preds, r) {
+			continue
+		}
+		visited++
+		if !visit(r) || p.sortCol < 0 && visited == int64(p.limit) {
+			break
+		}
+	}
+	return scanned, visited
+}
+
+// collectLocked runs the plan and returns copies of the matching rows, in
+// the requested order and number, plus the rows examined. The copies live
+// in sc's buffers.
+func (t *Table) collectLocked(p *plan, sc *queryScratch) ([]Row, int64) {
+	out, arena := sc.rows[:0], sc.arena[:0]
+	scanned, _ := t.scanLocked(p, sc, func(r Row) bool {
+		// A grow may move the arena to a new backing array; rows appended
+		// earlier keep pointing at the old one, which still holds their
+		// (already copied) values — correctness is unaffected, and the
+		// arena reaches a stable capacity after the first few queries.
+		base := len(arena)
+		arena = append(arena, r...)
+		out = append(out, arena[base:len(arena):len(arena)])
+		return true
+	})
+	sc.rows, sc.arena = out, arena
+	if p.sortCol < 0 {
+		return out, scanned
+	}
+	// The table's insertion order is not the requested order: sort every
+	// match, stably so equal values stay in insertion order, then cut.
+	ci, ct, desc := p.sortCol, t.schema.Columns[p.sortCol].Type, p.sortDesc
+	slices.SortStableFunc(out, func(a, b Row) int {
+		if desc {
+			a, b = b, a
+		}
+		return cmpValues(ct, a[ci], b[ci])
+	})
+	if p.limit > 0 && len(out) > p.limit {
+		out = out[:p.limit]
+	}
+	return out, scanned
 }
 
 // selectRows evaluates q and returns copies of the matching rows plus the
-// number of rows scanned (the cost driver). An Eq predicate on the primary
-// key or an indexed column narrows the scan; otherwise the whole table is
-// walked in insertion order. The returned rows live in sc's buffers and
-// are valid until sc is next reused (the Conn borrow contract); a nil sc
-// falls back to fresh allocations.
+// number of rows examined (the cost driver). The returned rows live in
+// sc's buffers and are valid until sc is next reused (the Conn borrow
+// contract); a nil sc falls back to fresh allocations.
 func (t *Table) selectRows(q Query, sc *queryScratch) ([]Row, int64, error) {
 	if sc == nil {
 		sc = &queryScratch{}
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-
-	candidates := t.candidatesLocked(q, sc.keys[:0])
-	sc.keys = candidates[:0]
-	var scanned int64
-	out := sc.rows[:0]
-	arena := sc.arena[:0]
-	for _, key := range candidates {
-		r, ok := t.rows[key]
-		if !ok {
-			continue
-		}
-		scanned++
-		match, err := q.matches(t.schema, r)
-		if err != nil {
-			sc.rows, sc.arena = out[:0], arena[:0]
-			return nil, scanned, err
-		}
-		if match {
-			// Copy the row into the arena. A grow may move the arena to a
-			// new backing array; rows appended earlier keep pointing at the
-			// old one, which still holds their (already copied) values —
-			// correctness is unaffected, and the arena reaches a stable
-			// capacity after the first few queries.
-			base := len(arena)
-			arena = append(arena, r...)
-			out = append(out, arena[base:len(arena):len(arena)])
-		}
+	var buf [4]boundPred
+	p, err := t.planLocked(q, buf[:0])
+	if err != nil {
+		return nil, 0, err
 	}
-	sc.rows, sc.arena = out, arena
-	if q.OrderBy != "" {
-		ci := t.schema.colIndex(q.OrderBy)
-		if ci < 0 {
-			return nil, scanned, fmt.Errorf("%w: order by %q in %q", ErrNoSuchColumn, q.OrderBy, t.schema.Name)
-		}
-		sc.sorter = rowSorter{rows: out, ci: ci, ct: t.schema.Columns[ci].Type, desc: q.Desc}
-		sort.Stable(&sc.sorter)
-		if err := sc.sorter.err; err != nil {
-			sc.sorter.rows = nil
-			return nil, scanned, err
-		}
-		sc.sorter.rows = nil
-	}
-	if q.Limit > 0 && len(out) > q.Limit {
-		out = out[:q.Limit]
-	}
-	return out, scanned, nil
+	rows, scanned := t.collectLocked(&p, sc)
+	return rows, scanned, nil
 }
 
-// rowSorter orders result rows by one column without the per-call
-// closure and reflection machinery of sort.Slice. It records the first
-// comparison error instead of failing mid-sort, as the closure-based
-// sort did.
-type rowSorter struct {
-	rows []Row
-	ci   int
-	ct   ColType
-	desc bool
-	err  error
-}
-
-func (s *rowSorter) Len() int { return len(s.rows) }
-
-func (s *rowSorter) Swap(i, j int) { s.rows[i], s.rows[j] = s.rows[j], s.rows[i] }
-
-func (s *rowSorter) Less(i, j int) bool {
-	c, err := compare(s.ct, s.rows[i][s.ci], s.rows[j][s.ci])
-	if err != nil && s.err == nil {
-		s.err = err
+// each evaluates q and calls fn with every matching row, in the order
+// selectRows would return them, until fn returns false. It returns the
+// rows examined and the rows fn saw. fn runs under the table's read lock
+// on the table's own rows; see Conn.Each for what that forbids.
+func (t *Table) each(q Query, sc *queryScratch, fn func(Row) bool) (scanned, visited int64, err error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	var buf [4]boundPred
+	p, err := t.planLocked(q, buf[:0])
+	if err != nil {
+		return 0, 0, err
 	}
-	if s.desc {
-		return c > 0
+	if p.sortCol < 0 {
+		scanned, visited = t.scanLocked(&p, sc, fn)
+		return scanned, visited, nil
 	}
-	return c < 0
-}
-
-// candidatesLocked picks the narrowest key set for the query, appending
-// into buf: an Eq predicate on the primary key, then an Eq predicate on
-// an indexed column, then the full table.
-func (t *Table) candidatesLocked(q Query, buf []any) []any {
-	for _, p := range q.Where {
-		if p.Op == Eq && p.Col == t.schema.PrimaryKey {
-			if _, ok := t.rows[p.Val]; ok {
-				return append(buf, p.Val)
-			}
-			return buf
+	// A sort needs the matches side by side, so this order is served from
+	// copies after all.
+	rows, scanned := t.collectLocked(&p, sc)
+	for _, r := range rows {
+		visited++
+		if !fn(r) {
+			break
 		}
 	}
-	for _, p := range q.Where {
-		if p.Op != Eq {
-			continue
-		}
-		if idx, ok := t.indexes[p.Col]; ok {
-			return append(buf, idx[p.Val]...)
-		}
-	}
-	return append(buf, t.order...)
+	return scanned, visited, nil
 }

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -276,9 +277,8 @@ func TestCompareAllTypes(t *testing.T) {
 		{Bytes, []byte{1}, []byte{2}, -1},
 	}
 	for i, tc := range cases {
-		got, err := compare(tc.t, tc.a, tc.b)
-		if err != nil || got != tc.want {
-			t.Fatalf("case %d: compare = %d, %v", i, got, err)
+		if got := cmpValues(tc.t, tc.a, tc.b); got != tc.want {
+			t.Fatalf("case %d: cmpValues = %d", i, got)
 		}
 	}
 }
@@ -310,5 +310,120 @@ func TestSchemaGet(t *testing.T) {
 	}
 	if _, err := s.Get(r, "ghost"); err == nil {
 		t.Fatal("Get ghost column succeeded")
+	}
+}
+
+// ids returns the primary keys of rows, for order-sensitive comparisons.
+func ids(rows []Row) []int64 {
+	out := make([]int64, len(rows))
+	for i, r := range rows {
+		out[i] = r[0].(int64)
+	}
+	return out
+}
+
+func TestOrderByKeyWalksInsertionOrder(t *testing.T) {
+	tb := newBookTable(t, 100)
+	cases := []struct {
+		q       Query
+		want    []int64
+		scanned int64
+	}{
+		// Latest by key: one row examined, however large the table.
+		{Query{}.Ordered("i_id", true).Limited(1), []int64{100}, 1},
+		{Query{}.Ordered("i_id", false).Limited(3), []int64{1, 2, 3}, 3},
+		// A predicate is evaluated along the walk, which still stops at the
+		// LIMIT-th match: ARTS rows are ids 1, 4, 7, ..., 100.
+		{Where("i_subject", Eq, "ARTS").Ordered("i_id", true).Limited(2), []int64{100, 97}, 4},
+		// An unordered LIMIT stops the scan too.
+		{Where("i_cost", Ge, 50.0).Limited(2), []int64{41, 42}, 42},
+	}
+	for i, tc := range cases {
+		rows, scanned, err := tb.selectRows(tc.q, nil)
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if got := ids(rows); !slices.Equal(got, tc.want) || scanned != tc.scanned {
+			t.Fatalf("case %d: ids %v scanned %d, want %v scanned %d", i, got, scanned, tc.want, tc.scanned)
+		}
+	}
+}
+
+func TestOutOfOrderKeysFallBackToSort(t *testing.T) {
+	db := NewDB()
+	tb, err := db.CreateTable(bookSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int64{5, 3, 9, 7} {
+		if _, err := tb.Insert(Row{id, "B", "ARTS", 1.0, int64(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Insertion order is not key order, so the walk cannot stop early:
+	// every row is examined, then sorted, then cut.
+	rows, scanned, err := tb.selectRows(Query{}.Ordered("i_id", true).Limited(1), nil)
+	if err != nil || !slices.Equal(ids(rows), []int64{9}) || scanned != 4 {
+		t.Fatalf("latest = %v scanned %d err %v, want [9] scanned 4", ids(rows), scanned, err)
+	}
+	rows, _, _ = tb.selectRows(Query{}.Ordered("i_id", false), nil)
+	if !slices.Equal(ids(rows), []int64{3, 5, 7, 9}) {
+		t.Fatalf("ascending = %v", ids(rows))
+	}
+	// Without ORDER BY rows still come back in insertion order.
+	rows, _, _ = tb.selectRows(Query{}, nil)
+	if !slices.Equal(ids(rows), []int64{5, 3, 9, 7}) {
+		t.Fatalf("storage order = %v", ids(rows))
+	}
+}
+
+func TestRangeScansOnlyTheIndexWindow(t *testing.T) {
+	db := NewDB()
+	tb, err := db.CreateTable(bookSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.CreateIndex("i_stock"); err != nil {
+		t.Fatal(err)
+	}
+	// i_stock plays ol_o_id: it grows with the table, three rows a value.
+	for i := 0; i < 300; i++ {
+		if _, err := tb.Insert(Row{nil, "B", "ARTS", float64(i), int64(i / 3)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		op      Op
+		matches int64
+	}{{Gt, 30}, {Ge, 33}, {Lt, 267}, {Le, 270}, {Eq, 3}} {
+		rows, scanned, err := tb.selectRows(Where("i_stock", tc.op, int64(89)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(rows)) != tc.matches || scanned != tc.matches {
+			t.Fatalf("i_stock %s 89: %d rows, %d scanned, want %d and no more", tc.op, len(rows), scanned, tc.matches)
+		}
+		if !slices.IsSorted(ids(rows)) {
+			t.Fatalf("i_stock %s 89: rows not in insertion order: %v", tc.op, ids(rows))
+		}
+	}
+}
+
+func TestBindRejectsBadPredicatesOnEmptyTable(t *testing.T) {
+	db := NewDB()
+	tb, err := db.CreateTable(bookSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Predicates are checked when the query is planned, so a malformed one
+	// fails even when there is no row to evaluate it on.
+	if _, _, err := tb.selectRows(Where("ghost", Eq, int64(1)), nil); !errors.Is(err, ErrNoSuchColumn) {
+		t.Fatalf("unknown column err = %v", err)
+	}
+	if _, _, err := tb.selectRows(Where("i_stock", Gt, 3), nil); !errors.Is(err, ErrBadValue) {
+		t.Fatalf("int for int64 err = %v", err)
+	}
+	if _, _, err := tb.selectRows(Where("i_stock", Op(42), int64(3)), nil); err == nil {
+		t.Fatal("unknown operator accepted")
 	}
 }

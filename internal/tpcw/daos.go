@@ -1,9 +1,10 @@
 package tpcw
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/aspect"
 	"repro/internal/sqldb"
@@ -43,33 +44,20 @@ func weave(w *aspect.Weaver, comp, method string, fn aspect.Func) func(args ...a
 // scratch, which keeps the any-typed advice boundary from boxing a fresh
 // copy of every result.
 type daoScratch struct {
-	items  []Item
-	ids    []int64
-	sold   map[int64]int64
-	sorter soldSorter
-	item   Item
-	cust   Customer
-	order  OrderWithLines
-	id64   int64
+	items   []Item
+	ids     []int64
+	sold    map[int64]int64
+	ranked  []soldItem
+	subject string
+	item    Item
+	cust    Customer
+	order   OrderWithLines
+	id64    int64
 }
 
-// soldSorter orders the best-sellers id list by quantity sold (desc, id
-// asc on ties) without sort.Slice's per-call closure and reflection
-// swapper — the same move as sqldb's rowSorter, kept in the scratch so
-// the interface conversion costs nothing.
-type soldSorter struct {
-	ids  []int64
-	sold map[int64]int64
-}
-
-func (s *soldSorter) Len() int      { return len(s.ids) }
-func (s *soldSorter) Swap(i, j int) { s.ids[i], s.ids[j] = s.ids[j], s.ids[i] }
-func (s *soldSorter) Less(i, j int) bool {
-	if s.sold[s.ids[i]] != s.sold[s.ids[j]] {
-		return s.sold[s.ids[i]] > s.sold[s.ids[j]]
-	}
-	return s.ids[i] < s.ids[j]
-}
+// soldItem is one best-sellers candidate: an item and the quantity of it
+// the window's orders bought.
+type soldItem struct{ id, sold int64 }
 
 // OrderWithLines bundles an order and its lines — the result unit of
 // OrderDAO.MostRecentByCustomer.
@@ -125,8 +113,8 @@ func NewCatalogDAO(w *aspect.Weaver) *CatalogDAO {
 		return &sc.items, nil
 	})
 	d.bestSellers = weave(w, CompCatalogDAO, "BestSellers", func(args ...any) (any, error) {
-		conn, subject := args[0].(*sqldb.Conn), args[1].(string)
-		return bestSellers(conn, subject)
+		conn, subject := args[0].(*sqldb.Conn), args[1].(*string)
+		return bestSellers(conn, *subject)
 	})
 	d.search = weave(w, CompCatalogDAO, "Search", func(args ...any) (any, error) {
 		conn, field, term := args[0].(*sqldb.Conn), args[1].(string), args[2].(string)
@@ -159,7 +147,11 @@ func (d *CatalogDAO) NewProducts(conn *sqldb.Conn, subject string) ([]Item, erro
 // — deliberately the most expensive interaction, as in TPC-W. The
 // returned slice is borrowed (see NewProducts).
 func (d *CatalogDAO) BestSellers(conn *sqldb.Conn, subject string) ([]Item, error) {
-	v, err := d.bestSellers(conn.Args2(conn, subject)...)
+	// The subject crosses the any-typed advice boundary as a pointer into
+	// the scratch, like the results do: boxing the string would allocate.
+	sc := scratchFor(conn)
+	sc.subject = subject
+	v, err := d.bestSellers(conn.Args2(conn, &sc.subject)...)
 	if err != nil {
 		return nil, err
 	}
@@ -186,49 +178,60 @@ func itemsFromRows(dst *[]Item, rows []sqldb.Row) {
 }
 
 func bestSellers(conn *sqldb.Conn, subject string) (*[]Item, error) {
+	sc := scratchFor(conn)
+	sc.items = sc.items[:0]
 	// Latest order id bounds the window.
 	latest, err := conn.Select(TableOrders, sqldb.Query{}.Ordered("o_id", true).Limited(1))
 	if err != nil {
 		return nil, err
 	}
-	sc := scratchFor(conn)
-	sc.items = sc.items[:0]
 	if len(latest) == 0 {
 		return &sc.items, nil
 	}
 	minOrder := latest[0][0].(int64) - bestSellerWindow
-	lines, err := conn.Select(TableOrderLine, sqldb.Where("ol_o_id", sqldb.Gt, minOrder))
+	sold := sc.sold
+	clear(sold)
+	err = conn.Each(TableOrderLine, sqldb.Where("ol_o_id", sqldb.Gt, minOrder), func(l sqldb.Row) bool {
+		sold[l[2].(int64)] += l[3].(int64)
+		return true
+	})
 	if err != nil {
 		return nil, err
 	}
-	sold := sc.sold
-	clear(sold)
-	for _, l := range lines {
-		sold[l[2].(int64)] += l[3].(int64)
+	// Rank only what can be shown: the subject's items that sold. Without
+	// a subject that is everything that sold.
+	ranked := sc.ranked[:0]
+	if subject == "" {
+		for id, n := range sold {
+			ranked = append(ranked, soldItem{id, n})
+		}
+	} else {
+		err = conn.Each(TableItem, sqldb.Where("i_subject", sqldb.Eq, subject), func(it sqldb.Row) bool {
+			id := it[0].(int64)
+			if n, ok := sold[id]; ok {
+				ranked = append(ranked, soldItem{id, n})
+			}
+			return true
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
-	ids := sc.ids[:0]
-	for id := range sold {
-		ids = append(ids, id)
-	}
-	sc.ids = ids
-	sc.sorter = soldSorter{ids: ids, sold: sold}
-	sort.Sort(&sc.sorter)
-	sc.sorter.ids, sc.sorter.sold = nil, nil
-	for _, id := range ids {
+	sc.ranked = ranked
+	slices.SortFunc(ranked, func(a, b soldItem) int {
+		return cmp.Or(cmp.Compare(b.sold, a.sold), cmp.Compare(a.id, b.id))
+	})
+	for _, s := range ranked {
 		// Point reads reuse the connection's row buffer; itemFromRow copies
 		// what it keeps before the next read.
-		row, ok, err := conn.Get(TableItem, id)
+		row, ok, err := conn.Get(TableItem, s.id)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			continue
+			continue // sold, since deleted from the catalogue
 		}
-		it := itemFromRow(row)
-		if subject != "" && it.Subject != subject {
-			continue
-		}
-		sc.items = append(sc.items, it)
+		sc.items = append(sc.items, itemFromRow(row))
 		if len(sc.items) == 50 {
 			break
 		}

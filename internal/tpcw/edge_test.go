@@ -1,11 +1,16 @@
 package tpcw
 
 import (
+	"cmp"
 	"errors"
+	"maps"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/aspect"
 	"repro/internal/servlet"
+	"repro/internal/sim"
 	"repro/internal/sqldb"
 )
 
@@ -167,5 +172,144 @@ func TestServletBaseHelpers(t *testing.T) {
 func TestUnameStable(t *testing.T) {
 	if Uname(7) != "user000007" {
 		t.Fatalf("Uname = %q", Uname(7))
+	}
+}
+
+// bruteForceBestSellers is the reference for CatalogDAO.BestSellers,
+// computed from unfiltered selects only: quantities sold over the latest
+// bestSellerWindow orders, by item; items still in the catalogue and, when
+// a subject is given, of that subject; ranked sold desc, id asc; first 50.
+func bruteForceBestSellers(t *testing.T, conn *sqldb.Conn, subject string) []int64 {
+	t.Helper()
+	all := func(table string) []sqldb.Row {
+		rows, err := conn.Select(table, sqldb.Query{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return slices.Clone(rows) // the next Select reuses the connection's buffers
+	}
+	var latest int64
+	for _, o := range all(TableOrders) {
+		latest = max(latest, o[0].(int64))
+	}
+	sold := map[int64]int64{}
+	for _, l := range all(TableOrderLine) {
+		if l[1].(int64) > latest-bestSellerWindow {
+			sold[l[2].(int64)] += l[3].(int64)
+		}
+	}
+	ids := []int64{}
+	for _, it := range all(TableItem) {
+		id := it[0].(int64)
+		if _, ok := sold[id]; ok && (subject == "" || it[4].(string) == subject) {
+			ids = append(ids, id)
+		}
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		if sold[ids[i]] != sold[ids[j]] {
+			return sold[ids[i]] > sold[ids[j]]
+		}
+		return ids[i] < ids[j]
+	})
+	return ids[:min(len(ids), 50)]
+}
+
+// TestBestSellersMatchesBruteForceBeyondWindow grows orders past the
+// best-seller window, so that the window really excludes rows — no
+// workload or other test gets that far — and compares the DAO with the
+// brute force for a subject that sells, for no subject, for a subject
+// whose only sales lie outside the window, and with a sold item deleted
+// from the catalogue.
+func TestBestSellersMatchesBruteForceBeyondWindow(t *testing.T) {
+	pool, app := newDAOFixture(t)
+	conn := pool.Acquire()
+	defer pool.Release(conn)
+
+	items, err := conn.Select(TableItem, sqldb.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bySubject := map[string][]int64{}
+	for _, it := range items {
+		bySubject[it[4].(string)] = append(bySubject[it[4].(string)], it[0].(int64))
+	}
+	// stale: the subject with the most items sells only before the window;
+	// busy: the next largest sells throughout.
+	subjects := slices.SortedFunc(maps.Keys(bySubject), func(a, b string) int {
+		return cmp.Or(cmp.Compare(len(bySubject[b]), len(bySubject[a])), cmp.Compare(a, b))
+	})
+	stale, busy := subjects[0], subjects[1]
+
+	lines, err := app.DB().Table(TableOrderLine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fixture's historical orders stay; they too end up outside the
+	// window.
+	before := lines.Len()
+	rng := sim.NewStream(99)
+	const extra = 400 // orders beyond the window
+	var cart Cart
+	for n := int64(1); n <= bestSellerWindow+extra; n++ {
+		cart.Lines = cart.Lines[:0]
+		for k := 1 + rng.IntN(4); k > 0; k-- {
+			id := int64(1 + rng.IntN(len(items)))
+			if n > extra && slices.Contains(bySubject[stale], id) {
+				continue // no sales of the stale subject inside the window
+			}
+			cart.Add(id, int64(1+rng.IntN(3)), 1)
+		}
+		if n <= extra {
+			// Outside the window one stale item outsells everything; a DAO
+			// that ignored the window would rank it first.
+			cart.Add(bySubject[stale][0], 50, 1)
+		}
+		if cart.Empty() {
+			cart.Add(bySubject[busy][0], 1, 1)
+		}
+		if _, err := app.Orders.Create(conn, 1, &cart, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if lines.Len() <= before {
+		t.Fatal("no order lines created")
+	}
+	// A best seller of the busy subject leaves the catalogue but stays in
+	// order_line.
+	top, err := app.Catalog.BestSellers(conn, busy)
+	if err != nil || len(top) < 2 {
+		t.Fatalf("best sellers of %s before the delete = %v, %v", busy, top, err)
+	}
+	deleted := top[0].ID
+	if ok, err := conn.Delete(TableItem, deleted); err != nil || !ok {
+		t.Fatalf("delete item %d: %v, %v", deleted, ok, err)
+	}
+
+	for _, subject := range []string{busy, "", stale, "NO-SUCH-SUBJECT"} {
+		want := bruteForceBestSellers(t, conn, subject)
+		got, err := app.Catalog.BestSellers(conn, subject)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotIDs := make([]int64, len(got))
+		for i, it := range got {
+			gotIDs[i] = it.ID
+		}
+		if !slices.Equal(gotIDs, want) {
+			t.Errorf("BestSellers(%q) = %v, brute force says %v", subject, gotIDs, want)
+		}
+		if slices.Contains(gotIDs, deleted) {
+			t.Errorf("BestSellers(%q) lists deleted item %d", subject, deleted)
+		}
+		switch subject {
+		case busy, "":
+			if len(want) == 0 {
+				t.Errorf("oracle for %q is empty; the comparison proves nothing", subject)
+			}
+		default:
+			if len(want) != 0 {
+				t.Errorf("oracle for %q = %v, want no sales inside the window", subject, want)
+			}
+		}
 	}
 }
