@@ -41,7 +41,7 @@ func newManagerPlane(t *testing.T) *jmxhttp.Client {
 	// synchronously to listeners, not retained.
 	buf := jmxhttp.NewNotificationBuffer(stack.Framework.Server(), 0)
 	t.Cleanup(buf.Close)
-	stack.Driver.Run([]eb.Phase{{Duration: 10 * time.Minute, EBs: 20}})
+	stack.Run(10*time.Minute, 20)
 	srv := httptest.NewServer(jmxhttp.NewHandlerWithNotifications(stack.Framework.Server(), buf))
 	t.Cleanup(srv.Close)
 	return jmxhttp.NewClient(srv.URL, nil)
@@ -68,7 +68,7 @@ func newClusterPlane(t *testing.T) *jmxhttp.Client {
 	}
 	buf := jmxhttp.NewNotificationBuffer(cs.Server, 0)
 	t.Cleanup(buf.Close)
-	cs.Driver.Run([]eb.Phase{{Duration: 15 * time.Minute, EBs: 30}})
+	cs.Run(15*time.Minute, 30)
 	if err := cs.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func newRejuvPlane(t *testing.T) *jmxhttp.Client {
 	if _, err := cs.Node("node2").InjectLeak(tpcw.CompHome, 100<<10, 20, 7); err != nil {
 		t.Fatal(err)
 	}
-	cs.Driver.Run([]eb.Phase{{Duration: 15 * time.Minute, EBs: 30}})
+	cs.Run(15*time.Minute, 30)
 	if err := cs.Sync(); err != nil {
 		t.Fatal(err)
 	}

@@ -180,7 +180,10 @@ func runLoadLocalFleet(opts loadOptions) {
 		}
 		defer ls.Close()
 		stacks[i] = ls
-		node := ls.Node(opts.duration)
+		node, err := ls.Node(opts.duration)
+		if err != nil {
+			log.Fatal(err)
+		}
 		local, remote := net.Pipe()
 		conns[i] = local
 		go func() { errCh <- node.Serve(remote) }()
@@ -264,7 +267,11 @@ func runLoadDriver(opts loadOptions) {
 	defer conn.Close()
 	log.Printf("driver %d/%d: %s over %d shard(s), paced by %s",
 		opts.index, opts.drivers, describeLoad(opts), ls.Driver.Shards(), opts.coord)
-	if err := ls.Node(opts.duration).Serve(conn); err != nil {
+	node, err := ls.Node(opts.duration)
+	if err != nil {
+		log.Fatalf("driver: %v", err)
+	}
+	if err := node.Serve(conn); err != nil {
 		log.Fatalf("driver: %v", err)
 	}
 	fmt.Printf("driver %d done: %d interactions (%d failed, %d shed), checksum %#x\n",

@@ -9,11 +9,12 @@
 //	        [-leaksize 102400] [-leakn 100] [-scenario steady] [-hold]
 //	        [-nodes 1] [-leaknode node2] [-transport inproc] [-rejuvenate]
 //
-// The -scenario flag picks the workload shape the detectors are exposed
-// to: steady (one flat phase), shift (the mix walks browsing → shopping →
-// ordering), diurnal (a sinusoidal population cycle) or burst (a 4× flash
-// crowd mid-run). With -detect (on by default) the streaming detectors
-// run off every sampling round; watch them live with
+// The -scenario flag picks the phase schedule the browser driver runs,
+// the workload shape the detectors are exposed to: steady (one flat
+// phase), shift (the mix walks browsing → shopping → ordering and the
+// population doubles), diurnal (a sinusoidal population cycle) or burst
+// (a 4× flash crowd mid-run). With -detect (on by default) the streaming
+// detectors run off every sampling round; watch them live with
 //
 //	agingmon -url http://localhost:9990 watch memory
 //
@@ -47,9 +48,9 @@
 // parallel fold pool (0 = package defaults).
 //
 // With -load the command runs the million-session load tier instead of
-// the monitored testbed: a struct-of-arrays session population over
-// per-core event-engine shards, closed-loop (TPC-W think times) or
-// open-loop (Poisson arrivals):
+// the monitored testbed: the same driver and struct-of-arrays session
+// population, spread over per-core event-engine shards, closed-loop
+// (TPC-W think times) or open-loop (Poisson arrivals):
 //
 //	tpcwsim -load -sessions 1000000 -shards 4 -duration 2m
 //	tpcwsim -load -arrival open -rate 5000 -duration 2m
@@ -352,25 +353,30 @@ func holdOpen(hold bool, addr string) {
 	}
 }
 
-// runScenario drives the chosen workload shape over the run duration.
-func runScenario(driver *eb.Driver, scenario string, duration time.Duration, ebs int) {
+// runScenario drives the chosen workload shape over the run duration; a
+// -duration or -ebs the driver cannot schedule ends the process.
+func runScenario(driver *eb.ShardedDriver, scenario string, duration time.Duration, ebs int) {
+	var phases []eb.Phase
 	switch scenario {
 	case "steady":
-		driver.Run([]eb.Phase{{Duration: duration, EBs: ebs}})
+		phases = []eb.Phase{{Duration: duration, EBs: ebs, Mix: driver.Mix()}}
 	case "shift":
 		third := duration / 3
-		driver.RunMixed([]eb.MixedPhase{
+		phases = []eb.Phase{
 			{Duration: third, EBs: ebs, Mix: eb.Browsing},
 			{Duration: third, EBs: ebs, Mix: eb.Shopping},
 			{Duration: duration - 2*third, EBs: 2 * ebs, Mix: eb.Ordering},
-		})
+		}
 	case "diurnal":
 		profile := sim.DiurnalProfile(float64(ebs), float64(ebs)/2, duration)
-		driver.Run(eb.ProfileSchedule(profile, duration, duration/12))
+		phases = eb.ProfileSchedule(profile, duration, duration/12, driver.Mix())
 	case "burst":
 		profile := sim.BurstProfile(float64(ebs), float64(ebs)*4, duration/3, duration/10)
-		driver.Run(eb.ProfileSchedule(profile, duration, duration/30))
+		phases = eb.ProfileSchedule(profile, duration, duration/30, driver.Mix())
 	default:
 		log.Fatalf("unknown scenario %q (want steady, shift, diurnal or burst)", scenario)
+	}
+	if err := driver.RunSchedule(phases, nil); err != nil {
+		log.Fatal(err)
 	}
 }

@@ -62,7 +62,7 @@ func main() {
 	}
 
 	fmt.Printf("running %d virtual minutes at %d EBs...\n\n", *minutes, *ebs)
-	stack.Driver.Run([]repro.Phase{{Duration: time.Duration(*minutes) * time.Minute, EBs: *ebs}})
+	stack.Run(time.Duration(*minutes)*time.Minute, *ebs)
 
 	fmt.Println("Pinpoint (failure correlation over request traces):")
 	fmt.Println(repro.PinpointBaseline{}.Analyze(stack.Traces.Traces()))

@@ -48,7 +48,7 @@ func main() {
 
 	fmt.Printf("running %d virtual minutes at %d EBs with a CPU hog in %s and a thread leak in %s...\n\n",
 		*minutes, *ebs, tpcw.CompSearchResults, tpcw.CompBuyConfirm)
-	stack.Driver.Run([]repro.Phase{{Duration: time.Duration(*minutes) * time.Minute, EBs: *ebs}})
+	stack.Run(time.Duration(*minutes)*time.Minute, *ebs)
 
 	fmt.Println("CPU map (trend strategy):")
 	fmt.Println(stack.Framework.Manager().Rank(repro.ResourceCPU, repro.TrendStrategy{}))

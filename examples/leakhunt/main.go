@@ -35,7 +35,7 @@ func main() {
 	fmt.Printf("running %d virtual minutes at %d EBs with a 100KB/N=100 leak in %s...\n",
 		*minutes, *ebs, tpcw.CompHome)
 	start := time.Now()
-	stack.Driver.Run([]repro.Phase{{Duration: time.Duration(*minutes) * time.Minute, EBs: *ebs}})
+	stack.Run(time.Duration(*minutes)*time.Minute, *ebs)
 	fmt.Printf("completed %d interactions in %v wall time; leak fired %d times (%d bytes)\n\n",
 		stack.Driver.Completed(), time.Since(start).Truncate(time.Millisecond),
 		leak.Injections(), leak.LeakedBytes())

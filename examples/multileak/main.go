@@ -52,7 +52,7 @@ func main() {
 	}
 
 	fmt.Printf("\nrunning %d virtual minutes at %d EBs (shopping mix)...\n", *minutes, *ebs)
-	stack.Driver.Run([]repro.Phase{{Duration: time.Duration(*minutes) * time.Minute, EBs: *ebs}})
+	stack.Run(time.Duration(*minutes)*time.Minute, *ebs)
 	fmt.Printf("completed %d interactions\n\n", stack.Driver.Completed())
 
 	ranking := stack.Framework.Manager().Map(repro.ResourceMemory)

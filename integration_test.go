@@ -25,7 +25,7 @@ func TestEndToEndFrontend(t *testing.T) {
 	if _, err := stack.InjectLeak(tpcw.CompHome, 100<<10, 20, 5); err != nil {
 		t.Fatal(err)
 	}
-	stack.Driver.Run([]Phase{{Duration: 10 * time.Minute, EBs: 20}})
+	stack.Run(10*time.Minute, 20)
 
 	ts := httptest.NewServer(NewJMXHandler(stack.Framework.Server()))
 	defer ts.Close()
@@ -92,7 +92,7 @@ func TestEndToEndFrontend(t *testing.T) {
 // TestDeterministicExperiments guards the reproducibility property: two
 // identical runs of a leak scenario produce identical manager evidence.
 func TestDeterministicExperiments(t *testing.T) {
-	run := func() (int64, float64) {
+	run := func() (uint64, float64) {
 		stack, err := NewStack(StackConfig{
 			Seed:      77,
 			Monitored: true,
@@ -105,7 +105,7 @@ func TestDeterministicExperiments(t *testing.T) {
 		if _, err := stack.InjectLeak(tpcw.CompHome, 50<<10, 30, 9); err != nil {
 			t.Fatal(err)
 		}
-		stack.Driver.Run([]Phase{{Duration: 8 * time.Minute, EBs: 15}})
+		stack.Run(8*time.Minute, 15)
 		data, err := stack.Framework.Manager().Data(ResourceMemory)
 		if err != nil {
 			t.Fatal(err)

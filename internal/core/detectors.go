@@ -24,6 +24,11 @@ const NotifAlarm = "aging.alarm"
 // Alarm transitions are queued under the bank's own mutex and emitted as
 // aging.alarm notifications by the sampling round after sampleMu is
 // released, mirroring how the manager emits aging.suspect.
+//
+// Readers never touch a monitor's recycled report ring: under the same
+// mutex each round copies its report into a bank-owned buffer, and Report
+// hands out a clone of that, so a reader descheduled for any number of
+// rounds still holds a consistent report.
 type DetectorBank struct {
 	// node is the owning manager's node identity, stamped on verdicts so
 	// live rankings match the (node, component) evidence the manager
@@ -40,6 +45,7 @@ type DetectorBank struct {
 	obsScratch []detect.Observation
 
 	mu       sync.Mutex
+	latest   map[string]*detect.Report  // resource -> copy of the last round's report
 	alarmed  map[string]map[string]bool // resource -> component -> alarming
 	pending  []jmx.Notification
 	entropyA map[string]bool // resource -> entropy alarm latched
@@ -116,6 +122,7 @@ func (m *Manager) AttachDetectors(cfg detect.Config) (*DetectorBank, error) {
 		node:      m.node,
 		resources: append([]string(nil), DetectorResources...),
 		monitors:  monitors,
+		latest:    make(map[string]*detect.Report),
 		alarmed:   make(map[string]map[string]bool),
 		entropyA:  make(map[string]bool),
 	}
@@ -129,17 +136,22 @@ func (m *Manager) AttachDetectors(cfg detect.Config) (*DetectorBank, error) {
 // Detectors returns the attached bank (nil when none).
 func (m *Manager) Detectors() *DetectorBank { return m.detectors.Load() }
 
-// Monitor returns the bank's detector for a resource.
+// Monitor returns the bank's detector for a resource. Its Latest report is
+// recycled after Config.ReportRetention-1 further rounds; Report is the
+// reader that never sees that.
 func (b *DetectorBank) Monitor(resource string) (*detect.Monitor, bool) {
 	mon, ok := b.monitors[resource]
 	return mon, ok
 }
 
-// Report returns the latest published report for a resource (nil before
-// the first sampling round). Safe from any goroutine.
+// Report returns the caller's own copy of the latest report for a resource
+// (nil before the first sampling round). Safe from any goroutine, however
+// long the caller keeps it.
 func (b *DetectorBank) Report(resource string) *detect.Report {
-	if mon, ok := b.monitors[resource]; ok {
-		return mon.Latest()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if rep := b.latest[resource]; rep != nil {
+		return rep.Clone()
 	}
 	return nil
 }
@@ -163,20 +175,14 @@ func (b *DetectorBank) Verdicts(resource string) []rootcause.LiveVerdict {
 	return out
 }
 
-// ObservationsFor maps a sampling round's batch onto the detect package's
-// observation type for one resource. It is the single place the
-// sample→observation projection lives: the manager's bank and the cluster
-// aggregator's per-node banks both use it, so per-node cluster verdicts
-// carry exactly single-node semantics.
-func ObservationsFor(resource string, batch []ComponentSample) []detect.Observation {
-	return AppendObservations(nil, resource, batch)
-}
-
-// AppendObservations is ObservationsFor into a caller-owned buffer: it
-// appends one observation per applicable sample to dst and returns the
-// extended slice, so per-round callers (the detector bank, the cluster
-// aggregator's per-node banks) can project every round without
-// allocating.
+// AppendObservations maps a sampling round's batch onto the detect
+// package's observation type for one resource, into a caller-owned buffer:
+// it appends one observation per applicable sample to dst and returns the
+// extended slice, so per-round callers project every round without
+// allocating. It is the single place the sample→observation projection
+// lives: the manager's bank and the cluster aggregator's per-node banks
+// both use it, so per-node cluster verdicts carry exactly single-node
+// semantics.
 func AppendObservations(dst []detect.Observation, resource string, batch []ComponentSample) []detect.Observation {
 	for _, s := range batch {
 		o := detect.Observation{Component: s.Component, Usage: float64(s.Usage)}
@@ -214,11 +220,20 @@ func (b *DetectorBank) ObserveSample(now time.Time, batch []ComponentSample) {
 	}
 }
 
-// queueTransitions diffs the report against the previously-alarming set
-// and queues one notification per transition.
+// queueTransitions publishes the round's report to readers, diffs it
+// against the previously-alarming set and queues one notification per
+// transition.
 func (b *DetectorBank) queueTransitions(rep *detect.Report) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	kept := b.latest[rep.Resource]
+	if kept == nil {
+		kept = &detect.Report{}
+		b.latest[rep.Resource] = kept
+	}
+	comps := append(kept.Components[:0], rep.Components...)
+	*kept = *rep
+	kept.Components = comps
 	was := b.alarmed[rep.Resource]
 	if was == nil {
 		was = make(map[string]bool)
@@ -272,16 +287,6 @@ func (b *DetectorBank) drainNotifications() []jmx.Notification {
 	out := b.pending
 	b.pending = nil
 	return out
-}
-
-// AlarmCount returns how many components are currently flagged for a
-// resource (observability for tests and the front-end).
-func (b *DetectorBank) AlarmCount(resource string) int {
-	rep := b.Report(resource)
-	if rep == nil {
-		return 0
-	}
-	return len(rep.Alarms())
 }
 
 // LiveRank runs the live strategy for a resource: detector verdicts give

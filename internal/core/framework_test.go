@@ -310,58 +310,59 @@ func TestGlobalMonitoringToggle(t *testing.T) {
 // parameters (scaled down) and checks the paper's expected ordering:
 // A ≈ B (heavily used pages) grow fastest, C slower, D flat.
 func TestFullStackFig5Miniature(t *testing.T) {
-	engine := sim.NewEngine()
-	weaver := aspect.NewWeaver(engine.Clock())
-	db := sqldb.NewDB()
-	app, err := tpcw.NewApp(db, weaver, engine.Clock(), tpcw.Scale{Items: 200, Customers: 100, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	heap := jvmheap.New(1<<30, engine.Clock())
-	container := servlet.NewContainer(engine, weaver, db, heap, servlet.Config{})
-	if err := app.DeployAll(container); err != nil {
-		t.Fatal(err)
-	}
-	if err := container.Start(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := New(Options{
-		Weaver: weaver, Clock: engine.Clock(), Heap: heap,
-		SampleInterval: 30 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range tpcw.Interactions {
-		s, _ := app.Servlet(name)
-		if err := f.InstrumentComponent(name, s); err != nil {
+	var f *Framework
+	driver := eb.NewShardedDriver(eb.ShardedConfig{
+		Mix: eb.Shopping, Seed: 5, Items: 200, Customers: 100, Sessions: 25,
+	}, func(_ int, engine *sim.Engine) eb.Target {
+		weaver := aspect.NewWeaver(engine.Clock())
+		db := sqldb.NewDB()
+		app, err := tpcw.NewApp(db, weaver, engine.Clock(), tpcw.Scale{Items: 200, Customers: 100, Seed: 7})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Fig. 5 roles: A=home, B=product_detail (both heavily used),
-	// C=best_sellers (moderate), D=admin_confirm (rare).
-	inject := func(comp string) *faultinject.MemoryLeak {
-		s, _ := app.Servlet(comp)
-		leak := &faultinject.MemoryLeak{
-			Component: comp, Target: s.(faultinject.Retainer),
-			Size: 100 << 10, N: 20, Heap: heap, Seed: 11,
-		}
-		if err := weaver.Register(leak.Aspect()); err != nil {
+		heap := jvmheap.New(1<<30, engine.Clock())
+		container := servlet.NewContainer(engine, weaver, db, heap, servlet.Config{})
+		if err := app.DeployAll(container); err != nil {
 			t.Fatal(err)
 		}
-		return leak
-	}
-	inject(tpcw.CompHome)
-	inject(tpcw.CompProductDetail)
-	inject(tpcw.CompBestSellers)
-	inject(tpcw.CompAdminConfirm)
+		if err := container.Start(); err != nil {
+			t.Fatal(err)
+		}
+		f, err = New(Options{
+			Weaver: weaver, Clock: engine.Clock(), Heap: heap,
+			SampleInterval: 30 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range tpcw.Interactions {
+			s, _ := app.Servlet(name)
+			if err := f.InstrumentComponent(name, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Fig. 5 roles: A=home, B=product_detail (both heavily used),
+		// C=best_sellers (moderate), D=admin_confirm (rare).
+		inject := func(comp string) *faultinject.MemoryLeak {
+			s, _ := app.Servlet(comp)
+			leak := &faultinject.MemoryLeak{
+				Component: comp, Target: s.(faultinject.Retainer),
+				Size: 100 << 10, N: 20, Heap: heap, Seed: 11,
+			}
+			if err := weaver.Register(leak.Aspect()); err != nil {
+				t.Fatal(err)
+			}
+			return leak
+		}
+		inject(tpcw.CompHome)
+		inject(tpcw.CompProductDetail)
+		inject(tpcw.CompBestSellers)
+		inject(tpcw.CompAdminConfirm)
 
-	stop := f.StartSampling(engine)
-	defer stop()
-	driver := eb.NewDriver(engine, container, eb.Config{
-		Mix: eb.Shopping, Seed: 5, Items: 200, Customers: 100,
+		t.Cleanup(f.StartSampling(engine))
+		return container
 	})
-	driver.Run([]eb.Phase{{Duration: 20 * time.Minute, EBs: 25}})
+	driver.Run(20*time.Minute, nil)
 
 	ranking := f.Manager().Map(ResourceMemory)
 	posHome := ranking.Position(tpcw.CompHome)

@@ -2,8 +2,12 @@
 // that walk the fourteen web interactions following a per-mix transition
 // matrix, with negative-exponential think time (mean 7 s, 70 s cap) between
 // requests, exactly the load generator semantics of the paper's
-// experimental setup. A phased driver changes the concurrent EB population
-// over virtual time to reproduce the 50 → 100 → 200 EB schedule of Fig. 3.
+// experimental setup. There is one session model (the session table, one
+// slot per browser) and one driver (ShardedDriver): a phase schedule
+// changes the concurrent EB population and the mix over virtual time —
+// the 50 → 100 → 200 EB schedule of Fig. 3 on one engine shard — and the
+// same driver spreads a million sessions over one shard per core, or over
+// a fleet of driver processes paced through the wire in wire.go.
 package eb
 
 import (

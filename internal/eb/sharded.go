@@ -2,6 +2,7 @@ package eb
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -9,15 +10,17 @@ import (
 	"repro/internal/sim"
 )
 
-// ShardedDriver is the million-session load tier: a session-table
-// population partitioned across the per-core engines of a sim.ShardGroup.
-// Each shard owns a disjoint set of session ids and a private Target, so a
-// window never contends on shared state; telemetry is integer per-second
+// ShardedDriver is the load generator, from the paper's 200 EBs on one
+// engine to a million sessions on one engine per core: a session-table
+// population partitioned across the engines of a sim.ShardGroup. Each shard
+// owns a disjoint set of session ids and a private Target, so a window
+// never contends on shared state; telemetry is integer per-second
 // completion buckets merged exactly at the end. Two arrival disciplines:
 //
-//   - ClosedLoop: a fixed population of Sessions browsers, each cycling
-//     request → think → request — the TPC-W discipline the paper drives
-//     its testbed with, scaled from 200 EBs to 10^6.
+//   - ClosedLoop: a population of browsers, each cycling request → think →
+//     request — the TPC-W discipline the paper drives its testbed with. A
+//     phase schedule changes the population and the mix over virtual time
+//     (Fig. 3's 50 → 100 → 200 EBs); Run holds Sessions browsers of Mix.
 //   - OpenLoop: sessions arrive in a Poisson stream at Rate/sec and run a
 //     geometric number of interactions. Open-loop arrival keeps offered
 //     load independent of server latency, which the closed-loop discipline
@@ -25,11 +28,11 @@ import (
 //     criticism of closed-loop aging experiments.
 //
 // Determinism: every session's walk is a pure function of (Seed, session
-// id); arrivals are pure functions of (Seed, lane); sessions and lanes map
-// to shards by modulo. Shard count changes which engine runs a session,
-// never what the session does, so the merged completion trace and WIPS
-// buckets are byte-identical across shard counts — pinned by the golden
-// test in sharded_test.go.
+// id, schedule); arrivals are pure functions of (Seed, lane); sessions and
+// lanes map to shards by modulo. Shard count changes which engine runs a
+// session, never what the session does, so the merged completion trace and
+// WIPS buckets are byte-identical across shard counts — pinned by the
+// golden tests in sharded_test.go.
 
 // ArrivalMode selects the load discipline.
 type ArrivalMode uint8
@@ -57,7 +60,8 @@ type ShardedConfig struct {
 	Window time.Duration
 	// Seed derives every session and lane stream.
 	Seed uint64
-	// Mix selects the transition matrix.
+	// Mix selects the transition matrix Run drives (a schedule names a mix
+	// per phase).
 	Mix Mix
 	// ThinkMean / ThinkCap are the TPC-W think-time parameters
 	// (defaults 7s / 70s).
@@ -67,7 +71,9 @@ type ShardedConfig struct {
 	Items     int
 	Customers int
 
-	// Sessions is the closed-loop population.
+	// Sessions is the closed-loop population Run holds, and the size the
+	// session tables start at (a schedule with a higher peak grows them
+	// when it is armed).
 	Sessions int
 
 	// Arrival selects the discipline.
@@ -134,6 +140,16 @@ func (c ShardedConfig) withDefaults() ShardedConfig {
 	return c
 }
 
+// Target is the surface sessions submit interactions to: a single servlet
+// container in the paper's one-node testbed, or a cluster balancer
+// fronting N containers. *servlet.Container satisfies it directly.
+type Target interface {
+	// Submit enqueues one request; done runs when it completes.
+	Submit(req *servlet.Request, done servlet.Completion)
+	// Throughput reports the recent completion rate (requests/second).
+	Throughput() float64
+}
+
 // TargetFactory builds the per-shard backend: shard i's sessions submit
 // only to targets[i], so a factory returning independent stacks keeps the
 // whole run contention-free. A nil factory gets a default ModelTarget.
@@ -148,7 +164,6 @@ type traceEvent struct {
 // driverShard is the per-engine slice of the driver.
 type driverShard struct {
 	d      *ShardedDriver
-	idx    int
 	engine *sim.Engine
 	target Target
 	table  *sessionTable
@@ -156,6 +171,13 @@ type driverShard struct {
 	stepFn  func(time.Time, int64)
 	doneFns []servlet.Completion
 	free    []int32 // idle slot stack (open loop)
+
+	// Closed loop: sessions with id >= population are retired — they stop
+	// at their next step — and running marks the slots that have a think
+	// timer or a request outstanding, so a phase never starts a session
+	// twice. Open loop never retires (population is MaxInt64).
+	population int64
+	running    []bool
 
 	laneFn     func(time.Time, int64)
 	laneRng    []sim.Rand64 // by local lane index
@@ -171,16 +193,23 @@ type driverShard struct {
 	checksum  uint64
 	buckets   []uint32
 	trace     []traceEvent
-	endNs     int64
 }
 
 // ShardedDriver drives the sharded session population. Create with
-// NewShardedDriver, run once with Run, then read the merged telemetry.
+// NewShardedDriver, drive with Run or RunSchedule — again to carry on from
+// where the last run stopped, live sessions and all — and read the merged
+// telemetry.
 type ShardedDriver struct {
-	cfg    ShardedConfig
-	group  *sim.ShardGroup
-	shards []*driverShard
-	ran    bool
+	cfg      ShardedConfig
+	group    *sim.ShardGroup
+	shards   []*driverShard
+	matrices [Ordering + 1]*compiledMatrix // by Mix
+
+	// The armed schedule: phases[next:] are still to be entered, the first
+	// of them at nextAt.
+	phases []Phase
+	next   int
+	nextAt time.Time
 
 	thinkMeanSec float64
 	thinkCapSec  float64
@@ -192,8 +221,8 @@ type ShardedDriver struct {
 // nothing.
 func NewShardedDriver(cfg ShardedConfig, factory TargetFactory) *ShardedDriver {
 	cfg = cfg.withDefaults()
-	if cfg.Arrival == ClosedLoop && cfg.Sessions <= 0 {
-		panic("eb: closed-loop ShardedDriver needs Sessions > 0")
+	if cfg.Sessions < 0 {
+		panic("eb: ShardedDriver with negative Sessions")
 	}
 	if cfg.Arrival == OpenLoop && cfg.Rate <= 0 {
 		panic("eb: open-loop ShardedDriver needs Rate > 0")
@@ -208,7 +237,6 @@ func NewShardedDriver(cfg ShardedConfig, factory TargetFactory) *ShardedDriver {
 	}
 
 	zipf := sim.NewZipfTable(cfg.Items, 0.8)
-	matrix := compileMatrix(TransitionMatrix(cfg.Mix))
 	unames := unameVocabulary(cfg.Customers)
 
 	d := &ShardedDriver{
@@ -219,12 +247,12 @@ func NewShardedDriver(cfg ShardedConfig, factory TargetFactory) *ShardedDriver {
 		thinkCapSec:  cfg.ThinkCap.Seconds(),
 		stopProb:     1 / float64(cfg.MeanSessionLength),
 	}
+	for mix := range d.matrices {
+		d.matrices[mix] = compileMatrix(TransitionMatrix(Mix(mix)))
+	}
 
 	for i := range d.shards {
-		sh := &driverShard{
-			d:   d,
-			idx: i,
-		}
+		sh := &driverShard{d: d, engine: d.group.Shard(i), population: math.MaxInt64}
 		if cfg.Arrival == OpenLoop {
 			// Of the lanes this driver process owns (lane ≡ DriverIndex mod
 			// DriverCount), shard i takes every Shards-th one. Each lane
@@ -245,22 +273,17 @@ func NewShardedDriver(cfg ShardedConfig, factory TargetFactory) *ShardedDriver {
 			}
 			sh.laneLive = make([]int32, len(sh.lanes))
 			sh.laneFn = sh.arrive
-		}
-		capacity := d.shardCapacity(i, sh)
-		sh.engine = d.group.Shard(i)
-		sh.table = newSessionTable(capacity, cfg.Seed, zipf, matrix, unames)
-		// Reserve the event arena for the steady-state live population: one
-		// timer or in-flight completion per session, plus lane/inflight slack.
-		sh.engine.Reserve(capacity + capacity/8 + 1024)
-		sh.target = factory(i, sh.engine)
-		sh.stepFn = sh.step
-		sh.doneFns = make([]servlet.Completion, capacity)
-		for slot := 0; slot < capacity; slot++ {
-			slot := slot
-			sh.doneFns[slot] = func(_ *servlet.Request, resp *servlet.Response) {
-				sh.complete(slot, resp)
+			// Every lane's next arrival is always pending, from here on:
+			// a run picks the streams up wherever the last one left them.
+			for li := range sh.lanes {
+				sh.engine.ScheduleArgAfter(sh.gap(li), sh.laneFn, int64(li))
 			}
 		}
+		sh.table = newSessionTable(0, cfg.Seed, zipf, nil, unames) // enter sets the phase's matrix
+		capacity := d.shardCapacity(i, cfg.Sessions, sh)
+		sh.grow(capacity)
+		sh.target = factory(i, sh.engine)
+		sh.stepFn = sh.step
 		if cfg.Arrival == OpenLoop {
 			sh.free = make([]int32, 0, capacity)
 			for slot := capacity - 1; slot >= 0; slot-- {
@@ -284,11 +307,30 @@ func laneCapacity(maxSessions int, lane int64) int32 {
 	return c
 }
 
+// grow sizes the shard's slot-indexed state for capacity sessions.
+func (sh *driverShard) grow(capacity int) {
+	from := len(sh.doneFns)
+	if capacity <= from {
+		return
+	}
+	sh.table.grow(capacity)
+	sh.running = grown(sh.running, capacity)
+	// Reserve the event arena for the steady-state live population: one
+	// timer or in-flight completion per session, plus lane/inflight slack.
+	sh.engine.Reserve(capacity + capacity/8 + 1024)
+	sh.doneFns = grown(sh.doneFns, capacity)
+	for slot := from; slot < capacity; slot++ {
+		sh.doneFns[slot] = func(_ *servlet.Request, resp *servlet.Response) {
+			sh.complete(slot, resp)
+		}
+	}
+}
+
 // shardCapacity returns shard i's table size: its share of this driver
-// process's slice of the closed population, or — open loop — the sum of
-// its lanes' admission budgets (so a lane under budget always finds a
-// free slot).
-func (d *ShardedDriver) shardCapacity(i int, sh *driverShard) int {
+// process's slice of a closed population of sessions, or — open loop — the
+// sum of its lanes' admission budgets (so a lane under budget always finds
+// a free slot).
+func (d *ShardedDriver) shardCapacity(i, sessions int, sh *driverShard) int {
 	if d.cfg.Arrival == OpenLoop {
 		capacity := 0
 		for _, c := range sh.laneCap {
@@ -299,7 +341,7 @@ func (d *ShardedDriver) shardCapacity(i int, sh *driverShard) int {
 		}
 		return capacity
 	}
-	owned := (d.cfg.Sessions - d.cfg.DriverIndex + d.cfg.DriverCount - 1) / d.cfg.DriverCount
+	owned := (sessions - d.cfg.DriverIndex + d.cfg.DriverCount - 1) / d.cfg.DriverCount
 	if owned < 0 {
 		owned = 0
 	}
@@ -320,63 +362,135 @@ func (d *ShardedDriver) Group() *sim.ShardGroup { return d.group }
 // Shards reports the per-process engine count.
 func (d *ShardedDriver) Shards() int { return len(d.shards) }
 
-// Start arms the load for a run of the given duration — binds and
-// staggers the closed population or primes the arrival lanes — without
-// advancing time. Pair with AdvanceTo for externally-paced runs (the
-// multi-process wire); Run wraps both. Single use: the per-second buckets
-// are indexed from the epoch.
-func (d *ShardedDriver) Start(duration time.Duration) {
-	if d.ran {
-		panic("eb: ShardedDriver runs are single-use")
-	}
-	d.ran = true
-	end := d.group.Now().Add(duration)
-	endNs := end.Sub(sim.Epoch).Nanoseconds()
-	seconds := int(duration/time.Second) + 2
+// Mix reports the configured mix: the one Run walks, and the one a caller
+// building its own schedule passes on to stay on it (a Phase names its mix;
+// it does not inherit this one).
+func (d *ShardedDriver) Mix() Mix { return d.cfg.Mix }
 
+// Steady returns the one-phase schedule Run drives: the configured
+// population on the configured mix for duration.
+func (d *ShardedDriver) Steady(duration time.Duration) []Phase {
+	return []Phase{{Duration: duration, EBs: d.cfg.Sessions, Mix: d.cfg.Mix}}
+}
+
+// Start arms a schedule from the current instant without advancing time,
+// replacing whatever is left of an earlier one. Pair with AdvanceTo for
+// externally-paced runs (the multi-process wire); RunSchedule wraps both.
+// A schedule the driver cannot run is rejected with an error naming the
+// first offending phase; an open-loop driver's load is set by its arrival
+// rate, so it takes exactly one phase and ignores its EBs. Tables and
+// telemetry are sized here for the schedule's peak and end — the instant
+// returned — so driving it allocates nothing.
+func (d *ShardedDriver) Start(phases []Phase) (end time.Time, err error) {
+	if len(phases) == 0 {
+		return end, fmt.Errorf("eb: empty phase schedule")
+	}
+	var total time.Duration
+	peak := 0
+	for i, ph := range phases {
+		switch {
+		case ph.Duration <= 0:
+			return end, fmt.Errorf("eb: phase %d of %d: non-positive duration %v", i+1, len(phases), ph.Duration)
+		case ph.EBs < 0:
+			return end, fmt.Errorf("eb: phase %d of %d: negative population %d", i+1, len(phases), ph.EBs)
+		case ph.Mix < Browsing || ph.Mix > Ordering:
+			return end, fmt.Errorf("eb: phase %d of %d: unknown mix %d", i+1, len(phases), ph.Mix)
+		case d.cfg.Arrival == OpenLoop && i > 0:
+			return end, fmt.Errorf("eb: phase %d of %d: an open-loop driver runs a single phase", i+1, len(phases))
+		}
+		total += ph.Duration
+		peak = max(peak, ph.EBs)
+	}
+	end = d.group.Now().Add(total)
+	// The per-second buckets are indexed from the epoch, so a later run
+	// extends the earlier one's series.
+	seconds := int(end.Sub(sim.Epoch)/time.Second) + 2
+	for i, sh := range d.shards {
+		if d.cfg.Arrival == ClosedLoop {
+			sh.grow(d.shardCapacity(i, peak, sh))
+		}
+		if len(sh.buckets) < seconds {
+			sh.buckets = grown(sh.buckets, seconds)
+		}
+	}
+	d.phases = append(d.phases[:0], phases...)
+	d.next = 0
+	d.nextAt = d.group.Now()
+	return end, nil
+}
+
+// enter makes ph the running phase: every shard walks its mix from the
+// next transition on, and — closed loop — sessions 0..EBs-1 run while the
+// rest retire at their next step.
+func (d *ShardedDriver) enter(ph Phase) {
 	for _, sh := range d.shards {
-		sh.endNs = endNs
-		sh.buckets = make([]uint32, seconds)
+		sh.table.matrix = d.matrices[ph.Mix]
 	}
-
-	switch d.cfg.Arrival {
-	case ClosedLoop:
-		// Of the ids this driver process owns (id ≡ DriverIndex mod
-		// DriverCount), shards take turns: owned-index → shard by modulo,
-		// slot by division. Dense per-shard tables, shard- and driver-count
-		// independent global ids.
-		k, kn := int64(d.cfg.DriverIndex), int64(d.cfg.DriverCount)
-		shards := int64(d.cfg.Shards)
-		for id := k; id < int64(d.cfg.Sessions); id += kn {
-			j := (id - k) / kn
-			sh := d.shards[j%shards]
-			slot := int(j / shards)
+	if d.cfg.Arrival == OpenLoop {
+		return
+	}
+	for _, sh := range d.shards {
+		sh.population = int64(ph.EBs)
+	}
+	// Of the ids this driver process owns (id ≡ DriverIndex mod
+	// DriverCount), shards take turns: owned-index → shard by modulo, slot
+	// by division. Dense per-shard tables, shard- and driver-count
+	// independent global ids.
+	k, kn := int64(d.cfg.DriverIndex), int64(d.cfg.DriverCount)
+	shards := int64(d.cfg.Shards)
+	for id := k; id < int64(ph.EBs); id += kn {
+		j := (id - k) / kn
+		sh := d.shards[j%shards]
+		slot := int(j / shards)
+		if sh.running[slot] {
+			continue // never stopped: its pending step finds it back in the population
+		}
+		if sh.table.idle(slot) {
 			sh.table.bind(slot, id)
-			// Stagger starts across one mean think time, drawn from the
-			// session's own stream so the ramp is id-deterministic.
-			delay := time.Duration(sh.table.rng[slot].Float64() * float64(d.cfg.ThinkMean))
-			sh.engine.ScheduleArgAfter(delay, sh.stepFn, int64(slot))
 		}
-	case OpenLoop:
-		for _, sh := range d.shards {
-			for li := range sh.lanes {
-				sh.engine.ScheduleArgAfter(sh.gap(li), sh.laneFn, int64(li))
-			}
-		}
+		sh.running[slot] = true
+		// Stagger starts across one mean think time, drawn from the
+		// session's own stream so the ramp is id-deterministic. A session a
+		// shrink had stopped continues that stream: it is not bound again.
+		delay := time.Duration(sh.table.rng[slot].Float64() * float64(d.cfg.ThinkMean))
+		sh.engine.ScheduleArgAfter(delay, sh.stepFn, int64(slot))
 	}
 }
 
 // AdvanceTo drives all shards to the given virtual instant (a barrier per
-// pacing window). The multi-process coordinator calls this once per
-// granted window.
-func (d *ShardedDriver) AdvanceTo(now time.Time) {
-	d.group.RunUntil(now, nil)
+// pacing window), entering each armed phase at its boundary — after the
+// events of that instant. The multi-process coordinator calls this once
+// per granted window.
+func (d *ShardedDriver) AdvanceTo(now time.Time) { d.advance(now, nil) }
+
+func (d *ShardedDriver) advance(to time.Time, onWindow func(now time.Time)) {
+	for d.next < len(d.phases) && !d.nextAt.After(to) {
+		d.group.RunUntil(d.nextAt, onWindow)
+		ph := d.phases[d.next]
+		d.next++
+		d.enter(ph)
+		d.nextAt = d.nextAt.Add(ph.Duration)
+	}
+	d.group.RunUntil(to, onWindow)
 }
 
-// Run drives the load for the given duration.
+// RunSchedule drives the load through phases, from the current instant to
+// the end of the last one.
+func (d *ShardedDriver) RunSchedule(phases []Phase, onWindow func(now time.Time)) error {
+	end, err := d.Start(phases)
+	if err != nil {
+		return err
+	}
+	d.advance(end, onWindow)
+	return nil
+}
+
+// Run drives the configured population and mix for the given duration: the
+// one-phase schedule. A non-positive duration is a caller bug and panics.
 func (d *ShardedDriver) Run(duration time.Duration, onWindow func(now time.Time)) {
-	d.Start(duration)
-	d.group.RunUntil(d.group.Now().Add(duration), onWindow)
+	if err := d.RunSchedule(d.Steady(duration), onWindow); err != nil {
+		panic(err)
+	}
 }
 
 // Completed returns total completed interactions across shards.
@@ -458,20 +572,16 @@ func (d *ShardedDriver) TraceHash() uint64 {
 	return h
 }
 
-// TraceLen returns the merged trace length (0 unless RecordTrace).
-func (d *ShardedDriver) TraceLen() int {
-	n := 0
-	for _, sh := range d.shards {
-		n += len(sh.trace)
-	}
-	return n
-}
-
 // step issues the next interaction for a bound slot. Fired by the shard
-// engine via the pre-bound stepFn — no per-event closure.
+// engine via the pre-bound stepFn — no per-event closure. A session the
+// current phase has retired stops here, its request in flight completed.
 func (sh *driverShard) step(_ time.Time, arg int64) {
 	slot := int(arg)
 	if sh.table.idle(slot) {
+		return
+	}
+	if sh.table.id[slot] >= sh.population {
+		sh.running[slot] = false
 		return
 	}
 	sh.target.Submit(sh.table.buildRequest(slot), sh.doneFns[slot])
@@ -526,9 +636,7 @@ func (sh *driverShard) gap(li int) time.Duration {
 // globally unique and independent of shard count.
 func (sh *driverShard) arrive(now time.Time, arg int64) {
 	li := int(arg)
-	if nowNs := now.Sub(sim.Epoch).Nanoseconds(); nowNs < sh.endNs {
-		sh.engine.ScheduleArgAfter(sh.gap(li), sh.laneFn, arg)
-	}
+	sh.engine.ScheduleArgAfter(sh.gap(li), sh.laneFn, arg)
 
 	id := sh.laneNextID[li]
 	sh.laneNextID[li] += arrivalLanes
@@ -667,8 +775,3 @@ func (t *ModelTarget) Throughput() float64 { return float64(t.prevCount) }
 func (t *ModelTarget) Completed() uint64 { return t.completed }
 
 var _ Target = (*ModelTarget)(nil)
-
-// String implements fmt.Stringer for debugging.
-func (t *ModelTarget) String() string {
-	return fmt.Sprintf("ModelTarget{completed=%d inflight=%d}", t.completed, len(t.pend)-len(t.free))
-}

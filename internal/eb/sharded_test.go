@@ -2,6 +2,7 @@ package eb
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -240,41 +241,162 @@ func TestSessionTableMatchesIDNotSlot(t *testing.T) {
 	}
 }
 
-// TestSessionTableWalksLikeBrowser drives a table slot and a Browser with
-// the same matrix over many steps and checks the visit distributions
-// roughly agree — the SoA walk is a re-representation of Browser, not a
-// new workload. (Exact trace equality is impossible: Browser's *Stream
-// and the table's Rand64 are different generators by design.)
-func TestSessionTableWalksLikeBrowser(t *testing.T) {
-	const steps = 60000
-	matrix := TransitionMatrix(Shopping)
-
-	browserVisits := map[string]int{}
-	br := NewBrowser(1, 9, matrix, 1000, 1440)
-	ok := &servlet.Response{Status: servlet.StatusOK}
-	for i := 0; i < steps; i++ {
-		req := br.NextRequest()
-		browserVisits[req.Interaction]++
-		br.Observe(ok)
-		servlet.ReleaseRequest(req)
+// shiftSchedule is the pinned schedule workload: the population goes up
+// and down (40 → 120 → 60 sessions) while the mix shifts at both
+// boundaries, the second of which falls inside a pacing window.
+func shiftSchedule() []Phase {
+	return []Phase{
+		{Duration: 40 * time.Second, EBs: 40, Mix: Browsing},
+		{Duration: 50*time.Second + 30*time.Millisecond, EBs: 120, Mix: Shopping},
+		{Duration: 45 * time.Second, EBs: 60, Mix: Ordering},
 	}
+}
 
-	tableVisits := map[string]int{}
-	tb := newSessionTable(1, 9, sim.NewZipfTable(1000, 0.8), compileMatrix(matrix), unameVocabulary(1440))
-	tb.bind(0, 1)
-	for i := 0; i < steps; i++ {
-		req := tb.buildRequest(0)
-		tableVisits[req.Interaction]++
-		tb.observe(0, ok)
-		servlet.ReleaseRequest(req)
-	}
-
-	for _, name := range tpcw.Interactions {
-		bf := float64(browserVisits[name]) / steps
-		tf := float64(tableVisits[name]) / steps
-		if diff := bf - tf; diff > 0.01 || diff < -0.01 {
-			t.Errorf("%s: browser %.4f vs table %.4f", name, bf, tf)
+// TestScheduleGoldenAcrossShardCounts extends the determinism contract to
+// phase schedules: which engine enters a phase for a session never changes
+// what the session does, so checksum, merged trace and WIPS series are
+// identical at any shard count.
+func TestScheduleGoldenAcrossShardCounts(t *testing.T) {
+	run := func(shards int) *ShardedDriver {
+		// Sessions is deliberately below the schedule's peak: arming the
+		// schedule grows the tables.
+		d := NewShardedDriver(ShardedConfig{Shards: shards, Seed: 42, Sessions: 10, RecordTrace: true}, nil)
+		if err := d.RunSchedule(shiftSchedule(), nil); err != nil {
+			t.Fatal(err)
 		}
+		return d
+	}
+	ref := run(1)
+	buckets := ref.WIPSBuckets()
+	// The model backend answers in milliseconds, so WIPS ≈ population / 7 s.
+	for _, c := range []struct {
+		from, to int
+		ebs      float64
+	}{{15, 40, 40}, {55, 90, 120}, {110, 135, 60}} {
+		if got, want := meanWIPS(buckets[c.from:c.to]), c.ebs/7; got < 0.7*want || got > 1.3*want {
+			t.Errorf("seconds %d-%d: %.1f WIPS, want ~%.1f for %v sessions", c.from, c.to, got, want, c.ebs)
+		}
+	}
+	for _, shards := range []int{2, 4} {
+		got := run(shards)
+		if got.Completed() != ref.Completed() || got.Checksum() != ref.Checksum() {
+			t.Fatalf("shards=%d: completed/checksum %d/%#x, want %d/%#x",
+				shards, got.Completed(), got.Checksum(), ref.Completed(), ref.Checksum())
+		}
+		if h := got.TraceHash(); h != ref.TraceHash() {
+			t.Fatalf("shards=%d: trace hash %#x, want %#x", shards, h, ref.TraceHash())
+		}
+		if gb := got.WIPSBuckets(); !slices.Equal(gb, buckets) {
+			t.Fatalf("shards=%d: WIPS buckets differ", shards)
+		}
+	}
+}
+
+// recordingTarget completes every request at once and logs which session
+// asked for what, and when.
+type recordingTarget struct {
+	engine *sim.Engine
+	log    []recordedRequest
+}
+
+type recordedRequest struct {
+	at          time.Duration
+	session     string
+	interaction string
+}
+
+func (r *recordingTarget) Submit(req *servlet.Request, done servlet.Completion) {
+	r.log = append(r.log, recordedRequest{r.engine.Now().Sub(sim.Epoch), req.SessionID, req.Interaction})
+	resp := servlet.AcquireResponse()
+	done(req, resp)
+	servlet.ReleaseResponse(resp)
+	servlet.ReleaseRequest(req)
+}
+
+func (r *recordingTarget) Throughput() float64 { return 0 }
+
+// TestScheduleRetiresAndResumesSessions pins what a shrink and a regrowth
+// do to one session: retired, it stops at its next step and asks for
+// nothing more; wanted again, it carries on its own walk and stream — it
+// is not bound afresh — while a session the shrink never touched is
+// oblivious to the whole affair.
+func TestScheduleRetiresAndResumesSessions(t *testing.T) {
+	run := func(phases []Phase) (*ShardedDriver, *recordingTarget) {
+		rec := &recordingTarget{}
+		d := NewShardedDriver(ShardedConfig{Seed: 5, Mix: Shopping}, func(_ int, engine *sim.Engine) Target {
+			rec.engine = engine
+			return rec
+		})
+		if err := d.RunSchedule(phases, nil); err != nil {
+			t.Fatal(err)
+		}
+		return d, rec
+	}
+	const phase = 5 * time.Minute
+	d, rec := run([]Phase{
+		{Duration: phase, EBs: 3, Mix: Shopping},
+		{Duration: phase, EBs: 1, Mix: Shopping},
+		{Duration: phase, EBs: 3, Mix: Shopping},
+	})
+
+	var before, during, after int
+	for _, r := range rec.log {
+		if r.session != "ebs-2" {
+			continue
+		}
+		switch {
+		case r.at <= phase:
+			before++
+		case r.at <= 2*phase:
+			during++
+		default:
+			after++
+		}
+	}
+	if before < 10 || after < 10 {
+		t.Fatalf("session 2 issued %d requests before its retirement and %d after, want dozens", before, after)
+	}
+	if during != 0 {
+		t.Errorf("session 2 issued %d requests while retired", during)
+	}
+	if got := int(d.shards[0].table.issued[2]); got != before+after {
+		t.Errorf("session 2 counts %d requests issued, the target saw %d: it was bound afresh", got, before+after)
+	}
+
+	// Session 0 stays in the population throughout, so its requests are
+	// those of a run nothing ever happened in.
+	_, steady := run([]Phase{{Duration: 3 * phase, EBs: 1, Mix: Shopping}})
+	var churned []recordedRequest
+	for _, r := range rec.log {
+		if r.session == "ebs-0" {
+			churned = append(churned, r)
+		}
+	}
+	if !slices.Equal(churned, steady.log) {
+		t.Errorf("session 0 issued %d requests beside the churn, %d alone: they differ", len(churned), len(steady.log))
+	}
+}
+
+// TestSecondRunResumesPopulation pins the resume contract the chaos
+// scenarios rely on (run, act on the stack off-engine, run again): a
+// second run carries on the live sessions, so two back-to-back runs are
+// one run of the summed duration — nobody is restarted, nobody runs twice.
+func TestSecondRunResumesPopulation(t *testing.T) {
+	whole := runSharded(t, goldenClosedCfg(2), 2*time.Minute)
+
+	split := NewShardedDriver(goldenClosedCfg(2), nil)
+	split.Run(45*time.Second, nil)
+	first := split.Completed()
+	split.Run(75*time.Second, nil)
+	if first == 0 || first >= split.Completed() {
+		t.Fatalf("completed %d after the first run, %d after the second", first, split.Completed())
+	}
+	if split.Completed() != whole.Completed() || split.TraceHash() != whole.TraceHash() {
+		t.Fatalf("45s + 75s completed %d (trace %#x), one 2m run %d (%#x)",
+			split.Completed(), split.TraceHash(), whole.Completed(), whole.TraceHash())
+	}
+	if !slices.Equal(split.WIPSBuckets(), whole.WIPSBuckets()) {
+		t.Fatal("WIPS buckets of the split run differ from the whole run's")
 	}
 }
 
@@ -300,6 +422,33 @@ func TestCompiledMatrixCoversSource(t *testing.T) {
 				t.Fatalf("%v/%s: cumulative %v, want %v", mix, from, got, total)
 			}
 		}
+	}
+}
+
+// TestCompiledMatrixPicksByWeight pins the one weighted draw a session
+// makes per transition: targets are chosen in proportion to their weights,
+// a zero-weight target never, and a row the matrix lacks leads home.
+func TestCompiledMatrixPicksByWeight(t *testing.T) {
+	cm := compileMatrix(Matrix{tpcw.CompHome: {
+		{To: tpcw.CompBestSellers, Weight: 1},
+		{To: tpcw.CompAdminConfirm, Weight: 0},
+		{To: tpcw.CompProductDetail, Weight: 3},
+	}})
+	home := interIndex[tpcw.CompHome]
+	counts := map[string]int{}
+	rng := sim.NewRand64(19)
+	for i := 0; i < 100000; i++ {
+		counts[tpcw.Interactions[cm.next(home, rng.Float64())]]++
+	}
+	if counts[tpcw.CompAdminConfirm] != 0 || len(counts) != 2 {
+		t.Fatalf("picked %v: zero-weight or unlisted targets chosen", counts)
+	}
+	ratio := float64(counts[tpcw.CompProductDetail]) / float64(counts[tpcw.CompBestSellers])
+	if ratio < 2.7 || ratio > 3.3 {
+		t.Fatalf("weighted ratio = %.2f, want ~3", ratio)
+	}
+	if got := cm.next(interIndex[tpcw.CompBuyConfirm], 0.5); got != home {
+		t.Fatalf("transition out of a missing row leads to %s, want home", tpcw.Interactions[got])
 	}
 }
 

@@ -8,23 +8,36 @@ import (
 	"repro/internal/tpcw"
 )
 
-// This file holds the million-session representation of browser state: a
-// struct-of-arrays session table over a compiled (integer-indexed)
-// transition matrix. A *Browser is ~200 bytes of its own fields plus a
-// *Stream (two heap objects), a *Zipf (an O(items) zetan sum computed per
-// browser) and a per-browser session-id string — fine for the paper's 200
-// EBs, untenable for the load tier's 10^6. A table slot is ~60 bytes flat
-// across a handful of parallel arrays, draws from an 8-byte value-type
-// Rand64, and shares one ZipfTable and one uname vocabulary across every
-// session, so populating a million sessions costs megabytes and arriving
-// sessions (open loop) cost zero allocations.
+// This file holds the emulated browsers' state: a struct-of-arrays session
+// table over a compiled (integer-indexed) transition matrix, the one
+// representation behind the paper's 200 EBs and the load tier's 10^6. A
+// slot is ~60 bytes flat across a handful of parallel arrays, draws from an
+// 8-byte value-type Rand64, and shares one ZipfTable and one uname
+// vocabulary across every session, so populating a million sessions costs
+// megabytes and arriving sessions (open loop) cost zero allocations.
 //
-// Behavioural contract: slots walk the same fourteen-interaction graph
-// with the same parameter fabrication rules as Browser.paramsInto —
-// Zipf-skewed item picks with page-link affinity, subject and search-term
-// vocabularies, an assigned customer identity. Sequences are a pure
-// function of (seed, session id), never of shard count or arrival order,
-// which is what the shards=1 vs shards=N golden test pins.
+// Behavioural contract: a slot walks the fourteen-interaction graph and
+// fabricates request parameters the way the TPC-W remote browser emulator
+// does — Zipf-skewed item picks with page-link affinity, subject and
+// search-term vocabularies, an assigned customer identity. Sequences are a
+// pure function of (seed, session id) and the mixes the schedule puts the
+// session through, never of shard count or arrival order, which is what
+// the shards=1 vs shards=N golden tests pin.
+
+// searchTerms is the vocabulary EBs search with; "Book" matches broadly,
+// the others narrow (every populated title contains "Book Title <n>" and a
+// subject word).
+var searchTerms = []string{"Book", "Title", "COMPUTERS", "HISTORY", "ROMANCE", "1"}
+
+// authorTerms is the author-search vocabulary, precomputed so the issue
+// loop never formats a term string per request.
+var authorTerms = func() [20]string {
+	var out [20]string
+	for i := range out {
+		out[i] = "AuthorL" + strconv.Itoa(i+1)
+	}
+	return out
+}()
 
 // interCount is the number of TPC-W interactions (indices into
 // tpcw.Interactions).
@@ -56,8 +69,7 @@ type compiledMatrix struct {
 }
 
 // compileMatrix validates and lowers a transition matrix. Rows absent from
-// the source matrix stay empty; transitions out of them fall back to home,
-// matching Browser.pickNext.
+// the source matrix stay empty; transitions out of them fall back to home.
 func compileMatrix(m Matrix) *compiledMatrix {
 	if err := m.Validate(); err != nil {
 		panic(err)
@@ -95,9 +107,8 @@ func (cm *compiledMatrix) next(cur uint8, u float64) uint8 {
 	return row.to[len(row.to)-1]
 }
 
-// maxPageLinks bounds the page links a slot remembers (Browser keeps the
-// whole slice; six covers every response the tpcw servlets emit and keeps
-// the array inline).
+// maxPageLinks bounds the page links a slot remembers (six covers every
+// response the tpcw servlets emit and keeps the array inline).
 const maxPageLinks = 6
 
 // sessionTable is the struct-of-arrays browser state for one shard's
@@ -106,7 +117,9 @@ const maxPageLinks = 6
 // sessions (the slot's identity fields are re-derived from the new
 // session's id, so reuse never couples two sessions' draws).
 type sessionTable struct {
-	// Immutable per-table collaborators, shared across slots.
+	// Per-table collaborators, shared across slots. The driver swaps
+	// matrix when a phase changes the mix: sessions pick the new one up on
+	// their next transition, so no session restarts.
 	zipf   *sim.ZipfTable
 	matrix *compiledMatrix
 	unames []string // uname vocabulary, indexed by customer number
@@ -121,9 +134,9 @@ type sessionTable struct {
 	lastItems [][maxPageLinks]int64
 	lastN     []uint8
 
-	// sessionID strings are built once at construction and reused across
-	// slot generations: the wire/container session key tracks the slot, not
-	// the logical session. (A recycled slot therefore reuses the
+	// sessionID strings are built once, when the slot is added, and reused
+	// across slot generations: the wire/container session key tracks the
+	// slot, not the logical session. (A recycled slot therefore reuses the
 	// server-side HTTP session; see docs/architecture.md's load-tier
 	// notes.) Building them up front keeps bind — which runs on the
 	// open-loop arrival path — allocation-free.
@@ -134,30 +147,44 @@ type sessionTable struct {
 
 // newSessionTable sizes a table for capacity slots.
 func newSessionTable(capacity int, seed uint64, zipf *sim.ZipfTable, matrix *compiledMatrix, unames []string) *sessionTable {
-	tb := &sessionTable{
-		zipf:      zipf,
-		matrix:    matrix,
-		unames:    unames,
-		seed:      seed,
-		id:        make([]int64, capacity),
-		rng:       make([]sim.Rand64, capacity),
-		current:   make([]uint8, capacity),
-		issued:    make([]uint32, capacity),
-		failures:  make([]uint32, capacity),
-		unameIdx:  make([]int32, capacity),
-		lastItems: make([][maxPageLinks]int64, capacity),
-		lastN:     make([]uint8, capacity),
-		sessionID: make([]string, capacity),
-	}
-	for i := range tb.id {
-		tb.id[i] = -1
-		tb.sessionID[i] = "ebs-" + strconv.Itoa(i)
-	}
+	tb := &sessionTable{zipf: zipf, matrix: matrix, unames: unames, seed: seed}
+	tb.grow(capacity)
 	return tb
 }
 
-// capacity returns the slot count.
-func (tb *sessionTable) capacity() int { return len(tb.id) }
+// grow extends the table to capacity idle slots, keeping the bound ones (a
+// schedule whose peak exceeds the configured population).
+func (tb *sessionTable) grow(capacity int) {
+	from := len(tb.id)
+	if capacity <= from {
+		return
+	}
+	tb.id = grown(tb.id, capacity)
+	tb.rng = grown(tb.rng, capacity)
+	tb.current = grown(tb.current, capacity)
+	tb.issued = grown(tb.issued, capacity)
+	tb.failures = grown(tb.failures, capacity)
+	tb.unameIdx = grown(tb.unameIdx, capacity)
+	tb.lastItems = grown(tb.lastItems, capacity)
+	tb.lastN = grown(tb.lastN, capacity)
+	tb.sessionID = grown(tb.sessionID, capacity)
+	for i := from; i < capacity; i++ {
+		tb.id[i] = -1
+		tb.sessionID[i] = "ebs-" + strconv.Itoa(i)
+	}
+}
+
+// grown returns s extended with zero values to length n. The copy is
+// conditional because make directly followed by copy compiles to one call
+// that clears the rest by hand: it would touch every page of a fresh
+// million-slot array that make alone leaves to the OS's zero pages.
+func grown[T any](s []T, n int) []T {
+	out := make([]T, n)
+	if len(s) > 0 {
+		copy(out, s)
+	}
+	return out
+}
 
 // bind assigns a session id to a slot, deriving its stream and identity.
 // All state a session draws from is a function of (seed, id) alone.
@@ -185,7 +212,9 @@ func (tb *sessionTable) think(slot int, mean, cap float64) float64 {
 
 // buildRequest advances the slot's walk and fabricates the request,
 // borrowing from the servlet pool — the container (or ModelTarget)
-// recycles it after completion. Mirrors Browser.NextRequest + paramsInto.
+// recycles it after completion. The first request of a session is always
+// the home page; numeric ids stay typed (no strconv) and string values come
+// from fixed vocabularies, so fabrication is allocation-free.
 func (tb *sessionTable) buildRequest(slot int) *servlet.Request {
 	rng := &tb.rng[slot]
 	cur := tb.current[slot]
@@ -218,6 +247,7 @@ func (tb *sessionTable) buildRequest(slot int) *servlet.Request {
 		req.SetInt64Param("I_ID", tb.pickItem(slot))
 		req.SetInt64Param("QTY", 1+int64(rng.IntN(3)))
 	case tpcw.CompBuyRequest:
+		// Returning customers log in; 20% register fresh accounts.
 		if rng.Float64() < 0.8 {
 			req.SetParam("UNAME", tb.unames[tb.unameIdx[slot]])
 		}
@@ -227,8 +257,8 @@ func (tb *sessionTable) buildRequest(slot int) *servlet.Request {
 	return req
 }
 
-// pickItem prefers a link from the last page, otherwise draws a
-// Zipf-popular item — Browser.pickItem over table state.
+// pickItem prefers a link from the last page, like a real user following
+// it, and otherwise draws a Zipf-popular catalogue item.
 func (tb *sessionTable) pickItem(slot int) int64 {
 	rng := &tb.rng[slot]
 	if n := int(tb.lastN[slot]); n > 0 && rng.Float64() < 0.7 {
@@ -238,7 +268,8 @@ func (tb *sessionTable) pickItem(slot int) int64 {
 }
 
 // observe feeds a response back: failures restart the walk at home, page
-// links are copied inline for pickItem affinity.
+// links are copied inline for pickItem affinity (the response's buffer is
+// recycled with it).
 func (tb *sessionTable) observe(slot int, resp *servlet.Response) {
 	if !resp.OK() {
 		tb.failures[slot]++
@@ -256,7 +287,7 @@ func (tb *sessionTable) observe(slot int, resp *servlet.Response) {
 }
 
 // unameVocabulary precomputes the customer identity strings shared by all
-// sessions (Browser formats one per browser).
+// sessions.
 func unameVocabulary(customers int) []string {
 	out := make([]string, customers)
 	for i := range out {

@@ -30,9 +30,9 @@ import (
 // virtual clock leads another's by more than one window. All telemetry
 // rides as varint deltas in the spirit of the cluster binary codec:
 // steady-state batches are a handful of bytes. Because session behaviour
-// is a pure function of (seed, id) and ownership is id mod K, the merged
-// counters, WIPS buckets and completion checksum are identical for any K —
-// TestDriverWireKParity pins that against the in-process driver.
+// is a pure function of (seed, id, schedule) and ownership is id mod K, the
+// merged counters, WIPS buckets and completion checksum are identical for
+// any K — TestDriverWireKParity pins that against the in-process driver.
 
 // loadWireMagic opens both directions of a driver wire stream: three
 // identifying bytes and a version byte, after the cluster codec's
@@ -59,8 +59,7 @@ func writeUvarint(w *bufio.Writer, v uint64) error {
 // shard count is its own affair (per-core sharding inside the process);
 // the coordinator only sees windows and telemetry.
 type DriverNode struct {
-	driver   *ShardedDriver
-	duration time.Duration
+	driver *ShardedDriver
 
 	// Shadow of what the coordinator has been told, for delta batches.
 	sentCompleted uint64
@@ -71,20 +70,15 @@ type DriverNode struct {
 	prevEndNs     int64
 }
 
-// NewDriverNode builds a node for one fleet slice. cfg.DriverIndex /
-// DriverCount place it; duration must match the coordinator's.
-func NewDriverNode(cfg ShardedConfig, duration time.Duration, factory TargetFactory) *DriverNode {
-	return NodeForDriver(NewShardedDriver(cfg, factory), duration)
-}
-
-// NodeForDriver wraps an already-assembled (not yet started) driver as a
-// wire node — for callers that build their own backends (the experiment
-// layer's LoadStack).
-func NodeForDriver(d *ShardedDriver, duration time.Duration) *DriverNode {
-	if duration <= 0 {
-		panic("eb: DriverNode needs a positive duration")
+// NodeForDriver arms an assembled driver with the fleet's schedule (the
+// same one on every node, ending when the coordinator's run does) and
+// wraps it as a wire node. The driver's DriverIndex / DriverCount place it
+// in the fleet.
+func NodeForDriver(d *ShardedDriver, phases []Phase) (*DriverNode, error) {
+	if _, err := d.Start(phases); err != nil {
+		return nil, err
 	}
-	return &DriverNode{driver: d, duration: duration}
+	return &DriverNode{driver: d}, nil
 }
 
 // Driver exposes the underlying sharded driver (telemetry after Serve).
@@ -124,7 +118,6 @@ func (n *DriverNode) Serve(conn net.Conn) error {
 		return fmt.Errorf("eb: not a load-coordinator stream (magic %x)", magic)
 	}
 
-	n.driver.Start(n.duration)
 	n.shadow = make([]uint32, len(n.driver.shards[0].buckets))
 
 	for {

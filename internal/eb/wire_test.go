@@ -2,14 +2,25 @@ package eb
 
 import (
 	"net"
+	"slices"
 	"testing"
 	"time"
 )
 
 // runFleet drives K wire-connected driver nodes under one coordinator
-// over in-memory pipes and returns the coordinator with merged telemetry.
+// over in-memory pipes, for duration on the configured population and mix,
+// and returns the coordinator with merged telemetry.
 func runFleet(t *testing.T, base ShardedConfig, k int, duration time.Duration) *LoadCoordinator {
 	t.Helper()
+	return runFleetSchedule(t, base, k, []Phase{{Duration: duration, EBs: base.Sessions, Mix: base.Mix}})
+}
+
+func runFleetSchedule(t *testing.T, base ShardedConfig, k int, phases []Phase) *LoadCoordinator {
+	t.Helper()
+	var duration time.Duration
+	for _, ph := range phases {
+		duration += ph.Duration
+	}
 	coord := NewLoadCoordinator(duration, 100*time.Millisecond)
 	conns := make([]net.Conn, k)
 	errCh := make(chan error, k)
@@ -20,7 +31,7 @@ func runFleet(t *testing.T, base ShardedConfig, k int, duration time.Duration) *
 		// Vary shard counts across nodes: a fleet need not be homogeneous,
 		// and the merged result must not care.
 		cfg.Shards = 1 + i%3
-		node := NewDriverNode(cfg, duration, nil)
+		node := newNode(t, cfg, phases)
 		local, remote := net.Pipe()
 		conns[i] = local
 		go func() { errCh <- node.Serve(remote) }()
@@ -37,6 +48,15 @@ func runFleet(t *testing.T, base ShardedConfig, k int, duration time.Duration) *
 		conn.Close()
 	}
 	return coord
+}
+
+func newNode(t *testing.T, cfg ShardedConfig, phases []Phase) *DriverNode {
+	t.Helper()
+	node, err := NodeForDriver(NewShardedDriver(cfg, nil), phases)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return node
 }
 
 // TestDriverWireKParity is the multi-process acceptance bar: splitting
@@ -71,6 +91,27 @@ func TestDriverWireKParity(t *testing.T) {
 			if cb[i] != refBuckets[i] {
 				t.Fatalf("K=%d: bucket %d = %d, want %d", k, i, cb[i], refBuckets[i])
 			}
+		}
+	}
+}
+
+// TestScheduleWireKParity is K-parity for a phase schedule: every node
+// arms the same schedule and enters each phase for its own sessions at the
+// boundary, wherever the coordinator's grants fall around it.
+func TestScheduleWireKParity(t *testing.T) {
+	base := ShardedConfig{Seed: 42, Sessions: 10}
+	ref := NewShardedDriver(base, nil)
+	if err := ref.RunSchedule(shiftSchedule(), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 3} {
+		coord := runFleetSchedule(t, base, k, shiftSchedule())
+		if coord.Completed() != ref.Completed() || coord.Checksum() != ref.Checksum() {
+			t.Fatalf("K=%d: completed/checksum %d/%#x, want %d/%#x",
+				k, coord.Completed(), coord.Checksum(), ref.Completed(), ref.Checksum())
+		}
+		if !slices.Equal(coord.WIPSBuckets(), ref.WIPSBuckets()) {
+			t.Fatalf("K=%d: WIPS buckets differ", k)
 		}
 	}
 }
@@ -148,7 +189,7 @@ func TestDriverWireRejectsStrangers(t *testing.T) {
 	local.Close()
 	remote.Close()
 
-	node := NewDriverNode(ShardedConfig{Seed: 1, Sessions: 4}, time.Second, nil)
+	node := newNode(t, ShardedConfig{Seed: 1, Sessions: 4}, []Phase{{Duration: time.Second, EBs: 4}})
 	local2, remote2 := net.Pipe()
 	done := make(chan error, 1)
 	go func() { done <- node.Serve(remote2) }()
@@ -166,7 +207,7 @@ func TestDriverWireRejectsStrangers(t *testing.T) {
 // configured for a different fleet size is refused at connect time.
 func TestDriverWireMismatchedFleetSize(t *testing.T) {
 	coord := NewLoadCoordinator(time.Second, 0)
-	node := NewDriverNode(ShardedConfig{Seed: 1, Sessions: 4, DriverIndex: 0, DriverCount: 2}, time.Second, nil)
+	node := newNode(t, ShardedConfig{Seed: 1, Sessions: 4, DriverIndex: 0, DriverCount: 2}, []Phase{{Duration: time.Second, EBs: 4}})
 	local, remote := net.Pipe()
 	go func() { _ = node.Serve(remote) }()
 	if err := coord.Run([]net.Conn{local}); err == nil {

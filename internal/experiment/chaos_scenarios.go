@@ -118,7 +118,7 @@ func runAgingChaos(cfg Config, spec agingChaosSpec) Result {
 	defer s.Close()
 
 	steady := scaleDuration(20*time.Minute, cfg.TimeScale)
-	s.Driver.Run([]eb.Phase{{Duration: steady, EBs: cfg.EBs}})
+	s.Run(steady, cfg.EBs)
 	preAlarms := len(log.raised())
 	preRounds := reportRound(s.Detectors.Report(spec.resource))
 
@@ -126,7 +126,7 @@ func runAgingChaos(cfg Config, spec agingChaosSpec) Result {
 		return errorResult(spec.id, err)
 	}
 	injected := scaleDuration(40*time.Minute, cfg.TimeScale)
-	s.Driver.Run([]eb.Phase{{Duration: injected, EBs: cfg.EBs}})
+	s.Run(injected, cfg.EBs)
 
 	rep := s.Detectors.Report(spec.resource)
 	first, suspect := firstAlarm(rep)
@@ -360,7 +360,7 @@ func S14NodeKill(cfg Config) Result {
 	cs.Engine.Schedule(kill.At(cs.Engine.Now().Add(total/3)), func(time.Time) {
 		killErr = cs.Leave(kill.Node)
 	})
-	cs.Driver.Run([]eb.Phase{{Duration: total, EBs: cfg.EBs}})
+	cs.Run(total, cfg.EBs)
 	if err := cs.Sync(); err != nil {
 		return errorResult("S14", err)
 	}
@@ -420,7 +420,7 @@ func S15TransportPartition(cfg Config) Result {
 		evictedMid = !activeSet(cs)["node3"]
 		chaos.SetPartitioned(false)
 	})
-	cs.Driver.Run([]eb.Phase{{Duration: total, EBs: cfg.EBs}})
+	cs.Run(total, cfg.EBs)
 	// No Sync: the partition swallowed rounds the barrier would wait for.
 	cs.FlushNotifications()
 
@@ -470,7 +470,7 @@ func S16ClockSkew(cfg Config) Result {
 	}
 
 	total := scaleDuration(time.Hour, cfg.TimeScale)
-	cs.Driver.Run([]eb.Phase{{Duration: total, EBs: cfg.EBs}})
+	cs.Run(total, cfg.EBs)
 	if err := cs.Sync(); err != nil {
 		return errorResult("S16", err)
 	}

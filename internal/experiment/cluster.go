@@ -114,12 +114,12 @@ func (t *retargetTransport) set(tr cluster.Transport) {
 // sampling rounds, a cluster-plane MBeanServer carrying the aggregator
 // bean and its notifications, and an EB driver aimed at the balancer.
 type ClusterStack struct {
+	browsers
 	Engine     *sim.Engine
 	Nodes      []*Node
 	Balancer   *cluster.Balancer
 	Aggregator *cluster.Aggregator
-	Server     *jmx.Server // cluster management plane
-	Driver     *eb.Driver
+	Server     *jmx.Server       // cluster management plane
 	Rejuv      *rejuv.Controller // nil unless ClusterConfig.Rejuv was set
 
 	sampleInterval time.Duration
@@ -154,7 +154,28 @@ func NewClusterStack(cfg ClusterConfig) (*ClusterStack, error) {
 	if cfg.Standby && cfg.Link.Wire {
 		return nil, fmt.Errorf("experiment: Standby failover requires the in-process transport")
 	}
-	engine := sim.NewEngine()
+	cs := &ClusterStack{
+		sampleInterval: cfg.SampleInterval,
+		rejuvCfg:       cfg.Rejuv,
+		rejuvWrap:      cfg.RejuvControl,
+	}
+	var err error
+	cs.Driver, err = newDriver(eb.ShardedConfig{Seed: cfg.Seed, Mix: cfg.Mix, Items: cfg.Scale.Items, Customers: cfg.Scale.Customers}, func(_ int, engine *sim.Engine) (eb.Target, error) {
+		cs.Engine = engine
+		err := cs.assemble(cfg)
+		return cs.Balancer, err
+	})
+	if err != nil {
+		cs.Close()
+		return nil, err
+	}
+	return cs, nil
+}
+
+// assemble builds the monitoring plane, the nodes and the balancer on the
+// stack's engine.
+func (cs *ClusterStack) assemble(cfg ClusterConfig) error {
+	engine := cs.Engine
 	aggCfg := cfg.Link.aggregatorConfig(cluster.Config{
 		Detect:         cfg.Detect,
 		StaleEpochs:    cfg.StaleEpochs,
@@ -165,20 +186,10 @@ func NewClusterStack(cfg ClusterConfig) (*ClusterStack, error) {
 	agg := cluster.New(aggCfg)
 	clusterServer := jmx.NewServer(engine.Clock())
 	if err := clusterServer.Register(cluster.AggregatorName(), agg.Bean()); err != nil {
-		return nil, err
+		return err
 	}
 	balancer := cluster.NewBalancer(cfg.Policy)
-
-	cs := &ClusterStack{
-		Engine:         engine,
-		Balancer:       balancer,
-		Aggregator:     agg,
-		Server:         clusterServer,
-		sampleInterval: cfg.SampleInterval,
-		aggCfg:         aggCfg,
-		rejuvCfg:       cfg.Rejuv,
-		rejuvWrap:      cfg.RejuvControl,
-	}
+	cs.Balancer, cs.Aggregator, cs.Server, cs.aggCfg = balancer, agg, clusterServer, aggCfg
 
 	total := cfg.Nodes + cfg.Spares
 	var initial []string
@@ -186,8 +197,7 @@ func NewClusterStack(cfg ClusterConfig) (*ClusterStack, error) {
 		name := fmt.Sprintf("node%d", i)
 		node, err := cs.buildNode(name, cfg)
 		if err != nil {
-			cs.Close()
-			return nil, err
+			return err
 		}
 		cs.Nodes = append(cs.Nodes, node)
 		if i <= cfg.Nodes {
@@ -211,8 +221,7 @@ func NewClusterStack(cfg ClusterConfig) (*ClusterStack, error) {
 		ctrl.Track(initial...)
 		agg.SubscribeEpochs(ctrl.ObserveEpoch)
 		if err := clusterServer.Register(rejuv.Name(), ctrl.Bean()); err != nil {
-			cs.Close()
-			return nil, err
+			return err
 		}
 		cs.Rejuv = ctrl
 	}
@@ -229,14 +238,7 @@ func NewClusterStack(cfg ClusterConfig) (*ClusterStack, error) {
 	cs.stopPump = engine.Every(cfg.SampleInterval, func(time.Time) {
 		cs.FlushNotifications()
 	})
-
-	cs.Driver = eb.NewDriver(engine, balancer, eb.Config{
-		Mix:       cfg.Mix,
-		Seed:      cfg.Seed,
-		Items:     cfg.Scale.Items,
-		Customers: cfg.Scale.Customers,
-	})
-	return cs, nil
+	return nil
 }
 
 // buildNode assembles one monitored application-server node and links

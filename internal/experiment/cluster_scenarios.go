@@ -71,7 +71,7 @@ func S5SingleNodeLeak(cfg Config) Result {
 	}
 
 	total := scaleDuration(time.Hour, cfg.TimeScale)
-	cs.Driver.Run([]eb.Phase{{Duration: total, EBs: cfg.EBs}})
+	cs.Run(total, cfg.EBs)
 	if err := cs.Sync(); err != nil {
 		return errorResult("S5", err)
 	}
@@ -126,7 +126,7 @@ func S6UniformLeak(cfg Config) Result {
 	}
 
 	total := scaleDuration(time.Hour, cfg.TimeScale)
-	cs.Driver.Run([]eb.Phase{{Duration: total, EBs: cfg.EBs}})
+	cs.Run(total, cfg.EBs)
 	if err := cs.Sync(); err != nil {
 		return errorResult("S6", err)
 	}
@@ -177,7 +177,7 @@ func S7NodeChurn(cfg Config) Result {
 	cs.Engine.Schedule(cs.Engine.Now().Add(2*total/3), func(time.Time) {
 		_ = cs.Leave("node1")
 	})
-	cs.Driver.Run([]eb.Phase{{Duration: total, EBs: cfg.EBs}})
+	cs.Run(total, cfg.EBs)
 	if err := cs.Sync(); err != nil {
 		return errorResult("S7", err)
 	}
@@ -225,7 +225,7 @@ func S8SkewedBalancer(cfg Config) Result {
 		cs.Balancer.SetWeights(map[string]int{"node1": 8, "node2": 1, "node3": 1})
 		cs.Balancer.Rebalance()
 	})
-	cs.Driver.Run([]eb.Phase{{Duration: total, EBs: cfg.EBs}})
+	cs.Run(total, cfg.EBs)
 	if err := cs.Sync(); err != nil {
 		return errorResult("S8", err)
 	}

@@ -51,8 +51,7 @@ func E8CPUThreadLeaks(cfg Config) Result {
 		return errResult("E8", err)
 	}
 
-	phases := scalePhases([]eb.Phase{{Duration: 30 * time.Minute, EBs: cfg.EBs}}, cfg.TimeScale)
-	s.Driver.Run(phases)
+	s.Run(scaleDuration(30*time.Minute, cfg.TimeScale), cfg.EBs)
 
 	cpuRank := s.Framework.Manager().Rank(core.ResourceCPU, rootcause.Trend{})
 	thrRank := s.Framework.Manager().Map(core.ResourceThreads)
@@ -125,8 +124,7 @@ func E9PinpointCoupled(cfg Config) Result {
 		return errResult("E9", err)
 	}
 
-	phases := scalePhases([]eb.Phase{{Duration: 30 * time.Minute, EBs: cfg.EBs}}, cfg.TimeScale)
-	s.Driver.Run(phases)
+	s.Run(scaleDuration(30*time.Minute, cfg.TimeScale), cfg.EBs)
 
 	pinpoint := rootcause.Pinpoint{}.Analyze(s.Traces.Traces())
 	mapRank := s.Framework.Manager().Map(core.ResourceMemory)
@@ -190,8 +188,7 @@ func E10TimeToFailure(cfg Config) Result {
 	if _, err := s.InjectLeak(tpcw.CompHome, 1*MB, 20, cfg.Seed); err != nil {
 		return errResult("E10", err)
 	}
-	phases := scalePhases([]eb.Phase{{Duration: 30 * time.Minute, EBs: cfg.EBs}}, cfg.TimeScale)
-	s.Driver.Run(phases)
+	s.Run(scaleDuration(30*time.Minute, cfg.TimeScale), cfg.EBs)
 
 	tte := s.Framework.Manager().TimeToExhaustion()
 	suspect, _ := s.Framework.Manager().Map(core.ResourceMemory).Top()
@@ -232,7 +229,7 @@ func E10TimeToFailure(cfg Config) Result {
 // service time under identical load.
 func A1MonitoringLevels(cfg Config) Result {
 	cfg = cfg.withDefaults()
-	phases := scalePhases([]eb.Phase{{Duration: 10 * time.Minute, EBs: cfg.EBs}}, cfg.TimeScale)
+	duration := scaleDuration(10*time.Minute, cfg.TimeScale)
 
 	type level struct {
 		name      string
@@ -267,7 +264,7 @@ func A1MonitoringLevels(cfg Config) Result {
 				}
 			}
 		}
-		s.Driver.Run(phases)
+		s.Run(duration, cfg.EBs)
 		mean := s.Container.ResponseTimes().Mean() * 1000
 		if base == 0 {
 			base = mean
@@ -402,7 +399,7 @@ func E11StrategyComparison(cfg Config) Result {
 // component's usage share shifts with the mix.
 func A3MixSensitivity(cfg Config) Result {
 	cfg = cfg.withDefaults()
-	phases := scalePhases([]eb.Phase{{Duration: 30 * time.Minute, EBs: cfg.EBs}}, cfg.TimeScale)
+	duration := scaleDuration(30*time.Minute, cfg.TimeScale)
 	t := NewTable("mix", "completed", "home consumption", "top suspect", "score")
 	allLocalised := true
 	for _, mix := range []eb.Mix{eb.Browsing, eb.Shopping, eb.Ordering} {
@@ -419,7 +416,7 @@ func A3MixSensitivity(cfg Config) Result {
 			s.Close()
 			return errResult("A3", err)
 		}
-		s.Driver.Run(phases)
+		s.Run(duration, cfg.EBs)
 		ranking := s.Framework.Manager().Map(core.ResourceMemory)
 		top, _ := ranking.Top()
 		data, _ := s.Framework.Manager().Data(core.ResourceMemory)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/eb"
 	"repro/internal/metrics"
 	"repro/internal/rootcause"
+	"repro/internal/sim"
 	"repro/internal/tpcw"
 )
 
@@ -95,8 +96,8 @@ func Fig3(cfg Config) Result {
 	phases := scalePhases(eb.Fig3Schedule(), cfg.TimeScale)
 
 	type runOut struct {
-		wips      []metrics.Point
-		completed int64
+		wips      []uint32 // completions per second of the run
+		completed uint64
 		meanRT    float64
 	}
 	run := func(monitored bool) (runOut, error) {
@@ -110,9 +111,11 @@ func Fig3(cfg Config) Result {
 			return runOut{}, err
 		}
 		defer s.Close()
-		s.Driver.Run(phases)
+		if err := s.Driver.RunSchedule(phases, nil); err != nil {
+			return runOut{}, err
+		}
 		return runOut{
-			wips:      s.Driver.WIPS().Points(),
+			wips:      s.Driver.WIPSBuckets(),
 			completed: s.Driver.Completed(),
 			meanRT:    s.Container.ResponseTimes().Mean(),
 		}, nil
@@ -134,8 +137,8 @@ func Fig3(cfg Config) Result {
 	if step < 30*time.Second {
 		step = 30 * time.Second
 	}
-	o := downsample(orig.wips, step)
-	m := downsample(mon.wips, step)
+	o := wipsSeries(orig.wips, step)
+	m := wipsSeries(mon.wips, step)
 	text := seriesTable(step, func(v float64) string { return fmt.Sprintf("%.1f", v) },
 		[]string{"original WIPS", "monitored WIPS"}, o, m)
 	text += fmt.Sprintf("\noriginal:  completed=%d  mean service=%.2fms  shape %s\n",
@@ -156,6 +159,22 @@ func Fig3(cfg Config) Result {
 		Pass:     pass,
 		Text:     text,
 	}
+}
+
+// wipsSeries turns the driver's per-second completion counts into a WIPS
+// series: one point per full step, stamped at the step's end with its mean
+// completions per second.
+func wipsSeries(buckets []uint32, step time.Duration) []metrics.Point {
+	n := int(step / time.Second)
+	var out []metrics.Point
+	for end := n; end <= len(buckets); end += n {
+		var sum uint32
+		for _, v := range buckets[end-n : end] {
+			sum += v
+		}
+		out = append(out, metrics.Point{T: sim.Epoch.Add(time.Duration(end) * time.Second), V: float64(sum) / float64(n)})
+	}
+	return out
 }
 
 // leakSpec arms one component for the multi-leak figures.
@@ -182,8 +201,7 @@ func runLeakScenario(cfg Config, leaks []leakSpec) (*Stack, error) {
 			return nil, err
 		}
 	}
-	phases := scalePhases([]eb.Phase{{Duration: time.Hour, EBs: cfg.EBs}}, cfg.TimeScale)
-	s.Driver.Run(phases)
+	s.Run(scaleDuration(time.Hour, cfg.TimeScale), cfg.EBs)
 	return s, nil
 }
 

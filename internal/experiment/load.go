@@ -125,16 +125,14 @@ func NewLoadStack(cfg LoadConfig) (*LoadStack, error) {
 			FoldWorkers: cfg.FoldWorkers,
 		}))
 	}
-	var factory eb.TargetFactory
-	var buildErr error
+	var assemble func(shard int, engine *sim.Engine) (eb.Target, error)
 	switch cfg.Backend {
-	case BackendModel:
-		factory = nil // ShardedDriver builds ModelTargets
+	case BackendModel: // the driver builds ModelTargets
 	case BackendContainer:
 		// Each shard's node samples on the shard's own engine, so rounds
 		// publish from the shard's goroutine at window pace — exactly the
 		// concurrent fan-in the sharded ingest lanes absorb.
-		factory = func(shard int, engine *sim.Engine) eb.Target {
+		assemble = func(shard int, engine *sim.Engine) (eb.Target, error) {
 			node, err := buildNode(engine, nodeConfig{
 				Name:           fmt.Sprintf("shard%02d", shard+1),
 				Scale:          cfg.Scale,
@@ -146,14 +144,13 @@ func NewLoadStack(cfg LoadConfig) (*LoadStack, error) {
 				err = attach(ls.Aggregator, node, cfg.Link, nil)
 			}
 			if err != nil {
-				buildErr = err
-				return nil
+				return nil, err
 			}
 			if cfg.Monitor {
 				node.startSampling()
 			}
 			ls.Shards = append(ls.Shards, node)
-			return node.Container
+			return node.Container, nil
 		}
 	default:
 		return nil, fmt.Errorf("experiment: unknown load backend %d", cfg.Backend)
@@ -176,17 +173,9 @@ func NewLoadStack(cfg LoadConfig) (*LoadStack, error) {
 	if cfg.OpenLoop {
 		shardedCfg.Arrival = eb.OpenLoop
 	}
-
-	func() {
-		defer func() {
-			if r := recover(); r != nil && buildErr == nil {
-				buildErr = fmt.Errorf("experiment: load stack: %v", r)
-			}
-		}()
-		ls.Driver = eb.NewShardedDriver(shardedCfg, factory)
-	}()
-	if buildErr != nil {
-		return nil, buildErr
+	var err error
+	if ls.Driver, err = newDriver(shardedCfg, assemble); err != nil {
+		return nil, err
 	}
 	if ls.Aggregator != nil {
 		// Pre-register the shard membership so epoch alignment is a pure
@@ -230,8 +219,8 @@ func (ls *LoadStack) SyncMonitor() error {
 
 // Node wraps the stack as a wire-paced fleet member for the given run
 // duration (the -role driver process of cmd/tpcwsim).
-func (ls *LoadStack) Node(duration time.Duration) *eb.DriverNode {
-	return eb.NodeForDriver(ls.Driver, duration)
+func (ls *LoadStack) Node(duration time.Duration) (*eb.DriverNode, error) {
+	return eb.NodeForDriver(ls.Driver, ls.Driver.Steady(duration))
 }
 
 // Run drives the whole load locally (single-process mode).

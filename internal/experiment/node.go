@@ -20,7 +20,7 @@ import (
 // servlet container with its own weaver, database, and heap, the
 // monitoring framework woven over the 14 servlets when monitored, and —
 // once attached — the link carrying its sampling rounds to a cluster
-// aggregator. Stack is one Node under an eb.Driver; ClusterStack is N of
+// aggregator. Stack is one Node under the browser driver; ClusterStack is N of
 // them behind a balancer; LoadStack is one per engine shard.
 type Node struct {
 	Name      string // "" for the single-node Stack

@@ -138,7 +138,7 @@ func S17RejuvenateSickReplica(cfg Config) Result {
 	// 90 minutes: detection needs up to clusterEpochBound() epochs, the
 	// actuation cycle roughly HoldDown+Drain+Reboot+Probation more.
 	total := scaleDuration(90*time.Minute, cfg.TimeScale)
-	cs.Driver.Run([]eb.Phase{{Duration: total, EBs: cfg.EBs}})
+	cs.Run(total, cfg.EBs)
 	if err := cs.Sync(); err != nil {
 		return errorResult("S17", err)
 	}
@@ -336,7 +336,7 @@ func S19ControlLossDuringDrain(cfg Config) Result {
 	}
 
 	total := scaleDuration(90*time.Minute, cfg.TimeScale)
-	cs.Driver.Run([]eb.Phase{{Duration: total, EBs: cfg.EBs}})
+	cs.Run(total, cfg.EBs)
 	if err := cs.Sync(); err != nil {
 		return errorResult("S19", err)
 	}

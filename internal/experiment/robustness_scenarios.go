@@ -87,7 +87,7 @@ func S20KillAggregatorMidLeak(cfg Config) Result {
 	})
 
 	total := scaleDuration(time.Hour, cfg.TimeScale)
-	cs.Driver.Run([]eb.Phase{{Duration: total, EBs: cfg.EBs}})
+	cs.Run(total, cfg.EBs)
 	if err := cs.Sync(); err != nil {
 		return errorResult("S20", err)
 	}
@@ -164,7 +164,7 @@ func S21FailoverMidDrain(cfg Config) Result {
 	})
 
 	total := scaleDuration(90*time.Minute, cfg.TimeScale)
-	cs.Driver.Run([]eb.Phase{{Duration: total, EBs: cfg.EBs}})
+	cs.Run(total, cfg.EBs)
 	stopPoll()
 	if err := cs.Sync(); err != nil {
 		return errorResult("S21", err)
@@ -266,7 +266,7 @@ func S22RoundStormOverload(cfg Config) Result {
 	// TimeScale the saturating leak's verdict legitimately clears and
 	// re-raises, so "raised at this exact instant" is not the contract.
 	phase := scaleDuration(time.Hour, cfg.TimeScale)
-	cs.Driver.Run([]eb.Phase{{Duration: phase, EBs: cfg.EBs}})
+	cs.Run(phase, cfg.EBs)
 	if err := cs.Sync(); err != nil {
 		return errorResult("S22", err)
 	}
@@ -315,7 +315,7 @@ func S22RoundStormOverload(cfg Config) Result {
 	// Phase B: load resumes. The stale phantoms evict (the storm's
 	// seq-driven epoch ratchet may even evict the idle real nodes — they
 	// must rejoin), and the sick replica must be re-flagged.
-	cs.Driver.Run([]eb.Phase{{Duration: scaleDuration(40*time.Minute, cfg.TimeScale), EBs: cfg.EBs}})
+	cs.Run(scaleDuration(40*time.Minute, cfg.TimeScale), cfg.EBs)
 	if err := cs.Sync(); err != nil {
 		return errorResult("S22", err)
 	}

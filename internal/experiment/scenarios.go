@@ -82,11 +82,14 @@ func S1WorkloadShift(cfg Config) Result {
 	defer s.Close()
 
 	third := scaleDuration(20*time.Minute, cfg.TimeScale)
-	s.Driver.RunMixed([]eb.MixedPhase{
+	err = s.Driver.RunSchedule([]eb.Phase{
 		{Duration: third, EBs: cfg.EBs, Mix: eb.Browsing},
 		{Duration: third, EBs: cfg.EBs, Mix: eb.Shopping},
 		{Duration: third, EBs: cfg.EBs * 2, Mix: eb.Ordering},
-	})
+	}, nil)
+	if err != nil {
+		return errorResult("S1", err)
+	}
 
 	alarms := log.raised()
 	shiftSeen := false
@@ -135,7 +138,7 @@ func S2OnlineLeakDetection(cfg Config) Result {
 	}
 
 	total := scaleDuration(time.Hour, cfg.TimeScale)
-	s.Driver.Run([]eb.Phase{{Duration: total, EBs: cfg.EBs}})
+	s.Run(total, cfg.EBs)
 
 	rep := s.Detectors.Report(core.ResourceMemory)
 	var first int64
@@ -189,7 +192,9 @@ func S3DiurnalCycle(cfg Config) Result {
 
 	total := scaleDuration(time.Hour, cfg.TimeScale)
 	profile := sim.DiurnalProfile(float64(cfg.EBs), float64(cfg.EBs)/2, total)
-	s.Driver.Run(eb.ProfileSchedule(profile, total, total/12))
+	if err := s.Driver.RunSchedule(eb.ProfileSchedule(profile, total, total/12, s.Driver.Mix()), nil); err != nil {
+		return errorResult("S3", err)
+	}
 
 	alarms := log.raised()
 	pass := len(alarms) == 0
@@ -224,7 +229,9 @@ func S4BurstWithLeak(cfg Config) Result {
 
 	total := scaleDuration(time.Hour, cfg.TimeScale)
 	profile := sim.BurstProfile(float64(cfg.EBs), float64(cfg.EBs)*4, total/3, total/10)
-	s.Driver.Run(eb.ProfileSchedule(profile, total, total/30))
+	if err := s.Driver.RunSchedule(eb.ProfileSchedule(profile, total, total/30, s.Driver.Mix()), nil); err != nil {
+		return errorResult("S4", err)
+	}
 
 	rep := s.Detectors.Report(core.ResourceMemory)
 	var first int64

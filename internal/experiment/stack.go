@@ -43,13 +43,50 @@ type StackConfig struct {
 	DetectConfig detect.Config
 }
 
+// newDriver builds the load driver over the per-shard targets assemble
+// returns (nil: the driver's own model targets), turning the first
+// assembly error, or a configuration the driver refuses, into an error.
+func newDriver(cfg eb.ShardedConfig, assemble func(shard int, engine *sim.Engine) (eb.Target, error)) (d *eb.ShardedDriver, err error) {
+	defer func() {
+		if r := recover(); r != nil && err == nil {
+			err = fmt.Errorf("experiment: load driver: %v", r)
+		}
+	}()
+	var factory eb.TargetFactory
+	if assemble != nil {
+		factory = func(shard int, engine *sim.Engine) eb.Target {
+			target, aerr := assemble(shard, engine)
+			if err == nil {
+				err = aerr
+			}
+			return target
+		}
+	}
+	d = eb.NewShardedDriver(cfg, factory)
+	return d, err
+}
+
+// browsers is the load half the single-engine stacks share: the
+// emulated-browser driver on one engine shard.
+type browsers struct{ Driver *eb.ShardedDriver }
+
+// Run holds ebs browsers on the stack's configured mix for d (other
+// schedules go to Driver.RunSchedule); a second Run carries on the sessions
+// the first left live. Like the driver's Run it panics on a non-positive
+// duration or a negative population.
+func (b browsers) Run(d time.Duration, ebs int) {
+	if err := b.Driver.RunSchedule([]eb.Phase{{Duration: d, EBs: ebs, Mix: b.Driver.Mix()}}, nil); err != nil {
+		panic(err)
+	}
+}
+
 // Stack is one fully assembled system under test: the paper's testbed,
 // one Node under an emulated-browser driver.
 type Stack struct {
 	*Node
+	browsers
 	Engine    *sim.Engine
-	Detectors *core.DetectorBank // nil unless cfg.Detect
-	Driver    *eb.Driver
+	Detectors *core.DetectorBank        // nil unless cfg.Detect
 	Traces    *rootcause.TraceCollector // nil unless collecting
 }
 
@@ -61,8 +98,24 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 	if cfg.Scale.Seed == 0 {
 		cfg.Scale.Seed = cfg.Seed + 1
 	}
-	engine := sim.NewEngine()
-	node, err := buildNode(engine, nodeConfig{
+	s := &Stack{}
+	var err error
+	s.Driver, err = newDriver(eb.ShardedConfig{Seed: cfg.Seed, Mix: cfg.Mix, Items: cfg.Scale.Items, Customers: cfg.Scale.Customers}, func(_ int, engine *sim.Engine) (eb.Target, error) {
+		s.Engine = engine
+		return s.assemble(cfg)
+	})
+	if err != nil {
+		if s.Node != nil {
+			s.Close()
+		}
+		return nil, err
+	}
+	return s, nil
+}
+
+// assemble builds the node, and what cfg hangs on it, on the stack's engine.
+func (s *Stack) assemble(cfg StackConfig) (eb.Target, error) {
+	node, err := buildNode(s.Engine, nodeConfig{
 		Scale:          cfg.Scale,
 		HeapBytes:      cfg.HeapBytes,
 		Monitored:      cfg.Monitored,
@@ -71,7 +124,7 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Stack{Node: node, Engine: engine}
+	s.Node = node
 	if cfg.Monitored {
 		if cfg.Detect {
 			if s.Detectors, err = node.Framework.AttachDetectors(cfg.DetectConfig); err != nil {
@@ -86,13 +139,7 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 			return nil, err
 		}
 	}
-	s.Driver = eb.NewDriver(engine, node.Container, eb.Config{
-		Mix:       cfg.Mix,
-		Seed:      cfg.Seed,
-		Items:     cfg.Scale.Items,
-		Customers: cfg.Scale.Customers,
-	})
-	return s, nil
+	return node.Container, nil
 }
 
 // scalePhases multiplies every phase duration by factor (factor <= 0
@@ -104,11 +151,8 @@ func scalePhases(phases []eb.Phase, factor float64) []eb.Phase {
 	}
 	out := make([]eb.Phase, len(phases))
 	for i, p := range phases {
-		d := time.Duration(float64(p.Duration) * factor)
-		if d < time.Minute {
-			d = time.Minute
-		}
-		out[i] = eb.Phase{Duration: d, EBs: p.EBs}
+		out[i] = p
+		out[i].Duration = scaleDuration(p.Duration, factor)
 	}
 	return out
 }

@@ -69,12 +69,14 @@ func (r *Rand64) TruncExp(mean, limit float64) float64 {
 	return v
 }
 
-// ZipfTable holds the precomputed constants of the TPC CDF-inversion Zipf
-// over [1,n] with skew theta. Unlike Zipf it carries no stream: Next is a
-// pure function of a uniform draw, so one table is shared by any number of
-// sessions, each supplying u from its own Rand64. Building the table is
-// O(n) (the zetan sum); sharing it removes that cost from session arrival,
-// which matters when sessions arrive in an open-loop Poisson stream.
+// ZipfTable holds the precomputed constants of a Zipf-like distribution
+// over [1,n] with exponent theta in (0,1) — TPC-W item popularity — drawn
+// by the classic CDF-inversion approximation from the TPC benchmarks. It
+// carries no stream: Next is a pure function of a uniform draw, so one
+// table is shared by any number of sessions, each supplying u from its own
+// Rand64. Building the table is O(n) (the zetan sum); sharing it removes
+// that cost from session arrival, which matters when sessions arrive in an
+// open-loop Poisson stream.
 type ZipfTable struct {
 	n     int
 	alpha float64
@@ -83,7 +85,7 @@ type ZipfTable struct {
 }
 
 // NewZipfTable precomputes the constants for range [1,n] and skew theta in
-// (0,1). The draw sequence for a given u matches Zipf exactly.
+// (0,1).
 func NewZipfTable(n int, theta float64) *ZipfTable {
 	if n < 1 {
 		panic("sim: ZipfTable over empty range")

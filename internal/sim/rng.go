@@ -1,12 +1,9 @@
 package sim
 
-import (
-	"math"
-	"math/rand/v2"
-)
+import "math/rand/v2"
 
 // Stream is a deterministic random number stream. Independent subsystems
-// (each emulated browser, each fault injector) draw from their own streams
+// (database population, each fault injector) draw from their own streams
 // so that adding one consumer never perturbs the draws seen by another —
 // the property that keeps whole experiments reproducible as they grow.
 type Stream struct {
@@ -19,16 +16,9 @@ func NewStream(seed uint64) *Stream {
 	return &Stream{r: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))}
 }
 
-// Derive returns a child stream whose seed combines the parent seed space
-// with the given label, mixing with SplitMix64 so related labels produce
-// unrelated streams.
-func (s *Stream) Derive(label uint64) *Stream {
-	return NewStream(splitmix64(s.r.Uint64() ^ splitmix64(label)))
-}
-
-// DeriveStable returns a child stream from seed and label without consuming
-// state from the parent, for call sites that must not perturb the parent
-// sequence.
+// DeriveStable returns the child stream of (seed, label), mixing with
+// SplitMix64 so related labels produce unrelated streams. It consumes no
+// state from any other stream.
 func DeriveStable(seed, label uint64) *Stream {
 	return NewStream(splitmix64(seed ^ splitmix64(label)))
 }
@@ -48,109 +38,3 @@ func (s *Stream) Float64() float64 { return s.r.Float64() }
 
 // IntN returns a uniform value in [0,n). n must be positive.
 func (s *Stream) IntN(n int) int { return s.r.IntN(n) }
-
-// Int64N returns a uniform value in [0,n). n must be positive.
-func (s *Stream) Int64N(n int64) int64 { return s.r.Int64N(n) }
-
-// Perm returns a random permutation of [0,n).
-func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }
-
-// Exp returns a draw from the exponential distribution with the given mean.
-// A non-positive mean returns 0, which callers use to disable think time.
-func (s *Stream) Exp(mean float64) float64 {
-	if mean <= 0 {
-		return 0
-	}
-	return s.r.ExpFloat64() * mean
-}
-
-// TruncExp returns an exponential draw with the given mean truncated to at
-// most limit. TPC-W specifies think time this way: negative-exponential,
-// mean 7 s, capped at 70 s.
-func (s *Stream) TruncExp(mean, limit float64) float64 {
-	v := s.Exp(mean)
-	if limit > 0 && v > limit {
-		return limit
-	}
-	return v
-}
-
-// Normal returns a draw from the normal distribution N(mean, stddev²).
-func (s *Stream) Normal(mean, stddev float64) float64 {
-	return s.r.NormFloat64()*stddev + mean
-}
-
-// Zipf returns draws in [1,n] following a Zipf-like distribution with
-// exponent theta in (0,1). TPC-W item popularity and search terms are
-// Zipf-skewed; this uses the classic CDF-inversion approximation from the
-// TPC benchmarks.
-type Zipf struct {
-	n     int
-	alpha float64
-	zetan float64
-	eta   float64
-	src   *Stream
-}
-
-// NewZipf creates a Zipf generator over [1,n] with skew theta (0 < theta < 1).
-func NewZipf(src *Stream, n int, theta float64) *Zipf {
-	if n < 1 {
-		panic("sim: Zipf over empty range")
-	}
-	if theta <= 0 || theta >= 1 {
-		panic("sim: Zipf theta must lie in (0,1)")
-	}
-	z := &Zipf{n: n, alpha: 1 / (1 - theta), src: src}
-	for i := 1; i <= n; i++ {
-		z.zetan += 1 / math.Pow(float64(i), theta)
-	}
-	zeta2 := 1.0
-	if n >= 2 {
-		zeta2 += 1 / math.Pow(2, theta)
-	}
-	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta2/z.zetan)
-	return z
-}
-
-// Next returns the next Zipf draw in [1,n].
-func (z *Zipf) Next() int {
-	u := z.src.Float64()
-	uz := u * z.zetan
-	if uz < 1 {
-		return 1
-	}
-	if uz < 1+math.Pow(0.5, (z.alpha-1)/z.alpha) {
-		return 2
-	}
-	v := 1 + int(float64(z.n)*math.Pow(z.eta*u-z.eta+1, z.alpha))
-	if v > z.n {
-		v = z.n
-	}
-	if v < 1 {
-		v = 1
-	}
-	return v
-}
-
-// PickWeighted returns an index in [0,len(weights)) chosen with probability
-// proportional to weights[i]. All-zero weights pick uniformly.
-func (s *Stream) PickWeighted(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w < 0 {
-			panic("sim: negative weight")
-		}
-		total += w
-	}
-	if total == 0 {
-		return s.IntN(len(weights))
-	}
-	x := s.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}

@@ -39,16 +39,15 @@ func TestDeriveStableDoesNotPerturbParent(t *testing.T) {
 }
 
 func TestDeriveChildrenDiffer(t *testing.T) {
-	parent := NewStream(3)
-	c1 := parent.Derive(1)
-	c2 := parent.Derive(2)
+	c1 := DeriveStable(3, 1)
+	c2 := DeriveStable(3, 2)
 	if c1.Uint64() == c2.Uint64() && c1.Uint64() == c2.Uint64() {
 		t.Fatal("derived children produced identical draws")
 	}
 }
 
 func TestExpMean(t *testing.T) {
-	s := NewStream(11)
+	s := NewRand64(11)
 	const n = 200000
 	var sum float64
 	for i := 0; i < n; i++ {
@@ -61,7 +60,7 @@ func TestExpMean(t *testing.T) {
 }
 
 func TestTruncExpCap(t *testing.T) {
-	s := NewStream(5)
+	s := NewRand64(5)
 	for i := 0; i < 100000; i++ {
 		if v := s.TruncExp(7, 70); v > 70 {
 			t.Fatalf("truncated draw %v exceeds cap", v)
@@ -70,18 +69,18 @@ func TestTruncExpCap(t *testing.T) {
 }
 
 func TestExpNonPositiveMean(t *testing.T) {
-	s := NewStream(1)
+	s := NewRand64(1)
 	if s.Exp(0) != 0 || s.Exp(-1) != 0 {
 		t.Fatal("Exp with non-positive mean should be 0")
 	}
 }
 
 func TestZipfRange(t *testing.T) {
-	s := NewStream(9)
-	z := NewZipf(s, 100, 0.8)
+	s := NewRand64(9)
+	z := NewZipfTable(100, 0.8)
 	counts := make([]int, 101)
 	for i := 0; i < 100000; i++ {
-		v := z.Next()
+		v := z.Next(s.Float64())
 		if v < 1 || v > 100 {
 			t.Fatalf("Zipf draw %d out of [1,100]", v)
 		}
@@ -93,7 +92,6 @@ func TestZipfRange(t *testing.T) {
 }
 
 func TestZipfPanics(t *testing.T) {
-	s := NewStream(1)
 	for _, tc := range []struct {
 		n     int
 		theta float64
@@ -101,57 +99,12 @@ func TestZipfPanics(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewZipf(%d,%v) did not panic", tc.n, tc.theta)
+					t.Errorf("NewZipfTable(%d,%v) did not panic", tc.n, tc.theta)
 				}
 			}()
-			NewZipf(s, tc.n, tc.theta)
+			NewZipfTable(tc.n, tc.theta)
 		}()
 	}
-}
-
-func TestPickWeighted(t *testing.T) {
-	s := NewStream(13)
-	w := []float64{0, 1, 0}
-	for i := 0; i < 1000; i++ {
-		if got := s.PickWeighted(w); got != 1 {
-			t.Fatalf("PickWeighted chose zero-weight index %d", got)
-		}
-	}
-}
-
-func TestPickWeightedUniformFallback(t *testing.T) {
-	s := NewStream(17)
-	counts := make([]int, 4)
-	for i := 0; i < 40000; i++ {
-		counts[s.PickWeighted([]float64{0, 0, 0, 0})]++
-	}
-	for i, c := range counts {
-		if c < 8000 || c > 12000 {
-			t.Fatalf("uniform fallback skewed: counts[%d]=%d", i, c)
-		}
-	}
-}
-
-func TestPickWeightedProportions(t *testing.T) {
-	s := NewStream(19)
-	counts := make([]int, 2)
-	for i := 0; i < 100000; i++ {
-		counts[s.PickWeighted([]float64{1, 3})]++
-	}
-	ratio := float64(counts[1]) / float64(counts[0])
-	if ratio < 2.7 || ratio > 3.3 {
-		t.Fatalf("weighted ratio = %.2f, want ~3", ratio)
-	}
-}
-
-func TestPickWeightedNegativePanics(t *testing.T) {
-	s := NewStream(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative weight did not panic")
-		}
-	}()
-	s.PickWeighted([]float64{1, -1})
 }
 
 func TestSplitmixAvalanche(t *testing.T) {
@@ -177,21 +130,8 @@ func TestUniformHelpers(t *testing.T) {
 		if v := s.IntN(10); v < 0 || v >= 10 {
 			t.Fatalf("IntN out of range: %d", v)
 		}
-		if v := s.Int64N(10); v < 0 || v >= 10 {
-			t.Fatalf("Int64N out of range: %d", v)
-		}
 		if v := s.Float64(); v < 0 || v >= 1 {
 			t.Fatalf("Float64 out of range: %v", v)
-		}
-	}
-	p := s.Perm(10)
-	seen := make([]bool, 10)
-	for _, v := range p {
-		seen[v] = true
-	}
-	for i, ok := range seen {
-		if !ok {
-			t.Fatalf("Perm missing element %d", i)
 		}
 	}
 }

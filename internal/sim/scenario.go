@@ -13,11 +13,6 @@ import (
 // cycles, traffic bursts and step shifts.
 type LoadProfile func(elapsed time.Duration) float64
 
-// ConstantProfile holds one level forever.
-func ConstantProfile(level float64) LoadProfile {
-	return func(time.Duration) float64 { return level }
-}
-
 // DiurnalProfile models a day/night cycle: a sinusoid around base with the
 // given amplitude and period, floored at zero. At elapsed 0 the load is at
 // its trough (night), peaking half a period in.

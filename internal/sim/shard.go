@@ -24,6 +24,7 @@ import (
 type ShardGroup struct {
 	shards []*Engine
 	window time.Duration
+	wg     sync.WaitGroup // the window barrier; a field so RunUntil allocates nothing
 }
 
 // NewShardGroup creates n engines, all at Epoch, stepped in windows of the
@@ -62,7 +63,6 @@ func (g *ShardGroup) Now() time.Time { return g.shards[0].Now() }
 // each barrier, onWindow (if non-nil) observes the group at the window's
 // end instant. The final window is truncated to land exactly on deadline.
 func (g *ShardGroup) RunUntil(deadline time.Time, onWindow func(now time.Time)) {
-	var wg sync.WaitGroup
 	for now := g.Now(); now.Before(deadline); {
 		end := now.Add(g.window)
 		if end.After(deadline) {
@@ -73,16 +73,16 @@ func (g *ShardGroup) RunUntil(deadline time.Time, onWindow func(now time.Time)) 
 			// goroutine churn so shards=1 matches a plain Engine run.
 			g.shards[0].RunUntil(end)
 		} else {
-			wg.Add(len(g.shards))
+			g.wg.Add(len(g.shards))
 			for _, sh := range g.shards {
 				// end is a parameter, not a capture: a captured loop-local
 				// would be heap-moved and cost one allocation per window.
 				go func(sh *Engine, end time.Time) {
-					defer wg.Done()
+					defer g.wg.Done()
 					sh.RunUntil(end)
 				}(sh, end)
 			}
-			wg.Wait()
+			g.wg.Wait()
 		}
 		if onWindow != nil {
 			onWindow(end)

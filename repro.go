@@ -151,14 +151,16 @@ type (
 	TPCWApp = tpcw.App
 	// DB is the in-memory relational engine.
 	DB = sqldb.DB
-	// EBDriver runs phased emulated-browser load.
-	EBDriver = eb.Driver
-	// Phase is one segment of a load schedule.
+	// EBDriver runs emulated-browser load: a steady population (a stack's
+	// Run) or a phase schedule (RunSchedule).
+	EBDriver = eb.ShardedDriver
+	// Phase is one segment of a load schedule: a browser population on a
+	// workload mix for a duration.
 	Phase = eb.Phase
 )
 
 // Fig3Schedule returns the paper's dynamic workload schedule (2 min at 50
-// EBs, 30 min at 100, 30 min at 200).
+// EBs, 30 min at 100, 30 min at 200, Shopping mix).
 func Fig3Schedule() []Phase { return eb.Fig3Schedule() }
 
 // Resources the manager builds maps for.

@@ -74,7 +74,7 @@ func TestFacadeStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack.Driver.Run([]Phase{{Duration: 5 * time.Minute, EBs: 10}})
+	stack.Run(5*time.Minute, 10)
 	if stack.Driver.Completed() == 0 {
 		t.Fatal("no load completed through facade stack")
 	}

@@ -23,6 +23,11 @@
 # per-benchmark report when the regression threshold is exceeded.
 # Benchmarks without a baseline entry are reported as informational.
 #
+# The baseline records the GOMAXPROCS it was taken at
+# (environment.gomaxprocs). Timings and several allocation counts depend on
+# it, so the script refuses to compare a run at any other count: set
+# GOMAXPROCS to the recorded value, or re-record the baseline.
+#
 # allocs/op is gated separately and absolutely: the run uses -benchmem and
 # ANY increase over the recorded allocs_op fails. Allocation counts are
 # deterministic (no timing noise), so unlike ns/op there is no tolerance —
@@ -48,9 +53,13 @@ REGEX="${1:-BenchmarkMonitorObserve|BenchmarkWirePublish|BenchmarkWireDecode|Ben
 
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT
-# The baseline was recorded on one hardware thread; say what this run
-# used, so a timing or allocation difference can be read against it.
-echo "benchdiff: GOMAXPROCS=${GOMAXPROCS:-$(nproc)}"
+PROCS="${GOMAXPROCS:-$(nproc)}"
+RECORDED_PROCS="$(python3 -c 'import json; print(json.load(open("BENCH_baseline.json"))["environment"]["gomaxprocs"])')"
+echo "benchdiff: GOMAXPROCS=$PROCS (baseline recorded at $RECORDED_PROCS)"
+if [[ "$PROCS" != "$RECORDED_PROCS" ]]; then
+  echo "benchdiff: refusing to compare a run at GOMAXPROCS=$PROCS against a baseline recorded at GOMAXPROCS=$RECORDED_PROCS; rerun as GOMAXPROCS=$RECORDED_PROCS $0 or re-record BENCH_baseline.json" >&2
+  exit 3
+fi
 echo "running: go test -run '^$' -bench \"$REGEX\" -benchtime $BENCHTIME -benchmem ./..." >&2
 go test -run '^$' -bench "$REGEX" -benchtime "$BENCHTIME" -benchmem ./... 2>/dev/null | tee "$OUT" >&2
 
