@@ -328,8 +328,9 @@ type Aggregator struct {
 	guard       *detect.ShiftGuard
 	churnLeft   int
 	shiftEp     int64
-	foldNodes   []foldNode // per-epoch scratch: active nodes' snapshots
-	foldDeltas  map[string]float64
+	foldNodes   []foldNode     // per-epoch scratch: active nodes' snapshots
+	foldNames   []string       // per-epoch scratch: nodes with a usage total this epoch...
+	foldDeltas  []float64      // ...and the usage each gained, parallel
 	foldScratch []resourceFold // per-resource reusable verdict-assembly state
 
 	// Lock-free counters for the read paths and the watermark gate.
@@ -493,7 +494,6 @@ func New(cfg Config) *Aggregator {
 	for i := range a.lanes {
 		a.lanes[i].nodes = make(map[string]*nodeState)
 	}
-	a.foldDeltas = make(map[string]float64)
 	a.reportRing = make([][]*ClusterReport, len(a.resources))
 	a.ringIdx = make([]int, len(a.resources))
 	a.foldScratch = make([]resourceFold, len(a.resources))
@@ -873,8 +873,7 @@ func (a *Aggregator) foldEpoch(k int64) {
 	// report bank for k and its usage total (consumed here, so the
 	// guard's delta baseline advances exactly once per epoch).
 	nodes := a.foldNodes[:0]
-	deltas := a.foldDeltas
-	clear(deltas)
+	names, deltas := a.foldNames[:0], a.foldDeltas[:0]
 	for _, st := range a.all {
 		if !st.active.Load() {
 			continue
@@ -882,7 +881,7 @@ func (a *Aggregator) foldEpoch(k int64) {
 		seq := k - st.epochBase
 		st.lane.mu.Lock()
 		if usage, ok := st.usageAtSeq[seq]; ok {
-			deltas[st.name] = usage - st.prevUsage
+			names, deltas = append(names, st.name), append(deltas, usage-st.prevUsage)
 			st.prevUsage = usage
 			delete(st.usageAtSeq, seq)
 		}
@@ -894,9 +893,9 @@ func (a *Aggregator) foldEpoch(k int64) {
 		// the fold by more than StaleEpochs (< retention) epochs.
 		nodes = append(nodes, foldNode{st: st, seq: seq, reps: reps})
 	}
-	a.foldNodes = nodes
+	a.foldNodes, a.foldNames, a.foldDeltas = nodes, names, deltas
 
-	guardSuppressed := a.guard.Observe(deltas)
+	guardSuppressed := a.guard.Observe(names, deltas)
 	churning := a.churnLeft > 0
 	if churning {
 		a.churnLeft--

@@ -101,8 +101,14 @@ func TestResetNodeClearsDetectionHistory(t *testing.T) {
 // notification queue and the ingest lanes must never race, and every
 // published notification must be drained exactly once.
 func TestDrainNotificationsUnderConcurrentIngest(t *testing.T) {
-	a := New(Config{Detect: testDetect()})
-	const nodes = 8
+	// The publishers below run free, so one can get a whole run ahead of
+	// another. At the default StaleEpochs that evicts the laggards, and
+	// the churn hold-down that follows every eviction and rejoin can keep
+	// promotion suppressed for the whole run — no notification at all,
+	// depending on scheduling. Nothing is stale here, only unscheduled:
+	// let a node lag by the full run.
+	const nodes, rounds = 8, 40
+	a := New(Config{Detect: testDetect(), StaleEpochs: rounds})
 	names := make([]string, nodes)
 	for i := range names {
 		names[i] = fmt.Sprintf("node%d", i)
@@ -115,7 +121,7 @@ func TestDrainNotificationsUnderConcurrentIngest(t *testing.T) {
 		wg.Add(1)
 		go func(node string) {
 			defer wg.Done()
-			for seq := int64(1); seq <= 40; seq++ {
+			for seq := int64(1); seq <= rounds; seq++ {
 				a.Ingest(syntheticRound(node, seq, t0.Add(time.Duration(seq)*30*time.Second), 4096))
 			}
 		}(n)
@@ -131,6 +137,12 @@ func TestDrainNotificationsUnderConcurrentIngest(t *testing.T) {
 		}
 		total += len(a.DrainNotifications())
 	}
+	// Quiesce is the barrier for "everything ingested is folded and
+	// published"; only after it is a drain final.
+	if err := a.Quiesce(nodes*rounds, time.Now().Add(10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	total += len(a.DrainNotifications())
 	if total == 0 {
 		t.Fatal("cluster-wide leak produced no notifications")
 	}

@@ -1,18 +1,21 @@
 package detect
 
 import (
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
 // TestMonitorObserveSteadyStateAllocs is the zero-garbage contract of the
 // monitoring plane: once every component has been seen and the windows
 // are warm, a Monitor.Observe round must not allocate — the round
-// scratch, the detector windows, the slope multisets and the published
-// report ring are all reused. The long-run soak below keeps cycling a
-// window-saturated monitor (with an alarming component present, so the
+// scratch, the detector windows, the shared slope scratch and the
+// published report ring are all reused. The long-run soak below keeps
+// cycling a window-saturated monitor (with an alarming component present, so the
 // significant-trend path is exercised too) and fails on any per-round
 // garbage.
 func TestMonitorObserveSteadyStateAllocs(t *testing.T) {
@@ -33,8 +36,8 @@ func TestMonitorObserveSteadyStateAllocs(t *testing.T) {
 		}
 		m.Observe(now, obs)
 	}
-	// Warm up past the window size so every ring buffer, tie table and
-	// slope store has reached steady state, and alarms are live.
+	// Warm up past the window size so every ring buffer has reached
+	// steady state, and alarms are live.
 	for round < 3*m.Config().Window {
 		step()
 	}
@@ -43,6 +46,58 @@ func TestMonitorObserveSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(500, step); allocs > 0 {
 		t.Fatalf("steady-state Observe allocates %.2f objects per round", allocs)
+	}
+}
+
+// TestMonitorObserveFirstAlarmAllocs covers the round a quiet monitor
+// first needs a Sen slope. Every component is constant through warm-up, so
+// no trend is ever significant and no slope is estimated; then one
+// component starts to leak inside the measured run. The slope scratch is
+// monitor-owned and sized at construction, so the first significant
+// verdict — and the alarm it leads to — must allocate as little as a
+// quiet round: nothing.
+func TestMonitorObserveFirstAlarmAllocs(t *testing.T) {
+	const comps = 14
+	m := NewMonitor("memory", Config{})
+	obs := make([]Observation, comps)
+	now := sim.Epoch
+	round, leakFrom := 0, math.MaxInt
+	step := func() {
+		round++
+		now = now.Add(30 * time.Second)
+		for c := range obs {
+			obs[c] = Observation{Component: names[c], Value: 5000 * float64(c+1), Usage: float64(round) * 10}
+		}
+		if round > leakFrom {
+			obs[0].Value += 4096 * float64(round-leakFrom)
+		}
+		rep := m.Observe(now, obs)
+		if round <= leakFrom {
+			for _, v := range rep.Components {
+				if v.Trend.Direction != metrics.TrendNone {
+					t.Fatalf("premise broken: %s significant at round %d before the leak", v.Component, round)
+				}
+			}
+		}
+	}
+	for round < 3*m.Config().Window {
+		step()
+	}
+	leakFrom = round
+	// Count every malloc over the whole transition: AllocsPerRun's
+	// per-round average would round a single first-alarm allocation away.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 2*m.Config().Window; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n > 0 {
+		t.Fatalf("turning significant allocated %d objects", n)
+	}
+	if top, ok := m.Latest().Top(); !ok || top.Component != names[0] || top.Score <= 0 {
+		t.Fatalf("premise broken: the leak never alarmed\n%s", m.Latest())
 	}
 }
 

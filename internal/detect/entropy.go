@@ -84,7 +84,8 @@ func (e *EntropyDetector) Last() (float64, bool) { return e.last, e.haveObs }
 func (e *EntropyDetector) Result() metrics.TrendResult { return e.trend.Result() }
 
 // Alarming reports whether the entropy shows a significant decreasing
-// trend — the CHAOS aging signal.
+// trend — the CHAOS aging signal. Only the direction matters, so no slope
+// is estimated.
 func (e *EntropyDetector) Alarming() bool {
-	return e.trend.Result().Direction == metrics.TrendDecreasing
+	return e.trend.test().Direction == metrics.TrendDecreasing
 }

@@ -158,7 +158,9 @@ type Verdict struct {
 	// Score ranks alarming components (the Sen slope of the watched
 	// series, units per second; 0 when not alarming).
 	Score float64
-	// Trend is the current Mann-Kendall verdict over the window.
+	// Trend is the current Mann-Kendall verdict over the window. Its
+	// SenSlope is estimated only for a significant trend (Direction other
+	// than TrendNone) and is 0 otherwise.
 	Trend metrics.TrendResult
 	// Streak is how many consecutive rounds the raw alarm condition has
 	// held.
@@ -290,11 +292,12 @@ type componentState struct {
 // monitors concurrently, one worker per node's bank at a time, and is
 // exactly such an owner.
 //
-// A steady-state Observe round allocates nothing: the round's delta
-// scratch, the guard's distributions, every detector's window state and
-// the published Report itself are all reused (reports cycle through a
-// ring of Config.ReportRetention buffers — see Report for the retention
-// contract). The alloc soak test in this package pins that property.
+// A steady-state Observe round allocates nothing: the round's scratch,
+// the guard's distributions, every detector's window state, the one
+// Sen-slope scratch the detectors share and the published Report itself
+// are all reused (reports cycle through a ring of Config.ReportRetention
+// buffers — see Report for the retention contract). The alloc soak tests
+// in this package pin that property.
 type Monitor struct {
 	resource string
 	cfg      Config
@@ -306,8 +309,16 @@ type Monitor struct {
 	rounds        int64
 	shiftRounds   int64
 
-	// Round scratch, reused across Observe calls.
-	usageDeltas map[string]float64
+	// sen is the pairwise-slope scratch every trend of this monitor
+	// estimates its Sen slope in, sized for a full window up front so the
+	// first alarm allocates no more than a quiet round.
+	sen *metrics.SenScratch
+
+	// Round scratch, parallel to the round's observations and reused
+	// across Observe calls.
+	states      []*componentState
+	names       []string
+	usageDeltas []float64
 	valueDeltas []float64
 
 	// ring holds the recycled report buffers Observe publishes from.
@@ -320,15 +331,28 @@ type Monitor struct {
 // NewMonitor creates a detector bank for one resource.
 func NewMonitor(resource string, cfg Config) *Monitor {
 	cfg = cfg.withDefaults()
-	return &Monitor{
-		resource:    resource,
-		cfg:         cfg,
-		comps:       make(map[string]*componentState),
-		entropy:     NewEntropyDetector(cfg.Window, cfg.Alpha),
-		guard:       NewShiftGuardMargin(cfg.ShiftThreshold, cfg.ShiftHold, cfg.ShiftEWMA, cfg.ShiftNoiseMargin),
-		usageDeltas: make(map[string]float64),
-		ring:        make([]Report, cfg.ReportRetention),
+	m := &Monitor{
+		resource: resource,
+		cfg:      cfg,
+		comps:    make(map[string]*componentState),
+		entropy:  NewEntropyDetector(cfg.Window, cfg.Alpha),
+		guard:    NewShiftGuardMargin(cfg.ShiftThreshold, cfg.ShiftHold, cfg.ShiftEWMA, cfg.ShiftNoiseMargin),
+		sen:      metrics.NewSenScratch(cfg.Window),
+		ring:     make([]Report, cfg.ReportRetention),
 	}
+	m.entropy.trend.sen = m.sen
+	return m
+}
+
+// newComponent creates the detector state of a component first seen now
+// (or being restored), wired to the monitor's shared slope scratch.
+func (m *Monitor) newComponent() *componentState {
+	st := &componentState{trend: NewOnlineTrend(m.cfg.Window, m.cfg.Alpha)}
+	st.trend.sen = m.sen
+	if m.cfg.ChangePoint {
+		st.ph = NewPageHinkley(m.cfg.PHDelta, m.cfg.PHLambda, m.cfg.PHWarmup)
+	}
+	return st
 }
 
 // Canonical returns the configuration with all defaults applied — the
@@ -368,29 +392,29 @@ func (m *Monitor) Observe(now time.Time, obs []Observation) *Report {
 	m.rounds++
 
 	// Round deltas feed the shift guard (usage) and the entropy
-	// detector (consumption). Both scratch structures are monitor-owned
-	// and reused round over round.
-	clear(m.usageDeltas)
-	usageDeltas := m.usageDeltas
-	if cap(m.valueDeltas) < len(obs) {
+	// detector (consumption). Each component's state is looked up once
+	// here; every later pass indexes the scratch.
+	if cap(m.states) < len(obs) {
+		m.states = make([]*componentState, len(obs))
+		m.names = make([]string, len(obs))
+		m.usageDeltas = make([]float64, len(obs))
 		m.valueDeltas = make([]float64, len(obs))
 	}
+	states := m.states[:len(obs)]
+	names := m.names[:len(obs)]
+	usageDeltas := m.usageDeltas[:len(obs)]
 	valueDeltas := m.valueDeltas[:len(obs)]
-	for i := range valueDeltas {
-		valueDeltas[i] = 0
-	}
 	var totalDelta float64
 	for i, o := range obs {
 		st := m.comps[o.Component]
 		if st == nil {
-			st = &componentState{trend: NewOnlineTrend(m.cfg.Window, m.cfg.Alpha)}
-			if m.cfg.ChangePoint {
-				st.ph = NewPageHinkley(m.cfg.PHDelta, m.cfg.PHLambda, m.cfg.PHWarmup)
-			}
+			st = m.newComponent()
 			m.comps[o.Component] = st
 		}
+		states[i], names[i] = st, o.Component
+		usageDeltas[i], valueDeltas[i] = 0, 0
 		if st.havePrev {
-			usageDeltas[o.Component] = o.Usage - st.prevUsage
+			usageDeltas[i] = o.Usage - st.prevUsage
 			if d := o.Value - st.prevValue; d > 0 {
 				valueDeltas[i] = d
 				totalDelta += d
@@ -398,14 +422,14 @@ func (m *Monitor) Observe(now time.Time, obs []Observation) *Report {
 		}
 	}
 
-	suppressed := m.guard.Observe(usageDeltas)
+	suppressed := m.guard.Observe(names, usageDeltas)
 
 	// Feed the per-component trends. The tracked quantity is chosen to
 	// be workload-invariant: the raw level for state resources, the
 	// per-invocation mean for cumulative ones — so the window stays
 	// valid across a shift and only the alarm decision is held down.
 	for i, o := range obs {
-		st := m.comps[o.Component]
+		st := states[i]
 		if st.havePrev {
 			tracked, haveTracked := o.Value, true
 			if m.cfg.PerInvocation {
@@ -479,8 +503,8 @@ func (m *Monitor) Observe(now time.Time, obs []Observation) *Report {
 		rep.EntropySuspect = best
 	}
 
-	for _, o := range obs {
-		st := m.comps[o.Component]
+	for i, o := range obs {
+		st := states[i]
 		v := Verdict{
 			Component: o.Component,
 			Trend:     st.trend.Result(),

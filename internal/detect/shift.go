@@ -1,6 +1,9 @@
 package detect
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // ShiftGuard detects changes in the workload mix from the per-component
 // usage (invocation-count) distribution, so the detectors above it can
@@ -26,6 +29,11 @@ import "math"
 // round the guard floors the configured threshold at NoiseMargin times
 // the expected noise for that round's own n and k.
 //
+// Every sum runs over the guard's own name-sorted key list, never over a
+// map, so the distance — and with it suppression at the threshold — is a
+// function of the observed values alone, not of the order the caller
+// lists components in or of Go's map seed.
+//
 // Single-owner, like the other detectors: only the sampling goroutine
 // calls Observe.
 type ShiftGuard struct {
@@ -34,8 +42,13 @@ type ShiftGuard struct {
 	ewma      float64
 	margin    float64
 
-	ref       map[string]float64 // reference share distribution
-	shares    map[string]float64 // round scratch, reused
+	// keys is every component that ever had usage on a non-idle round,
+	// name-sorted; ref and shares are parallel to it.
+	keys      []string
+	index     map[string]int // name -> position in keys
+	ref       []float64      // reference share distribution
+	shares    []float64      // round scratch, reused
+	seeded    bool           // ref holds a baseline; until then the next non-idle round seeds it
 	lastDist  float64
 	lastThr   float64 // effective threshold of the latest non-idle round
 	calmLeft  int     // rounds of calm still required before unsuppressing
@@ -81,54 +94,73 @@ func NewShiftGuardMargin(threshold float64, hold int, ewma, margin float64) *Shi
 		hold:      hold,
 		ewma:      ewma,
 		margin:    margin,
-		shares:    make(map[string]float64),
+		index:     make(map[string]int),
 	}
 }
 
-// Observe absorbs one round of per-component usage deltas and reports
-// whether detection should be suppressed this round. The first round only
-// seeds the reference and never suppresses.
-func (g *ShiftGuard) Observe(usageDeltas map[string]float64) bool {
+// slot returns name's position in the key list, inserting it in sorted
+// order on first sight.
+func (g *ShiftGuard) slot(name string) int {
+	if i, ok := g.index[name]; ok {
+		return i
+	}
+	i, _ := slices.BinarySearch(g.keys, name)
+	g.keys = slices.Insert(g.keys, i, name)
+	g.ref = slices.Insert(g.ref, i, 0)
+	g.shares = slices.Insert(g.shares, i, 0)
+	for j := i; j < len(g.keys); j++ {
+		g.index[g.keys[j]] = j
+	}
+	return i
+}
+
+// Observe absorbs one round of per-component usage deltas — deltas[i] is
+// the usage names[i] gained this round; components may come in any order
+// and idle ones may be left out — and reports whether detection should be
+// suppressed this round. The first round only seeds the reference and
+// never suppresses.
+func (g *ShiftGuard) Observe(names []string, deltas []float64) bool {
 	g.rounds++
-	var total float64
-	for _, d := range usageDeltas {
+	clear(g.shares)
+	for i, d := range deltas {
 		if d > 0 {
-			total += d
+			j := g.slot(names[i]) // may grow g.shares: index it only after
+			g.shares[j] = d
 		}
+	}
+	shares := g.shares
+	var total float64
+	for _, d := range shares {
+		total += d
 	}
 	if total <= 0 {
 		// An idle round says nothing about the mix.
 		return g.Suppressing()
 	}
-	clear(g.shares)
-	shares := g.shares
-	for c, d := range usageDeltas {
-		if d > 0 {
-			shares[c] = d / total
-		}
+	for i := range shares {
+		shares[i] /= total
 	}
-	if g.ref == nil {
-		// Seed the reference with a copy — shares is round scratch that
-		// the next Observe will clear.
-		g.ref = make(map[string]float64, len(shares))
-		for c, s := range shares {
-			g.ref[c] = s
-		}
+	if !g.seeded {
+		copy(g.ref, shares)
+		g.seeded = true
 		return false
 	}
-	g.lastDist = totalVariation(g.ref, shares)
+	// The distance is half the L1 distance between the two distributions,
+	// in [0,1]. k counts the components either of them gives any weight.
+	var l1 float64
+	k := 0
+	for i, s := range shares {
+		r := g.ref[i]
+		l1 += math.Abs(r - s)
+		if s > 0 || r > 0 {
+			k++
+		}
+	}
+	g.lastDist = l1 / 2
 	// The adaptive floor: the expected total-variation distance between a
 	// k-component multinomial sample of size n and its true distribution
 	// is about sqrt(k/(2πn)), so anything below margin× that is sampling
 	// noise, not a mix change.
-	k := len(shares)
-	for c, r := range g.ref {
-		if r > 0 {
-			if _, ok := shares[c]; !ok {
-				k++
-			}
-		}
-	}
 	g.lastThr = g.threshold
 	if floor := g.margin * math.Sqrt(float64(k)/(2*math.Pi*total)); floor > g.lastThr {
 		g.lastThr = floor
@@ -141,13 +173,8 @@ func (g *ShiftGuard) Observe(usageDeltas map[string]float64) bool {
 		g.calmLeft--
 	}
 	// Adapt the reference toward the observed mix.
-	for c := range g.ref {
-		if _, ok := shares[c]; !ok {
-			g.ref[c] *= 1 - g.ewma
-		}
-	}
-	for c, s := range shares {
-		g.ref[c] = (1-g.ewma)*g.ref[c] + g.ewma*s
+	for i, s := range shares {
+		g.ref[i] = (1-g.ewma)*g.ref[i] + g.ewma*s
 	}
 	return g.Suppressing()
 }
@@ -170,25 +197,3 @@ func (g *ShiftGuard) Shifted() bool { return g.shifted }
 // LastShiftRound returns the 1-based round index of the most recent
 // shifting observation (0 when none).
 func (g *ShiftGuard) LastShiftRound() int64 { return g.lastShift }
-
-// totalVariation is half the L1 distance between two share distributions,
-// in [0,1].
-func totalVariation(a, b map[string]float64) float64 {
-	var l1 float64
-	for c, pa := range a {
-		l1 += abs(pa - b[c])
-	}
-	for c, pb := range b {
-		if _, ok := a[c]; !ok {
-			l1 += pb
-		}
-	}
-	return l1 / 2
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}

@@ -26,10 +26,10 @@ import (
 //     is byte-identical — the property the round-trip fuzz target leans
 //     on.
 //   - OnlineTrend serialises only its primary state (the (x, y) window,
-//     oldest first) and recomputes S, the tie table, the tie correction
-//     and the Sen slope multiset on restore. Every recomputed float is
-//     produced from the very same operands the incremental path used, so
-//     the restored state is bit-identical, not just approximately equal.
+//     oldest first) and recounts S and the tie correction on restore by
+//     re-inserting the samples. Both are integers and the Sen slope is
+//     computed from the window on demand, so the restored detector is
+//     bit-identical to the original, not just approximately equal.
 //   - Times cross the boundary as UnixNano and come back UTC without a
 //     monotonic reading, exactly like the cluster wire codec's times.
 //   - Snapshotting is off the hot path (it rides the fold stage or an
@@ -55,9 +55,10 @@ const (
 const (
 	maxSnapString = 4096
 	// maxSnapWindow bounds the trend window a snapshot may declare.
-	// Restore rebuilds the pairwise-slope multiset in O(window²), so this
-	// is a CPU bound as much as a memory bound (1024 → ~0.5M pairs);
-	// real windows are two orders of magnitude smaller.
+	// Restore allocates the two window rings and recounts S in O(window²)
+	// compares (1024 → ~0.5M); it builds no pairwise-slope buffer, so a
+	// hostile snapshot can cost at most 16 KB and those compares per
+	// trend. Real windows are two orders of magnitude smaller.
 	maxSnapWindow  = 1 << 10
 	maxSnapComps   = 1 << 16
 	maxSnapCounter = 1 << 30
@@ -78,7 +79,7 @@ func isFinite(f float64) bool {
 
 // AppendSnapshot appends the detector's versioned state: configuration,
 // time origin, lifetime counter and the raw (x, y) window oldest-first.
-// Derived state (S, ties, slope multiset) is recomputed on restore.
+// Derived state (S, the tie correction) is recounted on restore.
 func (o *OnlineTrend) AppendSnapshot(dst []byte) []byte {
 	dst = append(dst, trendSnapVersion)
 	dst = binc.AppendUvarint(dst, uint64(o.window))
@@ -91,9 +92,9 @@ func (o *OnlineTrend) AppendSnapshot(dst []byte) []byte {
 	dst = binc.AppendVarint(dst, o.seen)
 	dst = binc.AppendUvarint(dst, uint64(o.n))
 	for i := 0; i < o.n; i++ {
-		x, y := o.at(i)
-		dst = binc.AppendFloat(dst, x)
-		dst = binc.AppendFloat(dst, y)
+		j := (o.head + i) % o.window
+		dst = binc.AppendFloat(dst, o.xs[j])
+		dst = binc.AppendFloat(dst, o.ys[j])
 	}
 	return dst
 }
@@ -102,11 +103,9 @@ func (o *OnlineTrend) AppendSnapshot(dst []byte) []byte {
 func (o *OnlineTrend) Snapshot() []byte { return o.AppendSnapshot(nil) }
 
 // RestoreSnapshot replaces the receiver's state from a snapshot read off
-// p, adopting the snapshot's configuration. S, the tie table and the
-// slope multiset are rebuilt from the window pairs; each value is
-// computed from the same operands the incremental path used, so the
-// restored detector's future outputs are bit-identical to an
-// uninterrupted one's.
+// p, adopting the snapshot's configuration. S and the tie correction are
+// recounted by re-inserting the window, so the restored detector's future
+// outputs are bit-identical to an uninterrupted one's.
 func (o *OnlineTrend) RestoreSnapshot(p *binc.Parser) error {
 	if v := p.Byte(); p.Err() == nil && v != trendSnapVersion {
 		return fmt.Errorf("detect: trend snapshot v%d: %w", v, binc.ErrVersion)
@@ -140,9 +139,6 @@ func (o *OnlineTrend) RestoreSnapshot(p *binc.Parser) error {
 		o.window = window
 		o.xs = make([]float64, window)
 		o.ys = make([]float64, window)
-		o.slopes = metrics.NewSlopeStore(window)
-		o.removals = make([]float64, 0, window)
-		o.inserts = make([]float64, 0, window)
 	}
 	o.alpha = alpha
 	o.seen = seen
@@ -150,37 +146,17 @@ func (o *OnlineTrend) RestoreSnapshot(p *binc.Parser) error {
 	if seen > 0 {
 		o.t0 = time.Unix(0, t0).UTC()
 	}
-	o.head = 0
-	o.n = n
+	o.Reset()
 	for i := 0; i < n; i++ {
 		x, y := p.Float(), p.Float()
-		if p.Err() == nil && (!isFinite(x) || !isFinite(y)) {
+		if err := p.Err(); err != nil {
+			return err
+		}
+		if !isFinite(x) || !isFinite(y) {
 			return fmt.Errorf("detect: non-finite trend sample (%v, %v)", x, y)
 		}
-		o.xs[i], o.ys[i] = x, y
+		o.insert(x, y)
 	}
-	if err := p.Err(); err != nil {
-		return err
-	}
-	// Rebuild the derived state from the window pairs.
-	o.s, o.tieCorr = 0, 0
-	clear(o.ties)
-	o.slopes.Reset()
-	var all []float64
-	if n > 1 {
-		all = make([]float64, 0, n*(n-1)/2)
-	}
-	for j := 0; j < n; j++ {
-		xj, yj := o.xs[j], o.ys[j]
-		for i := 0; i < j; i++ {
-			o.s += sign(yj - o.ys[i])
-			if dx := xj - o.xs[i]; dx != 0 {
-				all = append(all, (yj-o.ys[i])/dx)
-			}
-		}
-		o.retie(yj, 1)
-	}
-	o.slopes.Update(nil, all)
 	return nil
 }
 
@@ -312,17 +288,12 @@ func (g *ShiftGuard) AppendSnapshot(dst []byte) []byte {
 	dst = binc.AppendUvarint(dst, uint64(g.hold))
 	dst = binc.AppendFloat(dst, g.ewma)
 	dst = binc.AppendFloat(dst, g.margin)
-	dst = binc.AppendBool(dst, g.ref != nil)
-	if g.ref != nil {
-		keys := make([]string, 0, len(g.ref))
-		for k := range g.ref {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		dst = binc.AppendUvarint(dst, uint64(len(keys)))
-		for _, k := range keys {
+	dst = binc.AppendBool(dst, g.seeded)
+	if g.seeded {
+		dst = binc.AppendUvarint(dst, uint64(len(g.keys)))
+		for i, k := range g.keys {
 			dst = binc.AppendString(dst, k)
-			dst = binc.AppendFloat(dst, g.ref[k])
+			dst = binc.AppendFloat(dst, g.ref[i])
 		}
 	}
 	dst = binc.AppendFloat(dst, g.lastDist)
@@ -338,9 +309,9 @@ func (g *ShiftGuard) AppendSnapshot(dst []byte) []byte {
 func (g *ShiftGuard) Snapshot() []byte { return g.AppendSnapshot(nil) }
 
 // RestoreSnapshot replaces the receiver's state from a snapshot read off
-// p, adopting the snapshot's configuration. A nil reference mix is
-// preserved as nil — it means "next non-idle round seeds the baseline",
-// which is distinct from an empty reference.
+// p, adopting the snapshot's configuration. An absent reference mix stays
+// absent — it means "next non-idle round seeds the baseline", which is
+// distinct from an empty reference.
 func (g *ShiftGuard) RestoreSnapshot(p *binc.Parser) error {
 	if v := p.Byte(); p.Err() == nil && v != guardSnapVersion {
 		return fmt.Errorf("detect: shift guard snapshot v%d: %w", v, binc.ErrVersion)
@@ -350,22 +321,20 @@ func (g *ShiftGuard) RestoreSnapshot(p *binc.Parser) error {
 	ewma := p.Float()
 	margin := p.Float()
 	haveRef := p.Bool()
-	var ref map[string]float64
+	var keys []string
+	var ref []float64
 	if p.Err() == nil && haveRef {
 		n := p.Count(maxSnapComps)
-		ref = make(map[string]float64, n)
-		prev := ""
 		for i := 0; i < n; i++ {
 			k := p.String(maxSnapString)
 			v := p.Float()
 			if p.Err() != nil {
 				break
 			}
-			if i > 0 && k <= prev {
-				return fmt.Errorf("detect: shift guard snapshot reference not key-sorted (%q after %q)", k, prev)
+			if i > 0 && k <= keys[i-1] {
+				return fmt.Errorf("detect: shift guard snapshot reference not key-sorted (%q after %q)", k, keys[i-1])
 			}
-			ref[k] = v
-			prev = k
+			keys, ref = append(keys, k), append(ref, v)
 		}
 	}
 	lastDist := p.Float()
@@ -384,7 +353,12 @@ func (g *ShiftGuard) RestoreSnapshot(p *binc.Parser) error {
 		return fmt.Errorf("detect: shift guard snapshot calmLeft %d > hold %d", calmLeft, hold)
 	}
 	g.threshold, g.hold, g.ewma, g.margin = threshold, hold, ewma, margin
-	g.ref = ref
+	g.keys, g.ref, g.seeded = keys, ref, haveRef
+	g.shares = make([]float64, len(keys))
+	clear(g.index)
+	for i, k := range keys {
+		g.index[k] = i
+	}
 	g.lastDist, g.lastThr = lastDist, lastThr
 	g.calmLeft, g.shifted = calmLeft, shifted
 	g.rounds, g.lastShift = rounds, lastShift
@@ -537,7 +511,7 @@ func RestoreMonitorSnapshot(p *binc.Parser) (*Monitor, error) {
 			return nil, fmt.Errorf("detect: monitor snapshot components not key-sorted (%q after %q)", name, prev)
 		}
 		prev = name
-		st := &componentState{trend: NewOnlineTrend(cfg.Window, cfg.Alpha)}
+		st := m.newComponent()
 		if err := st.trend.RestoreSnapshot(p); err != nil {
 			return nil, err
 		}
@@ -549,7 +523,6 @@ func RestoreMonitorSnapshot(p *binc.Parser) (*Monitor, error) {
 			return nil, fmt.Errorf("detect: monitor snapshot change-point presence mismatch for %q", name)
 		}
 		if hasPH {
-			st.ph = NewPageHinkley(cfg.PHDelta, cfg.PHLambda, cfg.PHWarmup)
 			if err := st.ph.RestoreSnapshot(p); err != nil {
 				return nil, err
 			}

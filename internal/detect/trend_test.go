@@ -124,18 +124,19 @@ func TestEntropyDetectorConcentration(t *testing.T) {
 
 func TestShiftGuard(t *testing.T) {
 	g := NewShiftGuard(0.15, 3, 0.2)
-	steady := map[string]float64{"a": 50, "b": 30, "c": 20}
-	if g.Observe(steady) {
+	names := []string{"a", "b", "c"}
+	steady := []float64{50, 30, 20}
+	if g.Observe(names, steady) {
 		t.Fatal("seeding round must not suppress")
 	}
 	for i := 0; i < 5; i++ {
-		if g.Observe(steady) {
+		if g.Observe(names, steady) {
 			t.Fatalf("steady round %d suppressed (dist=%v)", i, g.Distance())
 		}
 	}
 	// The mix flips: c takes most of the traffic.
-	shifted := map[string]float64{"a": 10, "b": 10, "c": 80}
-	if !g.Observe(shifted) {
+	shifted := []float64{10, 10, 80}
+	if !g.Observe(names, shifted) {
 		t.Fatalf("shift not detected (dist=%v)", g.Distance())
 	}
 	if !g.Shifted() {
@@ -145,7 +146,7 @@ func TestShiftGuard(t *testing.T) {
 	// reference has adapted to the new mix.
 	released := false
 	for i := 0; i < 30; i++ {
-		if !g.Observe(shifted) {
+		if !g.Observe(names, shifted) {
 			released = true
 			break
 		}
@@ -223,23 +224,48 @@ func TestMonitorShiftSuppression(t *testing.T) {
 	}
 }
 
+// BenchmarkMonitorObserve prices one 14-component sampling round with the
+// windows saturated. all-trending is the worst case this design can show:
+// every component ramps, so every trend is significant and pays the
+// on-demand Sen slope every round. one-aging is the shape production
+// traffic has — thirteen noisy-flat components and one ramp — and
+// window=20 is the same shape at the window bench/ runs.
 func BenchmarkMonitorObserve(b *testing.B) {
-	const comps = 14
-	m := NewMonitor("memory", Config{})
-	obs := make([]Observation, comps)
-	now := sim.Epoch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now = now.Add(30 * time.Second)
-		for c := range obs {
-			obs[c] = Observation{
-				Component: names[c],
-				Value:     float64(i) * float64(c+1),
-				Usage:     float64(i) * 10,
-			}
+	ramp := func(i, c int, _ *sim.Stream) float64 { return float64(i) * float64(c+1) }
+	oneAging := func(i, c int, rng *sim.Stream) float64 {
+		if c == 0 {
+			return 1e6 + float64(i)*4096
 		}
-		m.Observe(now, obs)
+		return 1e6*float64(c) + 1e3*rng.Float64()
+	}
+	for _, bc := range []struct {
+		name  string
+		cfg   Config
+		value func(i, c int, rng *sim.Stream) float64
+	}{
+		{"all-trending", Config{}, ramp},
+		{"one-aging", Config{}, oneAging},
+		{"window=20", Config{Window: 20}, oneAging},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			m := NewMonitor("memory", bc.cfg)
+			rng := sim.NewStream(11)
+			obs := make([]Observation, len(names))
+			now := sim.Epoch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				now = now.Add(30 * time.Second)
+				for c := range obs {
+					obs[c] = Observation{
+						Component: names[c],
+						Value:     bc.value(i, c, rng),
+						Usage:     float64(i) * 10,
+					}
+				}
+				m.Observe(now, obs)
+			}
+		})
 	}
 }
 
