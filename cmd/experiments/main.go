@@ -1,10 +1,11 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (plus the extension and ablation studies indexed in
-// DESIGN.md) and prints the full reports with pass/fail verdicts.
+// evaluation, the extension and ablation studies indexed in DESIGN.md and
+// the S-series scenario table — every entry of experiment.Experiments, in
+// its order — and prints the full reports with pass/fail verdicts.
 //
 // Usage:
 //
-//	experiments [-run all|T1,F3,F4,...] [-scale 1.0] [-seed 42] [-ebs 50] [-accuracy report.json]
+//	experiments [-run all|T1,F3,S5,...] [-scale 1.0] [-seed 42] [-ebs 50] [-accuracy report.json]
 //	            [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
 // -scale 1.0 runs the paper's full one-hour scenarios in virtual time;
@@ -40,47 +41,12 @@ func main() {
 	flag.Parse()
 
 	cfg := experiment.Config{TimeScale: *scale, Seed: *seed, EBs: *ebs, Items: *items, Customers: *customers}
-	runners := map[string]func(experiment.Config) experiment.Result{
-		"T1":  experiment.TableI,
-		"F2":  experiment.Fig2,
-		"F3":  experiment.Fig3,
-		"F4":  experiment.Fig4,
-		"F5":  experiment.Fig5,
-		"F6":  experiment.Fig6,
-		"F7":  experiment.Fig7,
-		"E8":  experiment.E8CPUThreadLeaks,
-		"E9":  experiment.E9PinpointCoupled,
-		"E10": experiment.E10TimeToFailure,
-		"E11": experiment.E11StrategyComparison,
-		"A1":  experiment.A1MonitoringLevels,
-		"A2":  experiment.A2SizingPolicies,
-		"A3":  experiment.A3MixSensitivity,
-		"S1":  experiment.S1WorkloadShift,
-		"S2":  experiment.S2OnlineLeakDetection,
-		"S3":  experiment.S3DiurnalCycle,
-		"S4":  experiment.S4BurstWithLeak,
-		"S5":  experiment.S5SingleNodeLeak,
-		"S6":  experiment.S6UniformLeak,
-		"S7":  experiment.S7NodeChurn,
-		"S8":  experiment.S8SkewedBalancer,
-		"S9":  experiment.S9PoolExhaustion,
-		"S10": experiment.S10HandleLeak,
-		"S11": experiment.S11LockContention,
-		"S12": experiment.S12FragmentationBloat,
-		"S13": experiment.S13StaleCacheDecay,
-		"S14": experiment.S14NodeKill,
-		"S15": experiment.S15TransportPartition,
-		"S16": experiment.S16ClockSkew,
-		"S17": experiment.S17RejuvenateSickReplica,
-		"S18": experiment.S18FlappingDetectorHeld,
-		"S19": experiment.S19ControlLossDuringDrain,
-		"S20": experiment.S20KillAggregatorMidLeak,
-		"S21": experiment.S21FailoverMidDrain,
-		"S22": experiment.S22RoundStormOverload,
+	runners := make(map[string]func(experiment.Config) experiment.Result, len(experiment.Experiments))
+	var order []string
+	for _, x := range experiment.Experiments {
+		runners[x.ID] = x.Run
+		order = append(order, x.ID)
 	}
-	order := []string{"T1", "F2", "F3", "F4", "F5", "F6", "F7", "E8", "E9", "E10", "E11", "A1", "A2", "A3",
-		"S1", "S2", "S3", "S4", "S5", "S6", "S7", "S8", "S9", "S10", "S11", "S12", "S13", "S14", "S15", "S16",
-		"S17", "S18", "S19", "S20", "S21", "S22"}
 
 	var ids []string
 	if *run == "all" {

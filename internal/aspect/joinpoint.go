@@ -26,10 +26,6 @@
 // slice) past its own return; copy out whatever outlives the execution.
 package aspect
 
-import (
-	"time"
-)
-
 // Func is a component invocation handle: the unit the weaver wraps. The
 // servlet container adapts each component method to this signature before
 // weaving.
@@ -45,9 +41,6 @@ type JoinPoint struct {
 	Method string
 	// Args are the invocation arguments.
 	Args []any
-	// Start and End bound the execution including inner advice. End is
-	// zero until the execution completes.
-	Start, End time.Time
 	// Result and Err hold the outcome once the execution has proceeded.
 	Result any
 	Err    error
@@ -81,11 +74,3 @@ func (jp *JoinPoint) Key() any {
 
 // Signature returns "component.method", the form pointcuts match against.
 func (jp *JoinPoint) Signature() string { return jp.Component + "." + jp.Method }
-
-// Duration returns the observed execution time (zero until complete).
-func (jp *JoinPoint) Duration() time.Duration {
-	if jp.End.IsZero() {
-		return 0
-	}
-	return jp.End.Sub(jp.Start)
-}

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -69,8 +68,8 @@ type snapshot struct {
 // flow's connection (or the request itself) through such calls.
 type JoinPointTap interface{ JoinPointCrossed() }
 
-// NewWeaver creates a weaver stamping join points with clock (WallClock
-// when nil).
+// NewWeaver creates a weaver whose time source, for the advice and agents
+// that read it through Clock, is clock (WallClock when nil).
 func NewWeaver(clock sim.Clock) *Weaver {
 	if clock == nil {
 		clock = sim.WallClock{}
@@ -254,12 +253,9 @@ func (h *handle) dispatch(args []any, depth int) (any, error) {
 	jp.Component = h.component
 	jp.Method = h.method
 	jp.Args = args
-	jp.Start = w.clock.Now()
-	jp.End = time.Time{}
 	jp.Result, jp.Err = nil, nil
 	jp.Depth = depth
 	res, err := w.runChain(jp, rc.chain, 0, h.fn)
-	jp.End = w.clock.Now()
 	// Recycle: every advice body has returned by now (After advice runs
 	// inside runChain), so the join point is dead. Clear what it references
 	// so the pool does not pin arguments or results. A panicking advice

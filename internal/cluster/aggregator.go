@@ -41,8 +41,6 @@ type Config struct {
 	// stays suppressed after a membership change — a join or leave
 	// redistributes traffic, which must not read as aging (default 5).
 	ChurnHold int
-	// MergedLogCap bounds the retained merged-round log (default 256).
-	MergedLogCap int
 	// IngestLanes is how many hash-striped ingest lanes node state is
 	// spread over (default 32). Concurrent publishers contend only when
 	// their nodes share a lane; 1 degenerates to a single ingest lock,
@@ -80,9 +78,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ChurnHold <= 0 {
 		c.ChurnHold = 5
-	}
-	if c.MergedLogCap <= 0 {
-		c.MergedLogCap = 256
 	}
 	if c.IngestLanes <= 0 {
 		c.IngestLanes = 32
@@ -300,7 +295,7 @@ func (r *ClusterReport) String() string {
 //	ctlMu and epochSubMu are leaves: nothing is acquired under them
 //
 // The steady-state ingest path touches only its node's lane lock and the
-// short tlMu merged-timeline section; foldMu is taken only by the round
+// short tlMu high-water compare; foldMu is taken only by the round
 // that completes an epoch (the watermark gate), by joins/leaves, and by
 // staleness eviction.
 type Aggregator struct {
@@ -350,15 +345,12 @@ type Aggregator struct {
 	foldLastNanos atomic.Int64
 	foldMaxNanos  atomic.Int64
 
-	// tlMu guards the merged timeline: the normalisation base, the
-	// high-water merged instant, and the bounded merged-round log with
-	// its recycled sample buffers.
+	// tlMu guards the merged timeline: the normalisation base and the
+	// high-water merged instant the fold stamps its reports with.
 	tlMu       sync.Mutex
 	base       time.Time // merged-timeline origin (first round's instant)
 	haveBase   bool
 	lastMerged time.Time
-	mergedLog  []Round
-	samplePool [][]core.ComponentSample
 
 	// repMu guards the published per-resource report map. The rings the
 	// reports recycle through are foldMu-owned.
@@ -434,27 +426,6 @@ type resourceFold struct {
 	cleared     []string
 	notifs      []jmx.Notification
 	rep         *ClusterReport // the report this epoch's fold assembled
-}
-
-// borrowSamples takes a pooled sample buffer of length n (caller holds
-// a.tlMu).
-func (a *Aggregator) borrowSamples(n int) []core.ComponentSample {
-	if k := len(a.samplePool); k > 0 {
-		buf := a.samplePool[k-1]
-		a.samplePool = a.samplePool[:k-1]
-		if cap(buf) >= n {
-			return buf[:n]
-		}
-	}
-	return make([]core.ComponentSample, n)
-}
-
-// reclaimSamples returns a sample buffer to the pool (caller holds
-// a.tlMu).
-func (a *Aggregator) reclaimSamples(buf []core.ComponentSample) {
-	if cap(buf) > 0 {
-		a.samplePool = append(a.samplePool, buf[:0])
-	}
 }
 
 // latchedAlarm is the notification latch for one alarming component.
@@ -742,27 +713,13 @@ func (a *Aggregator) ingestLocked(st *nodeState, r Round) int64 {
 	st.usageAtSeq[r.Seq] = usageTotal
 
 	// The round's samples are borrowed (a collector round buffer or a
-	// wire decoder's reuse buffer): copy once into a pooled buffer for
-	// the merged log, and once into the node's reusable last-round
-	// snapshot. The pooled copy is reclaimed when the log evicts it.
+	// wire decoder's reuse buffer): copy them into the node's reusable
+	// last-round snapshot.
 	st.lastSamples = append(st.lastSamples[:0], r.Samples...)
 
 	a.tlMu.Lock()
-	merged := norm
-	if merged.Before(a.lastMerged) {
-		merged = a.lastMerged
-	}
-	a.lastMerged = merged
-	logged := r
-	logged.Time = merged
-	logged.Samples = a.borrowSamples(len(r.Samples))
-	copy(logged.Samples, r.Samples)
-	a.mergedLog = append(a.mergedLog, logged)
-	if n := len(a.mergedLog) - a.cfg.MergedLogCap; n > 0 {
-		for _, old := range a.mergedLog[:n] {
-			a.reclaimSamples(old.Samples)
-		}
-		a.mergedLog = a.mergedLog[n:]
+	if !norm.Before(a.lastMerged) {
+		a.lastMerged = norm
 	}
 	a.tlMu.Unlock()
 
@@ -1396,23 +1353,6 @@ func (a *Aggregator) NodeReport(node, resource string) *detect.Report {
 		return nil
 	}
 	return rep.Clone()
-}
-
-// MergedRounds returns a copy of the retained merged-round log, whose
-// times are normalised onto the aggregator's timeline and are guaranteed
-// non-decreasing regardless of node clock skew. The samples are deep
-// copies: the log's own buffers recycle as the log rolls, and a caller's
-// snapshot must not roll with them. It takes only the timeline mutex —
-// the short tail of the ingest path — never an ingest lane or the fold
-// lock.
-func (a *Aggregator) MergedRounds() []Round {
-	a.tlMu.Lock()
-	defer a.tlMu.Unlock()
-	out := append([]Round(nil), a.mergedLog...)
-	for i := range out {
-		out[i].Samples = append([]core.ComponentSample(nil), out[i].Samples...)
-	}
-	return out
 }
 
 // Verdicts adapts the latest per-node reports to the live root-cause

@@ -109,7 +109,6 @@ func TestAggregatorConcurrentPublishersSoak(t *testing.T) {
 			a.Nodes()
 			a.Report(core.ResourceMemory)
 			a.NodeReport("node3", core.ResourceMemory)
-			a.MergedRounds()
 			a.LiveRank(core.ResourceMemory)
 			drained = append(drained, a.DrainNotifications()...)
 		}

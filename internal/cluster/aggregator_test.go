@@ -104,29 +104,39 @@ func TestAggregatorUniformLeakIsClusterWide(t *testing.T) {
 // TestAggregatorSkewedClocksStayOrdered is the regression test for the
 // sampling-round timestamp contract: three nodes whose sim clocks
 // disagree by minutes (one in the future, one in the past) must still
-// produce a time-ordered merged round log and per-node detector series,
-// with verdicts identical to the unskewed run.
+// publish reports whose merged-timeline times never run backwards, with
+// verdicts identical to the unskewed run.
 func TestAggregatorSkewedClocksStayOrdered(t *testing.T) {
 	nodes := []string{"node1", "node2", "node3"}
 	leaks := map[string]int64{"node2": 4096}
-
-	skewed := New(Config{Detect: testDetect()})
-	skewed.Expect(nodes...)
-	driveCluster(skewed, nodes, map[string]time.Duration{
+	offsets := map[string]time.Duration{
 		"node1": 0,
 		"node2": 17 * time.Minute,  // clock running ahead
 		"node3": -11 * time.Minute, // clock running behind
-	}, leaks, 20)
-
-	merged := skewed.MergedRounds()
-	if len(merged) != 60 {
-		t.Fatalf("merged log holds %d rounds, want 60", len(merged))
 	}
-	for i := 1; i < len(merged); i++ {
-		if merged[i].Time.Before(merged[i-1].Time) {
-			t.Fatalf("merged rounds out of order at %d: %v after %v (nodes %s, %s)",
-				i, merged[i].Time, merged[i-1].Time, merged[i-1].Node, merged[i].Node)
+
+	skewed := New(Config{Detect: testDetect()})
+	skewed.Expect(nodes...)
+	t0 := time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)
+	var last time.Time
+	published := 0
+	for seq := int64(1); seq <= 20; seq++ {
+		at := t0.Add(time.Duration(seq) * 30 * time.Second)
+		for _, n := range nodes {
+			skewed.Ingest(syntheticRound(n, seq, at.Add(offsets[n]), leaks[n]))
 		}
+		rep := skewed.Report(core.ResourceMemory)
+		if rep == nil {
+			continue
+		}
+		published++
+		if rep.Time.Before(last) {
+			t.Fatalf("epoch %d report time %v runs backwards from %v", rep.Epoch, rep.Time, last)
+		}
+		last = rep.Time
+	}
+	if published != 20 {
+		t.Fatalf("%d epochs published a report, want 20", published)
 	}
 
 	flat := New(Config{Detect: testDetect()})

@@ -7,8 +7,8 @@
 // dead one would have. The encoding is canonical (key-sorted maps,
 // node-sorted order): Snapshot∘Restore∘Snapshot is byte-identical.
 //
-// What is deliberately NOT captured: the merged-round log and the
-// published report map (operator-facing history, rebuilt by the first
+// What is deliberately NOT captured: the published report map
+// (operator-facing history, rebuilt by the first
 // post-restore fold), pending notifications and epoch events (transient
 // deliveries), wire routes and in-flight control commands (connection
 // state that dies with the process), and the lane seed (lane striping
@@ -233,8 +233,7 @@ func appendSampleSnapshot(dst []byte, s *core.ComponentSample) []byte {
 // On error the aggregator may be partially populated and must be
 // discarded; the error never aliases the input buffer.
 //
-// Not restored (rebuilt by normal operation): the merged-round log
-// (MergedRounds is empty until new rounds arrive), the published
+// Not restored (rebuilt by normal operation): the published
 // reports (Report returns nil until the first post-restore fold),
 // pending notifications and epoch events, and wire/control routes.
 func (a *Aggregator) Restore(data []byte) error {

@@ -216,8 +216,7 @@ func New(opts Options) (*Framework, error) {
 			if f.deltas != nil && jp.Depth == 0 {
 				f.deltas.after(jp.Component, jp.Key())
 			}
-			cost := jp.Duration()
-			latency := time.Duration(0)
+			var cost, latency time.Duration
 			for _, arg := range jp.Args {
 				if r, ok := arg.(costReporter); ok {
 					if d := r.ReportedCost(); d > 0 {

@@ -442,46 +442,3 @@ func A3MixSensitivity(cfg Config) Result {
 		Text:     t.String(),
 	}
 }
-
-// All runs every experiment at the given configuration, in DESIGN.md
-// order.
-func All(cfg Config) []Result {
-	return []Result{
-		TableI(cfg),
-		Fig2(cfg),
-		Fig3(cfg),
-		Fig4(cfg),
-		Fig5(cfg),
-		Fig6(cfg),
-		Fig7(cfg),
-		E8CPUThreadLeaks(cfg),
-		E9PinpointCoupled(cfg),
-		E10TimeToFailure(cfg),
-		E11StrategyComparison(cfg),
-		A1MonitoringLevels(cfg),
-		A2SizingPolicies(cfg),
-		A3MixSensitivity(cfg),
-		S1WorkloadShift(cfg),
-		S2OnlineLeakDetection(cfg),
-		S3DiurnalCycle(cfg),
-		S4BurstWithLeak(cfg),
-		S5SingleNodeLeak(cfg),
-		S6UniformLeak(cfg),
-		S7NodeChurn(cfg),
-		S8SkewedBalancer(cfg),
-		S9PoolExhaustion(cfg),
-		S10HandleLeak(cfg),
-		S11LockContention(cfg),
-		S12FragmentationBloat(cfg),
-		S13StaleCacheDecay(cfg),
-		S14NodeKill(cfg),
-		S15TransportPartition(cfg),
-		S16ClockSkew(cfg),
-		S17RejuvenateSickReplica(cfg),
-		S18FlappingDetectorHeld(cfg),
-		S19ControlLossDuringDrain(cfg),
-		S20KillAggregatorMidLeak(cfg),
-		S21FailoverMidDrain(cfg),
-		S22RoundStormOverload(cfg),
-	}
-}

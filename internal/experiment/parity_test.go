@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -10,76 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/eb"
 )
-
-func TestS5SingleNodeLeakNamesNodeAndComponent(t *testing.T) {
-	res := S5SingleNodeLeak(scenarioCfg)
-	if !res.Pass {
-		t.Fatalf("single-node-leak scenario failed:\n%s", res)
-	}
-	if !strings.Contains(res.Observed, "node2/"+ComponentA) {
-		t.Fatalf("verdict does not name (node2, %s): %s", ComponentA, res.Observed)
-	}
-}
-
-func TestS6UniformLeakIsClusterWide(t *testing.T) {
-	res := S6UniformLeak(scenarioCfg)
-	if !res.Pass {
-		t.Fatalf("uniform-leak scenario failed:\n%s", res)
-	}
-	if !strings.Contains(res.Observed, "cluster-wide=true") {
-		t.Fatalf("verdict not promoted to cluster-wide: %s", res.Observed)
-	}
-}
-
-func TestS7NodeChurnRaisesNoAlarm(t *testing.T) {
-	res := S7NodeChurn(scenarioCfg)
-	if !res.Pass {
-		t.Fatalf("node-churn scenario failed:\n%s", res)
-	}
-	if !strings.Contains(res.Observed, "0 alarms") {
-		t.Fatalf("expected zero alarms: %s", res.Observed)
-	}
-}
-
-func TestS8SkewedBalancerRaisesNoAlarm(t *testing.T) {
-	res := S8SkewedBalancer(scenarioCfg)
-	if !res.Pass {
-		t.Fatalf("skewed-balancer scenario failed:\n%s", res)
-	}
-}
-
-// TestClusterScenariosFullScale runs S5-S8 at the paper's full one-hour
-// TimeScale — the acceptance contract requires both scales to hold.
-// Skipped under -short; the four runs cost a few seconds of wall time.
-//
-// S6 runs on its own seed. Its check reads the report of the last epoch,
-// and late in a full hour a leaking node's alarm lapses for a few epochs
-// at a time (the leak store's capacity plateaus outlast the detector
-// window), so whether all three nodes are named at epoch 120 depends on
-// the trace: of seeds 40-59 about half pass, before and after the load
-// driver was replaced, and not the same half — 42 held on the old session
-// model and does not on this one. 45 is the first seed from 42 up that
-// holds on both. ROADMAP item 0(e) is the lapse itself; with that fixed S6
-// goes back on scenarioCfg's seed.
-func TestClusterScenariosFullScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-scale cluster scenarios skipped with -short")
-	}
-	cfg := scenarioCfg
-	cfg.TimeScale = 1.0
-	s6 := cfg
-	s6.Seed = 45
-	for _, leg := range []struct {
-		run func(Config) Result
-		cfg Config
-	}{
-		{S5SingleNodeLeak, cfg}, {S6UniformLeak, s6}, {S7NodeChurn, cfg}, {S8SkewedBalancer, cfg},
-	} {
-		if res := leg.run(leg.cfg); !res.Pass {
-			t.Fatalf("full-scale scenario failed:\n%s", res)
-		}
-	}
-}
 
 // parityOutcome is everything a parity run compares: final cluster
 // reports (times stripped — the merged timeline's stamp may differ by

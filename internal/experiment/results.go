@@ -47,6 +47,30 @@ func (r Result) String() string {
 	return b.String()
 }
 
+// Experiment is one registered runner.
+type Experiment struct {
+	ID  string
+	Run func(Config) Result
+}
+
+// Experiments is every runner in DESIGN.md order: the paper's table and
+// figures, the extension and ablation studies, then the scenario table.
+// cmd/experiments and the repro facade iterate it.
+var Experiments = append([]Experiment{
+	{"T1", TableI}, {"F2", Fig2}, {"F3", Fig3}, {"F4", Fig4}, {"F5", Fig5}, {"F6", Fig6}, {"F7", Fig7},
+	{"E8", E8CPUThreadLeaks}, {"E9", E9PinpointCoupled}, {"E10", E10TimeToFailure},
+	{"E11", E11StrategyComparison}, {"A1", A1MonitoringLevels}, {"A2", A2SizingPolicies},
+	{"A3", A3MixSensitivity},
+}, scenarioExperiments()...)
+
+func scenarioExperiments() []Experiment {
+	out := make([]Experiment, len(Scenarios))
+	for i, sc := range Scenarios {
+		out[i] = Experiment{sc.ID, sc.Run}
+	}
+	return out
+}
+
 // Config parameterises the experiment runners.
 type Config struct {
 	// TimeScale multiplies the paper's scenario durations (1.0 runs the

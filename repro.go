@@ -199,7 +199,13 @@ func NewJMXClient(base string, httpClient *http.Client) *JMXClient {
 
 // RunAllExperiments regenerates every table and figure at the given
 // configuration (TimeScale 1.0 reproduces the paper's full durations).
-func RunAllExperiments(cfg ExperimentConfig) []ExperimentResult { return experiment.All(cfg) }
+func RunAllExperiments(cfg ExperimentConfig) []ExperimentResult {
+	out := make([]ExperimentResult, 0, len(experiment.Experiments))
+	for _, x := range experiment.Experiments {
+		out = append(out, x.Run(cfg))
+	}
+	return out
+}
 
 // ObjectSizeOf measures the retained size of v with the paper's one-level
 // policy.

@@ -11,10 +11,14 @@
 # The matrix runs at the baseline's recorded configuration (scale 0.35,
 # seed 42, 500 items / 300 customers — the same pinned tuning the
 # scenario unit tests use), so verdicts are deterministic and any
-# difference from the baseline is a code change, not noise. The gate
-# fails when:
+# difference from the baseline is a code change, not noise. The scenarios
+# it runs are the IDs recorded in the baseline, in order. The gate fails
+# when:
 #   - any scenario present in the baseline is missing, no longer passes,
 #     or scores below its recorded precision/recall;
+#   - a scenario's flagged set differs from the recorded one;
+#   - a scenario detects later (TTDRounds) or recovers later
+#     (RecoveryEpochs) than recorded, or no longer detects or recovers;
 #   - a pre-injection alarm appears anywhere (the steady-state
 #     hypothesis of the litmus catalog requires zero);
 #   - the overall matrix drops below the absolute floors: precision 0.9,
@@ -36,7 +40,7 @@ if [[ -z "$REPORT" ]]; then
   trap 'rm -f "$OUT"' EXIT
 fi
 
-SCENARIOS="S1,S2,S3,S4,S5,S6,S7,S8,S9,S10,S11,S12,S13,S14,S15,S16,S17,S18,S19,S20,S21,S22"
+SCENARIOS="$(python3 -c 'import json; print(",".join(s["ID"] for s in json.load(open("ACCURACY_baseline.json"))["Scenarios"]))')"
 echo "running: go run ./cmd/experiments -run $SCENARIOS -scale 0.35 -seed 42 -items 500 -customers 300 -accuracy $OUT" >&2
 go run ./cmd/experiments -run "$SCENARIOS" -scale 0.35 -seed 42 -items 500 -customers 300 -accuracy "$OUT" >&2
 
@@ -63,8 +67,14 @@ for row in base["Scenarios"]:
         failures.append(f"{sid}: recall {got['Recall']:.2f} below recorded {row['Recall']:.2f}")
     if got["PreInjectionAlarms"] > 0:
         failures.append(f"{sid}: {got['PreInjectionAlarms']} pre-injection alarm(s)")
-    if row.get("RecoveryEpochs", 0) > 0 and got.get("RecoveryEpochs", 0) == 0:
-        failures.append(f"{sid}: actuation no longer recovers (recorded TTR {row['RecoveryEpochs']} epochs)")
+    if sorted(got["Flagged"] or []) != sorted(row["Flagged"] or []):
+        failures.append(f"{sid}: flagged {got['Flagged']} differs from recorded {row['Flagged']}")
+    for key, what in (("TTDRounds", "detects"), ("RecoveryEpochs", "recovers")):
+        rec, now = row.get(key, 0), got.get(key, 0)
+        if rec > 0 and now == 0:
+            failures.append(f"{sid}: no longer {what} (recorded {key} {rec})")
+        elif now > rec:
+            failures.append(f"{sid}: {key} {now} above recorded {rec}")
 
 if fresh["Precision"] < 0.9:
     failures.append(f"overall precision {fresh['Precision']:.3f} below the 0.9 floor")
