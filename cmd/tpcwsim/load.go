@@ -35,7 +35,6 @@ type loadOptions struct {
 	leakN     int
 	batch     int
 	lanes     int
-	foldWork  int
 }
 
 // runLoad is the -load mode: the million-session tier, either a single
@@ -97,7 +96,6 @@ func loadConfig(opts loadOptions, index, count int) experiment.LoadConfig {
 		cfg.MonitorInterval = opts.interval
 		cfg.Link = experiment.MonitorLink{Wire: true, BatchRounds: opts.batch} // 0 = LoadConfig's default of 8
 		cfg.IngestLanes = opts.lanes
-		cfg.FoldWorkers = opts.foldWork
 		// The experiment tiers' scenario tuning: a 20-round window with
 		// alarms allowed from round 6 — a CLI run is minutes of virtual
 		// time, not the manager's default 20-minute window.

@@ -44,8 +44,7 @@
 // per-node connection) — verdicts are transport-independent by
 // construction. With -batch K (binary transport only) each node's
 // forwarder packs K rounds into one BATCH frame before writing; -lanes
-// and -foldworkers size the aggregator's sharded ingest plane and
-// parallel fold pool (0 = package defaults).
+// sizes the aggregator's sharded ingest plane (0 = the package default).
 //
 // With -load the command runs the million-session load tier instead of
 // the monitored testbed: the same driver and struct-of-arrays session
@@ -121,7 +120,6 @@ func main() {
 		rejuvOn  = flag.Bool("rejuvenate", false, "cluster mode: actuate verdicts — drain, micro-reboot, probation, re-admit")
 		batch    = flag.Int("batch", 0, "rounds per BATCH frame on the binary transport (0/1 = one round per frame)")
 		lanes    = flag.Int("lanes", 0, "aggregator ingest lanes (0 = package default)")
-		foldWork = flag.Int("foldworkers", 0, "aggregator fold worker pool size (0 = package default)")
 
 		load      = flag.Bool("load", false, "run the million-session load tier instead of the monitored testbed")
 		sessions  = flag.Int("sessions", 100000, "load tier: closed-loop session population")
@@ -168,7 +166,6 @@ func main() {
 			leakN:     *leakN,
 			batch:     *batch,
 			lanes:     *lanes,
-			foldWork:  *foldWork,
 		})
 		if err := stopProfiles(); err != nil {
 			log.Fatal(err)
@@ -182,7 +179,7 @@ func main() {
 			// detector banks; a cluster without them has no output.
 			log.Printf("-detect=false has no effect with -nodes > 1: the aggregator always runs per-node detectors")
 		}
-		runCluster(*addr, *duration, *ebs, *leak, *leakSize, *leakN, *seed, *scenario, *leakNode, *nodes, *hold, *trans, *batch, *lanes, *foldWork, *rejuvOn)
+		runCluster(*addr, *duration, *ebs, *leak, *leakSize, *leakN, *seed, *scenario, *leakNode, *nodes, *hold, *trans, *batch, *lanes, *rejuvOn)
 		return
 	}
 	if *rejuvOn {
@@ -240,13 +237,12 @@ func main() {
 
 // runCluster is the -nodes N mode: a full cluster behind a balancer with
 // the aggregator's bean on the management plane.
-func runCluster(addr string, duration time.Duration, ebs int, leak string, leakSize, leakN int, seed uint64, scenario, leakNode string, nodes int, hold bool, transport string, batch, lanes, foldWorkers int, rejuvenate bool) {
+func runCluster(addr string, duration time.Duration, ebs int, leak string, leakSize, leakN int, seed uint64, scenario, leakNode string, nodes int, hold bool, transport string, batch, lanes int, rejuvenate bool) {
 	cfg := experiment.ClusterConfig{
 		Nodes:       nodes,
 		Seed:        seed,
 		Mix:         eb.Shopping,
 		IngestLanes: lanes,
-		FoldWorkers: foldWorkers,
 	}
 	if rejuvenate {
 		// Package defaults; HealthyWeight 1 matches the balancer's

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"hash/maphash"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -47,11 +46,6 @@ type Config struct {
 	// the serial reference configuration for parity tests. Verdicts do
 	// not depend on the lane count.
 	IngestLanes int
-	// FoldWorkers bounds the worker pool the epoch fold spreads its
-	// per-resource verdict assembly over (default GOMAXPROCS, capped at
-	// the resource count). 1 folds inline on the completing publisher's
-	// goroutine. Verdicts do not depend on the worker count.
-	FoldWorkers int
 	// LaneQueueDepth bounds how many publishers may occupy one ingest
 	// lane at once — admitted and executing, or parked on the lane lock
 	// (default 1024). A round arriving at a full lane is shed and
@@ -82,12 +76,6 @@ func (c Config) withDefaults() Config {
 	if c.IngestLanes <= 0 {
 		c.IngestLanes = 32
 	}
-	if c.FoldWorkers <= 0 {
-		c.FoldWorkers = runtime.GOMAXPROCS(0)
-	}
-	if n := len(core.DetectorResources); c.FoldWorkers > n {
-		c.FoldWorkers = n
-	}
 	if c.LaneQueueDepth <= 0 {
 		c.LaneQueueDepth = 1024
 	}
@@ -113,9 +101,9 @@ type ingestLane struct {
 
 // nodeState is the aggregator's view of one node.
 //
-// Ownership: fields in the first block are written only during the
-// node's own Ingest under the owning lane's lock (the fold stage takes
-// the lane lock too when it reads or releases per-seq snapshots); fields
+// Ownership: fields in the first block are written only under the
+// owning lane's lock — by the node's own Ingest, and by the fold stage,
+// which takes the lane lock to consume and release pending rounds; fields
 // in the second block are written only under the aggregator's fold lock;
 // the atomics publish the node's externally visible counters to lock-free
 // readers.
@@ -132,18 +120,12 @@ type nodeState struct {
 	lastNorm   time.Time
 
 	monitors map[string]*detect.Monitor
-	// reportsAtSeq snapshots each round's per-resource reports (indexed
-	// in the aggregator's resource order) until the epoch that consumes
-	// them completes, so verdict assembly reads every node at the same
-	// epoch no matter how transports interleave. The monitors' report
-	// retention is sized to cover the longest an epoch can lag
-	// (StaleEpochs), so the snapshots stay valid without cloning; the
-	// slices themselves recycle through repsFree.
-	reportsAtSeq map[int64][]*detect.Report
-	repsFree     [][]*detect.Report
-	// usageAtSeq records the round's total cumulative usage, the input
-	// to the cluster-level node-mix guard.
-	usageAtSeq map[int64]float64
+	// pending holds, in sequence order, each ingested round's fold input
+	// until the epoch that consumes it completes, so verdict assembly
+	// reads every node at the same epoch no matter how transports
+	// interleave. Released records stay past len for reuse. An inactive
+	// node holds none.
+	pending []pendingRound
 
 	// lastSamples is the node's reusable copy of its latest round;
 	// obsScratch is the per-round observation projection buffer.
@@ -164,17 +146,62 @@ type nodeState struct {
 	// component, the cluster epoch at which the node's verdict first
 	// alarmed — recorded at fold time, because deriving it from the
 	// detector's round counter breaks whenever the epoch base moves
-	// (rejoin) or the sequence gaps (publish failures). Indexed by
-	// resource so parallel fold workers touch disjoint maps.
+	// (rejoin) or the sequence gaps (publish failures).
 	firstAlarm []map[string]int64
 
 	// Lock-free views for read paths and the epoch watermark check.
 	// active flips only under foldMu (join/rejoin on the slow ingest
 	// path, Leave, staleness eviction); seqA/epochA publish at the end
-	// of each ingested round, after the round's snapshots are recorded.
+	// of each ingested round, after the round's pending record is written.
 	active atomic.Bool
 	seqA   atomic.Int64
 	epochA atomic.Int64
+}
+
+// pendingRound is what the epoch fold reads of one ingested round: the
+// round's total cumulative usage (the node-mix guard's input) and the
+// verdicts that alarmed, in resource order and, within a resource, in
+// report order (highest score first, ties by component).
+type pendingRound struct {
+	seq    int64
+	usage  float64
+	alarms []nodeAlarm
+}
+
+// nodeAlarm is one alarming per-node verdict, as the fold consumes it.
+type nodeAlarm struct {
+	res         int // index into the aggregator's resources
+	component   string
+	score       float64
+	changePoint bool
+}
+
+// nextPending appends a record for round seq, reusing a released one's
+// buffer when there is one. Caller holds the node's lane lock.
+func (st *nodeState) nextPending(seq int64) *pendingRound {
+	if n := len(st.pending); n < cap(st.pending) {
+		st.pending = st.pending[:n+1]
+	} else {
+		st.pending = append(st.pending, pendingRound{})
+	}
+	rec := &st.pending[len(st.pending)-1]
+	rec.seq, rec.usage, rec.alarms = seq, 0, rec.alarms[:0]
+	return rec
+}
+
+// releasePending drops the records up to and including round seq,
+// rotating them past len so their buffers are reused. Caller holds the
+// node's lane lock.
+func (st *nodeState) releasePending(seq int64) {
+	n := 0
+	for n < len(st.pending) && st.pending[n].seq <= seq {
+		n++
+	}
+	kept := len(st.pending) - n
+	for i := 0; i < kept; i++ {
+		st.pending[i], st.pending[n+i] = st.pending[n+i], st.pending[i]
+	}
+	st.pending = st.pending[:kept]
 }
 
 // NodeStatus is one node's externally visible state.
@@ -323,10 +350,10 @@ type Aggregator struct {
 	guard       *detect.ShiftGuard
 	churnLeft   int
 	shiftEp     int64
-	foldNodes   []foldNode     // per-epoch scratch: active nodes' snapshots
-	foldNames   []string       // per-epoch scratch: nodes with a usage total this epoch...
-	foldDeltas  []float64      // ...and the usage each gained, parallel
-	foldScratch []resourceFold // per-resource reusable verdict-assembly state
+	foldNames   []string     // per-epoch scratch: nodes with a usage total this epoch...
+	foldDeltas  []float64    // ...and the usage each gained, parallel
+	foldAlarms  []foldAlarm  // per-epoch scratch: active nodes' alarms, node order
+	foldScratch resourceFold // reusable verdict-assembly state
 
 	// Lock-free counters for the read paths and the watermark gate.
 	epoch atomic.Int64 // latest folded epoch (mirrors epochFolded)
@@ -361,21 +388,18 @@ type Aggregator struct {
 	// way detect.Monitor recycles its Reports: foldEpoch rotates each
 	// resource's reports through a fixed ring instead of allocating one
 	// per epoch. A *ClusterReport from Report stays valid for
-	// retention-1 further epochs; a consumer keeping one longer must
-	// copy it. Indexed by resource index so parallel fold workers touch
-	// disjoint slots. Owned by foldMu.
+	// Config.Detect.ReportRetention-1 further epochs; a consumer keeping
+	// one longer must copy it. Indexed by resource index; owned by
+	// foldMu.
 	reportRing [][]*ClusterReport
 	ringIdx    []int
-	retention  int
 
 	// alarm bookkeeping for notification transitions: resource ->
 	// component -> latched scope. Latched by component, not by the
 	// alarming node set — the set of flagged nodes may churn while the
 	// component keeps aging, and that must not read as clear/raise.
-	// Owned by foldMu (the outer map is pre-populated per resource so
-	// parallel fold workers touch disjoint inner maps); the pending
-	// queue has its own mutex so DrainNotifications never blocks on a
-	// fold in progress.
+	// Owned by foldMu; the pending queue has its own mutex so
+	// DrainNotifications never blocks on a fold in progress.
 	alarmed map[string]map[string]*latchedAlarm
 
 	notifMu sync.Mutex
@@ -399,15 +423,14 @@ type Aggregator struct {
 	ctlPending map[uint64]*pendingControl
 }
 
-// foldNode is one active node's snapshot for the epoch being folded.
-type foldNode struct {
-	st   *nodeState
-	seq  int64
-	reps []*detect.Report
+// foldAlarm is one active node's alarm in the epoch being folded.
+type foldAlarm struct {
+	st *nodeState
+	nodeAlarm
 }
 
 // verdictAgg accumulates one component's per-node alarms during verdict
-// assembly. Recycled per resource via resourceFold.
+// assembly. Recycled across resources via resourceFold.
 type verdictAgg struct {
 	nodes       []string
 	score       float64
@@ -415,9 +438,10 @@ type verdictAgg struct {
 	changePoint bool
 }
 
-// resourceFold is one resource's reusable verdict-assembly scratch, so
-// the steady-state fold allocates nothing beyond the verdicts it
-// publishes.
+// resourceFold is the fold's reusable verdict-assembly scratch, so the
+// steady-state fold allocates nothing beyond the verdicts it publishes.
+// notifs collects the epoch's transitions across resources, in resource
+// order.
 type resourceFold struct {
 	byComponent map[string]*verdictAgg
 	aggFree     []*verdictAgg
@@ -425,7 +449,6 @@ type resourceFold struct {
 	seen        map[string]bool
 	cleared     []string
 	notifs      []jmx.Notification
-	rep         *ClusterReport // the report this epoch's fold assembled
 }
 
 // latchedAlarm is the notification latch for one alarming component.
@@ -437,15 +460,6 @@ type latchedAlarm struct {
 func New(cfg Config) *Aggregator {
 	cfg = cfg.withDefaults()
 	d := cfg.Detect
-	// Cluster reports recycle on the same retention terms as the node
-	// monitors' rings (see newNodeState).
-	retention := d.ReportRetention
-	if retention <= 0 {
-		retention = detect.DefaultReportRetention
-	}
-	if min := cfg.StaleEpochs + 3; retention < min {
-		retention = min
-	}
 	a := &Aggregator{
 		cfg:       cfg,
 		resources: append([]string(nil), core.DetectorResources...),
@@ -455,8 +469,11 @@ func New(cfg Config) *Aggregator {
 		byName:    make(map[string]*nodeState),
 		guard:     detect.NewShiftGuardMargin(d.ShiftThreshold, d.ShiftHold, d.ShiftEWMA, d.ShiftNoiseMargin),
 		reports:   make(map[string]*ClusterReport),
-		retention: retention,
 		alarmed:   make(map[string]map[string]*latchedAlarm),
+		foldScratch: resourceFold{
+			byComponent: make(map[string]*verdictAgg),
+			seen:        make(map[string]bool),
+		},
 
 		ctlLocal:   make(map[string]ControlHandler),
 		ctlConns:   make(map[string]*controlConn),
@@ -465,9 +482,10 @@ func New(cfg Config) *Aggregator {
 	for i := range a.lanes {
 		a.lanes[i].nodes = make(map[string]*nodeState)
 	}
+	// Cluster reports recycle on the node monitors' retention terms.
+	retention := d.Canonical().ReportRetention
 	a.reportRing = make([][]*ClusterReport, len(a.resources))
 	a.ringIdx = make([]int, len(a.resources))
-	a.foldScratch = make([]resourceFold, len(a.resources))
 	for ri, res := range a.resources {
 		ring := make([]*ClusterReport, retention)
 		for i := range ring {
@@ -475,10 +493,6 @@ func New(cfg Config) *Aggregator {
 		}
 		a.reportRing[ri] = ring
 		a.alarmed[res] = make(map[string]*latchedAlarm)
-		a.foldScratch[ri] = resourceFold{
-			byComponent: make(map[string]*verdictAgg),
-			seen:        make(map[string]bool),
-		}
 	}
 	return a
 }
@@ -490,29 +504,17 @@ func (a *Aggregator) laneFor(node string) *ingestLane {
 }
 
 // nextReport rotates a resource's report ring and returns the next slot
-// reset for the coming epoch (the Verdicts buffer is kept). Caller holds
-// a.foldMu; parallel fold workers call it for disjoint resource indices.
-func (a *Aggregator) nextReport(ri int) *ClusterReport {
+// set to hdr for the coming epoch (the Verdicts buffer is kept). Caller
+// holds a.foldMu.
+func (a *Aggregator) nextReport(ri int, hdr ClusterReport) *ClusterReport {
 	ring := a.reportRing[ri]
 	i := a.ringIdx[ri]
 	a.ringIdx[ri] = (i + 1) % len(ring)
 	rep := ring[i]
-	*rep = ClusterReport{Resource: a.resources[ri], Verdicts: rep.Verdicts[:0]}
+	verdicts := rep.Verdicts[:0]
+	*rep = hdr
+	rep.Resource, rep.Verdicts = a.resources[ri], verdicts
 	return rep
-}
-
-// monitorConfig returns one resource's detector config with the report
-// retention floored so the epoch fold can still read snapshots up to
-// StaleEpochs rounds old when they are consumed.
-func (a *Aggregator) monitorConfig(res string) detect.Config {
-	cfg := a.configs[res]
-	if cfg.ReportRetention <= 0 {
-		cfg.ReportRetention = detect.DefaultReportRetention
-	}
-	if min := a.cfg.StaleEpochs + 3; cfg.ReportRetention < min {
-		cfg.ReportRetention = min
-	}
-	return cfg
 }
 
 // newNodeState creates and registers the aggregator's state for one
@@ -521,16 +523,14 @@ func (a *Aggregator) monitorConfig(res string) detect.Config {
 func (a *Aggregator) newNodeState(name string) *nodeState {
 	lane := a.laneFor(name)
 	st := &nodeState{
-		name:         name,
-		lane:         lane,
-		monitors:     make(map[string]*detect.Monitor, len(a.resources)),
-		reportsAtSeq: make(map[int64][]*detect.Report),
-		usageAtSeq:   make(map[int64]float64),
-		firstSize:    make(map[string]int64),
-		firstAlarm:   make([]map[string]int64, len(a.resources)),
+		name:       name,
+		lane:       lane,
+		monitors:   make(map[string]*detect.Monitor, len(a.resources)),
+		firstSize:  make(map[string]int64),
+		firstAlarm: make([]map[string]int64, len(a.resources)),
 	}
 	for _, res := range a.resources {
-		st.monitors[res] = detect.NewMonitor(res, a.monitorConfig(res))
+		st.monitors[res] = detect.NewMonitor(res, a.configs[res])
 	}
 	i := sort.SearchStrings(a.order, name)
 	a.all = append(a.all, nil)
@@ -684,33 +684,30 @@ func (a *Aggregator) ingestLocked(st *nodeState, r Round) int64 {
 	}
 	st.lastNorm = norm
 
-	// Feed the node's detectors and snapshot the reports for the epoch
-	// that will consume this round. The report-slice snapshots and the
-	// observation projection recycle through node-owned buffers; the
-	// monitors themselves are allocation-free per round.
-	var reps []*detect.Report
-	if k := len(st.repsFree); k > 0 {
-		reps = st.repsFree[k-1][:0]
-		st.repsFree = st.repsFree[:k-1]
-	} else {
-		reps = make([]*detect.Report, 0, len(a.resources))
-	}
-	for _, res := range a.resources {
+	// Feed the node's detectors and record what the epoch that consumes
+	// this round will fold: the alarming verdicts and the usage total.
+	// The record and the observation projection recycle through
+	// node-owned buffers; the monitors themselves are allocation-free
+	// per round.
+	rec := st.nextPending(r.Seq)
+	for ri, res := range a.resources {
 		st.obsScratch = core.AppendObservations(st.obsScratch[:0], res, r.Samples)
-		reps = append(reps, st.monitors[res].Observe(norm, st.obsScratch))
+		rep := st.monitors[res].Observe(norm, st.obsScratch)
+		for i := range rep.Components {
+			if v := &rep.Components[i]; v.Alarm {
+				rec.alarms = append(rec.alarms, nodeAlarm{res: ri, component: v.Component, score: v.Score, changePoint: v.ChangePoint})
+			}
+		}
 	}
-	st.reportsAtSeq[r.Seq] = reps
 
-	var usageTotal float64
 	for _, s := range r.Samples {
-		usageTotal += float64(s.Usage)
+		rec.usage += float64(s.Usage)
 		if s.SizeOK {
 			if _, ok := st.firstSize[s.Component]; !ok {
 				st.firstSize[s.Component] = s.Size
 			}
 		}
 	}
-	st.usageAtSeq[r.Seq] = usageTotal
 
 	// The round's samples are borrowed (a collector round buffer or a
 	// wire decoder's reuse buffer): copy them into the node's reusable
@@ -723,10 +720,10 @@ func (a *Aggregator) ingestLocked(st *nodeState, r Round) int64 {
 	}
 	a.tlMu.Unlock()
 
-	// Publish the node's epoch watermark after the round's snapshots are
-	// recorded: a fold that sees the new epoch will also find the
-	// snapshots it implies (it re-synchronises on this lane's lock before
-	// reading them).
+	// Publish the node's epoch watermark after the round's record is
+	// written: a fold that sees the new epoch will also find the record
+	// it implies (it re-synchronises on this lane's lock before reading
+	// it).
 	epoch := st.epochBase + r.Seq
 	st.seqA.Store(r.Seq)
 	st.epochA.Store(epoch)
@@ -798,22 +795,29 @@ func (a *Aggregator) completeEpochs() {
 	}
 }
 
-// deactivate marks a node inactive (leave or staleness eviction) and
-// starts the churn hold-down. Caller holds a.foldMu.
+// deactivate marks a node inactive (leave or staleness eviction), drops
+// its pending rounds — no fold reads an inactive node, and a rejoin
+// re-aligns its sequence past them — and starts the churn hold-down.
+// Caller holds a.foldMu. active is cleared before the lane lock is
+// taken, so a round ingesting concurrently either lands before the
+// release or sees the node inactive and takes the rejoin path.
 func (a *Aggregator) deactivate(st *nodeState) {
 	if !st.active.Load() {
 		return
 	}
 	st.active.Store(false)
+	st.lane.mu.Lock()
+	st.pending = st.pending[:0]
+	st.lane.mu.Unlock()
 	a.churnLeft = a.cfg.ChurnHold
 }
 
 // foldEpoch completes cluster epoch k: feeds the node-mix guard with the
 // per-node usage deltas, advances the churn hold, and publishes fresh
-// cluster reports, assembling the per-resource verdicts on the bounded
-// worker pool. Caller holds a.foldMu. The fold reads each node's per-seq
-// snapshots under that node's lane lock, so it never races the node's
-// next ingest; everything else it touches is fold-owned.
+// cluster reports, one resource at a time in resource order. Caller holds
+// a.foldMu. The fold consumes each node's pending record under that
+// node's lane lock, copying the alarms into fold scratch, so it never
+// races the node's next ingest; everything else it touches is fold-owned.
 func (a *Aggregator) foldEpoch(k int64) {
 	foldStart := time.Now()
 	defer func() {
@@ -826,31 +830,34 @@ func (a *Aggregator) foldEpoch(k int64) {
 	a.epochFolded = k
 	a.epoch.Store(k)
 
-	// Snapshot the epoch's inputs from the lanes: each active node's
-	// report bank for k and its usage total (consumed here, so the
-	// guard's delta baseline advances exactly once per epoch).
-	nodes := a.foldNodes[:0]
+	// Consume the epoch's inputs from the lanes: each active node's
+	// record for k — its usage total (so the guard's delta baseline
+	// advances exactly once per epoch) and its alarms — releasing every
+	// record up to it.
+	alarms := a.foldAlarms[:0]
 	names, deltas := a.foldNames[:0], a.foldDeltas[:0]
+	active := 0
 	for _, st := range a.all {
 		if !st.active.Load() {
 			continue
 		}
+		active++
 		seq := k - st.epochBase
 		st.lane.mu.Lock()
-		if usage, ok := st.usageAtSeq[seq]; ok {
-			names, deltas = append(names, st.name), append(deltas, usage-st.prevUsage)
-			st.prevUsage = usage
-			delete(st.usageAtSeq, seq)
+		// Earlier folds released everything before k, so the record for
+		// k, if the node delivered it, is the oldest one.
+		if len(st.pending) > 0 && st.pending[0].seq == seq {
+			rec := &st.pending[0]
+			names, deltas = append(names, st.name), append(deltas, rec.usage-st.prevUsage)
+			st.prevUsage = rec.usage
+			for _, al := range rec.alarms {
+				alarms = append(alarms, foldAlarm{st: st, nodeAlarm: al})
+			}
 		}
-		reps := st.reportsAtSeq[seq]
+		st.releasePending(seq)
 		st.lane.mu.Unlock()
-		// The report snapshots stay readable without the lane lock: their
-		// ring slots cannot recycle until the node runs retention rounds
-		// ahead, and the watermark gate blocks any node from outrunning
-		// the fold by more than StaleEpochs (< retention) epochs.
-		nodes = append(nodes, foldNode{st: st, seq: seq, reps: reps})
 	}
-	a.foldNodes, a.foldNames, a.foldDeltas = nodes, names, deltas
+	a.foldAlarms, a.foldNames, a.foldDeltas = alarms, names, deltas
 
 	guardSuppressed := a.guard.Observe(names, deltas)
 	churning := a.churnLeft > 0
@@ -862,129 +869,62 @@ func (a *Aggregator) foldEpoch(k int64) {
 		a.shiftEp++
 	}
 
-	active := len(nodes)
-	total := len(a.all)
-
 	a.tlMu.Lock()
 	at := a.lastMerged
 	a.tlMu.Unlock()
 
-	shared := foldEpochState{
-		k: k, at: at, active: active, total: total,
-		suppressed: suppressed, churning: churning,
-		shiftDistance: a.guard.Distance(), shiftEpochs: a.shiftEp,
+	// Queue the epoch for verdict subscribers (the rejuvenation
+	// controller) only when there are any, keeping plain deployments'
+	// folds allocation-free; delivery happens once foldMu is released
+	// (deliverEpochEvents), so a subscriber can call back into the
+	// aggregator.
+	a.epochSubMu.Lock()
+	subscribed := len(a.epochSubs) > 0
+	a.epochSubMu.Unlock()
+	ev := EpochEvent{Epoch: k, Suppressed: suppressed, Active: active}
+
+	hdr := ClusterReport{
+		Epoch: k, Time: at, Active: active, Total: len(a.all),
+		Suppressed: suppressed, ShiftDistance: a.guard.Distance(),
+		ShiftEpochs: a.shiftEp, Churning: churning,
 	}
-	if w := a.cfg.FoldWorkers; w > 1 {
-		var wg sync.WaitGroup
-		var cursor atomic.Int64
-		wg.Add(w)
-		for i := 0; i < w; i++ {
-			go func() {
-				defer wg.Done()
-				for {
-					ri := int(cursor.Add(1)) - 1
-					if ri >= len(a.resources) {
-						return
-					}
-					a.foldResource(ri, shared)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for ri := range a.resources {
-			a.foldResource(ri, shared)
+	for ri, res := range a.resources {
+		rep := a.foldResource(ri, hdr)
+		a.repMu.Lock()
+		a.reports[res] = rep
+		a.repMu.Unlock()
+		if subscribed {
+			ev.Verdicts = append(ev.Verdicts, rep.Verdicts...)
 		}
 	}
 
-	// Publish the fresh reports and queued notification transitions in
-	// resource order — identical to the serial fold's output order.
-	a.repMu.Lock()
-	for ri, res := range a.resources {
-		a.reports[res] = a.foldScratch[ri].rep
-	}
-	a.repMu.Unlock()
+	sc := &a.foldScratch
 	a.notifMu.Lock()
-	for ri := range a.resources {
-		sc := &a.foldScratch[ri]
-		for i := range sc.notifs {
-			if len(a.pending) >= a.cfg.NotifCap {
-				// Undrained backlog at the cap: drop newest, keep the
-				// oldest transitions (the raise that started the story).
-				a.notifDropped.Add(int64(len(sc.notifs) - i))
-				break
-			}
-			a.pending = append(a.pending, sc.notifs[i])
+	for i := range sc.notifs {
+		if len(a.pending) >= a.cfg.NotifCap {
+			// Undrained backlog at the cap: drop newest, keep the
+			// oldest transitions (the raise that started the story).
+			a.notifDropped.Add(int64(len(sc.notifs) - i))
+			break
 		}
-		sc.notifs = sc.notifs[:0]
+		a.pending = append(a.pending, sc.notifs[i])
 	}
 	a.notifMu.Unlock()
+	sc.notifs = sc.notifs[:0]
 
-	// Queue the epoch for verdict subscribers (the rejuvenation
-	// controller). Skipped entirely with no subscribers, keeping plain
-	// deployments' folds allocation-free; delivery happens once foldMu is
-	// released (deliverEpochEvents), so a subscriber can call back into
-	// the aggregator.
-	a.epochSubMu.Lock()
-	if len(a.epochSubs) > 0 {
-		ev := EpochEvent{Epoch: k, Suppressed: suppressed, Active: active}
-		for ri := range a.resources {
-			ev.Verdicts = append(ev.Verdicts, a.foldScratch[ri].rep.Verdicts...)
-		}
+	if subscribed {
+		a.epochSubMu.Lock()
 		a.epochPending = append(a.epochPending, ev)
-	}
-	a.epochSubMu.Unlock()
-
-	// Release the per-seq snapshots this epoch consumed (≤ guards
-	// against stale keys surviving an epoch-base change across a
-	// rejoin). The report slices go back on the node's freelist.
-	for _, st := range a.all {
-		seq := k - st.epochBase
-		st.lane.mu.Lock()
-		for s, reps := range st.reportsAtSeq {
-			if s <= seq {
-				st.repsFree = append(st.repsFree, reps[:0])
-				delete(st.reportsAtSeq, s)
-			}
-		}
-		for s := range st.usageAtSeq {
-			if s <= seq {
-				delete(st.usageAtSeq, s)
-			}
-		}
-		st.lane.mu.Unlock()
+		a.epochSubMu.Unlock()
 	}
 }
 
-// foldEpochState is the epoch-constant context shared by the
-// per-resource fold workers.
-type foldEpochState struct {
-	k             int64
-	at            time.Time
-	active, total int
-	suppressed    bool
-	churning      bool
-	shiftDistance float64
-	shiftEpochs   int64
-}
-
-// foldResource assembles one resource's cluster report and verdicts for
-// the epoch. Callers (the fold's worker pool) pass disjoint resource
-// indices, and everything touched is either indexed by ri or owned by
-// this node+resource pair, so workers never share mutable state.
-func (a *Aggregator) foldResource(ri int, ep foldEpochState) {
-	res := a.resources[ri]
-	rep := a.nextReport(ri)
-	rep.Epoch = ep.k
-	rep.Time = ep.at
-	rep.Active = ep.active
-	rep.Total = ep.total
-	rep.Suppressed = ep.suppressed
-	rep.ShiftDistance = ep.shiftDistance
-	rep.ShiftEpochs = ep.shiftEpochs
-	rep.Churning = ep.churning
-
-	sc := &a.foldScratch[ri]
+// foldResource assembles resource ri's cluster report for the epoch
+// described by hdr from the epoch's alarms, and queues its notification
+// transitions. Caller holds a.foldMu.
+func (a *Aggregator) foldResource(ri int, hdr ClusterReport) *ClusterReport {
+	rep := a.nextReport(ri, hdr)
+	sc := &a.foldScratch
 	for comp, agg := range sc.byComponent {
 		agg.nodes = agg.nodes[:0]
 		*agg = verdictAgg{nodes: agg.nodes}
@@ -993,63 +933,54 @@ func (a *Aggregator) foldResource(ri int, ep foldEpochState) {
 	}
 	sc.compOrder = sc.compOrder[:0]
 
-	for _, fn := range a.foldNodes {
-		if ri >= len(fn.reps) {
+	for i := range a.foldAlarms {
+		al := &a.foldAlarms[i]
+		if al.res != ri {
 			continue
 		}
-		nodeRep := fn.reps[ri]
-		if nodeRep == nil {
-			continue
+		c := sc.byComponent[al.component]
+		if c == nil {
+			if k := len(sc.aggFree); k > 0 {
+				c = sc.aggFree[k-1]
+				sc.aggFree = sc.aggFree[:k-1]
+			} else {
+				c = &verdictAgg{}
+			}
+			sc.byComponent[al.component] = c
+			sc.compOrder = append(sc.compOrder, al.component)
 		}
-		st := fn.st
-		for _, v := range nodeRep.Components {
-			if !v.Alarm {
-				continue
-			}
-			c := sc.byComponent[v.Component]
-			if c == nil {
-				if k := len(sc.aggFree); k > 0 {
-					c = sc.aggFree[k-1]
-					sc.aggFree = sc.aggFree[:k-1]
-				} else {
-					c = &verdictAgg{}
-				}
-				sc.byComponent[v.Component] = c
-				sc.compOrder = append(sc.compOrder, v.Component)
-			}
-			c.nodes = append(c.nodes, st.name)
-			if v.Score > c.score {
-				c.score = v.Score
-			}
-			firstByComp := st.firstAlarm[ri]
-			if firstByComp == nil {
-				firstByComp = make(map[string]int64)
-				st.firstAlarm[ri] = firstByComp
-			}
-			first, seen := firstByComp[v.Component]
-			if !seen {
-				first = ep.k
-				firstByComp[v.Component] = ep.k
-			}
-			if c.firstEpoch == 0 || first < c.firstEpoch {
-				c.firstEpoch = first
-			}
-			c.changePoint = c.changePoint || v.ChangePoint
+		c.nodes = append(c.nodes, al.st.name)
+		if al.score > c.score {
+			c.score = al.score
 		}
+		firstByComp := al.st.firstAlarm[ri]
+		if firstByComp == nil {
+			firstByComp = make(map[string]int64)
+			al.st.firstAlarm[ri] = firstByComp
+		}
+		first, seen := firstByComp[al.component]
+		if !seen {
+			first = hdr.Epoch
+			firstByComp[al.component] = hdr.Epoch
+		}
+		if c.firstEpoch == 0 || first < c.firstEpoch {
+			c.firstEpoch = first
+		}
+		c.changePoint = c.changePoint || al.changePoint
 	}
 	for _, comp := range sc.compOrder {
 		c := sc.byComponent[comp]
 		v := ClusterVerdict{
-			Resource:    res,
+			Resource:    rep.Resource,
 			Component:   comp,
 			Nodes:       append([]string(nil), c.nodes...),
-			ActiveNodes: ep.active,
+			ActiveNodes: hdr.Active,
 			Score:       c.score,
 			FirstEpoch:  c.firstEpoch,
 			ChangePoint: c.changePoint,
 		}
-		if !ep.suppressed && ep.active >= 2 &&
-			float64(len(c.nodes)) > a.cfg.Quorum*float64(ep.active) {
+		if !hdr.Suppressed && hdr.Active >= 2 &&
+			float64(len(c.nodes)) > a.cfg.Quorum*float64(hdr.Active) {
 			v.ClusterWide = true
 		}
 		rep.Verdicts = append(rep.Verdicts, v)
@@ -1060,8 +991,8 @@ func (a *Aggregator) foldResource(ri int, ep foldEpochState) {
 		}
 		return rep.Verdicts[i].Component < rep.Verdicts[j].Component
 	})
-	sc.rep = rep
-	a.queueTransitions(sc, rep, ep.suppressed)
+	a.queueTransitions(rep)
+	return rep
 }
 
 // queueTransitions diffs a fresh report against the latched alarm set and
@@ -1070,10 +1001,10 @@ func (a *Aggregator) foldResource(ri int, ep foldEpochState) {
 // no node flags it any more. The alarming-node set may otherwise churn
 // without spamming the stream. New alarms and promotions are not
 // announced while suppressed (churn or node-mix shift); clears always
-// are. Caller is a fold worker: the latch map and scratch are owned by
-// this resource, and the notifications queue into the resource's scratch
-// so the fold can publish them in deterministic resource order.
-func (a *Aggregator) queueTransitions(sc *resourceFold, rep *ClusterReport, suppressed bool) {
+// are. Caller holds a.foldMu; the notifications queue into the fold
+// scratch, which foldEpoch publishes in resource order.
+func (a *Aggregator) queueTransitions(rep *ClusterReport) {
+	sc, suppressed := &a.foldScratch, rep.Suppressed
 	was := a.alarmed[rep.Resource]
 	clear(sc.seen)
 	for _, v := range rep.Verdicts {
@@ -1249,7 +1180,7 @@ func (a *Aggregator) deliverEpochEvents() {
 }
 
 // ResetNode clears a node's detection history — monitors, first-alarm
-// latches and pending per-seq snapshots — while keeping its sequence
+// latches and pending rounds — while keeping its sequence
 // numbering and epoch alignment. The rejuvenation controller calls it
 // right after a micro-reboot: the component restarts from a fresh
 // baseline, and trend state accumulated before the reboot would misread
@@ -1269,15 +1200,9 @@ func (a *Aggregator) ResetNode(node string) bool {
 	}
 	st.lane.mu.Lock()
 	for res := range st.monitors {
-		st.monitors[res] = detect.NewMonitor(res, a.monitorConfig(res))
+		st.monitors[res] = detect.NewMonitor(res, a.configs[res])
 	}
-	for s, reps := range st.reportsAtSeq {
-		st.repsFree = append(st.repsFree, reps[:0])
-		delete(st.reportsAtSeq, s)
-	}
-	for s := range st.usageAtSeq {
-		delete(st.usageAtSeq, s)
-	}
+	st.pending = st.pending[:0]
 	clear(st.firstSize)
 	st.lane.mu.Unlock()
 	return true
@@ -1319,9 +1244,9 @@ func (a *Aggregator) Nodes() []NodeStatus {
 
 // Report returns the latest cluster report for a resource (nil before the
 // first completed epoch). Reports publish from a recycled ring sized like
-// the node monitors' (Config.Detect.ReportRetention, floored at
-// StaleEpochs+3): the returned pointer stays valid for retention-1
-// further epochs, and a consumer that keeps one longer must copy it.
+// the node monitors' (Config.Detect.ReportRetention): the returned
+// pointer stays valid for retention-1 further epochs, and a consumer that
+// keeps one longer must copy it.
 func (a *Aggregator) Report(resource string) *ClusterReport {
 	a.repMu.RLock()
 	defer a.repMu.RUnlock()
@@ -1402,23 +1327,15 @@ func (a *Aggregator) LiveRank(resource string) rootcause.Ranking {
 			continue
 		}
 		st.lane.mu.Lock()
-		for _, s := range st.lastSamples {
+		for i := range st.lastSamples {
+			s := &st.lastSamples[i]
 			d := rootcause.ComponentData{Name: s.Component, Node: name, Usage: s.Usage}
-			switch resource {
-			case core.ResourceMemory:
-				if s.SizeOK {
-					if c := float64(s.Size - st.firstSize[s.Component]); c > 0 {
-						d.Consumption = c
-					}
+			if v, ok := s.ResourceValue(resource); ok {
+				if resource == core.ResourceMemory {
+					// Memory ranks by growth over the first measured size.
+					v = max(0, v-float64(st.firstSize[s.Component]))
 				}
-			case core.ResourceCPU:
-				d.Consumption = s.CPUSeconds
-			case core.ResourceThreads:
-				d.Consumption = float64(s.Threads)
-			case core.ResourceLatency:
-				d.Consumption = s.LatencySeconds
-			case core.ResourceHandles:
-				d.Consumption = float64(s.Handles)
+				d.Consumption = v
 			}
 			data = append(data, d)
 		}

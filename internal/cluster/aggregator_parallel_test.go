@@ -52,12 +52,12 @@ func shardedParityScenario(a *Aggregator) ([]jmx.Notification, map[string][]Clus
 }
 
 // TestAggregatorShardedFoldMatchesSerial pins the tentpole contract: the
-// lane-sharded aggregator with a parallel fold pool produces the same
-// notification stream, verdicts and membership as the serial reference
-// configuration (one lane, inline fold), byte for byte.
+// lane-sharded aggregator produces the same notification stream,
+// verdicts and membership as the serial reference configuration (one
+// lane), byte for byte.
 func TestAggregatorShardedFoldMatchesSerial(t *testing.T) {
-	serial := New(Config{Detect: testDetect(), IngestLanes: 1, FoldWorkers: 1})
-	sharded := New(Config{Detect: testDetect(), IngestLanes: 8, FoldWorkers: 4})
+	serial := New(Config{Detect: testDetect(), IngestLanes: 1})
+	sharded := New(Config{Detect: testDetect(), IngestLanes: 8})
 
 	wantNotifs, wantVerdicts, wantNodes := shardedParityScenario(serial)
 	gotNotifs, gotVerdicts, gotNodes := shardedParityScenario(sharded)
@@ -169,13 +169,13 @@ func TestAggregatorConcurrentPublishersSoak(t *testing.T) {
 
 // TestLeaveResetRaceParallelFold hammers the administrative membership
 // surface — Leave and ResetNode, the operations a rejuvenation
-// controller or an operator issues — against in-flight parallel folds
+// controller or an operator issues — against in-flight folds
 // and concurrent publishers. The race detector asserts the locking; the
 // test asserts the plane comes out coherent: nodes that kept publishing
 // rejoin, epochs advance, and every admission slot is released.
 func TestLeaveResetRaceParallelFold(t *testing.T) {
 	const nodes, rounds = 6, 80
-	a := New(Config{Detect: testDetect(), IngestLanes: 4, FoldWorkers: 4})
+	a := New(Config{Detect: testDetect(), IngestLanes: 4})
 	names := make([]string, nodes)
 	for i := range names {
 		names[i] = fmt.Sprintf("node%d", i+1)

@@ -153,13 +153,12 @@ func BenchmarkWireDecode(b *testing.B) {
 	})
 }
 
-// benchAggregatorConfig pins FoldWorkers to 1, the value
-// BENCH_baseline.json's aggregation_plane entries were recorded at (a
-// one-thread container, where the GOMAXPROCS default resolves to 1): the
-// fold spawns FoldWorkers goroutines per epoch, so leaving the default
-// makes the absolute allocs/op gate depend on the host's core count.
+// benchAggregatorConfig is the aggregator the aggregation-plane
+// benchmarks drive: the package defaults with the tests' detector
+// tuning. The fold runs inline, so allocs/op does not depend on the
+// host's core count.
 func benchAggregatorConfig() Config {
-	return Config{Detect: testDetect(), FoldWorkers: 1}
+	return Config{Detect: testDetect()}
 }
 
 // BenchmarkAggregatorIngest measures folding one node round into the

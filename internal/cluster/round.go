@@ -13,15 +13,16 @@
 // forwarder connections contend only when their nodes share a lane, and
 // the former global mutex survives only as the fold lock, taken by the
 // one round per epoch that advances the watermark (plus joins, leaves
-// and staleness eviction). Epoch folding runs off the ingest critical
-// section on a bounded worker pool, and the read paths (Epoch,
-// TotalRounds, Nodes, Report, DrainNotifications) ride atomics and
-// snapshots so monitoring the monitor never stalls ingest; see the lock
-// hierarchy on Aggregator. Wire transports deliver each node's rounds in
+// and staleness eviction). Detection runs at ingest, on the node's lane:
+// each round leaves a small pending record (its alarms and usage total),
+// and the epoch fold reads only those records, inline on the goroutine
+// that completed the epoch. The read paths (Epoch, TotalRounds, Nodes,
+// Report, DrainNotifications) ride atomics and snapshots so monitoring
+// the monitor never stalls ingest; see the lock hierarchy on Aggregator. Wire transports deliver each node's rounds in
 // order on a dedicated goroutine; cross-node interleaving is absorbed by
 // the epoch logic, which folds rounds by per-node sequence number and
 // therefore produces transport-independent verdicts — byte-identical
-// whatever the lane count, worker count or transport. The Balancer takes
+// whatever the lane count or transport. The Balancer takes
 // its own small mutex per request; requests are emulated-browser
 // interactions (think-time scale), not join points.
 //

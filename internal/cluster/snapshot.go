@@ -1,6 +1,7 @@
 // Aggregator snapshot/restore: the durable-state surface that lets the
 // monitoring plane survive its own death. Snapshot captures the exact
-// verdict-bearing state — per-node detector banks, epoch watermarks,
+// verdict-bearing state — per-node detector banks, the rounds each node
+// has delivered but no epoch has folded yet, epoch watermarks,
 // clock-normalisation state, churn/stale bookkeeping, alarm latches —
 // as one versioned binary blob; Restore rebuilds a fresh aggregator
 // from it so the restored plane folds the next epoch exactly as the
@@ -38,8 +39,10 @@ import (
 // codec's frames and from the detect-layer snapshots it embeds.
 var aggSnapMagic = [4]byte{'A', 'G', 'S', 'N'}
 
-// aggSnapVersion versions the aggregator snapshot format.
-const aggSnapVersion = 1
+// aggSnapVersion versions the aggregator snapshot format. v2 records a
+// node's pending rounds as their usage totals and alarms, not as whole
+// detector reports.
+const aggSnapVersion = 2
 
 // Decode bounds: a corrupt or hostile snapshot may not declare counts
 // that drive allocation beyond these.
@@ -182,32 +185,20 @@ func (a *Aggregator) appendNodeSnapshot(dst []byte, st *nodeState) []byte {
 		dst = st.monitors[res].AppendSnapshot(dst)
 	}
 
-	// Unconsumed per-round report snapshots and usage totals — the
-	// rounds the next fold will read — in sequence order.
-	seqs := make([]int64, 0, len(st.reportsAtSeq))
-	for s := range st.reportsAtSeq {
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	dst = binc.AppendUvarint(dst, uint64(len(seqs)))
-	for _, s := range seqs {
-		dst = binc.AppendVarint(dst, s)
-		reps := st.reportsAtSeq[s]
-		dst = binc.AppendUvarint(dst, uint64(len(reps)))
-		for _, rep := range reps {
-			dst = rep.AppendSnapshot(dst)
+	// Pending rounds — the ones the next folds will read — in sequence
+	// order, each with its alarms in record order.
+	dst = binc.AppendUvarint(dst, uint64(len(st.pending)))
+	for i := range st.pending {
+		rec := &st.pending[i]
+		dst = binc.AppendVarint(dst, rec.seq)
+		dst = binc.AppendFloat(dst, rec.usage)
+		dst = binc.AppendUvarint(dst, uint64(len(rec.alarms)))
+		for _, al := range rec.alarms {
+			dst = binc.AppendUvarint(dst, uint64(al.res))
+			dst = binc.AppendString(dst, al.component)
+			dst = binc.AppendFloat(dst, al.score)
+			dst = binc.AppendBool(dst, al.changePoint)
 		}
-	}
-
-	seqs = seqs[:0]
-	for s := range st.usageAtSeq {
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	dst = binc.AppendUvarint(dst, uint64(len(seqs)))
-	for _, s := range seqs {
-		dst = binc.AppendVarint(dst, s)
-		dst = binc.AppendFloat(dst, st.usageAtSeq[s])
 	}
 	return dst
 }
@@ -455,60 +446,13 @@ func (a *Aggregator) restoreNodeLocked(p *binc.Parser, st *nodeState) error {
 		if mon.Resource() != res {
 			return fmt.Errorf("cluster: node %s: snapshot monitor watches %q, want %q", st.name, mon.Resource(), res)
 		}
-		if mon.Config() != a.monitorConfig(res).Canonical() {
+		if mon.Config() != a.configs[res].Canonical() {
 			return fmt.Errorf("cluster: node %s monitor %s: snapshot detector config differs from the aggregator's", st.name, res)
 		}
 		st.monitors[res] = mon
 	}
 
-	nrep := p.Count(maxAggSnapPending)
-	prevSeq := int64(0)
-	for i := 0; i < nrep; i++ {
-		s := p.Varint()
-		if p.Err() != nil {
-			return p.Err()
-		}
-		if s <= prevSeq || s > seq {
-			return fmt.Errorf("cluster: node %s: pending report seq %d out of order (prev %d, head %d)",
-				st.name, s, prevSeq, seq)
-		}
-		prevSeq = s
-		nr := p.Count(len(a.resources))
-		if p.Err() == nil && nr != len(a.resources) {
-			return fmt.Errorf("cluster: node %s seq %d: %d reports for %d resources", st.name, s, nr, len(a.resources))
-		}
-		reps := make([]*detect.Report, 0, len(a.resources))
-		for _, res := range a.resources {
-			rep, err := detect.RestoreReportSnapshot(p)
-			if err != nil {
-				return fmt.Errorf("cluster: node %s seq %d: %w", st.name, s, err)
-			}
-			if rep.Resource != res {
-				return fmt.Errorf("cluster: node %s seq %d: report for %q, want %q", st.name, s, rep.Resource, res)
-			}
-			reps = append(reps, rep)
-		}
-		st.reportsAtSeq[s] = reps
-	}
-
-	nuse := p.Count(maxAggSnapPending)
-	prevSeq = 0
-	for i := 0; i < nuse; i++ {
-		s := p.Varint()
-		u := p.Float()
-		if p.Err() != nil {
-			return p.Err()
-		}
-		if s <= prevSeq || s > seq {
-			return fmt.Errorf("cluster: node %s: pending usage seq %d out of order", st.name, s)
-		}
-		if !aggFinite(u) {
-			return fmt.Errorf("cluster: node %s seq %d: non-finite usage total", st.name, s)
-		}
-		prevSeq = s
-		st.usageAtSeq[s] = u
-	}
-	if err := p.Err(); err != nil {
+	if err := a.restorePendingLocked(p, st, active, seq, epochBase); err != nil {
 		return err
 	}
 
@@ -522,6 +466,60 @@ func (a *Aggregator) restoreNodeLocked(p *binc.Parser, st *nodeState) error {
 	st.seqA.Store(seq)
 	st.epochA.Store(epochBase + seq)
 	return nil
+}
+
+// restorePendingLocked reads one node's pending rounds. They must be
+// canonical — strictly increasing sequences past the last folded epoch
+// and at most the node's head, alarms in resource order and, within a
+// resource, highest score first with ties by component — and only an
+// active node may hold any. Caller holds a.foldMu and st.lane.mu.
+func (a *Aggregator) restorePendingLocked(p *binc.Parser, st *nodeState, active bool, head, epochBase int64) error {
+	n := p.Count(maxAggSnapPending)
+	if p.Err() == nil && n > 0 && !active {
+		return fmt.Errorf("cluster: node %s: inactive node holds %d pending rounds", st.name, n)
+	}
+	prevSeq := a.epochFolded - epochBase
+	for i := 0; i < n; i++ {
+		rec := st.nextPending(p.Varint())
+		rec.usage = p.Float()
+		nal := p.Count(maxAggSnapComps)
+		if p.Err() != nil {
+			return p.Err()
+		}
+		if rec.seq <= prevSeq || rec.seq > head {
+			return fmt.Errorf("cluster: node %s: pending round %d out of order (prev %d, head %d)",
+				st.name, rec.seq, prevSeq, head)
+		}
+		prevSeq = rec.seq
+		if !aggFinite(rec.usage) {
+			return fmt.Errorf("cluster: node %s round %d: non-finite usage total", st.name, rec.seq)
+		}
+		for j := 0; j < nal; j++ {
+			res := p.Uvarint()
+			al := nodeAlarm{res: int(res), component: p.String(maxAggSnapStr)}
+			al.score = p.Float()
+			al.changePoint = p.Bool()
+			if p.Err() != nil {
+				return p.Err()
+			}
+			if res >= uint64(len(a.resources)) {
+				return fmt.Errorf("cluster: node %s round %d: alarm resource index %d out of range", st.name, rec.seq, res)
+			}
+			if !aggFinite(al.score) {
+				return fmt.Errorf("cluster: node %s round %d: non-finite score for %q", st.name, rec.seq, al.component)
+			}
+			if j > 0 {
+				prev := &rec.alarms[j-1]
+				if al.res < prev.res || al.res == prev.res && (al.score > prev.score ||
+					al.score == prev.score && al.component <= prev.component) {
+					return fmt.Errorf("cluster: node %s round %d: alarms not in canonical order (%q after %q)",
+						st.name, rec.seq, al.component, prev.component)
+				}
+			}
+			rec.alarms = append(rec.alarms, al)
+		}
+	}
+	return p.Err()
 }
 
 func restoreSampleSnapshot(p *binc.Parser, s *core.ComponentSample) error {

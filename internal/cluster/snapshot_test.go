@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -99,6 +100,70 @@ func TestAggregatorSnapshotParity(t *testing.T) {
 	}
 
 	// The decisive check: the two planes' durable state is bit-identical.
+	if !bytes.Equal(restored.Snapshot(), ref.Snapshot()) {
+		t.Fatalf("final snapshots differ between restored and uninterrupted runs")
+	}
+}
+
+// TestAggregatorSnapshotParityPending snapshots mid-epoch: two of three
+// nodes have delivered round N+1, one of them alarming, so the snapshot
+// carries rounds ingested but not yet folded. The restored plane must
+// fold epoch N+1 from them exactly as the uninterrupted one does.
+func TestAggregatorSnapshotParityPending(t *testing.T) {
+	cfg := Config{Detect: testDetect(), IngestLanes: 4}
+	nodes := []string{"node1", "node2", "node3"}
+	leaks := map[string]int64{"node2": 4096}
+	const N, M = 25, 15
+	t0 := time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)
+	at := t0.Add((N + 1) * 30 * time.Second)
+	early := func(a *Aggregator) {
+		a.Ingest(syntheticRound("node1", N+1, at, 0))
+		a.Ingest(syntheticRound("node2", N+1, at, leaks["node2"]))
+	}
+	rest := func(a *Aggregator) {
+		a.Ingest(syntheticRound("node3", N+1, at, 0))
+		feedSnap(a, nodes, leaks, N+2, N+M)
+	}
+
+	ref := New(cfg)
+	var refEvents []string
+	recordEpochs(ref, &refEvents)
+	ref.Expect(nodes...)
+	feedSnap(ref, nodes, leaks, 1, N)
+	early(ref)
+	rest(ref)
+
+	live := New(cfg)
+	live.Expect(nodes...)
+	feedSnap(live, nodes, leaks, 1, N)
+	early(live)
+	if got := live.Epoch(); got != N {
+		t.Fatalf("epoch %d folded with node3 missing; want %d", got, N)
+	}
+	if rep := live.NodeReport("node2", core.ResourceMemory); rep == nil || len(rep.Alarms()) == 0 {
+		t.Fatalf("node2's pending round does not alarm: %v", rep)
+	}
+	snap := live.Snapshot()
+
+	restored := New(cfg)
+	if err := restored.Restore(snap); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	var gotEvents []string
+	recordEpochs(restored, &gotEvents)
+	rest(restored)
+
+	if len(refEvents) != N+M || len(gotEvents) != M {
+		t.Fatalf("epoch events: reference %d, restored %d; want %d and %d", len(refEvents), len(gotEvents), N+M, M)
+	}
+	for i, want := range refEvents[N:] {
+		if gotEvents[i] != want {
+			t.Fatalf("epoch event %d diverged after restore:\n got %s\nwant %s", N+1+i, gotEvents[i], want)
+		}
+	}
+	if !strings.Contains(gotEvents[0], "node2") {
+		t.Fatalf("epoch %d does not carry node2's pending alarm: %s", N+1, gotEvents[0])
+	}
 	if !bytes.Equal(restored.Snapshot(), ref.Snapshot()) {
 		t.Fatalf("final snapshots differ between restored and uninterrupted runs")
 	}
@@ -246,6 +311,100 @@ func TestAggregatorRestoreRejectsCorruption(t *testing.T) {
 	if err := fresh().Restore(append(append([]byte(nil), snap...), 0)); err == nil {
 		t.Error("trailing byte accepted")
 	}
+
+	// The pending section: node1 has delivered round 13 alone, alarming.
+	// Each case corrupts that record in a restored copy, re-snapshots it
+	// and requires Restore to refuse the result.
+	feedSnap(a, []string{"node1", "node2"}, map[string]int64{"node1": 2048}, 7, 12)
+	feedSnap(a, []string{"node1"}, map[string]int64{"node1": 2048}, 13, 13)
+	pendingSnap := a.Snapshot()
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(st *nodeState)
+	}{
+		{"seq repeated", "out of order", func(st *nodeState) { st.pending = append(st.pending, st.pending[0]) }},
+		{"seq already folded", "out of order", func(st *nodeState) { st.pending[0].seq = 12 }},
+		{"seq past head", "out of order", func(st *nodeState) { st.pending[0].seq = st.seq + 1 }},
+		{"resource index", "out of range", func(st *nodeState) {
+			st.pending[0].alarms = append(st.pending[0].alarms, nodeAlarm{res: len(core.DetectorResources), component: "leaky"})
+		}},
+		{"non-finite score", "non-finite", func(st *nodeState) { st.pending[0].alarms[0].score = math.NaN() }},
+		{"component order", "canonical order", func(st *nodeState) {
+			al := st.pending[0].alarms[0]
+			al.component, al.score = "zzz", al.score+1
+			st.pending[0].alarms = append(st.pending[0].alarms, al)
+		}},
+		{"inactive holder", "inactive", func(st *nodeState) { st.active.Store(false) }},
+	} {
+		b := fresh()
+		if err := b.Restore(pendingSnap); err != nil {
+			t.Fatalf("%s: Restore of the intact snapshot: %v", tc.name, err)
+		}
+		st := b.byName["node1"]
+		if len(st.pending) != 1 || len(st.pending[0].alarms) == 0 {
+			t.Fatalf("node1 pending = %+v, want one alarming round", st.pending)
+		}
+		tc.corrupt(st)
+		if err := fresh().Restore(b.Snapshot()); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestAggregatorPendingRoundsBoundedAndReleased pins the pending records'
+// lifetime: a node ahead of the fold holds one record per unfolded round,
+// and the fold, ResetNode and Leave release them, so a rejoin starts from
+// its new round alone.
+func TestAggregatorPendingRoundsBoundedAndReleased(t *testing.T) {
+	a := New(Config{Detect: testDetect()})
+	nodes := []string{"node1", "node2"}
+	a.Expect(nodes...)
+	feedSnap(a, nodes, map[string]int64{"node1": 2048}, 1, 10)
+	held := func(node string) int {
+		st := a.byName[node]
+		st.lane.mu.Lock()
+		defer st.lane.mu.Unlock()
+		return len(st.pending)
+	}
+	ingest := func(node string, seq int64) {
+		at := time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(seq) * 30 * time.Second)
+		a.Ingest(syntheticRound(node, seq, at, 0))
+	}
+	expect := func(step string, epoch int64, n1, n2 int) {
+		t.Helper()
+		if got := a.Epoch(); got != epoch {
+			t.Fatalf("%s: epoch %d, want %d", step, got, epoch)
+		}
+		if g1, g2 := held("node1"), held("node2"); g1 != n1 || g2 != n2 {
+			t.Fatalf("%s: pending node1=%d node2=%d, want %d and %d", step, g1, g2, n1, n2)
+		}
+	}
+	expect("in lockstep", 10, 0, 0)
+
+	ahead := int64(a.cfg.StaleEpochs - 1)
+	for s := int64(11); s <= 10+ahead; s++ {
+		ingest("node1", s)
+	}
+	expect("node1 ahead", 10, int(ahead), 0)
+	for s := int64(11); s <= 10+ahead; s++ {
+		ingest("node2", s)
+	}
+	head := 10 + ahead
+	expect("node2 caught up", head, 0, 0)
+
+	ingest("node1", head+1)
+	a.ResetNode("node1")
+	expect("ResetNode", head, 0, 0)
+	ingest("node2", head+1)
+	expect("fold without node1's round", head+1, 0, 0)
+
+	ingest("node1", head+2)
+	a.Leave("node1")
+	expect("Leave", head+1, 0, 0)
+	ingest("node1", head+3) // rejoins aligned to epoch head+2
+	expect("rejoin", head+1, 1, 0)
+	ingest("node2", head+2)
+	expect("fold after rejoin", head+2, 0, 0)
 }
 
 // TestAggregatorSnapshotGolden pins the on-disk format: if this breaks,
@@ -273,7 +432,7 @@ func chunk80(s string) string {
 }
 
 var aggSnapshotGoldenHex = []string{
-	"4147534e0105066d656d6f7279036370750774687265616473076c6174656e63790768616e646c65",
+	"4147534e0205066d656d6f7279036370750774687265616473076c6174656e63790768616e646c65",
 	"730606000001333333333333c33f059a9999999999c93f000000000000f83f0101026e3100000000",
 	"0000f03f0000000000000000333333333333c33f000006000180b08dabf9b4cd84238090c8afb8b8",
 	"cd842300000000000001026e31010601008090c8afb8b8cd8423000000000000c0824002056c6561",
@@ -323,7 +482,7 @@ var aggSnapshotGoldenHex = []string{
 	"230402000000000000000000000000000000000000000000003e4000000000000000000000000000",
 	"000000000000000000c072400100000000000000000000026f6b01147b14ae47e17a843f80e0aaed",
 	"d8b6cd84230402000000000000000000000000000000000000000000003e40000000000000000000",
-	"00000000000000000000000000c0724001000000000000000000000000",
+	"00000000000000000000000000c07240010000000000000000000000",
 }
 
 func FuzzAggregatorSnapshot(f *testing.F) {

@@ -175,33 +175,40 @@ func (b *DetectorBank) Verdicts(resource string) []rootcause.LiveVerdict {
 	return out
 }
 
+// ResourceValue projects a sample onto one detector resource: the value
+// the detectors track for it, and whether the sample measures the
+// resource at all (memory needs a size measurement). It is the single
+// place the sample→resource choice lives: AppendObservations and the
+// cluster aggregator's live ranking both use it.
+func (s *ComponentSample) ResourceValue(resource string) (float64, bool) {
+	switch resource {
+	case ResourceMemory:
+		return float64(s.Size), s.SizeOK
+	case ResourceCPU:
+		return s.CPUSeconds, true
+	case ResourceThreads:
+		return float64(s.Threads), true
+	case ResourceLatency:
+		return s.LatencySeconds, true
+	case ResourceHandles:
+		return float64(s.Handles), true
+	}
+	return 0, true
+}
+
 // AppendObservations maps a sampling round's batch onto the detect
 // package's observation type for one resource, into a caller-owned buffer:
 // it appends one observation per applicable sample to dst and returns the
 // extended slice, so per-round callers project every round without
-// allocating. It is the single place the sample→observation projection
-// lives: the manager's bank and the cluster aggregator's per-node banks
-// both use it, so per-node cluster verdicts carry exactly single-node
-// semantics.
+// allocating. The manager's bank and the cluster aggregator's per-node
+// banks both use it, so per-node cluster verdicts carry exactly
+// single-node semantics.
 func AppendObservations(dst []detect.Observation, resource string, batch []ComponentSample) []detect.Observation {
-	for _, s := range batch {
-		o := detect.Observation{Component: s.Component, Usage: float64(s.Usage)}
-		switch resource {
-		case ResourceMemory:
-			if !s.SizeOK {
-				continue
-			}
-			o.Value = float64(s.Size)
-		case ResourceCPU:
-			o.Value = s.CPUSeconds
-		case ResourceThreads:
-			o.Value = float64(s.Threads)
-		case ResourceLatency:
-			o.Value = s.LatencySeconds
-		case ResourceHandles:
-			o.Value = float64(s.Handles)
+	for i := range batch {
+		s := &batch[i]
+		if v, ok := s.ResourceValue(resource); ok {
+			dst = append(dst, detect.Observation{Component: s.Component, Usage: float64(s.Usage), Value: v})
 		}
-		dst = append(dst, o)
 	}
 	return dst
 }

@@ -288,9 +288,9 @@ type componentState struct {
 // resource. Observe is single-owner (the sampling round); Latest is safe
 // from any goroutine. "Single-owner" is a contract, not a serial-world
 // assumption: owners may move between goroutines as long as calls never
-// overlap — the cluster aggregator's parallel fold pool drives many
-// monitors concurrently, one worker per node's bank at a time, and is
-// exactly such an owner.
+// overlap — the cluster aggregator drives each node's monitors from
+// whichever goroutine ingests that node's round, under the node's lane
+// lock, and is exactly such an owner.
 //
 // A steady-state Observe round allocates nothing: the round's scratch,
 // the guard's distributions, every detector's window state, the one

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/binc"
-	"repro/internal/metrics"
 )
 
 // This file gives every detector exact-state binary snapshots, so the
@@ -47,7 +46,6 @@ const (
 	entropySnapVersion = 1
 	guardSnapVersion   = 1
 	monSnapVersion     = 1
-	reportSnapVersion  = 1
 )
 
 // Decode bounds: a corrupt or adversarial snapshot may not drive
@@ -558,91 +556,4 @@ func RestoreMonitor(data []byte) (*Monitor, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// ---- Report ----
-
-// AppendSnapshot appends the report's versioned state. The aggregation
-// plane serialises pending per-round reports with this (rounds ingested
-// but not yet folded into an epoch), so a restored aggregator folds them
-// exactly as the original would have.
-func (r *Report) AppendSnapshot(dst []byte) []byte {
-	dst = append(dst, reportSnapVersion)
-	dst = binc.AppendString(dst, r.Resource)
-	dst = binc.AppendVarint(dst, r.Round)
-	dst = binc.AppendVarint(dst, r.Time.UnixNano())
-	dst = binc.AppendBool(dst, r.Suppressed)
-	dst = binc.AppendFloat(dst, r.ShiftDistance)
-	dst = binc.AppendVarint(dst, r.ShiftRounds)
-	dst = binc.AppendFloat(dst, r.Entropy)
-	dst = binc.AppendBool(dst, r.EntropyObserved)
-	dst = binc.AppendBool(dst, r.EntropyAlarm)
-	dst = binc.AppendString(dst, r.EntropySuspect)
-	dst = binc.AppendUvarint(dst, uint64(len(r.Components)))
-	for i := range r.Components {
-		v := &r.Components[i]
-		dst = binc.AppendString(dst, v.Component)
-		dst = binc.AppendBool(dst, v.Alarm)
-		dst = binc.AppendFloat(dst, v.Score)
-		dst = append(dst, byte(v.Trend.Direction))
-		dst = binc.AppendVarint(dst, v.Trend.S)
-		dst = binc.AppendFloat(dst, v.Trend.Z)
-		dst = binc.AppendFloat(dst, v.Trend.P)
-		dst = binc.AppendFloat(dst, v.Trend.SenSlope)
-		dst = binc.AppendUvarint(dst, uint64(v.Streak))
-		dst = binc.AppendUvarint(dst, uint64(v.Samples))
-		dst = binc.AppendFloat(dst, v.Share)
-		dst = binc.AppendVarint(dst, v.FirstAlarmRound)
-		dst = binc.AppendBool(dst, v.ChangePoint)
-	}
-	return dst
-}
-
-// RestoreReportSnapshot builds a freshly allocated Report from a snapshot
-// read off p.
-func RestoreReportSnapshot(p *binc.Parser) (*Report, error) {
-	if v := p.Byte(); p.Err() == nil && v != reportSnapVersion {
-		return nil, fmt.Errorf("detect: report snapshot v%d: %w", v, binc.ErrVersion)
-	}
-	r := &Report{}
-	r.Resource = p.String(maxSnapString)
-	r.Round = p.Varint()
-	r.Time = time.Unix(0, p.Varint()).UTC()
-	r.Suppressed = p.Bool()
-	r.ShiftDistance = p.Float()
-	r.ShiftRounds = p.Varint()
-	r.Entropy = p.Float()
-	r.EntropyObserved = p.Bool()
-	r.EntropyAlarm = p.Bool()
-	r.EntropySuspect = p.String(maxSnapString)
-	n := p.Count(maxSnapComps)
-	if p.Err() != nil {
-		return nil, p.Err()
-	}
-	r.Components = make([]Verdict, 0, n)
-	for i := 0; i < n; i++ {
-		var v Verdict
-		v.Component = p.String(maxSnapString)
-		v.Alarm = p.Bool()
-		v.Score = p.Float()
-		dir := p.Byte()
-		if p.Err() == nil && dir > byte(metrics.TrendDecreasing) {
-			return nil, fmt.Errorf("detect: report snapshot trend direction %d", dir)
-		}
-		v.Trend.Direction = metrics.TrendDirection(dir)
-		v.Trend.S = p.Varint()
-		v.Trend.Z = p.Float()
-		v.Trend.P = p.Float()
-		v.Trend.SenSlope = p.Float()
-		v.Streak = p.Count(maxSnapCounter)
-		v.Samples = p.Count(maxSnapCounter)
-		v.Share = p.Float()
-		v.FirstAlarmRound = p.Varint()
-		v.ChangePoint = p.Bool()
-		if p.Err() != nil {
-			return nil, p.Err()
-		}
-		r.Components = append(r.Components, v)
-	}
-	return r, nil
 }

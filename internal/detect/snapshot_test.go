@@ -268,30 +268,6 @@ func TestEntropySnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReportSnapshotRoundTrip(t *testing.T) {
-	m := NewMonitor("memory", snapTestConfig())
-	t0 := time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)
-	var rep *Report
-	for r := int64(1); r <= 25; r++ {
-		rep = m.Observe(t0.Add(time.Duration(r)*30*time.Second), snapObs(r))
-	}
-	snap := rep.AppendSnapshot(nil)
-	p := binc.NewParser(snap)
-	got, err := RestoreReportSnapshot(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Done(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, rep.Clone()) {
-		t.Fatalf("restored report differs:\n%+v\nvs\n%+v", got, rep)
-	}
-	if !bytes.Equal(got.AppendSnapshot(nil), snap) {
-		t.Fatal("report snapshot not canonical")
-	}
-}
-
 // TestMonitorSnapshotGolden pins the v1 monitor snapshot format byte for
 // byte. If this fails, the format changed: bump monSnapVersion and keep
 // decoding v1, or update the golden only with a deliberate format break.

@@ -46,11 +46,10 @@ type ClusterConfig struct {
 	// StaleEpochs overrides the aggregator's laggard-eviction window
 	// (0 = its default; a batched Link widens it to twice the batch).
 	StaleEpochs int
-	// IngestLanes and FoldWorkers tune the aggregator's sharded ingest
-	// plane (0 = defaults; 1/1 = the serial reference configuration).
-	// Verdicts must not depend on either.
+	// IngestLanes sizes the aggregator's sharded ingest plane (0 = its
+	// default; 1 = the serial reference configuration). Verdicts must
+	// not depend on it.
 	IngestLanes int
-	FoldWorkers int
 	// Rejuv, when non-nil, closes the loop: a rejuvenation controller
 	// subscribes to the aggregator's epoch verdicts and drives the
 	// drain / micro-reboot / probation / re-admit cycle against the
@@ -180,7 +179,6 @@ func (cs *ClusterStack) assemble(cfg ClusterConfig) error {
 		Detect:         cfg.Detect,
 		StaleEpochs:    cfg.StaleEpochs,
 		IngestLanes:    cfg.IngestLanes,
-		FoldWorkers:    cfg.FoldWorkers,
 		LaneQueueDepth: cfg.LaneQueueDepth,
 	})
 	agg := cluster.New(aggCfg)

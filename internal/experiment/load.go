@@ -84,10 +84,9 @@ type LoadConfig struct {
 	// link batches 8 rounds per frame unless BatchRounds says otherwise
 	// (fleet fan-in is what BATCH frames exist for).
 	Link MonitorLink
-	// IngestLanes and FoldWorkers tune the aggregator's sharded ingest
-	// plane (0 = defaults).
+	// IngestLanes sizes the aggregator's sharded ingest plane (0 = its
+	// default).
 	IngestLanes int
-	FoldWorkers int
 }
 
 // LoadStack is the assembled load tier of one process: a sharded driver
@@ -122,7 +121,6 @@ func NewLoadStack(cfg LoadConfig) (*LoadStack, error) {
 		ls.Aggregator = cluster.New(cfg.Link.aggregatorConfig(cluster.Config{
 			Detect:      cfg.Detect,
 			IngestLanes: cfg.IngestLanes,
-			FoldWorkers: cfg.FoldWorkers,
 		}))
 	}
 	var assemble func(shard int, engine *sim.Engine) (eb.Target, error)

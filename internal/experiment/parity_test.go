@@ -71,19 +71,18 @@ var parityVariants = []struct {
 	name string
 	cc   ClusterConfig
 }{
-	{"inproc-sharded", ClusterConfig{IngestLanes: 8, FoldWorkers: 4}},
-	{"binary-sharded", ClusterConfig{Link: MonitorLink{Wire: true}, IngestLanes: 8, FoldWorkers: 4}},
-	{"binary-batched-sharded", ClusterConfig{Link: MonitorLink{Wire: true, BatchRounds: 4}, IngestLanes: 8, FoldWorkers: 4}},
+	{"inproc-sharded", ClusterConfig{IngestLanes: 8}},
+	{"binary-sharded", ClusterConfig{Link: MonitorLink{Wire: true}, IngestLanes: 8}},
+	{"binary-batched-sharded", ClusterConfig{Link: MonitorLink{Wire: true, BatchRounds: 4}, IngestLanes: 8}},
 }
 
 // TestClusterTransportParity is the transport- and plane-independence
 // contract: the same three-node leak scenario must produce identical
 // cluster and per-node verdicts whatever carries the rounds (in-process
 // calls, binary frames, batched binary frames) and whatever folds them
-// (the serial reference aggregator or the sharded ingest plane with a
-// parallel fold pool).
+// (the serial reference aggregator or the sharded ingest plane).
 func TestClusterTransportParity(t *testing.T) {
-	serial := runParityScenario(t, scenarioCfg, ClusterConfig{IngestLanes: 1, FoldWorkers: 1})
+	serial := runParityScenario(t, scenarioCfg, ClusterConfig{IngestLanes: 1})
 	for _, v := range parityVariants {
 		got := runParityScenario(t, scenarioCfg, v.cc)
 		if !reflect.DeepEqual(serial.clusterReports, got.clusterReports) {
@@ -111,7 +110,7 @@ func TestClusterTransportParityFullScale(t *testing.T) {
 	}
 	cfg := scenarioCfg
 	cfg.TimeScale = 1.0
-	serial := runParityScenario(t, cfg, ClusterConfig{IngestLanes: 1, FoldWorkers: 1})
+	serial := runParityScenario(t, cfg, ClusterConfig{IngestLanes: 1})
 	batched := runParityScenario(t, cfg, parityVariants[len(parityVariants)-1].cc)
 	if !reflect.DeepEqual(serial.clusterReports, batched.clusterReports) {
 		t.Fatalf("full-scale cluster reports differ:\nserial:  %+v\nbatched: %+v",
