@@ -20,6 +20,12 @@ import (
 // promoted to cluster-wide.
 const NotifClusterAlarm = "aging.cluster.alarm"
 
+// quorum is the fraction of active nodes that must alarm on the same
+// component before the verdict is cluster-wide rather than node-local:
+// strictly more than half. Cluster-wide promotion also needs at least two
+// active nodes.
+const quorum = 0.5
+
 // Config tunes an Aggregator. The zero value selects the documented
 // defaults.
 type Config struct {
@@ -27,11 +33,6 @@ type Config struct {
 	// single-node manager: see core.ResourceDetectorConfigs). Its
 	// Shift* fields also tune the cluster-level node-mix guard.
 	Detect detect.Config
-	// Quorum is the fraction of active nodes that must alarm on the same
-	// component before the verdict is cluster-wide rather than
-	// node-local (default 0.5: strictly more than half). Cluster-wide
-	// promotion needs at least two active nodes.
-	Quorum float64
 	// StaleEpochs is how many epochs a node may lag behind the most
 	// advanced node before it is considered gone and marked inactive
 	// (default 3). Epoch completion never stalls on a dead node.
@@ -64,9 +65,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Quorum <= 0 || c.Quorum >= 1 {
-		c.Quorum = 0.5
-	}
 	if c.StaleEpochs <= 0 {
 		c.StaleEpochs = 3
 	}
@@ -980,7 +978,7 @@ func (a *Aggregator) foldResource(ri int, hdr ClusterReport) *ClusterReport {
 			ChangePoint: c.changePoint,
 		}
 		if !hdr.Suppressed && hdr.Active >= 2 &&
-			float64(len(c.nodes)) > a.cfg.Quorum*float64(hdr.Active) {
+			float64(len(c.nodes)) > quorum*float64(hdr.Active) {
 			v.ClusterWide = true
 		}
 		rep.Verdicts = append(rep.Verdicts, v)

@@ -10,10 +10,10 @@ import (
 	"repro/internal/metrics"
 )
 
-// componentRecord holds the collector's per-component series. The series
-// are internally concurrent (lock-free appends, non-blocking reads) and
-// the baseline is atomic, so records need no lock of their own: readers
-// and the sampler touch them directly.
+// componentRecord holds the collector's per-component series. Each series
+// has one writer, the sampling round under sampleMu, and lock-free
+// readers; the baseline is atomic. So records need no lock of their own:
+// readers and the sampler touch them directly.
 type componentRecord struct {
 	name     string
 	target   any
@@ -262,19 +262,33 @@ func (c *Collector) roundRecords() []*componentRecord {
 // per-call object-name formatting and argument boxing, and the paper's
 // decoupling (replace an agent without touching an AC) lives in the agent
 // object either way. Rounds are serialised against each other (so the
-// series stay time-ordered) but the round holds no lock that invocation
-// recording or root-cause queries take: ingestion appends go straight to
-// the per-record lock-free series. At steady state the round allocates
-// nothing: the record snapshot, the measurement batch and the observer
-// sample batch are all collector-owned and reused (see SampleObserver for
-// the borrow contract).
+// series stay time-ordered and each has one writer) but the round holds
+// no lock that invocation recording or root-cause queries take: queries
+// read the series lock-free while the round appends. At steady state the
+// round allocates nothing: the record snapshot, the measurement batch and
+// the observer sample batch are all collector-owned and reused (see
+// SampleObserver for the borrow contract).
 //
 // Rounds must be sampled at non-decreasing instants of the collector's own
 // clock; cross-node clock disagreement is normalised downstream by the
 // aggregator, never here.
 func (c *Collector) Sample(now time.Time) {
 	c.sampleMu.Lock()
+	defer c.sampleMu.Unlock()
+	c.round(now)
+}
 
+// sampleNow runs one round stamped with the framework clock. The instant
+// is read under the round lock, so a caller racing the periodic rounds can
+// never stamp an instant older than a round that took the lock first.
+func (c *Collector) sampleNow() {
+	c.sampleMu.Lock()
+	defer c.sampleMu.Unlock()
+	c.round(c.f.clock.Now())
+}
+
+// round is the body of Sample. Caller holds sampleMu.
+func (c *Collector) round(now time.Time) {
 	recs := c.roundRecords()
 	if cap(c.roundBatch) < len(recs) {
 		c.roundBatch = make([]measured, 0, len(recs))
@@ -348,7 +362,6 @@ func (c *Collector) Sample(now time.Time) {
 			o.ObserveSample(now, samples)
 		}
 	}
-	c.sampleMu.Unlock()
 }
 
 // SizeSeries returns a copy of the measured size series of a component.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -124,6 +125,66 @@ func TestACProxyObjectSize(t *testing.T) {
 	after, _ := f.Server().GetAttribute(ACProxyName("svc.A"), "ObjectSizeBytes")
 	if after.(int64)-before.(int64) < 1<<20 {
 		t.Fatalf("proxy size did not grow: %v -> %v", before, after)
+	}
+}
+
+// TestManagerBeanSampleDuringPeriodicRounds invokes the Manager bean's
+// Sample op in a loop from a second goroutine, recovering panics the way
+// an HTTP server would, while the engine runs 1 s periodic rounds. The bean
+// must stamp its round under the round lock, so it never appends an
+// instant older than a periodic round, and a failed round must not leave
+// the lock held: the engine has to finish its two virtual hours.
+func TestManagerBeanSampleDuringPeriodicRounds(t *testing.T) {
+	engine := sim.NewEngine()
+	w := aspect.NewWeaver(engine.Clock())
+	f, err := New(Options{Weaver: w, Clock: engine.Clock(), Heap: jvmheap.New(1<<28, engine.Clock()), SampleInterval: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.InstrumentComponent("svc.a", &leakyComponent{}); err != nil {
+		t.Fatal(err)
+	}
+	stop := f.StartSampling(engine)
+	defer stop()
+
+	var panics atomic.Int64
+	quit := make(chan struct{})
+	client := make(chan struct{})
+	go func() {
+		defer close(client)
+		for {
+			select {
+			case <-quit:
+				return
+			default:
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						panics.Add(1)
+					}
+				}()
+				if _, err := f.Server().Invoke(ManagerName(), "Sample"); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+	}()
+	ran := make(chan struct{})
+	go func() {
+		engine.RunFor(2 * time.Hour)
+		close(ran)
+	}()
+	select {
+	case <-ran:
+	case <-time.After(5 * time.Second):
+		close(quit)
+		t.Fatalf("engine wedged after %d periodic+bean rounds (%d bean panics)", f.Manager().Samples(), panics.Load())
+	}
+	close(quit)
+	<-client
+	if n := panics.Load(); n > 0 {
+		t.Fatalf("%d bean Sample calls panicked", n)
 	}
 }
 

@@ -69,7 +69,11 @@ func newManager(f *Framework, node string) *Manager {
 // may query the manager freely.
 func (m *Manager) Sample(now time.Time) {
 	m.Collector.Sample(now)
+	m.afterRound()
+}
 
+// afterRound emits the notifications a finished round queued.
+func (m *Manager) afterRound() {
 	if bank := m.detectors.Load(); bank != nil {
 		for _, n := range bank.drainNotifications() {
 			m.f.server.Emit(n)
@@ -256,7 +260,8 @@ func (m *Manager) bean() *jmx.Bean {
 			return m.f.Rejuvenations()
 		}).
 		Op("Sample", "run one collection round now", func(...any) (any, error) {
-			m.Sample(m.f.clock.Now())
+			m.sampleNow()
+			m.afterRound()
 			return m.Samples(), nil
 		}).
 		Op("Map", "build the consumption×usage map for a resource", func(args ...any) (any, error) {

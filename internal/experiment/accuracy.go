@@ -12,7 +12,7 @@ import (
 // every S-series scenario injects a known fault (or deliberately none)
 // and records what the detection plane named, so the full matrix can be
 // scored as precision/recall against fault-injected ground truth — with
-// time-to-detect calibration — and gated in CI against a committed
+// time-to-detect calibration — and gated in CI against a checked-in
 // baseline (scripts/scenariomatrix.sh vs ACCURACY_baseline.json).
 
 // Accuracy is one scenario's ground truth and detection outcome.
@@ -122,7 +122,7 @@ func BuildAccuracyReport(cfg Config, results []Result) AccuracyReport {
 	return rep
 }
 
-// JSON renders the report as the committed-artifact form.
+// JSON renders the report as the checked-in artifact form.
 func (r AccuracyReport) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }

@@ -51,7 +51,7 @@ func TestAccuracyReportEmptyMatrix(t *testing.T) {
 	}
 }
 
-// TestAccuracyReportJSONRoundTrip keeps the committed-artifact form
+// TestAccuracyReportJSONRoundTrip keeps the checked-in artifact form
 // stable: the JSON must decode back into an identical report, since the
 // CI gate and the agingmon renderer both consume the file.
 func TestAccuracyReportJSONRoundTrip(t *testing.T) {

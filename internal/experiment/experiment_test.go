@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/eb"
-	"repro/internal/metrics"
 	"repro/internal/rootcause"
 	"repro/internal/tpcw"
 )
@@ -164,13 +163,6 @@ func TestRenderHelpers(t *testing.T) {
 	m := quadrantMap(r, map[string]string{"svc.A": "A", "svc.B": "B"})
 	if !strings.Contains(m, "legend") || !strings.Contains(m, "A=svc.A") {
 		t.Fatalf("map = %s", m)
-	}
-	if got := downsample(nil, time.Second); got != nil {
-		t.Fatal("downsample(nil) not nil")
-	}
-	pts := []metrics.Point{{T: time.Now(), V: 1}}
-	if got := downsample(pts, time.Minute); len(got) != 1 {
-		t.Fatalf("downsample single = %v", got)
 	}
 }
 

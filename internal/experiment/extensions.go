@@ -265,7 +265,7 @@ func A1MonitoringLevels(cfg Config) Result {
 			}
 		}
 		s.Run(duration, cfg.EBs)
-		mean := s.Container.ResponseTimes().Mean() * 1000
+		mean := s.Container.MeanResponseTime() * 1000
 		if base == 0 {
 			base = mean
 		}

@@ -117,7 +117,7 @@ func Fig3(cfg Config) Result {
 		return runOut{
 			wips:      s.Driver.WIPSBuckets(),
 			completed: s.Driver.Completed(),
-			meanRT:    s.Container.ResponseTimes().Mean(),
+			meanRT:    s.Container.MeanResponseTime(),
 		}, nil
 	}
 	orig, err := run(false)
@@ -212,7 +212,7 @@ func sizeReport(s *Stack, comps []string) string {
 	var series [][]metrics.Point
 	var names []string
 	for _, c := range comps {
-		pts := downsample(s.Framework.Manager().SizeSeries(c), step)
+		pts := metrics.Downsample(s.Framework.Manager().SizeSeries(c), step)
 		series = append(series, pts)
 		label := c
 		if l, ok := roleLabels[c]; ok {

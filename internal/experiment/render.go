@@ -150,19 +150,6 @@ func sparkEpoch(s []metrics.Point) time.Time {
 	return s[0].T
 }
 
-// downsample reduces points to one value per step bucket (keeping the
-// bucket's last observation).
-func downsample(points []metrics.Point, step time.Duration) []metrics.Point {
-	if len(points) == 0 {
-		return nil
-	}
-	s := metrics.NewSeries("tmp")
-	for _, p := range points {
-		s.Append(p.T, p.V)
-	}
-	return s.Downsample(step)
-}
-
 // quadrantMap renders the paper's Fig. 2/6 consumption × usage map as an
 // ASCII grid: x grows with usage, y grows with consumption, so the most
 // suspicious components land in the top-right.

@@ -66,7 +66,7 @@ func runFullScale(t *testing.T, ids ...string) {
 	}
 }
 
-// TestScenarioTableMatchesBaseline pins the table to the committed matrix
+// TestScenarioTableMatchesBaseline pins the table to the checked-in matrix
 // without running anything: the rows, in order, are the baseline's
 // scenarios and the registry's S-entries, and a row that injects aging
 // names what it makes sick.

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,22 +24,6 @@ func (c *Counter) Add(delta int64) {
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n.Load() }
-
-// Gauge is a settable instantaneous value, safe for concurrent use. It is
-// a single lock-free cell (the float64 bits behind an atomic word); for a
-// heavily contended up/down accumulator use StripedGauge.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by delta (which may be negative).
-func (g *Gauge) Add(delta float64) { addFloatBits(&g.bits, delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // rateBuckets is the time resolution of a RateWindow: the window is
 // divided into this many fixed buckets, so counting is O(buckets) and

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -107,76 +106,4 @@ func (c *StripedCounter) Value() int64 {
 		sum += c.cells[i].n.Load()
 	}
 	return sum
-}
-
-// gaugeCell is one shard of a StripedGauge.
-type gaugeCell struct {
-	bits atomic.Uint64 // float64 bits of the cell's accumulated delta
-	_    [cacheLine - 8]byte
-}
-
-// StripedGauge is an up/down accumulator (the float analogue of Java's
-// DoubleAdder): concurrent Adds land on per-shard cells and Value merges
-// them. It deliberately has no Set — a settable value cannot be
-// decomposed across shards; use Gauge for set-style instantaneous values.
-type StripedGauge struct {
-	cells []gaugeCell
-}
-
-// NewStripedGauge creates a gauge striped across the default shard count.
-func NewStripedGauge() *StripedGauge {
-	return &StripedGauge{cells: make([]gaugeCell, defaultShards())}
-}
-
-// Add adjusts the gauge by delta (which may be negative).
-func (g *StripedGauge) Add(delta float64) {
-	addFloatBits(&g.cells[shardHint(len(g.cells))].bits, delta)
-}
-
-// Value returns the accumulated value, merged across shards.
-func (g *StripedGauge) Value() float64 {
-	var sum float64
-	for i := range g.cells {
-		sum += math.Float64frombits(g.cells[i].bits.Load())
-	}
-	return sum
-}
-
-// addFloatBits adds delta to the float64 stored as bits in a.
-func addFloatBits(a *atomic.Uint64, delta float64) {
-	for {
-		old := a.Load()
-		nv := math.Float64bits(math.Float64frombits(old) + delta)
-		if a.CompareAndSwap(old, nv) {
-			return
-		}
-	}
-}
-
-// minFloatBits lowers the float64 stored as bits in a to v if v is
-// smaller.
-func minFloatBits(a *atomic.Uint64, v float64) {
-	for {
-		old := a.Load()
-		if v >= math.Float64frombits(old) {
-			return
-		}
-		if a.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// maxFloatBits raises the float64 stored as bits in a to v if v is
-// larger.
-func maxFloatBits(a *atomic.Uint64, v float64) {
-	for {
-		old := a.Load()
-		if v <= math.Float64frombits(old) {
-			return
-		}
-		if a.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
 }

@@ -1,25 +1,20 @@
 // Package metrics provides the measurement substrate shared by the
 // monitoring agents and the manager: append-only time series, counters,
-// sliding-window rates, histograms, and the summary/trend statistics the
-// root-cause strategies consume (linear regression, Mann-Kendall, Sen's
-// slope).
+// sliding-window rates, and the trend statistics the root-cause
+// strategies consume (Mann-Kendall, Sen's slope).
 //
-// Concurrency contract: every recording structure is safe for concurrent
-// use without external locking and keeps writers lock-free. Counter and
-// Gauge are single atomic cells; the Striped variants, Histogram and
-// RateWindow spread writers over cache-line-padded per-shard cells merged
-// on read (reads are monotone, not atomic snapshots); Series appends
-// reserve a slot with one atomic increment and publish through a
-// committed watermark, so readers traverse only a consistent time-ordered
-// prefix and never block appenders (its one mutex guards the rare chunk-
-// directory growth). The pure statistics functions (Summarize,
-// MannKendall, LinearRegression) operate on caller-owned slices and are
-// trivially safe.
+// Concurrency contract: Counter is a single atomic cell; StripedCounter
+// and RateWindow spread writers over cache-line-padded per-shard cells
+// merged on read (reads are monotone, not atomic snapshots). A Series has
+// one writer — callers serialise appends — and any number of lock-free
+// readers: the writer fills a slot in a chunk that never moves and then
+// publishes the new length with one atomic store, so readers traverse only
+// a time-ordered prefix and never block the writer. The trend functions
+// operate on caller-owned slices and are trivially safe.
 package metrics
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -31,33 +26,33 @@ type Point struct {
 }
 
 // seriesChunkSize is the number of points per storage chunk. Chunks are
-// allocated whole and never moved, so readers can traverse them while
-// writers append.
+// allocated whole and never moved, so readers can traverse them while the
+// writer appends.
 const seriesChunkSize = 256
 
-type seriesChunk struct {
-	pts   [seriesChunkSize]Point
-	ready [seriesChunkSize]atomic.Bool
+// sample is a stored point: 16 bytes and no pointers, so a chunk costs
+// the garbage collector nothing to scan.
+type sample struct {
+	ns int64 // UnixNano
+	v  float64
 }
 
-// Series is an append-only time series. It is safe for concurrent use: the
-// real-time container mode samples from worker goroutines while the manager
-// reads snapshots.
+type seriesChunk [seriesChunkSize]sample
+
+// Series is an append-only time series with a single writer and lock-free
+// readers: the collector appends under its round lock while root-cause
+// queries read snapshots.
 //
-// Storage is chunked and appends are lock-free: a writer reserves a slot
-// with one atomic increment, fills it in place and marks it ready; a
-// committed watermark then advances over the contiguously-ready prefix.
-// Readers consume only the committed prefix and never take a lock, so
-// recorders cannot block root-cause queries (nor the other way round).
-// The only mutex in the structure serialises the rare growth of the chunk
-// directory — at most once per seriesChunkSize appends.
+// The writer fills the next slot and then publishes the new length with
+// one atomic store; when a chunk fills it first grows the chunk directory
+// copy-on-write. Readers load the length, then the directory, and see
+// every slot below that length fully written. Times are stored as
+// UnixNano and read back as time.Unix(0, ns).UTC(), the convention the
+// wire codec and the snapshots use.
 type Series struct {
 	name string
-
-	reserved  atomic.Int64 // slots handed to writers
-	committed atomic.Int64 // length of the contiguously-ready prefix
-	dir       atomic.Pointer[[]*seriesChunk]
-	growMu    sync.Mutex
+	n    atomic.Int64 // published length
+	dir  atomic.Pointer[[]*seriesChunk]
 }
 
 // NewSeries returns an empty series with the given name.
@@ -67,90 +62,46 @@ func NewSeries(name string) *Series {
 	return s
 }
 
-// Name returns the series name.
-func (s *Series) Name() string { return s.name }
-
-// Append records v at time t. Observations must arrive in non-decreasing
-// time order; out-of-order appends panic because they indicate the caller
-// mixed clocks, which would silently corrupt trend estimates. Slot
-// reservation order is the authoritative order, and the watermark
-// advance validates each slot against its predecessor — so an inversion
-// (from one goroutine misusing the series or from two goroutines racing
-// appends of distinct timestamps) always panics before readers can
-// observe an unsorted prefix, never silently commits.
+// Append records v at time t. Callers must serialise appends. Observations
+// must arrive in non-decreasing time order; an out-of-order append panics,
+// because it means the caller mixed clocks, which would silently corrupt
+// trend estimates. The check runs before anything is written, so a
+// rejected append leaves the series unchanged.
 func (s *Series) Append(t time.Time, v float64) {
-	i := s.reserved.Add(1) - 1
-	ck := s.chunkFor(i / seriesChunkSize)
-	slot := i % seriesChunkSize
-	ck.pts[slot] = Point{T: t, V: v}
-	ck.ready[slot].Store(true)
-	s.advance()
-}
-
-// chunkFor returns the chunk holding index ci, growing the directory
-// copy-on-write when the reservation crossed into a new chunk.
-func (s *Series) chunkFor(ci int64) *seriesChunk {
+	ns := t.UnixNano()
+	n := int(s.n.Load())
 	dir := *s.dir.Load()
-	if int(ci) < len(dir) {
-		return dir[ci]
+	if n > 0 {
+		if prev := dir[(n-1)/seriesChunkSize][(n-1)%seriesChunkSize].ns; ns < prev {
+			panic(fmt.Sprintf("metrics: out-of-order append to %q: %v before %v",
+				s.name, t, time.Unix(0, prev).UTC()))
+		}
 	}
-	s.growMu.Lock()
-	defer s.growMu.Unlock()
-	dir = *s.dir.Load()
-	for int(ci) >= len(dir) {
-		nd := make([]*seriesChunk, len(dir)+1)
-		copy(nd, dir)
-		nd[len(dir)] = &seriesChunk{}
-		s.dir.Store(&nd)
-		dir = nd
+	if n/seriesChunkSize == len(dir) {
+		// Slots past a reader's len are never read, so appending in place
+		// when capacity allows is as safe as a fresh copy.
+		grown := append(dir, new(seriesChunk))
+		s.dir.Store(&grown)
+		dir = grown
 	}
-	return dir[ci]
+	dir[n/seriesChunkSize][n%seriesChunkSize] = sample{ns: ns, v: v}
+	s.n.Store(int64(n + 1))
 }
 
-// advance moves the committed watermark over every contiguously-ready
-// slot, validating time order against each slot's predecessor before
-// publishing it. Concurrent writers help each other: whichever appender
-// observes the prefix complete publishes it (and trips the out-of-order
-// panic if the prefix is inverted).
-func (s *Series) advance() {
-	for {
-		c := s.committed.Load()
-		if c >= s.reserved.Load() {
-			return
-		}
-		dir := *s.dir.Load()
-		ci, slot := c/seriesChunkSize, c%seriesChunkSize
-		if int(ci) >= len(dir) || !dir[ci].ready[slot].Load() {
-			return
-		}
-		cur := dir[ci].pts[slot]
-		if c > 0 {
-			if prev := pointAt(dir, int(c-1)); cur.T.Before(prev.T) {
-				panic(fmt.Sprintf("metrics: out-of-order append to %q: %v before %v",
-					s.name, cur.T, prev.T))
-			}
-		}
-		s.committed.CompareAndSwap(c, c+1)
-	}
-}
-
-// view returns the chunk directory and the committed length. The
-// directory is loaded after the watermark, so it always covers the
-// returned length.
+// view returns the chunk directory and the published length. The
+// directory is loaded after the length, so it always covers it.
 func (s *Series) view() ([]*seriesChunk, int) {
-	n := s.committed.Load()
+	n := s.n.Load()
 	return *s.dir.Load(), int(n)
 }
 
 func pointAt(dir []*seriesChunk, i int) Point {
-	return dir[i/seriesChunkSize].pts[i%seriesChunkSize]
+	p := dir[i/seriesChunkSize][i%seriesChunkSize]
+	return Point{T: time.Unix(0, p.ns).UTC(), V: p.v}
 }
 
 // Len returns the number of observations.
-func (s *Series) Len() int {
-	_, n := s.view()
-	return n
-}
+func (s *Series) Len() int { return int(s.n.Load()) }
 
 // Last returns the most recent observation and whether one exists.
 func (s *Series) Last() (Point, bool) {
@@ -159,15 +110,6 @@ func (s *Series) Last() (Point, bool) {
 		return Point{}, false
 	}
 	return pointAt(dir, n-1), true
-}
-
-// First returns the earliest observation and whether one exists.
-func (s *Series) First() (Point, bool) {
-	dir, n := s.view()
-	if n == 0 {
-		return Point{}, false
-	}
-	return pointAt(dir, 0), true
 }
 
 // Points returns a copy of all observations.
@@ -180,62 +122,13 @@ func (s *Series) Points() []Point {
 	return out
 }
 
-// Values returns a copy of the observation values in time order.
-func (s *Series) Values() []float64 {
-	dir, n := s.view()
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = pointAt(dir, i).V
-	}
-	return out
-}
-
-// search returns the smallest index in [0, n) for which pred is true,
-// assuming pred is monotone over the time-ordered points (n if none).
-func search(dir []*seriesChunk, n int, pred func(Point) bool) int {
-	lo, hi := 0, n
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if pred(pointAt(dir, mid)) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-// Between returns a copy of the observations with from <= T < to.
-func (s *Series) Between(from, to time.Time) []Point {
-	dir, n := s.view()
-	lo := search(dir, n, func(p Point) bool { return !p.T.Before(from) })
-	hi := search(dir, n, func(p Point) bool { return !p.T.Before(to) })
-	out := make([]Point, hi-lo)
-	for i := range out {
-		out[i] = pointAt(dir, lo+i)
-	}
-	return out
-}
-
-// At returns the value in effect at time t: the latest observation not
-// after t. It reports false when t precedes the first observation.
-func (s *Series) At(t time.Time) (float64, bool) {
-	dir, n := s.view()
-	i := search(dir, n, func(p Point) bool { return p.T.After(t) })
-	if i == 0 {
-		return 0, false
-	}
-	return pointAt(dir, i-1).V, true
-}
-
-// Downsample reduces the series to one point per bucket of width step,
+// Downsample reduces time-ordered points to one per bucket of width step,
 // keeping the bucket's last value. It is used when rendering figure series
 // so one-hour experiments print at a readable resolution.
-func (s *Series) Downsample(step time.Duration) []Point {
+func Downsample(pts []Point, step time.Duration) []Point {
 	if step <= 0 {
 		panic("metrics: non-positive downsample step")
 	}
-	pts := s.Points()
 	if len(pts) == 0 {
 		return nil
 	}
@@ -254,6 +147,3 @@ func (s *Series) Downsample(step time.Duration) []Point {
 	out = append(out, Point{T: bucketEnd, V: cur.V})
 	return out
 }
-
-// Summary computes summary statistics over all values.
-func (s *Series) Summary() Summary { return Summarize(s.Values()) }

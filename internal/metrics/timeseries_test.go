@@ -11,14 +11,8 @@ func at(sec int) time.Time { return t0.Add(time.Duration(sec) * time.Second) }
 
 func TestSeriesAppendAndAccess(t *testing.T) {
 	s := NewSeries("mem")
-	if s.Name() != "mem" {
-		t.Fatalf("Name = %q", s.Name())
-	}
 	if _, ok := s.Last(); ok {
 		t.Fatal("Last on empty series reported ok")
-	}
-	if _, ok := s.First(); ok {
-		t.Fatal("First on empty series reported ok")
 	}
 	for i := 0; i < 5; i++ {
 		s.Append(at(i), float64(i*10))
@@ -26,22 +20,31 @@ func TestSeriesAppendAndAccess(t *testing.T) {
 	if s.Len() != 5 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	first, _ := s.First()
 	last, _ := s.Last()
-	if first.V != 0 || last.V != 40 {
-		t.Fatalf("first=%v last=%v", first.V, last.V)
+	if first := s.Points()[0]; first.V != 0 || last.V != 40 || !last.T.Equal(at(4)) {
+		t.Fatalf("first=%v last=%v", first, last)
 	}
 }
 
 func TestSeriesOutOfOrderPanics(t *testing.T) {
 	s := NewSeries("x")
 	s.Append(at(10), 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-order append did not panic")
-		}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("out-of-order append did not panic")
+			}
+		}()
+		s.Append(at(5), 2)
 	}()
-	s.Append(at(5), 2)
+	// A rejected append leaves the series unchanged and usable.
+	if last, _ := s.Last(); s.Len() != 1 || last.V != 1 || !last.T.Equal(at(10)) {
+		t.Fatalf("after rejected append: Len = %d, Last = %v", s.Len(), last)
+	}
+	s.Append(at(11), 3)
+	if last, _ := s.Last(); s.Len() != 2 || last.V != 3 {
+		t.Fatalf("in-order append after a rejected one: Len = %d, Last = %v", s.Len(), last)
+	}
 }
 
 func TestSeriesSameInstantAllowed(t *testing.T) {
@@ -53,54 +56,34 @@ func TestSeriesSameInstantAllowed(t *testing.T) {
 	}
 }
 
-func TestSeriesBetween(t *testing.T) {
+// TestSeriesPointsRoundTrip checks that the 16-byte storage gives back the
+// instants it was given: identical values for virtual-clock instants
+// (UTC, no monotonic reading) and equal instants for wall-clock ones.
+func TestSeriesPointsRoundTrip(t *testing.T) {
 	s := NewSeries("x")
-	for i := 0; i < 10; i++ {
-		s.Append(at(i), float64(i))
+	virtual := []time.Time{t0, at(1), t0.Add(1500 * time.Millisecond), at(3).Add(time.Nanosecond)}
+	for i, ts := range virtual {
+		s.Append(ts, float64(i))
 	}
-	got := s.Between(at(3), at(7))
-	if len(got) != 4 {
-		t.Fatalf("Between returned %d points, want 4", len(got))
+	for i, p := range s.Points() {
+		if p.T != virtual[i] || p.V != float64(i) {
+			t.Fatalf("point %d = %v, want %v", i, p, Point{T: virtual[i], V: float64(i)})
+		}
 	}
-	if got[0].V != 3 || got[3].V != 6 {
-		t.Fatalf("Between range wrong: %v..%v", got[0].V, got[3].V)
-	}
-}
-
-func TestSeriesAt(t *testing.T) {
-	s := NewSeries("x")
-	s.Append(at(10), 100)
-	s.Append(at(20), 200)
-	if _, ok := s.At(at(5)); ok {
-		t.Fatal("At before first observation reported ok")
-	}
-	if v, _ := s.At(at(10)); v != 100 {
-		t.Fatalf("At(10) = %v", v)
-	}
-	if v, _ := s.At(at(15)); v != 100 {
-		t.Fatalf("At(15) = %v, want value-in-effect 100", v)
-	}
-	if v, _ := s.At(at(25)); v != 200 {
-		t.Fatalf("At(25) = %v", v)
-	}
-}
-
-func TestSeriesValuesIsCopy(t *testing.T) {
-	s := NewSeries("x")
-	s.Append(at(0), 1)
-	vs := s.Values()
-	vs[0] = 99
-	if got := s.Values()[0]; got != 1 {
-		t.Fatalf("Values leaked internal storage: %v", got)
+	w := NewSeries("wall")
+	now := time.Now()
+	w.Append(now, 1)
+	if p, _ := w.Last(); !p.T.Equal(now) {
+		t.Fatalf("wall-clock instant %v read back as %v", now, p.T)
 	}
 }
 
 func TestSeriesDownsample(t *testing.T) {
-	s := NewSeries("x")
-	for i := 0; i < 60; i++ {
-		s.Append(at(i), float64(i))
+	pts := make([]Point, 60)
+	for i := range pts {
+		pts[i] = Point{T: at(i), V: float64(i)}
 	}
-	ds := s.Downsample(10 * time.Second)
+	ds := Downsample(pts, 10*time.Second)
 	if len(ds) != 6 {
 		t.Fatalf("downsample buckets = %d, want 6", len(ds))
 	}
@@ -110,21 +93,22 @@ func TestSeriesDownsample(t *testing.T) {
 	if ds[5].V != 59 {
 		t.Fatalf("final bucket = %v, want 59", ds[5].V)
 	}
+	if one := Downsample(pts[:1], time.Minute); len(one) != 1 || one[0].V != 0 {
+		t.Fatalf("downsample of one point = %v", one)
+	}
 }
 
 func TestSeriesDownsampleBadStepPanics(t *testing.T) {
-	s := NewSeries("x")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("non-positive step did not panic")
 		}
 	}()
-	s.Downsample(0)
+	Downsample([]Point{{T: t0}}, 0)
 }
 
 func TestSeriesDownsampleEmpty(t *testing.T) {
-	s := NewSeries("x")
-	if got := s.Downsample(time.Second); got != nil {
+	if got := Downsample(nil, time.Second); got != nil {
 		t.Fatalf("downsample of empty series = %v", got)
 	}
 }
@@ -142,15 +126,6 @@ func TestCounter(t *testing.T) {
 		}
 	}()
 	c.Add(-1)
-}
-
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(10)
-	g.Add(-3)
-	if g.Value() != 7 {
-		t.Fatalf("Gauge = %v", g.Value())
-	}
 }
 
 func TestRateWindow(t *testing.T) {

@@ -146,7 +146,7 @@ type Container struct {
 	completed  metrics.Counter
 	failed     metrics.Counter
 	rejected   metrics.Counter
-	respTimes  *metrics.Histogram
+	respNanos  *metrics.StripedCounter // summed response time, ns
 	throughput *metrics.RateWindow
 	perInter   sync.Map // interaction -> *metrics.Counter
 }
@@ -174,7 +174,7 @@ func NewContainer(engine *sim.Engine, weaver *aspect.Weaver, db *sqldb.DB, heap 
 		sessions:   NewSessionManager(clock, heap, cfg.SessionTimeout),
 		heap:       heap,
 		servlets:   make(map[string]*deployed),
-		respTimes:  metrics.NewHistogram(metrics.ExponentialBounds(0.0005, 2, 16)),
+		respNanos:  metrics.NewStripedCounter(),
 		throughput: metrics.NewRateWindow(10 * time.Second),
 	}
 	c.names.Store(&[]string{})
@@ -510,7 +510,7 @@ func (c *Container) account(req *Request, resp *Response, elapsed time.Duration)
 	if !resp.OK() {
 		c.failed.Inc()
 	}
-	c.respTimes.Observe(elapsed.Seconds())
+	c.respNanos.Add(int64(elapsed))
 	c.throughput.Observe(c.clock.Now())
 	if d := req.dep; d != nil {
 		d.completions.Inc()
@@ -550,8 +550,15 @@ func (c *Container) Throughput() float64 {
 	return c.throughput.Rate(c.clock.Now())
 }
 
-// ResponseTimes returns the response-time histogram (seconds).
-func (c *Container) ResponseTimes() *metrics.Histogram { return c.respTimes }
+// MeanResponseTime returns the mean response time of completed requests
+// in seconds (0 before the first completion).
+func (c *Container) MeanResponseTime() float64 {
+	n := c.completed.Value()
+	if n == 0 {
+		return 0
+	}
+	return float64(c.respNanos.Value()) / float64(n) / 1e9
+}
 
 // InteractionCount returns completions of one interaction.
 func (c *Container) InteractionCount(name string) int64 {

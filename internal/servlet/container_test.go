@@ -327,7 +327,7 @@ func TestMonitoringAddsVirtualOverhead(t *testing.T) {
 	}
 }
 
-func TestThroughputAndHistogram(t *testing.T) {
+func TestThroughputAndMeanResponseTime(t *testing.T) {
 	engine, c, _ := newTestContainer(t, Config{})
 	engine.ScheduleAfter(0, func(time.Time) {
 		for i := 0; i < 20; i++ {
@@ -336,8 +336,11 @@ func TestThroughputAndHistogram(t *testing.T) {
 	})
 	// Stay inside the 10s rate window so the completions are visible.
 	engine.RunFor(time.Second)
-	if c.ResponseTimes().Count() != 20 {
-		t.Fatalf("histogram count = %d", c.ResponseTimes().Count())
+	if got := c.Stats().Completed; got != 20 {
+		t.Fatalf("completed = %d", got)
+	}
+	if c.MeanResponseTime() <= 0 {
+		t.Fatal("zero mean response time after completions")
 	}
 	if c.Throughput() <= 0 {
 		t.Fatal("zero throughput after completions")
