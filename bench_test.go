@@ -258,11 +258,12 @@ func BenchmarkObjectSize(b *testing.B) {
 // (the AC ↔ agent round trip of the paper's architecture).
 func BenchmarkMBeanServerInvoke(b *testing.B) {
 	server := jmx.NewServer(nil)
-	agent := monitor.NewInvocationAgent()
+	table := monitor.NewTable()
+	agent := monitor.NewInvocationAgent(table)
 	if err := server.Register(agent.ObjectName(), agent.Bean()); err != nil {
 		b.Fatal(err)
 	}
-	agent.Record("c", time.Millisecond, false)
+	table.Cell("c").Record(time.Millisecond, time.Millisecond, false)
 	name := agent.ObjectName()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -8,15 +8,17 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/monitor"
 )
 
-// componentRecord holds the collector's per-component series. Each series
-// has one writer, the sampling round under sampleMu, and lock-free
-// readers; the baseline is atomic. So records need no lock of their own:
-// readers and the sampler touch them directly.
+// componentRecord holds the collector's per-component series and the
+// component's cell, resolved once at instrumentation. Each series has one
+// writer, the sampling round under sampleMu, and lock-free readers; the
+// baseline is atomic. So records need no lock of their own: readers and
+// the sampler touch them directly.
 type componentRecord struct {
 	name     string
-	target   any
+	cell     *monitor.Cell
 	size     *metrics.Series // measured object size, bytes
 	usage    *metrics.Series // cumulative invocations
 	cpu      *metrics.Series // cumulative CPU seconds
@@ -30,9 +32,9 @@ type componentRecord struct {
 
 // Collector is the node-local half of the split manager: the component
 // registry, the per-component time series and the sampling round that
-// reads the monitoring agents through the MBeanServer. It is everything a
-// node needs to measure itself; the query/ranking/notification surface
-// lives in Manager, and cluster-scale merging lives in the aggregator
+// reads the components' monitoring cells. It is everything a node needs
+// to measure itself; the query/ranking/notification surface lives in
+// Manager, and cluster-scale merging lives in the aggregator
 // (internal/cluster), which consumes the rounds a Collector emits through
 // its SampleObservers.
 //
@@ -58,11 +60,10 @@ type Collector struct {
 
 	// Round scratch, owned by sampleMu. The record snapshot is cached
 	// against the registry generation (instrument/uninstrument are rare)
-	// and the measurement/sample buffers are reused, so a steady-state
-	// round allocates nothing.
+	// and the sample buffer is reused, so a steady-state round allocates
+	// nothing.
 	roundRecs    []*componentRecord
 	roundRecsGen int64
-	roundBatch   []measured
 	roundSamples []ComponentSample
 
 	// observers receive each round's batch; the slice is copy-on-write
@@ -115,19 +116,6 @@ type SampleObserver interface {
 	ObserveSample(now time.Time, batch []ComponentSample)
 }
 
-// measured is one component's raw measurements inside a sampling round.
-type measured struct {
-	rec        *componentRecord
-	size       int64
-	usage      int64
-	cpuSeconds float64
-	threads    int64
-	handles    int64
-	latSeconds float64
-	delta      int64
-	sizeOK     bool
-}
-
 func newCollector(f *Framework, node string) *Collector {
 	return &Collector{
 		f:            f,
@@ -155,15 +143,19 @@ func (c *Collector) Subscribe(o SampleObserver) {
 	c.observers.Store(&next)
 }
 
-func (c *Collector) addComponent(name string, target any) error {
+// addComponent registers name and its live object, resolving its cell. A
+// duplicate is rejected before anything is touched.
+func (c *Collector) addComponent(name string, target any) (*monitor.Cell, error) {
 	c.recsMu.Lock()
 	defer c.recsMu.Unlock()
 	if _, dup := c.components[name]; dup {
-		return fmt.Errorf("core: component %q already instrumented", name)
+		return nil, fmt.Errorf("core: component %q already instrumented", name)
 	}
+	c.f.objSize.RegisterTarget(name, target)
+	cell := c.f.table.Cell(name)
 	c.components[name] = &componentRecord{
 		name:    name,
-		target:  target,
+		cell:    cell,
 		size:    metrics.NewSeries(name + ".size"),
 		usage:   metrics.NewSeries(name + ".usage"),
 		cpu:     metrics.NewSeries(name + ".cpu"),
@@ -175,12 +167,13 @@ func (c *Collector) addComponent(name string, target any) error {
 	c.order = append(c.order, name)
 	sort.Strings(c.order)
 	c.recsGen.Add(1)
-	return nil
+	return cell, nil
 }
 
 func (c *Collector) removeComponent(name string) {
 	c.recsMu.Lock()
 	defer c.recsMu.Unlock()
+	c.f.objSize.UnregisterTarget(name)
 	delete(c.components, name)
 	for i, n := range c.order {
 		if n == name {
@@ -189,16 +182,6 @@ func (c *Collector) removeComponent(name string) {
 		}
 	}
 	c.recsGen.Add(1)
-}
-
-func (c *Collector) target(name string) (any, bool) {
-	c.recsMu.RLock()
-	defer c.recsMu.RUnlock()
-	rec, ok := c.components[name]
-	if !ok {
-		return nil, false
-	}
-	return rec.target, true
 }
 
 // Components lists the instrumented component names.
@@ -253,21 +236,18 @@ func (c *Collector) roundRecords() []*componentRecord {
 }
 
 // Sample performs one collection round at the given instant: for every
-// instrumented component it asks the object-size agent for the current
-// retained size and reads the invocation/CPU/thread agents, batching the
-// measurements and then appending to the series. The agents stay
-// registered on the MBeanServer — that is the management plane's surface
-// for discovering and operating them — but the round calls the resolved
-// agents directly: one sampling round per interval, forever, must not pay
-// per-call object-name formatting and argument boxing, and the paper's
-// decoupling (replace an agent without touching an AC) lives in the agent
-// object either way. Rounds are serialised against each other (so the
-// series stay time-ordered and each has one writer) but the round holds
-// no lock that invocation recording or root-cause queries take: queries
-// read the series lock-free while the round appends. At steady state the
-// round allocates nothing: the record snapshot, the measurement batch and
-// the observer sample batch are all collector-owned and reused (see
-// SampleObserver for the borrow contract).
+// instrumented component it reads the cell its record holds — the
+// counters the AC recorded and, through the object-size agent, the
+// retained size of its live object — into the round's sample batch, and
+// appends the batch to the series. The round names no component: one
+// sampling round per interval, forever, must not pay per-component
+// lookups, and the agents' JMX beans read the same cells. Rounds are
+// serialised against each other (so the series stay time-ordered and
+// each has one writer) but the round holds no lock that invocation
+// recording or root-cause queries take: queries read the series
+// lock-free while the round appends. At steady state the round allocates
+// nothing: the record snapshot and the sample batch are collector-owned
+// and reused (see SampleObserver for the borrow contract).
 //
 // Rounds must be sampled at non-decreasing instants of the collector's own
 // clock; cross-node clock disagreement is normalised downstream by the
@@ -290,43 +270,37 @@ func (c *Collector) sampleNow() {
 // round is the body of Sample. Caller holds sampleMu.
 func (c *Collector) round(now time.Time) {
 	recs := c.roundRecords()
-	if cap(c.roundBatch) < len(recs) {
-		c.roundBatch = make([]measured, 0, len(recs))
+	if cap(c.roundSamples) < len(recs) {
+		c.roundSamples = make([]ComponentSample, len(recs))
 	}
-	batch := c.roundBatch[:0]
-	for _, rec := range recs {
-		r := measured{rec: rec}
-		if v, err := c.f.objSize.Measure(rec.name); err == nil {
-			r.size = v
-			r.sizeOK = true
+	samples := c.roundSamples[:len(recs)]
+	for i, rec := range recs {
+		cell := rec.cell
+		s := &samples[i]
+		*s = ComponentSample{
+			Component:      rec.name,
+			Usage:          cell.Stats().Count,
+			CPUSeconds:     cell.CPU().Seconds(),
+			Threads:        cell.Live(monitor.Threads),
+			Handles:        cell.Live(monitor.Handles),
+			LatencySeconds: cell.Latency().Seconds(),
 		}
-		r.usage = c.f.invocations.StatsOf(rec.name).Count
-		r.cpuSeconds = c.f.cpu.TimeOf(rec.name).Seconds()
-		r.threads = c.f.threads.LiveOf(rec.name)
-		r.handles = c.f.handles.LiveOf(rec.name)
-		r.latSeconds = c.f.invocations.LatencyOf(rec.name).Seconds()
-		if c.f.deltas != nil {
-			r.delta, _ = c.f.deltas.DeltaOf(rec.name)
-		}
-		batch = append(batch, r)
-	}
-	c.roundBatch = batch
+		s.Size, s.SizeOK = c.f.objSize.SizeOf(cell)
+		s.Delta, _ = cell.Delta()
 
-	for _, r := range batch {
-		rec := r.rec
-		if r.sizeOK {
+		if s.SizeOK {
 			if !rec.hasBase.Load() {
-				rec.baseline.Store(r.size)
+				rec.baseline.Store(s.Size)
 				rec.hasBase.Store(true)
 			}
-			rec.size.Append(now, float64(r.size))
+			rec.size.Append(now, float64(s.Size))
 		}
-		rec.usage.Append(now, float64(r.usage))
-		rec.cpu.Append(now, r.cpuSeconds)
-		rec.threads.Append(now, float64(r.threads))
-		rec.handles.Append(now, float64(r.handles))
-		rec.latency.Append(now, r.latSeconds)
-		rec.delta.Append(now, float64(r.delta))
+		rec.usage.Append(now, float64(s.Usage))
+		rec.cpu.Append(now, s.CPUSeconds)
+		rec.threads.Append(now, float64(s.Threads))
+		rec.handles.Append(now, float64(s.Handles))
+		rec.latency.Append(now, s.LatencySeconds)
+		rec.delta.Append(now, float64(s.Delta))
 	}
 	if c.f.heap != nil {
 		c.heapRetained.Append(now, float64(c.f.heap.Stats().Retained))
@@ -339,25 +313,7 @@ func (c *Collector) round(now time.Time) {
 	// state — and sampleMu is not on the recording or query paths, so
 	// nothing contends. Observers borrow the batch for the duration of the
 	// call; the collector reclaims and rewrites it next round.
-	if p := c.observers.Load(); p != nil && len(*p) > 0 {
-		if cap(c.roundSamples) < len(batch) {
-			c.roundSamples = make([]ComponentSample, 0, len(batch))
-		}
-		samples := c.roundSamples[:len(batch)]
-		for i, r := range batch {
-			samples[i] = ComponentSample{
-				Component:      r.rec.name,
-				Size:           r.size,
-				SizeOK:         r.sizeOK,
-				Usage:          r.usage,
-				CPUSeconds:     r.cpuSeconds,
-				Threads:        r.threads,
-				Handles:        r.handles,
-				LatencySeconds: r.latSeconds,
-				Delta:          r.delta,
-			}
-		}
-		c.roundSamples = samples
+	if p := c.observers.Load(); p != nil {
 		for _, o := range *p {
 			o.ObserveSample(now, samples)
 		}

@@ -1,13 +1,9 @@
 package core
 
 import (
-	"sort"
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/jmx"
 	"repro/internal/jvmheap"
-	"repro/internal/metrics"
+	"repro/internal/monitor"
 )
 
 // DeltaRecorder implements the paper's per-invocation measurement
@@ -25,20 +21,15 @@ import (
 // framework) also keeps the object-size sampling path; the recorder's
 // accumulated deltas converge to the right per-component attribution over
 // many requests because unrelated allocations cancel out in expectation.
-// Recording is lock-free on both advice sides, and allocation-free for
-// the container's flows: the request and its bound connection implement
-// flowMarker, so the before-advice snapshot lives in an inline slot on
-// the flow object itself instead of a per-execution map entry (boxing the
-// key and level into a sync.Map on every request is exactly the kind of
-// monitoring-plane garbage the framework must not produce). Flows whose
-// key carries no mark slot fall back to the keyed sync.Map; the
-// per-component accumulators are atomic cells either way, so concurrent
-// requests never serialise on the recorder.
+// Recording is lock-free on both advice sides and allocation-free: every
+// flow the container runs (the request and its bound connection)
+// implements flowMarker, so the before-advice snapshot lives in an inline
+// slot on the flow object itself, and the after-advice accumulates into
+// the component's cell of the shared table. Flows without a mark slot are
+// not measured.
 type DeltaRecorder struct {
-	heap *jvmheap.Heap
-
-	open  sync.Map // markless flow key -> int64 retained bytes at before-advice
-	cells sync.Map // component name -> *deltaCell
+	table *monitor.Table
+	heap  *jvmheap.Heap
 }
 
 // flowMarker is the inline per-flow scratch slot contract; servlet.Request
@@ -49,81 +40,57 @@ type flowMarker interface {
 	ClearFlowMark()
 }
 
-type deltaCell struct {
-	total atomic.Int64
-	count atomic.Int64
-}
-
-// NewDeltaRecorder creates a recorder over heap.
-func NewDeltaRecorder(heap *jvmheap.Heap) *DeltaRecorder {
-	return &DeltaRecorder{heap: heap}
+// NewDeltaRecorder creates a recorder over heap accumulating into table.
+func NewDeltaRecorder(table *monitor.Table, heap *jvmheap.Heap) *DeltaRecorder {
+	return &DeltaRecorder{table: table, heap: heap}
 }
 
 // before snapshots the resource level for a flow.
 func (d *DeltaRecorder) before(key any) {
-	if key == nil {
-		return
-	}
 	if m, ok := key.(flowMarker); ok {
 		m.SetFlowMark(d.heap.Stats().Retained)
-		return
 	}
-	d.open.Store(key, d.heap.Stats().Retained)
 }
 
-// after computes and accumulates the delta for a flow.
-func (d *DeltaRecorder) after(component string, key any) {
-	if key == nil {
+// after accumulates the flow's delta into the executing component's cell.
+func (d *DeltaRecorder) after(cell *monitor.Cell, key any) {
+	m, ok := key.(flowMarker)
+	if !ok {
 		return
 	}
-	retained := d.heap.Stats().Retained
-	var before int64
-	if m, ok := key.(flowMarker); ok {
-		v, set := m.FlowMark()
-		if !set {
-			return
-		}
-		m.ClearFlowMark()
-		before = v
-	} else {
-		v, ok := d.open.LoadAndDelete(key)
-		if !ok {
-			return
-		}
-		before = v.(int64)
+	before, set := m.FlowMark()
+	if !set {
+		return
 	}
-	c := metrics.LoadOrCreate(&d.cells, component, func() *deltaCell { return &deltaCell{} })
-	c.total.Add(retained - before)
-	c.count.Add(1)
+	m.ClearFlowMark()
+	cell.AddDelta(d.heap.Stats().Retained - before)
+}
+
+// measuredDelta reports whether any execution's delta was recorded in c.
+func measuredDelta(c *monitor.Cell) bool {
+	_, n := c.Delta()
+	return n > 0
 }
 
 // DeltaOf returns the accumulated retained-bytes delta attributed to
 // component and the number of observations.
 func (d *DeltaRecorder) DeltaOf(component string) (total int64, observations int64) {
-	if v, ok := d.cells.Load(component); ok {
-		c := v.(*deltaCell)
-		return c.total.Load(), c.count.Load()
+	if c := d.table.Lookup(component); c != nil {
+		return c.Delta()
 	}
 	return 0, 0
 }
 
 // Components lists components with recorded deltas, sorted.
-func (d *DeltaRecorder) Components() []string {
-	var out []string
-	d.cells.Range(func(k, _ any) bool {
-		out = append(out, k.(string))
-		return true
-	})
-	sort.Strings(out)
-	return out
-}
+func (d *DeltaRecorder) Components() []string { return d.table.Names(measuredDelta) }
 
 // Totals returns a copy of all accumulated deltas.
 func (d *DeltaRecorder) Totals() map[string]int64 {
 	out := make(map[string]int64)
-	d.cells.Range(func(k, v any) bool {
-		out[k.(string)] = v.(*deltaCell).total.Load()
-		return true
+	d.table.Each(func(c *monitor.Cell) {
+		if total, n := c.Delta(); n > 0 {
+			out[c.Name()] = total
+		}
 	})
 	return out
 }

@@ -6,12 +6,20 @@ import (
 
 	"repro/internal/aspect"
 	"repro/internal/jvmheap"
+	"repro/internal/monitor"
 )
 
-// keyedFlow is a flow-identifiable invocation argument.
-type keyedFlow struct{ id int }
+// keyedFlow is a flow-identifiable invocation argument carrying the
+// inline flow-mark slot, like the container's request and connection.
+type keyedFlow struct {
+	mark   int64
+	marked bool
+}
 
-func (k *keyedFlow) TraceKey() any { return k }
+func (k *keyedFlow) TraceKey() any           { return k }
+func (k *keyedFlow) SetFlowMark(v int64)     { k.mark, k.marked = v, true }
+func (k *keyedFlow) FlowMark() (int64, bool) { return k.mark, k.marked }
+func (k *keyedFlow) ClearFlowMark()          { k.marked = false }
 
 func TestDeltaRecorderAttributesLeaks(t *testing.T) {
 	heap := jvmheap.New(1<<24, nil)
@@ -56,12 +64,14 @@ func TestDeltaRecorderAttributesLeaks(t *testing.T) {
 
 func TestDeltaRecorderBean(t *testing.T) {
 	heap := jvmheap.New(1<<20, nil)
-	rec := NewDeltaRecorder(heap)
-	rec.before("flow")
+	tab := monitor.NewTable()
+	rec := NewDeltaRecorder(tab, heap)
+	flow := &keyedFlow{}
+	rec.before(flow)
 	if err := heap.Allocate("svc.A", 512); err != nil {
 		t.Fatal(err)
 	}
-	rec.after("svc.A", "flow")
+	rec.after(tab.Cell("svc.A"), flow)
 	bean := rec.Bean()
 	v, err := bean.Invoke("DeltaOf", "svc.A")
 	if err != nil || v.(int64) != 512 {
@@ -81,10 +91,14 @@ func TestDeltaRecorderBean(t *testing.T) {
 
 func TestDeltaRecorderIgnoresKeylessAndUnmatched(t *testing.T) {
 	heap := jvmheap.New(1<<20, nil)
-	rec := NewDeltaRecorder(heap)
-	rec.before(nil)          // keyless: ignored
-	rec.after("svc.A", nil)  // keyless: ignored
-	rec.after("svc.A", "??") // no matching before: ignored
+	tab := monitor.NewTable()
+	rec := NewDeltaRecorder(tab, heap)
+	cell := tab.Cell("svc.A")
+	rec.before(nil)               // keyless: ignored
+	rec.after(cell, nil)          // keyless: ignored
+	rec.after(cell, &keyedFlow{}) // no matching before: ignored
+	rec.before("markless")        // no mark slot: not measured
+	rec.after(cell, "markless")   // ... on either side
 	if total, n := rec.DeltaOf("svc.A"); total != 0 || n != 0 {
 		t.Fatalf("phantom delta recorded: %d over %d", total, n)
 	}

@@ -19,10 +19,11 @@
 // internal/cluster) through the SampleObserver subscription.
 //
 // Concurrency contract: the AC's advice runs on every invoking goroutine
-// and records only into lock-free structures (sync.Map-backed atomic
-// cells, striped counters), so recording never blocks and is never
-// blocked. The collector splits its state onto separate locks — recsMu
-// for the component registry (rare instrument/uninstrument), sampleMu
+// and records only into the executing component's cell of the shared
+// monitor.Table — atomic counters resolved by one lock-free lookup per
+// execution — so recording never blocks and is never blocked. The
+// collector splits its state onto separate locks — recsMu for the
+// component registry (rare instrument/uninstrument), sampleMu
 // serialising sampling rounds (and the SampleObservers they feed,
 // detectors and cluster forwarders included) against each other only,
 // and the manager's suspectMu for notification bookkeeping — with the
@@ -34,7 +35,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/aspect"
@@ -62,11 +62,6 @@ func ManagerName() jmx.ObjectName {
 // ACProxyName returns the AC Proxy object name of a component.
 func ACProxyName(component string) jmx.ObjectName {
 	return jmx.MustObjectName(Domain + ":type=ACProxy,component=" + component)
-}
-
-// QueryACProxies is the pattern matching every AC proxy.
-func QueryACProxies() jmx.ObjectName {
-	return jmx.MustObjectName(Domain + ":type=ACProxy,*")
 }
 
 // costReporter is the contract through which the AC learns the simulated
@@ -118,10 +113,13 @@ type Framework struct {
 	weaver *aspect.Weaver
 	heap   *jvmheap.Heap
 
+	// table holds every component's monitoring state; the agents below
+	// are views over it.
+	table       *monitor.Table
 	objSize     *monitor.ObjectSizeAgent
 	cpu         *monitor.CPUAgent
-	threads     *monitor.ThreadAgent
-	handles     *monitor.HandleAgent
+	threads     *monitor.LiveAgent
+	handles     *monitor.LiveAgent
 	invocations *monitor.InvocationAgent
 	memory      *monitor.MemoryAgent
 	deltas      *DeltaRecorder
@@ -129,12 +127,6 @@ type Framework struct {
 	manager  *Manager
 	acAspect *aspect.Aspect
 	interval time.Duration
-
-	// rejuvMu guards the micro-reboot counters — management-plane state,
-	// never touched by recording or sampling.
-	rejuvMu    sync.Mutex
-	rejuvCount map[string]int64
-	rejuvFreed map[string]int64
 }
 
 // New assembles a framework: it creates and registers the monitoring
@@ -169,24 +161,24 @@ func New(opts Options) (*Framework, error) {
 		return nil, err
 	}
 
+	table := monitor.NewTable()
 	f := &Framework{
 		clock:       clock,
 		server:      server,
 		weaver:      opts.Weaver,
 		heap:        opts.Heap,
-		objSize:     monitor.NewObjectSizeAgent(policy),
-		cpu:         monitor.NewCPUAgent(),
-		threads:     monitor.NewThreadAgent(),
-		handles:     monitor.NewHandleAgent(),
-		invocations: monitor.NewInvocationAgent(),
+		table:       table,
+		objSize:     monitor.NewObjectSizeAgent(table, policy),
+		cpu:         monitor.NewCPUAgent(table),
+		threads:     monitor.NewLiveAgent(table, monitor.Threads),
+		handles:     monitor.NewLiveAgent(table, monitor.Handles),
+		invocations: monitor.NewInvocationAgent(table),
 		interval:    interval,
-		rejuvCount:  make(map[string]int64),
-		rejuvFreed:  make(map[string]int64),
 	}
 	agents := []monitor.Agent{f.objSize, f.cpu, f.threads, f.handles, f.invocations}
 	if opts.Heap != nil {
 		f.memory = monitor.NewMemoryAgent(opts.Heap)
-		f.deltas = NewDeltaRecorder(opts.Heap)
+		f.deltas = NewDeltaRecorder(table, opts.Heap)
 		agents = append(agents, f.memory, f.deltas)
 	}
 	if err := monitor.RegisterAll(server, agents...); err != nil {
@@ -201,8 +193,9 @@ func New(opts Options) (*Framework, error) {
 	// The Aspect Component: one advice body serving as the per-component
 	// AC. The before advice snapshots the heap level (the paper's
 	// "measure every resource before ... a component is used"); the
-	// after advice reads it again to attribute the delta, records the
-	// invocation, and charges CPU time for top-level executions.
+	// after advice resolves the component's cell once and records into
+	// it: the heap delta, the invocation, and the CPU time of top-level
+	// executions.
 	f.acAspect = &aspect.Aspect{
 		Name:     ACAspectName,
 		Order:    -10, // outside injectors so it observes their effects
@@ -213,8 +206,9 @@ func New(opts Options) (*Framework, error) {
 			}
 		},
 		After: func(jp *aspect.JoinPoint) {
+			cell := f.table.Cell(jp.Component)
 			if f.deltas != nil && jp.Depth == 0 {
-				f.deltas.after(jp.Component, jp.Key())
+				f.deltas.after(cell, jp.Key())
 			}
 			var cost, latency time.Duration
 			for _, arg := range jp.Args {
@@ -231,10 +225,9 @@ func New(opts Options) (*Framework, error) {
 			if latency < cost {
 				latency = cost
 			}
-			f.invocations.Record(jp.Component, cost, jp.Err != nil)
-			f.invocations.RecordLatency(jp.Component, latency)
+			cell.Record(cost, latency, jp.Err != nil)
 			if jp.Depth == 0 && cost > 0 {
-				f.cpu.AddTime(jp.Component, cost)
+				cell.ChargeCPU(cost)
 			}
 		},
 	}
@@ -271,10 +264,10 @@ func (f *Framework) InvocationAgent() *monitor.InvocationAgent { return f.invoca
 func (f *Framework) CPUAgent() *monitor.CPUAgent { return f.cpu }
 
 // ThreadAgent exposes the thread monitoring agent.
-func (f *Framework) ThreadAgent() *monitor.ThreadAgent { return f.threads }
+func (f *Framework) ThreadAgent() *monitor.LiveAgent { return f.threads }
 
 // HandleAgent exposes the resource-handle monitoring agent.
-func (f *Framework) HandleAgent() *monitor.HandleAgent { return f.handles }
+func (f *Framework) HandleAgent() *monitor.LiveAgent { return f.handles }
 
 // ObjectSizeAgent exposes the object-size monitoring agent.
 func (f *Framework) ObjectSizeAgent() *monitor.ObjectSizeAgent { return f.objSize }
@@ -290,20 +283,20 @@ func (f *Framework) SetMonitoringEnabled(on bool) { f.acAspect.SetEnabled(on) }
 // MonitoringEnabled reports whether the AC advice is active.
 func (f *Framework) MonitoringEnabled() bool { return f.acAspect.Enabled() }
 
-// InstrumentComponent attaches the framework to one component: its live
-// object becomes measurable by the object-size agent, the manager tracks
-// its series, and an AC Proxy bean is registered for runtime control.
+// InstrumentComponent attaches the framework to one component: the
+// manager tracks its series, its live object becomes measurable by the
+// object-size agent, and an AC Proxy bean is registered for runtime
+// control. Instrumenting a name twice fails and leaves the first
+// instrumentation untouched.
 func (f *Framework) InstrumentComponent(name string, target any) error {
 	if name == "" || target == nil {
 		return errors.New("core: InstrumentComponent needs a name and a live target")
 	}
-	f.objSize.RegisterTarget(name, target)
-	if err := f.manager.addComponent(name, target); err != nil {
-		f.objSize.UnregisterTarget(name)
+	cell, err := f.manager.addComponent(name, target)
+	if err != nil {
 		return err
 	}
-	if err := f.server.Register(ACProxyName(name), f.acProxyBean(name)); err != nil {
-		f.objSize.UnregisterTarget(name)
+	if err := f.server.Register(ACProxyName(name), f.acProxyBean(cell)); err != nil {
 		f.manager.removeComponent(name)
 		return err
 	}
@@ -338,22 +331,17 @@ const NotifRejuvenation = "aging.rejuvenation"
 // micro-rebooting: it releases the named component's retained memory (its
 // leak store and its heap charge) without touching the rest of the
 // application, and returns the number of bytes reclaimed. Each reboot is
-// counted per component and announced as a NotifRejuvenation.
+// counted in the component's cell and announced as a NotifRejuvenation.
 func (f *Framework) MicroReboot(component string) int64 {
+	cell := f.table.Cell(component)
 	var freed int64
-	if target, ok := f.manager.target(component); ok {
-		if r, ok := target.(releaser); ok {
-			freed += int64(r.Release())
-		}
+	if r, ok := cell.Target().(releaser); ok {
+		freed = int64(r.Release())
 	}
 	if f.heap != nil {
 		f.heap.FreeAll(component)
 	}
-	f.rejuvMu.Lock()
-	f.rejuvCount[component]++
-	f.rejuvFreed[component] += freed
-	n := f.rejuvCount[component]
-	f.rejuvMu.Unlock()
+	n := cell.CountReboot()
 	f.server.Emit(jmx.Notification{
 		Type:    NotifRejuvenation,
 		Source:  ManagerName(),
@@ -366,22 +354,18 @@ func (f *Framework) MicroReboot(component string) int64 {
 // Rejuvenations returns a copy of the per-component micro-reboot
 // counters.
 func (f *Framework) Rejuvenations() map[string]int64 {
-	f.rejuvMu.Lock()
-	defer f.rejuvMu.Unlock()
-	out := make(map[string]int64, len(f.rejuvCount))
-	for c, n := range f.rejuvCount {
-		out[c] = n
-	}
+	out := make(map[string]int64)
+	f.table.Each(func(c *monitor.Cell) {
+		if n := c.Reboots(); n > 0 {
+			out[c.Name()] = n
+		}
+	})
 	return out
 }
 
 // RejuvenationCount returns the total micro-reboots across components.
 func (f *Framework) RejuvenationCount() int64 {
-	f.rejuvMu.Lock()
-	defer f.rejuvMu.Unlock()
 	var total int64
-	for _, n := range f.rejuvCount {
-		total += n
-	}
+	f.table.Each(func(c *monitor.Cell) { total += c.Reboots() })
 	return total
 }

@@ -67,6 +67,32 @@ func TestInstrumentRollbackOnProxyConflict(t *testing.T) {
 	}
 }
 
+// TestInstrumentDuplicateKeepsOriginal: a rejected second instrumentation
+// of a name must leave the first one whole — its size target measurable
+// and its memory series growing.
+func TestInstrumentDuplicateKeepsOriginal(t *testing.T) {
+	f, err := New(Options{Weaver: aspect.NewWeaver(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := &leakyComponent{}
+	orig.Retain(1 << 20)
+	if err := f.InstrumentComponent("svc.A", orig); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.InstrumentComponent("svc.A", &leakyComponent{}); err == nil {
+		t.Fatal("duplicate instrumentation accepted")
+	}
+	n, err := f.ObjectSizeAgent().Measure("svc.A")
+	if err != nil || n < 1<<20 {
+		t.Fatalf("original size target after rejected duplicate: %d, %v", n, err)
+	}
+	f.Manager().Sample(time.Unix(0, 0))
+	if pts := f.Manager().SizeSeries("svc.A"); len(pts) != 1 {
+		t.Fatalf("memory series after rejected duplicate = %v", pts)
+	}
+}
+
 func TestBadPointcutOption(t *testing.T) {
 	if _, err := New(Options{Weaver: aspect.NewWeaver(nil), Pointcut: "bogus("}); err == nil {
 		t.Fatal("bad pointcut option accepted")

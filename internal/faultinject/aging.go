@@ -56,7 +56,7 @@ type PoolExhaustion struct {
 	// PerHandleWait is the added queueing delay per leaked handle.
 	PerHandleWait time.Duration
 	// Agent records the leaked handles.
-	Agent *monitor.HandleAgent
+	Agent *monitor.LiveAgent
 	// Seed derives the injector's random stream.
 	Seed uint64
 
@@ -104,7 +104,7 @@ func (p *PoolExhaustion) onRequest() {
 		p.countdown--
 		return
 	}
-	p.Agent.HandleOpened(p.Component)
+	p.Agent.Acquire(p.Component)
 	p.leaked++
 	p.countdown = p.rng.IntN(p.N + 1)
 }
@@ -132,7 +132,7 @@ type HandleLeak struct {
 	// N parameterises the countdown draw in [0,N].
 	N int
 	// Agent records the leaked (never-closed) handles.
-	Agent *monitor.HandleAgent
+	Agent *monitor.LiveAgent
 	// Heap, when non-nil, is charged handleBytes per leaked handle.
 	Heap *jvmheap.Heap
 	// Seed derives the injector's random stream.
@@ -175,7 +175,7 @@ func (h *HandleLeak) onRequest() {
 		h.countdown--
 		return
 	}
-	h.Agent.HandleOpened(h.Component)
+	h.Agent.Acquire(h.Component)
 	if h.Heap != nil {
 		_ = h.Heap.Allocate(h.Component, handleBytes)
 	}

@@ -32,7 +32,7 @@ func invokeNWith(t *testing.T, w *aspect.Weaver, component string, n int, arg an
 }
 
 func TestPoolExhaustion(t *testing.T) {
-	agent := monitor.NewHandleAgent()
+	agent := monitor.NewLiveAgent(monitor.NewTable(), monitor.Handles)
 	p := &PoolExhaustion{
 		Component: "c", N: 10, PerHandleWait: time.Millisecond, Agent: agent, Seed: 3,
 	}
@@ -62,7 +62,7 @@ func TestPoolExhaustion(t *testing.T) {
 }
 
 func TestHandleLeak(t *testing.T) {
-	agent := monitor.NewHandleAgent()
+	agent := monitor.NewLiveAgent(monitor.NewTable(), monitor.Handles)
 	heap := jvmheap.New(1<<30, nil)
 	h := &HandleLeak{Component: "c", N: 10, Agent: agent, Heap: heap, Seed: 3}
 	w := aspect.NewWeaver(nil)
@@ -160,7 +160,7 @@ func TestStaleCacheDecayMissRateClimbs(t *testing.T) {
 }
 
 func TestAgingInjectorValidation(t *testing.T) {
-	agent := monitor.NewHandleAgent()
+	agent := monitor.NewLiveAgent(monitor.NewTable(), monitor.Handles)
 	for name, fn := range map[string]func(){
 		"pool no agent":    func() { (&PoolExhaustion{Component: "c", N: 1, PerHandleWait: 1}).Aspect() },
 		"pool no wait":     func() { (&PoolExhaustion{Component: "c", N: 1, Agent: agent}).Aspect() },

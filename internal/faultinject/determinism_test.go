@@ -72,7 +72,7 @@ func TestCPUHogScheduleDeterministic(t *testing.T) {
 
 func TestThreadLeakScheduleDeterministic(t *testing.T) {
 	run := func() []int64 {
-		tl := &ThreadLeak{Component: "c", N: 50, Agent: monitor.NewThreadAgent(), Seed: 42}
+		tl := &ThreadLeak{Component: "c", N: 50, Agent: monitor.NewLiveAgent(monitor.NewTable(), monitor.Threads), Seed: 42}
 		w := aspect.NewWeaver(nil)
 		if err := w.Register(tl.Aspect()); err != nil {
 			t.Fatal(err)
@@ -85,7 +85,7 @@ func TestThreadLeakScheduleDeterministic(t *testing.T) {
 func TestThreadLeakCountersDeterministic(t *testing.T) {
 	run := func() (int64, int64) {
 		heap := jvmheap.New(1<<30, nil)
-		tl := &ThreadLeak{Component: "c", N: 20, Agent: monitor.NewThreadAgent(), Heap: heap, Seed: 9}
+		tl := &ThreadLeak{Component: "c", N: 20, Agent: monitor.NewLiveAgent(monitor.NewTable(), monitor.Threads), Heap: heap, Seed: 9}
 		w := aspect.NewWeaver(nil)
 		if err := w.Register(tl.Aspect()); err != nil {
 			t.Fatal(err)
@@ -104,7 +104,7 @@ func TestPoolExhaustionScheduleDeterministic(t *testing.T) {
 	run := func() []int64 {
 		p := &PoolExhaustion{
 			Component: "c", N: 50, PerHandleWait: time.Millisecond,
-			Agent: monitor.NewHandleAgent(), Seed: 42,
+			Agent: monitor.NewLiveAgent(monitor.NewTable(), monitor.Handles), Seed: 42,
 		}
 		w := aspect.NewWeaver(nil)
 		if err := w.Register(p.Aspect()); err != nil {
@@ -117,7 +117,7 @@ func TestPoolExhaustionScheduleDeterministic(t *testing.T) {
 
 func TestHandleLeakScheduleDeterministic(t *testing.T) {
 	run := func() []int64 {
-		h := &HandleLeak{Component: "c", N: 50, Agent: monitor.NewHandleAgent(), Seed: 42}
+		h := &HandleLeak{Component: "c", N: 50, Agent: monitor.NewLiveAgent(monitor.NewTable(), monitor.Handles), Seed: 42}
 		w := aspect.NewWeaver(nil)
 		if err := w.Register(h.Aspect()); err != nil {
 			t.Fatal(err)

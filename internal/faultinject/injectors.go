@@ -169,7 +169,7 @@ type ThreadLeak struct {
 	// N parameterises the countdown draw in [0,N].
 	N int
 	// Agent records the leaked (never-finished) threads.
-	Agent *monitor.ThreadAgent
+	Agent *monitor.LiveAgent
 	// Heap, when non-nil, is charged one stack per leaked thread.
 	Heap *jvmheap.Heap
 	// Seed derives the injector's random stream.
@@ -212,7 +212,7 @@ func (t *ThreadLeak) onRequest() {
 		t.countdown--
 		return
 	}
-	t.Agent.ThreadStarted(t.Component)
+	t.Agent.Acquire(t.Component)
 	if t.Heap != nil {
 		_ = t.Heap.Allocate(t.Component, threadStackBytes)
 	}

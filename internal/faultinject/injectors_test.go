@@ -226,7 +226,7 @@ func TestCPUHogValidation(t *testing.T) {
 }
 
 func TestThreadLeak(t *testing.T) {
-	agent := monitor.NewThreadAgent()
+	agent := monitor.NewLiveAgent(monitor.NewTable(), monitor.Threads)
 	heap := jvmheap.New(1<<30, nil)
 	tl := &ThreadLeak{Component: "c", N: 10, Agent: agent, Heap: heap, Seed: 3}
 	w := aspect.NewWeaver(nil)

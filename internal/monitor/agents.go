@@ -5,19 +5,25 @@
 //
 // The paper ships "a limited set of Monitoring Agents by every resource
 // under monitoring"; this package provides agents for heap memory, per-
-// component object size, CPU time, live threads, and invocations. Each is
-// independent of the aspects that consume it — exactly the JMX decoupling
-// the paper emphasises (replacing an agent never requires changing an AC).
+// component object size, CPU time, live threads and handles, and
+// invocations. Each is independent of the aspects that consume it —
+// exactly the JMX decoupling the paper emphasises (replacing an agent
+// never requires changing an AC).
 //
-// Concurrency contract: the recording entry points the AC's advice calls
-// on every woven execution (InvocationAgent.Record, CPUAgent.AddTime,
-// ThreadAgent spawns/exits) are lock-free — each maps component names to
-// padded atomic cells through a sync.Map, whose read path is a lock-free
-// hash lookup once a component has been seen, so concurrent recorders
-// never serialise. Read-side accessors and the JMX beans may run from any
-// goroutine concurrently with recording; they observe monotone counter
-// states, not cross-component atomic snapshots. Registration
-// (RegisterTarget and friends) is the only mutating cold path.
+// All per-component state lives in one Table of Cells, one cell per
+// component: the Aspect Component records into a component's cell and the
+// agents (Invocation, CPU, Thread, Handle, ObjectSize) are read views over
+// the same table, each listing only the components it has something to
+// report for.
+//
+// Concurrency contract: recording is lock-free — a cell's counters are
+// atomics, and resolving a cell by name is one atomic load and one map
+// read of the table's copy-on-write map once the component has been seen,
+// so concurrent recorders never serialise. Read-side accessors and the
+// JMX beans may run from any goroutine concurrently with recording; they
+// observe monotone counter states, not cross-component atomic snapshots.
+// Creating a cell (once per component) is the only path that takes a
+// lock.
 package monitor
 
 import (

@@ -1,8 +1,10 @@
 package monitor
 
 import (
+	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/jmx"
 	"repro/internal/jvmheap"
@@ -12,12 +14,14 @@ import (
 func TestRegisterAllAndQuery(t *testing.T) {
 	server := jmx.NewServer(nil)
 	heap := jvmheap.New(1<<20, nil)
+	tab := NewTable()
 	agents := []Agent{
 		NewMemoryAgent(heap),
-		NewObjectSizeAgent(objsize.Transitive),
-		NewCPUAgent(),
-		NewThreadAgent(),
-		NewInvocationAgent(),
+		NewObjectSizeAgent(tab, objsize.Transitive),
+		NewCPUAgent(tab),
+		NewLiveAgent(tab, Threads),
+		NewLiveAgent(tab, Handles),
+		NewInvocationAgent(tab),
 	}
 	if err := RegisterAll(server, agents...); err != nil {
 		t.Fatal(err)
@@ -30,12 +34,13 @@ func TestRegisterAllAndQuery(t *testing.T) {
 
 func TestRegisterAllRollsBack(t *testing.T) {
 	server := jmx.NewServer(nil)
-	cpu := NewCPUAgent()
+	tab := NewTable()
+	cpu := NewCPUAgent(tab)
 	// Pre-register a conflicting name so the second registration fails.
 	if err := server.Register(AgentName("Thread"), jmx.NewBean("conflict")); err != nil {
 		t.Fatal(err)
 	}
-	err := RegisterAll(server, cpu, NewThreadAgent())
+	err := RegisterAll(server, cpu, NewLiveAgent(tab, Threads))
 	if err == nil {
 		t.Fatal("RegisterAll succeeded despite conflict")
 	}
@@ -80,7 +85,7 @@ func TestMemoryAgent(t *testing.T) {
 }
 
 func TestObjectSizeAgent(t *testing.T) {
-	a := NewObjectSizeAgent(objsize.OneLevel)
+	a := NewObjectSizeAgent(NewTable(), objsize.OneLevel)
 	type comp struct{ leak []byte }
 	c := &comp{leak: make([]byte, 4096)}
 	a.RegisterTarget("tpcw.A", c)
@@ -114,7 +119,7 @@ func TestObjectSizeAgent(t *testing.T) {
 }
 
 func TestObjectSizeAgentNilTargetPanics(t *testing.T) {
-	a := NewObjectSizeAgent(objsize.Transitive)
+	a := NewObjectSizeAgent(NewTable(), objsize.Transitive)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("nil target did not panic")
@@ -124,10 +129,12 @@ func TestObjectSizeAgentNilTargetPanics(t *testing.T) {
 }
 
 func TestCPUAgent(t *testing.T) {
-	a := NewCPUAgent()
-	a.AddTime("A", 100*time.Millisecond)
-	a.AddTime("A", 200*time.Millisecond)
-	a.AddTime("B", 50*time.Millisecond)
+	tab := NewTable()
+	a := NewCPUAgent(tab)
+	tab.Cell("A").ChargeCPU(100 * time.Millisecond)
+	tab.Cell("A").ChargeCPU(200 * time.Millisecond)
+	tab.Cell("B").ChargeCPU(50 * time.Millisecond)
+	tab.Cell("C") // a cell charged nothing is not listed
 	if got := a.TimeOf("A"); got != 300*time.Millisecond {
 		t.Fatalf("TimeOf(A) = %v", got)
 	}
@@ -147,27 +154,36 @@ func TestCPUAgent(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("negative AddTime did not panic")
+			t.Fatal("negative ChargeCPU did not panic")
 		}
 	}()
-	a.AddTime("A", -time.Second)
+	tab.Cell("A").ChargeCPU(-time.Second)
 }
 
 func TestThreadAgent(t *testing.T) {
-	a := NewThreadAgent()
-	a.ThreadStarted("A")
-	a.ThreadStarted("A")
-	a.ThreadStarted("B")
+	tab := NewTable()
+	a := NewLiveAgent(tab, Threads)
+	handles := NewLiveAgent(tab, Handles)
+	a.Acquire("A")
+	a.Acquire("A")
+	a.Acquire("B")
+	handles.Acquire("H")
 	if a.LiveOf("A") != 2 || a.TotalLive() != 3 {
 		t.Fatalf("live A=%d total=%d", a.LiveOf("A"), a.TotalLive())
 	}
-	a.ThreadFinished("A")
-	if a.LiveOf("A") != 1 || a.StartedOf("A") != 2 {
-		t.Fatalf("after finish: live=%d started=%d", a.LiveOf("A"), a.StartedOf("A"))
+	a.Release("A")
+	if a.LiveOf("A") != 1 {
+		t.Fatalf("after release: live=%d", a.LiveOf("A"))
+	}
+	if handles.LiveOf("H") != 1 || handles.TotalLive() != 1 || a.LiveOf("H") != 0 {
+		t.Fatal("thread and handle counts share a cell but not a counter")
 	}
 	all := a.All()
-	if all["A"] != 1 || all["B"] != 1 {
+	if len(all) != 2 || all["A"] != 1 || all["B"] != 1 {
 		t.Fatalf("All = %v", all)
+	}
+	if !a.ObjectName().Equal(AgentName("Thread")) || !handles.ObjectName().Equal(AgentName("Handle")) {
+		t.Fatalf("names = %v, %v", a.ObjectName(), handles.ObjectName())
 	}
 	n, err := a.Bean().Invoke("LiveOf", "B")
 	if err != nil || n.(int64) != 1 {
@@ -175,20 +191,25 @@ func TestThreadAgent(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("unbalanced ThreadFinished did not panic")
+			t.Fatal("unbalanced Release did not panic")
 		}
 	}()
-	a.ThreadFinished("ghost")
+	a.Release("H") // H holds a handle, but no thread
 }
 
 func TestInvocationAgent(t *testing.T) {
-	a := NewInvocationAgent()
-	a.Record("A", 10*time.Millisecond, false)
-	a.Record("A", 20*time.Millisecond, true)
-	a.Record("B", 5*time.Millisecond, false)
+	tab := NewTable()
+	a := NewInvocationAgent(tab)
+	tab.Cell("A").Record(10*time.Millisecond, 10*time.Millisecond, false)
+	tab.Cell("A").Record(20*time.Millisecond, 25*time.Millisecond, true)
+	tab.Cell("B").Record(5*time.Millisecond, 5*time.Millisecond, false)
+	tab.Cell("C").ChargeCPU(time.Millisecond) // not an invocation
 	st := a.StatsOf("A")
 	if st.Count != 2 || st.Failures != 1 || st.TotalDuration != 30*time.Millisecond {
 		t.Fatalf("StatsOf(A) = %+v", st)
+	}
+	if lat := tab.Cell("A").Latency(); lat != 35*time.Millisecond {
+		t.Fatalf("latency(A) = %v", lat)
 	}
 	if st.MeanDuration() != 15*time.Millisecond {
 		t.Fatalf("MeanDuration = %v", st.MeanDuration())
@@ -226,11 +247,90 @@ func TestAgentNames(t *testing.T) {
 }
 
 func TestInvocationErrorArgs(t *testing.T) {
-	a := NewInvocationAgent()
+	a := NewInvocationAgent(NewTable())
 	if _, err := a.Bean().Invoke("CountOf"); err == nil {
 		t.Fatal("CountOf without args should fail")
 	}
 	if _, err := a.Bean().Invoke("CountOf", 3); err == nil {
 		t.Fatal("CountOf with int should fail")
+	}
+}
+
+// TestCellTableConcurrency creates and records into cells from many
+// goroutines while every agent reads the table. Run it under -race; the
+// final counts must add up exactly.
+func TestCellTableConcurrency(t *testing.T) {
+	const workers, perWorker = 4, 500
+	tab := NewTable()
+	inv := NewInvocationAgent(tab)
+	cpu := NewCPUAgent(tab)
+	threads := NewLiveAgent(tab, Threads)
+	sizes := NewObjectSizeAgent(tab, objsize.OneLevel)
+	names := []string{"a", "b", "c", "d", "e", "f", "g"}
+
+	done := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			_ = inv.All()
+			_ = inv.Components()
+			_ = cpu.Total()
+			_ = threads.TotalLive()
+			_ = sizes.MeasureAll()
+			_ = sizes.Components()
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				name := names[(w+i)%len(names)]
+				c := tab.Cell(name)
+				c.Record(time.Microsecond, 2*time.Microsecond, i%10 == 0)
+				c.ChargeCPU(time.Microsecond)
+				threads.Acquire(name)
+				threads.Release(name)
+				if i == w {
+					sizes.RegisterTarget(name, &struct{ b [64]byte }{})
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(done)
+	<-readerDone
+
+	const total = workers * perWorker
+	if got := inv.Total(); got != total {
+		t.Fatalf("Total = %d, want %d", got, total)
+	}
+	if got := cpu.Total(); got != total*time.Microsecond {
+		t.Fatalf("CPU total = %v", got)
+	}
+	if got := threads.TotalLive(); got != 0 {
+		t.Fatalf("live threads = %d after balanced acquire/release", got)
+	}
+	if got := len(inv.Components()); got != len(names) {
+		t.Fatalf("components = %d, want %d (one cell per name)", got, len(names))
+	}
+}
+
+// TestCellLayout holds the cell at two cache lines, so the allocator's
+// 128-byte size class keeps the per-execution counters on a line of their
+// own.
+func TestCellLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Cell{}); got != 128 {
+		t.Fatalf("Cell is %d bytes, want 128", got)
+	}
+	if got := unsafe.Offsetof(Cell{}.name); got != 64 {
+		t.Fatalf("Cell.name at offset %d, want 64", got)
 	}
 }

@@ -1,30 +1,24 @@
 package monitor
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/jmx"
-	"repro/internal/metrics"
 )
 
-// CPUAgent accumulates per-component CPU time. In the simulation the
+// CPUAgent reports per-component CPU time. In the simulation the
 // container charges each request's modelled service time to the component
-// that executed it; a CPU-hogging aging bug therefore shows up as one
-// component's share growing without a matching workload change — the CPU
-// analogue of the paper's future-work direction. Charging is lock-free:
-// per-component atomic nanosecond accumulators behind a sync.Map.
+// that executed it (Cell.ChargeCPU); a CPU-hogging aging bug therefore
+// shows up as one component's share growing without a matching workload
+// change — the CPU analogue of the paper's future-work direction.
 type CPUAgent struct {
-	bean *jmx.Bean
-
-	times sync.Map // component name -> *atomic.Int64 (nanoseconds)
-	total atomic.Int64
+	table *Table
+	bean  *jmx.Bean
 }
 
-// NewCPUAgent creates an empty CPU accounting agent.
-func NewCPUAgent() *CPUAgent {
-	a := &CPUAgent{}
+// NewCPUAgent creates the CPU accounting agent over table.
+func NewCPUAgent(table *Table) *CPUAgent {
+	a := &CPUAgent{table: table}
 	a.bean = jmx.NewBean("per-component CPU time monitoring agent").
 		Attr("TotalSeconds", "CPU seconds charged across all components", func() any {
 			return a.Total().Seconds()
@@ -46,35 +40,28 @@ func NewCPUAgent() *CPUAgent {
 	return a
 }
 
-// AddTime charges d of CPU time to component.
-func (a *CPUAgent) AddTime(component string, d time.Duration) {
-	if d < 0 {
-		panic("monitor: negative CPU time")
-	}
-	cell := metrics.LoadOrCreate(&a.times, component, func() *atomic.Int64 { return new(atomic.Int64) })
-	cell.Add(int64(d))
-	a.total.Add(int64(d))
-}
-
 // TimeOf returns the CPU time charged to component.
 func (a *CPUAgent) TimeOf(component string) time.Duration {
-	if v, ok := a.times.Load(component); ok {
-		return time.Duration(v.(*atomic.Int64).Load())
+	if c := a.table.Lookup(component); c != nil {
+		return c.CPU()
 	}
 	return 0
 }
 
 // Total returns the CPU time charged across all components.
 func (a *CPUAgent) Total() time.Duration {
-	return time.Duration(a.total.Load())
+	var d time.Duration
+	a.table.Each(func(c *Cell) { d += c.CPU() })
+	return d
 }
 
-// All returns a copy of the per-component CPU times.
+// All returns the CPU time of every component charged any.
 func (a *CPUAgent) All() map[string]time.Duration {
 	out := make(map[string]time.Duration)
-	a.times.Range(func(k, v any) bool {
-		out[k.(string)] = time.Duration(v.(*atomic.Int64).Load())
-		return true
+	a.table.Each(func(c *Cell) {
+		if d := c.CPU(); d > 0 {
+			out[c.name] = d
+		}
 	})
 	return out
 }

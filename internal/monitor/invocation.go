@@ -1,13 +1,9 @@
 package monitor
 
 import (
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/jmx"
-	"repro/internal/metrics"
 )
 
 // InvocationStats aggregates the executions of one component.
@@ -25,31 +21,19 @@ func (s InvocationStats) MeanDuration() time.Duration {
 	return s.TotalDuration / time.Duration(s.Count)
 }
 
-// invocationCell holds one component's live counters. All fields are
-// atomic so Record — which runs inside the AC's after-advice on every
-// woven execution — touches no lock.
-type invocationCell struct {
-	count    atomic.Int64
-	failures atomic.Int64
-	durNanos atomic.Int64
-	latNanos atomic.Int64
-}
-
-// InvocationAgent counts component executions and their outcomes. Its
-// counters are the usage-frequency axis of the paper's resource-consumption
-// × usage map, and its failure counts feed the Pinpoint-style baseline.
-// Recording is lock-free: components map to atomic counter cells through a
-// sync.Map, whose read path is a lock-free hash lookup once a component
-// has been seen.
+// InvocationAgent reports component executions and their outcomes, as
+// the Aspect Component records them into the cells (Cell.Record). Its
+// counters are the usage-frequency axis of the paper's
+// resource-consumption × usage map, and its failure counts feed the
+// Pinpoint-style baseline.
 type InvocationAgent struct {
-	bean *jmx.Bean
-
-	stats sync.Map // component name -> *invocationCell
+	table *Table
+	bean  *jmx.Bean
 }
 
-// NewInvocationAgent creates an empty invocation accounting agent.
-func NewInvocationAgent() *InvocationAgent {
-	a := &InvocationAgent{}
+// NewInvocationAgent creates the invocation agent over table.
+func NewInvocationAgent(table *Table) *InvocationAgent {
+	a := &InvocationAgent{table: table}
 	a.bean = jmx.NewBean("per-component invocation monitoring agent").
 		Attr("Total", "executions across all components", func() any { return a.Total() }).
 		Attr("Components", "component names seen so far", func() any { return a.Components() }).
@@ -70,45 +54,13 @@ func NewInvocationAgent() *InvocationAgent {
 	return a
 }
 
-// Record notes one execution of component taking d, failed or not.
-func (a *InvocationAgent) Record(component string, d time.Duration, failed bool) {
-	c := metrics.LoadOrCreate(&a.stats, component, func() *invocationCell { return &invocationCell{} })
-	c.count.Add(1)
-	if failed {
-		c.failures.Add(1)
-	}
-	c.durNanos.Add(int64(d))
-}
+// invoked reports whether the AC has recorded an execution of c.
+func invoked(c *Cell) bool { return c.count.Load() > 0 }
 
-// RecordLatency notes the response latency of one execution of component.
-// Latency is recorded separately from Record's duration: duration is the
-// CPU cost the execution consumed, latency is the wall time the caller
-// waited — contention and queueing widen the gap, which is exactly the
-// aging signal the latency-trend detector watches.
-func (a *InvocationAgent) RecordLatency(component string, d time.Duration) {
-	c := metrics.LoadOrCreate(&a.stats, component, func() *invocationCell { return &invocationCell{} })
-	c.latNanos.Add(int64(d))
-}
-
-// LatencyOf returns the cumulative response latency recorded for
-// component. Like the CPU agent's cumulative time, the collector samples
-// it per round and the detector normalises by the usage delta.
-func (a *InvocationAgent) LatencyOf(component string) time.Duration {
-	if v, ok := a.stats.Load(component); ok {
-		return time.Duration(v.(*invocationCell).latNanos.Load())
-	}
-	return 0
-}
-
-// StatsOf returns a copy of the stats of component.
+// StatsOf returns the stats of component.
 func (a *InvocationAgent) StatsOf(component string) InvocationStats {
-	if v, ok := a.stats.Load(component); ok {
-		c := v.(*invocationCell)
-		return InvocationStats{
-			Count:         c.count.Load(),
-			Failures:      c.failures.Load(),
-			TotalDuration: time.Duration(c.durNanos.Load()),
-		}
+	if c := a.table.Lookup(component); c != nil {
+		return c.Stats()
 	}
 	return InvocationStats{}
 }
@@ -116,35 +68,20 @@ func (a *InvocationAgent) StatsOf(component string) InvocationStats {
 // Total returns the execution count across all components.
 func (a *InvocationAgent) Total() int64 {
 	var n int64
-	a.stats.Range(func(_, v any) bool {
-		n += v.(*invocationCell).count.Load()
-		return true
-	})
+	a.table.Each(func(c *Cell) { n += c.count.Load() })
 	return n
 }
 
-// Components lists component names seen so far, sorted.
-func (a *InvocationAgent) Components() []string {
-	var out []string
-	a.stats.Range(func(k, _ any) bool {
-		out = append(out, k.(string))
-		return true
-	})
-	sort.Strings(out)
-	return out
-}
+// Components lists the components executed so far, sorted.
+func (a *InvocationAgent) Components() []string { return a.table.Names(invoked) }
 
-// All returns a copy of the per-component stats.
+// All returns the stats of every component executed so far.
 func (a *InvocationAgent) All() map[string]InvocationStats {
 	out := make(map[string]InvocationStats)
-	a.stats.Range(func(k, v any) bool {
-		c := v.(*invocationCell)
-		out[k.(string)] = InvocationStats{
-			Count:         c.count.Load(),
-			Failures:      c.failures.Load(),
-			TotalDuration: time.Duration(c.durNanos.Load()),
+	a.table.Each(func(c *Cell) {
+		if invoked(c) {
+			out[c.name] = c.Stats()
 		}
-		return true
 	})
 	return out
 }

@@ -2,8 +2,6 @@ package monitor
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/jmx"
 	"repro/internal/objsize"
@@ -11,22 +9,19 @@ import (
 
 // ObjectSizeAgent measures the retained size of registered component
 // objects — the reproduction of the paper's agent that "allows us to know
-// the real size of a Java Object". Components register their live object;
-// the agent measures it on demand with the configured depth policy.
+// the real size of a Java Object". Components register their live object
+// in their cell; the agent measures it on demand with the configured
+// depth policy.
 type ObjectSizeAgent struct {
+	table *Table
 	sizer *objsize.Sizer
 	bean  *jmx.Bean
-
-	mu      sync.RWMutex
-	targets map[string]any
 }
 
-// NewObjectSizeAgent creates an agent measuring with the given policy.
-func NewObjectSizeAgent(policy objsize.Policy) *ObjectSizeAgent {
-	a := &ObjectSizeAgent{
-		sizer:   objsize.New(policy),
-		targets: make(map[string]any),
-	}
+// NewObjectSizeAgent creates an agent over table measuring with the given
+// policy.
+func NewObjectSizeAgent(table *Table, policy objsize.Policy) *ObjectSizeAgent {
+	a := &ObjectSizeAgent{table: table, sizer: objsize.New(policy)}
 	a.bean = jmx.NewBean("component object size monitoring agent").
 		Attr("Policy", "reference-following policy", func() any { return policy.String() }).
 		Attr("Targets", "registered component names", func() any { return a.Components() }).
@@ -50,49 +45,51 @@ func (a *ObjectSizeAgent) RegisterTarget(component string, target any) {
 	if target == nil {
 		panic("monitor: nil object-size target")
 	}
-	a.mu.Lock()
-	a.targets[component] = target
-	a.mu.Unlock()
+	a.table.Cell(component).target.Store(&target)
 }
 
 // UnregisterTarget removes a component's target.
 func (a *ObjectSizeAgent) UnregisterTarget(component string) {
-	a.mu.Lock()
-	delete(a.targets, component)
-	a.mu.Unlock()
+	if c := a.table.Lookup(component); c != nil {
+		c.target.Store(nil)
+	}
 }
 
-// Components lists registered component names, sorted.
+func hasTarget(c *Cell) bool { return c.target.Load() != nil }
+
+// Components lists registered component names, sorted; empty, never nil,
+// so the Targets attribute reads [] rather than null over JSON.
 func (a *ObjectSizeAgent) Components() []string {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	out := make([]string, 0, len(a.targets))
-	for c := range a.targets {
-		out = append(out, c)
+	return append([]string{}, a.table.Names(hasTarget)...)
+}
+
+// SizeOf measures the target registered in c; ok is false when there is
+// none.
+func (a *ObjectSizeAgent) SizeOf(c *Cell) (n int64, ok bool) {
+	if target := c.Target(); target != nil {
+		return a.sizer.Of(target), true
 	}
-	sort.Strings(out)
-	return out
+	return 0, false
 }
 
 // Measure returns the current retained size of the named component.
 func (a *ObjectSizeAgent) Measure(component string) (int64, error) {
-	a.mu.RLock()
-	target, ok := a.targets[component]
-	a.mu.RUnlock()
-	if !ok {
-		return 0, fmt.Errorf("monitor: no size target for component %q", component)
+	if c := a.table.Lookup(component); c != nil {
+		if n, ok := a.SizeOf(c); ok {
+			return n, nil
+		}
 	}
-	return a.sizer.Of(target), nil
+	return 0, fmt.Errorf("monitor: no size target for component %q", component)
 }
 
 // MeasureAll measures every registered component.
 func (a *ObjectSizeAgent) MeasureAll() map[string]int64 {
 	out := make(map[string]int64)
-	for _, c := range a.Components() {
-		if n, err := a.Measure(c); err == nil {
-			out[c] = n
+	a.table.Each(func(c *Cell) {
+		if n, ok := a.SizeOf(c); ok {
+			out[c.name] = n
 		}
-	}
+	})
 	return out
 }
 
