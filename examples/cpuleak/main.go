@@ -51,7 +51,7 @@ func main() {
 	stack.Run(time.Duration(*minutes)*time.Minute, *ebs)
 
 	fmt.Println("CPU map (trend strategy):")
-	fmt.Println(stack.Framework.Manager().Rank(repro.ResourceCPU, repro.TrendStrategy{}))
+	fmt.Println(stack.Rank(repro.ResourceCPU, repro.TrendStrategy{}))
 	fmt.Println("Thread map (paper strategy):")
 	fmt.Println(stack.Framework.Manager().Map(repro.ResourceThreads))
 	fmt.Printf("hog slowed %d requests; %d threads leaked and never terminated\n",

@@ -2,11 +2,14 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/aspect"
 	"repro/internal/detect"
+	"repro/internal/jvmheap"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -42,10 +45,7 @@ func (o *retainedBatch) ObserveSample(now time.Time, batch []ComponentSample) {
 // TestCollectorSampleSteadyStateAllocs is the sampling half of the
 // monitoring plane's zero-garbage contract: with subscribers attached —
 // the full detector bank plus a plain observer — a steady-state
-// collection round must not allocate. (The only steady-state allocation
-// left on the path is the metrics chunk that each append-only series
-// takes every seriesChunkSize rounds; amortised per round that is well
-// below one object, which is what the threshold checks.)
+// collection round must not allocate.
 func TestCollectorSampleSteadyStateAllocs(t *testing.T) {
 	f, err := New(Options{Weaver: aspect.NewWeaver(nil)})
 	if err != nil {
@@ -84,5 +84,78 @@ func TestCollectorSampleSteadyStateAllocs(t *testing.T) {
 	}
 	if obs.rounds < 420 {
 		t.Fatalf("observer saw %d rounds", obs.rounds)
+	}
+}
+
+// TestCollectorMemoryFlat: the node keeps each component's latest round,
+// not its history, so nine thousand more rounds leave the live heap where
+// it was.
+func TestCollectorMemoryFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory grows with the run")
+	}
+	f, err := New(Options{Weaver: aspect.NewWeaver(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if err := f.InstrumentComponent(fmt.Sprintf("comp%d", i), &soakTarget{buf: make([]byte, 1024)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now := sim.Epoch
+	rounds := func(n int) uint64 {
+		for i := 0; i < n; i++ {
+			now = now.Add(30 * time.Second)
+			f.Manager().Sample(now)
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := rounds(1000)
+	after := rounds(9000)
+	if after > before && after-before >= 64<<10 {
+		t.Fatalf("live heap grew %d bytes over 9000 rounds", after-before)
+	}
+	runtime.KeepAlive(f)
+}
+
+// TestTimeToExhaustionBoundedWindow: the estimate extrapolates over the
+// last heapWindow rounds only, so after 10,000 rounds one call still costs
+// a fixed, small amount of memory and equals Mann-Kendall/Sen over that
+// window.
+func TestTimeToExhaustionBoundedWindow(t *testing.T) {
+	clock := sim.NewVirtualClock()
+	heap := jvmheap.New(1<<40, clock)
+	f, err := New(Options{Weaver: aspect.NewWeaver(clock), Clock: clock, Heap: heap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var window []metrics.Point
+	for i := 0; i < 10000; i++ {
+		clock.Advance(30 * time.Second)
+		// Retention grows, with a slope that changes along the run, so
+		// the window's estimate differs from the whole history's.
+		if err := heap.Allocate("leak", int64(1<<10+i%7*100+i/1000*1000)); err != nil {
+			t.Fatal(err)
+		}
+		f.Manager().Sample(clock.Now())
+		window = append(window, metrics.Point{T: clock.Now().UTC(), V: float64(heap.Stats().Retained)})
+	}
+	window = window[len(window)-heapWindow:]
+	want := time.Duration(heap.HeadroomSeconds(metrics.MannKendallSeries(window, 0.05).SenSlope) * float64(time.Second))
+
+	var got time.Duration
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got = f.Manager().TimeToExhaustion()
+	runtime.ReadMemStats(&after)
+	if got != want {
+		t.Fatalf("TimeToExhaustion = %v, want %v (MK/Sen over the last %d rounds)", got, want, heapWindow)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("one TimeToExhaustion call allocated %d bytes", alloc)
 	}
 }

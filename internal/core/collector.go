@@ -11,40 +11,42 @@ import (
 	"repro/internal/monitor"
 )
 
-// componentRecord holds the collector's per-component series and the
-// component's cell, resolved once at instrumentation. Each series has one
-// writer, the sampling round under sampleMu, and lock-free readers; the
-// baseline is atomic. So records need no lock of their own: readers and
-// the sampler touch them directly.
+// componentRecord is one instrumented component: its cell, resolved once
+// at instrumentation, and what the latest round measured of it. The
+// record keeps no history — the detectors keep their own windows and the
+// wire ships rounds — so a node's memory does not grow with its uptime.
+// last and baseline have one writer, the sampling round, and are read by
+// queries; both hold sampleMu.
 type componentRecord struct {
-	name     string
-	cell     *monitor.Cell
-	size     *metrics.Series // measured object size, bytes
-	usage    *metrics.Series // cumulative invocations
-	cpu      *metrics.Series // cumulative CPU seconds
-	threads  *metrics.Series // live threads
-	handles  *metrics.Series // live resource handles
-	latency  *metrics.Series // cumulative response-latency seconds
-	delta    *metrics.Series // accumulated per-invocation heap deltas
-	baseline atomic.Int64    // first measured size
-	hasBase  atomic.Bool
+	name string
+	cell *monitor.Cell
+	// last is the latest round's sample, except that Size and SizeOK
+	// hold the last measured size: a round that cannot measure the
+	// component keeps the previous measurement.
+	last     ComponentSample
+	baseline int64 // first measured size
 }
 
+// heapWindow is how many rounds of heap retained bytes TimeToExhaustion
+// extrapolates over. The window is a fixed ring, so the estimate costs
+// the same after a week of rounds as after an hour.
+const heapWindow = 240
+
 // Collector is the node-local half of the split manager: the component
-// registry, the per-component time series and the sampling round that
+// registry, each component's latest round and the sampling round that
 // reads the components' monitoring cells. It is everything a node needs
 // to measure itself; the query/ranking/notification surface lives in
 // Manager, and cluster-scale merging lives in the aggregator
 // (internal/cluster), which consumes the rounds a Collector emits through
-// its SampleObservers.
+// its SampleObservers. A caller that wants a run's history subscribes an
+// observer and records it.
 //
-// Locking is split so the paths that used to serialise on one mutex no
-// longer meet: recsMu guards only the component registry (instrument /
+// Locking: recsMu guards only the component registry (instrument /
 // uninstrument, both rare); sampleMu serialises sampling rounds with each
-// other (keeping every series time-ordered) but is never held while
-// root-cause queries read; Data/Rank/Map take a registry read-lock just
-// long enough to snapshot the record pointers and then read the series
-// lock-free, concurrently with invocation recording and sampling.
+// other and guards what the rounds write — the records' latest samples,
+// the heap ring and the round scratch. Root-cause queries read under
+// sampleMu too: they are cold paths, a round takes microseconds, and
+// invocation recording takes neither lock.
 type Collector struct {
 	f    *Framework
 	node string
@@ -54,14 +56,18 @@ type Collector struct {
 	order      []string
 	recsGen    atomic.Int64 // bumped on every registry change
 
-	sampleMu     sync.Mutex
-	heapRetained *metrics.Series
-	samples      atomic.Int64
+	sampleMu sync.Mutex
+	samples  atomic.Int64
+	lastNs   int64 // the latest round's instant, UnixNano
 
-	// Round scratch, owned by sampleMu. The record snapshot is cached
-	// against the registry generation (instrument/uninstrument are rare)
-	// and the sample buffer is reused, so a steady-state round allocates
-	// nothing.
+	// heapRing holds the heap's retained bytes of the last heapWindow
+	// rounds; heapN counts every round that wrote to it.
+	heapRing [heapWindow]metrics.Point
+	heapN    int
+
+	// Round scratch. The record snapshot is cached against the registry
+	// generation (instrument/uninstrument are rare) and the sample buffer
+	// is reused, so a steady-state round allocates nothing.
 	roundRecs    []*componentRecord
 	roundRecsGen int64
 	roundSamples []ComponentSample
@@ -118,10 +124,9 @@ type SampleObserver interface {
 
 func newCollector(f *Framework, node string) *Collector {
 	return &Collector{
-		f:            f,
-		node:         node,
-		components:   make(map[string]*componentRecord),
-		heapRetained: metrics.NewSeries("heap.retained"),
+		f:          f,
+		node:       node,
+		components: make(map[string]*componentRecord),
 	}
 }
 
@@ -153,17 +158,7 @@ func (c *Collector) addComponent(name string, target any) (*monitor.Cell, error)
 	}
 	c.f.objSize.RegisterTarget(name, target)
 	cell := c.f.table.Cell(name)
-	c.components[name] = &componentRecord{
-		name:    name,
-		cell:    cell,
-		size:    metrics.NewSeries(name + ".size"),
-		usage:   metrics.NewSeries(name + ".usage"),
-		cpu:     metrics.NewSeries(name + ".cpu"),
-		threads: metrics.NewSeries(name + ".threads"),
-		handles: metrics.NewSeries(name + ".handles"),
-		latency: metrics.NewSeries(name + ".latency"),
-		delta:   metrics.NewSeries(name + ".delta"),
-	}
+	c.components[name] = &componentRecord{name: name, cell: cell}
 	c.order = append(c.order, name)
 	sort.Strings(c.order)
 	c.recsGen.Add(1)
@@ -194,64 +189,42 @@ func (c *Collector) Components() []string {
 // Samples returns how many sampling rounds have run.
 func (c *Collector) Samples() int64 { return c.samples.Load() }
 
-// records snapshots the instrumented records in name order.
-func (c *Collector) records() []*componentRecord {
-	c.recsMu.RLock()
-	defer c.recsMu.RUnlock()
-	out := make([]*componentRecord, 0, len(c.order))
-	for _, name := range c.order {
-		out = append(out, c.components[name])
-	}
-	return out
-}
-
-// snapshotRecords rebuilds dst into the name-ordered record snapshot and
-// returns it alongside the registry generation it reflects. It is the
-// one registry-iteration helper behind every generation-cached snapshot
-// (the sampling round's, the manager's suspect check's): per-round
-// callers keep their own (slice, generation) cache under their own lock
-// and call this only when the generation moved.
-func (c *Collector) snapshotRecords(dst []*componentRecord) ([]*componentRecord, int64) {
-	gen := c.recsGen.Load()
-	c.recsMu.RLock()
-	dst = dst[:0]
-	for _, name := range c.order {
-		dst = append(dst, c.components[name])
-	}
-	c.recsMu.RUnlock()
-	return dst, gen
-}
-
-// roundRecords returns the sampling round's record snapshot, in name
-// order. Caller holds sampleMu. The snapshot is cached against the
-// registry generation: instrument/uninstrument are rare cold-path events,
-// so the common round reuses the previous snapshot without touching the
-// registry lock or allocating.
+// roundRecords returns the record snapshot, in name order. Caller holds
+// sampleMu. The snapshot is cached against the registry generation:
+// instrument/uninstrument are rare cold-path events, so the common round
+// reuses the previous snapshot without touching the registry lock or
+// allocating.
 func (c *Collector) roundRecords() []*componentRecord {
-	if gen := c.recsGen.Load(); gen == c.roundRecsGen && c.roundRecs != nil {
+	gen := c.recsGen.Load()
+	if gen == c.roundRecsGen && c.roundRecs != nil {
 		return c.roundRecs
 	}
-	c.roundRecs, c.roundRecsGen = c.snapshotRecords(c.roundRecs)
-	return c.roundRecs
+	c.recsMu.RLock()
+	recs := c.roundRecs[:0]
+	for _, name := range c.order {
+		recs = append(recs, c.components[name])
+	}
+	c.recsMu.RUnlock()
+	c.roundRecs, c.roundRecsGen = recs, gen
+	return recs
 }
 
 // Sample performs one collection round at the given instant: for every
 // instrumented component it reads the cell its record holds — the
 // counters the AC recorded and, through the object-size agent, the
 // retained size of its live object — into the round's sample batch, and
-// appends the batch to the series. The round names no component: one
-// sampling round per interval, forever, must not pay per-component
-// lookups, and the agents' JMX beans read the same cells. Rounds are
-// serialised against each other (so the series stay time-ordered and
-// each has one writer) but the round holds no lock that invocation
-// recording or root-cause queries take: queries read the series
-// lock-free while the round appends. At steady state the round allocates
+// keeps the batch as each record's latest round. The round names no
+// component: one sampling round per interval, forever, must not pay
+// per-component lookups, and the agents' JMX beans read the same cells.
+// Rounds are serialised against each other but hold no lock that
+// invocation recording takes. At steady state the round allocates
 // nothing: the record snapshot and the sample batch are collector-owned
 // and reused (see SampleObserver for the borrow contract).
 //
 // Rounds must be sampled at non-decreasing instants of the collector's own
-// clock; cross-node clock disagreement is normalised downstream by the
-// aggregator, never here.
+// clock — an older instant panics, because it means the caller mixed
+// clocks — and cross-node clock disagreement is normalised downstream by
+// the aggregator, never here.
 func (c *Collector) Sample(now time.Time) {
 	c.sampleMu.Lock()
 	defer c.sampleMu.Unlock()
@@ -267,8 +240,15 @@ func (c *Collector) sampleNow() {
 	c.round(c.f.clock.Now())
 }
 
-// round is the body of Sample. Caller holds sampleMu.
+// round is the body of Sample. Caller holds sampleMu. The clock check
+// runs before anything is written, so a rejected round changes nothing.
 func (c *Collector) round(now time.Time) {
+	ns := now.UnixNano()
+	if c.samples.Load() > 0 && ns < c.lastNs {
+		panic(fmt.Sprintf("core: out-of-order sampling round: %v before %v",
+			now, time.Unix(0, c.lastNs).UTC()))
+	}
+	c.lastNs = ns
 	recs := c.roundRecords()
 	if cap(c.roundSamples) < len(recs) {
 		c.roundSamples = make([]ComponentSample, len(recs))
@@ -288,31 +268,30 @@ func (c *Collector) round(now time.Time) {
 		s.Size, s.SizeOK = c.f.objSize.SizeOf(cell)
 		s.Delta, _ = cell.Delta()
 
-		if s.SizeOK {
-			if !rec.hasBase.Load() {
-				rec.baseline.Store(s.Size)
-				rec.hasBase.Store(true)
-			}
-			rec.size.Append(now, float64(s.Size))
+		prev := rec.last
+		rec.last = *s
+		switch {
+		case !s.SizeOK:
+			rec.last.Size, rec.last.SizeOK = prev.Size, prev.SizeOK
+		case !prev.SizeOK:
+			rec.baseline = s.Size
 		}
-		rec.usage.Append(now, float64(s.Usage))
-		rec.cpu.Append(now, s.CPUSeconds)
-		rec.threads.Append(now, float64(s.Threads))
-		rec.handles.Append(now, float64(s.Handles))
-		rec.latency.Append(now, s.LatencySeconds)
-		rec.delta.Append(now, float64(s.Delta))
 	}
 	if c.f.heap != nil {
-		c.heapRetained.Append(now, float64(c.f.heap.Stats().Retained))
+		c.heapRing[c.heapN%heapWindow] = metrics.Point{
+			T: time.Unix(0, ns).UTC(),
+			V: float64(c.f.heap.Stats().Retained),
+		}
+		c.heapN++
 	}
 	c.samples.Add(1)
 
 	// Deliver the round to subscribed observers (the detector bank and any
 	// cluster-transport forwarder live here). Still under sampleMu: rounds
 	// are totally ordered for observers, which lets them keep single-owner
-	// state — and sampleMu is not on the recording or query paths, so
-	// nothing contends. Observers borrow the batch for the duration of the
-	// call; the collector reclaims and rewrites it next round.
+	// state — and sampleMu is not on the recording path, so nothing
+	// contends. Observers borrow the batch for the duration of the call;
+	// the collector reclaims and rewrites it next round.
 	if p := c.observers.Load(); p != nil {
 		for _, o := range *p {
 			o.ObserveSample(now, samples)
@@ -320,18 +299,13 @@ func (c *Collector) round(now time.Time) {
 	}
 }
 
-// SizeSeries returns a copy of the measured size series of a component.
-func (c *Collector) SizeSeries(name string) []metrics.Point {
-	c.recsMu.RLock()
-	rec, ok := c.components[name]
-	c.recsMu.RUnlock()
-	if ok {
-		return rec.size.Points()
+// heapWindowPoints returns the heap ring's points in time order. Caller
+// holds sampleMu.
+func (c *Collector) heapWindowPoints() []metrics.Point {
+	if c.heapN <= heapWindow {
+		return append([]metrics.Point(nil), c.heapRing[:c.heapN]...)
 	}
-	return nil
-}
-
-// HeapRetainedSeries returns the sampled heap retained-bytes series.
-func (c *Collector) HeapRetainedSeries() []metrics.Point {
-	return c.heapRetained.Points()
+	i := c.heapN % heapWindow
+	out := append(make([]metrics.Point, 0, heapWindow), c.heapRing[i:]...)
+	return append(out, c.heapRing[:i]...)
 }

@@ -175,11 +175,12 @@ func (b *DetectorBank) Verdicts(resource string) []rootcause.LiveVerdict {
 	return out
 }
 
-// ResourceValue projects a sample onto one detector resource: the value
-// the detectors track for it, and whether the sample measures the
-// resource at all (memory needs a size measurement). It is the single
-// place the sample→resource choice lives: AppendObservations and the
-// cluster aggregator's live ranking both use it.
+// ResourceValue projects a sample onto one resource: the level a map, a
+// trend or a detector reads for it, and whether the sample measures the
+// resource at all (memory needs a size measurement; an unknown resource
+// is never measured). It is the single place the sample→resource choice
+// lives: the manager's Data, AppendObservations and the cluster
+// aggregator's live ranking all use it.
 func (s *ComponentSample) ResourceValue(resource string) (float64, bool) {
 	switch resource {
 	case ResourceMemory:
@@ -192,8 +193,10 @@ func (s *ComponentSample) ResourceValue(resource string) (float64, bool) {
 		return s.LatencySeconds, true
 	case ResourceHandles:
 		return float64(s.Handles), true
+	case ResourceMemoryDelta:
+		return float64(s.Delta), true
 	}
-	return 0, true
+	return 0, false
 }
 
 // AppendObservations maps a sampling round's batch onto the detect

@@ -9,6 +9,7 @@ import (
 	"repro/internal/aspect"
 	"repro/internal/detect"
 	"repro/internal/jmx"
+	"repro/internal/jvmheap"
 	"repro/internal/sim"
 )
 
@@ -150,12 +151,13 @@ func TestLiveRankWithoutDetectors(t *testing.T) {
 }
 
 // TestDetectorsDoNotContendWithRecording hammers invocation recording,
-// sampling (with detectors attached) and live queries concurrently; run
-// under -race this is the PR's lock-split regression check.
+// sampling (with detectors attached) and the root-cause queries
+// concurrently; run under -race it checks that the queries read the
+// latest round only under the round lock and that recording takes none.
 func TestDetectorsDoNotContendWithRecording(t *testing.T) {
 	clock := sim.NewVirtualClock()
 	w := aspect.NewWeaver(clock)
-	f, err := New(Options{Weaver: w, Clock: clock})
+	f, err := New(Options{Weaver: w, Clock: clock, Heap: jvmheap.New(1<<28, clock)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,6 +202,15 @@ func TestDetectorsDoNotContendWithRecording(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			_ = f.Manager().LiveRank(ResourceMemory)
 			_ = f.Manager().Map(ResourceMemory)
+			if _, err := f.Manager().Data(ResourceCPU); err != nil {
+				t.Error(err)
+				return
+			}
+			_ = f.Manager().TimeToExhaustion()
+			if _, err := f.Server().Invoke(ManagerName(), "Suspects", ResourceMemory); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 	}()
 	// Let the workers overlap the sampler, then stop them.

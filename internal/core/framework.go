@@ -11,7 +11,7 @@
 // weaving and this reproduction gets from registration-time weaving.
 //
 // The manager agent is split in two: Collector is the node-local half
-// (component registry, sampling rounds, per-component series) and
+// (component registry, sampling rounds, each component's latest round) and
 // Manager embeds it, adding the management plane — root-cause queries,
 // the online detector bank, notifications and the JMX bean. A
 // single-node deployment only ever sees the Manager; a clustered one
@@ -22,14 +22,13 @@
 // and records only into the executing component's cell of the shared
 // monitor.Table — atomic counters resolved by one lock-free lookup per
 // execution — so recording never blocks and is never blocked. The
-// collector splits its state onto separate locks — recsMu for the
-// component registry (rare instrument/uninstrument), sampleMu
-// serialising sampling rounds (and the SampleObservers they feed,
-// detectors and cluster forwarders included) against each other only,
-// and the manager's suspectMu for notification bookkeeping — with the
-// invariant that no lock is shared between invocation recording,
-// sampling and root-cause queries: queries snapshot record pointers under
-// a read-lock and then read the lock-free series concurrently with both.
+// collector keeps each component's latest round, not its history, so a
+// node's memory does not grow with its uptime. It has two locks, neither
+// on the recording path: recsMu for the component registry (rare
+// instrument/uninstrument) and sampleMu, which serialises sampling rounds
+// (and the SampleObservers they feed, detectors and cluster forwarders
+// included) and guards what they write; the root-cause queries read the
+// latest round under it.
 package core
 
 import (
@@ -244,7 +243,7 @@ func (f *Framework) Server() *jmx.Server { return f.server }
 func (f *Framework) Manager() *Manager { return f.manager }
 
 // Collector returns the node-local collector half of the manager — the
-// registry, sampling rounds and series. Cluster deployments subscribe a
+// registry, sampling rounds and latest rounds. Cluster deployments subscribe a
 // transport forwarder here to ship rounds to an aggregator.
 func (f *Framework) Collector() *Collector { return f.manager.Collector }
 
@@ -284,7 +283,7 @@ func (f *Framework) SetMonitoringEnabled(on bool) { f.acAspect.SetEnabled(on) }
 func (f *Framework) MonitoringEnabled() bool { return f.acAspect.Enabled() }
 
 // InstrumentComponent attaches the framework to one component: the
-// manager tracks its series, its live object becomes measurable by the
+// manager samples it every round, its live object becomes measurable by the
 // object-size agent, and an AC Proxy bean is registered for runtime
 // control. Instrumenting a name twice fails and leaves the first
 // instrumentation untouched.

@@ -69,7 +69,7 @@ func TestInstrumentRollbackOnProxyConflict(t *testing.T) {
 
 // TestInstrumentDuplicateKeepsOriginal: a rejected second instrumentation
 // of a name must leave the first one whole — its size target measurable
-// and its memory series growing.
+// and its memory consumption still measured by the rounds.
 func TestInstrumentDuplicateKeepsOriginal(t *testing.T) {
 	f, err := New(Options{Weaver: aspect.NewWeaver(nil)})
 	if err != nil {
@@ -88,23 +88,60 @@ func TestInstrumentDuplicateKeepsOriginal(t *testing.T) {
 		t.Fatalf("original size target after rejected duplicate: %d, %v", n, err)
 	}
 	f.Manager().Sample(time.Unix(0, 0))
-	if pts := f.Manager().SizeSeries("svc.A"); len(pts) != 1 {
-		t.Fatalf("memory series after rejected duplicate = %v", pts)
+	orig.Retain(1 << 20)
+	f.Manager().Sample(time.Unix(1, 0))
+	data, err := f.Manager().Data(ResourceMemory)
+	if err != nil || len(data) != 1 || data[0].Consumption < 1<<20 {
+		t.Fatalf("memory evidence after rejected duplicate = %+v, %v", data, err)
+	}
+}
+
+// TestRoundOutOfOrderPanics: a round stamped before the previous one means
+// the caller mixed clocks; it panics before touching any state, and the
+// collector stays usable.
+func TestRoundOutOfOrderPanics(t *testing.T) {
+	f, err := New(Options{Weaver: aspect.NewWeaver(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp := &leakyComponent{}
+	if err := f.InstrumentComponent("svc.A", comp); err != nil {
+		t.Fatal(err)
+	}
+	m := f.Manager()
+	m.Sample(time.Unix(10, 0))
+	comp.Retain(1 << 20)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("out-of-order round did not panic")
+			}
+		}()
+		m.Sample(time.Unix(5, 0))
+	}()
+	if data, _ := m.Data(ResourceMemory); m.Samples() != 1 || data[0].Consumption != 0 {
+		t.Fatalf("after rejected round: Samples = %d, memory = %+v", m.Samples(), data)
+	}
+	m.Sample(time.Unix(11, 0))
+	if data, _ := m.Data(ResourceMemory); m.Samples() != 2 || data[0].Consumption < 1<<20 {
+		t.Fatalf("in-order round after a rejected one: Samples = %d, memory = %+v", m.Samples(), data)
+	}
+}
+
+func TestRoundSameInstantAllowed(t *testing.T) {
+	f, err := New(Options{Weaver: aspect.NewWeaver(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Manager().Sample(time.Unix(1, 0))
+	f.Manager().Sample(time.Unix(1, 0))
+	if got := f.Manager().Samples(); got != 2 {
+		t.Fatalf("Samples = %d, want 2: equal-instant rounds should be allowed", got)
 	}
 }
 
 func TestBadPointcutOption(t *testing.T) {
 	if _, err := New(Options{Weaver: aspect.NewWeaver(nil), Pointcut: "bogus("}); err == nil {
 		t.Fatal("bad pointcut option accepted")
-	}
-}
-
-func TestManagerSizeSeriesUnknownComponent(t *testing.T) {
-	f, err := New(Options{Weaver: aspect.NewWeaver(nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pts := f.Manager().SizeSeries("ghost"); pts != nil {
-		t.Fatalf("ghost series = %v", pts)
 	}
 }

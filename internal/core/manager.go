@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -38,23 +37,17 @@ const (
 
 // Manager is the JMX Manager Agent: the management-plane half of the split
 // monitoring pipeline. The node-local mechanics — component registry,
-// sampling rounds, per-component series — live in the embedded Collector;
-// the Manager adds what a management plane needs on top: root-cause
-// queries (Data/Rank/Map), the online detector bank, and the aging.suspect
-// / aging.alarm notifications. A cluster deployment runs one Manager per
-// node and merges the collectors' rounds in an aggregator
-// (internal/cluster); a standalone deployment talks to the Manager alone
-// and never notices the split.
+// sampling rounds, each component's latest round — live in the embedded
+// Collector; the Manager adds what a management plane needs on top:
+// root-cause queries (Data/Rank/Map), the online detector bank, and the
+// aging.suspect / aging.alarm notifications. A cluster deployment runs
+// one Manager per node and merges the collectors' rounds in an
+// aggregator (internal/cluster); a standalone deployment talks to the
+// Manager alone and never notices the split.
 type Manager struct {
 	*Collector
 
-	suspectMu   sync.Mutex
-	lastSuspect string
-	// suspectRecs caches the record snapshot the per-round suspect-change
-	// check walks, keyed by the registry generation and guarded by
-	// suspectMu, so the check stays garbage-free.
-	suspectRecs []*componentRecord
-	suspectGen  int64
+	lastSuspect string // guarded by sampleMu
 
 	detectors atomic.Pointer[DetectorBank]
 }
@@ -82,41 +75,27 @@ func (m *Manager) afterRound() {
 	m.notifyIfSuspectChanged()
 }
 
-// suspectRecords returns the suspect check's record snapshot, cached by
-// registry generation. Caller holds suspectMu.
-func (m *Manager) suspectRecords() []*componentRecord {
-	if gen := m.recsGen.Load(); gen == m.suspectGen && m.suspectRecs != nil {
-		return m.suspectRecs
-	}
-	m.suspectRecs, m.suspectGen = m.snapshotRecords(m.suspectRecs)
-	return m.suspectRecs
-}
-
 // memEvidence returns a record's accumulated memory consumption (size net
-// of baseline, clamped at zero) and its latest usage count.
+// of baseline, clamped at zero) and its latest usage count. Caller holds
+// sampleMu.
 func memEvidence(rec *componentRecord) (consumption float64, usage float64) {
-	if last, ok := rec.size.Last(); ok {
-		consumption = math.Max(0, last.V-float64(rec.baseline.Load()))
+	if rec.last.SizeOK {
+		consumption = math.Max(0, float64(rec.last.Size)-float64(rec.baseline))
 	}
-	if last, ok := rec.usage.Last(); ok {
-		usage = last.V
-	}
-	return consumption, usage
+	return consumption, float64(rec.last.Usage)
 }
 
 // notifyIfSuspectChanged emits an aging.suspect notification when the
 // most suspicious component changes and its score is meaningful. It runs
 // after every sampling round, so it must be garbage-free: it applies the
 // PaperMap scoring rule (normalised consumption weighted by usage)
-// directly over the latest levels instead of building a full ranking —
-// the Data path would copy every component's whole series each round,
-// O(rounds²) garbage over a run's lifetime for a check that reads two
-// numbers per component. The scoring and the (score desc, name asc)
-// tie-break replicate rootcause.PaperMap exactly; the strategy tests hold
-// the two implementations together.
+// directly over the latest levels instead of building a full ranking.
+// The scoring and the (score desc, name asc) tie-break replicate
+// rootcause.PaperMap exactly; the strategy tests hold the two
+// implementations together.
 func (m *Manager) notifyIfSuspectChanged() {
-	m.suspectMu.Lock()
-	recs := m.suspectRecords()
+	m.sampleMu.Lock()
+	recs := m.roundRecords()
 	var maxC, maxU float64
 	for _, rec := range recs {
 		c, u := memEvidence(rec)
@@ -144,14 +123,14 @@ func (m *Manager) notifyIfSuspectChanged() {
 		}
 	}
 	if topName == "" || topScore < 0.1 {
-		m.suspectMu.Unlock()
+		m.sampleMu.Unlock()
 		return
 	}
 	changed := topName != m.lastSuspect
 	if changed {
 		m.lastSuspect = topName
 	}
-	m.suspectMu.Unlock()
+	m.sampleMu.Unlock()
 	if changed {
 		m.f.server.Emit(jmx.Notification{
 			Type:    NotifSuspect,
@@ -162,55 +141,31 @@ func (m *Manager) notifyIfSuspectChanged() {
 	}
 }
 
-// Data assembles the per-component evidence for a resource, the input to
-// the ranking strategies. For memory, consumption is the measured size
-// net of the component's first-sample baseline.
+// Data assembles the per-component evidence for a resource from the latest
+// round, the input to the ranking strategies. For memory, consumption is
+// the measured size net of the component's first-sample baseline. The
+// evidence carries no series: the node keeps no history, so a strategy
+// that ranks on a trend (rootcause.Trend) needs a recorded one.
 func (m *Manager) Data(resource string) ([]rootcause.ComponentData, error) {
-	switch resource {
-	case ResourceMemory, ResourceCPU, ResourceThreads, ResourceLatency, ResourceHandles, ResourceMemoryDelta:
-	default:
+	// A sample with a size measures every resource the collector knows.
+	if _, ok := (&ComponentSample{SizeOK: true}).ResourceValue(resource); !ok {
 		return nil, fmt.Errorf("core: unknown resource %q", resource)
 	}
-	recs := m.records()
+	m.sampleMu.Lock()
+	defer m.sampleMu.Unlock()
+	recs := m.roundRecords()
 	out := make([]rootcause.ComponentData, 0, len(recs))
 	for _, rec := range recs {
-		d := rootcause.ComponentData{Name: rec.name, Node: m.node}
-		if last, ok := rec.usage.Last(); ok {
-			d.Usage = int64(last.V)
-		}
-		switch resource {
-		case ResourceMemory:
-			if last, ok := rec.size.Last(); ok {
-				d.Consumption = math.Max(0, last.V-float64(rec.baseline.Load()))
+		d := rootcause.ComponentData{Name: rec.name, Node: m.node, Usage: rec.last.Usage}
+		if v, ok := rec.last.ResourceValue(resource); ok {
+			switch resource {
+			case ResourceMemory:
+				v -= float64(rec.baseline)
+				fallthrough
+			case ResourceMemoryDelta:
+				v = math.Max(0, v)
 			}
-			d.Series = rec.size.Points()
-		case ResourceCPU:
-			if last, ok := rec.cpu.Last(); ok {
-				d.Consumption = last.V
-			}
-			d.Series = rec.cpu.Points()
-		case ResourceThreads:
-			if last, ok := rec.threads.Last(); ok {
-				d.Consumption = last.V
-			}
-			d.Series = rec.threads.Points()
-		case ResourceLatency:
-			if last, ok := rec.latency.Last(); ok {
-				d.Consumption = last.V
-			}
-			d.Series = rec.latency.Points()
-		case ResourceHandles:
-			if last, ok := rec.handles.Last(); ok {
-				d.Consumption = last.V
-			}
-			d.Series = rec.handles.Points()
-		case ResourceMemoryDelta:
-			if last, ok := rec.delta.Last(); ok {
-				d.Consumption = math.Max(0, last.V)
-			}
-			d.Series = rec.delta.Points()
-		default:
-			return nil, fmt.Errorf("core: unknown resource %q", resource)
+			d.Consumption = v
 		}
 		out = append(out, d)
 	}
@@ -233,13 +188,17 @@ func (m *Manager) Map(resource string) rootcause.Ranking {
 }
 
 // TimeToExhaustion extrapolates the time until heap exhaustion from the
-// retained-bytes series (Sen slope over the sampled history). It returns
-// +Inf when the heap is not growing or no heap is attached.
+// retained bytes of the last heapWindow rounds (Sen slope over the
+// window). It returns +Inf when the heap is not growing or no heap is
+// attached.
 func (m *Manager) TimeToExhaustion() time.Duration {
 	if m.f.heap == nil {
 		return time.Duration(math.MaxInt64)
 	}
-	trend := metrics.MannKendallSeries(m.HeapRetainedSeries(), 0.05)
+	m.sampleMu.Lock()
+	pts := m.heapWindowPoints()
+	m.sampleMu.Unlock()
+	trend := metrics.MannKendallSeries(pts, 0.05)
 	secs := m.f.heap.HeadroomSeconds(trend.SenSlope)
 	if math.IsInf(secs, 1) || secs > float64(math.MaxInt64/int64(time.Second)) {
 		return time.Duration(math.MaxInt64)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/eb"
 	"repro/internal/rootcause"
 	"repro/internal/tpcw"
@@ -190,5 +191,32 @@ func TestA3(t *testing.T) {
 	t.Log(r.Verdict())
 	if !r.Pass {
 		t.Fatalf("A3 failed:\n%s", r)
+	}
+}
+
+// TestHistoryPointsRoundTrip checks that the recorded history gives back
+// the instants it was given — identical values for virtual-clock instants
+// (UTC, no monotonic reading) and equal instants for wall-clock ones — and
+// that memory points exist only for rounds that measured a size.
+func TestHistoryPointsRoundTrip(t *testing.T) {
+	h := &history{rounds: make(map[string][]stamped)}
+	t0 := time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)
+	virtual := []time.Time{t0, t0.Add(time.Second), t0.Add(1500 * time.Millisecond), t0.Add(3*time.Second + time.Nanosecond)}
+	for i, ts := range virtual {
+		h.ObserveSample(ts, []core.ComponentSample{{Component: "c", Usage: int64(i), Size: int64(i), SizeOK: i%2 == 0}})
+	}
+	for i, p := range h.series("c", core.ResourceCPU) {
+		if p.T != virtual[i] {
+			t.Fatalf("point %d at %v, want %v", i, p.T, virtual[i])
+		}
+	}
+	mem := h.series("c", core.ResourceMemory)
+	if len(mem) != 2 || mem[0].V != 0 || mem[1].V != 2 || mem[1].T != virtual[2] {
+		t.Fatalf("memory points = %v, want the two measured rounds", mem)
+	}
+	now := time.Now()
+	h.ObserveSample(now, []core.ComponentSample{{Component: "w"}})
+	if p := h.series("w", core.ResourceCPU); len(p) != 1 || !p[0].T.Equal(now) {
+		t.Fatalf("wall-clock instant %v read back as %v", now, p)
 	}
 }

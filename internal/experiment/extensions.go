@@ -53,7 +53,7 @@ func E8CPUThreadLeaks(cfg Config) Result {
 
 	s.Run(scaleDuration(30*time.Minute, cfg.TimeScale), cfg.EBs)
 
-	cpuRank := s.Framework.Manager().Rank(core.ResourceCPU, rootcause.Trend{})
+	cpuRank := s.Rank(core.ResourceCPU, rootcause.Trend{})
 	thrRank := s.Framework.Manager().Map(core.ResourceThreads)
 	cpuTop, _ := cpuRank.Top()
 	thrTop, _ := thrRank.Top()
@@ -361,7 +361,7 @@ func E11StrategyComparison(cfg Config) Result {
 	t := NewTable("strategy", "top-1 correct", "reciprocal rank", "precision@3")
 	evals := make(map[string]rootcause.Evaluation, len(strategies))
 	for _, strat := range strategies {
-		ranking := s.Framework.Manager().Rank(core.ResourceMemory, strat)
+		ranking := s.Rank(core.ResourceMemory, strat)
 		ev := rootcause.Evaluate(ranking, truth, 3)
 		evals[strat.Name()] = ev
 		t.Row(strat.Name(), ev.TopHit,

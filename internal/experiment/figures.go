@@ -209,10 +209,12 @@ func runLeakScenario(cfg Config, leaks []leakSpec) (*Stack, error) {
 // figures (size over time per component).
 func sizeReport(s *Stack, comps []string) string {
 	step := 5 * time.Minute
+	data, _ := s.Data(core.ResourceMemory)
+	byName := dataByName(data)
 	var series [][]metrics.Point
 	var names []string
 	for _, c := range comps {
-		pts := metrics.Downsample(s.Framework.Manager().SizeSeries(c), step)
+		pts := metrics.Downsample(byName[c].Series, step)
 		series = append(series, pts)
 		label := c
 		if l, ok := roleLabels[c]; ok {

@@ -8,11 +8,13 @@ package experiment
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/eb"
+	"repro/internal/metrics"
 	"repro/internal/rootcause"
 	"repro/internal/sim"
 	"repro/internal/tpcw"
@@ -88,6 +90,71 @@ type Stack struct {
 	Engine    *sim.Engine
 	Detectors *core.DetectorBank        // nil unless cfg.Detect
 	Traces    *rootcause.TraceCollector // nil unless collecting
+
+	history *history // every sampling round; nil unless monitored
+}
+
+// history records every sampling round of a monitored stack, per
+// component. The node keeps only its latest round; the figures and the
+// trend rankings need the whole run, so the stack keeps it.
+type history struct {
+	mu     sync.Mutex
+	rounds map[string][]stamped
+}
+
+// stamped is one component's sample in one round.
+type stamped struct {
+	ns int64 // the round's instant, UnixNano
+	core.ComponentSample
+}
+
+// ObserveSample implements core.SampleObserver, copying the borrowed batch.
+func (h *history) ObserveSample(now time.Time, batch []core.ComponentSample) {
+	ns := now.UnixNano()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, s := range batch {
+		h.rounds[s.Component] = append(h.rounds[s.Component], stamped{ns, s})
+	}
+}
+
+// series returns a component's recorded levels of a resource, one point
+// per round that measured it.
+func (h *history) series(component, resource string) []metrics.Point {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var out []metrics.Point
+	for _, r := range h.rounds[component] {
+		if v, ok := r.ResourceValue(resource); ok {
+			out = append(out, metrics.Point{T: time.Unix(0, r.ns).UTC(), V: v})
+		}
+	}
+	return out
+}
+
+// Data returns the manager's evidence for a resource (core.Manager.Data)
+// with each component's recorded history of that resource as its series,
+// the input a trend ranking needs. Memory points exist only for rounds
+// that measured a size. The stack must be monitored.
+func (s *Stack) Data(resource string) ([]rootcause.ComponentData, error) {
+	data, err := s.Framework.Manager().Data(resource)
+	if err != nil {
+		return nil, err
+	}
+	for i := range data {
+		data[i].Series = s.history.series(data[i].Name, resource)
+	}
+	return data, nil
+}
+
+// Rank runs a strategy over the stack's recorded evidence for a resource
+// (see Data). Unknown resources yield an empty ranking.
+func (s *Stack) Rank(resource string, strategy rootcause.Strategy) rootcause.Ranking {
+	data, err := s.Data(resource)
+	if err != nil {
+		return rootcause.Ranking{Resource: resource, Strategy: strategy.Name()}
+	}
+	return strategy.Rank(resource, data)
 }
 
 // NewStack builds and starts a system.
@@ -126,6 +193,8 @@ func (s *Stack) assemble(cfg StackConfig) (eb.Target, error) {
 	}
 	s.Node = node
 	if cfg.Monitored {
+		s.history = &history{rounds: make(map[string][]stamped)}
+		node.Framework.Collector().Subscribe(s.history)
 		if cfg.Detect {
 			if s.Detectors, err = node.Framework.AttachDetectors(cfg.DetectConfig); err != nil {
 				return nil, err

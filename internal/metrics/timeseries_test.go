@@ -9,75 +9,6 @@ var t0 = time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)
 
 func at(sec int) time.Time { return t0.Add(time.Duration(sec) * time.Second) }
 
-func TestSeriesAppendAndAccess(t *testing.T) {
-	s := NewSeries("mem")
-	if _, ok := s.Last(); ok {
-		t.Fatal("Last on empty series reported ok")
-	}
-	for i := 0; i < 5; i++ {
-		s.Append(at(i), float64(i*10))
-	}
-	if s.Len() != 5 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	last, _ := s.Last()
-	if first := s.Points()[0]; first.V != 0 || last.V != 40 || !last.T.Equal(at(4)) {
-		t.Fatalf("first=%v last=%v", first, last)
-	}
-}
-
-func TestSeriesOutOfOrderPanics(t *testing.T) {
-	s := NewSeries("x")
-	s.Append(at(10), 1)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("out-of-order append did not panic")
-			}
-		}()
-		s.Append(at(5), 2)
-	}()
-	// A rejected append leaves the series unchanged and usable.
-	if last, _ := s.Last(); s.Len() != 1 || last.V != 1 || !last.T.Equal(at(10)) {
-		t.Fatalf("after rejected append: Len = %d, Last = %v", s.Len(), last)
-	}
-	s.Append(at(11), 3)
-	if last, _ := s.Last(); s.Len() != 2 || last.V != 3 {
-		t.Fatalf("in-order append after a rejected one: Len = %d, Last = %v", s.Len(), last)
-	}
-}
-
-func TestSeriesSameInstantAllowed(t *testing.T) {
-	s := NewSeries("x")
-	s.Append(at(1), 1)
-	s.Append(at(1), 2)
-	if s.Len() != 2 {
-		t.Fatal("equal-timestamp appends should be allowed")
-	}
-}
-
-// TestSeriesPointsRoundTrip checks that the 16-byte storage gives back the
-// instants it was given: identical values for virtual-clock instants
-// (UTC, no monotonic reading) and equal instants for wall-clock ones.
-func TestSeriesPointsRoundTrip(t *testing.T) {
-	s := NewSeries("x")
-	virtual := []time.Time{t0, at(1), t0.Add(1500 * time.Millisecond), at(3).Add(time.Nanosecond)}
-	for i, ts := range virtual {
-		s.Append(ts, float64(i))
-	}
-	for i, p := range s.Points() {
-		if p.T != virtual[i] || p.V != float64(i) {
-			t.Fatalf("point %d = %v, want %v", i, p, Point{T: virtual[i], V: float64(i)})
-		}
-	}
-	w := NewSeries("wall")
-	now := time.Now()
-	w.Append(now, 1)
-	if p, _ := w.Last(); !p.T.Equal(now) {
-		t.Fatalf("wall-clock instant %v read back as %v", now, p.T)
-	}
-}
-
 func TestSeriesDownsample(t *testing.T) {
 	pts := make([]Point, 60)
 	for i := range pts {

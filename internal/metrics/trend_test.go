@@ -70,11 +70,11 @@ func TestMannKendallTooFew(t *testing.T) {
 }
 
 func TestMannKendallSeries(t *testing.T) {
-	s := NewSeries("x")
-	for i := 0; i < 20; i++ {
-		s.Append(at(i*10), float64(i)*100) // +10 per second
+	pts := make([]Point, 20)
+	for i := range pts {
+		pts[i] = Point{T: at(i * 10), V: float64(i) * 100} // +10 per second
 	}
-	res := MannKendallSeries(s.Points(), 0.05)
+	res := MannKendallSeries(pts, 0.05)
 	if res.Direction != TrendIncreasing {
 		t.Fatalf("direction = %v", res.Direction)
 	}
