@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/aspect"
 	"repro/internal/detect"
+	"repro/internal/faultinject"
 	"repro/internal/jvmheap"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -84,6 +85,50 @@ func TestCollectorSampleSteadyStateAllocs(t *testing.T) {
 	}
 	if obs.rounds < 420 {
 		t.Fatalf("observer saw %d rounds", obs.rounds)
+	}
+}
+
+// cachedTarget is a component the way the in-tree ones are built: a leak
+// store plus maps that fill as it serves.
+type cachedTarget struct {
+	faultinject.LeakStore
+	cache map[string]int
+	pages map[int64][]byte
+}
+
+// TestCollectorSampleMapTargetsSteadyStateAllocs holds the zero-garbage
+// sampling round with map-bearing size targets attached: under the
+// framework's one-level policy the size of a map is a closed form in its
+// length, and the walk's visited set lives on its stack.
+func TestCollectorSampleMapTargetsSteadyStateAllocs(t *testing.T) {
+	f, err := New(Options{Weaver: aspect.NewWeaver(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		comp := &cachedTarget{cache: make(map[string]int), pages: make(map[int64][]byte)}
+		comp.Retain(100 << 10)
+		for k := 0; k < 64; k++ {
+			comp.cache[fmt.Sprintf("key-%d", k)] = k
+			comp.pages[int64(k)] = make([]byte, 512)
+		}
+		if err := f.InstrumentComponent(fmt.Sprintf("comp%d", i), comp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := f.AttachDetectors(detect.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	now := sim.Epoch
+	step := func() {
+		now = now.Add(30 * time.Second)
+		f.Manager().Sample(now)
+	}
+	for i := 0; i < 120; i++ { // past the detector window: everything warm
+		step()
+	}
+	if allocs := testing.AllocsPerRun(300, step); allocs != 0 {
+		t.Fatalf("steady-state sampling allocates %.2f objects per round", allocs)
 	}
 }
 

@@ -9,6 +9,14 @@
 // pragmatic cut-off, not a law: Shallow counts only the inline
 // representation, OneLevel reproduces the paper, TwoLevel follows one more
 // hop, and Transitive walks the full reachable graph with cycle detection.
+//
+// A referenced object at the last level counts its inline size and nothing
+// it references, so that size is its type's. One level is therefore a
+// closed form: a slice charges cap × the element size, a map charges
+// len × (a fixed per-entry overhead + key size + element size), a pointer
+// or interface the size of its target's type, a string its length. No
+// element or entry is visited, and a measurement costs the same however
+// large the component's slices and maps have grown.
 package objsize
 
 import (
@@ -80,26 +88,13 @@ func New(policy Policy) *Sizer { return &Sizer{policy: policy} }
 // Policy returns the sizer's policy.
 func (s *Sizer) Policy() Policy { return s.policy }
 
-// walkerPool recycles the cycle-detection state between measurements.
-// The sampling round measures every instrumented component once per
-// round, forever; allocating a fresh visited table per measurement was
-// the last steady-state garbage on that path. Entries are cleared on
-// put, which keeps the map's buckets.
-var walkerPool = sync.Pool{
-	New: func() any { return &walker{visited: make(map[visit]bool)} },
-}
-
 // Of returns the estimated retained size of v in bytes under the sizer's
 // policy. A nil value measures zero.
 func (s *Sizer) Of(v any) int64 {
 	if v == nil {
 		return 0
 	}
-	w := walkerPool.Get().(*walker)
-	defer func() {
-		clear(w.visited)
-		walkerPool.Put(w)
-	}()
+	var w walker
 	rv := reflect.ValueOf(v)
 	// The interface passed in is a transparency device, not part of the
 	// object: measuring starts at the dynamic value without charging an
@@ -131,8 +126,16 @@ type visit struct {
 	typ reflect.Type
 }
 
+// inlineVisits is how many visited regions a walk holds in place before
+// it spills to a map. A one- or two-level walk of a component marks a
+// handful (its root, slices, maps and pointers), so the linear scan is a
+// few compares and the walk allocates nothing.
+const inlineVisits = 16
+
 type walker struct {
-	visited map[visit]bool
+	n       int
+	visited [inlineVisits]visit
+	spill   map[visit]struct{} // past inlineVisits; Transitive walks of large graphs
 }
 
 // size returns the inline size of v plus referenced data reachable within
@@ -152,6 +155,11 @@ func (w *walker) size(v reflect.Value, depth int) int64 {
 // the same depth; pointers, slices, strings, maps and interfaces consume
 // one level of the budget.
 func (w *walker) indirect(v reflect.Value, depth int) int64 {
+	if depth <= 0 {
+		// At the last level nothing is followed and nothing is marked:
+		// a value is its inline representation, its type's size.
+		return 0
+	}
 	switch v.Kind() {
 	case reflect.Struct:
 		if !hasIndirections(v.Type()) {
@@ -174,22 +182,16 @@ func (w *walker) indirect(v reflect.Value, depth int) int64 {
 		return sum
 
 	case reflect.Pointer:
-		if v.IsNil() || depth <= 0 {
-			return 0
-		}
-		if !w.mark(v.Pointer(), v.Type().Elem()) {
+		if v.IsNil() || !w.mark(v.Pointer(), v.Type().Elem()) {
 			return 0
 		}
 		return w.size(v.Elem(), depth-1)
 
 	case reflect.String:
-		if depth <= 0 {
-			return 0
-		}
 		return int64(v.Len())
 
 	case reflect.Slice:
-		if v.IsNil() || depth <= 0 {
+		if v.IsNil() {
 			return 0
 		}
 		if v.Cap() > 0 && !w.mark(v.Pointer(), v.Type().Elem()) {
@@ -199,11 +201,11 @@ func (w *walker) indirect(v reflect.Value, depth int) int64 {
 		// The backing array is charged for its full capacity; element
 		// payloads beyond len are unreachable and counted inline only.
 		sum := int64(elemType.Size()) * int64(v.Cap())
-		// Skip the reflective element walk entirely for pointer-free
-		// element types (e.g. the flat []byte leak buffers): nothing
-		// beyond the backing array can be reachable through them, and a
-		// megabyte buffer must not cost a million reflect calls.
-		if hasIndirections(elemType) {
+		// The elements' own references are one level further: there are
+		// none to follow at the last level or in a pointer-free element
+		// type (the flat []byte leak buffers), and a megabyte buffer must
+		// not cost a million reflect calls.
+		if depth > 1 && hasIndirections(elemType) {
 			for i := 0; i < v.Len(); i++ {
 				sum += w.indirect(v.Index(i), depth-1)
 			}
@@ -211,11 +213,13 @@ func (w *walker) indirect(v reflect.Value, depth int) int64 {
 		return sum
 
 	case reflect.Map:
-		if v.IsNil() || depth <= 0 {
+		if v.IsNil() || !w.mark(v.Pointer(), v.Type()) {
 			return 0
 		}
-		if !w.mark(v.Pointer(), v.Type()) {
-			return 0
+		if depth == 1 {
+			// Every entry is sized at the last level, by its types.
+			t := v.Type()
+			return int64(v.Len()) * (mapEntryOverhead + int64(t.Key().Size()) + int64(t.Elem().Size()))
 		}
 		var sum int64
 		iter := v.MapRange()
@@ -227,7 +231,7 @@ func (w *walker) indirect(v reflect.Value, depth int) int64 {
 		return sum
 
 	case reflect.Interface:
-		if v.IsNil() || depth <= 0 {
+		if v.IsNil() {
 			return 0
 		}
 		return w.size(v.Elem(), depth-1)
@@ -238,12 +242,27 @@ func (w *walker) indirect(v reflect.Value, depth int) int64 {
 	}
 }
 
+// mark records the region at ptr of type typ as counted and reports
+// whether it was new.
 func (w *walker) mark(ptr uintptr, typ reflect.Type) bool {
+	for i := 0; i < w.n; i++ {
+		if w.visited[i].ptr == ptr && w.visited[i].typ == typ {
+			return false
+		}
+	}
 	key := visit{ptr: ptr, typ: typ}
-	if w.visited[key] {
+	if w.n < inlineVisits {
+		w.visited[w.n] = key
+		w.n++
+		return true
+	}
+	if _, seen := w.spill[key]; seen {
 		return false
 	}
-	w.visited[key] = true
+	if w.spill == nil {
+		w.spill = make(map[visit]struct{})
+	}
+	w.spill[key] = struct{}{}
 	return true
 }
 
@@ -257,9 +276,11 @@ func hasIndirections(t reflect.Type) bool {
 	if v, ok := indirCache.Load(t); ok {
 		return v.(bool)
 	}
-	// Mark in-progress types as false to terminate recursive types; the
-	// final value overwrites it below.
-	indirCache.Store(t, false)
+	// Only the final answer is stored: a concurrent first measurement of
+	// t must not read a provisional one. Recursion needs no guard, since
+	// it passes only through struct fields and array elements, and a type
+	// cannot contain itself without a pointer, slice or map in between,
+	// which answer true without recursing.
 	res := false
 	switch t.Kind() {
 	case reflect.Pointer, reflect.String, reflect.Slice, reflect.Map,

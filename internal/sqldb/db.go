@@ -3,7 +3,8 @@ package sqldb
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -13,8 +14,11 @@ var ErrNoSuchTable = errors.New("sqldb: no such table")
 
 // DB is a named collection of tables with engine-wide statistics.
 type DB struct {
-	mu     sync.RWMutex
-	tables map[string]*Table
+	// Tables are created at schema load and read on every query, so the
+	// name map is a copy-on-write snapshot: readers load it with no lock,
+	// and mu only serialises CreateTable.
+	mu     sync.Mutex
+	tables atomic.Pointer[map[string]*Table]
 
 	queries     atomic.Int64
 	rowsScanned atomic.Int64
@@ -22,7 +26,9 @@ type DB struct {
 
 // NewDB creates an empty database.
 func NewDB() *DB {
-	return &DB{tables: make(map[string]*Table)}
+	db := &DB{}
+	db.tables.Store(&map[string]*Table{})
+	return db
 }
 
 // CreateTable adds a table described by schema.
@@ -32,19 +38,20 @@ func (db *DB) CreateTable(schema Schema) (*Table, error) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if _, dup := db.tables[schema.Name]; dup {
+	cur := *db.tables.Load()
+	if _, dup := cur[schema.Name]; dup {
 		return nil, fmt.Errorf("sqldb: table %q already exists", schema.Name)
 	}
+	next := maps.Clone(cur)
 	t := newTable(schema)
-	db.tables[schema.Name] = t
+	next[schema.Name] = t
+	db.tables.Store(&next)
 	return t, nil
 }
 
 // Table returns the named table.
 func (db *DB) Table(name string) (*Table, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, ok := db.tables[name]
+	t, ok := (*db.tables.Load())[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, name)
 	}
@@ -53,14 +60,7 @@ func (db *DB) Table(name string) (*Table, error) {
 
 // TableNames lists the tables, sorted.
 func (db *DB) TableNames() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(*db.tables.Load()))
 }
 
 // EngineStats aggregates engine-wide counters.
