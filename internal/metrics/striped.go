@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 )
@@ -49,21 +48,6 @@ func shardHint(n int) int {
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
 	return int(h & uint64(n-1))
-}
-
-// LoadOrCreate returns the value stored in m under key, creating it with
-// mk on first use. It is the recording-side idiom for per-key atomic
-// cells behind a sync.Map: the Load fast path is a lock-free hash lookup
-// once the key has been seen, and mk runs (possibly redundantly — the
-// loser's cell is discarded) only on first contact with a key. The key
-// is typed string (not any) so the hot-path boxing stays stack-allocated
-// under inlining, as it is for a direct sync.Map.Load call.
-func LoadOrCreate[T any](m *sync.Map, key string, mk func() T) T {
-	if v, ok := m.Load(key); ok {
-		return v.(T)
-	}
-	v, _ := m.LoadOrStore(key, mk())
-	return v.(T)
 }
 
 // counterCell is one shard of a StripedCounter, padded so neighbouring

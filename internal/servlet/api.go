@@ -6,6 +6,10 @@
 // through the aspect weaver so that monitoring can be injected without the
 // application noticing.
 //
+// The servlet set is fixed at Start: servlets are deployed before it,
+// Deploy is refused after it, and the request path reads the deployed
+// set without a lock. A stopped container cannot be restarted.
+//
 // The container runs in two modes. In simulation mode, requests are
 // submitted at virtual instants, component code executes for real, and the
 // observed database work is converted into simulated service time through
@@ -47,7 +51,7 @@ import (
 )
 
 // Servlet is the component contract, mirroring javax.servlet: Init once at
-// deployment, Service per request, Destroy at undeployment.
+// container Start, Service per request, Destroy at container Stop.
 type Servlet interface {
 	Init(ctx *Context) error
 	Service(req *Request, resp *Response) error
@@ -109,8 +113,6 @@ type Request struct {
 	// args is the woven-invocation scratch: the servlet's (req, resp)
 	// argument slice lives here so dispatch builds no per-request slice.
 	args [2]any
-	// chain is the per-request filter chain scratch.
-	chain FilterChain
 	// dep is the resolved servlet entry, cached so completion accounting
 	// reaches its per-interaction counter without a map lookup.
 	dep *deployed
@@ -157,7 +159,6 @@ func (r *Request) reset() {
 	r.params = r.params[:0]
 	r.iparams = r.iparams[:0]
 	r.args[0], r.args[1] = nil, nil
-	r.chain = FilterChain{}
 	r.dep = nil
 	r.flowMarkSet = false
 }

@@ -3,7 +3,6 @@ package servlet
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,17 +122,13 @@ type Container struct {
 	sessions *SessionManager
 	heap     *jvmheap.Heap
 
-	mu       sync.RWMutex
-	servlets map[string]*deployed
-	started  bool
-
-	// names is the cached sorted servlet listing, rebuilt on deploy and
-	// undeploy: ServletNames sits on management-plane polling loops, so a
-	// fresh sorted slice per call would be steady garbage for an answer
-	// that changes only on (rare) deployment events.
-	names atomic.Pointer[[]string]
-
-	filterReg filterRegistry
+	// mu serialises Deploy, Start and Stop; frozen (set by Start, never
+	// cleared) ends deployment and refuses a second Start.
+	mu        sync.Mutex
+	frozen    bool
+	servlets  map[string]*deployed
+	started   atomic.Bool
+	stopSweep func()
 
 	// Simulation-mode worker state (engine goroutine only).
 	busyWorkers int
@@ -177,7 +172,6 @@ func NewContainer(engine *sim.Engine, weaver *aspect.Weaver, db *sqldb.DB, heap 
 		respNanos:  metrics.NewStripedCounter(),
 		throughput: metrics.NewRateWindow(10 * time.Second),
 	}
-	c.names.Store(&[]string{})
 	c.cePool.New = func() any {
 		ce := &completionEvent{c: c}
 		ce.fire = func(time.Time) { ce.run() }
@@ -202,14 +196,17 @@ func (c *Container) Heap() *jvmheap.Heap { return c.heap }
 func (c *Container) Clock() sim.Clock { return c.clock }
 
 // Deploy registers a servlet under the given component name and weaves its
-// Service method. Deploying after Start initialises the servlet
-// immediately — J2EE hot deployment.
+// Service method. Servlets are deployed before Start; Deploy after Start
+// (or Stop) returns an error.
 func (c *Container) Deploy(name string, s Servlet) error {
 	if s == nil {
 		return errors.New("servlet: deploy of nil servlet")
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.frozen {
+		return fmt.Errorf("servlet: deploy of %q after Start", name)
+	}
 	if _, dup := c.servlets[name]; dup {
 		return fmt.Errorf("servlet: %q already deployed", name)
 	}
@@ -232,61 +229,21 @@ func (c *Container) Deploy(name string, s Servlet) error {
 		req.serviceTime = c.cfg.Cost.ServiceTime(cost, jps, req.extraCost)
 		return nil, err
 	}
-	// The per-interaction counter is shared with the perInter map and
-	// survives redeployment, so InteractionCount keeps its full history.
+	// The per-interaction counter is shared with the perInter map, which
+	// InteractionCount reads.
 	v, _ := c.perInter.LoadOrStore(name, &metrics.Counter{})
-	d := &deployed{
+	c.servlets[name] = &deployed{
 		servlet:     s,
 		woven:       c.weaver.WeaveDepth(name, "Service", inner),
 		completions: v.(*metrics.Counter),
 	}
-	if c.started {
-		if err := s.Init(c.context()); err != nil {
-			return fmt.Errorf("servlet: init %q: %w", name, err)
-		}
-	}
-	c.servlets[name] = d
-	c.publishNamesLocked()
 	return nil
 }
 
-// Undeploy destroys and removes a servlet, reporting whether it existed.
-func (c *Container) Undeploy(name string) bool {
-	c.mu.Lock()
-	d, ok := c.servlets[name]
-	delete(c.servlets, name)
-	if ok {
-		c.publishNamesLocked()
-	}
-	c.mu.Unlock()
-	if ok {
-		d.servlet.Destroy()
-	}
-	return ok
-}
-
-// publishNamesLocked rebuilds the cached sorted name listing; the caller
-// holds c.mu.
-func (c *Container) publishNamesLocked() {
-	names := make([]string, 0, len(c.servlets))
-	for n := range c.servlets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	c.names.Store(&names)
-}
-
-// ServletNames lists deployed servlet component names, sorted. The
-// returned slice is a shared snapshot rebuilt on deployment changes;
-// callers must not mutate it.
-func (c *Container) ServletNames() []string {
-	return *c.names.Load()
-}
-
-// Servlet returns the deployed servlet instance for name.
+// Servlet returns the deployed servlet instance for name. Like the serve
+// path it reads the servlet set without a lock: call it once deployment
+// is over, or from the goroutine that deploys.
 func (c *Container) Servlet(name string) (Servlet, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	d, ok := c.servlets[name]
 	if !ok {
 		return nil, false
@@ -298,50 +255,48 @@ func (c *Container) context() *Context {
 	return &Context{Pool: c.pool, Sessions: c.sessions, Heap: c.heap}
 }
 
-// Start initialises every deployed servlet and begins the session expiry
-// sweep (simulation mode only).
+// Start fixes the servlet set, initialises every deployed servlet and
+// begins the session expiry sweep (simulation mode only). A container
+// starts once: Start after Start or Stop returns an error, as does Start
+// after a failed Start.
 func (c *Container) Start() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.started {
-		return errors.New("servlet: already started")
+	if c.frozen {
+		return errors.New("servlet: container already started; it cannot be restarted")
 	}
+	c.frozen = true
 	ctx := c.context()
 	for name, d := range c.servlets {
 		if err := d.servlet.Init(ctx); err != nil {
 			return fmt.Errorf("servlet: init %q: %w", name, err)
 		}
 	}
-	if err := c.initFilters(); err != nil {
-		return err
-	}
-	c.started = true
 	if c.engine != nil {
-		c.engine.Every(time.Minute, func(time.Time) { c.sessions.ExpireIdle() })
+		c.stopSweep = c.engine.Every(time.Minute, func(time.Time) { c.sessions.ExpireIdle() })
 	}
+	c.started.Store(true)
 	return nil
 }
 
-// Stop destroys every servlet. The container cannot be restarted.
+// Stop ends the session expiry sweep and destroys every servlet. The
+// container cannot be restarted; Stop is idempotent.
 func (c *Container) Stop() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.started {
+	if !c.started.Swap(false) {
 		return
 	}
-	c.started = false
+	if c.stopSweep != nil {
+		c.stopSweep()
+	}
 	for _, d := range c.servlets {
 		d.servlet.Destroy()
 	}
-	c.destroyFilters()
 }
 
-// Started reports whether Start has completed.
-func (c *Container) Started() bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.started
-}
+// Started reports whether Start has completed and Stop has not.
+func (c *Container) Started() bool { return c.started.Load() }
 
 // responseFor pairs a request with a response of matching lifecycle:
 // pooled requests are served from the response pool (recycled after the
@@ -433,9 +388,7 @@ func (c *Container) Invoke(req *Request) (*Response, time.Duration) {
 // connection and session, returning the response and simulated service
 // time.
 func (c *Container) execute(req *Request) (*Response, time.Duration) {
-	c.mu.RLock()
 	d, ok := c.servlets[req.Interaction]
-	c.mu.RUnlock()
 	resp := responseFor(req)
 	req.dep = d
 	if !ok {
@@ -449,14 +402,14 @@ func (c *Container) execute(req *Request) (*Response, time.Duration) {
 	conn := c.pool.Acquire()
 	req.Conn = conn
 	req.joinPoints = 0
-	req.chain = FilterChain{filters: c.filterReg.snapshot().filters, container: c, target: d}
-	if err := c.safeChain(&req.chain, req, resp); err != nil {
+	if err := safeInvoke(d, req, resp); err != nil {
 		resp.Status = StatusServerError
 		resp.Err = err
 	}
 	serviceTime := req.serviceTime
 	if serviceTime == 0 {
-		// A filter short-circuited before the servlet ran; charge the
+		// The servlet never reached its cost computation: it panicked,
+		// or an around advice returned without proceeding. Charge the
 		// fixed dispatch cost only.
 		serviceTime = c.cfg.Cost.ServiceTime(sqldb.QueryCost{}, 0, req.extraCost)
 	}
@@ -470,25 +423,19 @@ func (c *Container) execute(req *Request) (*Response, time.Duration) {
 	return resp, serviceTime + req.extraWait
 }
 
-// invokeServlet is the filter chain's final hop: it dispatches the woven
-// servlet with the request's argument scratch, so the variadic call
-// builds no per-request slice.
-func (c *Container) invokeServlet(d *deployed, req *Request, resp *Response) error {
-	req.args[0], req.args[1] = req, resp
-	_, err := d.woven(0, req.args[:]...)
-	return err
-}
-
-// safeChain runs the filter chain converting servlet/filter panics into
-// errors, as a J2EE container turns runtime exceptions into 500 responses
-// instead of dying.
-func (c *Container) safeChain(chain *FilterChain, req *Request, resp *Response) (err error) {
+// safeInvoke dispatches the woven servlet with the request's argument
+// scratch, so the variadic call builds no per-request slice. It converts
+// a panic into an error, as a J2EE container turns runtime exceptions
+// into 500 responses instead of dying.
+func safeInvoke(d *deployed, req *Request, resp *Response) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("servlet: panic in %q: %v", req.Interaction, r)
 		}
 	}()
-	return chain.Next(req, resp)
+	req.args[0], req.args[1] = req, resp
+	_, err = d.woven(0, req.args[:]...)
+	return err
 }
 
 // finish accounts a completed simulated request, runs its completion and

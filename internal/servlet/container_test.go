@@ -2,6 +2,7 @@ package servlet
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -66,7 +67,9 @@ func testDB(t *testing.T) *sqldb.DB {
 	return db
 }
 
-func newTestContainer(t *testing.T, cfg Config) (*sim.Engine, *Container, *testServlet) {
+// newDeployedContainer returns a container with the echo servlet deployed
+// but not yet started.
+func newDeployedContainer(t *testing.T, cfg Config) (*sim.Engine, *Container, *testServlet) {
 	t.Helper()
 	engine := sim.NewEngine()
 	weaver := aspect.NewWeaver(engine.Clock())
@@ -76,6 +79,12 @@ func newTestContainer(t *testing.T, cfg Config) (*sim.Engine, *Container, *testS
 	if err := c.Deploy("tpcw.echo", s); err != nil {
 		t.Fatal(err)
 	}
+	return engine, c, s
+}
+
+func newTestContainer(t *testing.T, cfg Config) (*sim.Engine, *Container, *testServlet) {
+	t.Helper()
+	engine, c, s := newDeployedContainer(t, cfg)
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -103,33 +112,59 @@ func TestLifecycle(t *testing.T) {
 	}
 }
 
+// TestStopIsFinal pins the lifecycle contract: Stop ends the session
+// expiry sweep, and a stopped container refuses Start and Deploy instead
+// of re-initialising destroyed servlets.
+func TestStopIsFinal(t *testing.T) {
+	engine, c, s := newTestContainer(t, Config{})
+	if n := engine.Len(); n != 1 {
+		t.Fatalf("pending events after Start = %d, want the expiry sweep only", n)
+	}
+	c.Stop()
+	engine.RunFor(5 * time.Minute)
+	if n := engine.Len(); n != 0 {
+		t.Fatalf("pending events 5 minutes after Stop = %d, want 0", n)
+	}
+	if err := c.Start(); err == nil {
+		t.Fatal("Start after Stop accepted")
+	}
+	if c.Started() || s.inits != 1 || engine.Len() != 0 {
+		t.Fatalf("refused restart changed state: started=%v inits=%d pending=%d",
+			c.Started(), s.inits, engine.Len())
+	}
+	if err := c.Deploy("tpcw.late", &testServlet{}); err == nil {
+		t.Fatal("Deploy after Stop accepted")
+	}
+}
+
 func TestDeployErrors(t *testing.T) {
-	_, c, _ := newTestContainer(t, Config{})
+	_, c, _ := newDeployedContainer(t, Config{})
 	if err := c.Deploy("tpcw.echo", &testServlet{}); err == nil {
 		t.Fatal("duplicate deploy accepted")
 	}
 	if err := c.Deploy("x", nil); err == nil {
 		t.Fatal("nil servlet accepted")
 	}
-	// Hot deployment initialises immediately.
-	late := &testServlet{}
-	if err := c.Deploy("tpcw.late", late); err != nil {
+	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if late.inits != 1 {
-		t.Fatal("hot deploy did not init")
+	// The servlet set is fixed at Start.
+	late := &testServlet{}
+	if err := c.Deploy("tpcw.late", late); err == nil {
+		t.Fatal("deploy after Start accepted")
 	}
-	if names := c.ServletNames(); len(names) != 2 || names[0] != "tpcw.echo" {
-		t.Fatalf("ServletNames = %v", names)
+	if late.inits != 0 {
+		t.Fatal("refused servlet was initialised")
 	}
-	if _, ok := c.Servlet("tpcw.late"); !ok {
+	if _, ok := c.Servlet("tpcw.late"); ok {
+		t.Fatal("refused servlet is reachable through Servlet")
+	}
+	resp, _ := c.Invoke(&Request{Interaction: "tpcw.late"})
+	if !errors.Is(resp.Err, ErrNoSuchServlet) {
+		t.Fatalf("refused servlet served: %+v", resp)
+	}
+	if _, ok := c.Servlet("tpcw.echo"); !ok {
 		t.Fatal("Servlet lookup failed")
-	}
-	if !c.Undeploy("tpcw.late") || late.destroys != 1 {
-		t.Fatal("Undeploy did not destroy")
-	}
-	if c.Undeploy("tpcw.late") {
-		t.Fatal("double Undeploy reported true")
 	}
 }
 
@@ -262,6 +297,57 @@ func TestInvokeDirectMode(t *testing.T) {
 	}
 	if c.Stats().Completed != 1 {
 		t.Fatal("Invoke not accounted")
+	}
+}
+
+// TestInvokeConcurrent drives the lock-free servlet lookup from many
+// goroutines while another polls the container's read accessors.
+func TestInvokeConcurrent(t *testing.T) {
+	_, c, _ := newTestContainer(t, Config{})
+	const goroutines, calls = 8, 200
+	done := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if _, ok := c.Servlet("tpcw.echo"); !ok || !c.Started() {
+				t.Error("container lost its servlet while serving")
+				return
+			}
+			_ = c.Stats()
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				req := AcquireRequest()
+				req.Interaction = "tpcw.echo"
+				resp, _ := c.Invoke(req)
+				if !resp.OK() {
+					t.Errorf("resp = %+v", resp)
+				}
+				ReleaseResponse(resp)
+				ReleaseRequest(req)
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	<-polled
+	const want = goroutines * calls
+	if got := c.Stats().Completed; got != want {
+		t.Fatalf("Completed = %d, want %d", got, want)
+	}
+	if got := c.InteractionCount("tpcw.echo"); got != want {
+		t.Fatalf("InteractionCount = %d, want %d", got, want)
 	}
 }
 
@@ -431,12 +517,20 @@ func TestPanickingServletBecomes500(t *testing.T) {
 	engine, c, s := newTestContainer(t, Config{})
 	s.body = func(*Request, *Response) error { panic("servlet bug") }
 	var resp *Response
+	var rt time.Duration
 	engine.ScheduleAfter(0, func(time.Time) {
-		c.Submit(&Request{Interaction: "tpcw.echo"}, func(_ *Request, r *Response) { resp = r })
+		c.Submit(&Request{Interaction: "tpcw.echo"}, func(r *Request, resp2 *Response) {
+			resp, rt = resp2, engine.Now().Sub(r.Submitted())
+		})
 	})
 	engine.RunFor(30 * time.Second)
 	if resp == nil || resp.Status != StatusServerError {
 		t.Fatalf("panic response = %+v", resp)
+	}
+	// The panic skipped the servlet's cost computation: the request is
+	// charged the fixed dispatch cost only.
+	if want := c.cfg.Cost.ServiceTime(sqldb.QueryCost{}, 0, 0); rt != want {
+		t.Fatalf("panicking request completed after %v, want %v", rt, want)
 	}
 	// The container keeps serving afterwards.
 	s.body = nil
@@ -451,6 +545,34 @@ func TestPanickingServletBecomes500(t *testing.T) {
 	// The pooled connection was released despite the panic.
 	if c.Pool().Idle() != c.Pool().Size() {
 		t.Fatalf("connection leaked on panic: idle=%d", c.Pool().Idle())
+	}
+}
+
+// TestAroundWithoutProceedChargesDispatchCost covers the other way a
+// request skips the servlet's cost computation: an around advice that
+// returns without proceeding.
+func TestAroundWithoutProceedChargesDispatchCost(t *testing.T) {
+	engine, c, _ := newTestContainer(t, Config{})
+	if err := c.Weaver().Register(&aspect.Aspect{
+		Name:     "veto",
+		Pointcut: aspect.MustPointcut("within(tpcw.*)"),
+		Around:   func(*aspect.JoinPoint, aspect.Proceed) (any, error) { return nil, nil },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var resp *Response
+	var rt time.Duration
+	engine.ScheduleAfter(0, func(time.Time) {
+		c.Submit(&Request{Interaction: "tpcw.echo"}, func(r *Request, resp2 *Response) {
+			resp, rt = resp2, engine.Now().Sub(r.Submitted())
+		})
+	})
+	engine.RunFor(30 * time.Second)
+	if resp == nil || !resp.OK() || resp.Get("rows") != nil {
+		t.Fatalf("vetoed response = %+v, want OK without the servlet's rows", resp)
+	}
+	if want := c.cfg.Cost.ServiceTime(sqldb.QueryCost{}, 0, 0); rt != want {
+		t.Fatalf("vetoed request completed after %v, want %v", rt, want)
 	}
 }
 

@@ -96,48 +96,3 @@ func TestResponseItemIDsBridge(t *testing.T) {
 	}
 	ReleaseResponse(fresh)
 }
-
-// TestNameListingsAreCachedSnapshots pins the listing satellite: repeated
-// polls of ServletNames/FilterNames return the same underlying snapshot
-// (no per-call slice), and deployment or filter changes publish a new
-// one.
-func TestNameListingsAreCachedSnapshots(t *testing.T) {
-	_, c, _ := newTestContainer(t, Config{})
-	if err := c.Deploy("a.first", &testServlet{}); err != nil {
-		t.Fatal(err)
-	}
-	n1, n2 := c.ServletNames(), c.ServletNames()
-	if len(n1) != 2 || n1[0] != "a.first" || n1[1] != "tpcw.echo" {
-		t.Fatalf("ServletNames = %v", n1)
-	}
-	if &n1[0] != &n2[0] {
-		t.Fatal("repeated ServletNames polls rebuilt the listing")
-	}
-	if !c.Undeploy("a.first") {
-		t.Fatal("undeploy failed")
-	}
-	if n3 := c.ServletNames(); len(n3) != 1 || n3[0] != "tpcw.echo" {
-		t.Fatalf("ServletNames after undeploy = %v", n3)
-	}
-	// The pre-undeploy snapshot is immutable — still intact.
-	if len(n1) != 2 {
-		t.Fatalf("old snapshot mutated: %v", n1)
-	}
-
-	if err := c.AddFilter("f1", NewAccessLogFilter(nil)); err != nil {
-		t.Fatal(err)
-	}
-	f1, f2 := c.FilterNames(), c.FilterNames()
-	if len(f1) != 1 || f1[0] != "f1" {
-		t.Fatalf("FilterNames = %v", f1)
-	}
-	if &f1[0] != &f2[0] {
-		t.Fatal("repeated FilterNames polls rebuilt the listing")
-	}
-	if !c.RemoveFilter("f1") {
-		t.Fatal("remove failed")
-	}
-	if len(c.FilterNames()) != 0 {
-		t.Fatalf("FilterNames after remove = %v", c.FilterNames())
-	}
-}

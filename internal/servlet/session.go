@@ -20,7 +20,7 @@ const sessionFootprint int64 = 4096
 type Session struct {
 	id string
 
-	mu         sync.RWMutex
+	mu         sync.Mutex
 	values     map[string]any
 	created    time.Time
 	lastAccess time.Time
@@ -31,8 +31,8 @@ func (s *Session) ID() string { return s.id }
 
 // Get reads an attribute (nil when absent).
 func (s *Session) Get(key string) any {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.values[key]
 }
 
@@ -45,15 +45,15 @@ func (s *Session) Set(key string, v any) {
 
 // Created returns the creation instant.
 func (s *Session) Created() time.Time {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.created
 }
 
 // LastAccess returns the most recent access instant.
 func (s *Session) LastAccess() time.Time {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.lastAccess
 }
 
