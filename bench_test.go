@@ -263,7 +263,7 @@ func BenchmarkMBeanServerInvoke(b *testing.B) {
 	if err := server.Register(agent.ObjectName(), agent.Bean()); err != nil {
 		b.Fatal(err)
 	}
-	table.Cell("c").Record(time.Millisecond, time.Millisecond, false)
+	table.Cell("c").Record(time.Millisecond, time.Millisecond, false, true)
 	name := agent.ObjectName()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -38,8 +38,14 @@ type Aspect struct {
 	// After runs after the execution regardless of outcome (finally).
 	After func(*JoinPoint)
 
-	enabled    atomic.Bool
-	executions atomic.Int64
+	// Bind, when set, is called once per woven handle and configuration
+	// generation, while the component's interception is on, with the
+	// component the handle advises. Its result reaches this aspect's
+	// advice bodies as JoinPoint.Bound, so per-component state is looked
+	// up at weave time rather than on every execution.
+	Bind func(component string) any
+
+	enabled atomic.Bool
 }
 
 // Validate reports whether the aspect is well-formed: a name, a pointcut
@@ -64,6 +70,3 @@ func (a *Aspect) Enabled() bool { return a.enabled.Load() }
 // SetEnabled switches the aspect at runtime. Woven components observe the
 // change on their next invocation; no re-weaving happens.
 func (a *Aspect) SetEnabled(on bool) { a.enabled.Store(on) }
-
-// Executions returns how many join points this aspect has advised.
-func (a *Aspect) Executions() int64 { return a.executions.Load() }

@@ -49,6 +49,9 @@ type JoinPoint struct {
 	// component invoked by another woven component, and so on. Trace
 	// aspects use it to reconstruct per-request component paths.
 	Depth int
+	// Bound is what the advising aspect's Bind returned for this
+	// component (nil without a Bind). Each aspect's advice sees its own.
+	Bound any
 }
 
 // Keyed is implemented by invocation arguments that can identify the

@@ -195,10 +195,21 @@ type handle struct {
 	cached    atomic.Pointer[resolvedChain]
 }
 
+// resolvedChain is a handle's advice chain for one generation, empty
+// while the component's interception is off, and the runner its shape
+// takes: runPlain for a chain with no around advice and at most 64
+// layers (its layer set is one word), runChain otherwise.
 type resolvedChain struct {
-	gen       int64
-	intercept bool // component interception on in this generation
-	chain     []*Aspect
+	gen   int64
+	chain []layer
+	run   func(*JoinPoint, []layer, Func) (any, error)
+}
+
+// layer is one matching aspect and what its Bind returned for the
+// handle's component.
+type layer struct {
+	a     *Aspect
+	bound any
 }
 
 func (w *Weaver) newHandle(component, method string, fn Func) *handle {
@@ -209,9 +220,8 @@ func (w *Weaver) newHandle(component, method string, fn Func) *handle {
 }
 
 // Weave wraps fn so that every invocation becomes a join point advised by
-// the matching aspects. The depth argument of the returned function is
-// managed by Invoke; use the returned Func through Invoke or call it with
-// the raw args directly (depth 0).
+// the matching aspects. The returned function runs at nesting depth 0;
+// use WeaveDepth for a component that other woven components call.
 func (w *Weaver) Weave(component, method string, fn Func) Func {
 	h := w.newHandle(component, method, fn)
 	return func(args ...any) (any, error) {
@@ -238,7 +248,7 @@ func (h *handle) dispatch(args []any, depth int) (any, error) {
 	if rc == nil || rc.gen != snap.gen {
 		rc = h.resolve(snap)
 	}
-	if !rc.intercept || len(rc.chain) == 0 {
+	if len(rc.chain) == 0 {
 		return h.fn(args...)
 	}
 	w := h.w
@@ -255,76 +265,148 @@ func (h *handle) dispatch(args []any, depth int) (any, error) {
 	jp.Args = args
 	jp.Result, jp.Err = nil, nil
 	jp.Depth = depth
-	res, err := w.runChain(jp, rc.chain, 0, h.fn)
-	// Recycle: every advice body has returned by now (After advice runs
-	// inside runChain), so the join point is dead. Clear what it references
-	// so the pool does not pin arguments or results. A panicking advice
-	// body skips the recycle — the join point is simply collected.
+	res, err := rc.run(jp, rc.chain, h.fn)
+	// Recycle: every advice body has returned by now, so the join point
+	// is dead. Clear what it references so the pool does not pin
+	// arguments or results. A panicking advice body skips the recycle —
+	// the join point is simply collected.
 	jp.Args = nil
-	jp.Result, jp.Err = nil, nil
+	jp.Result, jp.Err, jp.Bound = nil, nil, nil
 	w.jpPool.Put(jp)
 	return res, err
 }
 
-// resolve matches the snapshot's aspects against this handle's signature
-// and publishes the result. Two goroutines may resolve concurrently and
-// the slower (possibly older-generation) publication can land last; that
-// is benign because every dispatch revalidates the stamp against the
-// snapshot it loaded — a stale publication only costs one re-resolve, it
-// is never executed against a newer snapshot.
+// resolve matches the snapshot's aspects against this handle's signature,
+// binds each match to the component and publishes the result. Two
+// goroutines may resolve concurrently and the slower (possibly
+// older-generation) publication can land last; that is benign because
+// every dispatch revalidates the stamp against the snapshot it loaded — a
+// stale publication only costs one re-resolve, it is never executed
+// against a newer snapshot.
 func (h *handle) resolve(snap *snapshot) *resolvedChain {
-	var chain []*Aspect
-	for _, a := range snap.aspects {
-		if a.Pointcut.Matches(h.component, h.method) {
-			chain = append(chain, a)
+	rc := &resolvedChain{gen: snap.gen, run: runPlain}
+	if !snap.disabled[h.component] {
+		for _, a := range snap.aspects {
+			if !a.Pointcut.Matches(h.component, h.method) {
+				continue
+			}
+			l := layer{a: a}
+			if a.Bind != nil {
+				l.bound = a.Bind(h.component)
+			}
+			rc.chain = append(rc.chain, l)
+			if a.Around != nil || len(rc.chain) > 64 {
+				rc.run = runChain
+			}
 		}
-	}
-	rc := &resolvedChain{
-		gen:       snap.gen,
-		intercept: !snap.disabled[h.component],
-		chain:     chain,
 	}
 	h.cached.Store(rc)
 	return rc
 }
 
-// runChain executes the advice layers from index i outward-in, ending at
-// the component function.
-func (w *Weaver) runChain(jp *JoinPoint, chain []*Aspect, i int, fn Func) (res any, err error) {
-	if i == len(chain) {
+// runPlain runs a chain without around advice in one pass: every enabled
+// layer's Before outermost first, the component, then innermost first
+// each layer's AfterReturning or AfterThrowing followed by its After.
+// entered holds the layers whose After is still owed, so the one defer
+// keeps AspectJ's after() finally semantics: when an advice body or the
+// component panics, each entered layer runs its After, innermost first,
+// exactly as the nested runChain would.
+func runPlain(jp *JoinPoint, chain []layer, fn Func) (res any, err error) {
+	var entered uint64
+	defer func() {
+		if entered != 0 {
+			unwind(jp, chain, &entered)
+		}
+	}()
+	for i := range chain {
+		l := &chain[i]
+		if !l.a.Enabled() {
+			continue
+		}
+		entered |= 1 << i
+		if l.a.Before != nil {
+			jp.Bound = l.bound
+			l.a.Before(jp)
+		}
+	}
+	res, err = fn(jp.Args...)
+	for i := len(chain) - 1; i >= 0; i-- {
+		if entered&(1<<i) == 0 {
+			continue
+		}
+		l := &chain[i]
+		jp.Result, jp.Err, jp.Bound = res, err, l.bound
+		if err == nil {
+			if l.a.AfterReturning != nil {
+				l.a.AfterReturning(jp)
+			}
+		} else if l.a.AfterThrowing != nil {
+			l.a.AfterThrowing(jp)
+		}
+		entered &^= 1 << i
+		l.after(jp)
+	}
+	return res, err
+}
+
+// unwind runs, innermost first, the After of every layer still in
+// entered, which is empty unless a panic is leaving runPlain. An After
+// that panics in turn leaves the outer layers theirs: the deferred call
+// resumes the unwind, as the nested defers of runChain would.
+func unwind(jp *JoinPoint, chain []layer, entered *uint64) {
+	if *entered == 0 {
+		return
+	}
+	defer unwind(jp, chain, entered)
+	for i := len(chain) - 1; i >= 0; i-- {
+		if *entered&(1<<i) != 0 {
+			*entered &^= 1 << i
+			chain[i].after(jp)
+		}
+	}
+}
+
+// after runs the layer's After advice, if any, with its own binding.
+func (l *layer) after(jp *JoinPoint) {
+	if l.a.After != nil {
+		jp.Bound = l.bound
+		l.a.After(jp)
+	}
+}
+
+// runChain executes a chain with around advice, nesting layer by layer
+// from the outermost inward and ending at the component function.
+func runChain(jp *JoinPoint, chain []layer, fn Func) (res any, err error) {
+	if len(chain) == 0 {
 		return fn(jp.Args...)
 	}
-	a := chain[i]
-	if !a.Enabled() {
-		return w.runChain(jp, chain, i+1, fn)
+	l := &chain[0]
+	if !l.a.Enabled() {
+		return runChain(jp, chain[1:], fn)
 	}
-	a.executions.Add(1)
-
 	// After advice is exception-safe: it runs even if an inner layer or
 	// the component panics, like AspectJ's after() finally semantics.
-	if a.After != nil {
-		defer a.After(jp)
+	defer l.after(jp)
+	jp.Bound = l.bound
+	if l.a.Before != nil {
+		l.a.Before(jp)
 	}
-	if a.Before != nil {
-		a.Before(jp)
-	}
-	// The proceed closure is only materialised for around advice — the
-	// before/after-only chain (the AC's shape) must not allocate per
-	// execution.
-	if a.Around != nil {
-		res, err = a.Around(jp, func() (any, error) {
-			return w.runChain(jp, chain, i+1, fn)
+	if l.a.Around != nil {
+		res, err = l.a.Around(jp, func() (any, error) {
+			res, err := runChain(jp, chain[1:], fn)
+			jp.Bound = l.bound
+			return res, err
 		})
 	} else {
-		res, err = w.runChain(jp, chain, i+1, fn)
+		res, err = runChain(jp, chain[1:], fn)
 	}
-	jp.Result, jp.Err = res, err
+	jp.Result, jp.Err, jp.Bound = res, err, l.bound
 	if err == nil {
-		if a.AfterReturning != nil {
-			a.AfterReturning(jp)
+		if l.a.AfterReturning != nil {
+			l.a.AfterReturning(jp)
 		}
-	} else if a.AfterThrowing != nil {
-		a.AfterThrowing(jp)
+	} else if l.a.AfterThrowing != nil {
+		l.a.AfterThrowing(jp)
 	}
 	return res, err
 }

@@ -2,6 +2,9 @@ package aspect
 
 import (
 	"errors"
+	"fmt"
+	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -155,11 +158,12 @@ func TestPrecedenceNesting(t *testing.T) {
 
 func TestRuntimeDisableAspect(t *testing.T) {
 	w := NewWeaver(nil)
-	count := 0
+	count, after := 0, 0
 	a := &Aspect{
 		Name:     "counter",
 		Pointcut: MustPointcut("within(c)"),
 		Before:   func(*JoinPoint) { count++ },
+		After:    func(*JoinPoint) { after++ },
 	}
 	if err := w.Register(a); err != nil {
 		t.Fatal(err)
@@ -171,11 +175,8 @@ func TestRuntimeDisableAspect(t *testing.T) {
 	fn()
 	a.SetEnabled(true)
 	fn()
-	if count != 2 {
-		t.Fatalf("advice fired %d times, want 2", count)
-	}
-	if a.Executions() != 2 {
-		t.Fatalf("Executions = %d", a.Executions())
+	if count != 2 || after != 2 {
+		t.Fatalf("advice fired %d/%d times, want 2/2", count, after)
 	}
 }
 
@@ -374,5 +375,253 @@ func TestMultipleAspectsShareJoinPoint(t *testing.T) {
 	fn()
 	if first == nil || first != second {
 		t.Fatal("aspects saw different join points")
+	}
+}
+
+// refRunChain is the nested chain runner the straight-line runPlain
+// replaced, kept as the reference TestPlainChainMatchesReference holds
+// runPlain to: one frame and one deferred After per enabled layer.
+func refRunChain(jp *JoinPoint, chain []*Aspect, i int, fn Func) (res any, err error) {
+	if i == len(chain) {
+		return fn(jp.Args...)
+	}
+	a := chain[i]
+	if !a.Enabled() {
+		return refRunChain(jp, chain, i+1, fn)
+	}
+	if a.After != nil {
+		defer a.After(jp)
+	}
+	if a.Before != nil {
+		a.Before(jp)
+	}
+	if a.Around != nil {
+		res, err = a.Around(jp, func() (any, error) {
+			return refRunChain(jp, chain, i+1, fn)
+		})
+	} else {
+		res, err = refRunChain(jp, chain, i+1, fn)
+	}
+	jp.Result, jp.Err = res, err
+	if err == nil {
+		if a.AfterReturning != nil {
+			a.AfterReturning(jp)
+		}
+	} else if a.AfterThrowing != nil {
+		a.AfterThrowing(jp)
+	}
+	return res, err
+}
+
+// Advice kinds of a plain-chain case, as bits of a layer's advice set.
+const (
+	kBefore = 1 << iota
+	kAfterReturning
+	kAfterThrowing
+	kAfter
+	kinds = 4
+)
+
+var kindNames = [kinds]string{"before", "afterReturning", "afterThrowing", "after"}
+
+// plainCase is one before/after chain: per layer, the advice kinds it has
+// and whether it is enabled; what the component does; and which advice
+// body (layer, kind) panics, if any.
+type plainCase struct {
+	advice  []int
+	enabled []bool
+	outcome int // 0 returns ok, 1 returns an error, 2 panics
+	panicAt int // layer*kinds + kind index, or -1
+}
+
+var errPlain = errors.New("component failed")
+
+// run executes c through the weaver (woven) or the reference runner and
+// returns the advice event log, the result and the recovered panic.
+func (c plainCase) run(t *testing.T, woven bool) (log []string, res any, err error, rec any) {
+	chain := make([]*Aspect, len(c.advice))
+	for i := range chain {
+		a := &Aspect{Name: fmt.Sprintf("L%d", i), Order: i, Pointcut: MustPointcut("within(c)")}
+		body := func(k int) func(*JoinPoint) {
+			return func(jp *JoinPoint) {
+				ev := fmt.Sprintf("L%d.%s(%v,%v)", i, kindNames[k], jp.Result, jp.Err)
+				if woven && jp.Bound != i {
+					ev += fmt.Sprintf(" bound=%v", jp.Bound)
+				}
+				log = append(log, ev)
+				if c.panicAt == i*kinds+k {
+					panic(ev)
+				}
+			}
+		}
+		for k, dst := range []*func(*JoinPoint){&a.Before, &a.AfterReturning, &a.AfterThrowing, &a.After} {
+			if c.advice[i]&(1<<k) != 0 {
+				*dst = body(k)
+			}
+		}
+		a.Bind = func(string) any { return i }
+		chain[i] = a
+	}
+	fn := func(...any) (any, error) {
+		log = append(log, "body")
+		switch c.outcome {
+		case 1:
+			return "partial", errPlain
+		case 2:
+			panic("body")
+		}
+		return "ok", nil
+	}
+	var w *Weaver
+	if woven {
+		w = NewWeaver(nil)
+		for _, a := range chain {
+			if err := w.Register(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i, a := range chain {
+		a.SetEnabled(c.enabled[i])
+	}
+	defer func() { rec = recover() }()
+	if woven {
+		res, err = w.Weave("c", "M", fn)()
+	} else {
+		res, err = refRunChain(&JoinPoint{Component: "c", Method: "M"}, chain, 0, fn)
+	}
+	return log, res, err, rec
+}
+
+// TestPlainChainMatchesReference is the differential oracle of the
+// straight-line runner: over chains of one to three before/after layers,
+// every advice subset, enabled and disabled layers, a component that
+// succeeds, fails or panics, and a panic in any advice body, the woven
+// call must log the same advice events, return the same values and
+// propagate the same panic as the nested reference runner. Chains of one
+// and two layers are enumerated; three-layer chains are sampled.
+func TestPlainChainMatchesReference(t *testing.T) {
+	var cases []plainCase
+	var layerStates [][2]int // (advice set, enabled)
+	for adv := 1; adv < 1<<kinds; adv++ {
+		layerStates = append(layerStates, [2]int{adv, 1}, [2]int{adv, 0})
+	}
+	add := func(states [][2]int, outcome, panicAt int) {
+		c := plainCase{outcome: outcome, panicAt: panicAt}
+		for _, s := range states {
+			c.advice = append(c.advice, s[0])
+			c.enabled = append(c.enabled, s[1] == 1)
+		}
+		cases = append(cases, c)
+	}
+	for _, s0 := range layerStates {
+		for outcome := 0; outcome < 3; outcome++ {
+			for p := -1; p < kinds; p++ {
+				add([][2]int{s0}, outcome, p)
+			}
+		}
+		for _, s1 := range layerStates {
+			for outcome := 0; outcome < 3; outcome++ {
+				for p := -1; p < 2*kinds; p++ {
+					add([][2]int{s0, s1}, outcome, p)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewPCG(38, 3))
+	for n := 0; n < 20000; n++ {
+		states := [][2]int{
+			layerStates[rng.IntN(len(layerStates))],
+			layerStates[rng.IntN(len(layerStates))],
+			layerStates[rng.IntN(len(layerStates))],
+		}
+		add(states, rng.IntN(3), rng.IntN(3*kinds+1)-1)
+	}
+	for _, c := range cases {
+		wantLog, wantRes, wantErr, wantRec := c.run(t, false)
+		gotLog, gotRes, gotErr, gotRec := c.run(t, true)
+		if !slices.Equal(gotLog, wantLog) || gotRes != wantRes || gotErr != wantErr || gotRec != wantRec {
+			t.Fatalf("case %+v:\n woven     %q -> (%v, %v) panic %v\n reference %q -> (%v, %v) panic %v",
+				c, gotLog, gotRes, gotErr, gotRec, wantLog, wantRes, wantErr, wantRec)
+		}
+	}
+}
+
+// TestBindOncePerGeneration pins when the weaver calls Bind: once per
+// handle and generation, on the first call after a Register, Unregister
+// or SetComponentEnabled bump, never on a steady-state call and never
+// while the component's interception is off. Each aspect of a chain,
+// plain or with around advice, sees only its own binding.
+func TestBindOncePerGeneration(t *testing.T) {
+	for _, around := range []bool{false, true} {
+		w := NewWeaver(nil)
+		binds := map[string]int{}
+		mk := func(name string, order int) *Aspect {
+			check := func(jp *JoinPoint) {
+				if want := name + ":" + jp.Component; jp.Bound != want {
+					t.Errorf("around=%v: %s advice saw Bound %v, want %s", around, name, jp.Bound, want)
+				}
+			}
+			a := &Aspect{
+				Name: name, Order: order, Pointcut: MustPointcut("within(*)"),
+				Bind: func(component string) any {
+					binds[name+":"+component]++
+					return name + ":" + component
+				},
+				Before: check, AfterReturning: check, After: check,
+			}
+			if around {
+				a.Around = func(jp *JoinPoint, proceed Proceed) (any, error) {
+					check(jp)
+					res, err := proceed()
+					check(jp)
+					return res, err
+				}
+			}
+			return a
+		}
+		for i, name := range []string{"outer", "inner"} {
+			if err := w.Register(mk(name, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c := w.Weave("c", "M", okFunc(nil))
+		d := w.Weave("d", "M", okFunc(nil))
+		w.SetComponentEnabled("d", false)
+		calls := func(fn Func, n int) {
+			for i := 0; i < n; i++ {
+				if _, err := fn(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want := func(step string, n int) {
+			t.Helper()
+			if binds["outer:c"] != n || binds["inner:c"] != n {
+				t.Fatalf("around=%v, %s: c bound %d/%d times, want %d", around, step, binds["outer:c"], binds["inner:c"], n)
+			}
+			if binds["outer:d"] != 0 || binds["inner:d"] != 0 {
+				t.Fatalf("around=%v, %s: disabled component d was bound", around, step)
+			}
+		}
+		calls(c, 10)
+		calls(d, 10)
+		want("steady state", 1)
+		if err := w.Register(&Aspect{Name: "other", Pointcut: MustPointcut("within(x)"), Before: func(*JoinPoint) {}}); err != nil {
+			t.Fatal(err)
+		}
+		calls(c, 10)
+		calls(d, 10)
+		want("after Register", 2)
+		w.Unregister("other")
+		calls(c, 10)
+		want("after Unregister", 3)
+		w.SetComponentEnabled("c", false)
+		calls(c, 10)
+		want("while c is off", 3)
+		w.SetComponentEnabled("c", true)
+		calls(c, 10)
+		calls(d, 10)
+		want("after SetComponentEnabled", 4)
 	}
 }

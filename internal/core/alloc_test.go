@@ -204,3 +204,66 @@ func TestTimeToExhaustionBoundedWindow(t *testing.T) {
 		t.Fatalf("one TimeToExhaustion call allocated %d bytes", alloc)
 	}
 }
+
+// costArg is a fleet-shaped invocation argument: it reports a fixed
+// service cost to the AC.
+type costArg struct{ cost time.Duration }
+
+func (c *costArg) ReportedCost() time.Duration { return c.cost }
+
+// newAdvisedHandle weaves one instrumented component through a real
+// framework and returns the woven call with its argument list.
+func newAdvisedHandle(tb testing.TB) (*Framework, aspect.Func, []any) {
+	tb.Helper()
+	f, err := New(Options{Weaver: aspect.NewWeaver(nil)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := f.InstrumentComponent("app.comp", &soakTarget{buf: make([]byte, 64)}); err != nil {
+		tb.Fatal(err)
+	}
+	fn := f.Weaver().Weave("app.comp", "Service", func(...any) (any, error) { return nil, nil })
+	return f, fn, []any{&costArg{cost: 300 * time.Microsecond}}
+}
+
+// TestAdvisedCallSteadyStateAllocs holds the AC-advised call at zero
+// allocations, in the steady state and right after a generation bump has
+// re-resolved and re-bound the chain, and checks that it recorded into
+// the component's cell.
+func TestAdvisedCallSteadyStateAllocs(t *testing.T) {
+	f, fn, args := newAdvisedHandle(t)
+	call := func() {
+		if _, err := fn(args...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call()
+	if allocs := testing.AllocsPerRun(500, call); allocs != 0 && !raceEnabled {
+		t.Fatalf("steady-state advised call allocates %.2f objects", allocs)
+	}
+	f.Weaver().SetComponentEnabled("other", false) // bump the generation
+	call()                                         // re-resolve and re-bind
+	if allocs := testing.AllocsPerRun(500, call); allocs != 0 && !raceEnabled {
+		t.Fatalf("advised call after a re-bind allocates %.2f objects", allocs)
+	}
+	st := f.InvocationAgent().StatsOf("app.comp")
+	if want := int64(1 + 501 + 1 + 501); st.Count != want {
+		t.Fatalf("recorded %d executions, want %d", st.Count, want)
+	}
+	if cpu := f.CPUAgent().TimeOf("app.comp"); cpu != time.Duration(st.Count)*300*time.Microsecond {
+		t.Fatalf("CPU = %v over %d executions", cpu, st.Count)
+	}
+}
+
+// BenchmarkAdvisedCall measures the AC-advised call in the fleet's shape:
+// a real framework, one woven handle, a cost-reporting argument.
+func BenchmarkAdvisedCall(b *testing.B) {
+	_, fn, args := newAdvisedHandle(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fn(args...); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

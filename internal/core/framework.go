@@ -20,15 +20,15 @@
 //
 // Concurrency contract: the AC's advice runs on every invoking goroutine
 // and records only into the executing component's cell of the shared
-// monitor.Table — atomic counters resolved by one lock-free lookup per
-// execution — so recording never blocks and is never blocked. The
-// collector keeps each component's latest round, not its history, so a
-// node's memory does not grow with its uptime. It has two locks, neither
-// on the recording path: recsMu for the component registry (rare
-// instrument/uninstrument) and sampleMu, which serialises sampling rounds
-// (and the SampleObservers they feed, detectors and cluster forwarders
-// included) and guards what they write; the root-cause queries read the
-// latest round under it.
+// monitor.Table, which the weaver binds to the advice once per chain
+// resolution: atomic counters, so recording never blocks and is never
+// blocked. The collector keeps each component's latest round, not its
+// history, so a node's memory does not grow with its uptime. It has two
+// locks, neither on the recording path: recsMu for the component registry
+// (rare instrument/uninstrument) and sampleMu, which serialises sampling
+// rounds (and the SampleObservers they feed, detectors and cluster
+// forwarders included) and guards what they write; the root-cause
+// queries read the latest round under it.
 package core
 
 import (
@@ -190,22 +190,17 @@ func New(opts Options) (*Framework, error) {
 	}
 
 	// The Aspect Component: one advice body serving as the per-component
-	// AC. The before advice snapshots the heap level (the paper's
-	// "measure every resource before ... a component is used"); the
-	// after advice resolves the component's cell once and records into
-	// it: the heap delta, the invocation, and the CPU time of top-level
-	// executions.
+	// AC. The weaver binds it to each component's cell when it resolves
+	// the component's chain. The after advice records into the bound
+	// cell: the heap delta and the invocation, whose cost is CPU time
+	// when it ran at the top level.
 	f.acAspect = &aspect.Aspect{
 		Name:     ACAspectName,
 		Order:    -10, // outside injectors so it observes their effects
 		Pointcut: pointcut,
-		Before: func(jp *aspect.JoinPoint) {
-			if f.deltas != nil && jp.Depth == 0 {
-				f.deltas.before(jp.Key())
-			}
-		},
+		Bind:     func(component string) any { return table.Cell(component) },
 		After: func(jp *aspect.JoinPoint) {
-			cell := f.table.Cell(jp.Component)
+			cell := jp.Bound.(*monitor.Cell)
 			if f.deltas != nil && jp.Depth == 0 {
 				f.deltas.after(cell, jp.Key())
 			}
@@ -221,14 +216,15 @@ func New(opts Options) (*Framework, error) {
 					break
 				}
 			}
-			if latency < cost {
-				latency = cost
-			}
-			cell.Record(cost, latency, jp.Err != nil)
-			if jp.Depth == 0 && cost > 0 {
-				cell.ChargeCPU(cost)
-			}
+			cell.Record(cost, latency, jp.Err != nil, jp.Depth == 0)
 		},
+	}
+	if f.deltas != nil { // snapshot the heap level before each execution
+		f.acAspect.Before = func(jp *aspect.JoinPoint) {
+			if jp.Depth == 0 {
+				f.deltas.before(jp.Key())
+			}
+		}
 	}
 	if err := opts.Weaver.Register(f.acAspect); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"math/rand/v2"
 	"sync"
 	"testing"
 	"time"
@@ -131,10 +132,11 @@ func TestObjectSizeAgentNilTargetPanics(t *testing.T) {
 func TestCPUAgent(t *testing.T) {
 	tab := NewTable()
 	a := NewCPUAgent(tab)
-	tab.Cell("A").ChargeCPU(100 * time.Millisecond)
-	tab.Cell("A").ChargeCPU(200 * time.Millisecond)
-	tab.Cell("B").ChargeCPU(50 * time.Millisecond)
-	tab.Cell("C") // a cell charged nothing is not listed
+	tab.Cell("A").Record(100*time.Millisecond, 100*time.Millisecond, false, true)
+	tab.Cell("A").Record(200*time.Millisecond, 200*time.Millisecond, false, true)
+	tab.Cell("B").Record(50*time.Millisecond, 50*time.Millisecond, false, true)
+	tab.Cell("B").Record(time.Second, time.Second, false, false) // nested: not CPU
+	tab.Cell("C")                                                // a cell charged nothing is not listed
 	if got := a.TimeOf("A"); got != 300*time.Millisecond {
 		t.Fatalf("TimeOf(A) = %v", got)
 	}
@@ -154,10 +156,10 @@ func TestCPUAgent(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("negative ChargeCPU did not panic")
+			t.Fatal("a negative top-level cost did not panic")
 		}
 	}()
-	tab.Cell("A").ChargeCPU(-time.Second)
+	tab.Cell("A").Record(-time.Second, 0, false, true)
 }
 
 func TestThreadAgent(t *testing.T) {
@@ -200,10 +202,10 @@ func TestThreadAgent(t *testing.T) {
 func TestInvocationAgent(t *testing.T) {
 	tab := NewTable()
 	a := NewInvocationAgent(tab)
-	tab.Cell("A").Record(10*time.Millisecond, 10*time.Millisecond, false)
-	tab.Cell("A").Record(20*time.Millisecond, 25*time.Millisecond, true)
-	tab.Cell("B").Record(5*time.Millisecond, 5*time.Millisecond, false)
-	tab.Cell("C").ChargeCPU(time.Millisecond) // not an invocation
+	tab.Cell("A").Record(10*time.Millisecond, 10*time.Millisecond, false, true)
+	tab.Cell("A").Record(20*time.Millisecond, 25*time.Millisecond, true, false)
+	tab.Cell("B").Record(5*time.Millisecond, 5*time.Millisecond, false, true)
+	tab.Cell("C") // a cell with no invocation is not listed
 	st := a.StatsOf("A")
 	if st.Count != 2 || st.Failures != 1 || st.TotalDuration != 30*time.Millisecond {
 		t.Fatalf("StatsOf(A) = %+v", st)
@@ -294,8 +296,7 @@ func TestCellTableConcurrency(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				name := names[(w+i)%len(names)]
 				c := tab.Cell(name)
-				c.Record(time.Microsecond, 2*time.Microsecond, i%10 == 0)
-				c.ChargeCPU(time.Microsecond)
+				c.Record(time.Microsecond, 2*time.Microsecond, i%10 == 0, true)
 				threads.Acquire(name)
 				threads.Release(name)
 				if i == w {
@@ -332,5 +333,50 @@ func TestCellLayout(t *testing.T) {
 	}
 	if got := unsafe.Offsetof(Cell{}.name); got != 64 {
 		t.Fatalf("Cell.name at offset %d, want 64", got)
+	}
+}
+
+// TestCellAccounting drives a mix of top-level and nested,
+// failed and latency-above-cost executions into a cell and holds its
+// readers to the formulas of the earlier cell, which kept overlapping
+// counters: service time summed every cost, latency summed the latency
+// clamped up to the cost, and CPU summed the positive costs of top-level
+// executions.
+func TestCellAccounting(t *testing.T) {
+	c := NewTable().Cell("A")
+	rng := rand.New(rand.NewPCG(38, 1))
+	var count, failures int64
+	var service, latency, cpu time.Duration
+	for i := 0; i < 5000; i++ {
+		cost := time.Duration(rng.IntN(4)) * time.Duration(rng.IntN(1000)) * time.Microsecond
+		lat := cost
+		switch rng.IntN(3) {
+		case 0:
+			lat += time.Duration(rng.IntN(500)) * time.Microsecond
+		case 1:
+			lat = time.Duration(rng.IntN(int(cost/time.Microsecond)+1)) * time.Microsecond
+		}
+		failed, top := rng.IntN(7) == 0, rng.IntN(2) == 0
+		c.Record(cost, lat, failed, top)
+
+		count++
+		if failed {
+			failures++
+		}
+		service += cost
+		latency += max(lat, cost)
+		if top && cost > 0 {
+			cpu += cost
+		}
+	}
+	want := InvocationStats{Count: count, Failures: failures, TotalDuration: service}
+	if got := c.Stats(); got != want {
+		t.Fatalf("Stats = %+v, want %+v", got, want)
+	}
+	if got := c.Latency(); got != latency {
+		t.Fatalf("Latency = %v, want %v", got, latency)
+	}
+	if got := c.CPU(); got != cpu {
+		t.Fatalf("CPU = %v, want %v", got, cpu)
 	}
 }

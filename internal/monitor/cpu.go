@@ -6,11 +6,11 @@ import (
 	"repro/internal/jmx"
 )
 
-// CPUAgent reports per-component CPU time. In the simulation the
-// container charges each request's modelled service time to the component
-// that executed it (Cell.ChargeCPU); a CPU-hogging aging bug therefore
-// shows up as one component's share growing without a matching workload
-// change — the CPU analogue of the paper's future-work direction.
+// CPUAgent reports per-component CPU time. In the simulation each
+// top-level execution's modelled service time is charged to the component
+// that executed it (Cell.Record with top set); a CPU-hogging aging bug
+// therefore shows up as one component's share growing without a matching
+// workload change — the CPU analogue of the paper's future-work direction.
 type CPUAgent struct {
 	table *Table
 	bean  *jmx.Bean

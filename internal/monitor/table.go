@@ -9,10 +9,15 @@ import (
 
 // Cell is one component's monitoring state: everything the Aspect
 // Component records about it and every per-component agent reports. The
-// AC resolves a component's cell once per execution and the collector
-// holds it from instrumentation on, so neither names the component again.
-// Every mutable field is atomic: recorders never serialise, and readers
-// see monotone per-field values rather than a cross-field snapshot.
+// AC is bound to its component's cell when the weaver resolves the advice
+// chain, and the collector holds it from instrumentation on, so neither
+// names the component on the recording path. Every mutable field is
+// atomic: recorders never serialise, and readers see monotone per-field
+// values rather than a cross-field snapshot.
+//
+// Service time is split into top-level (cpuNs) and nested (nestedNs), and
+// latency is kept as its excess over service time (waitNs), so a typical
+// execution writes two counters: its count and its service time.
 //
 // A cell is two 64-byte halves, 128 bytes in all, which the allocator
 // places on a 128-byte boundary: the counters every advised execution
@@ -21,9 +26,9 @@ import (
 type Cell struct {
 	count      atomic.Int64
 	failures   atomic.Int64
-	serviceNs  atomic.Int64
-	latencyNs  atomic.Int64
 	cpuNs      atomic.Int64
+	nestedNs   atomic.Int64
+	waitNs     atomic.Int64
 	deltaTotal atomic.Int64
 	deltaCount atomic.Int64
 	_          [8]byte
@@ -39,24 +44,28 @@ type Cell struct {
 func (c *Cell) Name() string { return c.name }
 
 // Record notes one execution: the service cost it consumed, the latency
-// its caller waited and whether it failed. The two times differ under
-// contention and queueing, which is exactly the aging signal the
-// latency-trend detector watches.
-func (c *Cell) Record(cost, latency time.Duration, failed bool) {
+// its caller waited (at least the cost), whether it failed and whether it
+// ran at the top level, where its cost is CPU time (a nested one's is
+// inside its caller's). The two times differ under contention and
+// queueing, the aging signal the latency-trend detector watches. A
+// negative top-level cost panics.
+func (c *Cell) Record(cost, latency time.Duration, failed, top bool) {
 	c.count.Add(1)
 	if failed {
 		c.failures.Add(1)
 	}
-	c.serviceNs.Add(int64(cost))
-	c.latencyNs.Add(int64(latency))
-}
-
-// ChargeCPU charges d of CPU time to the component.
-func (c *Cell) ChargeCPU(d time.Duration) {
-	if d < 0 {
+	switch {
+	case cost == 0:
+	case !top:
+		c.nestedNs.Add(int64(cost))
+	case cost < 0:
 		panic("monitor: negative CPU time")
+	default:
+		c.cpuNs.Add(int64(cost))
 	}
-	c.cpuNs.Add(int64(d))
+	if latency > cost {
+		c.waitNs.Add(int64(latency - cost))
+	}
 }
 
 // AddDelta accumulates one execution's retained-bytes delta.
@@ -74,14 +83,17 @@ func (c *Cell) Stats() InvocationStats {
 	return InvocationStats{
 		Count:         c.count.Load(),
 		Failures:      c.failures.Load(),
-		TotalDuration: time.Duration(c.serviceNs.Load()),
+		TotalDuration: time.Duration(c.cpuNs.Load() + c.nestedNs.Load()),
 	}
 }
 
 // Latency returns the cumulative response latency recorded.
-func (c *Cell) Latency() time.Duration { return time.Duration(c.latencyNs.Load()) }
+func (c *Cell) Latency() time.Duration {
+	return time.Duration(c.cpuNs.Load() + c.nestedNs.Load() + c.waitNs.Load())
+}
 
-// CPU returns the CPU time charged.
+// CPU returns the CPU time charged: the service time of top-level
+// executions.
 func (c *Cell) CPU() time.Duration { return time.Duration(c.cpuNs.Load()) }
 
 // Live returns the component's live count of kind k.
