@@ -243,13 +243,6 @@ func (b *Balancer) Rebalance() {
 	b.sessions = make(map[string]*member)
 }
 
-// SetPolicy switches the assignment policy for future (re-)assignments.
-func (b *Balancer) SetPolicy(p Policy) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.policy = p
-}
-
 // NodeNames lists the balanced nodes in assignment order.
 func (b *Balancer) NodeNames() []string {
 	b.mu.Lock()

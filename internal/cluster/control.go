@@ -22,13 +22,10 @@ package cluster
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
-	"time"
 
 	"repro/internal/binc"
 	"repro/internal/core"
@@ -180,10 +177,7 @@ func (cc *controlConn) write(cmd ControlCommand) error {
 	cc.wmu.Lock()
 	defer cc.wmu.Unlock()
 	cc.buf = AppendControlFrame(cc.buf[:0], cmd)
-	_ = cc.conn.SetWriteDeadline(time.Now().Add(DefaultWireTimeout))
-	_, err := cc.conn.Write(cc.buf)
-	_ = cc.conn.SetWriteDeadline(time.Time{})
-	return err
+	return writeFrame(cc.conn, cc.buf)
 }
 
 // pendingControl tracks one in-flight wire command awaiting its ack.
@@ -307,41 +301,24 @@ func (a *Aggregator) SendControl(node string, kind ControlKind, component string
 // rounds on — dispatches each to h, and answers with an ACK frame. Acks
 // share the publish mutex with round frames, so they interleave at frame
 // granularity, never inside one. It blocks until the connection closes
-// (returning nil) or a frame is corrupt; run it on its own goroutine.
-func (w *BinaryWire) ServeControl(h ControlHandler) error {
-	br := bufio.NewReader(w.conn)
-	var payload []byte
-	for {
-		n, err := binary.ReadUvarint(br)
+// (returning nil) or a frame is corrupt (returning the error after
+// closing the connection, so the next Publish fail-stops); run it on its
+// own goroutine.
+func (w *BinaryWire) ServeControl(h ControlHandler) (err error) {
+	defer func() {
 		if err != nil {
-			if errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
+			_ = w.conn.Close()
 		}
-		if n > maxBinaryFrame {
-			return fmt.Errorf("cluster: control frame of %d bytes exceeds limit", n)
-		}
-		if uint64(cap(payload)) < n {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
+	}()
+	return readFrames(bufio.NewReader(w.conn), func(payload []byte) error {
 		cmd, err := DecodeControlCommand(payload)
 		if err != nil {
 			return err
 		}
 		ack := h(cmd)
 		ack.Seq, ack.Kind = cmd.Seq, cmd.Kind
-		if err := w.sendControlAck(ack); err != nil {
-			return err
-		}
-	}
+		return w.sendControlAck(ack)
+	})
 }
 
 // sendControlAck writes one ACK frame under the publish mutex. If no
@@ -360,7 +337,7 @@ func (w *BinaryWire) sendControlAck(ack ControlAck) error {
 		w.enc.started = true
 	}
 	frame = AppendControlAckFrame(frame, ack)
-	if _, err := writeFrameRetry(w.conn, frame, w.timeout, w.retry, &w.rng); err != nil {
+	if err := writeFrame(w.conn, frame); err != nil {
 		w.broken = true
 		_ = w.conn.Close()
 		return err

@@ -135,14 +135,13 @@ func (f *Forwarder) Errors() int64 { return f.errs.Load() }
 func (f *Forwarder) Rounds() int64 { return f.seq }
 
 // roundDropper is the optional transport facet reporting rounds the
-// transport accepted but never delivered (both wire transports implement
-// it; see RetryPolicy).
+// transport accepted but never delivered (BinaryWire implements it).
 type roundDropper interface {
 	DroppedRounds() int64
 }
 
 // Dropped returns how many rounds the underlying transport dropped after
-// exhausting its write retries (0 for transports without the counter).
+// a failed write (0 for transports without the counter).
 func (f *Forwarder) Dropped() int64 {
 	if d, ok := f.tr.(roundDropper); ok {
 		return d.DroppedRounds()
@@ -156,10 +155,10 @@ func ForwarderName(node string) jmx.ObjectName {
 }
 
 // Bean exposes the forwarder's publish counters — rounds attempted,
-// publish errors, and rounds dropped by the transport's retry policy.
+// publish errors, and rounds dropped by the transport after a failed write.
 func (f *Forwarder) Bean() *jmx.Bean {
 	return jmx.NewBean("cluster round forwarder: publish and drop counters").
 		Attr("Rounds", "rounds published (attempted)", func() any { return f.Rounds() }).
 		Attr("Errors", "rounds that failed to publish", func() any { return f.Errors() }).
-		Attr("DroppedRounds", "rounds dropped after the transport exhausted its retries", func() any { return f.Dropped() })
+		Attr("DroppedRounds", "rounds dropped after a failed transport write", func() any { return f.Dropped() })
 }

@@ -25,14 +25,12 @@ package cluster
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/binc"
 )
@@ -47,19 +45,24 @@ type StandbySnapshot struct {
 	Controller []byte
 }
 
-// AppendSnapshotFrame appends one length-prefixed SNAPSHOT frame to dst.
+// AppendSnapshotFrame appends one length-prefixed SNAPSHOT frame to dst:
+// the frame type, the generation and the two length-prefixed blobs. The
+// length prefix is computed from the part sizes, so the frame is built in
+// place with no temporary buffer.
 func AppendSnapshotFrame(dst []byte, s StandbySnapshot) []byte {
-	n := 1 + binary.MaxVarintLen64 + // type + generation
-		binary.MaxVarintLen64 + len(s.Aggregator) +
-		binary.MaxVarintLen64 + len(s.Controller)
-	p := make([]byte, 0, n)
-	p = append(p, frameSnapshot)
-	p = binc.AppendUvarint(p, s.Generation)
-	p = binc.AppendBytes(p, s.Aggregator)
-	p = binc.AppendBytes(p, s.Controller)
-	dst = binc.AppendUvarint(dst, uint64(len(p)))
-	return append(dst, p...)
+	n := 1 + uvarintLen(s.Generation) +
+		uvarintLen(uint64(len(s.Aggregator))) + len(s.Aggregator) +
+		uvarintLen(uint64(len(s.Controller))) + len(s.Controller)
+	dst = binc.AppendUvarint(dst, uint64(n))
+	dst = append(dst, frameSnapshot)
+	dst = binc.AppendUvarint(dst, s.Generation)
+	dst = binc.AppendBytes(dst, s.Aggregator)
+	return binc.AppendBytes(dst, s.Controller)
 }
+
+// uvarintLen is the encoded width of u as a uvarint: one byte per 7
+// significant bits, at least one.
+func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
 
 // DecodeSnapshotFrame decodes one SNAPSHOT frame payload (without its
 // length prefix, including the leading frame-type byte). The returned
@@ -88,7 +91,9 @@ type Snapshotter interface {
 // one connection to a StandbyReceiver. Wire it to the aggregator with
 // SubscribeEpochs(shipper.ObserveEpoch): every EveryEpochs-th epoch
 // event triggers a ship on the delivery goroutine, after the fold
-// released its locks — never on the ingest path.
+// released its locks — never on the ingest path. Each ship is one frame
+// write bounded by DefaultWireTimeout and never retried: a failed write
+// latches the shipper broken and closes the connection.
 type StandbyShipper struct {
 	agg   *Aggregator
 	ctl   Snapshotter // optional; nil ships aggregator state only
@@ -96,15 +101,12 @@ type StandbyShipper struct {
 
 	mu      sync.Mutex
 	conn    net.Conn
-	timeout time.Duration
-	retry   RetryPolicy
-	rng     uint64
 	started bool
 	broken  bool
 	gen     uint64
-	sinceOK int // epochs since the last ship
-	payload []byte
-	scratch []byte // one snapshot blob at a time, reused
+	sinceOK int    // epochs since the last ship
+	aggSnap []byte // the aggregator's snapshot blob, reused
+	ctlSnap []byte // the controller's snapshot blob, reused
 	frame   []byte
 
 	shipped atomic.Int64
@@ -117,24 +119,7 @@ func NewStandbyShipper(conn net.Conn, agg *Aggregator, ctl Snapshotter, everyEpo
 	if everyEpochs < 1 {
 		everyEpochs = 1
 	}
-	return &StandbyShipper{
-		agg: agg, ctl: ctl, every: everyEpochs,
-		conn: conn, timeout: DefaultWireTimeout,
-	}
-}
-
-// SetTimeout overrides the per-ship write bound (0 disables it).
-func (s *StandbyShipper) SetTimeout(d time.Duration) {
-	s.mu.Lock()
-	s.timeout = d
-	s.mu.Unlock()
-}
-
-// SetRetry installs the transient-write retry policy.
-func (s *StandbyShipper) SetRetry(p RetryPolicy) {
-	s.mu.Lock()
-	s.retry = p
-	s.mu.Unlock()
+	return &StandbyShipper{agg: agg, ctl: ctl, every: everyEpochs, conn: conn}
 }
 
 // Shipped reports snapshot generations delivered to the connection.
@@ -172,27 +157,19 @@ func (s *StandbyShipper) Ship() error {
 	}
 
 	s.gen++
-	p := s.payload[:0]
-	p = append(p, frameSnapshot)
-	p = binc.AppendUvarint(p, s.gen)
-	s.scratch = s.agg.AppendSnapshot(s.scratch[:0])
-	p = binc.AppendBytes(p, s.scratch)
-	s.scratch = s.scratch[:0]
+	s.aggSnap = s.agg.AppendSnapshot(s.aggSnap[:0])
+	s.ctlSnap = s.ctlSnap[:0]
 	if s.ctl != nil {
-		s.scratch = s.ctl.AppendSnapshot(s.scratch)
+		s.ctlSnap = s.ctl.AppendSnapshot(s.ctlSnap)
 	}
-	p = binc.AppendBytes(p, s.scratch)
-	s.payload = p
-
 	f := s.frame[:0]
 	if !s.started {
 		f = append(f, wireMagic[:]...)
 	}
-	f = binc.AppendUvarint(f, uint64(len(p)))
-	f = append(f, p...)
+	f = AppendSnapshotFrame(f, StandbySnapshot{Generation: s.gen, Aggregator: s.aggSnap, Controller: s.ctlSnap})
 	s.frame = f
 
-	if _, err := writeFrameRetry(s.conn, f, s.timeout, s.retry, &s.rng); err != nil {
+	if err := writeFrame(s.conn, f); err != nil {
 		s.broken = true
 		s.errs.Add(1)
 		_ = s.conn.Close()
@@ -255,45 +232,17 @@ func (r *StandbyReceiver) Serve(conn net.Conn) (err error) {
 		}
 	}()
 	br := bufio.NewReader(conn)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		if errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF) {
-			return nil
-		}
+	if ok, err := readMagic(br, "snapshot"); !ok {
 		return err
 	}
-	if magic != wireMagic {
-		return fmt.Errorf("cluster: not a snapshot stream (magic %x)", magic)
-	}
-	var payload []byte
-	for {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
-		}
-		if n > maxBinaryFrame {
-			return fmt.Errorf("cluster: snapshot frame of %d bytes exceeds limit", n)
-		}
-		if uint64(cap(payload)) < n {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
+	return readFrames(br, func(payload []byte) error {
 		snap, err := DecodeSnapshotFrame(payload)
 		if err != nil {
 			return err
 		}
 		r.mu.Lock()
+		defer r.mu.Unlock()
 		if r.have && snap.Generation <= r.latest.Generation {
-			r.mu.Unlock()
 			return fmt.Errorf("cluster: snapshot generation regressed (%d after %d)",
 				snap.Generation, r.latest.Generation)
 		}
@@ -304,7 +253,7 @@ func (r *StandbyReceiver) Serve(conn net.Conn) (err error) {
 			Controller: append(r.latest.Controller[:0], snap.Controller...),
 		}
 		r.have = true
-		r.mu.Unlock()
 		r.received.Add(1)
-	}
+		return nil
+	})
 }

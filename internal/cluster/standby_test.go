@@ -115,6 +115,52 @@ func TestStandbyShipAndPromote(t *testing.T) {
 	}
 }
 
+// recordConn is a net.Conn that keeps every byte written to it.
+type recordConn struct {
+	discardConn
+	buf bytes.Buffer
+}
+
+func (c *recordConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
+
+// TestShipWritesAppendSnapshotFrame pins AppendSnapshotFrame as the one
+// SNAPSHOT encoder: Ship's bytes are the stream header (first frame
+// only) followed by exactly what AppendSnapshotFrame builds from the two
+// blobs, and the encoder allocates nothing into a pre-sized buffer.
+func TestShipWritesAppendSnapshotFrame(t *testing.T) {
+	active := New(Config{Detect: testDetect()})
+	active.Expect("node1")
+	feedSnap(active, []string{"node1"}, nil, 1, 3)
+	ctl := staticSnapshotter{[]byte("controller-state")}
+	conn := &recordConn{}
+	shipper := NewStandbyShipper(conn, active, ctl, 1)
+
+	for gen := uint64(1); gen <= 2; gen++ {
+		conn.buf.Reset()
+		if err := shipper.Ship(); err != nil {
+			t.Fatalf("ship %d: %v", gen, err)
+		}
+		var want []byte
+		if gen == 1 {
+			want = append(want, wireMagic[:]...)
+		}
+		want = AppendSnapshotFrame(want, StandbySnapshot{
+			Generation: gen,
+			Aggregator: active.AppendSnapshot(nil),
+			Controller: ctl.AppendSnapshot(nil),
+		})
+		if !bytes.Equal(conn.buf.Bytes(), want) {
+			t.Fatalf("ship %d wrote %d bytes, want the %d-byte AppendSnapshotFrame encoding", gen, conn.buf.Len(), len(want))
+		}
+	}
+
+	snap := StandbySnapshot{Generation: 1 << 40, Aggregator: active.AppendSnapshot(nil), Controller: ctl.blob}
+	dst := make([]byte, 0, 2*len(snap.Aggregator)+len(snap.Controller)+64)
+	if allocs := testing.AllocsPerRun(100, func() { dst = AppendSnapshotFrame(dst[:0], snap) }); allocs != 0 {
+		t.Fatalf("AppendSnapshotFrame into a pre-sized buffer: %v allocs, want 0", allocs)
+	}
+}
+
 // TestStandbyShipperEveryEpochs pins the shipping cadence: every=3 ships
 // on epochs 3, 6, 9, ...
 func TestStandbyShipperEveryEpochs(t *testing.T) {
@@ -144,7 +190,6 @@ func TestStandbyShipperFailStop(t *testing.T) {
 	shipConn, recvConn := net.Pipe()
 	_ = recvConn.Close() // standby is gone before the first ship
 	shipper := NewStandbyShipper(shipConn, active, nil, 1)
-	shipper.SetTimeout(50 * time.Millisecond)
 	active.SubscribeEpochs(shipper.ObserveEpoch)
 
 	feedSnap(active, []string{"node1"}, nil, 1, 3)

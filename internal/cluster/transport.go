@@ -60,88 +60,23 @@ func (p *InProc) Close() error {
 	return nil
 }
 
-// DefaultWireTimeout bounds one Publish's write. Publish runs under the
+// DefaultWireTimeout bounds every frame write on a cluster connection
+// (round, ack, command and snapshot frames alike). Publish runs under the
 // collector's round lock, so an unbounded write to a stalled aggregator
 // (dead peer, full TCP buffer) would wedge the node's sampling forever —
 // the forwarder's contract is that a node keeps sampling locally when
 // its aggregator link is down, which requires Publish to fail, not hang.
 const DefaultWireTimeout = 5 * time.Second
 
-// RetryPolicy bounds how a wire publish retries transient connection
-// errors. A frame write that fails with zero bytes on the stream is
-// retried up to Attempts total tries, sleeping an exponentially growing,
-// jittered backoff between tries; the zero value (Attempts <= 1) keeps
-// the historical fail-on-first-error behaviour. Retrying is safe exactly
-// because nothing reached the peer — the identical frame goes out again,
-// so the codec's delta chains cannot desynchronise. A write that fails
-// after placing bytes on the stream is never retried: the peer's framing
-// is already corrupt.
-type RetryPolicy struct {
-	Attempts int           // total write attempts per frame (<= 1: no retry)
-	Base     time.Duration // backoff before the first retry (default 10ms)
-	Max      time.Duration // backoff cap (default 1s)
-}
-
-// backoff computes the jittered exponential delay before retry number
-// attempt (0-based). The jitter rides a per-wire xorshift stream — no
-// global rand, no lock — and spreads a fleet of publishers retrying
-// against the same recovering aggregator over [d/2, d].
-func (p RetryPolicy) backoff(attempt int, rng *uint64) time.Duration {
-	d := p.Base
-	if d <= 0 {
-		d = 10 * time.Millisecond
-	}
-	lim := p.Max
-	if lim <= 0 {
-		lim = time.Second
-	}
-	for i := 0; i < attempt && d < lim; i++ {
-		d *= 2
-	}
-	if d > lim {
-		d = lim
-	}
-	if *rng == 0 {
-		*rng = 0x9e3779b97f4a7c15
-	}
-	x := *rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	*rng = x
-	half := int64(d / 2)
-	return time.Duration(half + int64(x%uint64(half+1)))
-}
-
-// writeFrameRetry writes one whole frame under the policy. Only an error
-// with zero bytes written is retried — nothing reached the stream, so
-// the identical frame can go again. Once any byte is on the wire a retry
-// would corrupt the peer's framing: the write fails immediately with
-// partial=true and the caller must latch the stream broken.
-func writeFrameRetry(conn net.Conn, frame []byte, timeout time.Duration, p RetryPolicy, rng *uint64) (partial bool, err error) {
-	attempts := p.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	for attempt := 0; ; attempt++ {
-		if timeout > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(timeout))
-		}
-		n, werr := conn.Write(frame)
-		if timeout > 0 {
-			_ = conn.SetWriteDeadline(time.Time{})
-		}
-		if werr == nil {
-			return false, nil
-		}
-		if n > 0 {
-			return true, werr
-		}
-		if attempt+1 >= attempts {
-			return false, werr
-		}
-		time.Sleep(p.backoff(attempt, rng))
-	}
+// writeFrame writes one whole frame, bounded by DefaultWireTimeout. A
+// failed write is never retried: the codec's delta chains assume the
+// peer saw every frame, and bytes already on the stream would corrupt its
+// framing, so the caller fail-stops and its owner reconnects.
+func writeFrame(conn net.Conn, frame []byte) error {
+	_ = conn.SetWriteDeadline(time.Now().Add(DefaultWireTimeout))
+	_, err := conn.Write(frame)
+	_ = conn.SetWriteDeadline(time.Time{})
+	return err
 }
 
 // BinaryWire ships rounds as delta-encoded binary frames (see codec.go)
@@ -152,17 +87,16 @@ func writeFrameRetry(conn net.Conn, frame []byte, timeout time.Duration, p Retry
 // BATCH frames with a count/deadline flush policy for fleet fan-in. The
 // publish mutex admits several forwarders multiplexed onto one
 // connection (per-node ordering is then the caller's sampling order,
-// which the collector already serialises), and a timed-out write may
-// leave a partial frame after which the receiver errors and drops the
+// which the collector already serialises). Every frame write is bounded
+// by DefaultWireTimeout and never retried: a failed write latches the
+// wire broken and closes the connection, and a timed-out write may leave
+// a partial frame after which the receiver errors and drops the
 // connection — fail-stop, never wedged.
 type BinaryWire struct {
 	mu      sync.Mutex
 	conn    net.Conn
 	enc     *BinaryEncoder
 	frame   []byte
-	timeout time.Duration
-	retry   RetryPolicy
-	rng     uint64
 	broken  bool
 	dropped atomic.Int64
 
@@ -173,11 +107,11 @@ type BinaryWire struct {
 }
 
 // NewBinaryWire wraps an established connection as a binary-codec
-// publishing transport with the default write timeout. The peer must
-// serve it with ServeBinaryConn/ServeBinary (the stream header makes a
-// peer that speaks anything else fail at connect time).
+// publishing transport. The peer must serve it with
+// ServeBinaryConn/ServeBinary (the stream header makes a peer that speaks
+// anything else fail at connect time).
 func NewBinaryWire(conn net.Conn) *BinaryWire {
-	return &BinaryWire{conn: conn, enc: NewBinaryEncoder(), timeout: DefaultWireTimeout}
+	return &BinaryWire{conn: conn, enc: NewBinaryEncoder()}
 }
 
 // DialBinaryWire connects to an aggregator's binary listener and returns
@@ -190,27 +124,9 @@ func DialBinaryWire(network, addr string) (*BinaryWire, error) {
 	return NewBinaryWire(conn), nil
 }
 
-// SetTimeout overrides the per-publish write bound (0 disables it).
-func (w *BinaryWire) SetTimeout(d time.Duration) {
-	w.mu.Lock()
-	w.timeout = d
-	w.mu.Unlock()
-}
-
-// SetRetry installs the transient-write retry policy. Only zero-byte
-// write failures retry; when retries exhaust, the batch is lost and the
-// wire latches broken — the encoder's delta state already reflects
-// rounds the decoder will never see, so no later frame could decode
-// correctly anyway.
-func (w *BinaryWire) SetRetry(p RetryPolicy) {
-	w.mu.Lock()
-	w.retry = p
-	w.mu.Unlock()
-}
-
 // DroppedRounds reports rounds this wire accepted (or was offered) but
-// never delivered: the batch lost when a flush exhausted its retries,
-// plus every publish refused after the broken latch.
+// never delivered: the batch lost when a flush failed, plus every
+// publish refused after the broken latch.
 func (w *BinaryWire) DroppedRounds() int64 { return w.dropped.Load() }
 
 // SetBatch sets the BATCH flush policy: buffer up to rounds rounds per
@@ -303,7 +219,7 @@ func (w *BinaryWire) flushLocked() error {
 	}
 	rounds := int64(w.enc.PendingRounds())
 	w.frame = w.enc.FlushFrame(w.frame[:0])
-	if _, err := writeFrameRetry(w.conn, w.frame, w.timeout, w.retry, &w.rng); err != nil {
+	if err := writeFrame(w.conn, w.frame); err != nil {
 		w.broken = true
 		w.dropped.Add(rounds)
 		_ = w.conn.Close()
@@ -333,6 +249,59 @@ func (w *BinaryWire) Close() error {
 // samples).
 const maxBinaryFrame = 16 << 20
 
+// readMagic reads the stream header that opens a round or snapshot
+// stream; what names the stream in the mismatch error. ok is false with
+// a nil error when the stream ended before its first byte — a peer that
+// connected and left, which is a clean end, not corruption.
+func readMagic(br *bufio.Reader, what string) (ok bool, err error) {
+	var magic [4]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		if errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF) {
+			return false, nil
+		}
+		return false, err
+	}
+	if magic != wireMagic {
+		return false, fmt.Errorf("cluster: not a %s stream (magic %x)", what, magic)
+	}
+	return true, nil
+}
+
+// readFrames reads length-prefixed frames from br and hands each payload
+// to fn until the stream ends. It returns nil when the stream ends on a
+// frame boundary (or the connection is closed under it), the first error
+// fn returns, and an error for a length prefix over maxBinaryFrame or a
+// frame cut short. The payload buffer is reused across frames: fn must
+// copy whatever it retains.
+func readFrames(br *bufio.Reader, fn func(payload []byte) error) error {
+	var payload []byte
+	for {
+		n, err := binary.ReadUvarint(br)
+		if err != nil {
+			if errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF) {
+				return nil
+			}
+			return err
+		}
+		if n > maxBinaryFrame {
+			return fmt.Errorf("cluster: frame of %d bytes exceeds limit", n)
+		}
+		if uint64(cap(payload)) < n {
+			payload = make([]byte, n)
+		}
+		payload = payload[:n]
+		if _, err := io.ReadFull(br, payload); err != nil {
+			if errors.Is(err, net.ErrClosed) {
+				return nil
+			}
+			return err
+		}
+		if err := fn(payload); err != nil {
+			return err
+		}
+	}
+}
+
 // ServeBinaryConn decodes binary-codec frames from conn into the
 // aggregator until the connection closes: BATCH frames ingest their
 // rounds, ACK frames resolve pending control commands. Every node name
@@ -356,65 +325,36 @@ func (a *Aggregator) ServeBinaryConn(conn net.Conn) (err error) {
 		}
 	}()
 	br := bufio.NewReader(conn)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		if errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF) {
-			return nil
-		}
+	if ok, err := readMagic(br, "binary round"); !ok {
 		return err
 	}
-	if magic != wireMagic {
-		return fmt.Errorf("cluster: not a binary round stream (magic %x)", magic)
-	}
 	dec := NewBinaryDecoder()
-	var payload []byte
-	for {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
+	ingest := func(r Round) error {
+		a.Ingest(r)
+		if !routed[r.Node] {
+			routed[r.Node] = true
+			a.registerControlConn(r.Node, cc)
 		}
-		if n > maxBinaryFrame {
-			return fmt.Errorf("cluster: frame of %d bytes exceeds limit", n)
-		}
-		if uint64(cap(payload)) < n {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
+		return nil
+	}
+	return readFrames(br, func(payload []byte) error {
 		if len(payload) == 0 {
 			return errors.New("cluster: empty frame")
 		}
 		switch payload[0] {
 		case frameBatch:
-			err = dec.DecodeBatch(payload, func(r Round) error {
-				a.Ingest(r)
-				if !routed[r.Node] {
-					routed[r.Node] = true
-					a.registerControlConn(r.Node, cc)
-				}
-				return nil
-			})
+			return dec.DecodeBatch(payload, ingest)
+		case frameControlAck:
+			ack, err := DecodeControlAck(payload)
 			if err != nil {
 				return err
 			}
-		case frameControlAck:
-			ack, aerr := DecodeControlAck(payload)
-			if aerr != nil {
-				return aerr
-			}
 			a.resolveControlAck(ack)
+			return nil
 		default:
 			return fmt.Errorf("cluster: unknown frame type %d", payload[0])
 		}
-	}
+	})
 }
 
 // ServeBinary accepts binary-codec node connections from ln and serves

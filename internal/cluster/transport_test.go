@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"encoding/binary"
+	"errors"
+	"io"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -203,5 +207,87 @@ func TestTransportClosedPublishFails(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("server loop did not exit on close")
+	}
+}
+
+// TestFrameReadersRejectHostileStreams drives the three serving loops
+// that share readMagic/readFrames with streams a healthy peer never
+// sends. A stream that ends before its first byte is a clean end; a
+// wrong magic, an over-limit length prefix or a payload cut short is an
+// error, after which the serving end has closed its connection.
+func TestFrameReadersRejectHostileStreams(t *testing.T) {
+	readers := []struct {
+		name  string
+		magic bool
+		serve func(conn net.Conn) error
+	}{
+		{"ServeBinaryConn", true, func(conn net.Conn) error {
+			return New(Config{Detect: testDetect()}).ServeBinaryConn(conn)
+		}},
+		{"ServeControl", false, func(conn net.Conn) error {
+			return NewBinaryWire(conn).ServeControl(func(ControlCommand) ControlAck { return ControlAck{OK: true} })
+		}},
+		{"StandbyReceiver.Serve", true, func(conn net.Conn) error {
+			return NewStandbyReceiver().Serve(conn)
+		}},
+	}
+	cases := []struct {
+		name    string
+		stream  func(header []byte) []byte
+		wantErr string // "" wants nil, else a substring of the error
+		magic   bool   // only for readers that take a magic
+	}{
+		{name: "closed before any byte", stream: func([]byte) []byte { return nil }},
+		{name: "wrong magic", magic: true, wantErr: "magic",
+			stream: func([]byte) []byte { return []byte{'A', 'G', 'M', 5, 0} }},
+		{name: "length over limit", wantErr: "exceeds limit",
+			stream: func(h []byte) []byte { return binary.AppendUvarint(h, maxBinaryFrame+1) }},
+		{name: "payload cut short", wantErr: "unexpected EOF",
+			stream: func(h []byte) []byte { return append(binary.AppendUvarint(h, 10), 1, 2, 3) }},
+	}
+	for _, rd := range readers {
+		for _, tc := range cases {
+			if tc.magic && !rd.magic {
+				continue
+			}
+			t.Run(rd.name+"/"+tc.name, func(t *testing.T) {
+				var header []byte
+				if rd.magic {
+					header = wireMagic[:]
+				}
+				stream := tc.stream(append([]byte(nil), header...))
+				client, server := net.Pipe()
+				served := make(chan error, 1)
+				go func() { served <- rd.serve(server) }()
+				go func() {
+					if len(stream) > 0 {
+						_, _ = client.Write(stream)
+					}
+					_ = client.Close() // end the stream where it stands
+				}()
+				var err error
+				select {
+				case err = <-served:
+				case <-time.After(5 * time.Second):
+					t.Fatal("serving loop did not return")
+				}
+				switch {
+				case tc.wantErr == "":
+					if err != nil {
+						t.Fatalf("serve = %v, want nil at a clean end of stream", err)
+					}
+					return
+				case err == nil:
+					t.Fatalf("serve = nil, want an error")
+				case !strings.Contains(err.Error(), tc.wantErr):
+					t.Fatalf("serve = %v, want an error containing %q", err, tc.wantErr)
+				}
+				// A pipe end closed locally reads io.ErrClosedPipe; one
+				// closed only by its peer reads io.EOF.
+				if _, rerr := server.Read(make([]byte, 1)); !errors.Is(rerr, io.ErrClosedPipe) {
+					t.Fatalf("after %v the serving end reads %v, want it closed", err, rerr)
+				}
+			})
+		}
 	}
 }

@@ -86,8 +86,6 @@ type Options struct {
 	// Clock stamps samples and notifications (the weaver's clock when
 	// nil).
 	Clock sim.Clock
-	// Server is the MBeanServer to register on (created when nil).
-	Server *jmx.Server
 	// Heap, when non-nil, enables the memory agent and heap sampling.
 	Heap *jvmheap.Heap
 	// SizePolicy selects the object-size measurement depth (the
@@ -139,10 +137,7 @@ func New(opts Options) (*Framework, error) {
 	if clock == nil {
 		clock = opts.Weaver.Clock()
 	}
-	server := opts.Server
-	if server == nil {
-		server = jmx.NewServer(clock)
-	}
+	server := jmx.NewServer(clock)
 	policy := opts.SizePolicy
 	if policy == objsize.Shallow {
 		policy = objsize.OneLevel
