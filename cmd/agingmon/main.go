@@ -463,12 +463,8 @@ func printVerdicts(w io.Writer, v any) {
 	comps, _ := m["Components"].([]any)
 	for i, c := range comps {
 		cm, _ := c.(map[string]any)
-		cp := ""
-		if b, _ := cm["ChangePoint"].(bool); b {
-			cp = " level-shift"
-		}
-		fmt.Fprintf(w, "%2d. %-28v alarm=%-5v score=%8.4v streak=%v samples=%v%s\n",
-			i+1, cm["Component"], cm["Alarm"], cm["Score"], cm["Streak"], cm["Samples"], cp)
+		fmt.Fprintf(w, "%2d. %-28v alarm=%-5v score=%8.4v streak=%v samples=%v\n",
+			i+1, cm["Component"], cm["Alarm"], cm["Score"], cm["Streak"], cm["Samples"])
 	}
 }
 

@@ -168,10 +168,9 @@ type pendingRound struct {
 
 // nodeAlarm is one alarming per-node verdict, as the fold consumes it.
 type nodeAlarm struct {
-	res         int // index into the aggregator's resources
-	component   string
-	score       float64
-	changePoint bool
+	res       int // index into the aggregator's resources
+	component string
+	score     float64
 }
 
 // nextPending appends a record for round seq, reusing a released one's
@@ -233,9 +232,6 @@ type ClusterVerdict struct {
 	// FirstEpoch is the earliest cluster epoch at which any node first
 	// alarmed on the component.
 	FirstEpoch int64
-	// ChangePoint is true when any alarming node attributes the alarm to
-	// a level shift rather than a trend.
-	ChangePoint bool
 }
 
 // Pair renders the verdict's (node, component) attribution: the single
@@ -293,12 +289,8 @@ func (r *ClusterReport) String() string {
 		if v.ClusterWide {
 			scope = "cluster-wide"
 		}
-		cp := ""
-		if v.ChangePoint {
-			cp = " level-shift"
-		}
-		fmt.Fprintf(&b, "%2d. %-34s %-12s score=%10.4g since-epoch=%d%s\n",
-			i+1, v.Pair(), scope, v.Score, v.FirstEpoch, cp)
+		fmt.Fprintf(&b, "%2d. %-34s %-12s score=%10.4g since-epoch=%d\n",
+			i+1, v.Pair(), scope, v.Score, v.FirstEpoch)
 	}
 	return b.String()
 }
@@ -386,7 +378,7 @@ type Aggregator struct {
 	// way detect.Monitor recycles its Reports: foldEpoch rotates each
 	// resource's reports through a fixed ring instead of allocating one
 	// per epoch. A *ClusterReport from Report stays valid for
-	// Config.Detect.ReportRetention-1 further epochs; a consumer keeping
+	// detect.ReportRetention-1 further epochs; a consumer keeping
 	// one longer must copy it. Indexed by resource index; owned by
 	// foldMu.
 	reportRing [][]*ClusterReport
@@ -430,10 +422,9 @@ type foldAlarm struct {
 // verdictAgg accumulates one component's per-node alarms during verdict
 // assembly. Recycled across resources via resourceFold.
 type verdictAgg struct {
-	nodes       []string
-	score       float64
-	firstEpoch  int64
-	changePoint bool
+	nodes      []string
+	score      float64
+	firstEpoch int64
 }
 
 // resourceFold is the fold's reusable verdict-assembly scratch, so the
@@ -457,15 +448,14 @@ type latchedAlarm struct {
 // New creates an aggregator.
 func New(cfg Config) *Aggregator {
 	cfg = cfg.withDefaults()
-	d := cfg.Detect
 	a := &Aggregator{
 		cfg:       cfg,
 		resources: append([]string(nil), core.DetectorResources...),
-		configs:   core.ResourceDetectorConfigs(d),
+		configs:   core.ResourceDetectorConfigs(cfg.Detect),
 		lanes:     make([]ingestLane, cfg.IngestLanes),
 		laneSeed:  maphash.MakeSeed(),
 		byName:    make(map[string]*nodeState),
-		guard:     detect.NewShiftGuardMargin(d.ShiftThreshold, d.ShiftHold, d.ShiftEWMA, d.ShiftNoiseMargin),
+		guard:     detect.NewShiftGuard(),
 		reports:   make(map[string]*ClusterReport),
 		alarmed:   make(map[string]map[string]*latchedAlarm),
 		foldScratch: resourceFold{
@@ -481,11 +471,10 @@ func New(cfg Config) *Aggregator {
 		a.lanes[i].nodes = make(map[string]*nodeState)
 	}
 	// Cluster reports recycle on the node monitors' retention terms.
-	retention := d.Canonical().ReportRetention
 	a.reportRing = make([][]*ClusterReport, len(a.resources))
 	a.ringIdx = make([]int, len(a.resources))
 	for ri, res := range a.resources {
-		ring := make([]*ClusterReport, retention)
+		ring := make([]*ClusterReport, detect.ReportRetention)
 		for i := range ring {
 			ring[i] = &ClusterReport{}
 		}
@@ -693,7 +682,7 @@ func (a *Aggregator) ingestLocked(st *nodeState, r Round) int64 {
 		rep := st.monitors[res].Observe(norm, st.obsScratch)
 		for i := range rep.Components {
 			if v := &rep.Components[i]; v.Alarm {
-				rec.alarms = append(rec.alarms, nodeAlarm{res: ri, component: v.Component, score: v.Score, changePoint: v.ChangePoint})
+				rec.alarms = append(rec.alarms, nodeAlarm{res: ri, component: v.Component, score: v.Score})
 			}
 		}
 	}
@@ -964,7 +953,6 @@ func (a *Aggregator) foldResource(ri int, hdr ClusterReport) *ClusterReport {
 		if c.firstEpoch == 0 || first < c.firstEpoch {
 			c.firstEpoch = first
 		}
-		c.changePoint = c.changePoint || al.changePoint
 	}
 	for _, comp := range sc.compOrder {
 		c := sc.byComponent[comp]
@@ -975,7 +963,6 @@ func (a *Aggregator) foldResource(ri int, hdr ClusterReport) *ClusterReport {
 			ActiveNodes: hdr.Active,
 			Score:       c.score,
 			FirstEpoch:  c.firstEpoch,
-			ChangePoint: c.changePoint,
 		}
 		if !hdr.Suppressed && hdr.Active >= 2 &&
 			float64(len(c.nodes)) > quorum*float64(hdr.Active) {
@@ -1242,7 +1229,7 @@ func (a *Aggregator) Nodes() []NodeStatus {
 
 // Report returns the latest cluster report for a resource (nil before the
 // first completed epoch). Reports publish from a recycled ring sized like
-// the node monitors' (Config.Detect.ReportRetention): the returned
+// the node monitors' (detect.ReportRetention): the returned
 // pointer stays valid for retention-1 further epochs, and a consumer that
 // keeps one longer must copy it.
 func (a *Aggregator) Report(resource string) *ClusterReport {

@@ -41,8 +41,10 @@ var aggSnapMagic = [4]byte{'A', 'G', 'S', 'N'}
 
 // aggSnapVersion versions the aggregator snapshot format. v2 records a
 // node's pending rounds as their usage totals and alarms, not as whole
-// detector reports.
-const aggSnapVersion = 2
+// detector reports. v3 drops the change-point flag from those alarms and
+// embeds the v2 node-mix guard and monitor formats, which no longer
+// carry the fixed detector tuning.
+const aggSnapVersion = 3
 
 // Decode bounds: a corrupt or hostile snapshot may not declare counts
 // that drive allocation beyond these.
@@ -197,7 +199,6 @@ func (a *Aggregator) appendNodeSnapshot(dst []byte, st *nodeState) []byte {
 			dst = binc.AppendUvarint(dst, uint64(al.res))
 			dst = binc.AppendString(dst, al.component)
 			dst = binc.AppendFloat(dst, al.score)
-			dst = binc.AppendBool(dst, al.changePoint)
 		}
 	}
 	return dst
@@ -498,7 +499,6 @@ func (a *Aggregator) restorePendingLocked(p *binc.Parser, st *nodeState, active 
 			res := p.Uvarint()
 			al := nodeAlarm{res: int(res), component: p.String(maxAggSnapStr)}
 			al.score = p.Float()
-			al.changePoint = p.Bool()
 			if p.Err() != nil {
 				return p.Err()
 			}

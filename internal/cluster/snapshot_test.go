@@ -432,57 +432,65 @@ func chunk80(s string) string {
 }
 
 var aggSnapshotGoldenHex = []string{
-	"4147534e0205066d656d6f7279036370750774687265616473076c6174656e63790768616e646c65",
-	"730606000001333333333333c33f059a9999999999c93f000000000000f83f0101026e3100000000",
-	"0000f03f0000000000000000333333333333c33f000006000180b08dabf9b4cd84238090c8afb8b8",
-	"cd842300000000000001026e31010601008090c8afb8b8cd8423000000000000c0824002056c6561",
-	"6b79d017026f6bd00f02056c65616b79d02701d804343333333333d33f0400000000000000000000",
-	"026f6bd00f01d804343333333333d33f0400000000000000000000000000000001066d656d6f7279",
-	"147b14ae47e17a843f0000000000000000040200333333333333c33f059a9999999999c93f000000",
-	"000000f83f0000000000000000000000000000000000000806000001333333333333c33f059a9999",
-	"999999c93f000000000000f83f0102056c65616b79000000000000e03f026f6b000000000000e03f",
-	"0000000000000000333333333333c33f000006000101147b14ae47e17a843f80e0aaedd8b6cd8423",
-	"0402000000000000000000000000000000000000000000003e400000000000000000000000000000",
-	"00000102056c65616b7901147b14ae47e17a843f80e0aaedd8b6cd84230402000000000000000000",
-	"00000000a09f400000000000003e400000000000d0a340000000000000d0a3400000000000c07240",
-	"0100000bd7a3703d0ad73f026f6b01147b14ae47e17a843f80e0aaedd8b6cd842304020000000000",
-	"0000000000000000408f400000000000003e400000000000408f40000000000000408f4000000000",
-	"00c0724001000000000000000000000103637075147b14ae47e17a843ffca9f1d24d62403f040201",
-	"333333333333c33f059a9999999999c93f000000000000f83f000000000000000000000000000000",
-	"0000000806000001333333333333c33f059a9999999999c93f000000000000f83f0102056c65616b",
-	"79000000000000e03f026f6b000000000000e03f0000000000000000333333333333c33f00000600",
-	"0101147b14ae47e17a843f80e0aaedd8b6cd842304020000000000000000000000000000f03f0000",
-	"000000003e40000000000000f03f000000000000f03f0102056c65616b7901147b14ae47e17a843f",
-	"80e0aaedd8b6cd842304020000000000000000fca9f1d24d62503f0000000000003e40fda9f1d24d",
-	"62503f00343333333333d33f0000000000c072400100000bd7a3703d0ac73f026f6b01147b14ae47",
-	"e17a843f80e0aaedd8b6cd842304020000000000000000fca9f1d24d62503f0000000000003e40fd",
-	"a9f1d24d62503f00343333333333d33f0000000000c072400100000bd7a3703d0ac73f0107746872",
-	"65616473147b14ae47e17a843f0000000000000000040200333333333333c33f059a9999999999c9",
-	"3f000000000000f83f0000000000000000000000000000000000000806000001333333333333c33f",
-	"059a9999999999c93f000000000000f83f0102056c65616b79000000000000e03f026f6b00000000",
-	"0000e03f0000000000000000333333333333c33f000006000101147b14ae47e17a843f0000000000",
-	"0000000000000002056c65616b7901147b14ae47e17a843f80e0aaedd8b6cd842304020000000000",
-	"00000000000000000000400000000000003e40000000000000004000000000000000004000000000",
-	"00c072400100000000000000000000026f6b01147b14ae47e17a843f80e0aaedd8b6cd8423040200",
-	"0000000000000000000000000000400000000000003e400000000000000040000000000000000040",
-	"0000000000c07240010000000000000000000001076c6174656e6379147b14ae47e17a843ffca9f1",
-	"d24d62403f040201333333333333c33f059a9999999999c93f000000000000f83f00000000000000",
-	"00000000000000000000000806000001333333333333c33f059a9999999999c93f000000000000f8",
-	"3f0102056c65616b79000000000000e03f026f6b000000000000e03f000000000000000033333333",
-	"3333c33f000006000101147b14ae47e17a843f00000000000000000000000002056c65616b790114",
-	"7b14ae47e17a843f80e0aaedd8b6cd84230402000000000000000000000000000000000000000000",
-	"003e4000000000000000000000000000000000000000000000c07240010000000000000000000002",
-	"6f6b01147b14ae47e17a843f80e0aaedd8b6cd842304020000000000000000000000000000000000",
-	"00000000003e4000000000000000000000000000000000000000000000c072400100000000000000",
-	"000000010768616e646c6573147b14ae47e17a843f0000000000000000040200333333333333c33f",
-	"059a9999999999c93f000000000000f83f0000000000000000000000000000000000000806000001",
-	"333333333333c33f059a9999999999c93f000000000000f83f0102056c65616b79000000000000e0",
-	"3f026f6b000000000000e03f0000000000000000333333333333c33f000006000101147b14ae47e1",
-	"7a843f00000000000000000000000002056c65616b7901147b14ae47e17a843f80e0aaedd8b6cd84",
+	"4147534e0305066d656d6f7279036370750774687265616473076c6174656e63790768616e646c65",
+	"7306060000020101026e31000000000000f03f0000000000000000333333333333c33f0000060001",
+	"80b08dabf9b4cd84238090c8afb8b8cd842300000000000001026e31010601008090c8afb8b8cd84",
+	"23000000000000c0824002056c65616b79d017026f6bd00f02056c65616b79d02701d80434333333",
+	"3333d33f0400000000000000000000026f6bd00f01d804343333333333d33f040000000000000000",
+	"0000000000000002066d656d6f7279140000000000000000040200060000020102056c65616b7900",
+	"0000000000e03f026f6b000000000000e03f0000000000000000333333333333c33f000006000101",
+	"147b14ae47e17a843f80e0aaedd8b6cd842304020000000000000000000000000000000000000000",
+	"00003e40000000000000000000000000000000000102056c65616b7901147b14ae47e17a843f80e0",
+	"aaedd8b6cd8423040200000000000000000000000000a09f400000000000003e400000000000d0a3",
+	"400000000000d0a3400000000000c072400100000bd7a3703d0ad73f026f6b01147b14ae47e17a84",
+	"3f80e0aaedd8b6cd8423040200000000000000000000000000408f400000000000003e4000000000",
+	"00408f400000000000408f400000000000c072400100000000000000000000020363707514fca9f1",
+	"d24d62403f040201060000020102056c65616b79000000000000e03f026f6b000000000000e03f00",
+	"00000000000000333333333333c33f000006000101147b14ae47e17a843f80e0aaedd8b6cd842304",
+	"020000000000000000000000000000f03f0000000000003e40000000000000f03f000000000000f0",
+	"3f0102056c65616b7901147b14ae47e17a843f80e0aaedd8b6cd842304020000000000000000fca9",
+	"f1d24d62503f0000000000003e40fda9f1d24d62503f343333333333d33f0000000000c072400100",
+	"000bd7a3703d0ac73f026f6b01147b14ae47e17a843f80e0aaedd8b6cd8423040200000000000000",
+	"00fca9f1d24d62503f0000000000003e40fda9f1d24d62503f343333333333d33f0000000000c072",
+	"400100000bd7a3703d0ac73f02077468726561647314000000000000000004020006000002010205",
+	"6c65616b79000000000000e03f026f6b000000000000e03f0000000000000000333333333333c33f",
+	"000006000101147b14ae47e17a843f00000000000000000000000002056c65616b7901147b14ae47",
+	"e17a843f80e0aaedd8b6cd84230402000000000000000000000000000000400000000000003e4000",
+	"0000000000004000000000000000400000000000c072400100000000000000000000026f6b01147b",
+	"14ae47e17a843f80e0aaedd8b6cd8423040200000000000000000000000000000040000000000000",
+	"3e40000000000000004000000000000000400000000000c07240010000000000000000000002076c",
+	"6174656e637914fca9f1d24d62403f040201060000020102056c65616b79000000000000e03f026f",
+	"6b000000000000e03f0000000000000000333333333333c33f000006000101147b14ae47e17a843f",
+	"00000000000000000000000002056c65616b7901147b14ae47e17a843f80e0aaedd8b6cd84230402",
+	"000000000000000000000000000000000000000000003e4000000000000000000000000000000000",
+	"0000000000c072400100000000000000000000026f6b01147b14ae47e17a843f80e0aaedd8b6cd84",
 	"230402000000000000000000000000000000000000000000003e4000000000000000000000000000",
-	"000000000000000000c072400100000000000000000000026f6b01147b14ae47e17a843f80e0aaed",
-	"d8b6cd84230402000000000000000000000000000000000000000000003e40000000000000000000",
-	"00000000000000000000000000c07240010000000000000000000000",
+	"0000000000000000c072400100000000000000000000020768616e646c6573140000000000000000",
+	"040200060000020102056c65616b79000000000000e03f026f6b000000000000e03f000000000000",
+	"0000333333333333c33f000006000101147b14ae47e17a843f00000000000000000000000002056c",
+	"65616b7901147b14ae47e17a843f80e0aaedd8b6cd84230402000000000000000000000000000000",
+	"000000000000003e40000000000000000000000000000000000000000000c0724001000000000000",
+	"00000000026f6b01147b14ae47e17a843f80e0aaedd8b6cd84230402000000000000000000000000",
+	"000000000000000000003e40000000000000000000000000000000000000000000c0724001000000",
+	"0000000000000000",
+}
+
+// emptyAggregatorSnapshotV2 is an aggregator with no nodes in the v2
+// format, whose node-mix guard still carried its tuning.
+const emptyAggregatorSnapshotV2 = "4147534e0205066d656d6f7279036370750774687265616473076c6174656e63790768616e646c65" +
+	"730000000001333333333333c33f059a9999999999c93f000000000000f83f000000000000000000" +
+	"0000000000000000000000000000000000000000"
+
+// TestAggregatorRestoreRejectsV2 feeds a v2 snapshot to the v3 decoder:
+// it must be refused by its version byte, never misparsed.
+func TestAggregatorRestoreRejectsV2(t *testing.T) {
+	data, err := hex.DecodeString(emptyAggregatorSnapshotV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := New(Config{}).Restore(data); !errors.Is(err, binc.ErrVersion) {
+		t.Fatalf("v2 aggregator snapshot: err = %v, want binc.ErrVersion", err)
+	}
 }
 
 func FuzzAggregatorSnapshot(f *testing.F) {

@@ -137,7 +137,7 @@ func (m *Manager) AttachDetectors(cfg detect.Config) (*DetectorBank, error) {
 func (m *Manager) Detectors() *DetectorBank { return m.detectors.Load() }
 
 // Monitor returns the bank's detector for a resource. Its Latest report is
-// recycled after Config.ReportRetention-1 further rounds; Report is the
+// recycled after detect.ReportRetention-1 further rounds; Report is the
 // reader that never sees that.
 func (b *DetectorBank) Monitor(resource string) (*detect.Monitor, bool) {
 	mon, ok := b.monitors[resource]

@@ -138,7 +138,7 @@ func TestMonitorObserveShiftResetAllocs(t *testing.T) {
 // intact for ReportRetention-1 rounds after publication and is rewritten
 // by the ring afterwards, and Clone detaches a kept copy.
 func TestReportRetentionRing(t *testing.T) {
-	m := NewMonitor("memory", Config{ReportRetention: 3})
+	m := NewMonitor("memory", Config{})
 	now := sim.Epoch
 	push := func() *Report {
 		now = now.Add(30 * time.Second)
@@ -147,12 +147,13 @@ func TestReportRetentionRing(t *testing.T) {
 	first := push()
 	firstRound := first.Round
 	kept := first.Clone()
-	push() // retention 3: first survives this round and the next...
-	if first.Round != firstRound {
-		t.Fatalf("report rewritten within its retention window (round %d)", first.Round)
+	for i := 1; i < ReportRetention; i++ {
+		push()
+		if first.Round != firstRound {
+			t.Fatalf("report rewritten %d rounds after publication, within its retention window", i)
+		}
 	}
-	push()
-	push() // ...but the ring has now cycled back over it.
+	push() // the ring has now cycled back over it
 	if first.Round == firstRound {
 		t.Fatal("ring did not recycle the report buffer after retention expired")
 	}

@@ -29,18 +29,15 @@ import (
 )
 
 // Config tunes a Monitor. The zero value selects the defaults documented
-// on every field.
+// on every field; the rest of the tuning is fixed (Alpha, ReportRetention
+// and the shift guard's ShiftThreshold, ShiftHold, ShiftEWMA and
+// ShiftNoiseMargin).
 type Config struct {
 	// Window is the sliding-window size, in sampling rounds, of the
 	// per-component trend detectors and the entropy detector
 	// (default 40; at the manager's default 30s sampling interval that
 	// is 20 minutes of history).
 	Window int
-	// Alpha is the Mann-Kendall significance level (default 0.01 — the
-	// online detectors test every round, so they need a stricter level
-	// than an offline one-shot query to keep the family-wise false-alarm
-	// rate down).
-	Alpha float64
 	// MinSlope is the smallest Sen slope (units per second) that counts
 	// as aging; significant trends below it are reported but do not
 	// alarm (default 0: any significant increase).
@@ -58,81 +55,34 @@ type Config struct {
 	// normalisation for cumulative resources such as CPU time, whose
 	// raw series grows with traffic whether or not anything ages.
 	PerInvocation bool
-	// ShiftThreshold is the total-variation distance in the usage mix
-	// above which a round counts as a workload shift (default 0.15).
-	ShiftThreshold float64
-	// ShiftHold is how many calm rounds must pass after a shift before
-	// alarms are re-enabled (default 5).
-	ShiftHold int
-	// ShiftEWMA is the adaptation rate of the guard's reference mix
-	// (default 0.2).
-	ShiftEWMA float64
-	// ShiftNoiseMargin scales the guard's adaptive threshold floor
-	// (default DefaultShiftNoiseMargin); see ShiftGuard for the noise
-	// model.
-	ShiftNoiseMargin float64
-	// ChangePoint additionally runs a Page-Hinkley level-shift detector
-	// per component over the same tracked quantity as the trend detector.
-	// The Mann-Kendall trend (with the CPU slope floor) is blind to a
-	// resource that steps up once and then stays flat — a constant-cost
-	// CPU hog switching on — which is exactly what Page-Hinkley catches.
-	// Off by default; the trend-only behaviour is unchanged.
-	ChangePoint bool
-	// PHDelta is the Page-Hinkley drift tolerance in baseline standard
-	// deviations (default DefaultPHDelta).
-	PHDelta float64
-	// PHLambda is the Page-Hinkley alarm threshold in baseline standard
-	// deviations (default DefaultPHLambda).
-	PHLambda float64
-	// PHWarmup is the number of samples the Page-Hinkley baseline is
-	// estimated over (default DefaultPHWarmup).
-	PHWarmup int
-	// ReportRetention is how many sampling rounds a *Report obtained from
-	// Latest (or returned by Observe) remains valid after publication.
-	// Reports are recycled through a ring of this size so a steady-state
-	// round produces zero garbage; a consumer that holds a report for
-	// longer than ReportRetention-1 subsequent rounds must Clone it
-	// (default DefaultReportRetention, minimum 2).
-	ReportRetention int
 }
 
-// DefaultReportRetention is the default size of the recycled report ring.
-// At the default 30s sampling cadence it gives consumers ~3.5 minutes to
-// read a published report before its buffer is rewritten.
-const DefaultReportRetention = 8
+// Tuning every Monitor runs with.
+const (
+	// Alpha is the Mann-Kendall significance level of the trend and
+	// entropy detectors. The online detectors test every round, so they
+	// need a stricter level than an offline one-shot query to keep the
+	// family-wise false-alarm rate down.
+	Alpha = 0.01
+	// ReportRetention is how many sampling rounds a *Report obtained
+	// from Latest (or returned by Observe) remains valid after
+	// publication. Reports are recycled through a ring of this size so a
+	// steady-state round produces zero garbage; a consumer that holds a
+	// report for longer than ReportRetention-1 subsequent rounds must
+	// Clone it. At the default 30s sampling cadence it gives consumers
+	// ~3.5 minutes.
+	ReportRetention = 8
+)
 
 func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = 40
-	}
-	if c.Alpha <= 0 || c.Alpha >= 1 {
-		c.Alpha = 0.01
 	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 10
 	}
 	if c.Consecutive <= 0 {
 		c.Consecutive = 3
-	}
-	// The shift-guard defaults mirror NewShiftGuard's own fallbacks so
-	// Config() reports the values the guard actually runs with.
-	if c.ShiftThreshold <= 0 || c.ShiftThreshold >= 1 {
-		c.ShiftThreshold = 0.15
-	}
-	if c.ShiftHold <= 0 {
-		c.ShiftHold = 5
-	}
-	if c.ShiftEWMA <= 0 || c.ShiftEWMA > 1 {
-		c.ShiftEWMA = 0.2
-	}
-	if c.ShiftNoiseMargin <= 0 {
-		c.ShiftNoiseMargin = DefaultShiftNoiseMargin
-	}
-	if c.ReportRetention <= 0 {
-		c.ReportRetention = DefaultReportRetention
-	}
-	if c.ReportRetention < 2 {
-		c.ReportRetention = 2
 	}
 	return c
 }
@@ -173,18 +123,12 @@ type Verdict struct {
 	// FirstAlarmRound is the 1-based round at which the component first
 	// alarmed (0 when it never has).
 	FirstAlarmRound int64
-	// ChangePoint is true when the Page-Hinkley level-shift detector is
-	// tripped for the component (only with Config.ChangePoint). An alarm
-	// with ChangePoint set and an insignificant Trend is a step, not a
-	// drift; its Score is the PH excursion in baseline standard
-	// deviations rather than a Sen slope.
-	ChangePoint bool
 }
 
 // Report is the Monitor's published state after a sampling round.
 //
 // Reports are recycled: the Monitor publishes from a ring of
-// Config.ReportRetention buffers, so a *Report stays valid for at least
+// ReportRetention buffers, so a *Report stays valid for at least
 // ReportRetention-1 rounds after it was published and is then rewritten in
 // place by a later round. Consumers that read the latest report promptly
 // (the detector bank, live queries, the cluster fold) never notice;
@@ -262,12 +206,8 @@ func (r *Report) String() string {
 	}
 	b.WriteByte('\n')
 	for i, v := range r.Components {
-		cp := ""
-		if v.ChangePoint {
-			cp = " level-shift"
-		}
-		fmt.Fprintf(&b, "%2d. %-28s alarm=%-5v score=%10.4g z=%6.2f streak=%d n=%d share=%.3f%s\n",
-			i+1, v.Component, v.Alarm, v.Score, v.Trend.Z, v.Streak, v.Samples, v.Share, cp)
+		fmt.Fprintf(&b, "%2d. %-28s alarm=%-5v score=%10.4g z=%6.2f streak=%d n=%d share=%.3f\n",
+			i+1, v.Component, v.Alarm, v.Score, v.Trend.Z, v.Streak, v.Samples, v.Share)
 	}
 	return b.String()
 }
@@ -275,7 +215,6 @@ func (r *Report) String() string {
 // componentState is the Monitor's per-component detector state.
 type componentState struct {
 	trend      *OnlineTrend
-	ph         *PageHinkley // nil unless Config.ChangePoint
 	prevValue  float64
 	prevUsage  float64
 	havePrev   bool
@@ -295,7 +234,7 @@ type componentState struct {
 // A steady-state Observe round allocates nothing: the round's scratch,
 // the guard's distributions, every detector's window state, the one
 // Sen-slope scratch the detectors share and the published Report itself
-// are all reused (reports cycle through a ring of Config.ReportRetention
+// are all reused (reports cycle through a ring of ReportRetention
 // buffers — see Report for the retention contract). The alloc soak tests
 // in this package pin that property.
 type Monitor struct {
@@ -335,10 +274,10 @@ func NewMonitor(resource string, cfg Config) *Monitor {
 		resource: resource,
 		cfg:      cfg,
 		comps:    make(map[string]*componentState),
-		entropy:  NewEntropyDetector(cfg.Window, cfg.Alpha),
-		guard:    NewShiftGuardMargin(cfg.ShiftThreshold, cfg.ShiftHold, cfg.ShiftEWMA, cfg.ShiftNoiseMargin),
+		entropy:  NewEntropyDetector(cfg.Window, Alpha),
+		guard:    NewShiftGuard(),
 		sen:      metrics.NewSenScratch(cfg.Window),
-		ring:     make([]Report, cfg.ReportRetention),
+		ring:     make([]Report, ReportRetention),
 	}
 	m.entropy.trend.sen = m.sen
 	return m
@@ -347,11 +286,8 @@ func NewMonitor(resource string, cfg Config) *Monitor {
 // newComponent creates the detector state of a component first seen now
 // (or being restored), wired to the monitor's shared slope scratch.
 func (m *Monitor) newComponent() *componentState {
-	st := &componentState{trend: NewOnlineTrend(m.cfg.Window, m.cfg.Alpha)}
+	st := &componentState{trend: NewOnlineTrend(m.cfg.Window, Alpha)}
 	st.trend.sen = m.sen
-	if m.cfg.ChangePoint {
-		st.ph = NewPageHinkley(m.cfg.PHDelta, m.cfg.PHLambda, m.cfg.PHWarmup)
-	}
 	return st
 }
 
@@ -372,7 +308,7 @@ func (m *Monitor) Rounds() int64 { return m.rounds }
 
 // Latest returns the most recently published report (nil before the first
 // round). It never blocks; the pointer is published atomically, and the
-// report behind it stays valid for Config.ReportRetention-1 further
+// report behind it stays valid for ReportRetention-1 further
 // rounds (Clone to keep it longer).
 func (m *Monitor) Latest() *Report { return m.report.Load() }
 
@@ -441,16 +377,6 @@ func (m *Monitor) Observe(now time.Time, obs []Observation) *Report {
 			}
 			if haveTracked {
 				st.trend.Push(now, tracked)
-				if st.ph != nil {
-					if suppressed {
-						// A workload shift invalidates the level baseline
-						// the step detector was calibrated against, just as
-						// it invalidates the entropy window.
-						st.ph.Reset()
-					} else {
-						st.ph.Push(tracked)
-					}
-				}
 			}
 			if totalDelta > 0 {
 				st.share = 0.8*st.share + 0.2*(valueDeltas[i]/totalDelta)
@@ -493,10 +419,12 @@ func (m *Monitor) Observe(now time.Time, obs []Observation) *Report {
 	}
 	if m.entropyStreak >= m.cfg.Consecutive {
 		rep.EntropyAlarm = true
+		// Equal shares go to the first name, so the suspect does not
+		// depend on map-iteration order.
 		var best string
 		var bestShare float64
 		for c, st := range m.comps {
-			if st.share > bestShare {
+			if st.share > bestShare || st.share == bestShare && st.share > 0 && c < best {
 				best, bestShare = c, st.share
 			}
 		}
@@ -511,12 +439,10 @@ func (m *Monitor) Observe(now time.Time, obs []Observation) *Report {
 			Samples:   st.trend.Len(),
 			Share:     st.share,
 		}
-		trendRaw := v.Trend.Direction == metrics.TrendIncreasing &&
+		raw := v.Trend.Direction == metrics.TrendIncreasing &&
 			v.Trend.SenSlope > m.cfg.MinSlope &&
 			v.Samples >= m.cfg.MinSamples
-		cpRaw := st.ph != nil && st.ph.Tripped()
-		v.ChangePoint = cpRaw
-		if (trendRaw || cpRaw) && !suppressed {
+		if raw && !suppressed {
 			st.streak++
 		} else {
 			st.streak = 0
@@ -524,12 +450,7 @@ func (m *Monitor) Observe(now time.Time, obs []Observation) *Report {
 		v.Streak = st.streak
 		if st.streak >= m.cfg.Consecutive {
 			v.Alarm = true
-			if trendRaw {
-				v.Score = v.Trend.SenSlope
-			} else {
-				// Step, not drift: rank by how far the level jumped.
-				v.Score = st.ph.Magnitude()
-			}
+			v.Score = v.Trend.SenSlope
 			if st.firstAlarm == 0 {
 				st.firstAlarm = m.rounds
 			}

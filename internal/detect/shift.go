@@ -14,8 +14,8 @@ import (
 // Each round the guard receives the per-component usage deltas, computes
 // the share distribution, and compares it against an exponentially-
 // weighted reference distribution by total-variation distance. A distance
-// above the threshold marks the round as shifting; the guard then stays
-// in the suppressing state for Hold further calm rounds, because the
+// above ShiftThreshold marks the round as shifting; the guard then stays
+// in the suppressing state for ShiftHold further calm rounds, because the
 // first rounds after a mix change still blend pre- and post-shift
 // behaviour. The reference adapts continuously (EWMA), so after a shift
 // settles the new mix becomes the baseline and detection resumes — the
@@ -26,7 +26,7 @@ import (
 // total-variation distance even when the true mix is unchanged, so a
 // fixed threshold that works for a busy single node misfires on a
 // lightly loaded cluster replica seeing a third of the traffic. Each
-// round the guard floors the configured threshold at NoiseMargin times
+// round the guard floors ShiftThreshold at ShiftNoiseMargin times
 // the expected noise for that round's own n and k.
 //
 // Every sum runs over the guard's own name-sorted key list, never over a
@@ -37,11 +37,6 @@ import (
 // Single-owner, like the other detectors: only the sampling goroutine
 // calls Observe.
 type ShiftGuard struct {
-	threshold float64
-	hold      int
-	ewma      float64
-	margin    float64
-
 	// keys is every component that ever had usage on a non-idle round,
 	// name-sorted; ref and shares are parallel to it.
 	keys      []string
@@ -57,45 +52,28 @@ type ShiftGuard struct {
 	lastShift int64 // round of the most recent shifting observation
 }
 
-// DefaultShiftNoiseMargin multiplies the expected sampling noise of the
-// share distribution to form the adaptive threshold floor: 1.5 sits far
-// enough above the mean same-mix distance to stay quiet on light
-// per-node traffic while real mix changes (total-variation 0.3+ between
-// TPC-W mixes) still clear it.
-const DefaultShiftNoiseMargin = 1.5
+// The tuning every ShiftGuard runs with, the cluster's node-mix guard
+// included.
+const (
+	// ShiftThreshold is the total-variation distance in the usage mix
+	// above which a round counts as a workload shift.
+	ShiftThreshold = 0.15
+	// ShiftHold is how many calm rounds must pass after a shift before
+	// alarms are re-enabled.
+	ShiftHold = 5
+	// ShiftEWMA is the adaptation rate of the guard's reference mix.
+	ShiftEWMA = 0.2
+	// ShiftNoiseMargin multiplies the expected sampling noise of the
+	// share distribution to form the adaptive threshold floor: 1.5 sits
+	// far enough above the mean same-mix distance to stay quiet on light
+	// per-node traffic while real mix changes (total-variation 0.3+
+	// between TPC-W mixes) still clear it.
+	ShiftNoiseMargin = 1.5
+)
 
-// NewShiftGuard creates a guard. threshold is the total-variation distance
-// in [0,1] above which a round counts as shifting (default 0.15); hold is
-// the number of calm rounds required before alarms are re-enabled
-// (default 5); ewma is the reference adaptation rate in (0,1]
-// (default 0.2). The noise margin defaults to DefaultShiftNoiseMargin;
-// use NewShiftGuardMargin to tune it.
-func NewShiftGuard(threshold float64, hold int, ewma float64) *ShiftGuard {
-	return NewShiftGuardMargin(threshold, hold, ewma, 0)
-}
-
-// NewShiftGuardMargin is NewShiftGuard with an explicit noise margin
-// (out-of-range values select DefaultShiftNoiseMargin).
-func NewShiftGuardMargin(threshold float64, hold int, ewma, margin float64) *ShiftGuard {
-	if threshold <= 0 || threshold >= 1 {
-		threshold = 0.15
-	}
-	if hold <= 0 {
-		hold = 5
-	}
-	if ewma <= 0 || ewma > 1 {
-		ewma = 0.2
-	}
-	if margin <= 0 {
-		margin = DefaultShiftNoiseMargin
-	}
-	return &ShiftGuard{
-		threshold: threshold,
-		hold:      hold,
-		ewma:      ewma,
-		margin:    margin,
-		index:     make(map[string]int),
-	}
+// NewShiftGuard creates a guard.
+func NewShiftGuard() *ShiftGuard {
+	return &ShiftGuard{index: make(map[string]int)}
 }
 
 // slot returns name's position in the key list, inserting it in sorted
@@ -159,22 +137,22 @@ func (g *ShiftGuard) Observe(names []string, deltas []float64) bool {
 	g.lastDist = l1 / 2
 	// The adaptive floor: the expected total-variation distance between a
 	// k-component multinomial sample of size n and its true distribution
-	// is about sqrt(k/(2πn)), so anything below margin× that is sampling
-	// noise, not a mix change.
-	g.lastThr = g.threshold
-	if floor := g.margin * math.Sqrt(float64(k)/(2*math.Pi*total)); floor > g.lastThr {
+	// is about sqrt(k/(2πn)), so anything below ShiftNoiseMargin× that is
+	// sampling noise, not a mix change.
+	g.lastThr = ShiftThreshold
+	if floor := ShiftNoiseMargin * math.Sqrt(float64(k)/(2*math.Pi*total)); floor > g.lastThr {
 		g.lastThr = floor
 	}
 	if g.lastDist > g.lastThr {
 		g.shifted = true
 		g.lastShift = g.rounds
-		g.calmLeft = g.hold
+		g.calmLeft = ShiftHold
 	} else if g.calmLeft > 0 {
 		g.calmLeft--
 	}
 	// Adapt the reference toward the observed mix.
 	for i, s := range shares {
-		g.ref[i] = (1-g.ewma)*g.ref[i] + g.ewma*s
+		g.ref[i] = (1-ShiftEWMA)*g.ref[i] + ShiftEWMA*s
 	}
 	return g.Suppressing()
 }

@@ -39,13 +39,14 @@ import (
 // until its first post-restore Observe — the same contract as a freshly
 // constructed one.
 
-// Snapshot format versions, one per detector type.
+// Snapshot format versions, one per detector type. The guard and
+// monitor formats are at v2: v1 also carried the tuning that is now
+// constant and a per-component change-point detector.
 const (
 	trendSnapVersion   = 1
-	phSnapVersion      = 1
 	entropySnapVersion = 1
-	guardSnapVersion   = 1
-	monSnapVersion     = 1
+	guardSnapVersion   = 2
+	monSnapVersion     = 2
 )
 
 // Decode bounds: a corrupt or adversarial snapshot may not drive
@@ -61,12 +62,8 @@ const (
 	maxSnapComps   = 1 << 16
 	maxSnapCounter = 1 << 30
 	// maxSnapConfig bounds the small config integers (MinSamples,
-	// Consecutive, ShiftHold, PHWarmup) and maxSnapRetention the report
-	// ring size — the ring is allocated eagerly by NewMonitor, so an
-	// unbounded retention in a corrupt snapshot would be an allocation
-	// bomb (the fuzz corpus holds exactly that regression).
-	maxSnapConfig    = 1 << 20
-	maxSnapRetention = 1 << 12
+	// Consecutive).
+	maxSnapConfig = 1 << 20
 )
 
 func isFinite(f float64) bool {
@@ -167,78 +164,6 @@ func (o *OnlineTrend) Restore(data []byte) error {
 	return p.Done()
 }
 
-// ---- PageHinkley ----
-
-// AppendSnapshot appends the detector's versioned state (configuration,
-// Welford baseline estimate, excursion accumulator).
-func (ph *PageHinkley) AppendSnapshot(dst []byte) []byte {
-	dst = append(dst, phSnapVersion)
-	dst = binc.AppendFloat(dst, ph.delta)
-	dst = binc.AppendFloat(dst, ph.lambda)
-	dst = binc.AppendUvarint(dst, uint64(ph.warmup))
-	dst = binc.AppendUvarint(dst, uint64(ph.n))
-	dst = binc.AppendFloat(dst, ph.mean)
-	dst = binc.AppendFloat(dst, ph.m2)
-	dst = binc.AppendFloat(dst, ph.base)
-	dst = binc.AppendFloat(dst, ph.scale)
-	dst = binc.AppendBool(dst, ph.ready)
-	dst = binc.AppendFloat(dst, ph.cum)
-	dst = binc.AppendFloat(dst, ph.minCum)
-	dst = binc.AppendBool(dst, ph.tripped)
-	return dst
-}
-
-// Snapshot returns the detector's versioned binary state.
-func (ph *PageHinkley) Snapshot() []byte { return ph.AppendSnapshot(nil) }
-
-// RestoreSnapshot replaces the receiver's state from a snapshot read off
-// p, adopting the snapshot's configuration.
-func (ph *PageHinkley) RestoreSnapshot(p *binc.Parser) error {
-	if v := p.Byte(); p.Err() == nil && v != phSnapVersion {
-		return fmt.Errorf("detect: page-hinkley snapshot v%d: %w", v, binc.ErrVersion)
-	}
-	delta := p.Float()
-	lambda := p.Float()
-	warmup := p.Count(maxSnapCounter)
-	n := p.Count(maxSnapCounter)
-	mean := p.Float()
-	m2 := p.Float()
-	base := p.Float()
-	scale := p.Float()
-	ready := p.Bool()
-	cum := p.Float()
-	minCum := p.Float()
-	tripped := p.Bool()
-	if err := p.Err(); err != nil {
-		return err
-	}
-	if !(delta > 0) || !(lambda > 0) || warmup < 2 {
-		return fmt.Errorf("detect: page-hinkley snapshot config (delta=%v lambda=%v warmup=%d)", delta, lambda, warmup)
-	}
-	// n counts only warmup samples; it freezes at warmup when the
-	// baseline locks in.
-	if ready && n != warmup {
-		return fmt.Errorf("detect: page-hinkley snapshot ready with n=%d != warmup=%d", n, warmup)
-	}
-	if !ready && n >= warmup {
-		return fmt.Errorf("detect: page-hinkley snapshot not ready with n=%d >= warmup=%d", n, warmup)
-	}
-	ph.delta, ph.lambda, ph.warmup = delta, lambda, warmup
-	ph.n, ph.mean, ph.m2 = n, mean, m2
-	ph.base, ph.scale, ph.ready = base, scale, ready
-	ph.cum, ph.minCum, ph.tripped = cum, minCum, tripped
-	return nil
-}
-
-// Restore replaces the detector's state from a Snapshot buffer.
-func (ph *PageHinkley) Restore(data []byte) error {
-	p := binc.NewParser(data)
-	if err := ph.RestoreSnapshot(p); err != nil {
-		return err
-	}
-	return p.Done()
-}
-
 // ---- EntropyDetector ----
 
 // AppendSnapshot appends the detector's versioned state: the embedded
@@ -278,14 +203,10 @@ func (e *EntropyDetector) Restore(data []byte) error {
 
 // ---- ShiftGuard ----
 
-// AppendSnapshot appends the guard's versioned state: configuration, the
-// reference mix key-sorted, and the suppression bookkeeping.
+// AppendSnapshot appends the guard's versioned state: the reference mix
+// key-sorted and the suppression bookkeeping.
 func (g *ShiftGuard) AppendSnapshot(dst []byte) []byte {
 	dst = append(dst, guardSnapVersion)
-	dst = binc.AppendFloat(dst, g.threshold)
-	dst = binc.AppendUvarint(dst, uint64(g.hold))
-	dst = binc.AppendFloat(dst, g.ewma)
-	dst = binc.AppendFloat(dst, g.margin)
 	dst = binc.AppendBool(dst, g.seeded)
 	if g.seeded {
 		dst = binc.AppendUvarint(dst, uint64(len(g.keys)))
@@ -307,17 +228,12 @@ func (g *ShiftGuard) AppendSnapshot(dst []byte) []byte {
 func (g *ShiftGuard) Snapshot() []byte { return g.AppendSnapshot(nil) }
 
 // RestoreSnapshot replaces the receiver's state from a snapshot read off
-// p, adopting the snapshot's configuration. An absent reference mix stays
-// absent — it means "next non-idle round seeds the baseline", which is
+// p. An absent reference mix stays absent — it means "next non-idle round seeds the baseline", which is
 // distinct from an empty reference.
 func (g *ShiftGuard) RestoreSnapshot(p *binc.Parser) error {
 	if v := p.Byte(); p.Err() == nil && v != guardSnapVersion {
 		return fmt.Errorf("detect: shift guard snapshot v%d: %w", v, binc.ErrVersion)
 	}
-	threshold := p.Float()
-	hold := p.Count(maxSnapCounter)
-	ewma := p.Float()
-	margin := p.Float()
 	haveRef := p.Bool()
 	var keys []string
 	var ref []float64
@@ -344,13 +260,9 @@ func (g *ShiftGuard) RestoreSnapshot(p *binc.Parser) error {
 	if err := p.Err(); err != nil {
 		return err
 	}
-	if !(threshold > 0 && threshold < 1) || hold <= 0 || !(ewma > 0 && ewma <= 1) || !(margin > 0) {
-		return fmt.Errorf("detect: shift guard snapshot config (thr=%v hold=%d ewma=%v margin=%v)", threshold, hold, ewma, margin)
+	if calmLeft > ShiftHold {
+		return fmt.Errorf("detect: shift guard snapshot calmLeft %d > hold %d", calmLeft, ShiftHold)
 	}
-	if calmLeft > hold {
-		return fmt.Errorf("detect: shift guard snapshot calmLeft %d > hold %d", calmLeft, hold)
-	}
-	g.threshold, g.hold, g.ewma, g.margin = threshold, hold, ewma, margin
 	g.keys, g.ref, g.seeded = keys, ref, haveRef
 	g.shares = make([]float64, len(keys))
 	clear(g.index)
@@ -376,40 +288,20 @@ func (g *ShiftGuard) Restore(data []byte) error {
 
 func appendConfigSnapshot(dst []byte, cfg Config) []byte {
 	dst = binc.AppendUvarint(dst, uint64(cfg.Window))
-	dst = binc.AppendFloat(dst, cfg.Alpha)
 	dst = binc.AppendFloat(dst, cfg.MinSlope)
 	dst = binc.AppendUvarint(dst, uint64(cfg.MinSamples))
 	dst = binc.AppendUvarint(dst, uint64(cfg.Consecutive))
 	dst = binc.AppendBool(dst, cfg.PerInvocation)
-	dst = binc.AppendFloat(dst, cfg.ShiftThreshold)
-	dst = binc.AppendUvarint(dst, uint64(cfg.ShiftHold))
-	dst = binc.AppendFloat(dst, cfg.ShiftEWMA)
-	dst = binc.AppendFloat(dst, cfg.ShiftNoiseMargin)
-	dst = binc.AppendBool(dst, cfg.ChangePoint)
-	dst = binc.AppendFloat(dst, cfg.PHDelta)
-	dst = binc.AppendFloat(dst, cfg.PHLambda)
-	dst = binc.AppendUvarint(dst, uint64(cfg.PHWarmup))
-	dst = binc.AppendUvarint(dst, uint64(cfg.ReportRetention))
 	return dst
 }
 
 func parseConfigSnapshot(p *binc.Parser) Config {
 	var cfg Config
 	cfg.Window = p.Count(maxSnapWindow)
-	cfg.Alpha = p.Float()
 	cfg.MinSlope = p.Float()
 	cfg.MinSamples = p.Count(maxSnapConfig)
 	cfg.Consecutive = p.Count(maxSnapConfig)
 	cfg.PerInvocation = p.Bool()
-	cfg.ShiftThreshold = p.Float()
-	cfg.ShiftHold = p.Count(maxSnapConfig)
-	cfg.ShiftEWMA = p.Float()
-	cfg.ShiftNoiseMargin = p.Float()
-	cfg.ChangePoint = p.Bool()
-	cfg.PHDelta = p.Float()
-	cfg.PHLambda = p.Float()
-	cfg.PHWarmup = p.Count(maxSnapConfig)
-	cfg.ReportRetention = p.Count(maxSnapRetention)
 	return cfg
 }
 
@@ -437,10 +329,6 @@ func (m *Monitor) AppendSnapshot(dst []byte) []byte {
 		st := m.comps[name]
 		dst = binc.AppendString(dst, name)
 		dst = st.trend.AppendSnapshot(dst)
-		dst = binc.AppendBool(dst, st.ph != nil)
-		if st.ph != nil {
-			dst = st.ph.AppendSnapshot(dst)
-		}
 		dst = binc.AppendFloat(dst, st.prevValue)
 		dst = binc.AppendFloat(dst, st.prevUsage)
 		dst = binc.AppendBool(dst, st.havePrev)
@@ -472,22 +360,14 @@ func RestoreMonitorSnapshot(p *binc.Parser) (*Monitor, error) {
 		return nil, fmt.Errorf("detect: monitor snapshot config not canonical")
 	}
 	m := NewMonitor(resource, cfg)
-	// Probes carry the exact constructor-normalised configuration the
-	// monitor's own detectors run with, for validating embedded blobs.
-	probeTrend := NewOnlineTrend(cfg.Window, cfg.Alpha)
-	var probePH *PageHinkley
-	if cfg.ChangePoint {
-		probePH = NewPageHinkley(cfg.PHDelta, cfg.PHLambda, cfg.PHWarmup)
-	}
+	// The probe carries the exact constructor-normalised configuration
+	// the monitor's own trends run with, for validating embedded blobs.
+	probeTrend := NewOnlineTrend(cfg.Window, Alpha)
 	m.rounds = p.Varint()
 	m.shiftRounds = p.Varint()
 	m.entropyStreak = p.Count(maxSnapCounter)
 	if err := m.guard.RestoreSnapshot(p); err != nil {
 		return nil, err
-	}
-	if m.guard.threshold != cfg.ShiftThreshold || m.guard.hold != cfg.ShiftHold ||
-		m.guard.ewma != cfg.ShiftEWMA || m.guard.margin != cfg.ShiftNoiseMargin {
-		return nil, fmt.Errorf("detect: monitor snapshot shift guard config mismatch")
 	}
 	if err := m.entropy.RestoreSnapshot(p); err != nil {
 		return nil, err
@@ -515,18 +395,6 @@ func RestoreMonitorSnapshot(p *binc.Parser) (*Monitor, error) {
 		}
 		if st.trend.window != probeTrend.window || st.trend.alpha != probeTrend.alpha {
 			return nil, fmt.Errorf("detect: monitor snapshot trend config mismatch for %q", name)
-		}
-		hasPH := p.Bool()
-		if p.Err() == nil && hasPH != cfg.ChangePoint {
-			return nil, fmt.Errorf("detect: monitor snapshot change-point presence mismatch for %q", name)
-		}
-		if hasPH {
-			if err := st.ph.RestoreSnapshot(p); err != nil {
-				return nil, err
-			}
-			if st.ph.delta != probePH.delta || st.ph.lambda != probePH.lambda || st.ph.warmup != probePH.warmup {
-				return nil, fmt.Errorf("detect: monitor snapshot page-hinkley config mismatch for %q", name)
-			}
 		}
 		st.prevValue = p.Float()
 		st.prevUsage = p.Float()

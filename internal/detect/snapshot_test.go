@@ -3,6 +3,7 @@ package detect
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -35,7 +36,7 @@ func snapObs(r int64) []Observation {
 }
 
 func snapTestConfig() Config {
-	return Config{Window: 20, MinSamples: 6, Consecutive: 3, ChangePoint: true}
+	return Config{Window: 20, MinSamples: 6, Consecutive: 3}
 }
 
 func driveMonitor(m *Monitor, from, to int64, t0 time.Time) []string {
@@ -59,7 +60,7 @@ func TestMonitorSnapshotParity(t *testing.T) {
 		cfg  Config
 	}{
 		{"default", Config{}},
-		{"tuned-changepoint", snapTestConfig()},
+		{"tuned", snapTestConfig()},
 		{"per-invocation", Config{Window: 16, MinSamples: 5, PerInvocation: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -181,38 +182,15 @@ func TestTrendSnapshotEmpty(t *testing.T) {
 	}
 }
 
-func TestPageHinkleySnapshotRoundTrip(t *testing.T) {
-	ph := NewPageHinkley(0.5, 8, 5)
-	for i := 0; i < 20; i++ {
-		v := 10.0
-		if i > 12 {
-			v = 25 // level shift
-		}
-		ph.Push(v)
-	}
-	if !ph.Tripped() {
-		t.Fatal("setup: detector should have tripped")
-	}
-	r := NewPageHinkley(0, 0, 0)
-	if err := r.Restore(ph.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if !r.Tripped() || r.Magnitude() != ph.Magnitude() || !r.Ready() {
-		t.Fatalf("restored PH state differs: tripped=%v mag=%v/%v", r.Tripped(), r.Magnitude(), ph.Magnitude())
-	}
-	if !bytes.Equal(r.Snapshot(), ph.Snapshot()) {
-		t.Fatal("page-hinkley snapshot not canonical")
-	}
-}
-
 func TestShiftGuardSnapshotRoundTrip(t *testing.T) {
-	g := NewShiftGuard(0.15, 5, 0.2)
+	g := NewShiftGuard()
 	names, mix := []string{"a", "b"}, []float64{12, 4}
 	for i := 0; i < 10; i++ {
 		g.Observe(names, mix)
 	}
 	g.Observe(names, []float64{1, 40}) // shift
-	r := NewShiftGuard(0.5, 2, 0.9)
+	r := NewShiftGuard()
+	r.Observe(names, []float64{3, 3}) // state restore must overwrite
 	if err := r.Restore(g.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +211,8 @@ func TestShiftGuardSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestShiftGuardSnapshotNilRef(t *testing.T) {
-	g := NewShiftGuard(0.15, 5, 0.2)
-	r := NewShiftGuard(0.15, 5, 0.2)
+	g := NewShiftGuard()
+	r := NewShiftGuard()
 	if err := r.Restore(g.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
@@ -268,9 +246,9 @@ func TestEntropySnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMonitorSnapshotGolden pins the v1 monitor snapshot format byte for
-// byte. If this fails, the format changed: bump monSnapVersion and keep
-// decoding v1, or update the golden only with a deliberate format break.
+// TestMonitorSnapshotGolden pins the v2 monitor snapshot format byte for
+// byte. If this fails, the format changed: bump monSnapVersion, or update
+// the golden only with a deliberate format break.
 func TestMonitorSnapshotGolden(t *testing.T) {
 	m := NewMonitor("mem", Config{Window: 8, MinSamples: 4, Consecutive: 2})
 	t0 := time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -280,22 +258,49 @@ func TestMonitorSnapshotGolden(t *testing.T) {
 			{Component: "b", Value: float64(500 + 3*r), Usage: float64(2 * r)},
 		})
 	}
-	const want = "01036d656d087b14ae47e17a843f0000000000000000040200333333333333c33f059a9999999999" +
-		"c93f000000000000f83f000000000000000000000000000000000000080c000001333333333333c3" +
-		"3f059a9999999999c93f000000000000f83f010201619b9999999999e93f01629b9999999999c93f" +
-		"000000000000943c497568d6a920d13f00000c000101087b14ae47e17a843f80e0aaedd8b6cd8423" +
-		"0a050000000000000000cd8901c2bae1d03f0000000000003e40cd8901c2bae1d03f000000000000" +
-		"4e40cd8901c2bae1d03f0000000000805640cd8901c2bae1d03f0000000000005e40cd8901c2bae1" +
-		"d03fcd8901c2bae1d03f0102016101087b14ae47e17a843f80e0aaedd8b6cd84230a050000000000" +
-		"0000000000000000a091400000000000003e400000000000a092400000000000004e400000000000" +
-		"a0934000000000008056400000000000a094400000000000005e400000000000a095400000000000" +
-		"00a0954000000000000048400100006398b9d1088de43f016201087b14ae47e17a843f80e0aaedd8" +
-		"b6cd84230a0500000000000000000000000000a07f400000000000003e400000000000d07f400000" +
-		"000000004e400000000000008040000000000080564000000000001880400000000000005e400000" +
-		"00000030804000000000000030804000000000000028400100009664963a8dd39e3f"
+	const want = "02036d656d0800000000000000000402000c000002010201619b9999999999e93f01629b99999999" +
+		"99c93f000000000000943c497568d6a920d13f00000c000101087b14ae47e17a843f80e0aaedd8b6" +
+		"cd84230a050000000000000000cd8901c2bae1d03f0000000000003e40cd8901c2bae1d03f000000" +
+		"0000004e40cd8901c2bae1d03f0000000000805640cd8901c2bae1d03f0000000000005e40cd8901" +
+		"c2bae1d03fcd8901c2bae1d03f0102016101087b14ae47e17a843f80e0aaedd8b6cd84230a050000" +
+		"0000000000000000000000a091400000000000003e400000000000a092400000000000004e400000" +
+		"000000a0934000000000008056400000000000a094400000000000005e400000000000a095400000" +
+		"000000a0954000000000000048400100006398b9d1088de43f016201087b14ae47e17a843f80e0aa" +
+		"edd8b6cd84230a0500000000000000000000000000a07f400000000000003e400000000000d07f40" +
+		"0000000000004e400000000000008040000000000080564000000000001880400000000000005e40" +
+		"0000000000308040000000000030804000000000000028400100009664963a8dd39e3f"
 	got := hex.EncodeToString(m.Snapshot())
 	if got != want {
 		t.Fatalf("monitor snapshot bytes changed:\n got %s\nwant %s", got, want)
+	}
+}
+
+// monitorSnapshotV1 is the golden monitor of TestMonitorSnapshotGolden in
+// the v1 format, which also carried the now-fixed tuning and a
+// change-point detector flag per component.
+const monitorSnapshotV1 = "01036d656d087b14ae47e17a843f0000000000000000040200333333333333c33f059a9999999999" +
+	"c93f000000000000f83f000000000000000000000000000000000000080c000001333333333333c3" +
+	"3f059a9999999999c93f000000000000f83f010201619b9999999999e93f01629b9999999999c93f" +
+	"000000000000943c497568d6a920d13f00000c000101087b14ae47e17a843f80e0aaedd8b6cd8423" +
+	"0a050000000000000000cd8901c2bae1d03f0000000000003e40cd8901c2bae1d03f000000000000" +
+	"4e40cd8901c2bae1d03f0000000000805640cd8901c2bae1d03f0000000000005e40cd8901c2bae1" +
+	"d03fcd8901c2bae1d03f0102016101087b14ae47e17a843f80e0aaedd8b6cd84230a050000000000" +
+	"0000000000000000a091400000000000003e400000000000a092400000000000004e400000000000" +
+	"a0934000000000008056400000000000a094400000000000005e400000000000a095400000000000" +
+	"00a0954000000000000048400100006398b9d1088de43f016201087b14ae47e17a843f80e0aaedd8" +
+	"b6cd84230a0500000000000000000000000000a07f400000000000003e400000000000d07f400000" +
+	"000000004e400000000000008040000000000080564000000000001880400000000000005e400000" +
+	"00000030804000000000000030804000000000000028400100009664963a8dd39e3f"
+
+// TestSnapshotRejectsV1 feeds a v1 snapshot to the v2 decoder: it must
+// be refused by its version byte, never misparsed.
+func TestSnapshotRejectsV1(t *testing.T) {
+	data, err := hex.DecodeString(monitorSnapshotV1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreMonitor(data); !errors.Is(err, binc.ErrVersion) {
+		t.Fatalf("v1 monitor snapshot: err = %v, want binc.ErrVersion", err)
 	}
 }
 

@@ -150,7 +150,7 @@ func TestShiftGuardDeterministic(t *testing.T) {
 	}
 	var want uint64
 	for rep := 0; rep < 200; rep++ {
-		g := NewShiftGuard(0.15, 5, 0.2)
+		g := NewShiftGuard()
 		order := make([]int, comps)
 		for i := range order {
 			order[i] = i

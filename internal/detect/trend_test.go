@@ -123,7 +123,7 @@ func TestEntropyDetectorConcentration(t *testing.T) {
 }
 
 func TestShiftGuard(t *testing.T) {
-	g := NewShiftGuard(0.15, 3, 0.2)
+	g := NewShiftGuard()
 	names := []string{"a", "b", "c"}
 	steady := []float64{50, 30, 20}
 	if g.Observe(names, steady) {
@@ -188,13 +188,44 @@ func TestMonitorLeakAlarmsAndFlatDoesNot(t *testing.T) {
 	}
 }
 
+// TestEntropySuspectDeterministic gives two components bit-identical
+// growing consumption among flat ones, so their shares tie exactly: the
+// entropy alarm must name the first of them by name on every fresh
+// monitor, never whichever the component map yields first.
+func TestEntropySuspectDeterministic(t *testing.T) {
+	for rep := 0; rep < 30; rep++ {
+		m := NewMonitor("memory", Config{Window: 20, MinSamples: 6, Consecutive: 3})
+		now := sim.Epoch
+		var leak, flat float64
+		var last *Report
+		for i := 0; i < 40; i++ {
+			now = now.Add(30 * time.Second)
+			leak += 1 + float64(i)*0.5
+			flat++
+			usage := float64(i) * 10
+			last = m.Observe(now, []Observation{
+				{Component: "leak-b", Value: leak, Usage: usage},
+				{Component: "flat-1", Value: flat, Usage: usage},
+				{Component: "leak-a", Value: leak, Usage: usage},
+				{Component: "flat-2", Value: flat, Usage: usage},
+				{Component: "flat-3", Value: flat, Usage: usage},
+			})
+		}
+		if !last.EntropyAlarm {
+			t.Fatalf("premise broken: no entropy alarm on concentrating consumption:\n%s", last)
+		}
+		if last.EntropySuspect != "leak-a" {
+			t.Fatalf("monitor %d: entropy suspect %q, want leak-a (the tie goes to the first name)", rep, last.EntropySuspect)
+		}
+	}
+}
+
 // TestMonitorShiftSuppression drives a usage-mix shift with no aging: the
 // raw consumption deltas redistribute (which would concentrate the entropy
 // signal) but the guard must keep every alarm down.
 func TestMonitorShiftSuppression(t *testing.T) {
 	m := NewMonitor("cpu", Config{
 		Window: 20, MinSamples: 6, Consecutive: 3, PerInvocation: true,
-		ShiftThreshold: 0.15, ShiftHold: 5,
 	})
 	now := sim.Epoch
 	cumA, cumB := 0.0, 0.0

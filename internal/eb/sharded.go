@@ -52,6 +52,13 @@ const (
 // is identical no matter how many shards run it.
 const arrivalLanes = 256
 
+// ThinkMean and ThinkCap are TPC-W's think time: negative-exponential with
+// a 7 s mean, truncated at 70 s.
+const (
+	ThinkMean = 7 * time.Second
+	ThinkCap  = 70 * time.Second
+)
+
 // ShardedConfig parameterises a ShardedDriver.
 type ShardedConfig struct {
 	// Shards is the engine count (default 1).
@@ -63,10 +70,6 @@ type ShardedConfig struct {
 	// Mix selects the transition matrix Run drives (a schedule names a mix
 	// per phase).
 	Mix Mix
-	// ThinkMean / ThinkCap are the TPC-W think-time parameters
-	// (defaults 7s / 70s).
-	ThinkMean time.Duration
-	ThinkCap  time.Duration
 	// Items / Customers mirror the database scale (defaults 1000 / 1440).
 	Items     int
 	Customers int
@@ -115,12 +118,6 @@ func (c ShardedConfig) withDefaults() ShardedConfig {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.ThinkMean <= 0 {
-		c.ThinkMean = 7 * time.Second
-	}
-	if c.ThinkCap <= 0 {
-		c.ThinkCap = 70 * time.Second
 	}
 	if c.Items <= 0 {
 		c.Items = 1000
@@ -211,9 +208,7 @@ type ShardedDriver struct {
 	next   int
 	nextAt time.Time
 
-	thinkMeanSec float64
-	thinkCapSec  float64
-	stopProb     float64 // open loop: P(session ends | completion)
+	stopProb float64 // open loop: P(session ends | completion)
 }
 
 // NewShardedDriver builds the group, tables and per-shard targets. The
@@ -240,12 +235,10 @@ func NewShardedDriver(cfg ShardedConfig, factory TargetFactory) *ShardedDriver {
 	unames := unameVocabulary(cfg.Customers)
 
 	d := &ShardedDriver{
-		cfg:          cfg,
-		group:        sim.NewShardGroup(cfg.Shards, cfg.Window),
-		shards:       make([]*driverShard, cfg.Shards),
-		thinkMeanSec: cfg.ThinkMean.Seconds(),
-		thinkCapSec:  cfg.ThinkCap.Seconds(),
-		stopProb:     1 / float64(cfg.MeanSessionLength),
+		cfg:      cfg,
+		group:    sim.NewShardGroup(cfg.Shards, cfg.Window),
+		shards:   make([]*driverShard, cfg.Shards),
+		stopProb: 1 / float64(cfg.MeanSessionLength),
 	}
 	for mix := range d.matrices {
 		d.matrices[mix] = compileMatrix(TransitionMatrix(Mix(mix)))
@@ -452,7 +445,7 @@ func (d *ShardedDriver) enter(ph Phase) {
 		// Stagger starts across one mean think time, drawn from the
 		// session's own stream so the ramp is id-deterministic. A session a
 		// shrink had stopped continues that stream: it is not bound again.
-		delay := time.Duration(sh.table.rng[slot].Float64() * float64(d.cfg.ThinkMean))
+		delay := time.Duration(sh.table.rng[slot].Float64() * float64(ThinkMean))
 		sh.engine.ScheduleArgAfter(delay, sh.stepFn, int64(slot))
 	}
 }
@@ -620,7 +613,7 @@ func (sh *driverShard) complete(slot int, resp *servlet.Response) {
 		sh.free = append(sh.free, int32(slot))
 		return
 	}
-	think := time.Duration(sh.table.think(slot, sh.d.thinkMeanSec, sh.d.thinkCapSec) * float64(time.Second))
+	think := time.Duration(sh.table.think(slot) * float64(time.Second))
 	sh.engine.ScheduleArgAfter(think, sh.stepFn, int64(slot))
 }
 

@@ -204,10 +204,9 @@ func (tb *sessionTable) release(slot int) { tb.id[slot] = -1 }
 // idle reports whether a slot is unbound.
 func (tb *sessionTable) idle(slot int) bool { return tb.id[slot] < 0 }
 
-// think draws the slot's next think time in seconds (TPC-W truncated
-// exponential).
-func (tb *sessionTable) think(slot int, mean, cap float64) float64 {
-	return tb.rng[slot].TruncExp(mean, cap)
+// think draws the slot's next think time in seconds.
+func (tb *sessionTable) think(slot int) float64 {
+	return tb.rng[slot].TruncExp(ThinkMean.Seconds(), ThinkCap.Seconds())
 }
 
 // buildRequest advances the slot's walk and fabricates the request,

@@ -347,8 +347,7 @@ func (f *FragmentationBloat) Fragments() int64 {
 // requests, and each miss costs MissCost of extra CPU (the backing lookup
 // the cache existed to avoid). The observable is a growing per-invocation
 // CPU trend with no resource-level growth — computational aging without a
-// hog's level step, which is what separates it from CPUHog on the
-// Page-Hinkley/trend axis.
+// hog's level step, which is what separates it from CPUHog.
 type StaleCacheDecay struct {
 	// Component is the target component name.
 	Component string

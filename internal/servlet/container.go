@@ -21,19 +21,15 @@ var (
 	ErrStopped       = errors.New("servlet: container is stopped")
 )
 
-// Config sizes a container.
+// Config sizes a container. The connection pool holds one connection per
+// worker, sessions expire after SessionTimeout idle, and service times
+// follow DefaultCostModel.
 type Config struct {
 	// Workers bounds concurrent request execution (default 50).
 	Workers int
 	// QueueCapacity bounds the accept queue; requests beyond it are
 	// rejected with StatusUnavailable (default 500).
 	QueueCapacity int
-	// DBConnections sizes the connection pool (default Workers).
-	DBConnections int
-	// SessionTimeout is the idle expiry (default 30m).
-	SessionTimeout time.Duration
-	// Cost is the service-time model (DefaultCostModel when zero).
-	Cost CostModel
 }
 
 func (c Config) withDefaults() Config {
@@ -42,12 +38,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueCapacity <= 0 {
 		c.QueueCapacity = 500
-	}
-	if c.DBConnections <= 0 {
-		c.DBConnections = c.Workers
-	}
-	if c.Cost == (CostModel{}) {
-		c.Cost = DefaultCostModel()
 	}
 	return c
 }
@@ -165,8 +155,8 @@ func NewContainer(engine *sim.Engine, weaver *aspect.Weaver, db *sqldb.DB, heap 
 		clock:      clock,
 		weaver:     weaver,
 		cfg:        cfg,
-		pool:       sqldb.NewPool(db, cfg.DBConnections),
-		sessions:   NewSessionManager(clock, heap, cfg.SessionTimeout),
+		pool:       sqldb.NewPool(db, cfg.Workers),
+		sessions:   NewSessionManager(clock, heap),
 		heap:       heap,
 		servlets:   make(map[string]*deployed),
 		respNanos:  metrics.NewStripedCounter(),
@@ -226,7 +216,7 @@ func (c *Container) Deploy(name string, s Servlet) error {
 			cost = req.Conn.Cost()
 			jps += req.Conn.JoinPointsCrossed()
 		}
-		req.serviceTime = c.cfg.Cost.ServiceTime(cost, jps, req.extraCost)
+		req.serviceTime = DefaultCostModel().ServiceTime(cost, jps, req.extraCost)
 		return nil, err
 	}
 	// The per-interaction counter is shared with the perInter map, which
@@ -394,7 +384,7 @@ func (c *Container) execute(req *Request) (*Response, time.Duration) {
 	if !ok {
 		resp.Status = StatusServerError
 		resp.Err = fmt.Errorf("%w: %q", ErrNoSuchServlet, req.Interaction)
-		return resp, c.cfg.Cost.ServiceTime(sqldb.QueryCost{}, 0, 0)
+		return resp, DefaultCostModel().ServiceTime(sqldb.QueryCost{}, 0, 0)
 	}
 	if req.SessionID != "" {
 		req.Session = c.sessions.GetOrCreate(req.SessionID)
@@ -411,7 +401,7 @@ func (c *Container) execute(req *Request) (*Response, time.Duration) {
 		// The servlet never reached its cost computation: it panicked,
 		// or an around advice returned without proceeding. Charge the
 		// fixed dispatch cost only.
-		serviceTime = c.cfg.Cost.ServiceTime(sqldb.QueryCost{}, 0, req.extraCost)
+		serviceTime = DefaultCostModel().ServiceTime(sqldb.QueryCost{}, 0, req.extraCost)
 	}
 	req.Conn = nil
 	req.args[0], req.args[1] = nil, nil

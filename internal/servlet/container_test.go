@@ -434,10 +434,14 @@ func TestThroughputAndMeanResponseTime(t *testing.T) {
 }
 
 func TestSessionExpirySweep(t *testing.T) {
-	engine, c, _ := newTestContainer(t, Config{SessionTimeout: time.Minute})
+	engine, c, _ := newTestContainer(t, Config{})
 	engine.ScheduleAfter(0, func(time.Time) {
 		c.Submit(&Request{Interaction: "tpcw.echo", SessionID: "old"}, nil)
 	})
+	engine.RunFor(SessionTimeout - time.Minute)
+	if c.Sessions().Live() != 1 {
+		t.Fatalf("live sessions = %d before the idle timeout", c.Sessions().Live())
+	}
 	engine.RunFor(5 * time.Minute)
 	if c.Sessions().Live() != 0 {
 		t.Fatalf("live sessions = %d after expiry window", c.Sessions().Live())
@@ -448,7 +452,7 @@ func TestSessionExpirySweep(t *testing.T) {
 }
 
 func TestSessionHeapAccounting(t *testing.T) {
-	engine, c, _ := newTestContainer(t, Config{SessionTimeout: time.Minute})
+	engine, c, _ := newTestContainer(t, Config{})
 	engine.ScheduleAfter(0, func(time.Time) {
 		for i := 0; i < 10; i++ {
 			id := string(rune('a' + i))
@@ -459,7 +463,7 @@ func TestSessionHeapAccounting(t *testing.T) {
 	if got := c.Heap().RetainedBy("container.sessions"); got != 10*4096 {
 		t.Fatalf("session heap = %d", got)
 	}
-	engine.RunFor(5 * time.Minute)
+	engine.RunFor(SessionTimeout + 5*time.Minute)
 	if got := c.Heap().RetainedBy("container.sessions"); got != 0 {
 		t.Fatalf("session heap after expiry = %d", got)
 	}
@@ -476,7 +480,7 @@ func TestNegativeAddCostPanics(t *testing.T) {
 }
 
 func TestSessionAttributes(t *testing.T) {
-	m := NewSessionManager(nil, nil, 0)
+	m := NewSessionManager(nil, nil)
 	s := m.GetOrCreate("s1")
 	s.Set("cart", 42)
 	if s.Get("cart").(int) != 42 || s.Get("ghost") != nil {
@@ -504,7 +508,7 @@ func TestSessionAttributes(t *testing.T) {
 }
 
 func TestSessionEmptyIDPanics(t *testing.T) {
-	m := NewSessionManager(nil, nil, 0)
+	m := NewSessionManager(nil, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("empty session id did not panic")
@@ -529,7 +533,7 @@ func TestPanickingServletBecomes500(t *testing.T) {
 	}
 	// The panic skipped the servlet's cost computation: the request is
 	// charged the fixed dispatch cost only.
-	if want := c.cfg.Cost.ServiceTime(sqldb.QueryCost{}, 0, 0); rt != want {
+	if want := DefaultCostModel().ServiceTime(sqldb.QueryCost{}, 0, 0); rt != want {
 		t.Fatalf("panicking request completed after %v, want %v", rt, want)
 	}
 	// The container keeps serving afterwards.
@@ -571,7 +575,7 @@ func TestAroundWithoutProceedChargesDispatchCost(t *testing.T) {
 	if resp == nil || !resp.OK() || resp.Get("rows") != nil {
 		t.Fatalf("vetoed response = %+v, want OK without the servlet's rows", resp)
 	}
-	if want := c.cfg.Cost.ServiceTime(sqldb.QueryCost{}, 0, 0); rt != want {
+	if want := DefaultCostModel().ServiceTime(sqldb.QueryCost{}, 0, 0); rt != want {
 		t.Fatalf("vetoed request completed after %v, want %v", rt, want)
 	}
 }

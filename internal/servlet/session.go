@@ -67,9 +67,8 @@ func (s *Session) touch(now time.Time) {
 // simulated footprint to the heap so an unbounded session population is
 // itself a visible aging vector.
 type SessionManager struct {
-	clock   sim.Clock
-	heap    *jvmheap.Heap
-	timeout time.Duration
+	clock sim.Clock
+	heap  *jvmheap.Heap
 
 	mu       sync.Mutex
 	sessions map[string]*Session
@@ -77,19 +76,18 @@ type SessionManager struct {
 	expired  int64
 }
 
-// NewSessionManager creates a manager with the given idle timeout
-// (30 minutes when non-positive, Tomcat's default).
-func NewSessionManager(clock sim.Clock, heap *jvmheap.Heap, timeout time.Duration) *SessionManager {
+// SessionTimeout is the idle expiry of a session (Tomcat's default).
+const SessionTimeout = 30 * time.Minute
+
+// NewSessionManager creates a manager whose sessions expire after
+// SessionTimeout idle.
+func NewSessionManager(clock sim.Clock, heap *jvmheap.Heap) *SessionManager {
 	if clock == nil {
 		clock = sim.WallClock{}
-	}
-	if timeout <= 0 {
-		timeout = 30 * time.Minute
 	}
 	return &SessionManager{
 		clock:    clock,
 		heap:     heap,
-		timeout:  timeout,
 		sessions: make(map[string]*Session),
 	}
 }
@@ -151,10 +149,10 @@ func (m *SessionManager) Expired() int64 {
 	return m.expired
 }
 
-// ExpireIdle removes sessions idle beyond the timeout, returning how many
+// ExpireIdle removes sessions idle beyond SessionTimeout, returning how many
 // were expired. The container sweeps periodically in simulation mode.
 func (m *SessionManager) ExpireIdle() int {
-	cut := m.clock.Now().Add(-m.timeout)
+	cut := m.clock.Now().Add(-SessionTimeout)
 	m.mu.Lock()
 	var victims []string
 	for id, s := range m.sessions {
