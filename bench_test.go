@@ -7,6 +7,7 @@ import (
 	"repro/internal/aspect"
 	"repro/internal/detect"
 	"repro/internal/experiment"
+	"repro/internal/faultinject"
 	"repro/internal/jmx"
 	"repro/internal/jvmheap"
 	"repro/internal/monitor"
@@ -290,7 +291,7 @@ func BenchmarkLeakInjection(b *testing.B) {
 	type comp struct{ LeakStore }
 	c := &comp{}
 	w := aspect.NewWeaver(nil)
-	leak := &MemoryLeak{Component: "bench.comp", Target: c, Size: 1, N: 1 << 20, Seed: 1}
+	leak := &faultinject.MemoryLeak{Component: "bench.comp", Target: c, Size: 1, N: 1 << 20, Seed: 1}
 	if err := w.Register(leak.Aspect()); err != nil {
 		b.Fatal(err)
 	}

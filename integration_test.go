@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/jmxhttp"
 	"repro/internal/tpcw"
 )
 
@@ -27,9 +28,9 @@ func TestEndToEndFrontend(t *testing.T) {
 	}
 	stack.Run(10*time.Minute, 20)
 
-	ts := httptest.NewServer(NewJMXHandler(stack.Framework.Server()))
+	ts := httptest.NewServer(jmxhttp.NewHandler(stack.Framework.Server()))
 	defer ts.Close()
-	client := NewJMXClient(ts.URL, nil)
+	client := jmxhttp.NewClient(ts.URL, nil)
 
 	// Discover the management plane.
 	agents, err := client.Names("monitoring:*")

@@ -132,21 +132,6 @@ func (w *Weaver) Unregister(name string) bool {
 	return false
 }
 
-// Aspects returns the registered aspects in precedence order.
-func (w *Weaver) Aspects() []*Aspect {
-	return append([]*Aspect(nil), w.snap.Load().aspects...)
-}
-
-// Find returns the registered aspect with the given name.
-func (w *Weaver) Find(name string) (*Aspect, bool) {
-	for _, a := range w.snap.Load().aspects {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return nil, false
-}
-
 // SetComponentEnabled switches interception for one component on or off at
 // runtime — the per-AC activation of the paper. While off, woven handles
 // of the component call straight through with near-zero overhead.

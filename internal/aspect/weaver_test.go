@@ -302,24 +302,28 @@ func TestRegisterValidation(t *testing.T) {
 	}
 }
 
-func TestFindAndAspects(t *testing.T) {
+func TestRegisterUnregisterBookkeeping(t *testing.T) {
 	w := NewWeaver(nil)
-	a := &Aspect{Name: "a", Pointcut: MustPointcut("within(c)"), Before: func(*JoinPoint) {}}
+	fired := 0
+	a := &Aspect{Name: "a", Pointcut: MustPointcut("within(c)"), Before: func(*JoinPoint) { fired++ }}
 	if err := w.Register(a); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := w.Find("a")
-	if !ok || got != a {
-		t.Fatal("Find failed")
+	fn := w.Weave("c", "m", func(...any) (any, error) { return nil, nil })
+	if _, err := fn(); err != nil || fired != 1 {
+		t.Fatalf("registered aspect fired %d times, err %v", fired, err)
 	}
-	if _, ok := w.Find("nope"); ok {
-		t.Fatal("Find found ghost")
-	}
-	if len(w.Aspects()) != 1 {
-		t.Fatal("Aspects count wrong")
+	if w.Unregister("nope") {
+		t.Fatal("Unregister removed a ghost")
 	}
 	if !w.Unregister("a") || w.Unregister("a") {
 		t.Fatal("Unregister bookkeeping wrong")
+	}
+	if _, err := fn(); err != nil || fired != 1 {
+		t.Fatalf("unregistered aspect still fired (%d), err %v", fired, err)
+	}
+	if err := w.Register(a); err != nil {
+		t.Fatalf("re-register after Unregister: %v", err)
 	}
 }
 

@@ -20,6 +20,11 @@ import (
 // promoted to cluster-wide.
 const NotifClusterAlarm = "aging.cluster.alarm"
 
+// churnHold is how many completed epochs cluster verdict promotion stays
+// suppressed after a membership change — a join or leave redistributes
+// traffic, which must not read as aging.
+const churnHold = 5
+
 // quorum is the fraction of active nodes that must alarm on the same
 // component before the verdict is cluster-wide rather than node-local:
 // strictly more than half. Cluster-wide promotion also needs at least two
@@ -30,17 +35,12 @@ const quorum = 0.5
 // defaults.
 type Config struct {
 	// Detect tunes the per-node detector banks (same semantics as the
-	// single-node manager: see core.ResourceDetectorConfigs). Its
-	// Shift* fields also tune the cluster-level node-mix guard.
+	// single-node manager: see core.ResourceDetectorConfigs).
 	Detect detect.Config
 	// StaleEpochs is how many epochs a node may lag behind the most
 	// advanced node before it is considered gone and marked inactive
 	// (default 3). Epoch completion never stalls on a dead node.
 	StaleEpochs int
-	// ChurnHold is how many completed epochs cluster verdict promotion
-	// stays suppressed after a membership change — a join or leave
-	// redistributes traffic, which must not read as aging (default 5).
-	ChurnHold int
 	// IngestLanes is how many hash-striped ingest lanes node state is
 	// spread over (default 32). Concurrent publishers contend only when
 	// their nodes share a lane; 1 degenerates to a single ingest lock,
@@ -67,9 +67,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.StaleEpochs <= 0 {
 		c.StaleEpochs = 3
-	}
-	if c.ChurnHold <= 0 {
-		c.ChurnHold = 5
 	}
 	if c.IngestLanes <= 0 {
 		c.IngestLanes = 32
@@ -634,7 +631,7 @@ func (a *Aggregator) ingestSlowLocked(lane *ingestLane, r Round) {
 		// epoch and hold cluster promotion down while traffic resettles.
 		st.active.Store(true)
 		st.epochBase = a.epochFolded - st.seq
-		a.churnLeft = a.cfg.ChurnHold
+		a.churnLeft = churnHold
 	}
 	a.ingestLocked(st, r)
 	lane.mu.Unlock()
@@ -796,7 +793,7 @@ func (a *Aggregator) deactivate(st *nodeState) {
 	st.lane.mu.Lock()
 	st.pending = st.pending[:0]
 	st.lane.mu.Unlock()
-	a.churnLeft = a.cfg.ChurnHold
+	a.churnLeft = churnHold
 }
 
 // foldEpoch completes cluster epoch k: feeds the node-mix guard with the

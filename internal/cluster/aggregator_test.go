@@ -196,7 +196,7 @@ func TestAggregatorStaleNodeIsEvictedWithoutStallingOrAlarming(t *testing.T) {
 }
 
 func TestAggregatorJoinHoldsPromotionDown(t *testing.T) {
-	a := New(Config{Detect: testDetect(), ChurnHold: 4})
+	a := New(Config{Detect: testDetect()})
 	nodes := []string{"node1", "node2"}
 	a.Expect(nodes...)
 	t0 := time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)

@@ -243,17 +243,6 @@ func (b *Balancer) Rebalance() {
 	b.sessions = make(map[string]*member)
 }
 
-// NodeNames lists the balanced nodes in assignment order.
-func (b *Balancer) NodeNames() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]string, len(b.members))
-	for i, m := range b.members {
-		out[i] = m.name
-	}
-	return out
-}
-
 // Assignments returns how many sessions are currently pinned to each
 // node.
 func (b *Balancer) Assignments() map[string]int {

@@ -80,7 +80,7 @@ func TestIngestStormAccounting(t *testing.T) {
 // attributes a real leak correctly afterwards — overload degrades
 // coverage, never correctness.
 func TestRoundStormShedsAndVerdictsSurvive(t *testing.T) {
-	a := New(Config{Detect: testDetect(), IngestLanes: 1, LaneQueueDepth: 1, StaleEpochs: 2, ChurnHold: 1})
+	a := New(Config{Detect: testDetect(), IngestLanes: 1, LaneQueueDepth: 1, StaleEpochs: 2})
 	t0 := time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)
 
 	storm := &faultinject.RoundStorm[Round]{

@@ -174,7 +174,7 @@ func TestAggregatorSnapshotParityPending(t *testing.T) {
 // inactive node's retained state, and the joiner's epoch alignment must
 // all survive.
 func TestAggregatorSnapshotParityMembership(t *testing.T) {
-	cfg := Config{Detect: testDetect(), StaleEpochs: 4, ChurnHold: 3}
+	cfg := Config{Detect: testDetect(), StaleEpochs: 4}
 	base := []string{"node1", "node2", "node3"}
 	leaks := map[string]int64{"node2": 4096}
 	const N, M = 22, 14

@@ -107,21 +107,11 @@ type BinaryWire struct {
 }
 
 // NewBinaryWire wraps an established connection as a binary-codec
-// publishing transport. The peer must serve it with
-// ServeBinaryConn/ServeBinary (the stream header makes a peer that speaks
-// anything else fail at connect time).
+// publishing transport. The peer must serve it with ServeBinaryConn (the
+// stream header makes a peer that speaks anything else fail at connect
+// time).
 func NewBinaryWire(conn net.Conn) *BinaryWire {
 	return &BinaryWire{conn: conn, enc: NewBinaryEncoder()}
-}
-
-// DialBinaryWire connects to an aggregator's binary listener and returns
-// the publishing end.
-func DialBinaryWire(network, addr string) (*BinaryWire, error) {
-	conn, err := net.Dial(network, addr)
-	if err != nil {
-		return nil, err
-	}
-	return NewBinaryWire(conn), nil
 }
 
 // DroppedRounds reports rounds this wire accepted (or was offered) but
@@ -355,21 +345,4 @@ func (a *Aggregator) ServeBinaryConn(conn net.Conn) (err error) {
 			return fmt.Errorf("cluster: unknown frame type %d", payload[0])
 		}
 	})
-}
-
-// ServeBinary accepts binary-codec node connections from ln and serves
-// each on its own goroutine until the listener closes, closing each
-// connection when its serving loop ends. It blocks; run it on a
-// goroutine.
-func (a *Aggregator) ServeBinary(ln net.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		go func() {
-			defer conn.Close()
-			_ = a.ServeBinaryConn(conn)
-		}()
-	}
 }

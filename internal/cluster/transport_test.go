@@ -120,8 +120,8 @@ func TestWireAndInProcProduceIdenticalVerdicts(t *testing.T) {
 }
 
 // TestBinaryWireOverTCP exercises the binary codec on a real socket: an
-// aggregator serving a TCP listener with ServeBinary, three dialed node
-// connections.
+// aggregator serving each accepted TCP connection with ServeBinaryConn,
+// three dialed node connections.
 func TestBinaryWireOverTCP(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -132,15 +132,27 @@ func TestBinaryWireOverTCP(t *testing.T) {
 	agg := New(Config{Detect: testDetect()})
 	nodes := []string{"node1", "node2", "node3"}
 	agg.Expect(nodes...)
-	go agg.ServeBinary(ln)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				_ = agg.ServeBinaryConn(conn)
+			}()
+		}
+	}()
 
 	const rounds = 12
 	trs := make(map[string]Transport, len(nodes))
 	for _, n := range nodes {
-		w, err := DialBinaryWire("tcp", ln.Addr().String())
+		conn, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
 			t.Fatalf("dial: %v", err)
 		}
+		w := NewBinaryWire(conn)
 		defer w.Close()
 		trs[n] = w
 	}

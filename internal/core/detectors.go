@@ -133,17 +133,6 @@ func (m *Manager) AttachDetectors(cfg detect.Config) (*DetectorBank, error) {
 	return bank, nil
 }
 
-// Detectors returns the attached bank (nil when none).
-func (m *Manager) Detectors() *DetectorBank { return m.detectors.Load() }
-
-// Monitor returns the bank's detector for a resource. Its Latest report is
-// recycled after detect.ReportRetention-1 further rounds; Report is the
-// reader that never sees that.
-func (b *DetectorBank) Monitor(resource string) (*detect.Monitor, bool) {
-	mon, ok := b.monitors[resource]
-	return mon, ok
-}
-
 // Report returns the caller's own copy of the latest report for a resource
 // (nil before the first sampling round). Safe from any goroutine, however
 // long the caller keeps it.

@@ -88,10 +88,6 @@ type Options struct {
 	Clock sim.Clock
 	// Heap, when non-nil, enables the memory agent and heap sampling.
 	Heap *jvmheap.Heap
-	// SizePolicy selects the object-size measurement depth (the
-	// paper's OneLevel when unset ... the zero value is Shallow, so the
-	// constructor treats Shallow as "use the default").
-	SizePolicy objsize.Policy
 	// SampleInterval is the manager's sampling period (default 30s).
 	SampleInterval time.Duration
 	// Pointcut restricts which components the AC observes (default
@@ -138,10 +134,6 @@ func New(opts Options) (*Framework, error) {
 		clock = opts.Weaver.Clock()
 	}
 	server := jmx.NewServer(clock)
-	policy := opts.SizePolicy
-	if policy == objsize.Shallow {
-		policy = objsize.OneLevel
-	}
 	interval := opts.SampleInterval
 	if interval <= 0 {
 		interval = 30 * time.Second
@@ -162,7 +154,7 @@ func New(opts Options) (*Framework, error) {
 		weaver:      opts.Weaver,
 		heap:        opts.Heap,
 		table:       table,
-		objSize:     monitor.NewObjectSizeAgent(table, policy),
+		objSize:     monitor.NewObjectSizeAgent(table, objsize.OneLevel),
 		cpu:         monitor.NewCPUAgent(table),
 		threads:     monitor.NewLiveAgent(table, monitor.Threads),
 		handles:     monitor.NewLiveAgent(table, monitor.Handles),

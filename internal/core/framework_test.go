@@ -12,7 +12,6 @@ import (
 	"repro/internal/jmx"
 	"repro/internal/jvmheap"
 	"repro/internal/monitor"
-	"repro/internal/objsize"
 	"repro/internal/servlet"
 	"repro/internal/sim"
 	"repro/internal/sqldb"
@@ -38,7 +37,8 @@ func TestFrameworkRegistersEverything(t *testing.T) {
 	if len(found) != 7 {
 		t.Fatalf("agents registered = %d, want 7 (incl. memory and heap-delta)", len(found))
 	}
-	if _, ok := w.Find(ACAspectName); !ok {
+	dup := &aspect.Aspect{Name: ACAspectName, Pointcut: aspect.MustPointcut("within(*)"), Before: func(*aspect.JoinPoint) {}}
+	if err := w.Register(dup); err == nil {
 		t.Fatal("AC aspect not registered on weaver")
 	}
 }
@@ -60,7 +60,7 @@ type leakyComponent struct {
 
 func TestInstrumentComponentAndACProxy(t *testing.T) {
 	w := aspect.NewWeaver(nil)
-	f, err := New(Options{Weaver: w, SizePolicy: objsize.Transitive})
+	f, err := New(Options{Weaver: w})
 	if err != nil {
 		t.Fatal(err)
 	}

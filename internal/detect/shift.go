@@ -165,10 +165,6 @@ func (g *ShiftGuard) Suppressing() bool { return g.calmLeft > 0 }
 // observed mix and the reference.
 func (g *ShiftGuard) Distance() float64 { return g.lastDist }
 
-// Threshold returns the effective (noise-floored) threshold of the most
-// recent non-idle round, 0 before any.
-func (g *ShiftGuard) Threshold() float64 { return g.lastThr }
-
 // Shifted reports whether any workload shift has ever been observed.
 func (g *ShiftGuard) Shifted() bool { return g.shifted }
 

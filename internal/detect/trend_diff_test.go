@@ -177,3 +177,36 @@ func TestShiftGuardDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestMannKendallDeterministic replays windows full of ties through the
+// batch metrics.MannKendall and requires one bit-identical Z and P per
+// window, however often it is asked, and bit-equality with the online
+// detector over the same window: the tie correction is one exact integer
+// sum, never a float sum in map order.
+func TestMannKendallDeterministic(t *testing.T) {
+	rng := sim.NewStream(42)
+	for w := 0; w < 2000; w++ {
+		n := 8 + int(rng.Float64()*33)
+		levels := 2 + int(rng.Float64()*5)
+		xs, ys := make([]float64, n), make([]float64, n)
+		o := NewOnlineTrend(n, 0.05)
+		for i := range ys {
+			xs[i] = float64(30 * i)
+			ys[i] = float64(int(rng.Float64() * float64(levels)))
+			o.Push(sim.Epoch.Add(time.Duration(i)*30*time.Second), ys[i])
+		}
+		first := metrics.MannKendall(xs, ys, 0.05)
+		for rep := 0; rep < 5; rep++ {
+			again := metrics.MannKendall(xs, ys, 0.05)
+			if math.Float64bits(again.Z) != math.Float64bits(first.Z) || math.Float64bits(again.P) != math.Float64bits(first.P) {
+				t.Fatalf("window %d call %d: Z %#x P %#x, first call Z %#x P %#x", w, rep,
+					math.Float64bits(again.Z), math.Float64bits(again.P), math.Float64bits(first.Z), math.Float64bits(first.P))
+			}
+		}
+		online := o.Result()
+		if online.S != first.S || online.Direction != first.Direction ||
+			math.Float64bits(online.Z) != math.Float64bits(first.Z) || math.Float64bits(online.P) != math.Float64bits(first.P) {
+			t.Fatalf("window %d: online %+v, batch %+v", w, online, first)
+		}
+	}
+}

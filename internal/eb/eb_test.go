@@ -227,7 +227,7 @@ func TestDriverRunsSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Group().Now().Sub(sim.Epoch); got != 5*time.Minute {
+	if got := d.group.Now().Sub(sim.Epoch); got != 5*time.Minute {
 		t.Fatalf("schedule ran %v, want 5m", got)
 	}
 	// 10 EBs × ~7s think over 5 minutes ≈ 400 requests; anything in the
@@ -291,7 +291,7 @@ func TestDriverPopulationChurnAllocFree(t *testing.T) {
 	if _, err := d.Start(phases); err != nil {
 		t.Fatal(err)
 	}
-	at := d.Group().Now()
+	at := d.group.Now()
 	churn := func() {
 		at = at.Add(cycle)
 		d.AdvanceTo(at)
@@ -331,7 +331,7 @@ func TestDriverPanicsOnBadSchedule(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "phase 2 of 2: an open-loop driver") {
 		t.Errorf("two phases on an open-loop driver: error %v", err)
 	}
-	if d.Group().Now() != sim.Epoch || d.Completed() != 0 {
+	if d.group.Now() != sim.Epoch || d.Completed() != 0 {
 		t.Error("a rejected schedule advanced the driver")
 	}
 	defer func() {

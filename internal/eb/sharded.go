@@ -348,10 +348,6 @@ func (d *ShardedDriver) shardCapacity(i, sessions int, sh *driverShard) int {
 	return capacity
 }
 
-// Group exposes the shard group (shard engines, window) for composition —
-// the experiment layer hangs monitoring on it.
-func (d *ShardedDriver) Group() *sim.ShardGroup { return d.group }
-
 // Shards reports the per-process engine count.
 func (d *ShardedDriver) Shards() int { return len(d.shards) }
 

@@ -81,9 +81,6 @@ func NodeForDriver(d *ShardedDriver, phases []Phase) (*DriverNode, error) {
 	return &DriverNode{driver: d}, nil
 }
 
-// Driver exposes the underlying sharded driver (telemetry after Serve).
-func (n *DriverNode) Driver() *ShardedDriver { return n.driver }
-
 // Serve runs the node's side of the protocol over an established
 // connection until the coordinator sends FIN (returns nil) or the stream
 // breaks (returns the error). It drives virtual time strictly as granted.

@@ -29,11 +29,6 @@ type ClusterConfig struct {
 	Seed uint64
 	// Scale sizes each node's TPC-W database (identical replicas).
 	Scale tpcw.Scale
-	// HeapBytes sizes each node's simulated JVM heap.
-	HeapBytes int64
-	// SampleInterval is the per-node manager sampling period (default
-	// 30s), which is also the cluster epoch cadence.
-	SampleInterval time.Duration
 	// Mix is the EB workload mix.
 	Mix eb.Mix
 	// Detect tunes the aggregator's per-node detector banks.
@@ -108,6 +103,10 @@ func (t *retargetTransport) set(tr cluster.Transport) {
 	t.mu.Unlock()
 }
 
+// sampleInterval is every cluster node's manager sampling period (the
+// manager's default), which is also the cluster epoch cadence.
+const sampleInterval = 30 * time.Second
+
 // ClusterStack is a fully assembled simulated cluster: the nodes, the
 // balancer fronting their containers, the aggregator merging their
 // sampling rounds, a cluster-plane MBeanServer carrying the aggregator
@@ -121,8 +120,7 @@ type ClusterStack struct {
 	Server     *jmx.Server       // cluster management plane
 	Rejuv      *rejuv.Controller // nil unless ClusterConfig.Rejuv was set
 
-	sampleInterval time.Duration
-	stopPump       func()
+	stopPump func()
 
 	// Failover state (Standby stacks only). aggCfg/rejuvCfg/rejuvWrap
 	// are retained so a promotion builds the standby plane with the
@@ -144,9 +142,6 @@ func NewClusterStack(cfg ClusterConfig) (*ClusterStack, error) {
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("experiment: ClusterConfig.Nodes must be >= 1")
 	}
-	if cfg.SampleInterval <= 0 {
-		cfg.SampleInterval = 30 * time.Second
-	}
 	if cfg.Scale.Seed == 0 {
 		cfg.Scale.Seed = cfg.Seed + 1
 	}
@@ -154,9 +149,8 @@ func NewClusterStack(cfg ClusterConfig) (*ClusterStack, error) {
 		return nil, fmt.Errorf("experiment: Standby failover requires the in-process transport")
 	}
 	cs := &ClusterStack{
-		sampleInterval: cfg.SampleInterval,
-		rejuvCfg:       cfg.Rejuv,
-		rejuvWrap:      cfg.RejuvControl,
+		rejuvCfg:  cfg.Rejuv,
+		rejuvWrap: cfg.RejuvControl,
 	}
 	var err error
 	cs.Driver, err = newDriver(eb.ShardedConfig{Seed: cfg.Seed, Mix: cfg.Mix, Items: cfg.Scale.Items, Customers: cfg.Scale.Customers}, func(_ int, engine *sim.Engine) (eb.Target, error) {
@@ -233,7 +227,7 @@ func (cs *ClusterStack) assemble(cfg ClusterConfig) error {
 
 	// The notification pump turns queued aggregator transitions into
 	// cluster-plane JMX notifications once per sampling period.
-	cs.stopPump = engine.Every(cfg.SampleInterval, func(time.Time) {
+	cs.stopPump = engine.Every(sampleInterval, func(time.Time) {
 		cs.FlushNotifications()
 	})
 	return nil
@@ -245,9 +239,8 @@ func (cs *ClusterStack) buildNode(name string, cfg ClusterConfig) (*Node, error)
 	node, err := buildNode(cs.Engine, nodeConfig{
 		Name:           name,
 		Scale:          cfg.Scale,
-		HeapBytes:      cfg.HeapBytes,
 		Monitored:      true,
-		SampleInterval: cfg.SampleInterval,
+		SampleInterval: sampleInterval,
 	})
 	if err != nil {
 		return nil, err

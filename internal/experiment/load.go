@@ -39,17 +39,13 @@ type LoadConfig struct {
 	Sessions int
 	// Shards is the per-process engine count (default 1).
 	Shards int
-	// Window is the bounded-lag pacing window (default 100ms).
-	Window time.Duration
 	// Mix is the TPC-W transition mix.
 	Mix eb.Mix
-	// OpenLoop switches to Poisson arrivals at Rate sessions/second.
+	// OpenLoop switches to Poisson arrivals at Rate sessions/second;
+	// the pacing window and open-loop session shape are
+	// eb.ShardedConfig's defaults.
 	OpenLoop bool
 	Rate     float64
-	// MeanSessionLength / MaxSessions parameterise open-loop sessions
-	// (defaults per eb.ShardedConfig).
-	MeanSessionLength int
-	MaxSessions       int
 	// DriverIndex / DriverCount place this process in a K-way fleet
 	// (defaults 0 of 1).
 	DriverIndex int
@@ -155,18 +151,15 @@ func NewLoadStack(cfg LoadConfig) (*LoadStack, error) {
 	}
 
 	shardedCfg := eb.ShardedConfig{
-		Shards:            cfg.Shards,
-		Window:            cfg.Window,
-		Seed:              cfg.Seed,
-		Mix:               cfg.Mix,
-		Items:             cfg.Scale.Items,
-		Customers:         cfg.Scale.Customers,
-		Sessions:          cfg.Sessions,
-		Rate:              cfg.Rate,
-		MeanSessionLength: cfg.MeanSessionLength,
-		MaxSessions:       cfg.MaxSessions,
-		DriverIndex:       cfg.DriverIndex,
-		DriverCount:       cfg.DriverCount,
+		Shards:      cfg.Shards,
+		Seed:        cfg.Seed,
+		Mix:         cfg.Mix,
+		Items:       cfg.Scale.Items,
+		Customers:   cfg.Scale.Customers,
+		Sessions:    cfg.Sessions,
+		Rate:        cfg.Rate,
+		DriverIndex: cfg.DriverIndex,
+		DriverCount: cfg.DriverCount,
 	}
 	if cfg.OpenLoop {
 		shardedCfg.Arrival = eb.OpenLoop

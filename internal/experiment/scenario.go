@@ -422,7 +422,7 @@ var Scenarios = []Scenario{
 		Events: []At{{Arm: func(e *env) error {
 			failedOver := false
 			var epoch, shipped int64
-			e.after(13*e.cs.sampleInterval/2, func() error {
+			e.after(13*sampleInterval/2, func() error {
 				failedOver, epoch, shipped = true, e.cs.Aggregator.Epoch(), e.cs.shipper.Shipped()
 				return e.cs.FailOver()
 			})
@@ -447,7 +447,7 @@ var Scenarios = []Scenario{
 		Faults: []At{leak("node2", ComponentA)},
 		Events: []At{{Arm: func(e *env) error {
 			failedOver := false
-			e.cs.Engine.Every(e.cs.sampleInterval/2, func(time.Time) {
+			e.cs.Engine.Every(sampleInterval/2, func(time.Time) {
 				if !failedOver && e.cs.Rejuv.NodeState("node2") == rejuv.Draining {
 					failedOver = true
 					e.fail(e.cs.FailOver())

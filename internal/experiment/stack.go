@@ -34,8 +34,6 @@ type StackConfig struct {
 	// HeapBytes sizes the simulated JVM heap (1 GB default, as the
 	// paper's Tomcat).
 	HeapBytes int64
-	// SampleInterval is the manager sampling period (default 30s).
-	SampleInterval time.Duration
 	// Mix is the EB workload mix (Shopping in all paper experiments).
 	Mix eb.Mix
 	// Detect attaches the streaming aging detectors to the manager's
@@ -183,10 +181,9 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 // assemble builds the node, and what cfg hangs on it, on the stack's engine.
 func (s *Stack) assemble(cfg StackConfig) (eb.Target, error) {
 	node, err := buildNode(s.Engine, nodeConfig{
-		Scale:          cfg.Scale,
-		HeapBytes:      cfg.HeapBytes,
-		Monitored:      cfg.Monitored,
-		SampleInterval: cfg.SampleInterval,
+		Scale:     cfg.Scale,
+		HeapBytes: cfg.HeapBytes,
+		Monitored: cfg.Monitored,
 	})
 	if err != nil {
 		return nil, err

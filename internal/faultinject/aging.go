@@ -253,13 +253,6 @@ func (l *LockContention) Waited() time.Duration {
 	return l.waited
 }
 
-// Requests returns how many executions the injector has seen.
-func (l *LockContention) Requests() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.requests
-}
-
 // FragmentationBloat models fragmentation-style slow bloat: unlike the
 // fixed-size paper leak, each [0,N]-countdown injection retains a small
 // fragment of jittered size in [Base/2, 3·Base/2] — the shape of a heap
@@ -404,11 +397,4 @@ func (s *StaleCacheDecay) Misses() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.misses
-}
-
-// Requests returns how many executions the injector has seen.
-func (s *StaleCacheDecay) Requests() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.requests
 }

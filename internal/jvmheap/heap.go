@@ -10,7 +10,6 @@ package jvmheap
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/sim"
@@ -48,11 +47,10 @@ type Heap struct {
 	transient   int64
 	gcCount     int64
 	gcReclaimed int64
-	onGC        []func(Stats)
 }
 
 // New creates a heap with the given capacity (DefaultCapacity when
-// non-positive), stamping GC callbacks against clock (WallClock when nil).
+// non-positive) on clock (WallClock when nil).
 func New(capacity int64, clock sim.Clock) *Heap {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
@@ -145,15 +143,6 @@ func (h *Heap) GC() Stats {
 	return h.statsLocked()
 }
 
-// OnGC registers fn to run (with the post-collection stats) after every
-// collection. Callbacks run synchronously under the heap lock's shadow;
-// they must not call back into the heap.
-func (h *Heap) OnGC(fn func(Stats)) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.onGC = append(h.onGC, fn)
-}
-
 func (h *Heap) maybeCollectLocked() {
 	if float64(h.retained+h.transient) > gcThreshold*float64(h.capacity) {
 		h.collectLocked()
@@ -164,10 +153,6 @@ func (h *Heap) collectLocked() {
 	h.gcCount++
 	h.gcReclaimed += h.transient
 	h.transient = 0
-	st := h.statsLocked()
-	for _, fn := range h.onGC {
-		fn(st)
-	}
 }
 
 // Stats returns a point-in-time view.
@@ -195,24 +180,6 @@ func (h *Heap) RetainedBy(owner string) int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.owners[owner]
-}
-
-// Owners returns the owners holding retained bytes, sorted by descending
-// holdings (ties by name), the order an operator wants them listed.
-func (h *Heap) Owners() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]string, 0, len(h.owners))
-	for o := range h.owners {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if h.owners[out[i]] != h.owners[out[j]] {
-			return h.owners[out[i]] > h.owners[out[j]]
-		}
-		return out[i] < out[j]
-	})
-	return out
 }
 
 // HeadroomSeconds extrapolates the time until exhaustion given a retained

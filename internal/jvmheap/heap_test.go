@@ -125,30 +125,6 @@ func TestGCMakesRoomForAllocation(t *testing.T) {
 	}
 }
 
-func TestOnGCCallback(t *testing.T) {
-	h := New(1000, nil)
-	var calls []Stats
-	h.OnGC(func(s Stats) { calls = append(calls, s) })
-	h.GC()
-	h.GC()
-	if len(calls) != 2 {
-		t.Fatalf("OnGC calls = %d", len(calls))
-	}
-}
-
-func TestOwnersSorted(t *testing.T) {
-	h := New(10000, nil)
-	for owner, n := range map[string]int64{"small": 10, "big": 500, "mid": 100} {
-		if err := h.Allocate(owner, n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := h.Owners()
-	if len(got) != 3 || got[0] != "big" || got[1] != "mid" || got[2] != "small" {
-		t.Fatalf("Owners = %v", got)
-	}
-}
-
 func TestHeadroom(t *testing.T) {
 	h := New(1000, nil)
 	if err := h.Allocate("A", 400); err != nil {
@@ -200,7 +176,7 @@ func TestConservationProperty(t *testing.T) {
 			}
 		}
 		var sum int64
-		for _, o := range h.Owners() {
+		for _, o := range owners {
 			sum += h.RetainedBy(o)
 		}
 		st := h.Stats()

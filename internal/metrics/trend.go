@@ -62,17 +62,18 @@ func MannKendall(xs, ys []float64, alpha float64) TrendResult {
 	}
 	res.S = s
 
-	// Variance with tie correction.
+	// Variance with tie correction: Σ t·(t-1)·(2t+5) over groups of equal
+	// values, summed exactly in integers so the map's iteration order
+	// cannot move a bit of Z (detect.OnlineTrend keeps the same sum).
 	ties := map[float64]int64{}
 	for _, y := range ys[:n] {
 		ties[y]++
 	}
-	varS := float64(n*(n-1)*(2*n+5)) / 18
+	var tieCorr int64
 	for _, t := range ties {
-		if t > 1 {
-			varS -= float64(t*(t-1)*(2*t+5)) / 18
-		}
+		tieCorr += t * (t - 1) * (2*t + 5)
 	}
+	varS := float64(int64(n*(n-1)*(2*n+5))-tieCorr) / 18
 	if varS <= 0 {
 		return res
 	}

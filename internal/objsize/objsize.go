@@ -85,9 +85,6 @@ type Sizer struct {
 // New returns a Sizer with the given policy.
 func New(policy Policy) *Sizer { return &Sizer{policy: policy} }
 
-// Policy returns the sizer's policy.
-func (s *Sizer) Policy() Policy { return s.policy }
-
 // Of returns the estimated retained size of v in bytes under the sizer's
 // policy. A nil value measures zero.
 func (s *Sizer) Of(v any) int64 {

@@ -182,9 +182,6 @@ func (c *Container) Pool() *sqldb.Pool { return c.pool }
 // Heap returns the simulated JVM heap (may be nil).
 func (c *Container) Heap() *jvmheap.Heap { return c.heap }
 
-// Clock returns the container's time source.
-func (c *Container) Clock() sim.Clock { return c.clock }
-
 // Deploy registers a servlet under the given component name and weaves its
 // Service method. Servlets are deployed before Start; Deploy after Start
 // (or Stop) returns an error.

@@ -22,7 +22,6 @@ type Session struct {
 
 	mu         sync.Mutex
 	values     map[string]any
-	created    time.Time
 	lastAccess time.Time
 }
 
@@ -41,13 +40,6 @@ func (s *Session) Set(key string, v any) {
 	s.mu.Lock()
 	s.values[key] = v
 	s.mu.Unlock()
-}
-
-// Created returns the creation instant.
-func (s *Session) Created() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.created
 }
 
 // LastAccess returns the most recent access instant.
@@ -104,7 +96,6 @@ func (m *SessionManager) GetOrCreate(id string) *Session {
 		s = &Session{
 			id:         id,
 			values:     make(map[string]any),
-			created:    now,
 			lastAccess: now,
 		}
 		m.sessions[id] = s

@@ -105,9 +105,6 @@ func NewZipfTable(n int, theta float64) *ZipfTable {
 	return z
 }
 
-// N returns the table's range upper bound.
-func (z *ZipfTable) N() int { return z.n }
-
 // Next maps a uniform u in [0,1) to a Zipf draw in [1,n].
 func (z *ZipfTable) Next(u float64) int {
 	uz := u * z.zetan

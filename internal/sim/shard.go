@@ -52,9 +52,6 @@ func (g *ShardGroup) N() int { return len(g.shards) }
 // shard; during a window only the shard's own events may touch it.
 func (g *ShardGroup) Shard(i int) *Engine { return g.shards[i] }
 
-// Window returns the pacing window.
-func (g *ShardGroup) Window() time.Duration { return g.window }
-
 // Now returns the group's committed virtual time — the instant every shard
 // has reached. Between windows all shard clocks agree.
 func (g *ShardGroup) Now() time.Time { return g.shards[0].Now() }
@@ -89,10 +86,4 @@ func (g *ShardGroup) RunUntil(deadline time.Time, onWindow func(now time.Time)) 
 		}
 		now = end
 	}
-}
-
-// RunFor is RunUntil with a horizon relative to the group's committed
-// time.
-func (g *ShardGroup) RunFor(d time.Duration, onWindow func(now time.Time)) {
-	g.RunUntil(g.Now().Add(d), onWindow)
 }

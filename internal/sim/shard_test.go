@@ -16,7 +16,7 @@ func TestShardGroupLockstep(t *testing.T) {
 	}
 	windows := 0
 	var lastEnd time.Time
-	g.RunFor(10*time.Second, func(now time.Time) {
+	g.RunUntil(Epoch.Add(10*time.Second), func(now time.Time) {
 		windows++
 		lastEnd = now
 		for i := 0; i < 4; i++ {
@@ -43,7 +43,7 @@ func TestShardGroupLockstep(t *testing.T) {
 
 func TestShardGroupTruncatesFinalWindow(t *testing.T) {
 	g := NewShardGroup(2, time.Second)
-	g.RunFor(2500*time.Millisecond, nil)
+	g.RunUntil(Epoch.Add(2500*time.Millisecond), nil)
 	if want := Epoch.Add(2500 * time.Millisecond); !g.Now().Equal(want) {
 		t.Fatalf("group now = %v, want %v", g.Now(), want)
 	}
@@ -64,7 +64,7 @@ func TestShardGroupDeterministicAcrossRuns(t *testing.T) {
 			}
 			sh.ScheduleArgAfter(time.Millisecond, loop, int64(i))
 		}
-		g.RunFor(30*time.Second, nil)
+		g.RunUntil(Epoch.Add(30*time.Second), nil)
 		var out [8]uint64
 		for i := 0; i < 8; i++ {
 			out[i] = g.Shard(i).Executed()

@@ -6,6 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/aspect"
+	"repro/internal/experiment"
+	"repro/internal/jmxhttp"
 	"repro/internal/tpcw"
 )
 
@@ -47,9 +50,9 @@ func TestFacadeJMXRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewJMXHandler(fw.Server()))
+	ts := httptest.NewServer(jmxhttp.NewHandler(fw.Server()))
 	defer ts.Close()
-	client := NewJMXClient(ts.URL, nil)
+	client := jmxhttp.NewClient(ts.URL, nil)
 	names, err := client.Names("aging:*")
 	if err != nil || len(names) == 0 {
 		t.Fatalf("remote names = %v, %v", names, err)
@@ -92,7 +95,7 @@ func TestFacadePointcuts(t *testing.T) {
 	if !pc.Matches("tpcw.home", "Service") {
 		t.Fatal("facade pointcut broken")
 	}
-	if _, err := ParsePointcut("bogus("); err == nil {
+	if _, err := aspect.ParsePointcut("bogus("); err == nil {
 		t.Fatal("bad pointcut accepted")
 	}
 }
@@ -105,9 +108,11 @@ func TestFacadeObjectSize(t *testing.T) {
 }
 
 func TestFacadeExperimentRunners(t *testing.T) {
-	results := RunAllExperiments(ExperimentConfig{
-		TimeScale: 0.05, Seed: 42, EBs: 20, Items: 200, Customers: 100,
-	})
+	cfg := experiment.Config{TimeScale: 0.05, Seed: 42, EBs: 20, Items: 200, Customers: 100}
+	results := make([]experiment.Result, 0, len(experiment.Experiments))
+	for _, x := range experiment.Experiments {
+		results = append(results, x.Run(cfg))
+	}
 	if len(results) != 36 {
 		t.Fatalf("experiments = %d, want 36", len(results))
 	}
