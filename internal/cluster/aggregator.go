@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -114,7 +115,10 @@ type nodeState struct {
 	haveOffset bool
 	lastNorm   time.Time
 
-	monitors map[string]*detect.Monitor
+	// bank is the node's detector bank, one column per aggregator
+	// resource (in resource order). It is touched only under the lane
+	// lock: by Ingest, ResetNode, the snapshot and the report readers.
+	bank *detect.Bank
 	// pending holds, in sequence order, each ingested round's fold input
 	// until the epoch that consumes it completes, so verdict assembly
 	// reads every node at the same epoch no matter how transports
@@ -122,10 +126,8 @@ type nodeState struct {
 	// node holds none.
 	pending []pendingRound
 
-	// lastSamples is the node's reusable copy of its latest round;
-	// obsScratch is the per-round observation projection buffer.
+	// lastSamples is the node's reusable copy of its latest round.
 	lastSamples []core.ComponentSample
-	obsScratch  []detect.Observation
 	firstSize   map[string]int64 // per-component size baseline
 
 	// Fold-owned (written only under the aggregator's foldMu).
@@ -315,7 +317,6 @@ func (r *ClusterReport) String() string {
 type Aggregator struct {
 	cfg       Config
 	resources []string
-	configs   map[string]detect.Config
 
 	lanes    []ingestLane
 	laneSeed maphash.Seed
@@ -448,7 +449,6 @@ func New(cfg Config) *Aggregator {
 	a := &Aggregator{
 		cfg:       cfg,
 		resources: append([]string(nil), core.DetectorResources...),
-		configs:   core.ResourceDetectorConfigs(cfg.Detect),
 		lanes:     make([]ingestLane, cfg.IngestLanes),
 		laneSeed:  maphash.MakeSeed(),
 		byName:    make(map[string]*nodeState),
@@ -509,12 +509,9 @@ func (a *Aggregator) newNodeState(name string) *nodeState {
 	st := &nodeState{
 		name:       name,
 		lane:       lane,
-		monitors:   make(map[string]*detect.Monitor, len(a.resources)),
+		bank:       core.NewDetectorBank(a.cfg.Detect),
 		firstSize:  make(map[string]int64),
 		firstAlarm: make([]map[string]int64, len(a.resources)),
-	}
-	for _, res := range a.resources {
-		st.monitors[res] = detect.NewMonitor(res, a.configs[res])
 	}
 	i := sort.SearchStrings(a.order, name)
 	a.all = append(a.all, nil)
@@ -668,20 +665,13 @@ func (a *Aggregator) ingestLocked(st *nodeState, r Round) int64 {
 	}
 	st.lastNorm = norm
 
-	// Feed the node's detectors and record what the epoch that consumes
-	// this round will fold: the alarming verdicts and the usage total.
-	// The record and the observation projection recycle through
-	// node-owned buffers; the monitors themselves are allocation-free
-	// per round.
+	// Feed the node's bank and record what the epoch that consumes this
+	// round will fold: the alarming verdicts and the usage total. The
+	// record recycles through node-owned buffers; the bank itself is
+	// allocation-free per round.
 	rec := st.nextPending(r.Seq)
-	for ri, res := range a.resources {
-		st.obsScratch = core.AppendObservations(st.obsScratch[:0], res, r.Samples)
-		rep := st.monitors[res].Observe(norm, st.obsScratch)
-		for i := range rep.Components {
-			if v := &rep.Components[i]; v.Alarm {
-				rec.alarms = append(rec.alarms, nodeAlarm{res: ri, component: v.Component, score: v.Score})
-			}
-		}
+	for _, al := range st.bank.Observe(norm, core.DetectorRows(st.bank, r.Samples)) {
+		rec.alarms = append(rec.alarms, nodeAlarm{res: al.Column, component: al.Component, score: al.Score})
 	}
 
 	for _, s := range r.Samples {
@@ -1161,7 +1151,7 @@ func (a *Aggregator) deliverEpochEvents() {
 	}
 }
 
-// ResetNode clears a node's detection history — monitors, first-alarm
+// ResetNode clears a node's detection history — its bank, first-alarm
 // latches and pending rounds — while keeping its sequence
 // numbering and epoch alignment. The rejuvenation controller calls it
 // right after a micro-reboot: the component restarts from a fresh
@@ -1181,9 +1171,7 @@ func (a *Aggregator) ResetNode(node string) bool {
 		st.firstAlarm[ri] = nil
 	}
 	st.lane.mu.Lock()
-	for res := range st.monitors {
-		st.monitors[res] = detect.NewMonitor(res, a.configs[res])
-	}
+	st.bank.Reset()
 	st.pending = st.pending[:0]
 	clear(st.firstSize)
 	st.lane.mu.Unlock()
@@ -1236,37 +1224,33 @@ func (a *Aggregator) Report(resource string) *ClusterReport {
 }
 
 // NodeReport returns a node's latest per-node detection report for a
-// resource (nil for unknown nodes or before the node's first round).
-// Unlike cluster verdicts it reflects every round ingested so far, not
-// just completed epochs. The returned report is a copy the caller owns:
-// the monitor's own reports recycle through a ring as rounds flow, and a
-// cluster's rounds keep flowing while monitoring reads — the copy is
-// taken under the node's lane lock, so it is a consistent snapshot.
+// resource (nil for unknown nodes or resources, or before the node's
+// first round). Unlike cluster verdicts it reflects every round ingested
+// so far, not just completed epochs. The report is assembled from the
+// node's bank under the node's lane lock, so it is a consistent snapshot
+// the caller owns.
 func (a *Aggregator) NodeReport(node, resource string) *detect.Report {
+	ri := slices.Index(a.resources, resource)
 	a.regMu.RLock()
 	st := a.byName[node]
 	a.regMu.RUnlock()
-	if st == nil {
-		return nil
-	}
-	mon, ok := st.monitors[resource]
-	if !ok {
+	if st == nil || ri < 0 {
 		return nil
 	}
 	st.lane.mu.Lock()
 	defer st.lane.mu.Unlock()
-	rep := mon.Latest()
-	if rep == nil {
-		return nil
-	}
-	return rep.Clone()
+	return st.bank.Report(ri)
 }
 
 // Verdicts adapts the latest per-node reports to the live root-cause
 // strategy's verdict type: one entry per (node, component) pair. Each
-// node's report is read under its lane lock, so the projection never
-// races the node's next round.
+// node's report is assembled under its lane lock, so the projection
+// never races the node's next round.
 func (a *Aggregator) Verdicts(resource string) []rootcause.LiveVerdict {
+	ri := slices.Index(a.resources, resource)
+	if ri < 0 {
+		return nil
+	}
 	a.regMu.RLock()
 	defer a.regMu.RUnlock()
 	var out []rootcause.LiveVerdict
@@ -1275,12 +1259,8 @@ func (a *Aggregator) Verdicts(resource string) []rootcause.LiveVerdict {
 		if !st.active.Load() {
 			continue
 		}
-		mon, ok := st.monitors[resource]
-		if !ok {
-			continue
-		}
 		st.lane.mu.Lock()
-		if rep := mon.Latest(); rep != nil {
+		if rep := st.bank.Report(ri); rep != nil {
 			for _, v := range rep.Components {
 				out = append(out, rootcause.LiveVerdict{
 					Component: v.Component,

@@ -260,3 +260,49 @@ func TestLeaveResetRaceParallelFold(t *testing.T) {
 		t.Fatalf("ShedRounds = %d under a paced load", a.ShedRounds())
 	}
 }
+
+// TestResetNodeConcurrentWithReaders races ResetNode against the
+// per-node report readers and the node's own ingest. A reset replaces
+// the node's whole detection history, so the readers must reach the
+// node's detectors only under the lane lock ResetNode holds: under
+// -race any read outside it is a reported race, and without -race a
+// map-backed view of the detectors can fault with "concurrent map read
+// and map write".
+func TestResetNodeConcurrentWithReaders(t *testing.T) {
+	a := New(Config{Detect: testDetect()})
+	a.Expect("node1", "node2")
+	feedSnap(a, []string{"node1", "node2"}, map[string]int64{"node1": 2048}, 1, 8)
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	reader := func(read func()) {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			read()
+		}
+	}
+	wg.Add(3)
+	go reader(func() { a.NodeReport("node1", core.ResourceMemory) })
+	go reader(func() { a.Verdicts(core.ResourceCPU) })
+	go reader(func() { a.LiveRank(core.ResourceMemory) })
+
+	t0 := time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)
+	for seq := int64(9); seq <= 60; seq++ {
+		a.ResetNode("node1")
+		at := t0.Add(time.Duration(seq) * 30 * time.Second)
+		a.Ingest(syntheticRound("node1", seq, at, 2048))
+		a.Ingest(syntheticRound("node2", seq, at, 0))
+	}
+	close(done)
+	wg.Wait()
+
+	// Every round after the last reset is the bank's whole history.
+	if rep := a.NodeReport("node1", core.ResourceMemory); rep == nil || rep.Round != 1 {
+		t.Fatalf("node1 report after a reset and one round: %+v", rep)
+	}
+}

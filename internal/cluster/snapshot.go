@@ -27,6 +27,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -43,8 +44,9 @@ var aggSnapMagic = [4]byte{'A', 'G', 'S', 'N'}
 // node's pending rounds as their usage totals and alarms, not as whole
 // detector reports. v3 drops the change-point flag from those alarms and
 // embeds the v2 node-mix guard and monitor formats, which no longer
-// carry the fixed detector tuning.
-const aggSnapVersion = 3
+// carry the fixed detector tuning. v4 embeds one detector bank per node
+// (detect's v3 bank format) where v3 embedded one monitor per resource.
+const aggSnapVersion = 4
 
 // Decode bounds: a corrupt or hostile snapshot may not declare counts
 // that drive allocation beyond these.
@@ -182,10 +184,8 @@ func (a *Aggregator) appendNodeSnapshot(dst []byte, st *nodeState) []byte {
 		}
 	}
 
-	// The detector bank, in resource order.
-	for _, res := range a.resources {
-		dst = st.monitors[res].AppendSnapshot(dst)
-	}
+	// The detector bank.
+	dst = st.bank.AppendSnapshot(dst)
 
 	// Pending rounds — the ones the next folds will read — in sequence
 	// order, each with its alarms in record order.
@@ -439,19 +439,14 @@ func (a *Aggregator) restoreNodeLocked(p *binc.Parser, st *nodeState) error {
 		st.firstAlarm[ri] = m
 	}
 
-	for _, res := range a.resources {
-		mon, err := detect.RestoreMonitorSnapshot(p)
-		if err != nil {
-			return fmt.Errorf("cluster: node %s monitor %s: %w", st.name, res, err)
-		}
-		if mon.Resource() != res {
-			return fmt.Errorf("cluster: node %s: snapshot monitor watches %q, want %q", st.name, mon.Resource(), res)
-		}
-		if mon.Config() != a.configs[res].Canonical() {
-			return fmt.Errorf("cluster: node %s monitor %s: snapshot detector config differs from the aggregator's", st.name, res)
-		}
-		st.monitors[res] = mon
+	bank, err := detect.RestoreBankSnapshot(p)
+	if err != nil {
+		return fmt.Errorf("cluster: node %s bank: %w", st.name, err)
 	}
+	if !slices.Equal(bank.Columns(), st.bank.Columns()) {
+		return fmt.Errorf("cluster: node %s: snapshot detector columns or config differ from the aggregator's", st.name)
+	}
+	st.bank = bank
 
 	if err := a.restorePendingLocked(p, st, active, seq, epochBase); err != nil {
 		return err

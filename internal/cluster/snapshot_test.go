@@ -432,6 +432,38 @@ func chunk80(s string) string {
 }
 
 var aggSnapshotGoldenHex = []string{
+	"4147534e0405066d656d6f7279036370750774687265616473076c6174656e63790768616e646c65",
+	"7306060000020101026e31000000000000f03f0000000000000000333333333333c33f0000060001",
+	"80b08dabf9b4cd84238090c8afb8b8cd842300000000000001026e31010601008090c8afb8b8cd84",
+	"23000000000000c0824002056c65616b79d017026f6bd00f02056c65616b79d02701d80434333333",
+	"3333d33f0400000000000000000000026f6bd00f01d804343333333333d33f040000000000000000",
+	"000000000000000305066d656d6f72791400000000000000000402000363707514fca9f1d24d6240",
+	"3f0402010774687265616473140000000000000000040200076c6174656e637914fca9f1d24d6240",
+	"3f0402010768616e646c65731400000000000000000402000600020102056c65616b790000000000",
+	"00e03f026f6b000000000000e03f0000000000000000333333333333c33f00000600000000000000",
+	"0000000180e0aaedd8b6cd842304020000000000000000000080b09dc2df01000000000000000000",
+	"000000000000f03f0180e0aaedd8b6cd842304020000000000000000f03f80b09dc2df0100000000",
+	"0000f03f000000000000000000000000000000000000000000000000000000000000000000000000",
+	"00000000000002056c65616b79010000000000c07240010000000000d0a34000000bd7a3703d0ad7",
+	"3f80e0aaedd8b6cd8423040200000000000000a09f4080b09dc2df010000000000d0a34001343333",
+	"333333d33f00000bd7a3703d0ac73f80e0aaedd8b6cd842304020000fca9f1d24d62503f80b09dc2",
+	"df01fda9f1d24d62503f0100000000000000400000000000000000000080e0aaedd8b6cd84230402",
+	"0000000000000000004080b09dc2df01000000000000004001000000000000000000000000000000",
+	"00000080e0aaedd8b6cd842304020000000000000000000080b09dc2df0100000000000000000100",
+	"000000000000000000000000000000000080e0aaedd8b6cd842304020000000000000000000080b0",
+	"9dc2df010000000000000000026f6b010000000000c07240010000000000408f4000000000000000",
+	"00000080e0aaedd8b6cd8423040200000000000000408f4080b09dc2df010000000000408f400134",
+	"3333333333d33f00000bd7a3703d0ac73f80e0aaedd8b6cd842304020000fca9f1d24d62503f80b0",
+	"9dc2df01fda9f1d24d62503f0100000000000000400000000000000000000080e0aaedd8b6cd8423",
+	"04020000000000000000004080b09dc2df0100000000000000400100000000000000000000000000",
+	"000000000080e0aaedd8b6cd842304020000000000000000000080b09dc2df010000000000000000",
+	"0100000000000000000000000000000000000080e0aaedd8b6cd8423040200000000000000000000",
+	"80b09dc2df01000000000000000000",
+}
+
+// aggSnapshotV3Hex is TestAggregatorSnapshotGolden's aggregator in the v3
+// format, which embedded one detector monitor per resource per node.
+var aggSnapshotV3Hex = []string{
 	"4147534e0305066d656d6f7279036370750774687265616473076c6174656e63790768616e646c65",
 	"7306060000020101026e31000000000000f03f0000000000000000333333333333c33f0000060001",
 	"80b08dabf9b4cd84238090c8afb8b8cd842300000000000001026e31010601008090c8afb8b8cd84",
@@ -475,13 +507,25 @@ var aggSnapshotGoldenHex = []string{
 	"0000000000000000",
 }
 
+// TestAggregatorRestoreRejectsV3 feeds a v3 snapshot to the v4 decoder:
+// it must be refused by its version byte, never misparsed.
+func TestAggregatorRestoreRejectsV3(t *testing.T) {
+	data, err := hex.DecodeString(strings.Join(aggSnapshotV3Hex, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := New(Config{Detect: testDetect()}).Restore(data); !errors.Is(err, binc.ErrVersion) {
+		t.Fatalf("v3 aggregator snapshot: err = %v, want binc.ErrVersion", err)
+	}
+}
+
 // emptyAggregatorSnapshotV2 is an aggregator with no nodes in the v2
 // format, whose node-mix guard still carried its tuning.
 const emptyAggregatorSnapshotV2 = "4147534e0205066d656d6f7279036370750774687265616473076c6174656e63790768616e646c65" +
 	"730000000001333333333333c33f059a9999999999c93f000000000000f83f000000000000000000" +
 	"0000000000000000000000000000000000000000"
 
-// TestAggregatorRestoreRejectsV2 feeds a v2 snapshot to the v3 decoder:
+// TestAggregatorRestoreRejectsV2 feeds a v2 snapshot to the v4 decoder:
 // it must be refused by its version byte, never misparsed.
 func TestAggregatorRestoreRejectsV2(t *testing.T) {
 	data, err := hex.DecodeString(emptyAggregatorSnapshotV2)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -14,41 +15,34 @@ import (
 // component starts (or stops) being flagged by the online detectors.
 const NotifAlarm = "aging.alarm"
 
-// DetectorBank runs one streaming detect.Monitor per resource off the
-// manager's sampling rounds. It is wired in through Manager.Subscribe, so
-// its detectors update incrementally as each round's batch is ingested —
-// never touching a lock the invocation-recording hot path takes (the
-// observer runs under sampleMu, which recorders and root-cause queries
-// never acquire).
+// DetectorBank runs the node's detect.Bank off the manager's sampling
+// rounds: one component table and one shift guard, a column per watched
+// resource. It is wired in through Manager.Subscribe, so its detectors
+// update incrementally as each round's batch is ingested — never touching
+// a lock the invocation-recording hot path takes (the observer runs under
+// sampleMu, which recorders and root-cause queries never acquire).
 //
-// Alarm transitions are queued under the bank's own mutex and emitted as
-// aging.alarm notifications by the sampling round after sampleMu is
-// released, mirroring how the manager emits aging.suspect.
-//
-// Readers never touch a monitor's recycled report ring: under the same
-// mutex each round copies its report into a bank-owned buffer, and Report
-// hands out a clone of that, so a reader descheduled for any number of
-// rounds still holds a consistent report.
+// A round updates the bank under the bank's own mutex and diffs the
+// round against the previously alarming set there; transitions queue as
+// aging.alarm notifications, which the sampling round emits after
+// sampleMu is released, mirroring how the manager emits aging.suspect.
+// Readers take the same mutex and get a report assembled from the bank's
+// state, which is theirs to keep.
 type DetectorBank struct {
 	// node is the owning manager's node identity, stamped on verdicts so
 	// live rankings match the (node, component) evidence the manager
 	// assembles.
 	node string
-	// resources fixes the per-round processing order (map iteration
-	// would be nondeterministic, and notification order must be
-	// bit-reproducible like everything else driven by the engine).
+	// resources names the bank's columns, in DetectorResources order —
+	// also the per-round notification order, which must be
+	// bit-reproducible like everything else driven by the engine.
 	resources []string
-	monitors  map[string]*detect.Monitor
-	// obsScratch is the per-round observation buffer, reused across
-	// rounds and resources; it is owned by the sampling goroutine like
-	// the monitors themselves.
-	obsScratch []detect.Observation
 
 	mu       sync.Mutex
-	latest   map[string]*detect.Report  // resource -> copy of the last round's report
-	alarmed  map[string]map[string]bool // resource -> component -> alarming
+	bank     *detect.Bank
+	alarmed  []map[string]bool // per column: component -> alarming
+	entropyA []bool            // per column: entropy alarm latched
 	pending  []jmx.Notification
-	entropyA map[string]bool // resource -> entropy alarm latched
 }
 
 // DefaultCPUMinSlope is the Sen-slope floor applied to the CPU detector
@@ -109,22 +103,52 @@ func ResourceDetectorConfigs(cfg detect.Config) map[string]detect.Config {
 	}
 }
 
+// NewDetectorBank creates a detect.Bank watching DetectorResources, in
+// that order, tuned per ResourceDetectorConfigs: the bank the manager's
+// DetectorBank and the cluster aggregator's per-node state both run.
+func NewDetectorBank(cfg detect.Config) *detect.Bank {
+	configs := ResourceDetectorConfigs(cfg)
+	cols := make([]detect.Column, len(DetectorResources))
+	for i, res := range DetectorResources {
+		cols[i] = detect.Column{Resource: res, Config: configs[res]}
+	}
+	return detect.NewBank(cols)
+}
+
+// DetectorRows projects a sampling round's batch onto a bank's input rows
+// in one pass: one row per sample, with the value ResourceValue gives for
+// each of DetectorResources. Memory is missing from a row whose sample
+// has no size measurement. The rows are the bank's input buffer (see
+// detect.Bank.Rows), so per-round callers project without allocating.
+func DetectorRows(bank *detect.Bank, batch []ComponentSample) []detect.Row {
+	rows := bank.Rows(len(batch))
+	for i := range batch {
+		s, r := &batch[i], &rows[i]
+		r.Component, r.Usage = s.Component, float64(s.Usage)
+		// DetectorResources order: memory, cpu, threads, latency, handles.
+		v := r.Values[:5]
+		v[0], v[1], v[2], v[3], v[4] = float64(s.Size), s.CPUSeconds, float64(s.Threads), s.LatencySeconds, float64(s.Handles)
+		r.Missing = 0
+		if !s.SizeOK {
+			r.Missing = 1 // column 0, memory
+		}
+	}
+	return rows
+}
+
 // AttachDetectors creates a detector bank over the manager's sampling
 // stream and subscribes it (per-resource tuning per
 // ResourceDetectorConfigs). Attaching twice is an error.
 func (m *Manager) AttachDetectors(cfg detect.Config) (*DetectorBank, error) {
-	configs := ResourceDetectorConfigs(cfg)
-	monitors := make(map[string]*detect.Monitor, len(configs))
-	for _, res := range DetectorResources {
-		monitors[res] = detect.NewMonitor(res, configs[res])
-	}
 	bank := &DetectorBank{
 		node:      m.node,
 		resources: append([]string(nil), DetectorResources...),
-		monitors:  monitors,
-		latest:    make(map[string]*detect.Report),
-		alarmed:   make(map[string]map[string]bool),
-		entropyA:  make(map[string]bool),
+		bank:      NewDetectorBank(cfg),
+		alarmed:   make([]map[string]bool, len(DetectorResources)),
+		entropyA:  make([]bool, len(DetectorResources)),
+	}
+	for i := range bank.alarmed {
+		bank.alarmed[i] = make(map[string]bool)
 	}
 	if !m.detectors.CompareAndSwap(nil, bank) {
 		return nil, fmt.Errorf("core: detectors already attached")
@@ -133,16 +157,17 @@ func (m *Manager) AttachDetectors(cfg detect.Config) (*DetectorBank, error) {
 	return bank, nil
 }
 
-// Report returns the caller's own copy of the latest report for a resource
-// (nil before the first sampling round). Safe from any goroutine, however
-// long the caller keeps it.
+// Report returns the latest report for a resource (nil before the first
+// sampling round or for a resource the bank does not watch). Safe from
+// any goroutine; the report is the caller's, however long it keeps it.
 func (b *DetectorBank) Report(resource string) *detect.Report {
+	c := slices.Index(b.resources, resource)
+	if c < 0 {
+		return nil
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if rep := b.latest[resource]; rep != nil {
-		return rep.Clone()
-	}
-	return nil
+	return b.bank.Report(c)
 }
 
 // Verdicts adapts the latest report of a resource to the live root-cause
@@ -169,7 +194,9 @@ func (b *DetectorBank) Verdicts(resource string) []rootcause.LiveVerdict {
 // resource at all (memory needs a size measurement; an unknown resource
 // is never measured). It is the single place the sample→resource choice
 // lives: the manager's Data, AppendObservations and the cluster
-// aggregator's live ranking all use it.
+// aggregator's live ranking all use it, and DetectorRows unrolls it for
+// DetectorResources (TestDetectorRowsMatchResourceValue holds the two
+// equal).
 func (s *ComponentSample) ResourceValue(resource string) (float64, bool) {
 	switch resource {
 	case ResourceMemory:
@@ -189,12 +216,11 @@ func (s *ComponentSample) ResourceValue(resource string) (float64, bool) {
 }
 
 // AppendObservations maps a sampling round's batch onto the detect
-// package's observation type for one resource, into a caller-owned buffer:
-// it appends one observation per applicable sample to dst and returns the
-// extended slice, so per-round callers project every round without
-// allocating. The manager's bank and the cluster aggregator's per-node
-// banks both use it, so per-node cluster verdicts carry exactly
-// single-node semantics.
+// package's per-resource observation type for one resource, into a
+// caller-owned buffer: it appends one observation per applicable sample
+// to dst and returns the extended slice. It feeds a one-resource
+// detect.Monitor with the same input DetectorRows gives that resource's
+// column of a bank.
 func AppendObservations(dst []detect.Observation, resource string, batch []ComponentSample) []detect.Observation {
 	for i := range batch {
 		s := &batch[i]
@@ -205,39 +231,33 @@ func AppendObservations(dst []detect.Observation, resource string, batch []Compo
 	return dst
 }
 
-// ObserveSample implements SampleObserver: it fans the round's batch out
-// to the per-resource monitors and queues notifications for alarm
-// transitions. It runs on the sampling goroutine, serialised by the
-// manager's sampleMu, which is what the single-owner detectors require.
-// The borrowed batch is fully projected before the call returns, honouring
-// the SampleObserver ownership contract.
+// ObserveSample implements SampleObserver: it feeds the round's batch to
+// the bank and queues notifications for alarm transitions. It runs on the
+// sampling goroutine, serialised by the manager's sampleMu, which is what
+// the single-owner bank requires; the bank's mutex orders it against
+// readers. The borrowed batch is fully projected before the call
+// returns, honouring the SampleObserver ownership contract.
 func (b *DetectorBank) ObserveSample(now time.Time, batch []ComponentSample) {
-	for _, resource := range b.resources {
-		b.obsScratch = AppendObservations(b.obsScratch[:0], resource, batch)
-		rep := b.monitors[resource].Observe(now, b.obsScratch)
-		b.queueTransitions(rep)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	alarms := b.bank.Observe(now, DetectorRows(b.bank, batch))
+	for c := range b.resources {
+		b.queueTransitions(c, alarms)
 	}
 }
 
-// queueTransitions publishes the round's report to readers, diffs it
-// against the previously-alarming set and queues one notification per
-// transition.
-func (b *DetectorBank) queueTransitions(rep *detect.Report) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	kept := b.latest[rep.Resource]
-	if kept == nil {
-		kept = &detect.Report{}
-		b.latest[rep.Resource] = kept
+// queueTransitions diffs column c's round against the previously
+// alarming set and queues one notification per transition. A round with
+// no alarm in the column, none latched and the entropy alarm where it
+// was cannot transition, so only the others assemble the column's
+// report to diff. Caller holds b.mu.
+func (b *DetectorBank) queueTransitions(c int, alarms []detect.Alarm) {
+	was := b.alarmed[c]
+	if entropy, _ := b.bank.EntropyAlarm(c); len(was) == 0 && entropy == b.entropyA[c] &&
+		!slices.ContainsFunc(alarms, func(a detect.Alarm) bool { return a.Column == c }) {
+		return
 	}
-	comps := append(kept.Components[:0], rep.Components...)
-	*kept = *rep
-	kept.Components = comps
-	was := b.alarmed[rep.Resource]
-	if was == nil {
-		was = make(map[string]bool)
-		b.alarmed[rep.Resource] = was
-	}
+	rep := b.bank.Report(c)
 	for _, v := range rep.Components {
 		if v.Alarm && !was[v.Component] {
 			was[v.Component] = true
@@ -259,8 +279,8 @@ func (b *DetectorBank) queueTransitions(rep *detect.Report) {
 			})
 		}
 	}
-	if rep.EntropyAlarm && !b.entropyA[rep.Resource] {
-		b.entropyA[rep.Resource] = true
+	if rep.EntropyAlarm && !b.entropyA[c] {
+		b.entropyA[c] = true
 		b.pending = append(b.pending, jmx.Notification{
 			Type:   NotifAlarm,
 			Source: ManagerName(),
@@ -268,8 +288,8 @@ func (b *DetectorBank) queueTransitions(rep *detect.Report) {
 				rep.Resource, rep.EntropySuspect, rep.Round),
 			Data: rep.EntropySuspect,
 		})
-	} else if !rep.EntropyAlarm && b.entropyA[rep.Resource] {
-		delete(b.entropyA, rep.Resource)
+	} else if !rep.EntropyAlarm && b.entropyA[c] {
+		b.entropyA[c] = false
 		b.pending = append(b.pending, jmx.Notification{
 			Type:   NotifAlarm,
 			Source: ManagerName(),

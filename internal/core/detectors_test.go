@@ -218,3 +218,32 @@ func TestDetectorsDoNotContendWithRecording(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestDetectorRowsMatchResourceValue holds DetectorRows, which unrolls
+// the sample→resource projection for speed, to ResourceValue, the one
+// place that choice is defined: every column of every row must carry
+// the value ResourceValue gives, and be missing exactly where it says
+// the sample does not measure the resource.
+func TestDetectorRowsMatchResourceValue(t *testing.T) {
+	batch := []ComponentSample{
+		{Component: "a", Size: 4096, SizeOK: true, Usage: 7, CPUSeconds: 0.25, Threads: 3, LatencySeconds: 1.5, Handles: 9, Delta: 11},
+		{Component: "b", Size: 123, SizeOK: false, Usage: 2, CPUSeconds: 2e-3, Threads: 1, LatencySeconds: 4e-3, Handles: 2},
+	}
+	bank := NewDetectorBank(detect.Config{})
+	rows := DetectorRows(bank, batch)
+	for i, s := range batch {
+		r := rows[i]
+		if r.Component != s.Component || r.Usage != float64(s.Usage) {
+			t.Fatalf("row %d: %q usage %v, want %q usage %d", i, r.Component, r.Usage, s.Component, s.Usage)
+		}
+		for c, res := range DetectorResources {
+			want, ok := s.ResourceValue(res)
+			if missing := r.Missing&(1<<c) != 0; missing == ok {
+				t.Fatalf("row %d %s: missing=%v, ResourceValue measures=%v", i, res, missing, ok)
+			}
+			if ok && r.Values[c] != want {
+				t.Fatalf("row %d %s: %v, ResourceValue %v", i, res, r.Values[c], want)
+			}
+		}
+	}
+}

@@ -47,7 +47,10 @@ func (e *EntropyDetector) Reset() {
 // amount each component consumed since the previous round; negative deltas
 // are clamped to zero). Rounds where nothing was consumed carry no
 // distributional information and are skipped.
-func (e *EntropyDetector) Observe(now time.Time, deltas []float64) {
+func (e *EntropyDetector) Observe(now time.Time, deltas []float64) { e.observe(now.UnixNano(), deltas) }
+
+// observe is Observe at ns (UnixNano).
+func (e *EntropyDetector) observe(ns int64, deltas []float64) {
 	var total float64
 	k := 0
 	for _, d := range deltas {
@@ -72,7 +75,7 @@ func (e *EntropyDetector) Observe(now time.Time, deltas []float64) {
 	}
 	e.last = h
 	e.haveObs = true
-	e.trend.Push(now, h)
+	e.trend.push(ns, h)
 }
 
 // Last returns the most recent normalised entropy and whether any round
@@ -87,5 +90,5 @@ func (e *EntropyDetector) Result() metrics.TrendResult { return e.trend.Result()
 // trend — the CHAOS aging signal. Only the direction matters, so no slope
 // is estimated.
 func (e *EntropyDetector) Alarming() bool {
-	return e.trend.test().Direction == metrics.TrendDecreasing
+	return e.trend.s < 0 && e.trend.test().Direction == metrics.TrendDecreasing
 }

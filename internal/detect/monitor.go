@@ -4,34 +4,32 @@
 // sliding-window entropy detector over the per-component consumption
 // distribution (EntropyDetector), and a workload-shift guard that watches
 // the per-flow usage mix so a traffic change does not masquerade as aging
-// (ShiftGuard). A Monitor composes the three per resource and publishes a
-// Report after every sampling round.
+// (ShiftGuard). A Bank composes them for one node: one component table,
+// one shift guard, and per watched resource (a column) a trend per
+// component plus an entropy detector. Monitor is its one-column view.
 //
 // Concurrency contract: all detector state is owned by the single
-// goroutine that calls Observe — in this repo the manager's sampling
-// round, which is already serialised by the manager's sampleMu and holds
-// no lock the invocation-recording hot path takes. The only cross-
-// goroutine surface is the published *Report behind an atomic.Pointer:
-// Latest never blocks and never observes a half-built report, so live
-// root-cause queries read verdicts concurrently with sampling at zero
-// contention. Reports are recycled through a fixed ring so a steady-state
-// round produces zero garbage; see Report for the retention contract a
-// long-holding consumer must respect.
+// goroutine that calls Observe — the manager's sampling round, or the
+// cluster aggregator's ingest of the node's round under the node's lane
+// lock. A bank publishes nothing lock-free: Observe returns the round's
+// alarms, and a reader that wants a full Report asks the bank for one
+// under the same lock its owner observes under (the detector bank's
+// mutex in core, the lane lock in the aggregator). Reports are assembled
+// on read from state that changes only in Observe.
 package detect
 
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
 )
 
-// Config tunes a Monitor. The zero value selects the defaults documented
-// on every field; the rest of the tuning is fixed (Alpha, ReportRetention
-// and the shift guard's ShiftThreshold, ShiftHold, ShiftEWMA and
-// ShiftNoiseMargin).
+// Config tunes one column of a Bank (or a Monitor). The zero value
+// selects the defaults documented on every field; the rest of the tuning
+// is fixed (Alpha, ReportRetention and the shift guard's ShiftThreshold,
+// ShiftHold, ShiftEWMA and ShiftNoiseMargin).
 type Config struct {
 	// Window is the sliding-window size, in sampling rounds, of the
 	// per-component trend detectors and the entropy detector
@@ -57,20 +55,19 @@ type Config struct {
 	PerInvocation bool
 }
 
-// Tuning every Monitor runs with.
+// Tuning every bank column runs with.
 const (
 	// Alpha is the Mann-Kendall significance level of the trend and
 	// entropy detectors. The online detectors test every round, so they
 	// need a stricter level than an offline one-shot query to keep the
 	// family-wise false-alarm rate down.
 	Alpha = 0.01
-	// ReportRetention is how many sampling rounds a *Report obtained
-	// from Latest (or returned by Observe) remains valid after
-	// publication. Reports are recycled through a ring of this size so a
-	// steady-state round produces zero garbage; a consumer that holds a
-	// report for longer than ReportRetention-1 subsequent rounds must
-	// Clone it. At the default 30s sampling cadence it gives consumers
-	// ~3.5 minutes.
+	// ReportRetention is how many sampling rounds a *Report returned by
+	// Monitor.Observe (or Latest) remains valid. A Monitor recycles its
+	// reports through a ring of this size so a steady-state round
+	// produces zero garbage; a consumer that holds a report for longer
+	// than ReportRetention-1 subsequent rounds must Clone it. The cluster
+	// aggregator recycles its cluster reports on the same terms.
 	ReportRetention = 8
 )
 
@@ -125,14 +122,11 @@ type Verdict struct {
 	FirstAlarmRound int64
 }
 
-// Report is the Monitor's published state after a sampling round.
-//
-// Reports are recycled: the Monitor publishes from a ring of
-// ReportRetention buffers, so a *Report stays valid for at least
-// ReportRetention-1 rounds after it was published and is then rewritten in
-// place by a later round. Consumers that read the latest report promptly
-// (the detector bank, live queries, the cluster fold) never notice;
-// consumers that retain one across many rounds must Clone it.
+// Report is one column's detection state after a sampling round. Bank.Report
+// assembles a fresh one the caller owns; a Monitor recycles the reports
+// it returns through a ring of ReportRetention buffers, so one of those
+// stays valid for ReportRetention-1 further rounds and must be Cloned to
+// be kept longer.
 type Report struct {
 	// Resource names the watched resource.
 	Resource string
@@ -212,255 +206,70 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// componentState is the Monitor's per-component detector state.
-type componentState struct {
-	trend      *OnlineTrend
-	prevValue  float64
-	prevUsage  float64
-	havePrev   bool
-	streak     int
-	firstAlarm int64
-	share      float64 // EWMA consumption-delta share
-}
-
-// Monitor composes the trend, entropy and shift detectors for one
-// resource. Observe is single-owner (the sampling round); Latest is safe
-// from any goroutine. "Single-owner" is a contract, not a serial-world
-// assumption: owners may move between goroutines as long as calls never
-// overlap — the cluster aggregator drives each node's monitors from
-// whichever goroutine ingests that node's round, under the node's lane
-// lock, and is exactly such an owner.
+// Monitor is the one-column view of a Bank: the trend, entropy and shift
+// detectors of one resource, observed from per-resource observations and
+// reporting after every round. It runs the Bank's code. Its shift guard
+// sees only the components its resource measured, so it reports what the
+// matching column of a multi-resource bank does whenever every round
+// measures every component in that column.
 //
-// A steady-state Observe round allocates nothing: the round's scratch,
-// the guard's distributions, every detector's window state, the one
-// Sen-slope scratch the detectors share and the published Report itself
-// are all reused (reports cycle through a ring of ReportRetention
-// buffers — see Report for the retention contract). The alloc soak tests
-// in this package pin that property.
+// A Monitor is single-owner: Observe, Latest and everything else must
+// not overlap. A steady-state Observe round allocates nothing: the
+// bank's state is reused, and reports cycle through a ring of
+// ReportRetention buffers (see Report for the retention contract). The
+// alloc soak tests in this package pin that property.
 type Monitor struct {
-	resource string
-	cfg      Config
+	bank *Bank
+	// guard is the bank's shift guard.
+	guard *ShiftGuard
 
-	comps         map[string]*componentState
-	entropy       *EntropyDetector
-	entropyStreak int
-	guard         *ShiftGuard
-	rounds        int64
-	shiftRounds   int64
-
-	// sen is the pairwise-slope scratch every trend of this monitor
-	// estimates its Sen slope in, sized for a full window up front so the
-	// first alarm allocates no more than a quiet round.
-	sen *metrics.SenScratch
-
-	// Round scratch, parallel to the round's observations and reused
-	// across Observe calls.
-	states      []*componentState
-	names       []string
-	usageDeltas []float64
-	valueDeltas []float64
-
-	// ring holds the recycled report buffers Observe publishes from.
 	ring    []Report
 	ringIdx int
-
-	report atomic.Pointer[Report]
+	latest  *Report
 }
 
-// NewMonitor creates a detector bank for one resource.
+// NewMonitor creates the detectors of one resource.
 func NewMonitor(resource string, cfg Config) *Monitor {
-	cfg = cfg.withDefaults()
-	m := &Monitor{
-		resource: resource,
-		cfg:      cfg,
-		comps:    make(map[string]*componentState),
-		entropy:  NewEntropyDetector(cfg.Window, Alpha),
-		guard:    NewShiftGuard(),
-		sen:      metrics.NewSenScratch(cfg.Window),
-		ring:     make([]Report, ReportRetention),
-	}
-	m.entropy.trend.sen = m.sen
-	return m
+	return newMonitor(NewBank([]Column{{Resource: resource, Config: cfg}}))
 }
 
-// newComponent creates the detector state of a component first seen now
-// (or being restored), wired to the monitor's shared slope scratch.
-func (m *Monitor) newComponent() *componentState {
-	st := &componentState{trend: NewOnlineTrend(m.cfg.Window, Alpha)}
-	st.trend.sen = m.sen
-	return st
+func newMonitor(b *Bank) *Monitor {
+	return &Monitor{bank: b, guard: b.guard, ring: make([]Report, ReportRetention)}
 }
 
 // Canonical returns the configuration with all defaults applied — the
 // form NewMonitor adopts and Config reports. Snapshot restores compare
 // configurations in canonical form, since a Config and its defaulted
-// twin construct identical monitors.
+// twin construct identical detectors.
 func (c Config) Canonical() Config { return c.withDefaults() }
 
 // Resource returns the watched resource name.
-func (m *Monitor) Resource() string { return m.resource }
+func (m *Monitor) Resource() string { return m.bank.cols[0].resource }
 
 // Config returns the effective (defaulted) configuration.
-func (m *Monitor) Config() Config { return m.cfg }
+func (m *Monitor) Config() Config { return m.bank.cols[0].cfg }
 
 // Rounds returns how many observation rounds have been absorbed.
-func (m *Monitor) Rounds() int64 { return m.rounds }
+func (m *Monitor) Rounds() int64 { return m.bank.rounds }
 
-// Latest returns the most recently published report (nil before the first
-// round). It never blocks; the pointer is published atomically, and the
-// report behind it stays valid for ReportRetention-1 further
-// rounds (Clone to keep it longer).
-func (m *Monitor) Latest() *Report { return m.report.Load() }
+// Latest returns the report of the latest round (nil before the first
+// round). The report stays valid for ReportRetention-1 further rounds
+// (Clone to keep it longer).
+func (m *Monitor) Latest() *Report { return m.latest }
 
-// nextReport takes the next recycled report buffer from the ring and
-// resets it for this round, keeping the Components backing array.
-func (m *Monitor) nextReport() *Report {
+// Observe absorbs one sampling round and returns its report.
+func (m *Monitor) Observe(now time.Time, obs []Observation) *Report {
+	rows := m.bank.Rows(len(obs))
+	for i := range obs {
+		r := &rows[i]
+		r.Component, r.Usage, r.Missing = obs[i].Component, obs[i].Usage, 0
+		r.Values[0] = obs[i].Value
+	}
+	m.bank.Observe(now, rows)
 	rep := &m.ring[m.ringIdx]
 	m.ringIdx = (m.ringIdx + 1) % len(m.ring)
-	comps := rep.Components[:0]
-	*rep = Report{Components: comps}
-	return rep
-}
-
-// Observe absorbs one sampling round and publishes a fresh Report. It
-// must be called from a single goroutine (the manager's sampling round).
-func (m *Monitor) Observe(now time.Time, obs []Observation) *Report {
-	m.rounds++
-
-	// Round deltas feed the shift guard (usage) and the entropy
-	// detector (consumption). Each component's state is looked up once
-	// here; every later pass indexes the scratch.
-	if cap(m.states) < len(obs) {
-		m.states = make([]*componentState, len(obs))
-		m.names = make([]string, len(obs))
-		m.usageDeltas = make([]float64, len(obs))
-		m.valueDeltas = make([]float64, len(obs))
-	}
-	states := m.states[:len(obs)]
-	names := m.names[:len(obs)]
-	usageDeltas := m.usageDeltas[:len(obs)]
-	valueDeltas := m.valueDeltas[:len(obs)]
-	var totalDelta float64
-	for i, o := range obs {
-		st := m.comps[o.Component]
-		if st == nil {
-			st = m.newComponent()
-			m.comps[o.Component] = st
-		}
-		states[i], names[i] = st, o.Component
-		usageDeltas[i], valueDeltas[i] = 0, 0
-		if st.havePrev {
-			usageDeltas[i] = o.Usage - st.prevUsage
-			if d := o.Value - st.prevValue; d > 0 {
-				valueDeltas[i] = d
-				totalDelta += d
-			}
-		}
-	}
-
-	suppressed := m.guard.Observe(names, usageDeltas)
-
-	// Feed the per-component trends. The tracked quantity is chosen to
-	// be workload-invariant: the raw level for state resources, the
-	// per-invocation mean for cumulative ones — so the window stays
-	// valid across a shift and only the alarm decision is held down.
-	for i, o := range obs {
-		st := states[i]
-		if st.havePrev {
-			tracked, haveTracked := o.Value, true
-			if m.cfg.PerInvocation {
-				if du := o.Usage - st.prevUsage; du > 0 {
-					tracked = (o.Value - st.prevValue) / du
-				} else {
-					haveTracked = false
-				}
-			}
-			if haveTracked {
-				st.trend.Push(now, tracked)
-			}
-			if totalDelta > 0 {
-				st.share = 0.8*st.share + 0.2*(valueDeltas[i]/totalDelta)
-			}
-		}
-		st.prevValue, st.prevUsage, st.havePrev = o.Value, o.Usage, true
-	}
-
-	// The entropy series is mix-sensitive by construction, so a shift
-	// invalidates its window entirely; the guard resets it rather than
-	// letting pre- and post-shift distributions blend into a fake trend.
-	if suppressed {
-		m.entropy.Reset()
-		m.entropyStreak = 0
-	} else if totalDelta > 0 {
-		m.entropy.Observe(now, valueDeltas)
-	}
-
-	if suppressed {
-		m.shiftRounds++
-	}
-	rep := m.nextReport()
-	rep.Resource = m.resource
-	rep.Round = m.rounds
-	rep.Time = now
-	rep.Suppressed = suppressed
-	rep.ShiftDistance = m.guard.Distance()
-	rep.ShiftRounds = m.shiftRounds
-	if h, ok := m.entropy.Last(); ok {
-		rep.Entropy = h
-		rep.EntropyObserved = true
-	}
-
-	// Entropy alarm: significant concentration, debounced like the
-	// per-component alarms, attributed to the dominant consumer.
-	if !suppressed && m.entropy.Alarming() {
-		m.entropyStreak++
-	} else {
-		m.entropyStreak = 0
-	}
-	if m.entropyStreak >= m.cfg.Consecutive {
-		rep.EntropyAlarm = true
-		// Equal shares go to the first name, so the suspect does not
-		// depend on map-iteration order.
-		var best string
-		var bestShare float64
-		for c, st := range m.comps {
-			if st.share > bestShare || st.share == bestShare && st.share > 0 && c < best {
-				best, bestShare = c, st.share
-			}
-		}
-		rep.EntropySuspect = best
-	}
-
-	for i, o := range obs {
-		st := states[i]
-		v := Verdict{
-			Component: o.Component,
-			Trend:     st.trend.Result(),
-			Samples:   st.trend.Len(),
-			Share:     st.share,
-		}
-		raw := v.Trend.Direction == metrics.TrendIncreasing &&
-			v.Trend.SenSlope > m.cfg.MinSlope &&
-			v.Samples >= m.cfg.MinSamples
-		if raw && !suppressed {
-			st.streak++
-		} else {
-			st.streak = 0
-		}
-		v.Streak = st.streak
-		if st.streak >= m.cfg.Consecutive {
-			v.Alarm = true
-			v.Score = v.Trend.SenSlope
-			if st.firstAlarm == 0 {
-				st.firstAlarm = m.rounds
-			}
-		}
-		v.FirstAlarmRound = st.firstAlarm
-		rep.Components = append(rep.Components, v)
-	}
-	sortVerdicts(rep.Components)
-
-	m.report.Store(rep)
+	m.bank.fillReport(0, rep)
+	m.latest = rep
 	return rep
 }
 

@@ -3,8 +3,6 @@ package detect
 import (
 	"fmt"
 	"math"
-	"sort"
-	"time"
 
 	"repro/internal/binc"
 )
@@ -19,34 +17,35 @@ import (
 //
 //   - Each format carries its own version byte and is fully
 //     self-describing (configuration included), so a snapshot restores
-//     without out-of-band context and version skew fails loudly.
+//     without out-of-band context and version skew fails loudly. A bank
+//     writes its trends without their own version and configuration:
+//     the column carries both.
 //   - The encoding is canonical: map-backed state is written key-sorted
 //     and derived state is never serialised, so Snapshot∘Restore∘Snapshot
 //     is byte-identical — the property the round-trip fuzz target leans
 //     on.
-//   - OnlineTrend serialises only its primary state (the (x, y) window,
-//     oldest first) and recounts S and the tie correction on restore by
-//     re-inserting the samples. Both are integers and the Sen slope is
-//     computed from the window on demand, so the restored detector is
-//     bit-identical to the original, not just approximately equal.
+//   - OnlineTrend serialises only its primary state (the window, oldest
+//     first, instants as integer nanoseconds) and recounts the sorted
+//     view, S and the tie correction on restore by re-inserting the
+//     samples. All are exact and the Sen slope is computed from the
+//     window on demand, so the restored detector is bit-identical to the
+//     original, not just approximately equal.
 //   - Times cross the boundary as UnixNano and come back UTC without a
 //     monotonic reading, exactly like the cluster wire codec's times.
 //   - Snapshotting is off the hot path (it rides the fold stage or an
 //     operator request, never Observe), so it may allocate freely.
-//
-// Not serialised on the Monitor: the recycled report ring and the
-// published report pointer. A restored Monitor reports Latest() == nil
-// until its first post-restore Observe — the same contract as a freshly
-// constructed one.
 
-// Snapshot format versions, one per detector type. The guard and
-// monitor formats are at v2: v1 also carried the tuning that is now
-// constant and a per-component change-point detector.
+// Snapshot format versions, one per detector type. The trend format is
+// at v2: v1 wrote instants as float seconds and refused NaN samples. The
+// bank format continues the monitor's numbering at v3: a Monitor is a
+// one-column bank and snapshots as one, and the v1 and v2 monitor
+// formats (one detector set per resource, v1 also with the tuning that
+// is now constant) are refused.
 const (
-	trendSnapVersion   = 1
+	trendSnapVersion   = 2
 	entropySnapVersion = 1
 	guardSnapVersion   = 2
-	monSnapVersion     = 2
+	bankSnapVersion    = 3
 )
 
 // Decode bounds: a corrupt or adversarial snapshot may not drive
@@ -54,10 +53,10 @@ const (
 const (
 	maxSnapString = 4096
 	// maxSnapWindow bounds the trend window a snapshot may declare.
-	// Restore allocates the two window rings and recounts S in O(window²)
-	// compares (1024 → ~0.5M); it builds no pairwise-slope buffer, so a
-	// hostile snapshot can cost at most 16 KB and those compares per
-	// trend. Real windows are two orders of magnitude smaller.
+	// Restore allocates the window ring and sorted view (24 KB at 1024)
+	// and recounts S by as many sorted inserts; it builds no
+	// pairwise-slope buffer. Real windows are two orders of magnitude
+	// smaller.
 	maxSnapWindow  = 1 << 10
 	maxSnapComps   = 1 << 16
 	maxSnapCounter = 1 << 30
@@ -66,30 +65,43 @@ const (
 	maxSnapConfig = 1 << 20
 )
 
-func isFinite(f float64) bool {
-	return !math.IsNaN(f) && !math.IsInf(f, 0)
-}
-
 // ---- OnlineTrend ----
 
-// AppendSnapshot appends the detector's versioned state: configuration,
-// time origin, lifetime counter and the raw (x, y) window oldest-first.
-// Derived state (S, the tie correction) is recounted on restore.
+// AppendSnapshot appends the detector's versioned state: configuration
+// and the window (see appendWindow).
 func (o *OnlineTrend) AppendSnapshot(dst []byte) []byte {
 	dst = append(dst, trendSnapVersion)
 	dst = binc.AppendUvarint(dst, uint64(o.window))
 	dst = binc.AppendFloat(dst, o.alpha)
+	return o.appendWindow(dst)
+}
+
+// appendWindow appends the detector's primary state: time origin,
+// lifetime counter and the raw window oldest-first. A NaN sample has no
+// bits worth keeping (every NaN is above, below and equal to nothing),
+// so the window's NaN positions are listed up front and their values are
+// not written; every value that is written is a number. Derived state
+// (the sorted view, S, the tie correction) is recounted on restore.
+func (o *OnlineTrend) appendWindow(dst []byte) []byte {
 	var t0 int64
 	if o.seen > 0 {
-		t0 = o.t0.UnixNano()
+		t0 = o.t0
 	}
 	dst = binc.AppendVarint(dst, t0)
 	dst = binc.AppendVarint(dst, o.seen)
 	dst = binc.AppendUvarint(dst, uint64(o.n))
+	dst = binc.AppendUvarint(dst, uint64(o.n-len(o.sorted)))
+	for i := 0; i < o.n; i++ {
+		if y := o.ys[(o.head+i)%o.window]; y != y {
+			dst = binc.AppendUvarint(dst, uint64(i))
+		}
+	}
 	for i := 0; i < o.n; i++ {
 		j := (o.head + i) % o.window
-		dst = binc.AppendFloat(dst, o.xs[j])
-		dst = binc.AppendFloat(dst, o.ys[j])
+		dst = binc.AppendVarint(dst, o.xs[j])
+		if y := o.ys[j]; y == y {
+			dst = binc.AppendFloat(dst, y)
+		}
 	}
 	return dst
 }
@@ -107,9 +119,6 @@ func (o *OnlineTrend) RestoreSnapshot(p *binc.Parser) error {
 	}
 	window := p.Count(maxSnapWindow)
 	alpha := p.Float()
-	t0 := p.Varint()
-	seen := p.Varint()
-	n := p.Count(maxSnapWindow)
 	if err := p.Err(); err != nil {
 		return err
 	}
@@ -119,8 +128,24 @@ func (o *OnlineTrend) RestoreSnapshot(p *binc.Parser) error {
 	if !(alpha > 0 && alpha < 1) {
 		return fmt.Errorf("detect: trend snapshot alpha %v out of (0,1)", alpha)
 	}
-	if n > window {
-		return fmt.Errorf("detect: trend snapshot fill %d exceeds window %d", n, window)
+	if window != o.window || alpha != o.alpha {
+		o.init(window, alpha)
+	}
+	return o.restoreWindow(p)
+}
+
+// restoreWindow reads what appendWindow wrote into a detector whose
+// configuration is already in place.
+func (o *OnlineTrend) restoreWindow(p *binc.Parser) error {
+	t0 := p.Varint()
+	seen := p.Varint()
+	n := p.Count(maxSnapWindow)
+	nans := p.Count(maxSnapWindow)
+	if err := p.Err(); err != nil {
+		return err
+	}
+	if n > o.window {
+		return fmt.Errorf("detect: trend snapshot fill %d exceeds window %d", n, o.window)
 	}
 	if seen < int64(n) {
 		return fmt.Errorf("detect: trend snapshot seen %d < fill %d", seen, n)
@@ -130,25 +155,39 @@ func (o *OnlineTrend) RestoreSnapshot(p *binc.Parser) error {
 		// a non-canonical encoding.
 		return fmt.Errorf("detect: trend snapshot time origin %d with no samples", t0)
 	}
-	if window != o.window {
-		o.window = window
-		o.xs = make([]float64, window)
-		o.ys = make([]float64, window)
+	if nans > n {
+		return fmt.Errorf("detect: trend snapshot lists %d NaN samples in a window of %d", nans, n)
 	}
-	o.alpha = alpha
-	o.seen = seen
-	o.t0 = time.Time{}
-	if seen > 0 {
-		o.t0 = time.Unix(0, t0).UTC()
-	}
+	// The NaN positions, strictly increasing, in the ring slots the
+	// window refills from slot 0.
 	o.Reset()
-	for i := 0; i < n; i++ {
-		x, y := p.Float(), p.Float()
+	o.t0, o.seen = t0, seen
+	for i := range o.ys[:n] {
+		o.ys[i] = 0
+	}
+	next := 0
+	for k := 0; k < nans; k++ {
+		i := p.Count(maxSnapWindow)
 		if err := p.Err(); err != nil {
 			return err
 		}
-		if !isFinite(x) || !isFinite(y) {
-			return fmt.Errorf("detect: non-finite trend sample (%v, %v)", x, y)
+		if i < next || i >= n {
+			return fmt.Errorf("detect: trend snapshot NaN position %d out of order", i)
+		}
+		o.ys[i] = math.NaN()
+		next = i + 1
+	}
+	for i := 0; i < n; i++ {
+		x := p.Varint()
+		y := o.ys[i]
+		if y == y {
+			y = p.Float()
+			if p.Err() == nil && y != y {
+				return fmt.Errorf("detect: trend snapshot sample %d: NaN outside the NaN list", i)
+			}
+		}
+		if err := p.Err(); err != nil {
+			return err
 		}
 		o.insert(x, y)
 	}
@@ -284,7 +323,7 @@ func (g *ShiftGuard) Restore(data []byte) error {
 	return p.Done()
 }
 
-// ---- Monitor ----
+// ---- Bank ----
 
 func appendConfigSnapshot(dst []byte, cfg Config) []byte {
 	dst = binc.AppendUvarint(dst, uint64(cfg.Window))
@@ -305,123 +344,162 @@ func parseConfigSnapshot(p *binc.Parser) Config {
 	return cfg
 }
 
-// AppendSnapshot appends the monitor's versioned state: resource,
-// effective configuration, round counters, the shift guard, the entropy
-// detector and every component's detector state, key-sorted. The report
-// ring is not serialised; a restored monitor publishes its first report
-// on its next Observe.
-func (m *Monitor) AppendSnapshot(dst []byte) []byte {
-	dst = append(dst, monSnapVersion)
-	dst = binc.AppendString(dst, m.resource)
-	dst = appendConfigSnapshot(dst, m.cfg)
-	dst = binc.AppendVarint(dst, m.rounds)
-	dst = binc.AppendVarint(dst, m.shiftRounds)
-	dst = binc.AppendUvarint(dst, uint64(m.entropyStreak))
-	dst = m.guard.AppendSnapshot(dst)
-	dst = m.entropy.AppendSnapshot(dst)
-	names := make([]string, 0, len(m.comps))
-	for name := range m.comps {
-		names = append(names, name)
+// AppendSnapshot appends the bank's versioned state: the columns with
+// their effective configurations, the round counters, the shift guard,
+// each column's entropy detector, and every component's slot in name
+// order with its cells in column order. Which components the latest
+// round measured is not serialised: a restored bank reports nothing
+// until its next Observe, like a new one.
+func (b *Bank) AppendSnapshot(dst []byte) []byte {
+	dst = append(dst, bankSnapVersion)
+	dst = binc.AppendUvarint(dst, uint64(len(b.cols)))
+	for _, col := range b.cols {
+		dst = binc.AppendString(dst, col.resource)
+		dst = appendConfigSnapshot(dst, col.cfg)
 	}
-	sort.Strings(names)
-	dst = binc.AppendUvarint(dst, uint64(len(names)))
-	for _, name := range names {
-		st := m.comps[name]
-		dst = binc.AppendString(dst, name)
-		dst = st.trend.AppendSnapshot(dst)
-		dst = binc.AppendFloat(dst, st.prevValue)
-		dst = binc.AppendFloat(dst, st.prevUsage)
-		dst = binc.AppendBool(dst, st.havePrev)
-		dst = binc.AppendUvarint(dst, uint64(st.streak))
-		dst = binc.AppendVarint(dst, st.firstAlarm)
-		dst = binc.AppendFloat(dst, st.share)
+	dst = binc.AppendVarint(dst, b.rounds)
+	dst = binc.AppendVarint(dst, b.shiftRounds)
+	dst = b.guard.AppendSnapshot(dst)
+	for _, col := range b.cols {
+		dst = binc.AppendUvarint(dst, uint64(col.entropyStreak))
+		dst = binc.AppendFloat(dst, col.entropy.last)
+		dst = binc.AppendBool(dst, col.entropy.haveObs)
+		dst = col.entropy.trend.appendWindow(dst)
+	}
+	dst = binc.AppendUvarint(dst, uint64(len(b.order)))
+	for _, si := range b.order {
+		sl := &b.slots[si]
+		dst = binc.AppendString(dst, sl.name)
+		dst = binc.AppendBool(dst, sl.havePrev)
+		dst = binc.AppendFloat(dst, sl.prevUsage)
+		for c := range b.cols {
+			cl := b.cell(si, c)
+			dst = binc.AppendBool(dst, cl.havePrev)
+			dst = binc.AppendFloat(dst, cl.prevValue)
+			dst = binc.AppendUvarint(dst, uint64(cl.streak))
+			dst = binc.AppendVarint(dst, cl.firstAlarm)
+			dst = binc.AppendFloat(dst, cl.share)
+			dst = cl.trend.appendWindow(dst)
+		}
 	}
 	return dst
 }
 
-// Snapshot returns the monitor's versioned binary state.
-func (m *Monitor) Snapshot() []byte { return m.AppendSnapshot(nil) }
+// Snapshot returns the bank's versioned binary state.
+func (b *Bank) Snapshot() []byte { return b.AppendSnapshot(nil) }
 
-// RestoreMonitorSnapshot builds a Monitor from a snapshot read off p. The
-// snapshot's configuration must already be in canonical (defaulted) form
-// and every embedded detector must carry the configuration the monitor
-// would construct it with — both are what Monitor.AppendSnapshot writes,
-// so only corrupt or hand-altered snapshots fail these checks.
-func RestoreMonitorSnapshot(p *binc.Parser) (*Monitor, error) {
-	if v := p.Byte(); p.Err() == nil && v != monSnapVersion {
-		return nil, fmt.Errorf("detect: monitor snapshot v%d: %w", v, binc.ErrVersion)
+// RestoreBankSnapshot builds a Bank from a snapshot read off p. Every
+// configuration must be in canonical (defaulted) form, as
+// Bank.AppendSnapshot writes it, so only corrupt or hand-altered
+// snapshots fail that check. The restored bank's round scratch is sized
+// for its components, so its first Observe allocates no more than a
+// steady-state one.
+func RestoreBankSnapshot(p *binc.Parser) (*Bank, error) {
+	if v := p.Byte(); p.Err() == nil && v != bankSnapVersion {
+		return nil, fmt.Errorf("detect: bank snapshot v%d: %w", v, binc.ErrVersion)
 	}
-	resource := p.String(maxSnapString)
-	cfg := parseConfigSnapshot(p)
+	ncols := p.Count(maxColumns)
 	if err := p.Err(); err != nil {
 		return nil, err
 	}
-	if cfg != cfg.withDefaults() {
-		return nil, fmt.Errorf("detect: monitor snapshot config not canonical")
+	if ncols == 0 {
+		return nil, fmt.Errorf("detect: bank snapshot watches no column")
 	}
-	m := NewMonitor(resource, cfg)
-	// The probe carries the exact constructor-normalised configuration
-	// the monitor's own trends run with, for validating embedded blobs.
-	probeTrend := NewOnlineTrend(cfg.Window, Alpha)
-	m.rounds = p.Varint()
-	m.shiftRounds = p.Varint()
-	m.entropyStreak = p.Count(maxSnapCounter)
-	if err := m.guard.RestoreSnapshot(p); err != nil {
-		return nil, err
-	}
-	if err := m.entropy.RestoreSnapshot(p); err != nil {
-		return nil, err
-	}
-	if m.entropy.trend.window != probeTrend.window || m.entropy.trend.alpha != probeTrend.alpha {
-		return nil, fmt.Errorf("detect: monitor snapshot entropy window config mismatch")
-	}
-	nComps := p.Count(maxSnapComps)
-	if err := p.Err(); err != nil {
-		return nil, err
-	}
-	prev := ""
-	for i := 0; i < nComps; i++ {
-		name := p.String(maxSnapString)
-		if p.Err() != nil {
-			return nil, p.Err()
-		}
-		if i > 0 && name <= prev {
-			return nil, fmt.Errorf("detect: monitor snapshot components not key-sorted (%q after %q)", name, prev)
-		}
-		prev = name
-		st := m.newComponent()
-		if err := st.trend.RestoreSnapshot(p); err != nil {
+	cols := make([]Column, ncols)
+	for i := range cols {
+		cols[i].Resource = p.String(maxSnapString)
+		cols[i].Config = parseConfigSnapshot(p)
+		if err := p.Err(); err != nil {
 			return nil, err
 		}
-		if st.trend.window != probeTrend.window || st.trend.alpha != probeTrend.alpha {
-			return nil, fmt.Errorf("detect: monitor snapshot trend config mismatch for %q", name)
+		if cols[i].Config != cols[i].Config.withDefaults() {
+			return nil, fmt.Errorf("detect: bank snapshot config of %q not canonical", cols[i].Resource)
 		}
-		st.prevValue = p.Float()
-		st.prevUsage = p.Float()
-		st.havePrev = p.Bool()
-		st.streak = p.Count(maxSnapCounter)
-		st.firstAlarm = p.Varint()
-		st.share = p.Float()
-		if p.Err() != nil {
-			return nil, p.Err()
-		}
-		m.comps[name] = st
 	}
+	b := NewBank(cols)
+	b.rounds = p.Varint()
+	b.shiftRounds = p.Varint()
+	if err := b.guard.RestoreSnapshot(p); err != nil {
+		return nil, err
+	}
+	for i := range b.cols {
+		col := &b.cols[i]
+		col.entropyStreak = p.Count(maxSnapCounter)
+		col.entropy.last = p.Float()
+		col.entropy.haveObs = p.Bool()
+		if err := p.Err(); err != nil {
+			return nil, err
+		}
+		if err := col.entropy.trend.restoreWindow(p); err != nil {
+			return nil, err
+		}
+	}
+	nslots := p.Count(maxSnapComps)
 	if err := p.Err(); err != nil {
 		return nil, err
 	}
-	return m, nil
+	for i := 0; i < nslots; i++ {
+		name := p.String(maxSnapString)
+		if err := p.Err(); err != nil {
+			return nil, err
+		}
+		if i > 0 && name <= b.slots[i-1].name {
+			return nil, fmt.Errorf("detect: bank snapshot components not name-sorted (%q after %q)", name, b.slots[i-1].name)
+		}
+		si := b.intern(name)
+		sl := &b.slots[si]
+		sl.havePrev = p.Bool()
+		sl.prevUsage = p.Float()
+		for c := range b.cols {
+			cl := b.cell(si, c)
+			cl.havePrev = p.Bool()
+			cl.prevValue = p.Float()
+			cl.streak = p.Count(maxSnapCounter)
+			cl.firstAlarm = p.Varint()
+			cl.share = p.Float()
+			if err := p.Err(); err != nil {
+				return nil, err
+			}
+			if err := cl.trend.restoreWindow(p); err != nil {
+				return nil, fmt.Errorf("detect: bank snapshot %q/%s: %w", name, b.cols[c].resource, err)
+			}
+		}
+	}
+	b.growScratch(nslots)
+	b.Rows(nslots)
+	b.guard.hint = make([]int, 0, nslots)
+	return b, p.Err()
 }
 
-// RestoreMonitor builds a Monitor from a Snapshot buffer.
-func RestoreMonitor(data []byte) (*Monitor, error) {
+// RestoreBank builds a Bank from a Snapshot buffer.
+func RestoreBank(data []byte) (*Bank, error) {
 	p := binc.NewParser(data)
-	m, err := RestoreMonitorSnapshot(p)
+	b, err := RestoreBankSnapshot(p)
 	if err != nil {
 		return nil, err
 	}
 	if err := p.Done(); err != nil {
 		return nil, err
 	}
-	return m, nil
+	return b, nil
+}
+
+// ---- Monitor ----
+
+// Snapshot returns the monitor's versioned binary state: its one-column
+// bank's snapshot. The report ring is not serialised; a restored monitor
+// reports nothing until its next Observe.
+func (m *Monitor) Snapshot() []byte { return m.bank.Snapshot() }
+
+// RestoreMonitor builds a Monitor from a Snapshot buffer: a bank
+// snapshot of exactly one column.
+func RestoreMonitor(data []byte) (*Monitor, error) {
+	b, err := RestoreBank(data)
+	if err != nil {
+		return nil, err
+	}
+	if len(b.cols) != 1 {
+		return nil, fmt.Errorf("detect: monitor snapshot watches %d columns, want 1", len(b.cols))
+	}
+	return newMonitor(b), nil
 }

@@ -246,9 +246,10 @@ func TestEntropySnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMonitorSnapshotGolden pins the v2 monitor snapshot format byte for
-// byte. If this fails, the format changed: bump monSnapVersion, or update
-// the golden only with a deliberate format break.
+// TestMonitorSnapshotGolden pins the monitor snapshot format — the v3
+// bank format of a one-column bank — byte for byte. If this fails, the
+// format changed: bump bankSnapVersion, or update the golden only with a
+// deliberate format break.
 func TestMonitorSnapshotGolden(t *testing.T) {
 	m := NewMonitor("mem", Config{Window: 8, MinSamples: 4, Consecutive: 2})
 	t0 := time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -258,17 +259,16 @@ func TestMonitorSnapshotGolden(t *testing.T) {
 			{Component: "b", Value: float64(500 + 3*r), Usage: float64(2 * r)},
 		})
 	}
-	const want = "02036d656d0800000000000000000402000c000002010201619b9999999999e93f01629b99999999" +
-		"99c93f000000000000943c497568d6a920d13f00000c000101087b14ae47e17a843f80e0aaedd8b6" +
-		"cd84230a050000000000000000cd8901c2bae1d03f0000000000003e40cd8901c2bae1d03f000000" +
-		"0000004e40cd8901c2bae1d03f0000000000805640cd8901c2bae1d03f0000000000005e40cd8901" +
-		"c2bae1d03fcd8901c2bae1d03f0102016101087b14ae47e17a843f80e0aaedd8b6cd84230a050000" +
-		"0000000000000000000000a091400000000000003e400000000000a092400000000000004e400000" +
-		"000000a0934000000000008056400000000000a094400000000000005e400000000000a095400000" +
-		"000000a0954000000000000048400100006398b9d1088de43f016201087b14ae47e17a843f80e0aa" +
-		"edd8b6cd84230a0500000000000000000000000000a07f400000000000003e400000000000d07f40" +
-		"0000000000004e400000000000008040000000000080564000000000001880400000000000005e40" +
-		"0000000000308040000000000030804000000000000028400100009664963a8dd39e3f"
+	const want = "0301036d656d0800000000000000000402000c0002010201619b9999999999e93f01629b99999999" +
+		"99c93f000000000000943c497568d6a920d13f00000c0000cd8901c2bae1d03f0180e0aaedd8b6cd" +
+		"84230a050000cd8901c2bae1d03f80b09dc2df01cd8901c2bae1d03f80e0ba84bf03cd8901c2bae1" +
+		"d03f8090d8c69e05cd8901c2bae1d03f80c0f588fe06cd8901c2bae1d03f02016101000000000000" +
+		"4840010000000000a0954000006398b9d1088de43f80e0aaedd8b6cd84230a0500000000000000a0" +
+		"914080b09dc2df010000000000a0924080e0ba84bf030000000000a093408090d8c69e0500000000" +
+		"00a0944080c0f588fe060000000000a0954001620100000000000028400100000000003080400000" +
+		"9664963a8dd39e3f80e0aaedd8b6cd84230a0500000000000000a07f4080b09dc2df010000000000" +
+		"d07f4080e0ba84bf0300000000000080408090d8c69e05000000000018804080c0f588fe06000000" +
+		"0000308040"
 	got := hex.EncodeToString(m.Snapshot())
 	if got != want {
 		t.Fatalf("monitor snapshot bytes changed:\n got %s\nwant %s", got, want)
@@ -292,7 +292,7 @@ const monitorSnapshotV1 = "01036d656d087b14ae47e17a843f0000000000000000040200333
 	"000000004e400000000000008040000000000080564000000000001880400000000000005e400000" +
 	"00000030804000000000000030804000000000000028400100009664963a8dd39e3f"
 
-// TestSnapshotRejectsV1 feeds a v1 snapshot to the v2 decoder: it must
+// TestSnapshotRejectsV1 feeds a v1 snapshot to the v3 decoder: it must
 // be refused by its version byte, never misparsed.
 func TestSnapshotRejectsV1(t *testing.T) {
 	data, err := hex.DecodeString(monitorSnapshotV1)
@@ -301,6 +301,36 @@ func TestSnapshotRejectsV1(t *testing.T) {
 	}
 	if _, err := RestoreMonitor(data); !errors.Is(err, binc.ErrVersion) {
 		t.Fatalf("v1 monitor snapshot: err = %v, want binc.ErrVersion", err)
+	}
+}
+
+// monitorSnapshotV2 is the golden monitor of TestMonitorSnapshotGolden in
+// the v2 format, which kept one detector set per resource and wrote
+// trend instants as float seconds.
+const monitorSnapshotV2 = "02036d656d0800000000000000000402000c000002010201619b9999999999e93f01629b99999999" +
+	"99c93f000000000000943c497568d6a920d13f00000c000101087b14ae47e17a843f80e0aaedd8b6" +
+	"cd84230a050000000000000000cd8901c2bae1d03f0000000000003e40cd8901c2bae1d03f000000" +
+	"0000004e40cd8901c2bae1d03f0000000000805640cd8901c2bae1d03f0000000000005e40cd8901" +
+	"c2bae1d03fcd8901c2bae1d03f0102016101087b14ae47e17a843f80e0aaedd8b6cd84230a050000" +
+	"0000000000000000000000a091400000000000003e400000000000a092400000000000004e400000" +
+	"000000a0934000000000008056400000000000a094400000000000005e400000000000a095400000" +
+	"000000a0954000000000000048400100006398b9d1088de43f016201087b14ae47e17a843f80e0aa" +
+	"edd8b6cd84230a0500000000000000000000000000a07f400000000000003e400000000000d07f40" +
+	"0000000000004e400000000000008040000000000080564000000000001880400000000000005e40" +
+	"0000000000308040000000000030804000000000000028400100009664963a8dd39e3f"
+
+// TestSnapshotRejectsV2 feeds a v2 monitor snapshot to the v3 bank
+// decoder: it must be refused by its version byte, never misparsed.
+func TestSnapshotRejectsV2(t *testing.T) {
+	data, err := hex.DecodeString(monitorSnapshotV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreMonitor(data); !errors.Is(err, binc.ErrVersion) {
+		t.Fatalf("v2 monitor snapshot: err = %v, want binc.ErrVersion", err)
+	}
+	if _, err := RestoreBank(data); !errors.Is(err, binc.ErrVersion) {
+		t.Fatalf("v2 monitor snapshot as a bank: err = %v, want binc.ErrVersion", err)
 	}
 }
 

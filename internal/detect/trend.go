@@ -2,7 +2,6 @@ package detect
 
 import (
 	"math"
-	"slices"
 	"time"
 
 	"repro/internal/metrics"
@@ -12,40 +11,62 @@ import (
 // window of the most recent Window observations. Where
 // metrics.MannKendall re-scans the whole series in O(n²) per query, this
 // detector maintains the S statistic and the tie correction across pushes
-// and evictions, so absorbing one sample costs two O(Window) compare
-// passes and the significance test costs O(1).
+// and evictions, so the significance test costs O(1).
+//
+// Beside the time-ordered ring the detector keeps the window's values in
+// ascending order. A push counts the values above, below and equal to
+// the sample that leaves and the one that enters by binary search, and
+// turns the eviction plus the insertion into one replace inside the
+// sorted array: the values between the two positions shift by one, and
+// nothing moves when the leaving value equals the entering one. A NaN
+// sample takes a ring slot but stays out of the sorted view: it is above,
+// below and equal to nothing, so it neither moves S nor ties.
+//
+// Sample instants are kept as int64 nanoseconds since the first sample
+// ever pushed and become seconds (time.Duration.Seconds, exactly what
+// t.Sub(t0).Seconds() gives) only when a Sen slope is formed.
 //
 // Sen's slope is computed on demand, exactly — the O(Window²) pairwise
 // slopes and a selection, by the same code as the batch metrics.SenSlope
-// — and only Result on a significant trend asks for it: a monitor's
-// steady state is that nothing is aging, so the expensive statistic is
-// reserved for the few series that trend.
+// — and only Result on a significant trend asks for it: a bank's steady
+// state is that nothing is aging, so the expensive statistic is reserved
+// for the few series that trend.
 //
-// Pushes allocate nothing. The slope estimate works in a metrics.SenScratch
-// the detector does not own: a Monitor shares one pre-sized scratch among
-// all its detectors, a standalone detector grows a private one on first
-// use.
+// Pushes allocate nothing. The slope estimate works in a scratch the
+// detector does not own: a Bank shares one pre-sized scratch among all
+// its detectors, a standalone detector grows a private one on first use.
 //
-// It is not safe for concurrent use: one goroutine — in this repo the
-// manager's sampling round — owns it. Consumers that need the verdict from
-// other goroutines read the Monitor's published Report instead.
+// It is not safe for concurrent use: one goroutine owns it.
 type OnlineTrend struct {
 	window int
 	alpha  float64
 
-	xs   []float64 // ring buffer, seconds since first sample
-	ys   []float64 // ring buffer, values
-	head int       // index of the oldest element
-	n    int       // current fill
+	xs     []int64   // ring buffer, nanoseconds since the first sample
+	ys     []float64 // ring buffer, values
+	head   int       // index of the oldest element
+	n      int       // current fill
+	sorted []float64 // the window's non-NaN values, ascending
 
 	s int64 // Mann-Kendall S over the window
 	// tieCorr is Σ t·(t-1)·(2t+5) over groups of equal values, maintained
-	// exactly in integer arithmetic from the equal compares of each push.
+	// exactly in integer arithmetic from the equal counts of each push.
 	tieCorr int64
-	t0      time.Time
+	t0      int64 // UnixNano of the first sample ever pushed
 	seen    int64 // total samples ever absorbed
 
-	sen *metrics.SenScratch // pairwise-slope scratch, possibly shared
+	sen *senScratch // slope-estimate scratch, possibly shared
+}
+
+// senScratch is the working memory of a Sen-slope estimate: the pairwise
+// slope buffer and the window unrolled oldest-first, in seconds.
+type senScratch struct {
+	metrics.SenScratch
+	xs, ys []float64
+}
+
+// newSenScratch returns a scratch sized for windows of up to n samples.
+func newSenScratch(n int) *senScratch {
+	return &senScratch{SenScratch: *metrics.NewSenScratch(n), xs: make([]float64, n), ys: make([]float64, n)}
 }
 
 // NewOnlineTrend creates a detector with the given window size (minimum 4,
@@ -53,18 +74,26 @@ type OnlineTrend struct {
 // and Mann-Kendall significance level alpha (default 0.05 when out of
 // (0,1)).
 func NewOnlineTrend(window int, alpha float64) *OnlineTrend {
+	o := &OnlineTrend{}
+	o.init(window, alpha)
+	return o
+}
+
+// init sizes an empty detector.
+func (o *OnlineTrend) init(window int, alpha float64) {
 	if window < 4 {
 		window = 4
 	}
 	if alpha <= 0 || alpha >= 1 {
 		alpha = 0.05
 	}
-	return &OnlineTrend{
+	*o = OnlineTrend{
 		window: window,
 		alpha:  alpha,
-		xs:     make([]float64, window),
+		xs:     make([]int64, window),
 		ys:     make([]float64, window),
-		sen:    new(metrics.SenScratch),
+		sorted: make([]float64, 0, window),
+		sen:    o.sen,
 	}
 }
 
@@ -82,64 +111,182 @@ func (o *OnlineTrend) Seen() int64 { return o.seen }
 // reset-refill cycle allocates nothing.
 func (o *OnlineTrend) Reset() {
 	o.head, o.n, o.s, o.tieCorr = 0, 0, 0, 0
+	o.sorted = o.sorted[:0]
 }
 
 // tieTerm is one tie group's contribution to the variance correction.
 func tieTerm(t int64) int64 { return t * (t - 1) * (2*t + 5) }
 
-// compare counts the buffered values above, below and equal to v. The
-// ring is walked as its two contiguous runs. A NaN is none of the three,
-// so it neither moves S nor ties with anything.
-func (o *OnlineTrend) compare(v float64) (above, below, equal int64) {
-	end := o.head + o.n
-	wrapped := max(end-o.window, 0)
-	for _, run := range [2][]float64{o.ys[o.head : end-wrapped], o.ys[:wrapped]} {
-		for _, y := range run {
-			if y > v {
-				above++
-			}
-			if y < v {
-				below++
-			}
-			if y == v {
-				equal++
-			}
+// rank returns how many sorted values lie below v and how many equal it;
+// v must not be NaN.
+func (o *OnlineTrend) rank(v float64) (below, equal int) {
+	s := o.sorted
+	m := len(s)
+	// A level series, a ramp and a constant run answer without a search.
+	switch {
+	case m == 0 || v < s[0]:
+		return 0, 0
+	case v > s[m-1]:
+		return m, 0
+	case v == s[0] && v == s[m-1]:
+		return 0, m
+	}
+	lo, hi := 0, m
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return above, below, equal
+	end, hi := lo, m
+	for end < hi {
+		mid := int(uint(end+hi) >> 1)
+		if s[mid] == v {
+			end = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, end - lo
 }
 
+// maybeIncreasing is a filter in front of test: it is false only where
+// test finds no increasing trend. S must be positive and, for a detector
+// running at Alpha, its Z at least zAlphaFloor — decided without the
+// normal CDF.
+func (o *OnlineTrend) maybeIncreasing() bool {
+	if o.s <= 0 || o.n < 4 {
+		return false
+	}
+	if o.alpha != Alpha {
+		return true
+	}
+	n := o.n
+	varS := float64(int64(n*(n-1)*(2*n+5))-o.tieCorr) / 18
+	d := float64(o.s - 1)
+	return d*d >= zAlphaFloor*zAlphaFloor*varS
+}
+
+// zAlphaFloor sits 1e-6 below the smallest Z test finds significant at
+// Alpha: far beyond the rounding of the normal CDF, so any Z below it is
+// insignificant whatever the last bits of P.
+var zAlphaFloor = func() float64 {
+	lo, hi := 0.0, 40.0
+	for range 200 {
+		mid := (lo + hi) / 2
+		if 2*(1-metrics.StdNormalCDF(mid)) < Alpha {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return lo - 1e-6
+}()
+
 // Push absorbs one observation. When the window is full the oldest
-// observation is evicted first. Both halves are one compare pass over the
-// window: S moves by the pairs the sample forms with the others, and the
-// count of equal values is the size of the tie group the sample leaves or
-// joins.
-func (o *OnlineTrend) Push(t time.Time, v float64) {
+// observation is evicted first.
+func (o *OnlineTrend) Push(t time.Time, v float64) { o.push(t.UnixNano(), v) }
+
+// push absorbs one observation taken at ns (UnixNano).
+func (o *OnlineTrend) push(ns int64, v float64) {
 	if o.seen == 0 {
-		o.t0 = t
+		o.t0 = ns
 	}
 	o.seen++
-	if o.n == o.window {
-		// The oldest is the earlier element of every pair it is in.
-		oldest := o.ys[o.head]
-		o.head++
-		if o.head == o.window {
-			o.head = 0
-		}
-		o.n--
-		above, below, equal := o.compare(oldest)
-		o.s -= above - below
-		o.tieCorr -= tieTerm(equal+1) - tieTerm(equal)
+	x := ns - o.t0
+	if o.n < o.window {
+		o.insert(x, v)
+		return
 	}
-	o.insert(t.Sub(o.t0).Seconds(), v)
+	j := o.head
+	o.head++
+	if o.head == o.window {
+		o.head = 0
+	}
+	o.replace(o.ys[j], v)
+	o.xs[j], o.ys[j] = x, v
+}
+
+// replace moves S, the tie correction and the sorted view from a full
+// window holding old to the same window with old evicted and v appended.
+// The oldest is the earlier element of every pair it is in, the newest
+// the later one.
+func (o *OnlineTrend) replace(old, v float64) {
+	s := o.sorted
+	m := len(s)
+	if old == v {
+		// v takes old's place in the sorted view and its tie group: S
+		// moves by the pairs v now closes instead of opening.
+		below, equal := o.rank(v)
+		o.s += 2 * int64(below-(m-below-equal))
+		return
+	}
+	oldIn, vIn := old == old, v == v // NaN is neither
+	var po int                       // a position of old in s
+	if oldIn {
+		below, equal := o.rank(old)
+		above := m - below - equal
+		equal-- // old itself
+		o.s -= int64(above - below)
+		o.tieCorr -= tieTerm(int64(equal)+1) - tieTerm(int64(equal))
+		po = below
+		if vIn && old < v {
+			po = below + equal // the last copy: fewest values to shift
+		}
+	}
+	if !vIn {
+		if oldIn {
+			copy(s[po:], s[po+1:])
+			o.sorted = s[:m-1]
+		}
+		return
+	}
+	at, ties := o.rank(v)
+	below, above, equal := at, m-at-ties, ties
+	switch {
+	case !oldIn:
+	case old < v:
+		below--
+	case old > v:
+		above--
+	default:
+		equal--
+	}
+	o.s += int64(below - above)
+	o.tieCorr += tieTerm(int64(equal)+1) - tieTerm(int64(equal))
+	switch {
+	case !oldIn:
+		o.sorted = s[:m+1]
+		copy(o.sorted[at+1:], s[at:m])
+		o.sorted[at] = v
+	case old < v:
+		// The values in (old, v) shift down over old's slot, and v
+		// lands in front of its equals.
+		copy(s[po:at-1], s[po+1:at])
+		s[at-1] = v
+	case old > v:
+		// The values in (v, old) shift up over old's slot, and v lands
+		// behind its equals.
+		q := at + ties
+		copy(s[q+1:po+1], s[q:po])
+		s[q] = v
+	}
 }
 
 // insert appends (x, v) to a window that has room; v is the later element
 // of every new pair.
-func (o *OnlineTrend) insert(x, v float64) {
-	above, below, equal := o.compare(v)
-	o.s += below - above
-	o.tieCorr += tieTerm(equal+1) - tieTerm(equal)
+func (o *OnlineTrend) insert(x int64, v float64) {
+	if v == v {
+		below, equal := o.rank(v)
+		m := len(o.sorted)
+		o.s += int64(below - (m - below - equal))
+		o.tieCorr += tieTerm(int64(equal)+1) - tieTerm(int64(equal))
+		o.sorted = o.sorted[:m+1]
+		copy(o.sorted[below+1:], o.sorted[below:m])
+		o.sorted[below] = v
+	}
 	j := o.head + o.n
 	if j >= o.window {
 		j -= o.window
@@ -177,27 +324,61 @@ func (o *OnlineTrend) test() metrics.TrendResult {
 	return res
 }
 
+// unroll writes the window oldest-first into the slope scratch, instants
+// in seconds since the first sample, and returns the two runs.
+func (o *OnlineTrend) unroll() (xs, ys []float64) {
+	if o.sen == nil {
+		o.sen = newSenScratch(o.window)
+	}
+	sc := o.sen
+	if len(sc.xs) < o.n {
+		sc.xs, sc.ys = make([]float64, o.window), make([]float64, o.window)
+	}
+	xs, ys = sc.xs[:o.n], sc.ys[:o.n]
+	j := o.head
+	for i := range xs {
+		xs[i], ys[i] = time.Duration(o.xs[j]).Seconds(), o.ys[j]
+		if j++; j == o.window {
+			j = 0
+		}
+	}
+	return xs, ys
+}
+
 // SenSlope returns Sen's slope over the current window — exactly
 // metrics.SenSlope of the buffered samples, whether or not the trend is
 // significant. It costs O(Window²); Result calls it only for significant
 // trends.
 func (o *OnlineTrend) SenSlope() float64 {
-	if o.head != 0 {
-		// Unroll the ring so the window is one oldest-first run. A moved
-		// head implies a full window, so this is a rotation of the whole
-		// buffer.
-		rotate(o.xs, o.head)
-		rotate(o.ys, o.head)
-		o.head = 0
-	}
-	return o.sen.Slope(o.xs[:o.n], o.ys[:o.n])
+	xs, ys := o.unroll()
+	return o.sen.Slope(xs, ys)
 }
 
-// rotate moves a[k:] to the front of a and a[:k] behind it, in place.
-func rotate(a []float64, k int) {
-	slices.Reverse(a[:k])
-	slices.Reverse(a[k:])
-	slices.Reverse(a)
+// slope is the slope Result reports for a significant trend: Sen's slope,
+// or the endpoint slope on a staircase.
+func (o *OnlineTrend) slope() float64 {
+	xs, ys := o.unroll()
+	slope := o.sen.Slope(xs, ys)
+	if slope != 0 {
+		return slope
+	}
+	// Staircase fallback: a resource that grows in sparse jumps (a leak
+	// hit once per many sampling rounds — the signature of a lightly
+	// loaded cluster replica) yields a significant Mann-Kendall verdict
+	// whose *median* pairwise slope is still exactly zero, because most
+	// pairs lie on the same tread. The endpoint slope over the window is
+	// the average growth rate and is safe here precisely because the test
+	// already confirmed a significant monotone trend — but only when the
+	// total rise is material relative to the level, so the floating-point
+	// jitter of a genuinely constant series (~1e-16 relative) never
+	// masquerades as growth.
+	x0, y0 := xs[0], ys[0]
+	xn, yn := xs[len(xs)-1], ys[len(ys)-1]
+	rise := yn - y0
+	if xn > x0 && math.Abs(rise) > 1e-9*math.Max(math.Abs(y0), math.Abs(yn)) {
+		return rise / (xn - x0)
+	}
+	return 0
 }
 
 // Result computes the Mann-Kendall verdict over the current window.
@@ -206,29 +387,8 @@ func rotate(a []float64, k int) {
 // unconditionally.
 func (o *OnlineTrend) Result() metrics.TrendResult {
 	res := o.test()
-	if res.Direction == metrics.TrendNone {
-		return res
-	}
-	res.SenSlope = o.SenSlope()
-	if res.SenSlope == 0 {
-		// Staircase fallback: a resource that grows in sparse
-		// jumps (a leak hit once per many sampling rounds — the
-		// signature of a lightly loaded cluster replica) yields a
-		// significant Mann-Kendall verdict whose *median*
-		// pairwise slope is still exactly zero, because most
-		// pairs lie on the same tread. The endpoint slope over
-		// the window is the average growth rate and is safe here
-		// precisely because the test already confirmed a
-		// significant monotone trend — but only when the total
-		// rise is material relative to the level, so the
-		// floating-point jitter of a genuinely constant series
-		// (~1e-16 relative) never masquerades as growth.
-		x0, y0 := o.xs[0], o.ys[0] // SenSlope left the window oldest-first
-		xn, yn := o.xs[o.n-1], o.ys[o.n-1]
-		rise := yn - y0
-		if xn > x0 && math.Abs(rise) > 1e-9*math.Max(math.Abs(y0), math.Abs(yn)) {
-			res.SenSlope = rise / (xn - x0)
-		}
+	if res.Direction != metrics.TrendNone {
+		res.SenSlope = o.slope()
 	}
 	return res
 }

@@ -49,6 +49,17 @@ func TestOnlineTrendDifferential(t *testing.T) {
 		{"staircase", func(i int) float64 { return float64(i / 7) }},
 		{"ties", func(i int) float64 { return float64(i * i % 3) }},
 		{"constant", func(i int) float64 { return 4.2 }},
+		{"non-finite", func(i int) float64 {
+			switch {
+			case i%9 == 8:
+				return math.NaN()
+			case i%23 == 11:
+				return math.Inf(1)
+			case i%31 == 20:
+				return math.Inf(-1)
+			}
+			return 1e3*float64(i) + rng.Float64()
+		}},
 	}
 	steps := []struct {
 		name string

@@ -704,7 +704,11 @@ func (e *env) assemble() error {
 	cc := e.sc.Fleet
 	cc.Seed, cc.Scale, cc.Mix, cc.Detect = e.cfg.Seed, scale, eb.Shopping, scenarioDetectConfig()
 	if node := e.sc.Chaos; node != "" {
+		inner := cc.Chaos
 		cc.Chaos = func(name string, tr cluster.Transport) cluster.Transport {
+			if inner != nil {
+				tr = inner(name, tr)
+			}
 			if name != node {
 				return tr
 			}

@@ -112,7 +112,9 @@ func MannKendallSeries(pts []Point, alpha float64) TrendResult {
 
 // SenSlope returns the median of all pairwise slopes — Sen's robust
 // slope estimator: the middle slope for an odd pair count, the mean of the
-// two middle slopes for an even one, 0 when no pair has distinct x. The
+// two middle slopes for an even one, 0 when no pair has a slope. A pair at
+// one instant has none, and neither has a pair whose slope is NaN (a NaN
+// value, or two equal infinities). The
 // online detectors (internal/detect) run this very code through a
 // SenScratch they own, so batch and online estimates cannot diverge.
 func SenSlope(xs, ys []float64) float64 {
@@ -121,7 +123,7 @@ func SenSlope(xs, ys []float64) float64 {
 
 // SenScratch is the reusable working buffer of a Sen-slope estimate. The
 // estimate needs every pairwise slope at once — n·(n-1)/2 values — and a
-// caller that estimates round after round (a detect.Monitor, whose
+// caller that estimates round after round (a detect.Bank, whose
 // detectors all share one) keeps that buffer here so the steady state
 // allocates nothing. The zero value is ready to use and grows on demand.
 // Not safe for concurrent use.
@@ -150,8 +152,10 @@ func (s *SenScratch) Slope(xs, ys []float64) float64 {
 		xj, yj := xs[j], ys[j]
 		for i, xi := range xs[:j] {
 			if dx := xj - xi; dx != 0 {
-				keys[k] = orderKey((yj - ys[i]) / dx)
-				k++
+				if s := (yj - ys[i]) / dx; s == s {
+					keys[k] = orderKey(s)
+					k++
+				}
 			}
 		}
 	}
