@@ -3,12 +3,18 @@ package detect
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
+
+// latestReport returns the report m's latest Observe returned.
+func latestReport(m *Monitor) *Report {
+	return &m.ring[(m.ringIdx+len(m.ring)-1)%len(m.ring)]
+}
 
 // TestMonitorObserveSteadyStateAllocs is the zero-garbage contract of the
 // monitoring plane: once every component has been seen and the windows
@@ -38,10 +44,10 @@ func TestMonitorObserveSteadyStateAllocs(t *testing.T) {
 	}
 	// Warm up past the window size so every ring buffer has reached
 	// steady state, and alarms are live.
-	for round < 3*m.Config().Window {
+	for round < 3*m.bank.cols[0].cfg.Window {
 		step()
 	}
-	if rep := m.Latest(); len(rep.Alarms()) == 0 {
+	if rep := latestReport(m); len(rep.Alarms()) == 0 {
 		t.Fatalf("soak premise broken: no component alarming at round %d\n%s", round, rep)
 	}
 	if allocs := testing.AllocsPerRun(500, step); allocs > 0 {
@@ -80,7 +86,7 @@ func TestMonitorObserveFirstAlarmAllocs(t *testing.T) {
 			}
 		}
 	}
-	for round < 3*m.Config().Window {
+	for round < 3*m.bank.cols[0].cfg.Window {
 		step()
 	}
 	leakFrom = round
@@ -89,15 +95,15 @@ func TestMonitorObserveFirstAlarmAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for i := 0; i < 2*m.Config().Window; i++ {
+	for i := 0; i < 2*m.bank.cols[0].cfg.Window; i++ {
 		step()
 	}
 	runtime.ReadMemStats(&after)
 	if n := after.Mallocs - before.Mallocs; n > 0 {
 		t.Fatalf("turning significant allocated %d objects", n)
 	}
-	if top, ok := m.Latest().Top(); !ok || top.Component != names[0] || top.Score <= 0 {
-		t.Fatalf("premise broken: the leak never alarmed\n%s", m.Latest())
+	if top, ok := latestReport(m).Top(); !ok || top.Component != names[0] || top.Score <= 0 {
+		t.Fatalf("premise broken: the leak never alarmed\n%s", latestReport(m))
 	}
 }
 
@@ -136,7 +142,7 @@ func TestMonitorObserveShiftResetAllocs(t *testing.T) {
 
 // TestReportRetentionRing pins the recycling contract: a report stays
 // intact for ReportRetention-1 rounds after publication and is rewritten
-// by the ring afterwards, and Clone detaches a kept copy.
+// by the ring afterwards, and a copy taken in time keeps its values.
 func TestReportRetentionRing(t *testing.T) {
 	m := NewMonitor("memory", Config{})
 	now := sim.Epoch
@@ -146,7 +152,8 @@ func TestReportRetentionRing(t *testing.T) {
 	}
 	first := push()
 	firstRound := first.Round
-	kept := first.Clone()
+	kept := *first
+	kept.Components = slices.Clone(first.Components)
 	for i := 1; i < ReportRetention; i++ {
 		push()
 		if first.Round != firstRound {
@@ -158,7 +165,7 @@ func TestReportRetentionRing(t *testing.T) {
 		t.Fatal("ring did not recycle the report buffer after retention expired")
 	}
 	if kept.Round != firstRound {
-		t.Fatal("Clone did not detach the kept report from the ring")
+		t.Fatal("the kept copy changed with the ring")
 	}
 }
 
@@ -195,13 +202,13 @@ func TestMonitorObserveLatencyHandleAllocs(t *testing.T) {
 		hndObs[1] = Observation{Component: "ok", Value: 4, Usage: usage}
 		hnd.Observe(now, hndObs)
 	}
-	for round < 3*lat.Config().Window {
+	for round < 3*lat.bank.cols[0].cfg.Window {
 		step()
 	}
-	if rep := lat.Latest(); len(rep.Alarms()) != 1 || rep.Alarms()[0].Component != "slow" {
+	if rep := latestReport(lat); len(rep.Alarms()) != 1 || rep.Alarms()[0].Component != "slow" {
 		t.Fatalf("soak premise broken: latency stream not alarming on slow at round %d\n%s", round, rep)
 	}
-	if rep := hnd.Latest(); len(rep.Alarms()) != 1 || rep.Alarms()[0].Component != "leaky" {
+	if rep := latestReport(hnd); len(rep.Alarms()) != 1 || rep.Alarms()[0].Component != "leaky" {
 		t.Fatalf("soak premise broken: handle stream not alarming on leaky at round %d\n%s", round, rep)
 	}
 	if allocs := testing.AllocsPerRun(500, step); allocs > 0 {

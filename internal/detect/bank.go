@@ -155,9 +155,6 @@ func (b *Bank) Columns() []Column {
 	return out
 }
 
-// Rounds returns how many rounds the bank has observed.
-func (b *Bank) Rounds() int64 { return b.rounds }
-
 // Reset discards every component and all detection history, keeping the
 // columns.
 func (b *Bank) Reset() { b.init(b.Columns()) }

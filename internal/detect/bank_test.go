@@ -152,7 +152,7 @@ func TestBankResetStartsOver(t *testing.T) {
 	b := NewBank(fleetColumns())
 	driveFleet(b, 1, 40, 10)
 	b.Reset()
-	if b.Report(0) != nil || b.Rounds() != 0 {
+	if b.Report(0) != nil || b.rounds != 0 {
 		t.Fatal("a reset bank still reports its history")
 	}
 	if !bytes.Equal(b.Snapshot(), NewBank(fleetColumns()).Snapshot()) {

@@ -90,5 +90,5 @@ func (e *EntropyDetector) Result() metrics.TrendResult { return e.trend.Result()
 // trend — the CHAOS aging signal. Only the direction matters, so no slope
 // is estimated.
 func (e *EntropyDetector) Alarming() bool {
-	return e.trend.s < 0 && e.trend.test().Direction == metrics.TrendDecreasing
+	return e.trend.test().Direction == metrics.TrendDecreasing
 }

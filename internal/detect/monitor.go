@@ -63,10 +63,10 @@ const (
 	// family-wise false-alarm rate down.
 	Alpha = 0.01
 	// ReportRetention is how many sampling rounds a *Report returned by
-	// Monitor.Observe (or Latest) remains valid. A Monitor recycles its
-	// reports through a ring of this size so a steady-state round
-	// produces zero garbage; a consumer that holds a report for longer
-	// than ReportRetention-1 subsequent rounds must Clone it. The cluster
+	// Monitor.Observe remains valid. A Monitor recycles its reports
+	// through a ring of this size so a steady-state round produces zero
+	// garbage; a consumer that holds a report for longer than
+	// ReportRetention-1 subsequent rounds must copy it. The cluster
 	// aggregator recycles its cluster reports on the same terms.
 	ReportRetention = 8
 )
@@ -125,7 +125,7 @@ type Verdict struct {
 // Report is one column's detection state after a sampling round. Bank.Report
 // assembles a fresh one the caller owns; a Monitor recycles the reports
 // it returns through a ring of ReportRetention buffers, so one of those
-// stays valid for ReportRetention-1 further rounds and must be Cloned to
+// stays valid for ReportRetention-1 further rounds and must be copied to
 // be kept longer.
 type Report struct {
 	// Resource names the watched resource.
@@ -156,14 +156,6 @@ type Report struct {
 	EntropySuspect string
 	// Components holds one verdict per component, highest score first.
 	Components []Verdict
-}
-
-// Clone returns an independent copy of the report, for consumers that
-// keep it beyond the recycled ring's retention window.
-func (r *Report) Clone() *Report {
-	c := *r
-	c.Components = append([]Verdict(nil), r.Components...)
-	return &c
 }
 
 // Alarms returns the verdicts currently alarming, highest score first.
@@ -213,19 +205,15 @@ func (r *Report) String() string {
 // matching column of a multi-resource bank does whenever every round
 // measures every component in that column.
 //
-// A Monitor is single-owner: Observe, Latest and everything else must
-// not overlap. A steady-state Observe round allocates nothing: the
+// A Monitor is single-owner: Observe and everything else must not
+// overlap. A steady-state Observe round allocates nothing: the
 // bank's state is reused, and reports cycle through a ring of
 // ReportRetention buffers (see Report for the retention contract). The
 // alloc soak tests in this package pin that property.
 type Monitor struct {
-	bank *Bank
-	// guard is the bank's shift guard.
-	guard *ShiftGuard
-
+	bank    *Bank
 	ring    []Report
 	ringIdx int
-	latest  *Report
 }
 
 // NewMonitor creates the detectors of one resource.
@@ -234,28 +222,11 @@ func NewMonitor(resource string, cfg Config) *Monitor {
 }
 
 func newMonitor(b *Bank) *Monitor {
-	return &Monitor{bank: b, guard: b.guard, ring: make([]Report, ReportRetention)}
+	return &Monitor{bank: b, ring: make([]Report, ReportRetention)}
 }
-
-// Canonical returns the configuration with all defaults applied — the
-// form NewMonitor adopts and Config reports. Snapshot restores compare
-// configurations in canonical form, since a Config and its defaulted
-// twin construct identical detectors.
-func (c Config) Canonical() Config { return c.withDefaults() }
-
-// Resource returns the watched resource name.
-func (m *Monitor) Resource() string { return m.bank.cols[0].resource }
-
-// Config returns the effective (defaulted) configuration.
-func (m *Monitor) Config() Config { return m.bank.cols[0].cfg }
 
 // Rounds returns how many observation rounds have been absorbed.
 func (m *Monitor) Rounds() int64 { return m.bank.rounds }
-
-// Latest returns the report of the latest round (nil before the first
-// round). The report stays valid for ReportRetention-1 further rounds
-// (Clone to keep it longer).
-func (m *Monitor) Latest() *Report { return m.latest }
 
 // Observe absorbs one sampling round and returns its report.
 func (m *Monitor) Observe(now time.Time, obs []Observation) *Report {
@@ -269,7 +240,6 @@ func (m *Monitor) Observe(now time.Time, obs []Observation) *Report {
 	rep := &m.ring[m.ringIdx]
 	m.ringIdx = (m.ringIdx + 1) % len(m.ring)
 	m.bank.fillReport(0, rep)
-	m.latest = rep
 	return rep
 }
 

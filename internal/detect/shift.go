@@ -50,11 +50,6 @@ type ShiftGuard struct {
 	shifted   bool    // a shift was observed at least once
 	rounds    int64
 	lastShift int64 // round of the most recent shifting observation
-
-	// hint remembers where each position of the previous call's names
-	// sat in keys, so a caller listing its components in the same order
-	// round after round skips the map.
-	hint []int
 }
 
 // The tuning every ShiftGuard runs with, the cluster's node-mix guard
@@ -105,17 +100,9 @@ func (g *ShiftGuard) slot(name string) int {
 func (g *ShiftGuard) Observe(names []string, deltas []float64) bool {
 	g.rounds++
 	clear(g.shares)
-	if cap(g.hint) < len(deltas) {
-		g.hint = make([]int, len(deltas))
-	}
-	hint := g.hint[:len(deltas)]
 	for i, d := range deltas {
 		if d > 0 {
-			j := hint[i]
-			if j >= len(g.keys) || g.keys[j] != names[i] {
-				j = g.slot(names[i]) // may grow g.shares: index it only after
-				hint[i] = j
-			}
+			j := g.slot(names[i]) // may grow g.shares: index it only after
 			g.shares[j] = d
 		}
 	}

@@ -419,6 +419,14 @@ func RestoreBankSnapshot(p *binc.Parser) (*Bank, error) {
 	b := NewBank(cols)
 	b.rounds = p.Varint()
 	b.shiftRounds = p.Varint()
+	if err := p.Err(); err != nil {
+		return nil, err
+	}
+	// A report lists the components the latest round measured, so a
+	// round count out of reach of Observe would list stale ones.
+	if b.rounds < 0 || b.rounds > maxSnapCounter || b.shiftRounds < 0 || b.shiftRounds > b.rounds {
+		return nil, fmt.Errorf("detect: bank snapshot counters out of range (rounds=%d shift=%d)", b.rounds, b.shiftRounds)
+	}
 	if err := b.guard.RestoreSnapshot(p); err != nil {
 		return nil, err
 	}
@@ -467,7 +475,6 @@ func RestoreBankSnapshot(p *binc.Parser) (*Bank, error) {
 	}
 	b.growScratch(nslots)
 	b.Rows(nslots)
-	b.guard.hint = make([]int, 0, nslots)
 	return b, p.Err()
 }
 

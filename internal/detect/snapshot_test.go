@@ -74,7 +74,7 @@ func TestMonitorSnapshotParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("RestoreMonitor: %v", err)
 			}
-			if restored.Latest() != nil {
+			if restored.bank.Report(0) != nil {
 				t.Fatal("restored monitor must not publish a report before its first Observe")
 			}
 			if restored.Rounds() != full.Rounds() {
@@ -362,6 +362,36 @@ func TestSnapshotRejectsTruncation(t *testing.T) {
 	// Trailing garbage must be rejected too.
 	if _, err := RestoreMonitor(append(append([]byte(nil), snap...), 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
+	}
+}
+
+// TestBankSnapshotRejectsHostileCounters feeds a bank snapshot round
+// counters no run of Observe reaches. A restored report lists the
+// components the latest round measured, which a restored bank knows
+// only as "none", so a negative round count would list every component
+// at once.
+func TestBankSnapshotRejectsHostileCounters(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		rounds, shift int64
+	}{
+		{"negative rounds", -1, 0},
+		{"rounds beyond the bound", maxSnapCounter + 1, 0},
+		{"negative shift rounds", 10, -1},
+		{"more shift rounds than rounds", 10, 11},
+	} {
+		b := NewBank(fleetColumns())
+		driveFleet(b, 1, 10, 5)
+		b.rounds, b.shiftRounds = tc.rounds, tc.shift
+		if _, err := RestoreBank(b.Snapshot()); err == nil {
+			t.Errorf("%s: snapshot accepted", tc.name)
+		}
+	}
+	b := NewBank(fleetColumns())
+	driveFleet(b, 1, 10, 5)
+	b.shiftRounds = b.rounds
+	if _, err := RestoreBank(b.Snapshot()); err != nil {
+		t.Fatalf("counters in range refused: %v", err)
 	}
 }
 

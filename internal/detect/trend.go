@@ -122,15 +122,6 @@ func tieTerm(t int64) int64 { return t * (t - 1) * (2*t + 5) }
 func (o *OnlineTrend) rank(v float64) (below, equal int) {
 	s := o.sorted
 	m := len(s)
-	// A level series, a ramp and a constant run answer without a search.
-	switch {
-	case m == 0 || v < s[0]:
-		return 0, 0
-	case v > s[m-1]:
-		return m, 0
-	case v == s[0] && v == s[m-1]:
-		return 0, m
-	}
 	lo, hi := 0, m
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)

@@ -174,14 +174,14 @@ func TestMonitorLeakAlarmsAndFlatDoesNot(t *testing.T) {
 		}
 	}
 	if alarmRound == 0 {
-		t.Fatalf("leak never alarmed:\n%s", m.Latest())
+		t.Fatalf("leak never alarmed:\n%s", latestReport(m))
 	}
 	// MinSamples(6) + Consecutive(3) bound the earliest possible alarm;
 	// a healthy detector fires within a few rounds of that.
 	if alarmRound > 15 {
 		t.Fatalf("alarm too late: round %d", alarmRound)
 	}
-	for _, v := range m.Latest().Components {
+	for _, v := range latestReport(m).Components {
 		if v.Component == "flat" && v.Alarm {
 			t.Fatal("flat component alarmed")
 		}
@@ -250,7 +250,7 @@ func TestMonitorShiftSuppression(t *testing.T) {
 			t.Fatalf("round %d: alarm under pure workload shift:\n%s", rep.Round, rep)
 		}
 	}
-	if !m.guard.Shifted() {
+	if !m.bank.guard.Shifted() {
 		t.Fatal("the guard never saw the mix shift")
 	}
 }

@@ -184,12 +184,11 @@ func TestBankMatchesReference(t *testing.T) {
 // returns how many (round, resource) reports it compared.
 func diffStream(t *testing.T, name string, rounds []capturedRound) int {
 	t.Helper()
-	cfg := scenarioDetectConfig()
-	configs := core.ResourceDetectorConfigs(cfg)
-	bank := core.NewDetectorBank(cfg)
-	refs := make([]*refMonitor, len(core.DetectorResources))
-	for c, res := range core.DetectorResources {
-		refs[c] = newRefMonitor(res, configs[res])
+	bank := core.NewDetectorBank(scenarioDetectConfig())
+	cols := bank.Columns()
+	refs := make([]*refMonitor, len(cols))
+	for c, col := range cols {
+		refs[c] = newRefMonitor(col.Resource, col.Config)
 	}
 	skipMemory := false
 	for _, r := range rounds {

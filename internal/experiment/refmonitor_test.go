@@ -193,8 +193,9 @@ type refMonitor struct {
 	shiftRounds   int64
 }
 
+// newRefMonitor takes cfg with its defaults applied, as Bank.Columns
+// reports it.
 func newRefMonitor(resource string, cfg detect.Config) *refMonitor {
-	cfg = cfg.Canonical()
 	return &refMonitor{
 		resource: resource,
 		cfg:      cfg,
