@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -534,6 +536,50 @@ func TestAggregatorRestoreRejectsV2(t *testing.T) {
 	}
 	if err := New(Config{}).Restore(data); !errors.Is(err, binc.ErrVersion) {
 		t.Fatalf("v2 aggregator snapshot: err = %v, want binc.ErrVersion", err)
+	}
+}
+
+// readFuzzSeed decodes a committed corpus file of a fuzz target that
+// takes one []byte.
+func readFuzzSeed(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	lit, ok := strings.CutPrefix(lit, "[]byte(")
+	lit, ok2 := strings.CutSuffix(lit, ")")
+	s, err := strconv.Unquote(lit)
+	if !ok || !ok2 || err != nil {
+		t.Fatalf("%s: not a []byte corpus entry", path)
+	}
+	return []byte(s)
+}
+
+// TestAggregatorSnapshotFuzzSeedOutcomes pins the restore outcome of
+// every committed FuzzAggregatorSnapshot seed: where a rejected one
+// stops, and that an accepted one re-encodes byte-identically. A decoder
+// that read a field or ran a check at another point of the sequence
+// would stop elsewhere.
+func TestAggregatorSnapshotFuzzSeedOutcomes(t *testing.T) {
+	for _, tc := range []struct{ seed, want string }{
+		{"03eba60b36a437c3", "binc: non-minimal uvarint at offset 98"},
+		{"seed-pending-alarm", ""},
+	} {
+		data := readFuzzSeed(t, "testdata/fuzz/FuzzAggregatorSnapshot/"+tc.seed)
+		a := New(Config{Detect: testDetect()})
+		err := a.Restore(data)
+		switch {
+		case tc.want != "":
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("seed %s: err = %v, want %q", tc.seed, err, tc.want)
+			}
+		case err != nil:
+			t.Errorf("seed %s: %v", tc.seed, err)
+		case !bytes.Equal(a.Snapshot(), data):
+			t.Errorf("seed %s: restored aggregator re-encodes differently", tc.seed)
+		}
 	}
 }
 

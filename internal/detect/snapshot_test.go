@@ -5,7 +5,10 @@ import (
 	"encoding/hex"
 	"errors"
 	"math"
+	"os"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -406,6 +409,35 @@ func TestTrendSnapshotRejectsNonFinite(t *testing.T) {
 	copy(snap[len(snap)-8:], nan)
 	if err := o.Restore(snap); err == nil {
 		t.Fatal("NaN window sample accepted")
+	}
+}
+
+// readFuzzSeed decodes a committed corpus file of a fuzz target that
+// takes one []byte.
+func readFuzzSeed(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	lit, ok := strings.CutPrefix(lit, "[]byte(")
+	lit, ok2 := strings.CutSuffix(lit, ")")
+	s, err := strconv.Unquote(lit)
+	if !ok || !ok2 || err != nil {
+		t.Fatalf("%s: not a []byte corpus entry", path)
+	}
+	return []byte(s)
+}
+
+// TestSnapshotFuzzSeedOutcomes pins where the committed fuzz seeds'
+// restores stop. A decoder that read a field or ran a check at another
+// point of the sequence would stop elsewhere, or not at all.
+func TestSnapshotFuzzSeedOutcomes(t *testing.T) {
+	data := readFuzzSeed(t, "testdata/fuzz/FuzzSnapshotRoundTrip/33de975549be9bca")
+	const want = "detect: trend snapshot time origin 24 with no samples"
+	if _, err := RestoreBank(data); err == nil || err.Error() != want {
+		t.Fatalf("seed 33de975549be9bca: err = %v, want %q", err, want)
 	}
 }
 
