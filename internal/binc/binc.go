@@ -23,6 +23,16 @@
 // linearly and check Err once. Length and count reads are capped by the
 // caller (Count, String, Bytes), so a fuzzed or corrupt snapshot can
 // never drive an allocation beyond the declared bound.
+//
+// A snapshot format is written once, as a function over a Codec: the
+// same call appends a field when encoding and parses it, with the
+// Parser's bounds and sticky error, when decoding, so the field order is
+// one decision in one place. Its decode-side checks (Codec.Check) sit at
+// the point of the field sequence where they apply and latch like a
+// parse error. A map is coded as a canonical key-sorted sequence
+// (Codec.Sorted): keys are sorted on write, and on read each must be
+// strictly greater than the one before it (Keys.InOrder), so a map has
+// exactly one encoding.
 package binc
 
 import (

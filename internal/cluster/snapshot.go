@@ -5,7 +5,9 @@
 // clock-normalisation state, churn/stale bookkeeping, alarm latches —
 // as one versioned binary blob; Restore rebuilds a fresh aggregator
 // from it so the restored plane folds the next epoch exactly as the
-// dead one would have. The encoding is canonical (key-sorted maps,
+// dead one would have. The format is one function over a binc.Codec
+// (codec and the node, pending and sample functions it calls), which
+// both writes and reads it. The encoding is canonical (key-sorted maps,
 // node-sorted order): Snapshot∘Restore∘Snapshot is byte-identical.
 //
 // What is deliberately NOT captured: the published report map
@@ -26,14 +28,12 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
-	"sort"
-	"time"
 
 	"repro/internal/binc"
 	"repro/internal/core"
-	"repro/internal/detect"
 )
 
 // aggSnapMagic distinguishes an aggregator snapshot from the wire
@@ -51,7 +51,6 @@ const aggSnapVersion = 4
 // Decode bounds: a corrupt or hostile snapshot may not declare counts
 // that drive allocation beyond these.
 const (
-	maxAggSnapStr       = 4096
 	maxAggSnapResources = 256
 	maxAggSnapNodes     = 1 << 16
 	maxAggSnapComps     = 1 << 16
@@ -76,146 +75,13 @@ func aggFinite(f float64) bool {
 func (a *Aggregator) AppendSnapshot(dst []byte) []byte {
 	a.foldMu.Lock()
 	defer a.foldMu.Unlock()
-
-	dst = append(dst, aggSnapMagic[:]...)
-	dst = append(dst, aggSnapVersion)
-
-	dst = binc.AppendUvarint(dst, uint64(len(a.resources)))
-	for _, res := range a.resources {
-		dst = binc.AppendString(dst, res)
-	}
-
-	dst = binc.AppendVarint(dst, a.epochFolded)
-	dst = binc.AppendVarint(dst, a.total.Load())
-	dst = binc.AppendUvarint(dst, uint64(a.churnLeft))
-	dst = binc.AppendVarint(dst, a.shiftEp)
-	dst = a.guard.AppendSnapshot(dst)
-
-	a.tlMu.Lock()
-	haveBase, base, lastMerged := a.haveBase, a.base, a.lastMerged
-	a.tlMu.Unlock()
-	dst = binc.AppendBool(dst, haveBase)
-	if haveBase {
-		dst = binc.AppendVarint(dst, base.UnixNano())
-		dst = binc.AppendVarint(dst, lastMerged.UnixNano())
-	}
-
-	// Alarm latches, per resource in resource order, component-sorted.
-	var comps []string
-	for _, res := range a.resources {
-		latched := a.alarmed[res]
-		comps = comps[:0]
-		for c := range latched {
-			comps = append(comps, c)
-		}
-		sort.Strings(comps)
-		dst = binc.AppendUvarint(dst, uint64(len(comps)))
-		for _, c := range comps {
-			dst = binc.AppendString(dst, c)
-			dst = binc.AppendBool(dst, latched[c].clusterWide)
-		}
-	}
-
-	a.ctlMu.Lock()
-	ctlSeq := a.ctlSeq
-	a.ctlMu.Unlock()
-	dst = binc.AppendUvarint(dst, ctlSeq)
-
-	// Nodes in name order (a.all is the fold's sorted mirror). Each
-	// node's lane-owned state is captured under its lane lock, so a
-	// concurrently ingesting node contributes either all or none of its
-	// in-flight round — both valid states to restore into.
-	dst = binc.AppendUvarint(dst, uint64(len(a.all)))
-	for _, st := range a.all {
-		st.lane.mu.Lock()
-		dst = a.appendNodeSnapshot(dst, st)
-		st.lane.mu.Unlock()
-	}
-	return dst
+	c := binc.NewEncoder(dst)
+	a.codec(c)
+	return c.Buffer()
 }
 
 // Snapshot returns the aggregator's versioned binary state.
 func (a *Aggregator) Snapshot() []byte { return a.AppendSnapshot(nil) }
-
-// appendNodeSnapshot serialises one node. Caller holds a.foldMu (for
-// the fold-owned fields) and st.lane.mu (for the lane-owned fields).
-func (a *Aggregator) appendNodeSnapshot(dst []byte, st *nodeState) []byte {
-	dst = binc.AppendString(dst, st.name)
-	dst = binc.AppendBool(dst, st.active.Load())
-	dst = binc.AppendVarint(dst, st.seq)
-	dst = binc.AppendBool(dst, st.haveOffset)
-	if st.haveOffset {
-		dst = binc.AppendVarint(dst, int64(st.offset))
-		dst = binc.AppendVarint(dst, st.lastNorm.UnixNano())
-	}
-	dst = binc.AppendVarint(dst, st.epochBase)
-	dst = binc.AppendFloat(dst, st.prevUsage)
-
-	// Per-component size baselines, key-sorted.
-	comps := make([]string, 0, len(st.firstSize))
-	for c := range st.firstSize {
-		comps = append(comps, c)
-	}
-	sort.Strings(comps)
-	dst = binc.AppendUvarint(dst, uint64(len(comps)))
-	for _, c := range comps {
-		dst = binc.AppendString(dst, c)
-		dst = binc.AppendVarint(dst, st.firstSize[c])
-	}
-
-	// The node's latest round snapshot, in round order.
-	dst = binc.AppendUvarint(dst, uint64(len(st.lastSamples)))
-	for i := range st.lastSamples {
-		dst = appendSampleSnapshot(dst, &st.lastSamples[i])
-	}
-
-	// First-alarm latches, per resource in resource order, key-sorted.
-	for ri := range a.resources {
-		m := st.firstAlarm[ri]
-		comps = comps[:0]
-		for c := range m {
-			comps = append(comps, c)
-		}
-		sort.Strings(comps)
-		dst = binc.AppendUvarint(dst, uint64(len(comps)))
-		for _, c := range comps {
-			dst = binc.AppendString(dst, c)
-			dst = binc.AppendVarint(dst, m[c])
-		}
-	}
-
-	// The detector bank.
-	dst = st.bank.AppendSnapshot(dst)
-
-	// Pending rounds — the ones the next folds will read — in sequence
-	// order, each with its alarms in record order.
-	dst = binc.AppendUvarint(dst, uint64(len(st.pending)))
-	for i := range st.pending {
-		rec := &st.pending[i]
-		dst = binc.AppendVarint(dst, rec.seq)
-		dst = binc.AppendFloat(dst, rec.usage)
-		dst = binc.AppendUvarint(dst, uint64(len(rec.alarms)))
-		for _, al := range rec.alarms {
-			dst = binc.AppendUvarint(dst, uint64(al.res))
-			dst = binc.AppendString(dst, al.component)
-			dst = binc.AppendFloat(dst, al.score)
-		}
-	}
-	return dst
-}
-
-func appendSampleSnapshot(dst []byte, s *core.ComponentSample) []byte {
-	dst = binc.AppendString(dst, s.Component)
-	dst = binc.AppendVarint(dst, s.Size)
-	dst = binc.AppendBool(dst, s.SizeOK)
-	dst = binc.AppendVarint(dst, s.Usage)
-	dst = binc.AppendFloat(dst, s.CPUSeconds)
-	dst = binc.AppendVarint(dst, s.Threads)
-	dst = binc.AppendVarint(dst, s.Handles)
-	dst = binc.AppendFloat(dst, s.LatencySeconds)
-	dst = binc.AppendVarint(dst, s.Delta)
-	return dst
-}
 
 // Restore rebuilds the aggregator's durable state from a Snapshot
 // buffer. The receiver must be fresh — same construction Config family
@@ -236,302 +102,288 @@ func (a *Aggregator) Restore(data []byte) error {
 		return fmt.Errorf("cluster: Restore requires a fresh aggregator (rounds=%d nodes=%d)",
 			a.total.Load(), len(a.all))
 	}
+	c := binc.NewDecoder(data)
+	if err := a.codec(c); err != nil {
+		return err
+	}
+	return c.Done()
+}
 
-	p := binc.NewParser(data)
-	var magic [4]byte
+// codec codes the aggregator's durable state. Caller holds a.foldMu.
+// Decoding applies each field as it is read, so on error the aggregator
+// is left partially populated.
+func (a *Aggregator) codec(c *binc.Codec) error {
+	magic := aggSnapMagic
 	for i := range magic {
-		magic[i] = p.Byte()
+		c.Byte(&magic[i])
 	}
-	if p.Err() == nil && magic != aggSnapMagic {
-		return fmt.Errorf("cluster: not an aggregator snapshot (magic %x)", magic)
-	}
-	if v := p.Byte(); p.Err() == nil && v != aggSnapVersion {
-		return fmt.Errorf("cluster: aggregator snapshot v%d: %w", v, binc.ErrVersion)
-	}
+	c.Check(magic == aggSnapMagic, "cluster: not an aggregator snapshot (magic %x)", magic)
+	v := byte(aggSnapVersion)
+	c.Byte(&v)
+	c.Check(v == aggSnapVersion, "cluster: aggregator snapshot v%d: %w", v, binc.ErrVersion)
 
-	nres := p.Count(maxAggSnapResources)
-	if err := p.Err(); err != nil {
+	nres := len(a.resources)
+	c.Count(&nres, maxAggSnapResources)
+	c.Check(nres == len(a.resources), "cluster: snapshot has %d resources, aggregator watches %d", nres, len(a.resources))
+	if err := c.Err(); err != nil {
 		return err
-	}
-	if nres != len(a.resources) {
-		return fmt.Errorf("cluster: snapshot has %d resources, aggregator watches %d", nres, len(a.resources))
 	}
 	for _, res := range a.resources {
-		if got := p.String(maxAggSnapStr); p.Err() == nil && got != res {
-			return fmt.Errorf("cluster: snapshot resource %q, aggregator watches %q", got, res)
-		}
+		got := res
+		c.String(&got)
+		c.Check(got == res, "cluster: snapshot resource %q, aggregator watches %q", got, res)
 	}
 
-	epochFolded := p.Varint()
-	total := p.Varint()
-	churnLeft := p.Count(maxAggSnapChurn)
-	shiftEp := p.Varint()
-	if err := p.Err(); err != nil {
-		return err
+	total := a.total.Load()
+	c.Varint(&a.epochFolded)
+	c.Varint(&total)
+	c.Count(&a.churnLeft, maxAggSnapChurn)
+	c.Varint(&a.shiftEp)
+	c.Check(a.epochFolded >= 0 && a.epochFolded <= maxAggSnapCounter &&
+		total >= 0 && total <= maxAggSnapCounter &&
+		a.shiftEp >= 0 && a.shiftEp <= maxAggSnapCounter,
+		"cluster: snapshot counter out of range (epoch=%d rounds=%d shift=%d)", a.epochFolded, total, a.shiftEp)
+	if c.Decoding() {
+		a.epoch.Store(a.epochFolded)
+		a.total.Store(total)
 	}
-	if epochFolded < 0 || epochFolded > maxAggSnapCounter ||
-		total < 0 || total > maxAggSnapCounter ||
-		shiftEp < 0 || shiftEp > maxAggSnapCounter {
-		return fmt.Errorf("cluster: snapshot counter out of range (epoch=%d rounds=%d shift=%d)",
-			epochFolded, total, shiftEp)
-	}
-	if err := a.guard.RestoreSnapshot(p); err != nil {
-		return err
-	}
-
-	haveBase := p.Bool()
-	var base, lastMerged time.Time
-	if haveBase {
-		base = time.Unix(0, p.Varint()).UTC()
-		lastMerged = time.Unix(0, p.Varint()).UTC()
-		if p.Err() == nil && lastMerged.Before(base) {
-			return fmt.Errorf("cluster: merged timeline runs backwards in snapshot")
-		}
-	}
-
-	type latchKey struct{ res, comp string }
-	latches := make(map[latchKey]bool)
-	for _, res := range a.resources {
-		n := p.Count(maxAggSnapComps)
-		prev := ""
-		for i := 0; i < n; i++ {
-			c := p.String(maxAggSnapStr)
-			cw := p.Bool()
-			if p.Err() != nil {
-				return p.Err()
-			}
-			if i > 0 && c <= prev {
-				return fmt.Errorf("cluster: alarm latches not sorted (%q after %q)", c, prev)
-			}
-			prev = c
-			latches[latchKey{res, c}] = cw
-		}
-	}
-
-	ctlSeq := p.Uvarint()
-	nnodes := p.Count(maxAggSnapNodes)
-	if err := p.Err(); err != nil {
+	if err := a.guard.Codec(c); err != nil {
 		return err
 	}
 
-	// Header validated: apply, then build nodes through the normal
-	// registration path and overwrite their state.
-	a.epochFolded = epochFolded
-	a.epoch.Store(epochFolded)
-	a.total.Store(total)
-	a.churnLeft = churnLeft
-	a.shiftEp = shiftEp
 	a.tlMu.Lock()
-	a.haveBase, a.base, a.lastMerged = haveBase, base, lastMerged
-	a.tlMu.Unlock()
-	for k, cw := range latches {
-		a.alarmed[k.res][k.comp] = &latchedAlarm{clusterWide: cw}
+	c.Bool(&a.haveBase)
+	if a.haveBase {
+		c.Time(&a.base)
+		c.Time(&a.lastMerged)
+		c.Check(!a.lastMerged.Before(a.base), "cluster: merged timeline runs backwards in snapshot")
 	}
-	a.ctlMu.Lock()
-	a.ctlSeq = ctlSeq
-	a.ctlMu.Unlock()
+	a.tlMu.Unlock()
 
-	prev := ""
-	for i := 0; i < nnodes; i++ {
-		name := p.String(maxAggSnapStr)
-		if err := p.Err(); err != nil {
+	// Alarm latches, per resource in resource order.
+	for _, res := range a.resources {
+		latched := a.alarmed[res]
+		for ks := c.Sorted(slices.Collect(maps.Keys(latched)), maxAggSnapComps); ks.Next(); {
+			l := latched[ks.Key()]
+			if l == nil {
+				l = &latchedAlarm{}
+				latched[ks.Key()] = l
+			}
+			c.Bool(&l.clusterWide)
+			c.Check(ks.InOrder(), "cluster: alarm latches not sorted (%q after %q)", ks.Key(), ks.Prev())
+		}
+		if err := c.Err(); err != nil {
 			return err
 		}
-		if name == "" || (i > 0 && name <= prev) {
-			return fmt.Errorf("cluster: snapshot nodes not name-sorted (%q after %q)", name, prev)
+	}
+
+	a.ctlMu.Lock()
+	c.Uvarint(&a.ctlSeq)
+	a.ctlMu.Unlock()
+	// The aggregator's own fields read, its hold counters must be ones a
+	// fold reaches: the fold sets the churn hold to churnHold and counts
+	// it down, and counts at most one shift epoch per epoch it folds.
+	c.Check(a.churnLeft <= churnHold && a.shiftEp <= a.epochFolded,
+		"cluster: snapshot hold counters out of the fold's reach (churn=%d shift=%d epoch=%d)", a.churnLeft, a.shiftEp, a.epochFolded)
+
+	// Nodes in name order (a.all is the fold's sorted mirror). Each
+	// node's lane-owned state is coded under its lane lock, so a
+	// concurrently ingesting node contributes either all or none of its
+	// in-flight round — both valid states to restore into. Decoding
+	// builds each node through the normal registration path and then
+	// overwrites its state.
+	names := make([]string, len(a.all))
+	for i, st := range a.all {
+		names[i] = st.name
+	}
+	for ks := c.Sorted(names, maxAggSnapNodes); ks.Next(); {
+		name := ks.Key()
+		c.Check(name != "" && ks.InOrder(), "cluster: snapshot nodes not name-sorted (%q after %q)", name, ks.Prev())
+		if err := c.Err(); err != nil {
+			return err
 		}
-		prev = name
-		st := a.newNodeState(name)
+		var st *nodeState
+		if c.Decoding() {
+			st = a.newNodeState(name)
+		} else {
+			st = a.all[ks.Index()]
+		}
 		st.lane.mu.Lock()
-		err := a.restoreNodeLocked(p, st)
+		err := a.codecNode(c, st)
 		st.lane.mu.Unlock()
 		if err != nil {
 			return err
 		}
 	}
-	return p.Done()
+	return c.Err()
 }
 
-// restoreNodeLocked rebuilds one freshly registered node from the
-// parser. Caller holds a.foldMu and st.lane.mu.
-func (a *Aggregator) restoreNodeLocked(p *binc.Parser, st *nodeState) error {
-	active := p.Bool()
-	seq := p.Varint()
-	if p.Err() == nil && (seq < 0 || seq > maxAggSnapCounter) {
-		return fmt.Errorf("cluster: node %s: round sequence %d out of range", st.name, seq)
+// codecNode codes one node. Caller holds a.foldMu (for the fold-owned
+// fields) and st.lane.mu (for the lane-owned fields).
+func (a *Aggregator) codecNode(c *binc.Codec, st *nodeState) error {
+	active := st.active.Load()
+	c.Bool(&active)
+	c.Varint(&st.seq)
+	c.Check(st.seq >= 0 && st.seq <= maxAggSnapCounter, "cluster: node %s: round sequence %d out of range", st.name, st.seq)
+	c.Bool(&st.haveOffset)
+	c.Check(st.haveOffset == (st.seq > 0), "cluster: node %s: clock offset state inconsistent with %d rounds", st.name, st.seq)
+	if st.haveOffset {
+		c.Varint((*int64)(&st.offset))
+		c.Time(&st.lastNorm)
 	}
-	haveOffset := p.Bool()
-	if p.Err() == nil && haveOffset != (seq > 0) {
-		return fmt.Errorf("cluster: node %s: clock offset state inconsistent with %d rounds", st.name, seq)
-	}
-	var offset time.Duration
-	var lastNorm time.Time
-	if haveOffset {
-		offset = time.Duration(p.Varint())
-		lastNorm = time.Unix(0, p.Varint()).UTC()
-	}
-	epochBase := p.Varint()
-	if p.Err() == nil {
-		// Bound the node's cluster epoch: non-negative, and for an
-		// active node never far enough past the fold watermark that the
-		// restored plane would spin folding a fabricated epoch gap. Real
-		// snapshots sit well inside both bounds (an active node can only
-		// run ahead of the watermark while another lags, and laggards
-		// are evicted after StaleEpochs).
-		epoch := epochBase + seq
-		if epochBase < -maxAggSnapCounter || epochBase > maxAggSnapCounter || epoch < 0 {
-			return fmt.Errorf("cluster: node %s: epoch base %d out of range", st.name, epochBase)
+	c.Varint(&st.epochBase)
+	// Bound the node's cluster epoch: non-negative, and for an active
+	// node never far enough past the fold watermark that the restored
+	// plane would spin folding a fabricated epoch gap. Real snapshots sit
+	// well inside both bounds (an active node can only run ahead of the
+	// watermark while another lags, and laggards are evicted after
+	// StaleEpochs).
+	epoch := st.epochBase + st.seq
+	c.Check(st.epochBase >= -maxAggSnapCounter && st.epochBase <= maxAggSnapCounter && epoch >= 0,
+		"cluster: node %s: epoch base %d out of range", st.name, st.epochBase)
+	c.Check(!active || epoch <= a.epochFolded+maxAggSnapPending,
+		"cluster: node %s: epoch %d implausibly far past watermark %d", st.name, epoch, a.epochFolded)
+	c.Float(&st.prevUsage)
+	c.Check(aggFinite(st.prevUsage), "cluster: node %s: non-finite usage baseline", st.name)
+
+	// Per-component size baselines.
+	for ks := c.Sorted(slices.Collect(maps.Keys(st.firstSize)), maxAggSnapComps); ks.Next(); {
+		v := st.firstSize[ks.Key()]
+		c.Varint(&v)
+		c.Check(ks.InOrder(), "cluster: node %s: size baselines not sorted", st.name)
+		if c.Decoding() {
+			st.firstSize[ks.Key()] = v
 		}
-		if active && epoch > a.epochFolded+maxAggSnapPending {
-			return fmt.Errorf("cluster: node %s: epoch %d implausibly far past watermark %d",
-				st.name, epoch, a.epochFolded)
-		}
 	}
-	prevUsage := p.Float()
-	if p.Err() == nil && !aggFinite(prevUsage) {
-		return fmt.Errorf("cluster: node %s: non-finite usage baseline", st.name)
+	if err := c.Err(); err != nil {
+		return err
 	}
 
-	nsz := p.Count(maxAggSnapComps)
-	prevComp := ""
-	for i := 0; i < nsz; i++ {
-		c := p.String(maxAggSnapStr)
-		v := p.Varint()
-		if p.Err() != nil {
-			return p.Err()
-		}
-		if i > 0 && c <= prevComp {
-			return fmt.Errorf("cluster: node %s: size baselines not sorted", st.name)
-		}
-		prevComp = c
-		st.firstSize[c] = v
+	// The node's latest round snapshot, in round order.
+	n := len(st.lastSamples)
+	c.Count(&n, maxAggSnapSamples)
+	if c.Decoding() && n > 0 {
+		st.lastSamples = make([]core.ComponentSample, n)
 	}
-
-	nsam := p.Count(maxAggSnapSamples)
-	if p.Err() == nil && nsam > 0 {
-		st.lastSamples = make([]core.ComponentSample, nsam)
-		for i := range st.lastSamples {
-			if err := restoreSampleSnapshot(p, &st.lastSamples[i]); err != nil {
-				return fmt.Errorf("cluster: node %s: %w", st.name, err)
-			}
+	for i := range st.lastSamples {
+		if err := codecSample(c, &st.lastSamples[i]); err != nil {
+			return fmt.Errorf("cluster: node %s: %w", st.name, err)
 		}
 	}
 
+	// First-alarm latches, per resource in resource order.
 	for ri := range a.resources {
-		n := p.Count(maxAggSnapComps)
-		prevComp = ""
-		var m map[string]int64
-		if p.Err() == nil && n > 0 {
-			m = make(map[string]int64, n)
-		}
-		for i := 0; i < n; i++ {
-			c := p.String(maxAggSnapStr)
-			ep := p.Varint()
-			if p.Err() != nil {
-				return p.Err()
+		m := st.firstAlarm[ri]
+		for ks := c.Sorted(slices.Collect(maps.Keys(m)), maxAggSnapComps); ks.Next(); {
+			ep := m[ks.Key()]
+			c.Varint(&ep)
+			c.Check(ks.InOrder(), "cluster: node %s: first-alarm latches not sorted", st.name)
+			if c.Decoding() {
+				if m == nil {
+					m = make(map[string]int64)
+					st.firstAlarm[ri] = m
+				}
+				m[ks.Key()] = ep
 			}
-			if i > 0 && c <= prevComp {
-				return fmt.Errorf("cluster: node %s: first-alarm latches not sorted", st.name)
-			}
-			prevComp = c
-			m[c] = ep
 		}
-		st.firstAlarm[ri] = m
+		if err := c.Err(); err != nil {
+			return err
+		}
 	}
 
-	bank, err := detect.RestoreBankSnapshot(p)
-	if err != nil {
+	// The detector bank, which decoding rebuilds in place over the
+	// snapshot's columns.
+	cols := st.bank.Columns()
+	if err := st.bank.Codec(c); err != nil {
 		return fmt.Errorf("cluster: node %s bank: %w", st.name, err)
 	}
-	if !slices.Equal(bank.Columns(), st.bank.Columns()) {
-		return fmt.Errorf("cluster: node %s: snapshot detector columns or config differ from the aggregator's", st.name)
-	}
-	st.bank = bank
+	c.Check(slices.Equal(st.bank.Columns(), cols),
+		"cluster: node %s: snapshot detector columns or config differ from the aggregator's", st.name)
 
-	if err := a.restorePendingLocked(p, st, active, seq, epochBase); err != nil {
+	if err := a.codecPending(c, st, active); err != nil {
 		return err
 	}
-
-	st.seq = seq
-	st.offset = offset
-	st.haveOffset = haveOffset
-	st.lastNorm = lastNorm
-	st.epochBase = epochBase
-	st.prevUsage = prevUsage
-	st.active.Store(active)
-	st.seqA.Store(seq)
-	st.epochA.Store(epochBase + seq)
+	if c.Decoding() {
+		st.active.Store(active)
+		st.seqA.Store(st.seq)
+		st.epochA.Store(st.epochBase + st.seq)
+	}
 	return nil
 }
 
-// restorePendingLocked reads one node's pending rounds. They must be
-// canonical — strictly increasing sequences past the last folded epoch
-// and at most the node's head, alarms in resource order and, within a
-// resource, highest score first with ties by component — and only an
-// active node may hold any. Caller holds a.foldMu and st.lane.mu.
-func (a *Aggregator) restorePendingLocked(p *binc.Parser, st *nodeState, active bool, head, epochBase int64) error {
-	n := p.Count(maxAggSnapPending)
-	if p.Err() == nil && n > 0 && !active {
-		return fmt.Errorf("cluster: node %s: inactive node holds %d pending rounds", st.name, n)
+// codecPending codes one node's pending rounds — the ones the next folds
+// will read — in sequence order, each with its alarms in record order.
+// They must be canonical — strictly increasing sequences past the last
+// folded epoch and at most the node's head, alarms in resource order
+// and, within a resource, highest score first with ties by component —
+// and only an active node may hold any. Caller holds a.foldMu and
+// st.lane.mu.
+func (a *Aggregator) codecPending(c *binc.Codec, st *nodeState, active bool) error {
+	n := len(st.pending)
+	c.Count(&n, maxAggSnapPending)
+	c.Check(n == 0 || active, "cluster: node %s: inactive node holds %d pending rounds", st.name, n)
+	if err := c.Err(); err != nil {
+		return err
 	}
-	prevSeq := a.epochFolded - epochBase
+	prevSeq := a.epochFolded - st.epochBase
 	for i := 0; i < n; i++ {
-		rec := st.nextPending(p.Varint())
-		rec.usage = p.Float()
-		nal := p.Count(maxAggSnapComps)
-		if p.Err() != nil {
-			return p.Err()
+		var rec *pendingRound
+		if c.Decoding() {
+			rec = st.nextPending(0)
+		} else {
+			rec = &st.pending[i]
 		}
-		if rec.seq <= prevSeq || rec.seq > head {
-			return fmt.Errorf("cluster: node %s: pending round %d out of order (prev %d, head %d)",
-				st.name, rec.seq, prevSeq, head)
-		}
+		c.Varint(&rec.seq)
+		c.Float(&rec.usage)
+		nal := len(rec.alarms)
+		c.Count(&nal, maxAggSnapComps)
+		c.Check(rec.seq > prevSeq && rec.seq <= st.seq, "cluster: node %s: pending round %d out of order (prev %d, head %d)",
+			st.name, rec.seq, prevSeq, st.seq)
 		prevSeq = rec.seq
-		if !aggFinite(rec.usage) {
-			return fmt.Errorf("cluster: node %s round %d: non-finite usage total", st.name, rec.seq)
+		c.Check(aggFinite(rec.usage), "cluster: node %s round %d: non-finite usage total", st.name, rec.seq)
+		if err := c.Err(); err != nil {
+			return err
 		}
 		for j := 0; j < nal; j++ {
-			res := p.Uvarint()
-			al := nodeAlarm{res: int(res), component: p.String(maxAggSnapStr)}
-			al.score = p.Float()
-			if p.Err() != nil {
-				return p.Err()
+			var al nodeAlarm
+			if !c.Decoding() {
+				al = rec.alarms[j]
 			}
-			if res >= uint64(len(a.resources)) {
-				return fmt.Errorf("cluster: node %s round %d: alarm resource index %d out of range", st.name, rec.seq, res)
-			}
-			if !aggFinite(al.score) {
-				return fmt.Errorf("cluster: node %s round %d: non-finite score for %q", st.name, rec.seq, al.component)
-			}
+			res := uint64(al.res)
+			c.Uvarint(&res)
+			c.String(&al.component)
+			c.Float(&al.score)
+			al.res = int(res)
+			c.Check(res < uint64(len(a.resources)), "cluster: node %s round %d: alarm resource index %d out of range", st.name, rec.seq, res)
+			c.Check(aggFinite(al.score), "cluster: node %s round %d: non-finite score for %q", st.name, rec.seq, al.component)
 			if j > 0 {
 				prev := &rec.alarms[j-1]
-				if al.res < prev.res || al.res == prev.res && (al.score > prev.score ||
-					al.score == prev.score && al.component <= prev.component) {
-					return fmt.Errorf("cluster: node %s round %d: alarms not in canonical order (%q after %q)",
-						st.name, rec.seq, al.component, prev.component)
-				}
+				unordered := al.res < prev.res || al.res == prev.res && (al.score > prev.score ||
+					al.score == prev.score && al.component <= prev.component)
+				c.Check(!unordered, "cluster: node %s round %d: alarms not in canonical order (%q after %q)",
+					st.name, rec.seq, al.component, prev.component)
 			}
-			rec.alarms = append(rec.alarms, al)
+			if err := c.Err(); err != nil {
+				return err
+			}
+			if c.Decoding() {
+				rec.alarms = append(rec.alarms, al)
+			}
 		}
 	}
-	return p.Err()
+	return nil
 }
 
-func restoreSampleSnapshot(p *binc.Parser, s *core.ComponentSample) error {
-	s.Component = p.String(maxAggSnapStr)
-	s.Size = p.Varint()
-	s.SizeOK = p.Bool()
-	s.Usage = p.Varint()
-	s.CPUSeconds = p.Float()
-	s.Threads = p.Varint()
-	s.Handles = p.Varint()
-	s.LatencySeconds = p.Float()
-	s.Delta = p.Varint()
-	if err := p.Err(); err != nil {
-		return err
-	}
-	if !aggFinite(s.CPUSeconds) || !aggFinite(s.LatencySeconds) {
-		return fmt.Errorf("cluster: non-finite sample measurement for %q", s.Component)
-	}
-	return nil
+func codecSample(c *binc.Codec, s *core.ComponentSample) error {
+	c.String(&s.Component)
+	c.Varint(&s.Size)
+	c.Bool(&s.SizeOK)
+	c.Varint(&s.Usage)
+	c.Float(&s.CPUSeconds)
+	c.Varint(&s.Threads)
+	c.Varint(&s.Handles)
+	c.Float(&s.LatencySeconds)
+	c.Varint(&s.Delta)
+	c.Check(aggFinite(s.CPUSeconds) && aggFinite(s.LatencySeconds), "cluster: non-finite sample measurement for %q", s.Component)
+	return c.Err()
 }

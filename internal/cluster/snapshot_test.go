@@ -353,6 +353,42 @@ func TestAggregatorRestoreRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestAggregatorRestoreRejectsUnreachableCounters feeds a snapshot hold
+// counters no fold reaches: a churn hold above churnHold, which would
+// hold cluster promotion down for that many epochs after the restore,
+// and more shift epochs than folded epochs.
+func TestAggregatorRestoreRejectsUnreachableCounters(t *testing.T) {
+	nodes := []string{"node1", "node2", "node3"}
+	leaks := map[string]int64{"node1": 4096, "node2": 4096, "node3": 4096}
+	// snapWith snapshots a leaking plane with the given churn hold and
+	// shift epochs set shiftPast epochs past the fold watermark.
+	snapWith := func(churn int, shiftPast int64) []byte {
+		a := New(Config{Detect: testDetect()})
+		a.Expect(nodes...)
+		feedSnap(a, nodes, leaks, 1, 12)
+		a.foldMu.Lock()
+		a.churnLeft, a.shiftEp = churn, a.epochFolded+shiftPast
+		a.foldMu.Unlock()
+		return a.Snapshot()
+	}
+	for _, tc := range []struct {
+		name      string
+		churn     int
+		shiftPast int64
+	}{
+		{"churn hold beyond churnHold", 1_000_000, 0},
+		{"churn hold one past churnHold", churnHold + 1, 0},
+		{"more shift epochs than epochs", 0, 1},
+	} {
+		if err := New(Config{Detect: testDetect()}).Restore(snapWith(tc.churn, tc.shiftPast)); err == nil {
+			t.Errorf("%s: snapshot accepted", tc.name)
+		}
+	}
+	if err := New(Config{Detect: testDetect()}).Restore(snapWith(churnHold, 0)); err != nil {
+		t.Fatalf("counters in reach refused: %v", err)
+	}
+}
+
 // TestAggregatorPendingRoundsBoundedAndReleased pins the pending records'
 // lifetime: a node ahead of the fold holds one record per unfolded round,
 // and the fold, ResetNode and Leave release them, so a rejoin starts from

@@ -7,26 +7,26 @@ import (
 	"repro/internal/binc"
 )
 
-// This file gives every detector exact-state binary snapshots, so the
-// aggregation plane can persist and restore its per-node detector banks
+// This file gives the detector bank an exact-state binary snapshot, so
+// the aggregation plane can persist and restore its per-node banks
 // across a crash or a warm-standby failover with byte-identical future
 // verdicts (the parity tests in snapshot_test.go pin N-rounds +
 // snapshot/restore + M-rounds against an uninterrupted N+M run).
 //
-// Design rules shared by all formats here:
+// Each format is one function over a binc.Codec, which both writes and
+// reads it, so its field order is stated once. Design rules:
 //
-//   - Each format carries its own version byte and is fully
-//     self-describing (configuration included), so a snapshot restores
-//     without out-of-band context and version skew fails loudly. A bank
-//     writes its trends without their own version and configuration:
-//     the column carries both.
+//   - The bank and the shift guard each carry a version byte, and the
+//     bank carries its columns' configurations, so a snapshot restores
+//     without out-of-band context and version skew fails loudly. A trend
+//     window carries neither: its column does.
 //   - The encoding is canonical: map-backed state is written key-sorted
 //     and derived state is never serialised, so Snapshot∘Restore∘Snapshot
 //     is byte-identical — the property the round-trip fuzz target leans
 //     on.
-//   - OnlineTrend serialises only its primary state (the window, oldest
-//     first, instants as integer nanoseconds) and recounts the sorted
-//     view, S and the tie correction on restore by re-inserting the
+//   - A trend window is coded as its primary state only (the window,
+//     oldest first, instants as integer nanoseconds); restore recounts
+//     the sorted view, S and the tie correction by re-inserting the
 //     samples. All are exact and the Sen slope is computed from the
 //     window on demand, so the restored detector is bit-identical to the
 //     original, not just approximately equal.
@@ -35,23 +35,18 @@ import (
 //   - Snapshotting is off the hot path (it rides the fold stage or an
 //     operator request, never Observe), so it may allocate freely.
 
-// Snapshot format versions, one per detector type. The trend format is
-// at v2: v1 wrote instants as float seconds and refused NaN samples. The
-// bank format continues the monitor's numbering at v3: a Monitor is a
-// one-column bank and snapshots as one, and the v1 and v2 monitor
-// formats (one detector set per resource, v1 also with the tuning that
-// is now constant) are refused.
+// Snapshot format versions. The bank format continues the monitor's
+// numbering at v3: a Monitor is a one-column bank, and the v1 and v2
+// monitor formats (one detector set per resource, v1 also with the
+// tuning that is now constant) are refused.
 const (
-	trendSnapVersion   = 2
-	entropySnapVersion = 1
-	guardSnapVersion   = 2
-	bankSnapVersion    = 3
+	guardSnapVersion = 2
+	bankSnapVersion  = 3
 )
 
 // Decode bounds: a corrupt or adversarial snapshot may not drive
 // allocations past these.
 const (
-	maxSnapString = 4096
 	// maxSnapWindow bounds the trend window a snapshot may declare.
 	// Restore allocates the window ring and sorted view (24 KB at 1024)
 	// and recounts S by as many sorted inserts; it builds no
@@ -65,448 +60,240 @@ const (
 	maxSnapConfig = 1 << 20
 )
 
-// ---- OnlineTrend ----
-
-// AppendSnapshot appends the detector's versioned state: configuration
-// and the window (see appendWindow).
-func (o *OnlineTrend) AppendSnapshot(dst []byte) []byte {
-	dst = append(dst, trendSnapVersion)
-	dst = binc.AppendUvarint(dst, uint64(o.window))
-	dst = binc.AppendFloat(dst, o.alpha)
-	return o.appendWindow(dst)
-}
-
-// appendWindow appends the detector's primary state: time origin,
-// lifetime counter and the raw window oldest-first. A NaN sample has no
-// bits worth keeping (every NaN is above, below and equal to nothing),
-// so the window's NaN positions are listed up front and their values are
-// not written; every value that is written is a number. Derived state
-// (the sorted view, S, the tie correction) is recounted on restore.
-func (o *OnlineTrend) appendWindow(dst []byte) []byte {
+// codecWindow codes a trend's primary state into or out of a detector
+// whose configuration is already in place: time origin, lifetime counter
+// and the raw window oldest-first. A NaN sample has no bits worth keeping
+// (every NaN is above, below and equal to nothing), so the window's NaN
+// positions are listed up front and their values are not written; every
+// value that is written is a number. Decoding refills the window from
+// ring slot 0 and recounts the derived state (the sorted view, S, the tie
+// correction) by re-inserting the samples, so the restored detector's
+// future outputs are bit-identical to an uninterrupted one's.
+func (o *OnlineTrend) codecWindow(c *binc.Codec) error {
 	var t0 int64
 	if o.seen > 0 {
 		t0 = o.t0
 	}
-	dst = binc.AppendVarint(dst, t0)
-	dst = binc.AppendVarint(dst, o.seen)
-	dst = binc.AppendUvarint(dst, uint64(o.n))
-	dst = binc.AppendUvarint(dst, uint64(o.n-len(o.sorted)))
-	for i := 0; i < o.n; i++ {
-		if y := o.ys[(o.head+i)%o.window]; y != y {
-			dst = binc.AppendUvarint(dst, uint64(i))
-		}
-	}
-	for i := 0; i < o.n; i++ {
-		j := (o.head + i) % o.window
-		dst = binc.AppendVarint(dst, o.xs[j])
-		if y := o.ys[j]; y == y {
-			dst = binc.AppendFloat(dst, y)
-		}
-	}
-	return dst
-}
-
-// Snapshot returns the detector's versioned binary state.
-func (o *OnlineTrend) Snapshot() []byte { return o.AppendSnapshot(nil) }
-
-// RestoreSnapshot replaces the receiver's state from a snapshot read off
-// p, adopting the snapshot's configuration. S and the tie correction are
-// recounted by re-inserting the window, so the restored detector's future
-// outputs are bit-identical to an uninterrupted one's.
-func (o *OnlineTrend) RestoreSnapshot(p *binc.Parser) error {
-	if v := p.Byte(); p.Err() == nil && v != trendSnapVersion {
-		return fmt.Errorf("detect: trend snapshot v%d: %w", v, binc.ErrVersion)
-	}
-	window := p.Count(maxSnapWindow)
-	alpha := p.Float()
-	if err := p.Err(); err != nil {
+	seen, n, nans := o.seen, o.n, o.n-len(o.sorted)
+	c.Varint(&t0)
+	c.Varint(&seen)
+	c.Count(&n, maxSnapWindow)
+	c.Count(&nans, maxSnapWindow)
+	c.Check(n <= o.window, "detect: trend snapshot fill %d exceeds window %d", n, o.window)
+	c.Check(seen >= int64(n), "detect: trend snapshot seen %d < fill %d", seen, n)
+	// The writer emits 0 for an unused time origin; anything else is a
+	// non-canonical encoding.
+	c.Check(seen != 0 || t0 == 0, "detect: trend snapshot time origin %d with no samples", t0)
+	c.Check(nans <= n, "detect: trend snapshot lists %d NaN samples in a window of %d", nans, n)
+	if err := c.Err(); err != nil {
 		return err
 	}
-	if window < 4 {
-		return fmt.Errorf("detect: trend snapshot window %d < 4", window)
+	if c.Decoding() {
+		o.Reset()
+		o.t0, o.seen = t0, seen
+		clear(o.ys[:n])
 	}
-	if !(alpha > 0 && alpha < 1) {
-		return fmt.Errorf("detect: trend snapshot alpha %v out of (0,1)", alpha)
-	}
-	if window != o.window || alpha != o.alpha {
-		o.init(window, alpha)
-	}
-	return o.restoreWindow(p)
-}
+	at := func(i int) int { return (o.head + i) % o.window }
 
-// restoreWindow reads what appendWindow wrote into a detector whose
-// configuration is already in place.
-func (o *OnlineTrend) restoreWindow(p *binc.Parser) error {
-	t0 := p.Varint()
-	seen := p.Varint()
-	n := p.Count(maxSnapWindow)
-	nans := p.Count(maxSnapWindow)
-	if err := p.Err(); err != nil {
-		return err
-	}
-	if n > o.window {
-		return fmt.Errorf("detect: trend snapshot fill %d exceeds window %d", n, o.window)
-	}
-	if seen < int64(n) {
-		return fmt.Errorf("detect: trend snapshot seen %d < fill %d", seen, n)
-	}
-	if seen == 0 && t0 != 0 {
-		// The writer emits 0 for an unused time origin; anything else is
-		// a non-canonical encoding.
-		return fmt.Errorf("detect: trend snapshot time origin %d with no samples", t0)
-	}
-	if nans > n {
-		return fmt.Errorf("detect: trend snapshot lists %d NaN samples in a window of %d", nans, n)
-	}
-	// The NaN positions, strictly increasing, in the ring slots the
-	// window refills from slot 0.
-	o.Reset()
-	o.t0, o.seen = t0, seen
-	for i := range o.ys[:n] {
-		o.ys[i] = 0
-	}
+	// The NaN positions, strictly increasing; decoding marks them in the
+	// slots the window refills.
 	next := 0
 	for k := 0; k < nans; k++ {
-		i := p.Count(maxSnapWindow)
-		if err := p.Err(); err != nil {
+		i := next
+		for !c.Decoding() && o.ys[at(i)] == o.ys[at(i)] {
+			i++
+		}
+		c.Count(&i, maxSnapWindow)
+		c.Check(i >= next && i < n, "detect: trend snapshot NaN position %d out of order", i)
+		if err := c.Err(); err != nil {
 			return err
 		}
-		if i < next || i >= n {
-			return fmt.Errorf("detect: trend snapshot NaN position %d out of order", i)
+		if c.Decoding() {
+			o.ys[i] = math.NaN()
 		}
-		o.ys[i] = math.NaN()
 		next = i + 1
 	}
 	for i := 0; i < n; i++ {
-		x := p.Varint()
-		y := o.ys[i]
+		x, y := o.xs[at(i)], o.ys[at(i)]
+		c.Varint(&x)
 		if y == y {
-			y = p.Float()
-			if p.Err() == nil && y != y {
-				return fmt.Errorf("detect: trend snapshot sample %d: NaN outside the NaN list", i)
-			}
+			c.Float(&y)
+			c.Check(y == y, "detect: trend snapshot sample %d: NaN outside the NaN list", i)
 		}
-		if err := p.Err(); err != nil {
+		if err := c.Err(); err != nil {
 			return err
 		}
-		o.insert(x, y)
+		if c.Decoding() {
+			o.insert(x, y)
+		}
 	}
 	return nil
 }
 
-// Restore replaces the detector's state from a Snapshot buffer.
-func (o *OnlineTrend) Restore(data []byte) error {
-	p := binc.NewParser(data)
-	if err := o.RestoreSnapshot(p); err != nil {
-		return err
+// Codec codes the guard's versioned state: the reference mix key-sorted,
+// then the suppression bookkeeping. Decoding replaces the guard's state.
+// An absent reference mix stays absent — it means "next non-idle round
+// seeds the baseline", which is distinct from an empty reference.
+func (g *ShiftGuard) Codec(c *binc.Codec) error {
+	v := byte(guardSnapVersion)
+	c.Byte(&v)
+	c.Check(v == guardSnapVersion, "detect: shift guard snapshot v%d: %w", v, binc.ErrVersion)
+	if c.Decoding() {
+		g.keys, g.ref = nil, nil
 	}
-	return p.Done()
-}
-
-// ---- EntropyDetector ----
-
-// AppendSnapshot appends the detector's versioned state: the embedded
-// entropy trend plus the latest observation.
-func (e *EntropyDetector) AppendSnapshot(dst []byte) []byte {
-	dst = append(dst, entropySnapVersion)
-	dst = e.trend.AppendSnapshot(dst)
-	dst = binc.AppendFloat(dst, e.last)
-	dst = binc.AppendBool(dst, e.haveObs)
-	return dst
-}
-
-// Snapshot returns the detector's versioned binary state.
-func (e *EntropyDetector) Snapshot() []byte { return e.AppendSnapshot(nil) }
-
-// RestoreSnapshot replaces the receiver's state from a snapshot read off p.
-func (e *EntropyDetector) RestoreSnapshot(p *binc.Parser) error {
-	if v := p.Byte(); p.Err() == nil && v != entropySnapVersion {
-		return fmt.Errorf("detect: entropy snapshot v%d: %w", v, binc.ErrVersion)
-	}
-	if err := e.trend.RestoreSnapshot(p); err != nil {
-		return err
-	}
-	e.last = p.Float()
-	e.haveObs = p.Bool()
-	return p.Err()
-}
-
-// Restore replaces the detector's state from a Snapshot buffer.
-func (e *EntropyDetector) Restore(data []byte) error {
-	p := binc.NewParser(data)
-	if err := e.RestoreSnapshot(p); err != nil {
-		return err
-	}
-	return p.Done()
-}
-
-// ---- ShiftGuard ----
-
-// AppendSnapshot appends the guard's versioned state: the reference mix
-// key-sorted and the suppression bookkeeping.
-func (g *ShiftGuard) AppendSnapshot(dst []byte) []byte {
-	dst = append(dst, guardSnapVersion)
-	dst = binc.AppendBool(dst, g.seeded)
+	c.Bool(&g.seeded)
 	if g.seeded {
-		dst = binc.AppendUvarint(dst, uint64(len(g.keys)))
+		for ks := c.Sorted(g.keys, maxSnapComps); ks.Next(); {
+			if c.Decoding() {
+				g.keys, g.ref = append(g.keys, ks.Key()), append(g.ref, 0)
+			}
+			c.Float(&g.ref[ks.Index()])
+			c.Check(ks.InOrder(), "detect: shift guard snapshot reference not key-sorted (%q after %q)", ks.Key(), ks.Prev())
+		}
+	}
+	c.Float(&g.lastDist)
+	c.Float(&g.lastThr)
+	c.Count(&g.calmLeft, maxSnapCounter)
+	c.Bool(&g.shifted)
+	c.Varint(&g.rounds)
+	c.Varint(&g.lastShift)
+	c.Check(g.calmLeft <= ShiftHold, "detect: shift guard snapshot calmLeft %d > hold %d", g.calmLeft, ShiftHold)
+	if c.Decoding() {
+		g.shares = make([]float64, len(g.keys))
+		clear(g.index)
 		for i, k := range g.keys {
-			dst = binc.AppendString(dst, k)
-			dst = binc.AppendFloat(dst, g.ref[i])
+			g.index[k] = i
 		}
 	}
-	dst = binc.AppendFloat(dst, g.lastDist)
-	dst = binc.AppendFloat(dst, g.lastThr)
-	dst = binc.AppendUvarint(dst, uint64(g.calmLeft))
-	dst = binc.AppendBool(dst, g.shifted)
-	dst = binc.AppendVarint(dst, g.rounds)
-	dst = binc.AppendVarint(dst, g.lastShift)
-	return dst
+	return c.Err()
 }
 
-// Snapshot returns the guard's versioned binary state.
-func (g *ShiftGuard) Snapshot() []byte { return g.AppendSnapshot(nil) }
+func codecConfig(c *binc.Codec, cfg *Config) {
+	c.Count(&cfg.Window, maxSnapWindow)
+	c.Float(&cfg.MinSlope)
+	c.Count(&cfg.MinSamples, maxSnapConfig)
+	c.Count(&cfg.Consecutive, maxSnapConfig)
+	c.Bool(&cfg.PerInvocation)
+}
 
-// RestoreSnapshot replaces the receiver's state from a snapshot read off
-// p. An absent reference mix stays absent — it means "next non-idle round seeds the baseline", which is
-// distinct from an empty reference.
-func (g *ShiftGuard) RestoreSnapshot(p *binc.Parser) error {
-	if v := p.Byte(); p.Err() == nil && v != guardSnapVersion {
-		return fmt.Errorf("detect: shift guard snapshot v%d: %w", v, binc.ErrVersion)
-	}
-	haveRef := p.Bool()
-	var keys []string
-	var ref []float64
-	if p.Err() == nil && haveRef {
-		n := p.Count(maxSnapComps)
-		for i := 0; i < n; i++ {
-			k := p.String(maxSnapString)
-			v := p.Float()
-			if p.Err() != nil {
-				break
-			}
-			if i > 0 && k <= keys[i-1] {
-				return fmt.Errorf("detect: shift guard snapshot reference not key-sorted (%q after %q)", k, keys[i-1])
-			}
-			keys, ref = append(keys, k), append(ref, v)
-		}
-	}
-	lastDist := p.Float()
-	lastThr := p.Float()
-	calmLeft := p.Count(maxSnapCounter)
-	shifted := p.Bool()
-	rounds := p.Varint()
-	lastShift := p.Varint()
-	if err := p.Err(); err != nil {
+// Codec codes the bank's versioned state: the columns with their
+// effective configurations, the round counters, the shift guard, each
+// column's entropy detector, and every component's slot in name order
+// with its cells in column order. Which components the latest round
+// measured is not coded: a restored bank reports nothing until its next
+// Observe, like a new one.
+//
+// Decoding rebuilds the bank over the coded columns, whose
+// configurations must be in canonical (defaulted) form, as an encoder
+// writes them, so only corrupt or hand-altered snapshots fail that
+// check. The rebuilt bank's round scratch is sized for its components,
+// so its first Observe allocates no more than a steady-state one.
+func (b *Bank) Codec(c *binc.Codec) error {
+	v := byte(bankSnapVersion)
+	c.Byte(&v)
+	c.Check(v == bankSnapVersion, "detect: bank snapshot v%d: %w", v, binc.ErrVersion)
+	cols := b.Columns()
+	n := len(cols)
+	c.Count(&n, maxColumns)
+	c.Check(n > 0, "detect: bank snapshot watches no column")
+	if err := c.Err(); err != nil {
 		return err
 	}
-	if calmLeft > ShiftHold {
-		return fmt.Errorf("detect: shift guard snapshot calmLeft %d > hold %d", calmLeft, ShiftHold)
+	if c.Decoding() {
+		cols = make([]Column, n)
 	}
-	g.keys, g.ref, g.seeded = keys, ref, haveRef
-	g.shares = make([]float64, len(keys))
-	clear(g.index)
-	for i, k := range keys {
-		g.index[k] = i
-	}
-	g.lastDist, g.lastThr = lastDist, lastThr
-	g.calmLeft, g.shifted = calmLeft, shifted
-	g.rounds, g.lastShift = rounds, lastShift
-	return nil
-}
-
-// Restore replaces the guard's state from a Snapshot buffer.
-func (g *ShiftGuard) Restore(data []byte) error {
-	p := binc.NewParser(data)
-	if err := g.RestoreSnapshot(p); err != nil {
-		return err
-	}
-	return p.Done()
-}
-
-// ---- Bank ----
-
-func appendConfigSnapshot(dst []byte, cfg Config) []byte {
-	dst = binc.AppendUvarint(dst, uint64(cfg.Window))
-	dst = binc.AppendFloat(dst, cfg.MinSlope)
-	dst = binc.AppendUvarint(dst, uint64(cfg.MinSamples))
-	dst = binc.AppendUvarint(dst, uint64(cfg.Consecutive))
-	dst = binc.AppendBool(dst, cfg.PerInvocation)
-	return dst
-}
-
-func parseConfigSnapshot(p *binc.Parser) Config {
-	var cfg Config
-	cfg.Window = p.Count(maxSnapWindow)
-	cfg.MinSlope = p.Float()
-	cfg.MinSamples = p.Count(maxSnapConfig)
-	cfg.Consecutive = p.Count(maxSnapConfig)
-	cfg.PerInvocation = p.Bool()
-	return cfg
-}
-
-// AppendSnapshot appends the bank's versioned state: the columns with
-// their effective configurations, the round counters, the shift guard,
-// each column's entropy detector, and every component's slot in name
-// order with its cells in column order. Which components the latest
-// round measured is not serialised: a restored bank reports nothing
-// until its next Observe, like a new one.
-func (b *Bank) AppendSnapshot(dst []byte) []byte {
-	dst = append(dst, bankSnapVersion)
-	dst = binc.AppendUvarint(dst, uint64(len(b.cols)))
-	for _, col := range b.cols {
-		dst = binc.AppendString(dst, col.resource)
-		dst = appendConfigSnapshot(dst, col.cfg)
-	}
-	dst = binc.AppendVarint(dst, b.rounds)
-	dst = binc.AppendVarint(dst, b.shiftRounds)
-	dst = b.guard.AppendSnapshot(dst)
-	for _, col := range b.cols {
-		dst = binc.AppendUvarint(dst, uint64(col.entropyStreak))
-		dst = binc.AppendFloat(dst, col.entropy.last)
-		dst = binc.AppendBool(dst, col.entropy.haveObs)
-		dst = col.entropy.trend.appendWindow(dst)
-	}
-	dst = binc.AppendUvarint(dst, uint64(len(b.order)))
-	for _, si := range b.order {
-		sl := &b.slots[si]
-		dst = binc.AppendString(dst, sl.name)
-		dst = binc.AppendBool(dst, sl.havePrev)
-		dst = binc.AppendFloat(dst, sl.prevUsage)
-		for c := range b.cols {
-			cl := b.cell(si, c)
-			dst = binc.AppendBool(dst, cl.havePrev)
-			dst = binc.AppendFloat(dst, cl.prevValue)
-			dst = binc.AppendUvarint(dst, uint64(cl.streak))
-			dst = binc.AppendVarint(dst, cl.firstAlarm)
-			dst = binc.AppendFloat(dst, cl.share)
-			dst = cl.trend.appendWindow(dst)
-		}
-	}
-	return dst
-}
-
-// Snapshot returns the bank's versioned binary state.
-func (b *Bank) Snapshot() []byte { return b.AppendSnapshot(nil) }
-
-// RestoreBankSnapshot builds a Bank from a snapshot read off p. Every
-// configuration must be in canonical (defaulted) form, as
-// Bank.AppendSnapshot writes it, so only corrupt or hand-altered
-// snapshots fail that check. The restored bank's round scratch is sized
-// for its components, so its first Observe allocates no more than a
-// steady-state one.
-func RestoreBankSnapshot(p *binc.Parser) (*Bank, error) {
-	if v := p.Byte(); p.Err() == nil && v != bankSnapVersion {
-		return nil, fmt.Errorf("detect: bank snapshot v%d: %w", v, binc.ErrVersion)
-	}
-	ncols := p.Count(maxColumns)
-	if err := p.Err(); err != nil {
-		return nil, err
-	}
-	if ncols == 0 {
-		return nil, fmt.Errorf("detect: bank snapshot watches no column")
-	}
-	cols := make([]Column, ncols)
 	for i := range cols {
-		cols[i].Resource = p.String(maxSnapString)
-		cols[i].Config = parseConfigSnapshot(p)
-		if err := p.Err(); err != nil {
-			return nil, err
-		}
-		if cols[i].Config != cols[i].Config.withDefaults() {
-			return nil, fmt.Errorf("detect: bank snapshot config of %q not canonical", cols[i].Resource)
-		}
+		c.String(&cols[i].Resource)
+		codecConfig(c, &cols[i].Config)
+		c.Check(cols[i].Config == cols[i].Config.withDefaults(), "detect: bank snapshot config of %q not canonical", cols[i].Resource)
 	}
-	b := NewBank(cols)
-	b.rounds = p.Varint()
-	b.shiftRounds = p.Varint()
-	if err := p.Err(); err != nil {
-		return nil, err
+	if err := c.Err(); err != nil {
+		return err
 	}
+	if c.Decoding() {
+		b.init(cols)
+	}
+
+	c.Varint(&b.rounds)
+	c.Varint(&b.shiftRounds)
 	// A report lists the components the latest round measured, so a
 	// round count out of reach of Observe would list stale ones.
-	if b.rounds < 0 || b.rounds > maxSnapCounter || b.shiftRounds < 0 || b.shiftRounds > b.rounds {
-		return nil, fmt.Errorf("detect: bank snapshot counters out of range (rounds=%d shift=%d)", b.rounds, b.shiftRounds)
-	}
-	if err := b.guard.RestoreSnapshot(p); err != nil {
-		return nil, err
+	c.Check(b.rounds >= 0 && b.rounds <= maxSnapCounter && b.shiftRounds >= 0 && b.shiftRounds <= b.rounds,
+		"detect: bank snapshot counters out of range (rounds=%d shift=%d)", b.rounds, b.shiftRounds)
+	if err := b.guard.Codec(c); err != nil {
+		return err
 	}
 	for i := range b.cols {
 		col := &b.cols[i]
-		col.entropyStreak = p.Count(maxSnapCounter)
-		col.entropy.last = p.Float()
-		col.entropy.haveObs = p.Bool()
-		if err := p.Err(); err != nil {
-			return nil, err
-		}
-		if err := col.entropy.trend.restoreWindow(p); err != nil {
-			return nil, err
+		c.Count(&col.entropyStreak, maxSnapCounter)
+		c.Float(&col.entropy.last)
+		c.Bool(&col.entropy.haveObs)
+		if err := col.entropy.trend.codecWindow(c); err != nil {
+			return err
 		}
 	}
-	nslots := p.Count(maxSnapComps)
-	if err := p.Err(); err != nil {
-		return nil, err
+
+	var names []string
+	if !c.Decoding() {
+		names = make([]string, len(b.order))
+		for i, si := range b.order {
+			names[i] = b.slots[si].name
+		}
 	}
-	for i := 0; i < nslots; i++ {
-		name := p.String(maxSnapString)
-		if err := p.Err(); err != nil {
-			return nil, err
+	for ks := c.Sorted(names, maxSnapComps); ks.Next(); {
+		name := ks.Key()
+		c.Check(ks.InOrder(), "detect: bank snapshot components not name-sorted (%q after %q)", name, ks.Prev())
+		if err := c.Err(); err != nil {
+			return err
 		}
-		if i > 0 && name <= b.slots[i-1].name {
-			return nil, fmt.Errorf("detect: bank snapshot components not name-sorted (%q after %q)", name, b.slots[i-1].name)
+		si, ok := b.index[name]
+		if !ok {
+			si = b.intern(name)
 		}
-		si := b.intern(name)
 		sl := &b.slots[si]
-		sl.havePrev = p.Bool()
-		sl.prevUsage = p.Float()
-		for c := range b.cols {
-			cl := b.cell(si, c)
-			cl.havePrev = p.Bool()
-			cl.prevValue = p.Float()
-			cl.streak = p.Count(maxSnapCounter)
-			cl.firstAlarm = p.Varint()
-			cl.share = p.Float()
-			if err := p.Err(); err != nil {
-				return nil, err
+		c.Bool(&sl.havePrev)
+		c.Float(&sl.prevUsage)
+		for col := range b.cols {
+			cl := b.cell(si, col)
+			c.Bool(&cl.havePrev)
+			c.Float(&cl.prevValue)
+			c.Count(&cl.streak, maxSnapCounter)
+			c.Varint(&cl.firstAlarm)
+			c.Float(&cl.share)
+			if err := c.Err(); err != nil {
+				return err
 			}
-			if err := cl.trend.restoreWindow(p); err != nil {
-				return nil, fmt.Errorf("detect: bank snapshot %q/%s: %w", name, b.cols[c].resource, err)
+			if err := cl.trend.codecWindow(c); err != nil {
+				return fmt.Errorf("detect: bank snapshot %q/%s: %w", name, b.cols[col].resource, err)
 			}
 		}
 	}
-	b.growScratch(nslots)
-	b.Rows(nslots)
-	return b, p.Err()
+	if err := c.Err(); err != nil {
+		return err
+	}
+	if c.Decoding() {
+		b.growScratch(len(b.slots))
+		b.Rows(len(b.slots))
+	}
+	return nil
+}
+
+// Snapshot returns the bank's versioned binary state (see Codec).
+func (b *Bank) Snapshot() []byte {
+	c := binc.NewEncoder(nil)
+	b.Codec(c)
+	return c.Buffer()
 }
 
 // RestoreBank builds a Bank from a Snapshot buffer.
 func RestoreBank(data []byte) (*Bank, error) {
-	p := binc.NewParser(data)
-	b, err := RestoreBankSnapshot(p)
-	if err != nil {
+	c := binc.NewDecoder(data)
+	b := &Bank{}
+	if err := b.Codec(c); err != nil {
 		return nil, err
 	}
-	if err := p.Done(); err != nil {
+	if err := c.Done(); err != nil {
 		return nil, err
 	}
 	return b, nil
-}
-
-// ---- Monitor ----
-
-// Snapshot returns the monitor's versioned binary state: its one-column
-// bank's snapshot. The report ring is not serialised; a restored monitor
-// reports nothing until its next Observe.
-func (m *Monitor) Snapshot() []byte { return m.bank.Snapshot() }
-
-// RestoreMonitor builds a Monitor from a Snapshot buffer: a bank
-// snapshot of exactly one column.
-func RestoreMonitor(data []byte) (*Monitor, error) {
-	b, err := RestoreBank(data)
-	if err != nil {
-		return nil, err
-	}
-	if len(b.cols) != 1 {
-		return nil, fmt.Errorf("detect: monitor snapshot watches %d columns, want 1", len(b.cols))
-	}
-	return newMonitor(b), nil
 }

@@ -42,6 +42,16 @@ func snapTestConfig() Config {
 	return Config{Window: 20, MinSamples: 6, Consecutive: 3}
 }
 
+// restoreMonitor restores a bank snapshot as the Monitor of its first
+// column.
+func restoreMonitor(data []byte) (*Monitor, error) {
+	b, err := RestoreBank(data)
+	if err != nil {
+		return nil, err
+	}
+	return newMonitor(b), nil
+}
+
 func driveMonitor(m *Monitor, from, to int64, t0 time.Time) []string {
 	var out []string
 	for r := from; r <= to; r++ {
@@ -72,10 +82,10 @@ func TestMonitorSnapshotParity(t *testing.T) {
 			driveMonitor(full, 1, n, t0)
 			driveMonitor(cut, 1, n, t0)
 
-			snap := cut.Snapshot()
-			restored, err := RestoreMonitor(snap)
+			snap := cut.bank.Snapshot()
+			restored, err := restoreMonitor(snap)
 			if err != nil {
-				t.Fatalf("RestoreMonitor: %v", err)
+				t.Fatalf("restore: %v", err)
 			}
 			if restored.bank.Report(0) != nil {
 				t.Fatal("restored monitor must not publish a report before its first Observe")
@@ -91,7 +101,7 @@ func TestMonitorSnapshotParity(t *testing.T) {
 					t.Fatalf("round %d diverged after restore:\nuninterrupted:\n%s\nrestored:\n%s", int64(n)+int64(i)+1, wantReps[i], gotReps[i])
 				}
 			}
-			if !bytes.Equal(full.Snapshot(), restored.Snapshot()) {
+			if !bytes.Equal(full.bank.Snapshot(), restored.bank.Snapshot()) {
 				t.Fatal("final snapshots diverged after identical post-restore rounds")
 			}
 		})
@@ -109,7 +119,7 @@ func TestMonitorSnapshotParityMonotonicClock(t *testing.T) {
 	cut := NewMonitor("memory", snapTestConfig())
 	driveMonitor(full, 1, n, t0)
 	driveMonitor(cut, 1, n, t0)
-	restored, err := RestoreMonitor(cut.Snapshot())
+	restored, err := restoreMonitor(cut.bank.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,14 +139,32 @@ func TestMonitorSnapshotCanonical(t *testing.T) {
 	m := NewMonitor("memory", snapTestConfig())
 	t0 := time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)
 	driveMonitor(m, 1, 37, t0)
-	snap := m.Snapshot()
-	restored, err := RestoreMonitor(snap)
+	snap := m.bank.Snapshot()
+	restored, err := restoreMonitor(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(restored.Snapshot(), snap) {
+	if !bytes.Equal(restored.bank.Snapshot(), snap) {
 		t.Fatal("snapshot encoding is not canonical")
 	}
+}
+
+// windowBytes returns the coded window of o.
+func windowBytes(o *OnlineTrend) []byte {
+	c := binc.NewEncoder(nil)
+	o.codecWindow(c)
+	return c.Buffer()
+}
+
+// restoreWindow decodes a coded window into a new detector of o's
+// configuration.
+func restoreWindow(o *OnlineTrend, data []byte) (*OnlineTrend, error) {
+	r := NewOnlineTrend(o.window, o.alpha)
+	c := binc.NewDecoder(data)
+	if err := r.codecWindow(c); err != nil {
+		return nil, err
+	}
+	return r, c.Done()
 }
 
 func TestTrendSnapshotRoundTrip(t *testing.T) {
@@ -145,9 +173,8 @@ func TestTrendSnapshotRoundTrip(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		o.Push(t0.Add(time.Duration(i)*time.Second), float64(i*i%17))
 	}
-	snap := o.Snapshot()
-	r := NewOnlineTrend(4, 0.5) // different config: restore must adopt
-	if err := r.Restore(snap); err != nil {
+	r, err := restoreWindow(o, windowBytes(o))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(o.Result(), r.Result()) {
@@ -169,20 +196,36 @@ func TestTrendSnapshotRoundTrip(t *testing.T) {
 		o.Push(at, float64(i*i%17))
 		r.Push(at, float64(i*i%17))
 	}
-	if !bytes.Equal(o.Snapshot(), r.Snapshot()) {
+	if !bytes.Equal(windowBytes(o), windowBytes(r)) {
 		t.Fatal("trend snapshots diverged after continued pushes")
 	}
 }
 
 func TestTrendSnapshotEmpty(t *testing.T) {
 	o := NewOnlineTrend(8, 0.05)
-	r := NewOnlineTrend(8, 0.05)
-	if err := r.Restore(o.Snapshot()); err != nil {
+	r, err := restoreWindow(o, windowBytes(o))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Seen() != 0 || r.Len() != 0 {
 		t.Fatal("restored empty trend not empty")
 	}
+}
+
+// guardBytes returns the coded state of g.
+func guardBytes(g *ShiftGuard) []byte {
+	c := binc.NewEncoder(nil)
+	g.Codec(c)
+	return c.Buffer()
+}
+
+// restoreGuard decodes a coded guard into g.
+func restoreGuard(g *ShiftGuard, data []byte) error {
+	c := binc.NewDecoder(data)
+	if err := g.Codec(c); err != nil {
+		return err
+	}
+	return c.Done()
 }
 
 func TestShiftGuardSnapshotRoundTrip(t *testing.T) {
@@ -194,7 +237,7 @@ func TestShiftGuardSnapshotRoundTrip(t *testing.T) {
 	g.Observe(names, []float64{1, 40}) // shift
 	r := NewShiftGuard()
 	r.Observe(names, []float64{3, 3}) // state restore must overwrite
-	if err := r.Restore(g.Snapshot()); err != nil {
+	if err := restoreGuard(r, guardBytes(g)); err != nil {
 		t.Fatal(err)
 	}
 	if r.Suppressing() != g.Suppressing() || r.Distance() != g.Distance() ||
@@ -208,7 +251,7 @@ func TestShiftGuardSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("suppression diverged at continued round %d", i)
 		}
 	}
-	if !bytes.Equal(g.Snapshot(), r.Snapshot()) {
+	if !bytes.Equal(guardBytes(g), guardBytes(r)) {
 		t.Fatal("guard snapshots diverged after continued rounds")
 	}
 }
@@ -216,7 +259,7 @@ func TestShiftGuardSnapshotRoundTrip(t *testing.T) {
 func TestShiftGuardSnapshotNilRef(t *testing.T) {
 	g := NewShiftGuard()
 	r := NewShiftGuard()
-	if err := r.Restore(g.Snapshot()); err != nil {
+	if err := restoreGuard(r, guardBytes(g)); err != nil {
 		t.Fatal(err)
 	}
 	if r.seeded {
@@ -224,7 +267,7 @@ func TestShiftGuardSnapshotNilRef(t *testing.T) {
 	}
 	// A seeded-but-calm guard restores its reference.
 	g.Observe([]string{"a"}, []float64{5})
-	if err := r.Restore(g.Snapshot()); err != nil {
+	if err := restoreGuard(r, guardBytes(g)); err != nil {
 		t.Fatal(err)
 	}
 	if !r.seeded || len(r.ref) != 1 {
@@ -232,20 +275,26 @@ func TestShiftGuardSnapshotNilRef(t *testing.T) {
 	}
 }
 
+// TestEntropySnapshotRoundTrip restores every column's entropy detector
+// through a bank snapshot.
 func TestEntropySnapshotRoundTrip(t *testing.T) {
-	e := NewEntropyDetector(16, 0.05)
-	t0 := time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 20; i++ {
-		e.Observe(t0.Add(time.Duration(i)*time.Second), []float64{4, float64(1 + i)})
-	}
-	r := NewEntropyDetector(4, 0.5)
-	if err := r.Restore(e.Snapshot()); err != nil {
+	b := NewBank(fleetColumns())
+	driveFleet(b, 1, 30, 10)
+	r, err := RestoreBank(b.Snapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
-	lw, okw := e.Last()
-	lg, okg := r.Last()
-	if lw != lg || okw != okg || e.Alarming() != r.Alarming() {
-		t.Fatal("restored entropy state differs")
+	if _, ok := b.cols[0].entropy.Last(); !ok {
+		t.Fatal("premise broken: the memory column's entropy was never observed")
+	}
+	for c := range b.cols {
+		e, re := b.cols[c].entropy, r.cols[c].entropy
+		lw, okw := e.Last()
+		lg, okg := re.Last()
+		if lw != lg || okw != okg || e.Alarming() != re.Alarming() ||
+			b.cols[c].entropyStreak != r.cols[c].entropyStreak {
+			t.Fatalf("column %d: restored entropy state differs", c)
+		}
 	}
 }
 
@@ -272,7 +321,7 @@ func TestMonitorSnapshotGolden(t *testing.T) {
 		"9664963a8dd39e3f80e0aaedd8b6cd84230a0500000000000000a07f4080b09dc2df010000000000" +
 		"d07f4080e0ba84bf0300000000000080408090d8c69e05000000000018804080c0f588fe06000000" +
 		"0000308040"
-	got := hex.EncodeToString(m.Snapshot())
+	got := hex.EncodeToString(m.bank.Snapshot())
 	if got != want {
 		t.Fatalf("monitor snapshot bytes changed:\n got %s\nwant %s", got, want)
 	}
@@ -302,7 +351,7 @@ func TestSnapshotRejectsV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RestoreMonitor(data); !errors.Is(err, binc.ErrVersion) {
+	if _, err := restoreMonitor(data); !errors.Is(err, binc.ErrVersion) {
 		t.Fatalf("v1 monitor snapshot: err = %v, want binc.ErrVersion", err)
 	}
 }
@@ -329,7 +378,7 @@ func TestSnapshotRejectsV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RestoreMonitor(data); !errors.Is(err, binc.ErrVersion) {
+	if _, err := restoreMonitor(data); !errors.Is(err, binc.ErrVersion) {
 		t.Fatalf("v2 monitor snapshot: err = %v, want binc.ErrVersion", err)
 	}
 	if _, err := RestoreBank(data); !errors.Is(err, binc.ErrVersion) {
@@ -338,17 +387,15 @@ func TestSnapshotRejectsV2(t *testing.T) {
 }
 
 func TestSnapshotRejectsBadVersion(t *testing.T) {
-	m := NewMonitor("mem", Config{})
-	snap := m.Snapshot()
+	snap := NewBank(fleetColumns()).Snapshot()
 	snap[0] = 99
-	if _, err := RestoreMonitor(snap); err == nil {
-		t.Fatal("future version accepted")
+	if _, err := RestoreBank(snap); !errors.Is(err, binc.ErrVersion) {
+		t.Fatalf("future bank version: err = %v, want binc.ErrVersion", err)
 	}
-	o := NewOnlineTrend(8, 0.05)
-	ts := o.Snapshot()
-	ts[0] = 99
-	if err := o.Restore(ts); err == nil {
-		t.Fatal("future trend version accepted")
+	gs := guardBytes(NewShiftGuard())
+	gs[0] = 99
+	if err := restoreGuard(NewShiftGuard(), gs); !errors.Is(err, binc.ErrVersion) {
+		t.Fatalf("future shift guard version: err = %v, want binc.ErrVersion", err)
 	}
 }
 
@@ -356,14 +403,14 @@ func TestSnapshotRejectsTruncation(t *testing.T) {
 	m := NewMonitor("memory", snapTestConfig())
 	t0 := time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)
 	driveMonitor(m, 1, 20, t0)
-	snap := m.Snapshot()
+	snap := m.bank.Snapshot()
 	for _, cut := range []int{1, len(snap) / 4, len(snap) / 2, len(snap) - 1} {
-		if _, err := RestoreMonitor(snap[:cut]); err == nil {
+		if _, err := restoreMonitor(snap[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
 	// Trailing garbage must be rejected too.
-	if _, err := RestoreMonitor(append(append([]byte(nil), snap...), 0)); err == nil {
+	if _, err := restoreMonitor(append(append([]byte(nil), snap...), 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
 }
@@ -398,17 +445,17 @@ func TestBankSnapshotRejectsHostileCounters(t *testing.T) {
 	}
 }
 
+// TestTrendSnapshotRejectsNonFinite overwrites the last float of a bank
+// snapshot — the newest sample of the last component's last trend — with
+// NaN, which the window's NaN list does not declare.
 func TestTrendSnapshotRejectsNonFinite(t *testing.T) {
-	o := NewOnlineTrend(8, 0.05)
-	t0 := time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)
-	o.Push(t0, 1)
-	o.Push(t0.Add(time.Second), 2)
-	snap := o.Snapshot()
-	// Overwrite the last float (newest y) with NaN.
-	nan := binc.AppendFloat(nil, math.NaN())
-	copy(snap[len(snap)-8:], nan)
-	if err := o.Restore(snap); err == nil {
-		t.Fatal("NaN window sample accepted")
+	b := NewBank(fleetColumns())
+	driveFleet(b, 1, 8, 100)
+	snap := b.Snapshot()
+	copy(snap[len(snap)-8:], binc.AppendFloat(nil, math.NaN()))
+	const want = `detect: bank snapshot "app.comp13"/handles: detect: trend snapshot sample 6: NaN outside the NaN list`
+	if _, err := RestoreBank(snap); err == nil || err.Error() != want {
+		t.Fatalf("NaN window sample: err = %v, want %q", err, want)
 	}
 }
 
@@ -442,36 +489,45 @@ func TestSnapshotFuzzSeedOutcomes(t *testing.T) {
 }
 
 // FuzzSnapshotRoundTrip is the snapshot fuzz target CI smokes: any buffer
-// RestoreMonitor accepts must re-encode to the identical bytes (canonical
-// encoding), and the restored monitor must survive an Observe round.
+// RestoreBank accepts must re-encode to the identical bytes (canonical
+// encoding), and the restored bank must survive an Observe round.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	t0 := time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)
 	empty := NewMonitor("memory", Config{})
-	f.Add(empty.Snapshot())
+	f.Add(empty.bank.Snapshot())
 	seeded := NewMonitor("memory", snapTestConfig())
 	driveMonitor(seeded, 1, 24, t0)
-	f.Add(seeded.Snapshot())
+	f.Add(seeded.bank.Snapshot())
 	perInv := NewMonitor("cpu", Config{Window: 12, PerInvocation: true})
 	driveMonitor(perInv, 1, 9, t0)
-	f.Add(perInv.Snapshot())
+	f.Add(perInv.bank.Snapshot())
+	fleet := NewBank(fleetColumns())
+	driveFleet(fleet, 1, 12, 6)
+	f.Add(fleet.Snapshot())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := RestoreMonitor(data)
+		b, err := RestoreBank(data)
 		if err != nil {
 			return
 		}
-		if got := m.Snapshot(); !bytes.Equal(got, data) {
+		if got := b.Snapshot(); !bytes.Equal(got, data) {
 			t.Fatalf("accepted snapshot is not canonical:\n in %x\nout %x", data, got)
 		}
-		// The restored monitor must be fully operational.
-		rep := m.Observe(t0.Add(time.Hour), []Observation{
-			{Component: "steady", Value: 1, Usage: 1},
-			{Component: "fresh", Value: 2, Usage: 2},
-		})
-		if rep == nil {
-			t.Fatal("restored monitor returned nil report")
+		// The restored bank must be fully operational.
+		rows := b.Rows(2)
+		for i, name := range []string{"steady", "fresh"} {
+			rows[i].Component, rows[i].Usage, rows[i].Missing = name, float64(i+1), 0
+			for c := range rows[i].Values {
+				rows[i].Values[c] = float64(i + 1)
+			}
 		}
-		if _, err := RestoreMonitor(m.Snapshot()); err != nil {
+		b.Observe(t0.Add(time.Hour), rows)
+		for c := range b.cols {
+			if b.Report(c) == nil {
+				t.Fatalf("restored bank reports nothing for column %d after a round", c)
+			}
+		}
+		if _, err := RestoreBank(b.Snapshot()); err != nil {
 			t.Fatalf("re-snapshot after Observe not restorable: %v", err)
 		}
 	})

@@ -88,8 +88,8 @@ func TestOnlineTrendDifferential(t *testing.T) {
 							o.Reset()
 							xs, ys = xs[:0], ys[:0]
 						case 3*window + 7:
-							r := NewOnlineTrend(4, 0.5)
-							if err := r.Restore(o.Snapshot()); err != nil {
+							r, err := restoreWindow(o, windowBytes(o))
+							if err != nil {
 								t.Fatal(err)
 							}
 							o = r

@@ -26,7 +26,8 @@ package rejuv
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/binc"
 	"repro/internal/cluster"
@@ -42,7 +43,6 @@ const rejuvSnapVersion = 1
 // Decode bounds: a corrupt or hostile snapshot can never drive an
 // allocation or a counter beyond these.
 const (
-	maxRejuvStr     = 4096
 	maxRejuvNodes   = 1 << 16
 	maxRejuvHold    = 1 << 20
 	maxRejuvHistory = 1 << 20
@@ -53,64 +53,9 @@ const (
 func (c *Controller) AppendSnapshot(dst []byte) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-
-	dst = append(dst, rejuvSnapMagic[:]...)
-	dst = append(dst, rejuvSnapVersion)
-
-	dst = binc.AppendUvarint(dst, uint64(c.cfg.HoldDownEpochs))
-	dst = binc.AppendUvarint(dst, uint64(c.cfg.MaxConcurrent))
-	dst = binc.AppendUvarint(dst, uint64(c.cfg.DrainEpochs))
-	dst = binc.AppendUvarint(dst, uint64(c.cfg.RebootEpochs))
-	dst = binc.AppendUvarint(dst, uint64(c.cfg.ProbationEpochs))
-	dst = binc.AppendUvarint(dst, uint64(c.cfg.ProbationWeight))
-	dst = binc.AppendUvarint(dst, uint64(c.cfg.HealthyWeight))
-	dst = binc.AppendUvarint(dst, uint64(c.cfg.CooldownEpochs))
-	dst = binc.AppendUvarint(dst, uint64(c.cfg.HistoryCap))
-
-	dst = binc.AppendVarint(dst, c.epoch)
-	dst = binc.AppendVarint(dst, c.counters.Rejuvenations)
-	dst = binc.AppendVarint(dst, c.counters.FreedBytes)
-	dst = binc.AppendVarint(dst, c.counters.Rollbacks)
-	dst = binc.AppendVarint(dst, c.counters.ControlLost)
-	dst = binc.AppendVarint(dst, c.counters.ForcedDrains)
-	dst = binc.AppendVarint(dst, c.counters.ClusterWideVetoes)
-
-	cw := make([]string, 0, len(c.cwSeen))
-	for comp := range c.cwSeen {
-		cw = append(cw, comp)
-	}
-	sort.Strings(cw)
-	dst = binc.AppendUvarint(dst, uint64(len(cw)))
-	for _, comp := range cw {
-		dst = binc.AppendString(dst, comp)
-	}
-
-	dst = binc.AppendUvarint(dst, uint64(len(c.order)))
-	for _, name := range c.order {
-		n := c.nodes[name]
-		dst = binc.AppendString(dst, n.name)
-		dst = append(dst, byte(n.state))
-		dst = binc.AppendString(dst, n.suspect)
-		dst = binc.AppendUvarint(dst, uint64(n.hold))
-		dst = binc.AppendVarint(dst, n.since)
-		dst = binc.AppendVarint(dst, n.cooldownUntil)
-		dst = binc.AppendVarint(dst, n.cycles)
-		dst = binc.AppendVarint(dst, n.freed)
-		dst = binc.AppendBool(dst, n.ackDone)
-		dst = binc.AppendBool(dst, n.ackOK)
-		dst = binc.AppendString(dst, n.ackErr)
-		dst = binc.AppendVarint(dst, n.ackFree)
-	}
-
-	dst = binc.AppendUvarint(dst, uint64(len(c.history)))
-	for _, ev := range c.history {
-		dst = binc.AppendVarint(dst, ev.Epoch)
-		dst = binc.AppendString(dst, ev.Node)
-		dst = binc.AppendString(dst, ev.Component)
-		dst = append(dst, byte(ev.From), byte(ev.To))
-		dst = binc.AppendString(dst, ev.Note)
-	}
-	return dst
+	cd := binc.NewEncoder(dst)
+	c.codec(cd)
+	return cd.Buffer()
 }
 
 // Snapshot returns the controller's durable state as a fresh buffer.
@@ -125,142 +70,105 @@ func (c *Controller) Restore(data []byte) error {
 	if c.epoch != 0 || len(c.nodes) != 0 || len(c.history) != 0 {
 		return errors.New("rejuv: restore target is not a fresh controller")
 	}
+	cd := binc.NewDecoder(data)
+	if err := c.codec(cd); err != nil {
+		return err
+	}
+	return cd.Done()
+}
 
-	p := binc.NewParser(data)
-	var magic [4]byte
+// codec codes the controller's durable state: its configuration, the
+// epoch and counters, the veto latches, every node's FSM in name order
+// and the transition history. Caller holds c.mu.
+func (c *Controller) codec(cd *binc.Codec) error {
+	magic := rejuvSnapMagic
 	for i := range magic {
-		magic[i] = p.Byte()
+		cd.Byte(&magic[i])
 	}
-	if p.Err() == nil && magic != rejuvSnapMagic {
-		return fmt.Errorf("rejuv: bad snapshot magic %q", magic[:])
-	}
-	if v := p.Byte(); p.Err() == nil && v != rejuvSnapVersion {
-		return fmt.Errorf("rejuv: %w: %d", binc.ErrVersion, v)
-	}
+	cd.Check(magic == rejuvSnapMagic, "rejuv: bad snapshot magic %q", magic[:])
+	v := byte(rejuvSnapVersion)
+	cd.Byte(&v)
+	cd.Check(v == rejuvSnapVersion, "rejuv: %w: %d", binc.ErrVersion, v)
 
-	var cfg Config
+	cfg := c.cfg
 	for _, f := range []*int{
 		&cfg.HoldDownEpochs, &cfg.MaxConcurrent, &cfg.DrainEpochs,
 		&cfg.RebootEpochs, &cfg.ProbationEpochs, &cfg.ProbationWeight,
 		&cfg.HealthyWeight, &cfg.CooldownEpochs, &cfg.HistoryCap,
 	} {
-		v := p.Uvarint()
-		if p.Err() != nil {
-			return p.Err()
-		}
-		if v == 0 || v > maxRejuvHold {
-			return fmt.Errorf("rejuv: snapshot config field %d out of range", v)
-		}
-		*f = int(v)
+		u := uint64(*f)
+		cd.Uvarint(&u)
+		cd.Check(u != 0 && u <= maxRejuvHold, "rejuv: snapshot config field %d out of range", u)
+		*f = int(u)
 	}
-	if cfg != c.cfg {
-		return fmt.Errorf("rejuv: snapshot config %+v does not match controller config %+v", cfg, c.cfg)
-	}
+	cd.Check(cfg == c.cfg, "rejuv: snapshot config %+v does not match controller config %+v", cfg, c.cfg)
 
-	epoch := p.Varint()
-	var counters Counters
+	cd.Varint(&c.epoch)
 	for _, f := range []*int64{
-		&counters.Rejuvenations, &counters.FreedBytes, &counters.Rollbacks,
-		&counters.ControlLost, &counters.ForcedDrains, &counters.ClusterWideVetoes,
+		&c.counters.Rejuvenations, &c.counters.FreedBytes, &c.counters.Rollbacks,
+		&c.counters.ControlLost, &c.counters.ForcedDrains, &c.counters.ClusterWideVetoes,
 	} {
-		*f = p.Varint()
-		if p.Err() == nil && (*f < 0 || *f > maxRejuvCounter) {
-			return fmt.Errorf("rejuv: snapshot counter %d out of range", *f)
-		}
+		cd.Varint(f)
+		cd.Check(*f >= 0 && *f <= maxRejuvCounter, "rejuv: snapshot counter %d out of range", *f)
 	}
-	if p.Err() == nil && (epoch < 0 || epoch > maxRejuvCounter) {
-		return fmt.Errorf("rejuv: snapshot epoch %d out of range", epoch)
+	cd.Check(c.epoch >= 0 && c.epoch <= maxRejuvCounter, "rejuv: snapshot epoch %d out of range", c.epoch)
+
+	for ks := cd.Sorted(slices.Collect(maps.Keys(c.cwSeen)), maxRejuvNodes); ks.Next(); {
+		cd.Check(ks.Key() != "" && ks.InOrder(), "rejuv: snapshot veto latches not canonical at %q", ks.Key())
+		if cd.Decoding() {
+			c.cwSeen[ks.Key()] = true
+		}
 	}
 
-	cwSeen := make(map[string]bool)
-	nCW := p.Count(maxRejuvNodes)
-	prev := ""
-	for i := 0; i < nCW; i++ {
-		comp := p.String(maxRejuvStr)
-		if p.Err() != nil {
-			return p.Err()
+	for ks := cd.Sorted(c.order, maxRejuvNodes); ks.Next(); {
+		n := c.nodes[ks.Key()]
+		if n == nil {
+			n = &nodeFSM{name: ks.Key()}
+			c.nodes[n.name] = n
+			c.order = append(c.order, n.name)
 		}
-		if comp == "" || (i > 0 && comp <= prev) {
-			return fmt.Errorf("rejuv: snapshot veto latches not canonical at %q", comp)
-		}
-		prev = comp
-		cwSeen[comp] = true
-	}
-
-	nNodes := p.Count(maxRejuvNodes)
-	nodes := make(map[string]*nodeFSM, nNodes)
-	order := make([]string, 0, nNodes)
-	prev = ""
-	for i := 0; i < nNodes; i++ {
-		n := &nodeFSM{}
-		n.name = p.String(maxRejuvStr)
-		n.state = State(p.Byte())
-		n.suspect = p.String(maxRejuvStr)
-		hold := p.Uvarint()
-		n.since = p.Varint()
-		n.cooldownUntil = p.Varint()
-		n.cycles = p.Varint()
-		n.freed = p.Varint()
-		n.ackDone = p.Bool()
-		n.ackOK = p.Bool()
-		n.ackErr = p.String(maxRejuvStr)
-		n.ackFree = p.Varint()
-		if p.Err() != nil {
-			return p.Err()
-		}
-		if n.name == "" || (i > 0 && n.name <= prev) {
-			return fmt.Errorf("rejuv: snapshot nodes not canonical at %q", n.name)
-		}
-		prev = n.name
-		if n.state > Probation {
-			return fmt.Errorf("rejuv: node %s has invalid state %d", n.name, n.state)
-		}
-		if hold > maxRejuvHold {
-			return fmt.Errorf("rejuv: node %s hold %d out of range", n.name, hold)
-		}
+		hold := uint64(n.hold)
+		cd.Byte((*byte)(&n.state))
+		cd.String(&n.suspect)
+		cd.Uvarint(&hold)
+		cd.Varint(&n.since)
+		cd.Varint(&n.cooldownUntil)
+		cd.Varint(&n.cycles)
+		cd.Varint(&n.freed)
+		cd.Bool(&n.ackDone)
+		cd.Bool(&n.ackOK)
+		cd.String(&n.ackErr)
+		cd.Varint(&n.ackFree)
+		cd.Check(n.name != "" && ks.InOrder(), "rejuv: snapshot nodes not canonical at %q", n.name)
+		cd.Check(n.state <= Probation, "rejuv: node %s has invalid state %d", n.name, n.state)
+		cd.Check(hold <= maxRejuvHold, "rejuv: node %s hold %d out of range", n.name, hold)
 		n.hold = int(hold)
 		for _, v := range []int64{n.since, n.cooldownUntil, n.cycles, n.freed, n.ackFree} {
-			if v < 0 || v > maxRejuvCounter {
-				return fmt.Errorf("rejuv: node %s counter %d out of range", n.name, v)
-			}
+			cd.Check(v >= 0 && v <= maxRejuvCounter, "rejuv: node %s counter %d out of range", n.name, v)
 		}
-		nodes[n.name] = n
-		order = append(order, n.name)
 	}
 
-	nHist := p.Count(maxRejuvHistory)
-	if p.Err() == nil && nHist > cfg.HistoryCap {
-		return fmt.Errorf("rejuv: snapshot history %d exceeds cap %d", nHist, cfg.HistoryCap)
-	}
-	history := make([]Event, 0, nHist)
-	for i := 0; i < nHist; i++ {
-		var ev Event
-		ev.Epoch = p.Varint()
-		ev.Node = p.String(maxRejuvStr)
-		ev.Component = p.String(maxRejuvStr)
-		ev.From = State(p.Byte())
-		ev.To = State(p.Byte())
-		ev.Note = p.String(maxRejuvStr)
-		if p.Err() != nil {
-			return p.Err()
-		}
-		if ev.Node == "" || ev.From > Probation || ev.To > Probation ||
-			ev.Epoch < 0 || ev.Epoch > maxRejuvCounter {
-			return fmt.Errorf("rejuv: snapshot history event %d not valid", i)
-		}
-		history = append(history, ev)
-	}
-	if err := p.Done(); err != nil {
+	nHist := len(c.history)
+	cd.Count(&nHist, maxRejuvHistory)
+	cd.Check(nHist <= c.cfg.HistoryCap, "rejuv: snapshot history %d exceeds cap %d", nHist, c.cfg.HistoryCap)
+	if err := cd.Err(); err != nil {
 		return err
 	}
-
-	c.epoch = epoch
-	c.counters = counters
-	c.cwSeen = cwSeen
-	c.nodes = nodes
-	c.order = order
-	c.history = history
-	return nil
+	if cd.Decoding() {
+		c.history = make([]Event, nHist)
+	}
+	for i := range c.history {
+		ev := &c.history[i]
+		cd.Varint(&ev.Epoch)
+		cd.String(&ev.Node)
+		cd.String(&ev.Component)
+		cd.Byte((*byte)(&ev.From))
+		cd.Byte((*byte)(&ev.To))
+		cd.String(&ev.Note)
+		cd.Check(ev.Node != "" && ev.From <= Probation && ev.To <= Probation &&
+			ev.Epoch >= 0 && ev.Epoch <= maxRejuvCounter, "rejuv: snapshot history event %d not valid", i)
+	}
+	return cd.Err()
 }
 
 // ReconcileOrphans re-anchors in-flight actuation after a standby
