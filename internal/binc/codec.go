@@ -43,14 +43,9 @@ func (c *Codec) Buffer() []byte { return c.buf }
 // Check — and nil while there is none, and always when encoding.
 func (c *Codec) Err() error { return c.p.err }
 
-// Done returns Err, and when decoding fails if bytes remain unread: a
-// snapshot must be read exactly.
-func (c *Codec) Done() error {
-	if !c.dec {
-		return nil
-	}
-	return c.p.Done()
-}
+// Done returns Err, or else fails if bytes remain unread: a snapshot
+// must be read exactly.
+func (c *Codec) Done() error { return c.p.Done() }
 
 // Check fails a decoder whose input has not failed yet with
 // fmt.Errorf(format, args...) unless ok holds. Like a parse error the
