@@ -114,6 +114,16 @@ func TestShardedDriverOpenLoopDeterministic(t *testing.T) {
 			t.Fatalf("shards=%d trace hash %#x, want %#x", shards, got.TraceHash(), ref.TraceHash())
 		}
 	}
+
+	// The pinned constant, as in the closed-loop golden: a change to the
+	// arrival process that moved every shard count alike would pass the
+	// cross-shard equality above.
+	const goldenHash = uint64(0xc4edf82bf67cbc43) // recorded on linux/amd64
+	if runtime.GOARCH == "amd64" {
+		if h := ref.TraceHash(); h != goldenHash {
+			t.Errorf("golden open-loop trace hash drifted: got %#x, want %#x (re-pin only with an intentional workload change)", h, goldenHash)
+		}
+	}
 }
 
 // TestShardedDriverOpenLoopShedsWhenFull pins the overload behaviour:
