@@ -54,23 +54,15 @@
 //	tpcwsim -load -sessions 1000000 -shards 4 -duration 2m
 //	tpcwsim -load -arrival open -rate 5000 -duration 2m
 //
-// A fleet splits the load over K driver processes paced by a coordinator
-// (sessions are owned by id mod K, so any K produces identical merged
-// results):
+// Sessions map to shards by id, so any -shards produces identical results
+// on the model backend.
 //
-//	tpcwsim -load -role coordinator -drivers 2 -coord :9991 -duration 2m &
-//	tpcwsim -load -role driver -driver-index 0 -drivers 2 -coord localhost:9991 -sessions 1000000 -duration 2m &
-//	tpcwsim -load -role driver -driver-index 1 -drivers 2 -coord localhost:9991 -sessions 1000000 -duration 2m
-//
-// -drivers K with the default -role local runs the same K-way fleet
-// in-process over pipes — the protocol without the deployment.
-//
-// -load -monitor (container backend, local single-driver role) attaches
-// the full monitoring plane to the load tier: each shard's framework
-// samples its container stack and ships rounds over a batched binary
-// wire into the sharded aggregator, and the run prints rounds ingested,
-// ingest rate and verdict (fold) latency — the fleet-scale measurement
-// the aggregation plane exists for. Size -workers for the offered load
+// -load -monitor (container backend) attaches the full monitoring plane
+// to the load tier: each shard's framework samples its container stack
+// and ships rounds over a batched binary wire into the sharded
+// aggregator, and the run prints rounds ingested, ingest rate and
+// verdict (fold) latency — the fleet-scale measurement the aggregation
+// plane exists for. Size -workers for the offered load
 // (a 50-worker default container sheds almost everything a fleet-scale
 // population throws at it), and optionally arm the leak on one shard so
 // the verdict has something to name:
@@ -123,14 +115,10 @@ func main() {
 
 		load      = flag.Bool("load", false, "run the million-session load tier instead of the monitored testbed")
 		sessions  = flag.Int("sessions", 100000, "load tier: closed-loop session population")
-		shards    = flag.Int("shards", 1, "load tier: per-core event-engine shards per process")
+		shards    = flag.Int("shards", 1, "load tier: per-core event-engine shards")
 		arrival   = flag.String("arrival", "closed", "load tier: arrival discipline, closed or open")
 		rate      = flag.Float64("rate", 1000, "load tier: open-loop arrival rate (sessions/second)")
 		backend   = flag.String("backend", "model", "load tier: backend, model or container")
-		drivers   = flag.Int("drivers", 1, "load tier: driver process fleet size K")
-		role      = flag.String("role", "local", "load tier: local, coordinator or driver")
-		coord     = flag.String("coord", ":9991", "load tier: coordinator address (listen or dial)")
-		drvIndex  = flag.Int("driver-index", 0, "load tier: this driver's index in the fleet")
 		monitor   = flag.Bool("monitor", false, "load tier: attach the monitoring plane (container backend only)")
 		workers   = flag.Int("workers", 0, "load tier: container workers per shard (0 = servlet default of 50; size for the offered load at large populations)")
 		leakShard = flag.Int("leakshard", -1, "load tier: arm the -leak injection on this shard index (-1 = no injection)")
@@ -152,10 +140,6 @@ func main() {
 			arrival:   *arrival,
 			rate:      *rate,
 			backend:   *backend,
-			drivers:   *drivers,
-			role:      *role,
-			coord:     *coord,
-			index:     *drvIndex,
 			seed:      *seed,
 			monitor:   *monitor,
 			interval:  *monIntvl,

@@ -288,13 +288,13 @@ func TestDriverPopulationChurnAllocFree(t *testing.T) {
 			Phase{Duration: cycle / 2, EBs: 30, Mix: Shopping},
 			Phase{Duration: cycle / 2, EBs: 0, Mix: Ordering})
 	}
-	if _, err := d.Start(phases); err != nil {
+	if _, err := d.start(phases); err != nil {
 		t.Fatal(err)
 	}
 	at := d.group.Now()
 	churn := func() {
 		at = at.Add(cycle)
-		d.AdvanceTo(at)
+		d.advance(at, nil)
 	}
 	churn() // warm: the request pools and the timer arena reach steady state
 	churn()

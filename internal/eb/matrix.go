@@ -6,8 +6,7 @@
 // slot per browser) and one driver (ShardedDriver): a phase schedule
 // changes the concurrent EB population and the mix over virtual time —
 // the 50 → 100 → 200 EB schedule of Fig. 3 on one engine shard — and the
-// same driver spreads a million sessions over one shard per core, or over
-// a fleet of driver processes paced through the wire in wire.go.
+// same driver spreads a million sessions over one shard per core.
 package eb
 
 import (

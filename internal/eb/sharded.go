@@ -63,8 +63,6 @@ const (
 type ShardedConfig struct {
 	// Shards is the engine count (default 1).
 	Shards int
-	// Window is the bounded-lag pacing window (default 100ms).
-	Window time.Duration
 	// Seed derives every session and lane stream.
 	Seed uint64
 	// Mix selects the transition matrix Run drives (a schedule names a mix
@@ -90,31 +88,23 @@ type ShardedConfig struct {
 	// split into per-lane admission budgets (laneCapacity). An arrival on
 	// a lane at its budget is dropped and counted. Because budget, live
 	// count and arrival stream are all lane-local, shedding is itself
-	// deterministic across shard and driver counts — a saturated sweep
-	// produces the same drops and the same checksum for any N and K.
+	// deterministic across shard counts — a saturated sweep produces the
+	// same drops and the same checksum for any N.
 	MaxSessions int
 
 	// RecordTrace keeps the (time, session) completion log for golden
 	// comparisons. Off for the million-session benchmark: the log is the
 	// only per-completion allocation in the driver.
 	RecordTrace bool
-
-	// DriverIndex / DriverCount place this driver process in a K-way
-	// multi-process fleet: it owns sessions with id ≡ DriverIndex (mod
-	// DriverCount) and arrival lanes likewise. Defaults to the whole load
-	// (0 of 1). Ownership is by global id, so the union of K partitions
-	// runs exactly the sessions one driver would — the K-parity test pins
-	// the merged telemetry equal.
-	DriverIndex int
-	DriverCount int
 }
+
+// pacingWindow is the shard group's bounded-lag window: no shard's clock
+// leads another's by more than this.
+const pacingWindow = 100 * time.Millisecond
 
 func (c ShardedConfig) withDefaults() ShardedConfig {
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.Window <= 0 {
-		c.Window = 100 * time.Millisecond
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -130,9 +120,6 @@ func (c ShardedConfig) withDefaults() ShardedConfig {
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 65536
-	}
-	if c.DriverCount <= 0 {
-		c.DriverCount = 1
 	}
 	return c
 }
@@ -222,9 +209,6 @@ func NewShardedDriver(cfg ShardedConfig, factory TargetFactory) *ShardedDriver {
 	if cfg.Arrival == OpenLoop && cfg.Rate <= 0 {
 		panic("eb: open-loop ShardedDriver needs Rate > 0")
 	}
-	if cfg.DriverIndex < 0 || cfg.DriverIndex >= cfg.DriverCount {
-		panic(fmt.Sprintf("eb: driver %d of %d", cfg.DriverIndex, cfg.DriverCount))
-	}
 	if factory == nil {
 		factory = func(_ int, engine *sim.Engine) Target {
 			return NewModelTarget(engine, cfg.Seed, 5*time.Millisecond, 20*time.Millisecond, cfg.Items)
@@ -236,7 +220,7 @@ func NewShardedDriver(cfg ShardedConfig, factory TargetFactory) *ShardedDriver {
 
 	d := &ShardedDriver{
 		cfg:      cfg,
-		group:    sim.NewShardGroup(cfg.Shards, cfg.Window),
+		group:    sim.NewShardGroup(cfg.Shards, pacingWindow),
 		shards:   make([]*driverShard, cfg.Shards),
 		stopProb: 1 / float64(cfg.MeanSessionLength),
 	}
@@ -247,22 +231,17 @@ func NewShardedDriver(cfg ShardedConfig, factory TargetFactory) *ShardedDriver {
 	for i := range d.shards {
 		sh := &driverShard{d: d, engine: d.group.Shard(i), population: math.MaxInt64}
 		if cfg.Arrival == OpenLoop {
-			// Of the lanes this driver process owns (lane ≡ DriverIndex mod
-			// DriverCount), shard i takes every Shards-th one. Each lane
-			// carries its own admission budget — a pure function of
-			// (MaxSessions, lane) — so the shard's slot capacity is the sum
-			// over its lanes and a lane under budget always finds a slot.
-			owned := 0
-			for lane := int64(cfg.DriverIndex); lane < arrivalLanes; lane += int64(cfg.DriverCount) {
-				if owned%cfg.Shards == i {
-					sh.lanes = append(sh.lanes, lane)
-					// Lane labels live above 2^32 so they never collide with
-					// session labels (id+1).
-					sh.laneRng = append(sh.laneRng, sim.DeriveRand64(cfg.Seed, 1<<32+uint64(lane)))
-					sh.laneNextID = append(sh.laneNextID, lane)
-					sh.laneCap = append(sh.laneCap, laneCapacity(cfg.MaxSessions, lane))
-				}
-				owned++
+			// Shard i owns lanes ≡ i (mod Shards). Each lane carries its
+			// own admission budget — a pure function of (MaxSessions, lane)
+			// — so the shard's slot capacity is the sum over its lanes and a
+			// lane under budget always finds a slot.
+			for lane := int64(i); lane < arrivalLanes; lane += int64(cfg.Shards) {
+				sh.lanes = append(sh.lanes, lane)
+				// Lane labels live above 2^32 so they never collide with
+				// session labels (id+1).
+				sh.laneRng = append(sh.laneRng, sim.DeriveRand64(cfg.Seed, 1<<32+uint64(lane)))
+				sh.laneNextID = append(sh.laneNextID, lane)
+				sh.laneCap = append(sh.laneCap, laneCapacity(cfg.MaxSessions, lane))
 			}
 			sh.laneLive = make([]int32, len(sh.lanes))
 			sh.laneFn = sh.arrive
@@ -291,7 +270,7 @@ func NewShardedDriver(cfg ShardedConfig, factory TargetFactory) *ShardedDriver {
 
 // laneCapacity is lane's share of the MaxSessions admission budget:
 // a pure function of (MaxSessions, lane), so whether an arrival is
-// admitted or shed never depends on shard or driver count.
+// admitted or shed never depends on shard count.
 func laneCapacity(maxSessions int, lane int64) int32 {
 	c := int32(maxSessions / arrivalLanes)
 	if lane < int64(maxSessions%arrivalLanes) {
@@ -319,10 +298,9 @@ func (sh *driverShard) grow(capacity int) {
 	}
 }
 
-// shardCapacity returns shard i's table size: its share of this driver
-// process's slice of a closed population of sessions, or — open loop — the
-// sum of its lanes' admission budgets (so a lane under budget always finds
-// a free slot).
+// shardCapacity returns shard i's table size: its share of a closed
+// population of sessions, or — open loop — the sum of its lanes' admission
+// budgets (so a lane under budget always finds a free slot).
 func (d *ShardedDriver) shardCapacity(i, sessions int, sh *driverShard) int {
 	if d.cfg.Arrival == OpenLoop {
 		capacity := 0
@@ -334,12 +312,8 @@ func (d *ShardedDriver) shardCapacity(i, sessions int, sh *driverShard) int {
 		}
 		return capacity
 	}
-	owned := (sessions - d.cfg.DriverIndex + d.cfg.DriverCount - 1) / d.cfg.DriverCount
-	if owned < 0 {
-		owned = 0
-	}
-	capacity := owned / d.cfg.Shards
-	if i < owned%d.cfg.Shards {
+	capacity := sessions / d.cfg.Shards
+	if i < sessions%d.cfg.Shards {
 		capacity++
 	}
 	if capacity < 1 {
@@ -348,7 +322,7 @@ func (d *ShardedDriver) shardCapacity(i, sessions int, sh *driverShard) int {
 	return capacity
 }
 
-// Shards reports the per-process engine count.
+// Shards reports the engine count.
 func (d *ShardedDriver) Shards() int { return len(d.shards) }
 
 // Mix reports the configured mix: the one Run walks, and the one a caller
@@ -356,21 +330,14 @@ func (d *ShardedDriver) Shards() int { return len(d.shards) }
 // it does not inherit this one).
 func (d *ShardedDriver) Mix() Mix { return d.cfg.Mix }
 
-// Steady returns the one-phase schedule Run drives: the configured
-// population on the configured mix for duration.
-func (d *ShardedDriver) Steady(duration time.Duration) []Phase {
-	return []Phase{{Duration: duration, EBs: d.cfg.Sessions, Mix: d.cfg.Mix}}
-}
-
-// Start arms a schedule from the current instant without advancing time,
-// replacing whatever is left of an earlier one. Pair with AdvanceTo for
-// externally-paced runs (the multi-process wire); RunSchedule wraps both.
-// A schedule the driver cannot run is rejected with an error naming the
-// first offending phase; an open-loop driver's load is set by its arrival
-// rate, so it takes exactly one phase and ignores its EBs. Tables and
-// telemetry are sized here for the schedule's peak and end — the instant
-// returned — so driving it allocates nothing.
-func (d *ShardedDriver) Start(phases []Phase) (end time.Time, err error) {
+// start arms a schedule from the current instant without advancing time,
+// replacing whatever is left of an earlier one. A schedule the driver
+// cannot run is rejected with an error naming the first offending phase;
+// an open-loop driver's load is set by its arrival rate, so it takes
+// exactly one phase and ignores its EBs. Tables and telemetry are sized
+// here for the schedule's peak and end — the instant returned — so
+// driving it allocates nothing.
+func (d *ShardedDriver) start(phases []Phase) (end time.Time, err error) {
 	if len(phases) == 0 {
 		return end, fmt.Errorf("eb: empty phase schedule")
 	}
@@ -421,16 +388,12 @@ func (d *ShardedDriver) enter(ph Phase) {
 	for _, sh := range d.shards {
 		sh.population = int64(ph.EBs)
 	}
-	// Of the ids this driver process owns (id ≡ DriverIndex mod
-	// DriverCount), shards take turns: owned-index → shard by modulo, slot
-	// by division. Dense per-shard tables, shard- and driver-count
-	// independent global ids.
-	k, kn := int64(d.cfg.DriverIndex), int64(d.cfg.DriverCount)
+	// Shards take turns: id → shard by modulo, slot by division. Dense
+	// per-shard tables, shard-count independent global ids.
 	shards := int64(d.cfg.Shards)
-	for id := k; id < int64(ph.EBs); id += kn {
-		j := (id - k) / kn
-		sh := d.shards[j%shards]
-		slot := int(j / shards)
+	for id := int64(0); id < int64(ph.EBs); id++ {
+		sh := d.shards[id%shards]
+		slot := int(id / shards)
 		if sh.running[slot] {
 			continue // never stopped: its pending step finds it back in the population
 		}
@@ -446,12 +409,9 @@ func (d *ShardedDriver) enter(ph Phase) {
 	}
 }
 
-// AdvanceTo drives all shards to the given virtual instant (a barrier per
+// advance drives all shards to the given virtual instant (a barrier per
 // pacing window), entering each armed phase at its boundary — after the
-// events of that instant. The multi-process coordinator calls this once
-// per granted window.
-func (d *ShardedDriver) AdvanceTo(now time.Time) { d.advance(now, nil) }
-
+// events of that instant.
 func (d *ShardedDriver) advance(to time.Time, onWindow func(now time.Time)) {
 	for d.next < len(d.phases) && !d.nextAt.After(to) {
 		d.group.RunUntil(d.nextAt, onWindow)
@@ -466,7 +426,7 @@ func (d *ShardedDriver) advance(to time.Time, onWindow func(now time.Time)) {
 // RunSchedule drives the load through phases, from the current instant to
 // the end of the last one.
 func (d *ShardedDriver) RunSchedule(phases []Phase, onWindow func(now time.Time)) error {
-	end, err := d.Start(phases)
+	end, err := d.start(phases)
 	if err != nil {
 		return err
 	}
@@ -477,7 +437,8 @@ func (d *ShardedDriver) RunSchedule(phases []Phase, onWindow func(now time.Time)
 // Run drives the configured population and mix for the given duration: the
 // one-phase schedule. A non-positive duration is a caller bug and panics.
 func (d *ShardedDriver) Run(duration time.Duration, onWindow func(now time.Time)) {
-	if err := d.RunSchedule(d.Steady(duration), onWindow); err != nil {
+	steady := []Phase{{Duration: duration, EBs: d.cfg.Sessions, Mix: d.cfg.Mix}}
+	if err := d.RunSchedule(steady, onWindow); err != nil {
 		panic(err)
 	}
 }
@@ -499,8 +460,7 @@ func (d *ShardedDriver) Dropped() uint64 {
 
 // Checksum returns the commutative completion fingerprint: the sum over
 // all completions of a hash of (instant, session id). Equal sums across
-// shard or driver-process counts certify equal merged schedules without
-// shipping traces.
+// shard counts certify equal merged schedules without comparing traces.
 func (d *ShardedDriver) Checksum() uint64 {
 	return d.sum(func(sh *driverShard) uint64 { return sh.checksum })
 }
@@ -590,8 +550,7 @@ func (sh *driverShard) complete(slot int, resp *servlet.Response) {
 		sh.buckets[idx]++
 	}
 	// The checksum folds (instant, session) commutatively, so partial sums
-	// merge by addition across shards and driver processes — the wire's
-	// K-parity fingerprint.
+	// merge by addition across shards.
 	x := uint64(nowNs)*0x9e3779b97f4a7c15 ^ uint64(sh.table.id[slot])*0xff51afd7ed558ccd
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	sh.checksum += x ^ (x >> 27)
@@ -632,7 +591,7 @@ func (sh *driverShard) arrive(now time.Time, arg int64) {
 
 	// Admission is lane-local: the lane's budget, live count and rng are
 	// all pure functions of (seed, lane), so shedding behaves identically
-	// for any shard or driver count — the determinism contract holds in
+	// for any shard count — the determinism contract holds in
 	// the saturated regime too, not just when nothing is shed.
 	if sh.laneLive[li] >= sh.laneCap[li] {
 		sh.dropped++

@@ -37,19 +37,14 @@ type LoadConfig struct {
 	Seed uint64
 	// Sessions is the closed-loop population.
 	Sessions int
-	// Shards is the per-process engine count (default 1).
+	// Shards is the engine count (default 1).
 	Shards int
 	// Mix is the TPC-W transition mix.
 	Mix eb.Mix
-	// OpenLoop switches to Poisson arrivals at Rate sessions/second;
-	// the pacing window and open-loop session shape are
-	// eb.ShardedConfig's defaults.
+	// OpenLoop switches to Poisson arrivals at Rate sessions/second; the
+	// open-loop session shape is eb.ShardedConfig's default.
 	OpenLoop bool
 	Rate     float64
-	// DriverIndex / DriverCount place this process in a K-way fleet
-	// (defaults 0 of 1).
-	DriverIndex int
-	DriverCount int
 	// Backend picks the target; Scale sizes the container backend's
 	// database.
 	Backend LoadBackend
@@ -85,8 +80,8 @@ type LoadConfig struct {
 	IngestLanes int
 }
 
-// LoadStack is the assembled load tier of one process: a sharded driver
-// and its per-shard backends, plus the aggregation plane when monitored.
+// LoadStack is the assembled load tier: a sharded driver and its
+// per-shard backends, plus the aggregation plane when monitored.
 type LoadStack struct {
 	Driver *eb.ShardedDriver
 	// Shards holds the per-shard application stacks, in shard order,
@@ -98,7 +93,7 @@ type LoadStack struct {
 	Aggregator *cluster.Aggregator
 }
 
-// NewLoadStack assembles (but does not run) a load tier process.
+// NewLoadStack assembles (but does not run) the load tier.
 func NewLoadStack(cfg LoadConfig) (*LoadStack, error) {
 	if cfg.Scale.Seed == 0 {
 		cfg.Scale.Seed = cfg.Seed + 1
@@ -151,15 +146,13 @@ func NewLoadStack(cfg LoadConfig) (*LoadStack, error) {
 	}
 
 	shardedCfg := eb.ShardedConfig{
-		Shards:      cfg.Shards,
-		Seed:        cfg.Seed,
-		Mix:         cfg.Mix,
-		Items:       cfg.Scale.Items,
-		Customers:   cfg.Scale.Customers,
-		Sessions:    cfg.Sessions,
-		Rate:        cfg.Rate,
-		DriverIndex: cfg.DriverIndex,
-		DriverCount: cfg.DriverCount,
+		Shards:    cfg.Shards,
+		Seed:      cfg.Seed,
+		Mix:       cfg.Mix,
+		Items:     cfg.Scale.Items,
+		Customers: cfg.Scale.Customers,
+		Sessions:  cfg.Sessions,
+		Rate:      cfg.Rate,
 	}
 	if cfg.OpenLoop {
 		shardedCfg.Arrival = eb.OpenLoop
@@ -208,13 +201,7 @@ func (ls *LoadStack) SyncMonitor() error {
 	return ls.Aggregator.Quiesce(want, time.Now().Add(10*time.Second))
 }
 
-// Node wraps the stack as a wire-paced fleet member for the given run
-// duration (the -role driver process of cmd/tpcwsim).
-func (ls *LoadStack) Node(duration time.Duration) (*eb.DriverNode, error) {
-	return eb.NodeForDriver(ls.Driver, ls.Driver.Steady(duration))
-}
-
-// Run drives the whole load locally (single-process mode).
+// Run drives the whole load for duration.
 func (ls *LoadStack) Run(duration time.Duration) {
 	ls.Driver.Run(duration, nil)
 }

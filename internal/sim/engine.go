@@ -25,7 +25,6 @@ type Engine struct {
 	seq      uint64
 	live     int
 	executed uint64
-	stopped  bool
 }
 
 // NewEngine returns an engine driving a fresh VirtualClock set to Epoch.
@@ -140,9 +139,6 @@ func (e *Engine) Cancel(id uint64) bool {
 	return true
 }
 
-// Stop makes the current Run return after the in-flight event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Step executes the single earliest pending event, advancing the clock to
 // its instant. It reports whether an event ran.
 func (e *Engine) Step() bool {
@@ -181,14 +177,13 @@ func (e *Engine) next() (int32, bool) {
 	}
 }
 
-// RunUntil executes events in order until the queue is empty, Stop is
-// called, or the next event lies strictly after deadline. The clock is left
-// at deadline when the horizon is reached with events still pending, so
-// time-series recorded against the clock have a well-defined end.
+// RunUntil executes events in order until the queue is empty or the next
+// event lies strictly after deadline. The clock is left at deadline when
+// the horizon is reached with events still pending, so time-series
+// recorded against the clock have a well-defined end.
 func (e *Engine) RunUntil(deadline time.Time) {
-	e.stopped = false
 	deadlineNs := deadline.Sub(Epoch).Nanoseconds()
-	for !e.stopped {
+	for {
 		idx, ok := e.next()
 		if !ok {
 			break
@@ -199,7 +194,7 @@ func (e *Engine) RunUntil(deadline time.Time) {
 		}
 		e.Step()
 	}
-	if e.clock.Now().Before(deadline) && !e.stopped {
+	if e.clock.Now().Before(deadline) {
 		e.clock.SetNow(deadline)
 	}
 }
@@ -211,8 +206,7 @@ func (e *Engine) RunFor(d time.Duration) {
 
 // Drain executes every pending event regardless of horizon.
 func (e *Engine) Drain() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
+	for e.Step() {
 	}
 }
 

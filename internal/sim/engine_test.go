@@ -125,24 +125,14 @@ func TestEngineCancel(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.ScheduleAfter(time.Second, func(time.Time) { ran++; e.Stop() })
-	e.ScheduleAfter(2*time.Second, func(time.Time) { ran++ })
-	e.Drain()
-	if ran != 1 {
-		t.Fatalf("ran = %d after Stop, want 1", ran)
-	}
-}
-
 func TestEngineEvery(t *testing.T) {
 	e := NewEngine()
 	var ticks []time.Duration
-	stop := e.Every(10*time.Second, func(now time.Time) {
+	var stop func()
+	stop = e.Every(10*time.Second, func(now time.Time) {
 		ticks = append(ticks, now.Sub(Epoch))
 		if len(ticks) == 3 {
-			e.Stop()
+			stop()
 		}
 	})
 	defer stop()
