@@ -57,13 +57,36 @@ func threeNodeBalancer(p Policy) (*Balancer, map[string]*stubBackend) {
 
 func TestBalancerRoundRobinSpreadsSessions(t *testing.T) {
 	b, backends := threeNodeBalancer(RoundRobin)
+	var order []string
 	for i := 0; i < 9; i++ {
-		b.Submit(reqFor(fmt.Sprintf("s%d", i)), nil)
+		sid := fmt.Sprintf("s%d", i)
+		b.Submit(reqFor(sid), nil)
+		order = append(order, b.sessions[sid].name)
 	}
 	for name, be := range backends {
 		if be.hits != 3 {
 			t.Fatalf("%s got %d requests, want 3 (assignments %v)", name, be.hits, b.Assignments())
 		}
+	}
+	// The order, not just the counts: the scenario matrix's bytes depend
+	// on which node each new session lands on.
+	want := []string{"node1", "node2", "node3", "node1", "node2", "node3"}
+	if got := fmt.Sprint(order[:6]); got != fmt.Sprint(want) {
+		t.Fatalf("rotation %s, want %v", got, want)
+	}
+
+	// A draining node drops out of the rotation; the rest keep its order.
+	b, _ = threeNodeBalancer(RoundRobin)
+	b.Drain("node2")
+	order = order[:0]
+	for i := 0; i < 4; i++ {
+		sid := fmt.Sprintf("s%d", i)
+		b.Submit(reqFor(sid), nil)
+		order = append(order, b.sessions[sid].name)
+	}
+	want = []string{"node1", "node3", "node1", "node3"}
+	if got := fmt.Sprint(order); got != fmt.Sprint(want) {
+		t.Fatalf("rotation with node2 draining %s, want %v", got, want)
 	}
 }
 
