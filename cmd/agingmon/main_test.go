@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/detect"
 	"repro/internal/eb"
 	"repro/internal/experiment"
@@ -57,7 +56,6 @@ func newClusterPlane(t *testing.T) *jmxhttp.Client {
 		Scale:  tpcw.Scale{Items: 200, Customers: 144, Seed: 8},
 		Mix:    eb.Shopping,
 		Detect: detect.Config{Window: 20, MinSamples: 4, Consecutive: 2},
-		Policy: cluster.RoundRobin,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +86,6 @@ func newRejuvPlane(t *testing.T) *jmxhttp.Client {
 		Scale:  tpcw.Scale{Items: 200, Customers: 144, Seed: 8},
 		Mix:    eb.Shopping,
 		Detect: detect.Config{Window: 20, MinSamples: 4, Consecutive: 2},
-		Policy: cluster.RoundRobin,
 		Rejuv: &rejuv.Config{
 			HoldDownEpochs: 2, DrainEpochs: 2, RebootEpochs: 2,
 			ProbationEpochs: 3, ProbationWeight: 1, HealthyWeight: 1,

@@ -17,8 +17,6 @@ type loadOptions struct {
 	duration  time.Duration
 	sessions  int
 	shards    int
-	arrival   string
-	rate      float64
 	backend   string
 	seed      uint64
 	monitor   bool
@@ -39,14 +37,6 @@ func loadConfig(opts loadOptions) experiment.LoadConfig {
 		Sessions: opts.sessions,
 		Shards:   opts.shards,
 		Mix:      eb.Shopping,
-	}
-	switch opts.arrival {
-	case "closed", "":
-	case "open":
-		cfg.OpenLoop = true
-		cfg.Rate = opts.rate
-	default:
-		log.Fatalf("unknown -arrival %q (want closed or open)", opts.arrival)
 	}
 	switch opts.backend {
 	case "model", "":
@@ -73,13 +63,6 @@ func loadConfig(opts loadOptions) experiment.LoadConfig {
 	return cfg
 }
 
-func describeLoad(opts loadOptions) string {
-	if opts.arrival == "open" {
-		return fmt.Sprintf("open-loop %.0f sessions/s", opts.rate)
-	}
-	return fmt.Sprintf("closed-loop %d sessions", opts.sessions)
-}
-
 // runLoad is the -load mode: the million-session tier.
 func runLoad(opts loadOptions) {
 	ls, err := experiment.NewLoadStack(loadConfig(opts))
@@ -94,14 +77,13 @@ func runLoad(opts loadOptions) {
 		log.Printf("injected %dB/N=%d memory leak into %s on shard %d",
 			opts.leakSize, opts.leakN, opts.leak, opts.leakShard)
 	}
-	log.Printf("load tier: %s over %d shard(s) for %v of virtual time",
-		describeLoad(opts), ls.Driver.Shards(), opts.duration)
+	log.Printf("load tier: closed-loop %d sessions over %d shard(s) for %v of virtual time",
+		opts.sessions, ls.Driver.Shards(), opts.duration)
 	start := time.Now()
 	ls.Run(opts.duration)
 	elapsed := time.Since(start)
-	fmt.Printf("completed %d interactions (%d failed, %d arrivals shed) in %v wall time\n",
-		ls.Driver.Completed(), ls.Driver.Failed(), ls.Driver.Dropped(),
-		elapsed.Truncate(time.Millisecond))
+	fmt.Printf("completed %d interactions (%d failed) in %v wall time\n",
+		ls.Driver.Completed(), ls.Driver.Failed(), elapsed.Truncate(time.Millisecond))
 	fmt.Printf("peak WIPS %d, completion checksum %#x\n", ls.PeakWIPS(), ls.Driver.Checksum())
 	if opts.monitor {
 		if err := ls.SyncMonitor(); err != nil {

@@ -48,11 +48,10 @@
 //
 // With -load the command runs the million-session load tier instead of
 // the monitored testbed: the same driver and struct-of-arrays session
-// population, spread over per-core event-engine shards, closed-loop
-// (TPC-W think times) or open-loop (Poisson arrivals):
+// population, spread over per-core event-engine shards, each session
+// thinking TPC-W think times between requests:
 //
 //	tpcwsim -load -sessions 1000000 -shards 4 -duration 2m
-//	tpcwsim -load -arrival open -rate 5000 -duration 2m
 //
 // Sessions map to shards by id, so any -shards produces identical results
 // on the model backend.
@@ -116,8 +115,6 @@ func main() {
 		load      = flag.Bool("load", false, "run the million-session load tier instead of the monitored testbed")
 		sessions  = flag.Int("sessions", 100000, "load tier: closed-loop session population")
 		shards    = flag.Int("shards", 1, "load tier: per-core event-engine shards")
-		arrival   = flag.String("arrival", "closed", "load tier: arrival discipline, closed or open")
-		rate      = flag.Float64("rate", 1000, "load tier: open-loop arrival rate (sessions/second)")
 		backend   = flag.String("backend", "model", "load tier: backend, model or container")
 		monitor   = flag.Bool("monitor", false, "load tier: attach the monitoring plane (container backend only)")
 		workers   = flag.Int("workers", 0, "load tier: container workers per shard (0 = servlet default of 50; size for the offered load at large populations)")
@@ -137,8 +134,6 @@ func main() {
 			duration:  *duration,
 			sessions:  *sessions,
 			shards:    *shards,
-			arrival:   *arrival,
-			rate:      *rate,
 			backend:   *backend,
 			seed:      *seed,
 			monitor:   *monitor,
@@ -229,9 +224,7 @@ func runCluster(addr string, duration time.Duration, ebs int, leak string, leakS
 		IngestLanes: lanes,
 	}
 	if rejuvenate {
-		// Package defaults; HealthyWeight 1 matches the balancer's
-		// registration weight so a re-admitted node is not over-weighted.
-		cfg.Rejuv = &rejuv.Config{HealthyWeight: 1}
+		cfg.Rejuv = &rejuv.Config{} // package defaults
 	}
 	switch transport {
 	case "inproc", "":

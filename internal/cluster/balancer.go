@@ -8,35 +8,6 @@ import (
 	"repro/internal/servlet"
 )
 
-// Policy selects how the balancer spreads new sessions across nodes.
-type Policy int
-
-// Balancing policies.
-const (
-	// RoundRobin assigns new sessions to nodes in rotation.
-	RoundRobin Policy = iota
-	// LeastLoaded assigns new sessions to the node with the fewest
-	// in-flight requests.
-	LeastLoaded
-	// Weighted assigns new sessions by smooth weighted round-robin over
-	// the per-node weights (nginx's algorithm), so a skewed weight
-	// vector concentrates traffic without starving anyone entirely.
-	Weighted
-)
-
-func (p Policy) String() string {
-	switch p {
-	case RoundRobin:
-		return "round-robin"
-	case LeastLoaded:
-		return "least-loaded"
-	case Weighted:
-		return "weighted"
-	default:
-		return "unknown"
-	}
-}
-
 // Backend is the surface the balancer forwards to — satisfied by
 // *servlet.Container.
 type Backend interface {
@@ -59,31 +30,26 @@ type member struct {
 
 // Balancer fronts a set of servlet containers the way a load balancer
 // fronts a cluster of application servers. Sessions are sticky: a
-// session's first request picks a node by policy and every later request
-// follows it, because session state (carts, logins) lives in one node's
-// container. It satisfies the eb package's driver target, so the
+// session's first request picks a node by smooth weighted round-robin
+// over the per-node weights (nginx's algorithm: a skewed weight vector
+// concentrates traffic without starving anyone; equal weights rotate)
+// and every later request follows it, because session state (carts,
+// logins) lives in one node's container. It satisfies the eb package's driver target, so the
 // existing emulated-browser load generator drives a whole cluster
 // unchanged.
 type Balancer struct {
 	mu       sync.Mutex
-	policy   Policy
 	members  []*member
 	sessions map[string]*member
-	// nextLL rotates LeastLoaded's tie-break start: under think-time-
-	// dominated load the in-flight counts are almost always all zero at
-	// assignment time, and a fixed tie-break would pin every session to
-	// the first node.
-	nextLL int
 }
 
-// NewBalancer creates an empty balancer with the given policy.
-func NewBalancer(policy Policy) *Balancer {
-	return &Balancer{policy: policy, sessions: make(map[string]*member)}
+// NewBalancer creates an empty balancer.
+func NewBalancer() *Balancer {
+	return &Balancer{sessions: make(map[string]*member)}
 }
 
-// AddNode adds a backend with the given weight (minimum 1; only the
-// Weighted policy reads it). Adding a duplicate name replaces the
-// backend.
+// AddNode adds a backend with the given weight (minimum 1). Adding a
+// duplicate name replaces the backend.
 func (b *Balancer) AddNode(name string, backend Backend, weight int) {
 	if weight < 1 {
 		weight = 1
@@ -101,9 +67,9 @@ func (b *Balancer) AddNode(name string, backend Backend, weight int) {
 }
 
 // RemoveNode removes a node and unpins its sessions; their next request
-// is assigned a fresh node by policy (session state on the removed node
-// is lost, as with a real backend failure). It reports whether the node
-// was present.
+// is assigned a fresh node (session state on the removed node is lost,
+// as with a real backend failure). It reports whether the node was
+// present.
 func (b *Balancer) RemoveNode(name string) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -137,9 +103,9 @@ func (b *Balancer) Drain(name string) bool {
 }
 
 // CompleteDrain force-unpins the sessions still stuck to a draining
-// node (their next request is assigned a fresh node by policy; session
-// state on the drained node is lost, as with RemoveNode) and returns
-// how many were unpinned. The node stays draining until Readmit.
+// node (their next request is assigned a fresh node; session state on
+// the drained node is lost, as with RemoveNode) and returns how many
+// were unpinned. The node stays draining until Readmit.
 func (b *Balancer) CompleteDrain(name string) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -222,8 +188,8 @@ func (b *Balancer) byName(name string) *member {
 	return nil
 }
 
-// SetWeights updates per-node weights (Weighted policy). Unknown names
-// are ignored; missing names keep their weight.
+// SetWeights updates per-node weights; weights below 1 are ignored, as
+// are unknown names, and missing names keep their weight.
 func (b *Balancer) SetWeights(weights map[string]int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -235,8 +201,8 @@ func (b *Balancer) SetWeights(weights map[string]int) {
 }
 
 // Rebalance unpins every session, so each session's next request is
-// re-assigned by the current policy and weights — how an operator drains
-// traffic onto (or off) nodes mid-run. Session state does not move.
+// re-assigned by the current weights — how an operator drains traffic
+// onto (or off) nodes mid-run. Session state does not move.
 func (b *Balancer) Rebalance() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -259,7 +225,7 @@ func (b *Balancer) Assignments() map[string]int {
 }
 
 // Submit routes one request: sticky to its session's node when pinned,
-// otherwise assigned by policy and pinned. With no members the request
+// otherwise assigned by pick and pinned. With no members the request
 // completes immediately with 503, like a balancer with an empty upstream
 // pool.
 func (b *Balancer) Submit(req *servlet.Request, done servlet.Completion) {
@@ -310,10 +276,10 @@ func (b *Balancer) route(sessionID string) *member {
 	return m
 }
 
-// pick selects a member by policy, skipping draining members. When
-// every member is draining it routes anyway — a drain steers sessions
-// away from a node, it never turns the balancer into a 503 wall. Caller
-// holds b.mu.
+// pick selects a member by smooth weighted round-robin, skipping
+// draining members. When every member is draining it routes anyway — a
+// drain steers sessions away from a node, it never turns the balancer
+// into a 503 wall. Caller holds b.mu.
 func (b *Balancer) pick() *member {
 	skipDraining := false
 	for _, m := range b.members {
@@ -322,43 +288,20 @@ func (b *Balancer) pick() *member {
 			break
 		}
 	}
-	switch b.policy {
-	case LeastLoaded:
-		n := len(b.members)
-		best := -1
-		for i := 0; i < n; i++ {
-			idx := (b.nextLL + i) % n
-			if skipDraining && b.members[idx].draining {
-				continue
-			}
-			if best < 0 || b.members[idx].inflight < b.members[best].inflight {
-				best = idx
-			}
+	var total int
+	var best *member
+	for _, m := range b.members {
+		if skipDraining && m.draining {
+			continue
 		}
-		b.nextLL = (best + 1) % n
-		return b.members[best]
-	default:
-		// Smooth weighted round-robin; with equal weights it degenerates
-		// to plain rotation, so it serves RoundRobin too.
-		var total int
-		var best *member
-		for _, m := range b.members {
-			if skipDraining && m.draining {
-				continue
-			}
-			w := m.weight
-			if b.policy == RoundRobin {
-				w = 1
-			}
-			m.current += w
-			total += w
-			if best == nil || m.current > best.current {
-				best = m
-			}
+		m.current += m.weight
+		total += m.weight
+		if best == nil || m.current > best.current {
+			best = m
 		}
-		best.current -= total
-		return best
 	}
+	best.current -= total
+	return best
 }
 
 // Throughput sums the balanced backends' completion rates; it is what

@@ -11,30 +11,13 @@ import (
 type stubBackend struct {
 	name string
 	hits int
-	// hold, when set, delays completions until release is called.
-	hold    bool
-	pending []func()
 }
 
 func (s *stubBackend) Submit(req *servlet.Request, done servlet.Completion) {
 	s.hits++
-	finish := func() {
-		if done != nil {
-			done(req, &servlet.Response{Status: servlet.StatusOK})
-		}
+	if done != nil {
+		done(req, &servlet.Response{Status: servlet.StatusOK})
 	}
-	if s.hold {
-		s.pending = append(s.pending, finish)
-		return
-	}
-	finish()
-}
-
-func (s *stubBackend) release() {
-	for _, f := range s.pending {
-		f()
-	}
-	s.pending = nil
 }
 
 func (s *stubBackend) Throughput() float64 { return float64(s.hits) }
@@ -43,8 +26,8 @@ func reqFor(session string) *servlet.Request {
 	return &servlet.Request{Interaction: "home", SessionID: session}
 }
 
-func threeNodeBalancer(p Policy) (*Balancer, map[string]*stubBackend) {
-	b := NewBalancer(p)
+func threeNodeBalancer() (*Balancer, map[string]*stubBackend) {
+	b := NewBalancer()
 	backends := make(map[string]*stubBackend)
 	for i := 1; i <= 3; i++ {
 		name := fmt.Sprintf("node%d", i)
@@ -56,7 +39,7 @@ func threeNodeBalancer(p Policy) (*Balancer, map[string]*stubBackend) {
 }
 
 func TestBalancerRoundRobinSpreadsSessions(t *testing.T) {
-	b, backends := threeNodeBalancer(RoundRobin)
+	b, backends := threeNodeBalancer()
 	var order []string
 	for i := 0; i < 9; i++ {
 		sid := fmt.Sprintf("s%d", i)
@@ -76,7 +59,7 @@ func TestBalancerRoundRobinSpreadsSessions(t *testing.T) {
 	}
 
 	// A draining node drops out of the rotation; the rest keep its order.
-	b, _ = threeNodeBalancer(RoundRobin)
+	b, _ = threeNodeBalancer()
 	b.Drain("node2")
 	order = order[:0]
 	for i := 0; i < 4; i++ {
@@ -91,7 +74,7 @@ func TestBalancerRoundRobinSpreadsSessions(t *testing.T) {
 }
 
 func TestBalancerSessionsAreSticky(t *testing.T) {
-	b, backends := threeNodeBalancer(RoundRobin)
+	b, backends := threeNodeBalancer()
 	for i := 0; i < 12; i++ {
 		b.Submit(reqFor("one-session"), nil)
 	}
@@ -109,37 +92,8 @@ func TestBalancerSessionsAreSticky(t *testing.T) {
 	}
 }
 
-func TestBalancerLeastLoadedSpreadsIdleNodes(t *testing.T) {
-	// Under think-time-dominated load every assignment sees all-zero
-	// in-flight counts; the rotating tie-break must still spread
-	// sessions instead of pinning them all to the first node.
-	b, backends := threeNodeBalancer(LeastLoaded)
-	for i := 0; i < 9; i++ {
-		b.Submit(reqFor(fmt.Sprintf("s%d", i)), nil)
-	}
-	for name, be := range backends {
-		if be.hits != 3 {
-			t.Fatalf("%s got %d requests, want 3 (assignments %v)", name, be.hits, b.Assignments())
-		}
-	}
-}
-
-func TestBalancerLeastLoadedAvoidsBusyNode(t *testing.T) {
-	b, backends := threeNodeBalancer(LeastLoaded)
-	backends["node1"].hold = true
-	// Pin three sessions while node1 holds its request open.
-	b.Submit(reqFor("a"), nil) // node1, stays in flight
-	b.Submit(reqFor("b"), nil)
-	b.Submit(reqFor("c"), nil)
-	b.Submit(reqFor("d"), nil) // must avoid node1 (inflight 1 vs 0)
-	if backends["node1"].hits != 1 {
-		t.Fatalf("busy node got %d, want 1", backends["node1"].hits)
-	}
-	backends["node1"].release()
-}
-
 func TestBalancerWeightedSkewsTraffic(t *testing.T) {
-	b, backends := threeNodeBalancer(Weighted)
+	b, backends := threeNodeBalancer()
 	b.SetWeights(map[string]int{"node1": 8, "node2": 1, "node3": 1})
 	for i := 0; i < 100; i++ {
 		b.Submit(reqFor(fmt.Sprintf("s%d", i)), nil)
@@ -150,7 +104,7 @@ func TestBalancerWeightedSkewsTraffic(t *testing.T) {
 }
 
 func TestBalancerRemoveNodeUnpinsAndRebalanceClears(t *testing.T) {
-	b, backends := threeNodeBalancer(RoundRobin)
+	b, backends := threeNodeBalancer()
 	for i := 0; i < 6; i++ {
 		b.Submit(reqFor(fmt.Sprintf("s%d", i)), nil)
 	}
@@ -179,7 +133,7 @@ func TestBalancerRemoveNodeUnpinsAndRebalanceClears(t *testing.T) {
 }
 
 func TestBalancerEmptyPoolRejects(t *testing.T) {
-	b := NewBalancer(RoundRobin)
+	b := NewBalancer()
 	var status int
 	b.Submit(reqFor("s"), func(_ *servlet.Request, resp *servlet.Response) {
 		status = resp.Status
@@ -190,7 +144,7 @@ func TestBalancerEmptyPoolRejects(t *testing.T) {
 }
 
 func TestBalancerThroughputSums(t *testing.T) {
-	b, _ := threeNodeBalancer(RoundRobin)
+	b, _ := threeNodeBalancer()
 	for i := 0; i < 9; i++ {
 		b.Submit(reqFor(fmt.Sprintf("s%d", i)), nil)
 	}
@@ -207,7 +161,7 @@ func TestBalancerThroughputSums(t *testing.T) {
 // the removed member must be re-assigned to a live node on its next
 // request — not routed into the void or left pointing at freed state.
 func TestBalancerRemoveNodeEvictsStaleSessions(t *testing.T) {
-	b, backends := threeNodeBalancer(RoundRobin)
+	b, backends := threeNodeBalancer()
 	sessions := []string{"s0", "s1", "s2", "s3", "s4", "s5"}
 	for _, s := range sessions {
 		b.Submit(reqFor(s), nil)
@@ -253,7 +207,7 @@ func TestBalancerRemoveNodeEvictsStaleSessions(t *testing.T) {
 // no new sticky assignments land on a draining member, but sessions it
 // already owns keep routing to it until CompleteDrain.
 func TestBalancerDrainStopsNewSessionsKeepsSticky(t *testing.T) {
-	b, backends := threeNodeBalancer(RoundRobin)
+	b, backends := threeNodeBalancer()
 	for i := 0; i < 6; i++ {
 		b.Submit(reqFor(fmt.Sprintf("s%d", i)), nil)
 	}
@@ -302,7 +256,7 @@ func TestBalancerDrainStopsNewSessionsKeepsSticky(t *testing.T) {
 // TestBalancerReadmitRestoresRotation pins the probation re-entry path:
 // a re-admitted node takes new traffic again at the given weight.
 func TestBalancerReadmitRestoresRotation(t *testing.T) {
-	b, backends := threeNodeBalancer(Weighted)
+	b, backends := threeNodeBalancer()
 	b.SetWeights(map[string]int{"node1": 1, "node2": 1, "node3": 1})
 	b.Drain("node2")
 	b.CompleteDrain("node2")
@@ -324,7 +278,7 @@ func TestBalancerReadmitRestoresRotation(t *testing.T) {
 // every member must not turn the balancer into a 503 wall — a drain
 // steers sessions, it never refuses service.
 func TestBalancerAllDrainingStillRoutes(t *testing.T) {
-	b, _ := threeNodeBalancer(RoundRobin)
+	b, _ := threeNodeBalancer()
 	for _, n := range []string{"node1", "node2", "node3"} {
 		b.Drain(n)
 	}

@@ -2,7 +2,6 @@ package eb
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -15,42 +14,17 @@ import (
 // population partitioned across the engines of a sim.ShardGroup. Each shard
 // owns a disjoint set of session ids and a private Target, so a window
 // never contends on shared state; telemetry is integer per-second
-// completion buckets merged exactly at the end. Two arrival disciplines:
-//
-//   - ClosedLoop: a population of browsers, each cycling request → think →
-//     request — the TPC-W discipline the paper drives its testbed with. A
-//     phase schedule changes the population and the mix over virtual time
-//     (Fig. 3's 50 → 100 → 200 EBs); Run holds Sessions browsers of Mix.
-//   - OpenLoop: sessions arrive in a Poisson stream at Rate/sec and run a
-//     geometric number of interactions. Open-loop arrival keeps offered
-//     load independent of server latency, which the closed-loop discipline
-//     cannot (slow responses throttle a closed population) — the standard
-//     criticism of closed-loop aging experiments.
+// completion buckets merged exactly at the end. The discipline is TPC-W's
+// closed loop, the one the paper drives its testbed with: a population of
+// browsers, each cycling request → think → request. A phase schedule
+// changes the population and the mix over virtual time (Fig. 3's
+// 50 → 100 → 200 EBs); Run holds Sessions browsers of Mix.
 //
 // Determinism: every session's walk is a pure function of (Seed, session
-// id, schedule); arrivals are pure functions of (Seed, lane); sessions and
-// lanes map to shards by modulo. Shard count changes which engine runs a
-// session, never what the session does, so the merged completion trace and
-// WIPS buckets are byte-identical across shard counts — pinned by the
-// golden tests in sharded_test.go.
-
-// ArrivalMode selects the load discipline.
-type ArrivalMode uint8
-
-const (
-	// ClosedLoop holds a fixed think-time population (TPC-W EBs).
-	ClosedLoop ArrivalMode = iota
-	// OpenLoop draws session arrivals from a Poisson process.
-	OpenLoop
-)
-
-// arrivalLanes fixes the number of independent Poisson arrival streams.
-// Lanes exist so arrivals stay deterministic under sharding: lane l is a
-// thinned Poisson stream of rate Rate/arrivalLanes owned by shard
-// l % Shards, and the superposition of the lanes is the configured
-// process. The count is a constant — not Shards — so the arrival sequence
-// is identical no matter how many shards run it.
-const arrivalLanes = 256
+// id, schedule), and sessions map to shards by modulo. Shard count changes
+// which engine runs a session, never what the session does, so the merged
+// completion trace and WIPS buckets are byte-identical across shard
+// counts — pinned by the golden tests in sharded_test.go.
 
 // ThinkMean and ThinkCap are TPC-W's think time: negative-exponential with
 // a 7 s mean, truncated at 70 s.
@@ -63,7 +37,7 @@ const (
 type ShardedConfig struct {
 	// Shards is the engine count (default 1).
 	Shards int
-	// Seed derives every session and lane stream.
+	// Seed derives every session stream.
 	Seed uint64
 	// Mix selects the transition matrix Run drives (a schedule names a mix
 	// per phase).
@@ -72,25 +46,10 @@ type ShardedConfig struct {
 	Items     int
 	Customers int
 
-	// Sessions is the closed-loop population Run holds, and the size the
-	// session tables start at (a schedule with a higher peak grows them
-	// when it is armed).
+	// Sessions is the population Run holds, and the size the session
+	// tables start at (a schedule with a higher peak grows them when it is
+	// armed).
 	Sessions int
-
-	// Arrival selects the discipline.
-	Arrival ArrivalMode
-	// Rate is the open-loop arrival rate in sessions/second.
-	Rate float64
-	// MeanSessionLength is the mean interactions per open-loop session,
-	// geometrically distributed (default 20).
-	MeanSessionLength int
-	// MaxSessions caps concurrent open-loop sessions (default 65536),
-	// split into per-lane admission budgets (laneCapacity). An arrival on
-	// a lane at its budget is dropped and counted. Because budget, live
-	// count and arrival stream are all lane-local, shedding is itself
-	// deterministic across shard counts — a saturated sweep produces the
-	// same drops and the same checksum for any N.
-	MaxSessions int
 
 	// RecordTrace keeps the (time, session) completion log for golden
 	// comparisons. Off for the million-session benchmark: the log is the
@@ -114,12 +73,6 @@ func (c ShardedConfig) withDefaults() ShardedConfig {
 	}
 	if c.Customers <= 0 {
 		c.Customers = 1440
-	}
-	if c.MeanSessionLength <= 0 {
-		c.MeanSessionLength = 20
-	}
-	if c.MaxSessions <= 0 {
-		c.MaxSessions = 65536
 	}
 	return c
 }
@@ -154,26 +107,15 @@ type driverShard struct {
 
 	stepFn  func(time.Time, int64)
 	doneFns []servlet.Completion
-	free    []int32 // idle slot stack (open loop)
 
-	// Closed loop: sessions with id >= population are retired — they stop
-	// at their next step — and running marks the slots that have a think
-	// timer or a request outstanding, so a phase never starts a session
-	// twice. Open loop never retires (population is MaxInt64).
+	// Sessions with id >= population are retired — they stop at their
+	// next step — and running marks the slots that have a think timer or a
+	// request outstanding, so a phase never starts a session twice.
 	population int64
 	running    []bool
 
-	laneFn     func(time.Time, int64)
-	laneRng    []sim.Rand64 // by local lane index
-	laneNextID []int64
-	lanes      []int64 // global lane number by local index
-	laneCap    []int32 // per-lane admission budget, by local index
-	laneLive   []int32 // per-lane live session count, by local index
-	slotLane   []int32 // bound slot -> local lane index
-
 	completed uint64
 	failed    uint64
-	dropped   uint64
 	checksum  uint64
 	buckets   []uint32
 	trace     []traceEvent
@@ -194,8 +136,6 @@ type ShardedDriver struct {
 	phases []Phase
 	next   int
 	nextAt time.Time
-
-	stopProb float64 // open loop: P(session ends | completion)
 }
 
 // NewShardedDriver builds the group, tables and per-shard targets. The
@@ -205,9 +145,6 @@ func NewShardedDriver(cfg ShardedConfig, factory TargetFactory) *ShardedDriver {
 	cfg = cfg.withDefaults()
 	if cfg.Sessions < 0 {
 		panic("eb: ShardedDriver with negative Sessions")
-	}
-	if cfg.Arrival == OpenLoop && cfg.Rate <= 0 {
-		panic("eb: open-loop ShardedDriver needs Rate > 0")
 	}
 	if factory == nil {
 		factory = func(_ int, engine *sim.Engine) Target {
@@ -219,64 +156,23 @@ func NewShardedDriver(cfg ShardedConfig, factory TargetFactory) *ShardedDriver {
 	unames := unameVocabulary(cfg.Customers)
 
 	d := &ShardedDriver{
-		cfg:      cfg,
-		group:    sim.NewShardGroup(cfg.Shards, pacingWindow),
-		shards:   make([]*driverShard, cfg.Shards),
-		stopProb: 1 / float64(cfg.MeanSessionLength),
+		cfg:    cfg,
+		group:  sim.NewShardGroup(cfg.Shards, pacingWindow),
+		shards: make([]*driverShard, cfg.Shards),
 	}
 	for mix := range d.matrices {
 		d.matrices[mix] = compileMatrix(TransitionMatrix(Mix(mix)))
 	}
 
 	for i := range d.shards {
-		sh := &driverShard{d: d, engine: d.group.Shard(i), population: math.MaxInt64}
-		if cfg.Arrival == OpenLoop {
-			// Shard i owns lanes ≡ i (mod Shards). Each lane carries its
-			// own admission budget — a pure function of (MaxSessions, lane)
-			// — so the shard's slot capacity is the sum over its lanes and a
-			// lane under budget always finds a slot.
-			for lane := int64(i); lane < arrivalLanes; lane += int64(cfg.Shards) {
-				sh.lanes = append(sh.lanes, lane)
-				// Lane labels live above 2^32 so they never collide with
-				// session labels (id+1).
-				sh.laneRng = append(sh.laneRng, sim.DeriveRand64(cfg.Seed, 1<<32+uint64(lane)))
-				sh.laneNextID = append(sh.laneNextID, lane)
-				sh.laneCap = append(sh.laneCap, laneCapacity(cfg.MaxSessions, lane))
-			}
-			sh.laneLive = make([]int32, len(sh.lanes))
-			sh.laneFn = sh.arrive
-			// Every lane's next arrival is always pending, from here on:
-			// a run picks the streams up wherever the last one left them.
-			for li := range sh.lanes {
-				sh.engine.ScheduleArgAfter(sh.gap(li), sh.laneFn, int64(li))
-			}
-		}
+		sh := &driverShard{d: d, engine: d.group.Shard(i)}
 		sh.table = newSessionTable(0, cfg.Seed, zipf, nil, unames) // enter sets the phase's matrix
-		capacity := d.shardCapacity(i, cfg.Sessions, sh)
-		sh.grow(capacity)
+		sh.grow(d.shardCapacity(i, cfg.Sessions))
 		sh.target = factory(i, sh.engine)
 		sh.stepFn = sh.step
-		if cfg.Arrival == OpenLoop {
-			sh.free = make([]int32, 0, capacity)
-			for slot := capacity - 1; slot >= 0; slot-- {
-				sh.free = append(sh.free, int32(slot))
-			}
-			sh.slotLane = make([]int32, capacity)
-		}
 		d.shards[i] = sh
 	}
 	return d
-}
-
-// laneCapacity is lane's share of the MaxSessions admission budget:
-// a pure function of (MaxSessions, lane), so whether an arrival is
-// admitted or shed never depends on shard count.
-func laneCapacity(maxSessions int, lane int64) int32 {
-	c := int32(maxSessions / arrivalLanes)
-	if lane < int64(maxSessions%arrivalLanes) {
-		c++
-	}
-	return c
 }
 
 // grow sizes the shard's slot-indexed state for capacity sessions.
@@ -288,7 +184,7 @@ func (sh *driverShard) grow(capacity int) {
 	sh.table.grow(capacity)
 	sh.running = grown(sh.running, capacity)
 	// Reserve the event arena for the steady-state live population: one
-	// timer or in-flight completion per session, plus lane/inflight slack.
+	// timer or in-flight completion per session, plus inflight slack.
 	sh.engine.Reserve(capacity + capacity/8 + 1024)
 	sh.doneFns = grown(sh.doneFns, capacity)
 	for slot := from; slot < capacity; slot++ {
@@ -298,20 +194,9 @@ func (sh *driverShard) grow(capacity int) {
 	}
 }
 
-// shardCapacity returns shard i's table size: its share of a closed
-// population of sessions, or — open loop — the sum of its lanes' admission
-// budgets (so a lane under budget always finds a free slot).
-func (d *ShardedDriver) shardCapacity(i, sessions int, sh *driverShard) int {
-	if d.cfg.Arrival == OpenLoop {
-		capacity := 0
-		for _, c := range sh.laneCap {
-			capacity += int(c)
-		}
-		if capacity < 1 {
-			capacity = 1
-		}
-		return capacity
-	}
+// shardCapacity returns shard i's table size: its share of a population
+// of sessions.
+func (d *ShardedDriver) shardCapacity(i, sessions int) int {
 	capacity := sessions / d.cfg.Shards
 	if i < sessions%d.cfg.Shards {
 		capacity++
@@ -332,11 +217,9 @@ func (d *ShardedDriver) Mix() Mix { return d.cfg.Mix }
 
 // start arms a schedule from the current instant without advancing time,
 // replacing whatever is left of an earlier one. A schedule the driver
-// cannot run is rejected with an error naming the first offending phase;
-// an open-loop driver's load is set by its arrival rate, so it takes
-// exactly one phase and ignores its EBs. Tables and telemetry are sized
-// here for the schedule's peak and end — the instant returned — so
-// driving it allocates nothing.
+// cannot run is rejected with an error naming the first offending phase.
+// Tables and telemetry are sized here for the schedule's peak and end —
+// the instant returned — so driving it allocates nothing.
 func (d *ShardedDriver) start(phases []Phase) (end time.Time, err error) {
 	if len(phases) == 0 {
 		return end, fmt.Errorf("eb: empty phase schedule")
@@ -351,8 +234,6 @@ func (d *ShardedDriver) start(phases []Phase) (end time.Time, err error) {
 			return end, fmt.Errorf("eb: phase %d of %d: negative population %d", i+1, len(phases), ph.EBs)
 		case ph.Mix < Browsing || ph.Mix > Ordering:
 			return end, fmt.Errorf("eb: phase %d of %d: unknown mix %d", i+1, len(phases), ph.Mix)
-		case d.cfg.Arrival == OpenLoop && i > 0:
-			return end, fmt.Errorf("eb: phase %d of %d: an open-loop driver runs a single phase", i+1, len(phases))
 		}
 		total += ph.Duration
 		peak = max(peak, ph.EBs)
@@ -362,9 +243,7 @@ func (d *ShardedDriver) start(phases []Phase) (end time.Time, err error) {
 	// extends the earlier one's series.
 	seconds := int(end.Sub(sim.Epoch)/time.Second) + 2
 	for i, sh := range d.shards {
-		if d.cfg.Arrival == ClosedLoop {
-			sh.grow(d.shardCapacity(i, peak, sh))
-		}
+		sh.grow(d.shardCapacity(i, peak))
 		if len(sh.buckets) < seconds {
 			sh.buckets = grown(sh.buckets, seconds)
 		}
@@ -376,16 +255,11 @@ func (d *ShardedDriver) start(phases []Phase) (end time.Time, err error) {
 }
 
 // enter makes ph the running phase: every shard walks its mix from the
-// next transition on, and — closed loop — sessions 0..EBs-1 run while the
-// rest retire at their next step.
+// next transition on, and sessions 0..EBs-1 run while the rest retire at
+// their next step.
 func (d *ShardedDriver) enter(ph Phase) {
 	for _, sh := range d.shards {
 		sh.table.matrix = d.matrices[ph.Mix]
-	}
-	if d.cfg.Arrival == OpenLoop {
-		return
-	}
-	for _, sh := range d.shards {
 		sh.population = int64(ph.EBs)
 	}
 	// Shards take turns: id → shard by modulo, slot by division. Dense
@@ -451,11 +325,6 @@ func (d *ShardedDriver) Completed() uint64 {
 // Failed returns total failed interactions across shards.
 func (d *ShardedDriver) Failed() uint64 {
 	return d.sum(func(sh *driverShard) uint64 { return sh.failed })
-}
-
-// Dropped returns open-loop arrivals shed for want of a session slot.
-func (d *ShardedDriver) Dropped() uint64 {
-	return d.sum(func(sh *driverShard) uint64 { return sh.dropped })
 }
 
 // Checksum returns the commutative completion fingerprint: the sum over
@@ -526,9 +395,6 @@ func (d *ShardedDriver) TraceHash() uint64 {
 // current phase has retired stops here, its request in flight completed.
 func (sh *driverShard) step(_ time.Time, arg int64) {
 	slot := int(arg)
-	if sh.table.idle(slot) {
-		return
-	}
 	if sh.table.id[slot] >= sh.population {
 		sh.running[slot] = false
 		return
@@ -536,9 +402,8 @@ func (sh *driverShard) step(_ time.Time, arg int64) {
 	sh.target.Submit(sh.table.buildRequest(slot), sh.doneFns[slot])
 }
 
-// complete is the per-slot completion: account, observe, and either think
-// and go again (closed loop / surviving open-loop session) or release the
-// slot (geometric session end).
+// complete is the per-slot completion: account, observe, think and go
+// again.
 func (sh *driverShard) complete(slot int, resp *servlet.Response) {
 	now := sh.engine.Now()
 	nowNs := now.Sub(sim.Epoch).Nanoseconds()
@@ -562,47 +427,8 @@ func (sh *driverShard) complete(slot int, resp *servlet.Response) {
 	}
 	sh.table.observe(slot, resp)
 
-	if sh.d.cfg.Arrival == OpenLoop && sh.table.rng[slot].Float64() < sh.d.stopProb {
-		sh.table.release(slot)
-		sh.laneLive[sh.slotLane[slot]]--
-		sh.free = append(sh.free, int32(slot))
-		return
-	}
 	think := time.Duration(sh.table.think(slot) * float64(time.Second))
 	sh.engine.ScheduleArgAfter(think, sh.stepFn, int64(slot))
-}
-
-// gap draws lane li's next interarrival: exponential with the lane's share
-// of the configured rate.
-func (sh *driverShard) gap(li int) time.Duration {
-	mean := float64(arrivalLanes) / sh.d.cfg.Rate // seconds between arrivals on this lane
-	return time.Duration(sh.laneRng[li].Exp(mean) * float64(time.Second))
-}
-
-// arrive admits one open-loop session on lane li and schedules the lane's
-// next arrival. Session ids are lane-strided (lane + k·arrivalLanes):
-// globally unique and independent of shard count.
-func (sh *driverShard) arrive(now time.Time, arg int64) {
-	li := int(arg)
-	sh.engine.ScheduleArgAfter(sh.gap(li), sh.laneFn, arg)
-
-	id := sh.laneNextID[li]
-	sh.laneNextID[li] += arrivalLanes
-
-	// Admission is lane-local: the lane's budget, live count and rng are
-	// all pure functions of (seed, lane), so shedding behaves identically
-	// for any shard count — the determinism contract holds in
-	// the saturated regime too, not just when nothing is shed.
-	if sh.laneLive[li] >= sh.laneCap[li] {
-		sh.dropped++
-		return
-	}
-	sh.laneLive[li]++
-	slot := int(sh.free[len(sh.free)-1])
-	sh.free = sh.free[:len(sh.free)-1]
-	sh.slotLane[slot] = int32(li)
-	sh.table.bind(slot, id)
-	sh.step(now, int64(slot))
 }
 
 // ModelTarget is a contention-free synthetic backend: it completes every

@@ -76,114 +76,9 @@ func TestShardedDriverGoldenAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// TestShardedDriverOpenLoopDeterministic extends the golden contract to
-// Poisson arrivals: lanes, not shards, own the arrival streams, so the
-// admitted session sequence is shard-count independent as long as no
-// arrival is shed.
-func TestShardedDriverOpenLoopDeterministic(t *testing.T) {
-	cfg := func(shards int) ShardedConfig {
-		return ShardedConfig{
-			Shards:            shards,
-			Seed:              7,
-			Mix:               Browsing,
-			Arrival:           OpenLoop,
-			Rate:              40,
-			MeanSessionLength: 10,
-			MaxSessions:       8192,
-			RecordTrace:       true,
-		}
-	}
-	ref := NewShardedDriver(cfg(1), nil)
-	ref.Run(90*time.Second, nil)
-	if ref.Dropped() != 0 {
-		t.Fatalf("reference shed %d arrivals; size MaxSessions up", ref.Dropped())
-	}
-	if ref.Completed() == 0 {
-		t.Fatal("reference run completed nothing")
-	}
-	for _, shards := range []int{2, 5} {
-		got := NewShardedDriver(cfg(shards), nil)
-		got.Run(90*time.Second, nil)
-		if got.Dropped() != 0 {
-			t.Fatalf("shards=%d shed %d arrivals", shards, got.Dropped())
-		}
-		if got.Completed() != ref.Completed() {
-			t.Fatalf("shards=%d completed %d, want %d", shards, got.Completed(), ref.Completed())
-		}
-		if got.TraceHash() != ref.TraceHash() {
-			t.Fatalf("shards=%d trace hash %#x, want %#x", shards, got.TraceHash(), ref.TraceHash())
-		}
-	}
-
-	// The pinned constant, as in the closed-loop golden: a change to the
-	// arrival process that moved every shard count alike would pass the
-	// cross-shard equality above.
-	const goldenHash = uint64(0xc4edf82bf67cbc43) // recorded on linux/amd64
-	if runtime.GOARCH == "amd64" {
-		if h := ref.TraceHash(); h != goldenHash {
-			t.Errorf("golden open-loop trace hash drifted: got %#x, want %#x (re-pin only with an intentional workload change)", h, goldenHash)
-		}
-	}
-}
-
-// TestShardedDriverOpenLoopShedsWhenFull pins the overload behaviour:
-// arrivals beyond the slot budget are dropped and counted, never queued.
-// TestShardedDriverOpenLoopShedDeterministic pins determinism in the
-// saturated regime: admission budgets are lane-local (laneCapacity), so
-// an overloaded run sheds the same arrivals — same drops, same
-// completions, same checksum — for any shard count. A shard-local free
-// pool would break this: whether an arrival finds a slot would depend on
-// how sessions happened to be spread over shards.
-func TestShardedDriverOpenLoopShedDeterministic(t *testing.T) {
-	cfg := func(shards int) ShardedConfig {
-		return ShardedConfig{
-			Shards:            shards,
-			Seed:              11,
-			Mix:               Shopping,
-			Arrival:           OpenLoop,
-			Rate:              2000,
-			MeanSessionLength: 20,
-			MaxSessions:       4096,
-		}
-	}
-	ref := NewShardedDriver(cfg(1), nil)
-	ref.Run(90*time.Second, nil)
-	if ref.Dropped() == 0 {
-		t.Fatal("reference did not saturate; raise Rate or shrink MaxSessions")
-	}
-	for _, shards := range []int{2, 5} {
-		got := NewShardedDriver(cfg(shards), nil)
-		got.Run(90*time.Second, nil)
-		if got.Dropped() != ref.Dropped() || got.Completed() != ref.Completed() {
-			t.Fatalf("shards=%d completed/dropped %d/%d, want %d/%d",
-				shards, got.Completed(), got.Dropped(), ref.Completed(), ref.Dropped())
-		}
-		if got.Checksum() != ref.Checksum() {
-			t.Fatalf("shards=%d checksum %#x, want %#x", shards, got.Checksum(), ref.Checksum())
-		}
-	}
-}
-
-func TestShardedDriverOpenLoopShedsWhenFull(t *testing.T) {
-	d := NewShardedDriver(ShardedConfig{
-		Seed:              3,
-		Arrival:           OpenLoop,
-		Rate:              200,
-		MeanSessionLength: 50,
-		MaxSessions:       8,
-	}, nil)
-	d.Run(60*time.Second, nil)
-	if d.Dropped() == 0 {
-		t.Fatal("overloaded open loop dropped nothing")
-	}
-	if d.Completed() == 0 {
-		t.Fatal("overloaded open loop completed nothing")
-	}
-}
-
 // TestShardedDriverSteadyStateAllocFree is the load-tier memory claim in
 // miniature: after construction, driving sessions — schedule, submit,
-// complete, think, reschedule, and open-loop slot recycling — allocates
+// complete, think, reschedule — allocates
 // nothing per event. Total run-side mallocs are bounded by a constant
 // (bucket slices, a few amortised arena doublings), not by event count.
 func TestShardedDriverSteadyStateAllocFree(t *testing.T) {
@@ -212,9 +107,9 @@ func TestShardedDriverSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestSessionTableMatchesIDNotSlot pins the identity rule that makes slot
-// recycling safe: a session's request stream is a function of its id, not
-// of the slot or table it lands in.
+// TestSessionTableMatchesIDNotSlot pins the identity rule that makes the
+// walk shard-count independent: a session's request stream is a function
+// of its id, not of the slot or table it lands in.
 func TestSessionTableMatchesIDNotSlot(t *testing.T) {
 	zipf := sim.NewZipfTable(1000, 0.8)
 	matrix := compileMatrix(TransitionMatrix(Shopping))
@@ -528,7 +423,7 @@ func benchmarkDriverSessions(b *testing.B, sessions int, horizon time.Duration) 
 		b.StartTimer()
 		d.Run(horizon, nil)
 		b.StopTimer()
-		for s := 0; s < d.group.N(); s++ {
+		for s := 0; s < d.Shards(); s++ {
 			events += d.group.Shard(s).Executed()
 		}
 		b.StartTimer()

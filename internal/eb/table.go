@@ -14,14 +14,14 @@ import (
 // slot is ~60 bytes flat across a handful of parallel arrays, draws from an
 // 8-byte value-type Rand64, and shares one ZipfTable and one uname
 // vocabulary across every session, so populating a million sessions costs
-// megabytes and arriving sessions (open loop) cost zero allocations.
+// megabytes and driving them costs zero allocations.
 //
 // Behavioural contract: a slot walks the fourteen-interaction graph and
 // fabricates request parameters the way the TPC-W remote browser emulator
 // does — Zipf-skewed item picks with page-link affinity, subject and
 // search-term vocabularies, an assigned customer identity. Sequences are a
 // pure function of (seed, session id) and the mixes the schedule puts the
-// session through, never of shard count or arrival order, which is what
+// session through, never of shard count or slot, which is what
 // the shards=1 vs shards=N golden tests pin.
 
 // searchTerms is the vocabulary EBs search with; "Book" matches broadly,
@@ -112,10 +112,7 @@ func (cm *compiledMatrix) next(cur uint8, u float64) uint8 {
 const maxPageLinks = 6
 
 // sessionTable is the struct-of-arrays browser state for one shard's
-// sessions. Index = slot. In closed-loop mode a slot is one session for
-// the whole run; in open-loop mode slots are recycled across arriving
-// sessions (the slot's identity fields are re-derived from the new
-// session's id, so reuse never couples two sessions' draws).
+// sessions. Index = slot; a slot is one session for the whole run.
 type sessionTable struct {
 	// Per-table collaborators, shared across slots. The driver swaps
 	// matrix when a phase changes the mix: sessions pick the new one up on
@@ -134,12 +131,8 @@ type sessionTable struct {
 	lastItems [][maxPageLinks]int64
 	lastN     []uint8
 
-	// sessionID strings are built once, when the slot is added, and reused
-	// across slot generations: the wire/container session key tracks the
-	// slot, not the logical session. (A recycled slot therefore reuses the
-	// server-side HTTP session; see docs/architecture.md's load-tier
-	// notes.) Building them up front keeps bind — which runs on the
-	// open-loop arrival path — allocation-free.
+	// sessionID strings are built once, when the slot is added, so bind
+	// and every request after it are allocation-free.
 	sessionID []string
 
 	seed uint64
@@ -197,9 +190,6 @@ func (tb *sessionTable) bind(slot int, id int64) {
 	tb.unameIdx[slot] = int32(id % int64(len(tb.unames)))
 	tb.lastN[slot] = 0
 }
-
-// release frees a slot (open-loop session end).
-func (tb *sessionTable) release(slot int) { tb.id[slot] = -1 }
 
 // idle reports whether a slot is unbound.
 func (tb *sessionTable) idle(slot int) bool { return tb.id[slot] < 0 }

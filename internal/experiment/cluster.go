@@ -33,8 +33,6 @@ type ClusterConfig struct {
 	Mix eb.Mix
 	// Detect tunes the aggregator's per-node detector banks.
 	Detect detect.Config
-	// Policy selects the balancer's assignment policy.
-	Policy cluster.Policy
 	// Link picks how each node's rounds reach the aggregator; Sync
 	// flushes a batched link's partial frames before its round barrier.
 	Link MonitorLink
@@ -180,7 +178,7 @@ func (cs *ClusterStack) assemble(cfg ClusterConfig) error {
 	if err := clusterServer.Register(cluster.AggregatorName(), agg.Bean()); err != nil {
 		return err
 	}
-	balancer := cluster.NewBalancer(cfg.Policy)
+	balancer := cluster.NewBalancer()
 	cs.Balancer, cs.Aggregator, cs.Server, cs.aggCfg = balancer, agg, clusterServer, aggCfg
 
 	total := cfg.Nodes + cfg.Spares

@@ -30,10 +30,9 @@ const (
 )
 
 // LoadConfig sizes the load tier: the million-session counterpart of
-// StackConfig. The zero value of Arrival fields selects the closed-loop
-// TPC-W discipline.
+// StackConfig, driving the closed-loop TPC-W discipline.
 type LoadConfig struct {
-	// Seed derives every session, lane and service stream.
+	// Seed derives every session and service stream.
 	Seed uint64
 	// Sessions is the closed-loop population.
 	Sessions int
@@ -41,10 +40,6 @@ type LoadConfig struct {
 	Shards int
 	// Mix is the TPC-W transition mix.
 	Mix eb.Mix
-	// OpenLoop switches to Poisson arrivals at Rate sessions/second; the
-	// open-loop session shape is eb.ShardedConfig's default.
-	OpenLoop bool
-	Rate     float64
 	// Backend picks the target; Scale sizes the container backend's
 	// database.
 	Backend LoadBackend
@@ -152,10 +147,6 @@ func NewLoadStack(cfg LoadConfig) (*LoadStack, error) {
 		Items:     cfg.Scale.Items,
 		Customers: cfg.Scale.Customers,
 		Sessions:  cfg.Sessions,
-		Rate:      cfg.Rate,
-	}
-	if cfg.OpenLoop {
-		shardedCfg.Arrival = eb.OpenLoop
 	}
 	var err error
 	if ls.Driver, err = newDriver(shardedCfg, assemble); err != nil {

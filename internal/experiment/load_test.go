@@ -140,22 +140,3 @@ func TestLoadStackMonitoredCluster(t *testing.T) {
 		})
 	}
 }
-
-// TestLoadStackOpenLoop smoke-tests Poisson arrivals through the
-// experiment-layer configuration surface.
-func TestLoadStackOpenLoop(t *testing.T) {
-	ls, err := NewLoadStack(LoadConfig{
-		Seed:     9,
-		OpenLoop: true,
-		Rate:     30,
-		Shards:   2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ls.Close()
-	ls.Run(time.Minute)
-	if ls.Driver.Completed() == 0 {
-		t.Fatal("open-loop load tier completed nothing")
-	}
-}

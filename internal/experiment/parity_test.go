@@ -28,7 +28,6 @@ func runParityScenario(t *testing.T, cfg Config, cc ClusterConfig) parityOutcome
 	cc.Scale = scenarioScale(cfg)
 	cc.Mix = eb.Shopping
 	cc.Detect = scenarioDetectConfig()
-	cc.Policy = cluster.RoundRobin
 	cs, err := NewClusterStack(cc)
 	if err != nil {
 		t.Fatal(err)

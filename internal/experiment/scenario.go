@@ -254,7 +254,7 @@ var Scenarios = []Scenario{
 		// node-mix guard must absorb the skew.
 		ID: "S8", Title: "Cluster — skewed balancer concentrates traffic (no aging)",
 		Expected: "the cluster-level shift guard engages on the traffic skew and zero alarms are raised",
-		Fleet:    ClusterConfig{Nodes: 3, Policy: cluster.Weighted}, Phases: hour,
+		Fleet:    ClusterConfig{Nodes: 3}, Phases: hour,
 		Events: []At{{Arm: func(e *env) error {
 			e.after(e.dur/2, func() error {
 				e.cs.Balancer.SetWeights(map[string]int{"node1": 8, "node2": 1, "node3": 1})

@@ -107,7 +107,8 @@ type Config struct {
 	// ProbationWeight is the balancer weight during probation (default 1).
 	ProbationWeight int
 	// HealthyWeight is the weight restored after clean probation
-	// (default 4).
+	// (default 1, the weight every node registers at: a higher one
+	// re-admits the node above its peers).
 	HealthyWeight int
 	// CooldownEpochs holds a node's hold-down counter at zero after a
 	// completed cycle or a control loss (default 10).
@@ -136,7 +137,7 @@ func (c Config) withDefaults() Config {
 		c.ProbationWeight = 1
 	}
 	if c.HealthyWeight <= 0 {
-		c.HealthyWeight = 4
+		c.HealthyWeight = 1
 	}
 	if c.CooldownEpochs <= 0 {
 		c.CooldownEpochs = 10

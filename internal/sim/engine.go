@@ -204,8 +204,8 @@ func (e *Engine) RunFor(d time.Duration) {
 	e.RunUntil(e.clock.Now().Add(d))
 }
 
-// Drain executes every pending event regardless of horizon.
-func (e *Engine) Drain() {
+// drain executes every pending event regardless of horizon.
+func (e *Engine) drain() {
 	for e.Step() {
 	}
 }

@@ -43,7 +43,7 @@ func TestEngineOrdering(t *testing.T) {
 	e.ScheduleAfter(2*time.Second, func(time.Time) { order = append(order, 2) })
 	e.ScheduleAfter(1*time.Second, func(time.Time) { order = append(order, 1) })
 	e.ScheduleAfter(3*time.Second, func(time.Time) { order = append(order, 3) })
-	e.Drain()
+	e.drain()
 	want := []int{1, 2, 3}
 	for i := range want {
 		if order[i] != want[i] {
@@ -60,7 +60,7 @@ func TestEngineFIFOWithinInstant(t *testing.T) {
 		i := i
 		e.Schedule(at, func(time.Time) { order = append(order, i) })
 	}
-	e.Drain()
+	e.drain()
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("same-instant events ran out of order: %v", order)
@@ -72,7 +72,7 @@ func TestEngineClockTracksEvents(t *testing.T) {
 	e := NewEngine()
 	var seen time.Time
 	e.ScheduleAfter(5*time.Second, func(now time.Time) { seen = now })
-	e.Drain()
+	e.drain()
 	if want := Epoch.Add(5 * time.Second); !seen.Equal(want) {
 		t.Fatalf("event saw now=%v, want %v", seen, want)
 	}
@@ -116,7 +116,7 @@ func TestEngineCancel(t *testing.T) {
 	if e.Cancel(id) {
 		t.Fatal("second Cancel reported true")
 	}
-	e.Drain()
+	e.drain()
 	if ran {
 		t.Fatal("cancelled event ran")
 	}
@@ -195,7 +195,7 @@ func TestEngineNestedScheduling(t *testing.T) {
 		}
 	}
 	e.ScheduleAfter(time.Millisecond, recurse)
-	e.Drain()
+	e.drain()
 	if depth != 100 {
 		t.Fatalf("nested depth = %d, want 100", depth)
 	}

@@ -65,7 +65,7 @@ func TestWheelInterleavedReference(t *testing.T) {
 				pending = pending[k:]
 			}
 		}
-		e.Drain()
+		e.drain()
 		sort.Slice(pending, func(i, j int) bool {
 			if pending[i].atNs != pending[j].atNs {
 				return pending[i].atNs < pending[j].atNs

@@ -74,9 +74,9 @@ func (r *Rand64) TruncExp(mean, limit float64) float64 {
 // by the classic CDF-inversion approximation from the TPC benchmarks. It
 // carries no stream: Next is a pure function of a uniform draw, so one
 // table is shared by any number of sessions, each supplying u from its own
-// Rand64. Building the table is O(n) (the zetan sum); sharing it removes
-// that cost from session arrival, which matters when sessions arrive in an
-// open-loop Poisson stream.
+// Rand64. Building the table is O(n) (the zetan sum); sharing it keeps
+// that cost out of binding a session, which a million-session population
+// does a million times.
 type ZipfTable struct {
 	n     int
 	alpha float64

@@ -45,9 +45,6 @@ func NewShardGroup(n int, window time.Duration) *ShardGroup {
 	return g
 }
 
-// N returns the shard count.
-func (g *ShardGroup) N() int { return len(g.shards) }
-
 // Shard returns shard i's engine. Outside RunUntil the caller owns every
 // shard; during a window only the shard's own events may touch it.
 func (g *ShardGroup) Shard(i int) *Engine { return g.shards[i] }

@@ -70,7 +70,7 @@ func TestWheelMatchesReferenceOrder(t *testing.T) {
 	if e.Len() != len(ref) {
 		t.Fatalf("Len = %d, reference has %d", e.Len(), len(ref))
 	}
-	e.Drain()
+	e.drain()
 
 	sort.Slice(ref, func(i, j int) bool {
 		if !ref[i].at.Equal(ref[j].at) {
@@ -99,7 +99,7 @@ func TestWheelFarFutureOverflow(t *testing.T) {
 	e.ScheduleAfter(365*24*time.Hour, func(time.Time) { order = append(order, 3) })
 	e.ScheduleAfter(100*24*time.Hour, func(time.Time) { order = append(order, 2) })
 	e.ScheduleAfter(time.Second, func(time.Time) { order = append(order, 1) })
-	e.Drain()
+	e.drain()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("far-future order = %v, want [1 2 3]", order)
 	}
@@ -122,7 +122,7 @@ func TestWheelCancelFarFuture(t *testing.T) {
 	if e.Len() != 1 {
 		t.Fatalf("Len = %d after cancels, want 1", e.Len())
 	}
-	e.Drain()
+	e.drain()
 	if ran != 1 {
 		t.Fatalf("ran = %d, want 1", ran)
 	}
@@ -134,14 +134,14 @@ func TestWheelCancelFarFuture(t *testing.T) {
 func TestWheelHandleReuseIsSafe(t *testing.T) {
 	e := NewEngine()
 	stale := e.ScheduleAfter(time.Millisecond, func(time.Time) {})
-	e.Drain()
+	e.drain()
 	// Recycle the slot: the next Schedule reuses the freed entry.
 	ran := false
 	fresh := e.ScheduleAfter(time.Millisecond, func(time.Time) { ran = true })
 	if e.Cancel(stale) {
 		t.Fatal("stale handle cancelled a recycled entry")
 	}
-	e.Drain()
+	e.drain()
 	if !ran {
 		t.Fatal("recycled entry's event did not run")
 	}
@@ -164,7 +164,7 @@ func TestWheelScheduleIntoClockCursorGap(t *testing.T) {
 	// These land between clock (1s) and cursor (10s): the gap.
 	e.ScheduleAfter(5*time.Second, func(time.Time) { order = append(order, 2) })
 	e.ScheduleAfter(2*time.Second, func(time.Time) { order = append(order, 1) })
-	e.Drain()
+	e.drain()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("gap scheduling order = %v, want [1 2 3]", order)
 	}
@@ -227,7 +227,7 @@ func TestScheduleArgSharedCallback(t *testing.T) {
 	if !e.Cancel(id) {
 		t.Fatal("Cancel of ScheduleArg handle reported false")
 	}
-	e.Drain()
+	e.drain()
 	if len(got) != 2 || got[0] != 10 || got[1] != 20 {
 		t.Fatalf("args = %v, want [10 20]", got)
 	}
