@@ -35,7 +35,7 @@
 //
 //	nodes                        list cluster nodes with status, epochs and
 //	                             wire counters (publish errors, rounds
-//	                             dropped after transport retries)
+//	                             dropped after a failed write)
 //	cluster-stats                aggregation-plane counters: epoch, rounds
 //	                             ingested, verdict (fold) latency, rounds
 //	                             shed under overload, notifications dropped
@@ -507,7 +507,7 @@ func printMap(w io.Writer, v any) {
 
 // printNodes renders the aggregator's membership attribute, joined with
 // each node's forwarder counters (publish errors and rounds the wire
-// dropped after exhausting its retries) when the node's forwarder bean is
+// dropped after a failed write) when the node's forwarder bean is
 // on the same plane — "-" when it is not (e.g. a remote node's plane).
 func printNodes(w io.Writer, v any, client *jmxhttp.Client) {
 	list, ok := v.([]any)

@@ -275,7 +275,7 @@ func runCluster(addr string, duration time.Duration, ebs int, leak string, leakS
 		pubErrs += f.Errors()
 		dropped += f.Dropped()
 	}
-	fmt.Printf("wire: %d rounds published, %d publish errors, %d dropped after retries\n",
+	fmt.Printf("wire: %d rounds published, %d publish errors, %d dropped after a failed write\n",
 		published, pubErrs, dropped)
 	fmt.Printf("aggregator: %d rounds ingested, %d shed at the admission gate, %d notifications dropped\n",
 		cs.Aggregator.TotalRounds(), cs.Aggregator.ShedRounds(), cs.Aggregator.DroppedNotifications())

@@ -49,9 +49,9 @@ func (r *Rand64) IntN(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Exp returns a draw from the exponential distribution with the given
+// exp returns a draw from the exponential distribution with the given
 // mean. A non-positive mean returns 0 (think time disabled).
-func (r *Rand64) Exp(mean float64) float64 {
+func (r *Rand64) exp(mean float64) float64 {
 	if mean <= 0 {
 		return 0
 	}
@@ -59,10 +59,10 @@ func (r *Rand64) Exp(mean float64) float64 {
 	return -math.Log(1-u) * mean
 }
 
-// TruncExp is Exp truncated to at most limit — TPC-W think time: mean 7 s,
+// TruncExp is exp truncated to at most limit — TPC-W think time: mean 7 s,
 // capped at 70 s.
 func (r *Rand64) TruncExp(mean, limit float64) float64 {
-	v := r.Exp(mean)
+	v := r.exp(mean)
 	if limit > 0 && v > limit {
 		return limit
 	}

@@ -51,7 +51,7 @@ func TestExpMean(t *testing.T) {
 	const n = 200000
 	var sum float64
 	for i := 0; i < n; i++ {
-		sum += s.Exp(7)
+		sum += s.exp(7)
 	}
 	mean := sum / n
 	if math.Abs(mean-7) > 0.15 {
@@ -70,8 +70,8 @@ func TestTruncExpCap(t *testing.T) {
 
 func TestExpNonPositiveMean(t *testing.T) {
 	s := NewRand64(1)
-	if s.Exp(0) != 0 || s.Exp(-1) != 0 {
-		t.Fatal("Exp with non-positive mean should be 0")
+	if s.exp(0) != 0 || s.exp(-1) != 0 {
+		t.Fatal("exp with non-positive mean should be 0")
 	}
 }
 

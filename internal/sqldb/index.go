@@ -15,6 +15,11 @@ type index struct {
 	ci    int
 	ct    ColType
 	slots []int32
+	// inOrder records that slots is ascending, so that every window is in
+	// insertion order. It holds while each add appends a slot above the
+	// last one, as the newest row of a column that grows with the table
+	// does; remove and closeGap keep slots ascending.
+	inOrder bool
 }
 
 func newIndex(ci int, ct ColType, rows []Row) *index {
@@ -23,6 +28,7 @@ func newIndex(ci int, ct ColType, rows []Row) *index {
 		x.slots[i] = int32(i)
 	}
 	slices.SortStableFunc(x.slots, func(a, b int32) int { return cmpValues(ct, rows[a][ci], rows[b][ci]) })
+	x.inOrder = slices.IsSorted(x.slots)
 	return x
 }
 
@@ -57,6 +63,8 @@ func (x *index) add(rows []Row, slot int) {
 			at = x.lower(rows, &o, slot)
 		}
 	}
+	n := len(x.slots)
+	x.inOrder = n == 0 || x.inOrder && at == n && slot > int(x.slots[n-1])
 	x.slots = slices.Insert(x.slots, at, int32(slot))
 }
 

@@ -383,6 +383,9 @@ func checkIndexes(t *testing.T, tb *Table) {
 					col, i-1, i, tb.rows[prev][x.ci], prev, tb.rows[s][x.ci], s)
 			}
 		}
+		if x.inOrder && !slices.IsSorted(x.slots) {
+			t.Fatalf("index %s: flagged in insertion order, but is not: %v", col, x.slots)
+		}
 	}
 }
 

@@ -20,13 +20,17 @@
 //   - Candidates: an Eq on the primary key is one probe; else the first
 //     predicate an index can serve (Eq, Lt, Le, Gt, Ge on an indexed
 //     column) narrows them to that index's window, found by binary search;
-//     else every row is a candidate. Remaining predicates are evaluated on
-//     each candidate. Predicates are bound to column positions and
-//     type-checked once per query, not per row.
+//     else every row is a candidate. The probe and the window are exact,
+//     so the predicate that chose them is not evaluated again; the
+//     remaining predicates are, on each candidate. Predicates are bound
+//     to column positions and type-checked once per query, not per row.
 //   - Order: candidates are walked in insertion order. Without ORDER BY
-//     that is the result order, whatever the access path (an index window
-//     that interleaved writers or updates left out of insertion order is
-//     put back first). ORDER BY on the primary key of a key-ordered table
+//     that is the result order, whatever the access path. An Eq window is
+//     in insertion order as it stands (the index orders ties by position),
+//     and so is every window of an index whose inserts each appended a
+//     position above the last; a range window of an index that an update
+//     or an out-of-order insert disturbed is walked from a sorted copy of
+//     its positions. ORDER BY on the primary key of a key-ordered table
 //     is the same walk, from the end for DESC. Only ORDER BY on another
 //     column, or on the key of a table that received keys out of order,
 //     collects every match and sorts.

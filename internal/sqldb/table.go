@@ -247,11 +247,16 @@ type queryScratch struct {
 // plan is how one query will be evaluated: which rows are candidates, in
 // which direction they are walked, and what is left to do to the matches.
 type plan struct {
+	// preds are the predicates left to evaluate on each candidate: not
+	// the one the access path already proved.
 	preds []boundPred
 	// Candidates are the rows at idx.slots[lo:hi], or rows[lo:hi] when idx
-	// is nil.
-	idx    *index
-	lo, hi int
+	// is nil. slotOrdered says idx.slots[lo:hi] is ascending: always for
+	// an Eq window, whose ties the index orders by slot, and for any
+	// window of an index still in insertion order.
+	idx         *index
+	lo, hi      int
+	slotOrdered bool
 	// fromEnd walks the candidates last to first: ORDER BY key DESC on a
 	// key-ordered table.
 	fromEnd bool
@@ -269,9 +274,10 @@ type plan struct {
 // planLocked binds q to the table and picks its access path: an Eq on the
 // primary key is one probe, else the first predicate an index can serve
 // narrows the candidates to that index's window, else every row is a
-// candidate. Candidates are always walked in insertion order, which on a
-// key-ordered table is key order — so there ORDER BY on the key costs
-// nothing and a LIMIT ends the walk early.
+// candidate. The probe and the window are exact, so the predicate that
+// chose them leaves the plan. Candidates are always walked in insertion
+// order, which on a key-ordered table is key order — so there ORDER BY on
+// the key costs nothing and a LIMIT ends the walk early.
 func (t *Table) planLocked(q Query, buf []boundPred) (plan, error) {
 	p := plan{sortCol: -1, hi: len(t.rows), limit: q.Limit}
 	var err error
@@ -295,6 +301,7 @@ func (t *Table) planLocked(q Query, buf []boundPred) (plan, error) {
 			if slot, ok := t.byKey[q.Where[i].Val]; ok {
 				p.lo, p.hi = slot, slot+1
 			}
+			p.preds = slices.Delete(p.preds, i, i+1)
 			return p, nil
 		}
 	}
@@ -306,6 +313,8 @@ func (t *Table) planLocked(q Query, buf []boundPred) (plan, error) {
 		if x := t.indexOn(pr.ci); x != nil {
 			p.idx = x
 			p.lo, p.hi = x.window(t.rows, pr.op, &pr.operand)
+			p.slotOrdered = pr.op == Eq || x.inOrder
+			p.preds = slices.Delete(p.preds, i, i+1)
 			return p, nil
 		}
 	}
@@ -317,13 +326,12 @@ func (t *Table) planLocked(q Query, buf []boundPred) (plan, error) {
 // limit is reached. It returns the rows examined and the rows visited.
 // visit sees the table's own row: it must not keep or change it.
 func (t *Table) scanLocked(p *plan, sc *queryScratch, visit func(Row) bool) (scanned, visited int64) {
-	// An index window lists rows by value first; when that is not
-	// insertion order (interleaved writers, updated values) walk a sorted
-	// copy of its slots instead.
+	// An index window lists rows by value first; unless the plan knows
+	// that is insertion order, walk a sorted copy of its slots instead.
 	var window []int32
 	if p.idx != nil {
 		window = p.idx.slots[p.lo:p.hi]
-		if !slices.IsSorted(window) {
+		if !p.slotOrdered {
 			sc.slots = append(sc.slots[:0], window...)
 			window = sc.slots
 			slices.Sort(window)

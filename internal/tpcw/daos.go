@@ -46,13 +46,42 @@ func weave(w *aspect.Weaver, comp, method string, fn aspect.Func) func(args ...a
 type daoScratch struct {
 	items   []Item
 	ids     []int64
-	sold    map[int64]int64
+	sold    []soldCount // best-sellers tally by item id; see count
+	far     map[int64]*soldCount
+	touched []int64 // the ids with a line in the last window
 	ranked  []soldItem
 	subject string
 	item    Item
 	cust    Customer
 	order   OrderWithLines
 	id64    int64
+}
+
+// soldCount is one item's best-sellers tally: the quantity its window
+// lines sum to, and whether it has any (nothing below the servlets keeps
+// ol_qty positive, so the sum cannot tell).
+type soldCount struct {
+	n    int64
+	seen bool
+}
+
+// maxDenseID bounds the item ids tallied in a slice (TPC-W's largest
+// catalogue has a million items). An id outside [0, maxDenseID), which
+// only a row written past the servlets carries, is tallied in a map.
+const maxDenseID = 1 << 20
+
+// count returns id's tally entry, growing the slice to it on demand.
+func (sc *daoScratch) count(id int64) *soldCount {
+	if uint64(id) >= maxDenseID {
+		if sc.far[id] == nil {
+			sc.far[id] = new(soldCount)
+		}
+		return sc.far[id]
+	}
+	if int(id) >= len(sc.sold) {
+		sc.sold = append(sc.sold, make([]soldCount, int(id)+1-len(sc.sold))...)
+	}
+	return &sc.sold[id]
 }
 
 // soldItem is one best-sellers candidate: an item and the quantity of it
@@ -72,7 +101,7 @@ func scratchFor(conn *sqldb.Conn) *daoScratch {
 	if sc, ok := conn.Stash().(*daoScratch); ok {
 		return sc
 	}
-	sc := &daoScratch{sold: make(map[int64]int64)}
+	sc := &daoScratch{far: make(map[int64]*soldCount)}
 	conn.SetStash(sc)
 	return sc
 }
@@ -189,10 +218,19 @@ func bestSellers(conn *sqldb.Conn, subject string) (*[]Item, error) {
 		return &sc.items, nil
 	}
 	minOrder := latest[0][0].(int64) - bestSellerWindow
-	sold := sc.sold
-	clear(sold)
+	// Reset what the previous call tallied, and only that.
+	for _, id := range sc.touched {
+		*sc.count(id) = soldCount{}
+	}
+	sc.touched = sc.touched[:0]
 	err = conn.Each(TableOrderLine, sqldb.Where("ol_o_id", sqldb.Gt, minOrder), func(l sqldb.Row) bool {
-		sold[l[2].(int64)] += l[3].(int64)
+		id := l[2].(int64)
+		c := sc.count(id)
+		if !c.seen {
+			c.seen = true
+			sc.touched = append(sc.touched, id)
+		}
+		c.n += l[3].(int64)
 		return true
 	})
 	if err != nil {
@@ -202,14 +240,14 @@ func bestSellers(conn *sqldb.Conn, subject string) (*[]Item, error) {
 	// a subject that is everything that sold.
 	ranked := sc.ranked[:0]
 	if subject == "" {
-		for id, n := range sold {
-			ranked = append(ranked, soldItem{id, n})
+		for _, id := range sc.touched {
+			ranked = append(ranked, soldItem{id, sc.count(id).n})
 		}
 	} else {
 		err = conn.Each(TableItem, sqldb.Where("i_subject", sqldb.Eq, subject), func(it sqldb.Row) bool {
 			id := it[0].(int64)
-			if n, ok := sold[id]; ok {
-				ranked = append(ranked, soldItem{id, n})
+			if c := sc.count(id); c.seen {
+				ranked = append(ranked, soldItem{id, c.n})
 			}
 			return true
 		})

@@ -313,3 +313,88 @@ func TestBestSellersMatchesBruteForceBeyondWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestBestSellersTallyEdges writes order lines past the servlets, which
+// admit only positive quantities of catalogue items: lines of items whose
+// ids lie past every id sold so far, below zero or past the tally's dense
+// range; zero and negative quantities; an item whose lines sum to 0. Each
+// such item with a line in the window ranks, as the brute force says.
+// Calls alternate subjects on one connection, and between two rounds the
+// window loses lines, so a tally that kept anything from an earlier call
+// ranks differently from the brute force.
+func TestBestSellersTallyEdges(t *testing.T) {
+	pool, app := newDAOFixture(t)
+	conn := pool.Acquire()
+	defer pool.Release(conn)
+	check := func(subject string) []int64 {
+		t.Helper()
+		want := bruteForceBestSellers(t, conn, subject)
+		got, err := app.Catalog.BestSellers(conn, subject)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotIDs := make([]int64, len(got))
+		for i, it := range got {
+			gotIDs[i] = it.ID
+		}
+		if !slices.Equal(gotIDs, want) {
+			t.Errorf("BestSellers(%q) = %v, brute force says %v", subject, gotIDs, want)
+		}
+		return want
+	}
+	check("") // the tally now spans the ids sold so far
+
+	const edge = "EDGE" // a subject only the items below have
+	far := int64(maxDenseID) << 1
+	item, _, err := conn.Get(TableItem, int64(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	item = slices.Clone(item)
+	item[4] = edge
+	for _, id := range []int64{500, 501, 502, 503, 600, -7, far} {
+		item[0] = id
+		if _, err := conn.Insert(TableItem, item); err != nil {
+			t.Fatal(err)
+		}
+	}
+	latest, err := conn.Select(TableOrders, sqldb.Query{}.Ordered("o_id", true).Limited(1))
+	if err != nil || len(latest) == 0 {
+		t.Fatalf("latest order: %v, %v", latest, err)
+	}
+	oid := latest[0][0].(int64)
+	line := func(itemID, qty int64) any {
+		t.Helper()
+		key, err := conn.Insert(TableOrderLine, sqldb.Row{nil, oid, itemID, qty, 0.0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return key
+	}
+	big := line(500, 1000) // 500 sells 1500 and outranks far's 999 ...
+	line(500, 500)
+	line(far, 999)
+	line(501, 3) // 501 and -7 sum to 0
+	line(501, -3)
+	line(-7, 1)
+	line(-7, -1)
+	zero := line(502, 0)
+	line(503, -2) // 600 has no line
+	if got, want := check(edge), []int64{500, far, -7, 501, 502, 503}; !slices.Equal(got, want) {
+		t.Fatalf("oracle for %q = %v, want %v", edge, got, want)
+	}
+	check(Subjects[0])
+	check("")
+
+	// ... until its 1000 goes; 502 loses its only line.
+	for _, key := range []any{big, zero} {
+		if ok, err := conn.Delete(TableOrderLine, key); err != nil || !ok {
+			t.Fatalf("delete line %v: %v, %v", key, ok, err)
+		}
+	}
+	if got, want := check(edge), []int64{far, 500, -7, 501, 503}; !slices.Equal(got, want) {
+		t.Fatalf("oracle for %q after the deletes = %v, want %v", edge, got, want)
+	}
+	check(Subjects[0])
+	check("")
+}
