@@ -456,3 +456,59 @@ func TestBinaryWireBatchReducesOverhead(t *testing.T) {
 	t.Logf("%d rounds: unbatched %d bytes / %d frames, batch=8 %d bytes / %d frames",
 		rounds, plainBytes, plainFrames, batchBytes, batchFrames)
 }
+
+// TestWireSteadyStateAllocs holds the wire's allocation contract in the
+// tier-1 suite: once names are interned and buffers have grown, shipping
+// a round through BinaryWire.Publish — one frame per round, or eight
+// rounds per BATCH frame — and decoding a BATCH frame with DecodeBatch
+// allocate nothing.
+func TestWireSteadyStateAllocs(t *testing.T) {
+	for _, batch := range []int{1, 8} {
+		w := NewBinaryWire(&countingConn{})
+		if err := w.SetBatch(batch, 0); err != nil {
+			t.Fatal(err)
+		}
+		gen := newRoundGen("node1")
+		publish := func() {
+			if err := w.Publish(gen.next()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for gen.r.Seq < 32 {
+			publish()
+		}
+		if allocs := testing.AllocsPerRun(200, publish); allocs != 0 {
+			t.Errorf("BinaryWire.Publish at batch %d: %v allocs per round, want 0", batch, allocs)
+		}
+	}
+
+	const frames, perFrame = 256, 8
+	enc := NewBinaryEncoder()
+	gen := newRoundGen("node1")
+	var payloads [][]byte
+	for f := 0; f < frames; f++ {
+		for i := 0; i < perFrame; i++ {
+			enc.BufferRound(gen.next())
+		}
+		frame := enc.FlushFrame(nil)
+		if f == 0 {
+			frame = frame[4:] // the stream header
+		}
+		n, w := binary.Uvarint(frame)
+		payloads = append(payloads, frame[w:w+int(n)])
+	}
+	dec := NewBinaryDecoder()
+	next := 0
+	decode := func() {
+		if err := dec.DecodeBatch(payloads[next], discardRound); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for next < 16 { // names interned, samples buffer grown
+		decode()
+	}
+	if allocs := testing.AllocsPerRun(frames-next-1, decode); allocs != 0 {
+		t.Errorf("BinaryDecoder.DecodeBatch: %v allocs per %d-round frame, want 0", allocs, perFrame)
+	}
+}

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 	"time"
@@ -200,33 +202,62 @@ func FuzzBinaryCodec(f *testing.F) {
 	})
 }
 
-// FuzzBinaryDecoderRobustness throws arbitrary bytes at the frame
-// decoder: it must reject or accept them without panicking, whatever the
-// input (the serving loop turns any error into a dropped connection).
-func FuzzBinaryDecoderRobustness(f *testing.F) {
+// robustnessSeeds are FuzzBinaryDecoderRobustness's built-in inputs,
+// each one frame payload (sans stream header and length prefix): valid
+// single-round and multi-round BATCH payloads, corrupt round counts
+// (zero rounds; a count far past the frame size), rounds cut short, a
+// dangling reference, and CONTROL and CONTROL-ACK payloads — valid, of
+// an unknown kind, and cut short. The round decoders must reject the foreign frame types
+// cleanly, and the control decoders must survive round payloads just
+// the same.
+func robustnessSeeds() [][]byte {
+	payload := func(frame []byte) []byte {
+		_, w := binary.Uvarint(frame)
+		return frame[w:]
+	}
 	enc := NewBinaryEncoder()
-	frame := enc.AppendRound(nil, Round{Node: "n", Seq: 1, Time: time.Unix(0, 0), Samples: []core.ComponentSample{{Component: "c", Usage: 1}}})
-	f.Add(frame[4:]) // a valid single-round payload (sans stream header)
-	// A valid multi-round BATCH payload, and corrupt count prefixes (zero
-	// rounds; count far past the frame size).
+	round := payload(enc.AppendRound(nil, Round{Node: "n", Seq: 1, Time: time.Unix(0, 0), Samples: []core.ComponentSample{{Component: "c", Usage: 1}}})[4:])
 	benc := NewBinaryEncoder()
 	for seq := int64(1); seq <= 3; seq++ {
 		benc.BufferRound(Round{Node: "n", Seq: seq, Time: time.Unix(0, seq), Samples: []core.ComponentSample{{Component: "c", Usage: seq}}})
 	}
-	batch := benc.FlushFrame(nil)
-	f.Add(batch[4:])
-	f.Add(append([]byte{0x00}, frame[4:]...))
-	f.Add(append([]byte{0xFF, 0xFF, 0x03}, frame[4:]...))
-	f.Add([]byte{0x00, 0x01, 0x61, 0x02, 0x02, 0x00})
-	// Valid v5 CONTROL and CONTROL-ACK payloads (sans length prefix): the
-	// round decoders must reject the foreign frame types cleanly, and the
-	// control decoders must survive round payloads just the same.
-	ctl := AppendControlFrame(nil, ControlCommand{Seq: 9, Kind: ControlRejuvenate, Node: "node2", Component: "home"})
-	_, cw := binary.Uvarint(ctl)
-	f.Add(ctl[cw:])
-	ack := AppendControlAckFrame(nil, ControlAck{Seq: 9, Kind: ControlRejuvenate, OK: true, Freed: 4096})
-	_, aw := binary.Uvarint(ack)
-	f.Add(ack[aw:])
+	batch := payload(benc.FlushFrame(nil)[4:])
+	ctl := payload(AppendControlFrame(nil, ControlCommand{Seq: 9, Kind: ControlRejuvenate, Node: "node2", Component: "home"}))
+	ack := payload(AppendControlAckFrame(nil, ControlAck{Seq: 9, Kind: ControlRejuvenate, OK: true, Freed: 4096}))
+	withKind := func(p []byte, kind byte) []byte { return append([]byte{p[0], kind}, p[2:]...) }
+	return [][]byte{
+		round,
+		batch,
+		append([]byte{frameBatch, 0x00}, round[2:]...),
+		append([]byte{frameBatch, 0xFF, 0xFF, 0x03}, round[2:]...),
+		round[:len(round)-1],
+		batch[:len(batch)/2],
+		{0x00, 0x01, 0x61, 0x02, 0x02, 0x00},
+		ctl,
+		ack,
+		withKind(ctl, 9),
+		withKind(ack, 0),
+		ctl[:len(ctl)-1],
+		ack[:len(ack)-1],
+	}
+}
+
+// controlSeeds are FuzzControlCodec's built-in inputs.
+func controlSeeds() [][]byte {
+	return [][]byte{
+		{},
+		AppendControlFrame(nil, ControlCommand{Seq: 7, Kind: ControlRejuvenate, Node: "node2", Component: "home"}),
+		AppendControlAckFrame(nil, ControlAck{Seq: 7, Kind: ControlRejuvenate, OK: true, Freed: 4096}),
+	}
+}
+
+// FuzzBinaryDecoderRobustness throws arbitrary bytes at the frame
+// decoder: it must reject or accept them without panicking, whatever the
+// input (the serving loop turns any error into a dropped connection).
+func FuzzBinaryDecoderRobustness(f *testing.F) {
+	for _, seed := range robustnessSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := NewBinaryDecoder()
 		_, _ = dec.DecodeFrame(data)
@@ -245,9 +276,9 @@ func FuzzBinaryDecoderRobustness(f *testing.F) {
 // encode→decode must reproduce them exactly, and the length prefix must
 // cover the payload precisely.
 func FuzzControlCodec(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(AppendControlFrame(nil, ControlCommand{Seq: 7, Kind: ControlRejuvenate, Node: "node2", Component: "home"}))
-	f.Add(AppendControlAckFrame(nil, ControlAck{Seq: 7, Kind: ControlRejuvenate, OK: true, Freed: 4096}))
+	for _, seed := range controlSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fz := &fuzzReader{b: data}
 		cmd := ControlCommand{
@@ -290,4 +321,219 @@ func FuzzControlCodec(f *testing.F) {
 			t.Fatalf("ack round trip: %+v, want %+v", gotAck, ack)
 		}
 	})
+}
+
+// decodeOutcome runs one input through every wire decoder the way
+// FuzzBinaryDecoderRobustness does — DecodeFrame twice on one decoder
+// (the second carries the first's stream state), DecodeBatch on the
+// same decoder, then the two stateless control decoders — and renders
+// what each did: what it accepted, or its error text.
+func decodeOutcome(data []byte) [5]string {
+	show := func(v any, err error) string {
+		if err != nil {
+			return err.Error()
+		}
+		return fmt.Sprint(v)
+	}
+	frame := func(r Round, err error) string {
+		return show(fmt.Sprintf("%s/%d/%d/%d", r.Node, r.Seq, r.Time.UnixNano(), len(r.Samples)), err)
+	}
+	dec := NewBinaryDecoder()
+	first := frame(dec.DecodeFrame(data))
+	second := frame(dec.DecodeFrame(data))
+	rounds := 0
+	err := dec.DecodeBatch(data, func(Round) error { rounds++; return nil })
+	return [5]string{
+		first,
+		second,
+		show(fmt.Sprintf("%d rounds", rounds), err),
+		show(DecodeControlCommand(data)),
+		show(DecodeControlAck(data)),
+	}
+}
+
+// TestWireFuzzSeedOutcomes pins what the wire codec does with every
+// committed fuzz seed: the FNV-64 of the stream FuzzBinaryCodec's body
+// encodes from each of its seeds (one frame per round, then the same
+// rounds as one BATCH frame), and the exact outcome of every decoder on
+// each FuzzBinaryDecoderRobustness seed (committed and built in) and
+// each FuzzControlCodec seed — accepted, or where and why it was
+// refused. A codec that wrote or read a field, or ran a check, at
+// another point of the sequence would hash or stop differently.
+func TestWireFuzzSeedOutcomes(t *testing.T) {
+	for _, tc := range []struct {
+		seed string
+		want uint64
+	}{
+		{"seed-adversarial", 0x1d15c29904e9eb4a},
+		{"seed-cpu-quantise-fallback", 0x6b74e40b39c338f6},
+		{"seed-steady-stream", 0x395bacc0b14a2bf2},
+	} {
+		rounds := roundsFromFuzz(readFuzzSeed(t, "testdata/fuzz/FuzzBinaryCodec/"+tc.seed))
+		enc, benc := NewBinaryEncoder(), NewBinaryEncoder()
+		var stream []byte
+		for _, r := range rounds {
+			stream = enc.AppendRound(stream, r)
+			benc.BufferRound(r)
+		}
+		stream = benc.FlushFrame(stream)
+		h := fnv.New64a()
+		h.Write(stream)
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("FuzzBinaryCodec seed %s: stream FNV-64 %#x, want %#x", tc.seed, got, tc.want)
+		}
+	}
+
+	type input struct {
+		name string
+		data []byte
+	}
+	var inputs []input
+	for _, seed := range []string{"seed-dangling-ref", "seed-truncated"} {
+		inputs = append(inputs, input{seed, readFuzzSeed(t, "testdata/fuzz/FuzzBinaryDecoderRobustness/"+seed)})
+	}
+	for i, data := range robustnessSeeds() {
+		inputs = append(inputs, input{fmt.Sprintf("robustness %d", i), data})
+	}
+	for i, data := range controlSeeds() {
+		inputs = append(inputs, input{fmt.Sprintf("control %d", i), data})
+	}
+	// Each outcome: DecodeFrame, DecodeFrame again, DecodeBatch,
+	// DecodeControlCommand, DecodeControlAck.
+	want := map[string][5]string{
+		"seed-dangling-ref": {
+			"cluster: frame type 201 is not a BATCH frame",
+			"cluster: frame type 201 is not a BATCH frame",
+			"cluster: frame type 201 is not a BATCH frame",
+			"cluster: not a CONTROL frame",
+			"cluster: not an ACK frame",
+		},
+		"seed-truncated": {
+			"cluster: dangling string reference 96",
+			"cluster: dangling string reference 96",
+			"cluster: dangling string reference 96",
+			"cluster: not a CONTROL frame",
+			"cluster: not an ACK frame",
+		},
+		"robustness 0": {
+			"n/1/0/1",
+			"n/1/0/1",
+			"1 rounds",
+			"cluster: not a CONTROL frame",
+			"cluster: not an ACK frame",
+		},
+		"robustness 1": {
+			"cluster: BATCH frame carries several rounds; decode with DecodeBatch",
+			"cluster: BATCH frame carries several rounds; decode with DecodeBatch",
+			"3 rounds",
+			"cluster: not a CONTROL frame",
+			"cluster: not an ACK frame",
+		},
+		"robustness 2": {
+			"cluster: BATCH round count 0 is corrupt for a 19-byte frame",
+			"cluster: BATCH round count 0 is corrupt for a 19-byte frame",
+			"cluster: BATCH round count 0 is corrupt for a 19-byte frame",
+			"cluster: not a CONTROL frame",
+			"cluster: not an ACK frame",
+		},
+		"robustness 3": {
+			"cluster: BATCH round count 65535 is corrupt for a 21-byte frame",
+			"cluster: BATCH round count 65535 is corrupt for a 21-byte frame",
+			"cluster: BATCH round count 65535 is corrupt for a 21-byte frame",
+			"cluster: not a CONTROL frame",
+			"cluster: not an ACK frame",
+		},
+		"robustness 4": {
+			"binc: bad uvarint at offset 17",
+			"binc: bad uvarint at offset 17",
+			"binc: bad uvarint at offset 17",
+			"cluster: not a CONTROL frame",
+			"cluster: not an ACK frame",
+		},
+		"robustness 5": {
+			"binc: bad uvarint at offset 21",
+			"binc: bad uvarint at offset 21",
+			"binc: bad uvarint at offset 21",
+			"cluster: not a CONTROL frame",
+			"cluster: not an ACK frame",
+		},
+		"robustness 6": {
+			"cluster: dangling string reference 96",
+			"cluster: dangling string reference 96",
+			"cluster: dangling string reference 96",
+			"cluster: not a CONTROL frame",
+			"cluster: not an ACK frame",
+		},
+		"robustness 7": {
+			"cluster: frame type 1 is not a BATCH frame",
+			"cluster: frame type 1 is not a BATCH frame",
+			"cluster: frame type 1 is not a BATCH frame",
+			"{9 rejuvenate node2 home 0}",
+			"cluster: not an ACK frame",
+		},
+		"robustness 8": {
+			"cluster: frame type 2 is not a BATCH frame",
+			"cluster: frame type 2 is not a BATCH frame",
+			"cluster: frame type 2 is not a BATCH frame",
+			"cluster: not a CONTROL frame",
+			"{9 rejuvenate true 4096 }",
+		},
+		"robustness 9": {
+			"cluster: frame type 1 is not a BATCH frame",
+			"cluster: frame type 1 is not a BATCH frame",
+			"cluster: frame type 1 is not a BATCH frame",
+			"cluster: unknown control kind 9",
+			"cluster: not an ACK frame",
+		},
+		"robustness 10": {
+			"cluster: frame type 2 is not a BATCH frame",
+			"cluster: frame type 2 is not a BATCH frame",
+			"cluster: frame type 2 is not a BATCH frame",
+			"cluster: not a CONTROL frame",
+			"cluster: unknown control kind 0",
+		},
+		"robustness 11": {
+			"cluster: frame type 1 is not a BATCH frame",
+			"cluster: frame type 1 is not a BATCH frame",
+			"cluster: frame type 1 is not a BATCH frame",
+			"binc: bad uvarint at offset 13",
+			"cluster: not an ACK frame",
+		},
+		"robustness 12": {
+			"cluster: frame type 2 is not a BATCH frame",
+			"cluster: frame type 2 is not a BATCH frame",
+			"cluster: frame type 2 is not a BATCH frame",
+			"cluster: not a CONTROL frame",
+			"binc: bad uvarint at offset 5",
+		},
+		"control 0": {
+			"cluster: empty frame",
+			"cluster: empty frame",
+			"cluster: empty frame",
+			"cluster: not a CONTROL frame",
+			"cluster: not an ACK frame",
+		},
+		"control 1": {
+			"cluster: frame type 15 is not a BATCH frame",
+			"cluster: frame type 15 is not a BATCH frame",
+			"cluster: frame type 15 is not a BATCH frame",
+			"cluster: not a CONTROL frame",
+			"cluster: not an ACK frame",
+		},
+		"control 2": {
+			"cluster: frame type 7 is not a BATCH frame",
+			"cluster: frame type 7 is not a BATCH frame",
+			"cluster: frame type 7 is not a BATCH frame",
+			"cluster: not a CONTROL frame",
+			"cluster: not an ACK frame",
+		},
+	}
+	if len(inputs) != len(want) {
+		t.Errorf("%d inputs, %d pinned outcomes", len(inputs), len(want))
+	}
+	for _, in := range inputs {
+		if got := decodeOutcome(in.data); got != want[in.name] {
+			t.Errorf("%s:\n got %q\nwant %q", in.name, got, want[in.name])
+		}
+	}
 }
