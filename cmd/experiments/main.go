@@ -1,5 +1,5 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation, the extension and ablation studies indexed in DESIGN.md and
+// evaluation, the extension (E8–E11) and ablation (A1–A3) studies and
 // the S-series scenario table — every entry of experiment.Experiments, in
 // its order — and prints the full reports with pass/fail verdicts.
 //

@@ -1,9 +1,9 @@
 // Package binc holds the low-level binary codec shared by the cluster
-// wire format, the load-tier driver wire and the durable-state snapshots
-// (detect, cluster, rejuv): append-style writers over
-// varints/floats/strings and a bounds-checked sticky-error Parser — the
-// repo's one varint implementation. It lives below detect in the import
-// graph, because detect cannot import cluster.
+// wire frames and the durable-state snapshots (detect, cluster, rejuv):
+// append-style writers over varints/floats/strings and a bounds-checked
+// sticky-error Parser — the repo's one varint implementation. It lives
+// below detect in the import graph, because detect cannot import
+// cluster.
 //
 // Encoding conventions, shared by every snapshot format built on top:
 //
@@ -24,15 +24,17 @@
 // caller (Count, String, Bytes), so a fuzzed or corrupt snapshot can
 // never drive an allocation beyond the declared bound.
 //
-// A snapshot format is written once, as a function over a Codec: the
-// same call appends a field when encoding and parses it, with the
-// Parser's bounds and sticky error, when decoding, so the field order is
-// one decision in one place. Its decode-side checks (Codec.Check) sit at
-// the point of the field sequence where they apply and latch like a
-// parse error. A map is coded as a canonical key-sorted sequence
-// (Codec.Sorted): keys are sorted on write, and on read each must be
-// strictly greater than the one before it (Keys.InOrder), so a map has
-// exactly one encoding.
+// A snapshot format or wire frame is written once, as a function over a
+// Codec: the same call appends a field when encoding and parses it, with
+// the Parser's bounds and sticky error, when decoding, so the field
+// order is one decision in one place. A wire endpoint holds its Codec by
+// value and resets it onto each frame (ResetEncoder, ResetDecoder), so
+// coding a frame allocates nothing. A format's decode-side checks
+// (Codec.Check) sit at the point of the field sequence where they apply
+// and latch like a parse error. A map is coded as a canonical key-sorted
+// sequence (Codec.Sorted): keys are sorted on write, and on read each
+// must be strictly greater than the one before it (Keys.InOrder), so a
+// map has exactly one encoding.
 package binc
 
 import (
@@ -133,11 +135,7 @@ func (p *Parser) Uvarint() uint64 {
 // low bit — rejecting non-minimal encodings like Uvarint.
 func (p *Parser) Varint() int64 {
 	u := p.Uvarint()
-	v := int64(u >> 1)
-	if u&1 != 0 {
-		v = ^v
-	}
-	return v
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 // Float reads one little-endian float64.

@@ -10,12 +10,12 @@ import (
 // the durable formats are far shorter.
 const maxString = 4096
 
-// Codec runs one durable format in either direction, so the format is
-// written once, as one function over a Codec that hands it each field by
-// pointer: an encoder appends the field's value, a decoder parses the
-// field into it with the Parser's bounds and sticky error. The field
-// order is then one decision in one place, and a decoder can never
-// drift from its encoder.
+// Codec runs one durable format or wire frame in either direction, so
+// the format is written once, as one function over a Codec that hands it
+// each field by pointer: an encoder appends the field's value, a decoder
+// parses the field into it with the Parser's bounds and sticky error.
+// The field order is then one decision in one place, and a decoder can
+// never drift from its encoder.
 //
 // A format function also states its decode-side checks (Check) at the
 // point of the field sequence where they apply; an encoder writes live
@@ -30,8 +30,16 @@ type Codec struct {
 func NewEncoder(dst []byte) *Codec { return &Codec{buf: dst} }
 
 // NewDecoder returns a codec parsing data. Strings it decodes are
-// copies; nothing aliases data.
+// copies; only Bytes aliases data.
 func NewDecoder(data []byte) *Codec { return &Codec{p: Parser{b: data}, dec: true} }
+
+// ResetEncoder turns c into an encoder appending to dst, as NewEncoder
+// would, so a codec held by value codes frame after frame without an
+// allocation.
+func (c *Codec) ResetEncoder(dst []byte) { *c = Codec{buf: dst} }
+
+// ResetDecoder turns c into a decoder parsing data, as NewDecoder would.
+func (c *Codec) ResetDecoder(data []byte) { *c = Codec{p: Parser{b: data}, dec: true} }
 
 // Decoding reports whether the codec parses (true) or appends (false).
 func (c *Codec) Decoding() bool { return c.dec }
@@ -52,7 +60,9 @@ func (c *Codec) Done() error { return c.p.Done() }
 // failure is sticky: later fields read as zero values and later checks
 // pass, so Err reports the first failure in field order. A format
 // function tests Err before it uses a decoded value that a failed check
-// leaves unsafe (an index, a size).
+// leaves unsafe (an index, a size). The arguments are boxed on every
+// call, encoding too, so a hot path calls Check with an integer argument
+// only where the check fails.
 func (c *Codec) Check(ok bool, format string, args ...any) {
 	if c.dec && !ok && c.p.err == nil {
 		c.p.err = fmt.Errorf(format, args...)
@@ -121,6 +131,17 @@ func (c *Codec) String(v *string) {
 		*v = c.p.String(maxString)
 	} else {
 		c.buf = AppendString(c.buf, *v)
+	}
+}
+
+// Bytes codes a length-prefixed byte run. A decoded run is no longer
+// than the input that remains, and it aliases the input rather than
+// copying it: the caller copies what it keeps.
+func (c *Codec) Bytes(v *[]byte) {
+	if c.dec {
+		*v = c.p.Bytes(c.p.Remaining())
+	} else {
+		c.buf = AppendBytes(c.buf, *v)
 	}
 }
 

@@ -131,3 +131,44 @@ func TestCodecKeysOrder(t *testing.T) {
 		t.Fatalf("an empty first key: %v", err)
 	}
 }
+
+// TestCodecResetAndBytes pins the wire's two Codec additions: a codec
+// held by value and reset onto each frame codes exactly what a fresh one
+// would, and Bytes hands a decoder a run that aliases its input and is
+// refused when it runs past the input's end.
+func TestCodecResetAndBytes(t *testing.T) {
+	var c Codec
+	var frames [][]byte
+	for i, blob := range [][]byte{[]byte("first"), nil, []byte("third")} {
+		gen := uint64(i)
+		c.ResetEncoder(nil)
+		c.Uvarint(&gen)
+		c.Bytes(&blob)
+		frames = append(frames, c.Buffer())
+		fresh := NewEncoder(nil)
+		fresh.Uvarint(&gen)
+		fresh.Bytes(&blob)
+		if !bytes.Equal(c.Buffer(), fresh.Buffer()) {
+			t.Fatalf("frame %d: reset codec wrote %x, fresh codec %x", i, c.Buffer(), fresh.Buffer())
+		}
+	}
+	for i, frame := range frames {
+		var gen uint64
+		var blob []byte
+		c.ResetDecoder(frame)
+		c.Uvarint(&gen)
+		c.Bytes(&blob)
+		if err := c.Done(); err != nil || gen != uint64(i) {
+			t.Fatalf("frame %d: gen %d, err %v", i, gen, err)
+		}
+		if len(blob) > 0 && &blob[0] != &frame[len(frame)-len(blob)] {
+			t.Fatalf("frame %d: decoded run does not alias the input", i)
+		}
+	}
+	var blob []byte
+	c.ResetDecoder([]byte{6, 'x', 'y'})
+	c.Bytes(&blob)
+	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "count 6 exceeds bound") {
+		t.Fatalf("a run past the input's end: err = %v", err)
+	}
+}

@@ -10,54 +10,35 @@ import (
 	"repro/internal/core"
 )
 
-// This file implements the binary wire codec for sampling rounds. The
-// format is specified in docs/architecture.md ("Binary wire format"); the
-// golden test in codec_test.go pins the bytes so the format cannot drift
-// silently between versions, and FuzzBinaryCodec exercises the round-trip
-// over arbitrary rounds.
+// This file implements the binary wire codec. The format is specified in
+// docs/architecture.md ("Binary wire format"); the goldens in
+// codec_test.go and control_test.go pin its bytes, FuzzBinaryCodec
+// round-trips arbitrary rounds, and TestWireFuzzSeedOutcomes pins what
+// every decoder does with each committed fuzz seed.
 //
-// Design, in one paragraph: a stream starts with a 4-byte magic+version;
-// rounds travel in length-prefixed BATCH frames — a uvarint round count,
-// then that many rounds back to back, one per frame unless the publisher
-// batches (see BinaryWire.SetBatch). Strings (node and component
-// names) are interned per stream — sent once, then referenced by dense
-// id — and every numeric field is delta-encoded against the previous
-// round of the same node, to second order (delta-of-delta, Gorilla's
-// timestamp trick): a steady-state monitoring stream advances every field
-// at a constant rate — sequence numbers by one, sampling instants by the
-// interval, cumulative consumption counters by their per-round growth —
-// so the residual after subtracting the previous round's delta is
-// (near-)zero and its zigzag varint is one byte where the raw value costs
-// eight. CPU seconds (a float64) are quantised to integer nanoseconds and
-// ride the same double-delta chain whenever the quantisation is bit-exact
-// — which it is for every duration-derived consumption figure — with a
-// per-sample flag falling back to XOR-against-previous raw bits for
-// floats outside the nanosecond grid, so the codec stays lossless over
-// the full float64 domain. A steady-state round of N samples costs
-// roughly 4 + 7·N bytes on the wire, and both encoder and decoder reuse
-// their buffers, so neither end allocates at steady state. All varints
-// go through internal/binc: the encoder emits minimal encodings and the
-// decoder rejects anything else, so every stream has one valid byte form.
+// Each frame type is written once, as one function over a binc.Codec
+// that the encoder and the decoder both run, so a decoder cannot drift
+// from its encoder: codeRound for a BATCH frame's rounds,
+// ControlCommand.code and ControlAck.code for CONTROL and CONTROL-ACK
+// (control.go), and StandbySnapshot.code for SNAPSHOT (standby.go).
 //
-// The codec is not fully general: sampling instants must be within the
-// int64-nanosecond Unix range (years 1678–2262; monitoring timestamps
-// always are), and decoded times carry the UTC location. Verdicts are
-// unaffected — the aggregator consumes instants, not locations — and
-// TestClusterTransportParity holds the in-process and wire transports to
-// byte-identical verdicts.
+// A round's names are interned per stream, and every numeric field rides
+// a second-order delta chain per node and component (delta-of-delta,
+// Gorilla's timestamp trick): a steady stream advances each field at a
+// constant rate, so its residual is a one-byte zigzag varint. CPU and
+// latency seconds ride a nanosecond chain whenever they quantise
+// bit-exactly, which every duration-derived figure does, and XOR their
+// raw bits otherwise, so the codec stays lossless over the full float64
+// domain. A steady round of N samples costs roughly 4 + 7·N bytes, and
+// neither end allocates at steady state. Sampling instants must lie in
+// the int64-nanosecond Unix range (years 1678–2262), and decoded times
+// carry the UTC location; TestClusterTransportParity holds the wire and
+// in-process transports to byte-identical verdicts.
 
 // wireMagic opens every binary round stream: three identifying bytes and
 // one format version byte. Bump the version on any incompatible change;
-// the decoder refuses streams it does not speak so cross-version nodes
-// fail loudly at connect time, not subtly at fold time.
-//
-// The decoder speaks version 6 only: second-order integer deltas with
-// nanosecond-quantised CPU and latency seconds (XOR fallback off the
-// grid), a live handle count per sample, and length-prefixed frames whose
-// payload opens with a one-byte type — BATCH rounds and CONTROL-ACKs
-// node→aggregator, CONTROL commands aggregator→node on the same
-// connection (control.go), and SNAPSHOT frames on dedicated standby
-// connections only (standby.go).
+// the decoder speaks version 6 only, so cross-version nodes fail loudly
+// at connect time, not subtly at fold time.
 var wireMagic = [4]byte{'A', 'G', 'M', 6}
 
 // Frame types: the first byte of every v6 frame payload.
@@ -74,96 +55,80 @@ const (
 	frameSnapshot = 0x03
 )
 
-// prevSample is the per-component delta-encoding state: the previous
-// round's values for one component on one node, plus the previous deltas
-// the second-order encoding subtracts.
-type prevSample struct {
-	size     int64
-	usage    int64
-	threads  int64
-	handles  int64
-	delta    int64
-	cpuBits  uint64
-	cpuNanos int64
-	latBits  uint64
-	latNanos int64
+// chain is one integer field's second-order delta state on a stream:
+// the value the field last took and the delta it last moved by.
+type chain struct{ value, delta int64 }
 
-	dSize     int64
-	dUsage    int64
-	dThreads  int64
-	dHandles  int64
-	dDelta    int64
-	dCPUNanos int64
-	dLatNanos int64
+// code codes one field of the chain and returns the field's value. An
+// encoder steps the chain to v and writes the second-order residual; a
+// decoder reads the residual in place of v's and steps the chain by it.
+// Overflow wraps identically on both ends, so the chain stays lossless
+// over the full int64 domain.
+func (ch *chain) code(c *binc.Codec, v int64) int64 {
+	v -= ch.value + ch.delta
+	c.Varint(&v)
+	ch.delta += v
+	ch.value += ch.delta
+	return ch.value
 }
 
-// step advances one double-delta chain: given the new value, it returns
-// the second-order residual to encode and updates value and delta state.
-// The decoder runs the inverse (unstep). Overflow wraps identically on
-// both ends, so the chain stays lossless over the full int64 domain.
-func step(value, delta *int64, v int64) int64 {
-	d := v - *value
-	res := d - *delta
-	*value, *delta = v, d
-	return res
+// secondsChain is one seconds field's state (CPU or latency): its
+// nanosecond chain and the raw bits of its last figure.
+type secondsChain struct {
+	nanos chain
+	bits  uint64
 }
 
-// unstep is step's decoding inverse: it folds a received residual into
-// the chain and returns the reconstructed value.
-func unstep(value, delta *int64, res int64) int64 {
-	*delta += res
-	*value += *delta
-	return *value
+// code codes one seconds figure and returns it. On the nanosecond grid
+// (quantised, as the sample's flag byte says; nanos is the encoder's
+// quantised figure) it rides the nanosecond chain. Off the grid it
+// travels as its raw bits XORed with the last figure's, and the
+// nanosecond chain restarts at zero on both ends, so a later quantised
+// figure deltas against the same state.
+func (f *secondsChain) code(c *binc.Codec, v float64, nanos int64, quantised bool) float64 {
+	if quantised {
+		nanos = f.nanos.code(c, nanos)
+		if c.Decoding() {
+			v = time.Duration(nanos).Seconds()
+		}
+	} else {
+		x := math.Float64bits(v) ^ f.bits
+		c.Uvarint(&x)
+		v = math.Float64frombits(f.bits ^ x)
+		f.nanos = chain{}
+	}
+	f.bits = math.Float64bits(v)
+	return v
 }
 
-// cpuNanosBound bounds the quantisable CPU range: beyond it v*1e9 cannot
-// be held in an int64 (≈292 years of CPU time, far past any monitoring
-// horizon — such values take the raw-bits fallback).
-const cpuNanosBound = 9.0e18
-
-const nanosPerSecond = int64(1e9)
-
-// cpuFromNanos reconstructs CPU seconds from integer nanoseconds with
-// exactly time.Duration.Seconds' arithmetic (split at the second, divide
-// the remainder) — the computation every live consumption figure was
-// born from, so quantise-then-reconstruct reproduces the original float
-// bit for bit.
-func cpuFromNanos(n int64) float64 {
-	return float64(n/nanosPerSecond) + float64(n%nanosPerSecond)/1e9
-}
-
-// cpuNanos quantises CPU seconds to integer nanoseconds, reporting
-// whether the round trip is bit-exact. Real consumption figures are
-// duration-derived (Duration.Seconds), so the check passes for
-// essentially every live sample and the mantissa-dense XOR fallback is
-// reserved for adversarial inputs (fuzzing, hand-built rounds). Both
-// codec ends derive the delta state through this same function, so a
-// fallback sample never desynchronises the nanosecond chain.
+// cpuNanos quantises seconds to integer nanoseconds, reporting whether
+// time.Duration.Seconds — the arithmetic every live consumption figure
+// was born from — reproduces v bit for bit from them. So the check
+// passes for essentially every live sample, and the mantissa-dense XOR
+// fallback is reserved for adversarial inputs (fuzzing, hand-built
+// rounds) and for figures past ±9e18 ns (≈292 years), which an int64
+// cannot hold.
 func cpuNanos(v float64) (int64, bool) {
 	scaled := v * 1e9
-	if !(scaled > -cpuNanosBound && scaled < cpuNanosBound) { // NaN and ±Inf fail too
+	if !(scaled > -9e18 && scaled < 9e18) { // NaN and ±Inf fail too
 		return 0, false
 	}
 	n := int64(math.Round(scaled))
-	if math.Float64bits(cpuFromNanos(n)) != math.Float64bits(v) {
-		return 0, false
-	}
-	return n, true
+	return n, math.Float64bits(time.Duration(n).Seconds()) == math.Float64bits(v)
 }
 
-// nodeCodecState is one node's delta-encoding state on a stream. One
+// nodeChains is one node's delta-encoding state on a stream. One
 // connection may multiplex several nodes' forwarders, so the state is
 // keyed by interned node id on both ends.
-type nodeCodecState struct {
-	prevSeq  int64
-	prevTime int64
-	dSeq     int64
-	dTime    int64
-	prev     map[uint32]*prevSample // interned component id -> last values
+type nodeChains struct {
+	seq, time chain
+	samples   map[uint32]*sampleChains // interned component id -> chains
 }
 
-func newNodeCodecState() *nodeCodecState {
-	return &nodeCodecState{prev: make(map[uint32]*prevSample)}
+// sampleChains is one component's delta-encoding state on one node.
+type sampleChains struct {
+	size, usage, threads, handles, delta chain
+	cpu, latency                         secondsChain
 }
 
 // sample flag bits.
@@ -172,6 +137,134 @@ const (
 	flagCPUNanos = 1 << 1 // CPU field is a zigzag nanosecond delta, not XOR'd bits
 	flagLatNanos = 1 << 2 // latency field is a zigzag nanosecond delta, not XOR'd bits
 )
+
+// maxWireNames bounds the names one stream may intern: room for a
+// restorable plane's 2^16 node names plus 2^16 component names. A
+// decoder refuses a first sighting past it, so one connection cannot
+// grow the dictionary or the delta state keyed by it without bound.
+const maxWireNames = 1 << 17
+
+// roundCodec is one stream's round-coding state, the same on both ends:
+// the interned names in first-sighting order and each node's delta
+// chains. codeRound is the BATCH frame's one field list, run by the
+// encoder and the decoder alike.
+type roundCodec struct {
+	c       binc.Codec
+	names   []string
+	ids     map[string]uint32 // encoder only: name -> interned id
+	nodes   map[uint32]*nodeChains
+	samples []core.ComponentSample // decoder only: the reused Samples buffer
+}
+
+// name codes one interned string (a node or component name) and returns
+// its dense id: uvarint(id+1) for a name the stream has interned, or 0
+// and then the name itself for a first sighting, which takes the next id
+// on both ends. It reports false once decoding has failed, so no caller
+// indexes by a dangling reference or by a first sighting past
+// maxWireNames.
+func (rc *roundCodec) name(s *string) (uint32, bool) {
+	c := &rc.c
+	var ref uint64
+	if id, interned := rc.ids[*s]; interned {
+		ref = uint64(id) + 1
+	}
+	c.Uvarint(&ref)
+	switch {
+	case ref == 0:
+		c.Check(len(rc.names) < maxWireNames, "cluster: stream interns more than %d names", maxWireNames)
+		c.String(s)
+		if c.Err() != nil {
+			return 0, false
+		}
+		rc.names = append(rc.names, *s)
+		ref = uint64(len(rc.names))
+		if rc.ids != nil {
+			rc.ids[*s] = uint32(ref - 1)
+		}
+	case ref > uint64(len(rc.names)): // only a decoder meets one
+		c.Check(false, "cluster: dangling string reference %d", ref-1)
+		return 0, false
+	default:
+		*s = rc.names[ref-1]
+	}
+	return uint32(ref - 1), c.Err() == nil
+}
+
+// codeRound codes one round: its node's name, then the sequence number
+// and sampling instant on the node's chains, then the sample count and
+// each sample. A decoded round's Samples is the reused buffer.
+func (rc *roundCodec) codeRound(r *Round) {
+	c := &rc.c
+	nodeID, ok := rc.name(&r.Node)
+	if !ok {
+		return
+	}
+	st := rc.nodes[nodeID]
+	if st == nil {
+		st = &nodeChains{samples: make(map[uint32]*sampleChains)}
+		rc.nodes[nodeID] = st
+	}
+	r.Seq = st.seq.code(c, r.Seq)
+	ns := st.time.code(c, r.Time.UnixNano())
+	// Every sample costs several bytes, so a count past the frame limit
+	// is corruption; one within it stops at the frame's end.
+	n := len(r.Samples)
+	c.Count(&n, maxBinaryFrame)
+	if !c.Decoding() {
+		for _, s := range r.Samples { // copies: the caller's Samples are borrowed
+			rc.codeSample(st, &s)
+		}
+		return
+	}
+	r.Time = time.Unix(0, ns).UTC()
+	r.Samples = rc.samples[:0]
+	for i := 0; i < n && c.Err() == nil; i++ {
+		var s core.ComponentSample
+		rc.codeSample(st, &s)
+		r.Samples = append(r.Samples, s)
+	}
+	rc.samples = r.Samples
+}
+
+// codeSample codes one sample: its component's name, a flag byte, the
+// five integer fields on their chains, then CPU and latency seconds.
+func (rc *roundCodec) codeSample(st *nodeChains, s *core.ComponentSample) {
+	c := &rc.c
+	id, ok := rc.name(&s.Component)
+	if !ok {
+		return
+	}
+	ch := st.samples[id]
+	if ch == nil {
+		ch = &sampleChains{}
+		st.samples[id] = ch
+	}
+	var flags byte
+	var cpuN, latN int64
+	if !c.Decoding() {
+		var cpuQ, latQ bool
+		cpuN, cpuQ = cpuNanos(s.CPUSeconds)
+		latN, latQ = cpuNanos(s.LatencySeconds)
+		if s.SizeOK {
+			flags |= flagSizeOK
+		}
+		if cpuQ {
+			flags |= flagCPUNanos
+		}
+		if latQ {
+			flags |= flagLatNanos
+		}
+	}
+	c.Byte(&flags)
+	s.SizeOK = flags&flagSizeOK != 0
+	s.Size = ch.size.code(c, s.Size)
+	s.Usage = ch.usage.code(c, s.Usage)
+	s.Threads = ch.threads.code(c, s.Threads)
+	s.Handles = ch.handles.code(c, s.Handles)
+	s.Delta = ch.delta.code(c, s.Delta)
+	s.CPUSeconds = ch.cpu.code(c, s.CPUSeconds, cpuN, flags&flagCPUNanos != 0)
+	s.LatencySeconds = ch.latency.code(c, s.LatencySeconds, latN, flags&flagLatNanos != 0)
+}
 
 // BinaryEncoder encodes rounds into the binary wire format. It owns the
 // stream-level interning and delta state, so one encoder serves exactly
@@ -185,34 +278,17 @@ const (
 // round's borrowed Samples are consumed before BufferRound returns, so
 // the publisher's borrow contract holds however long the batch lingers.
 type BinaryEncoder struct {
-	started bool
-	names   map[string]uint32
-	nodes   map[uint32]*nodeCodecState
-	batch   []byte // encoded rounds of the pending frame
-	pending int    // rounds in batch
+	roundCodec // its codec appends the pending frame's rounds
+	started    bool
+	pending    int // rounds in the pending frame
 }
 
 // NewBinaryEncoder creates an encoder for one fresh stream.
 func NewBinaryEncoder() *BinaryEncoder {
-	return &BinaryEncoder{
-		names: make(map[string]uint32),
-		nodes: make(map[uint32]*nodeCodecState),
-	}
-}
-
-// appendString writes a string reference: uvarint(id+1) for an interned
-// name, or 0 followed by the raw bytes for a first sighting (which
-// implicitly assigns the next dense id on both ends).
-func (e *BinaryEncoder) appendString(dst []byte, s string) ([]byte, uint32) {
-	if id, ok := e.names[s]; ok {
-		return binc.AppendUvarint(dst, uint64(id)+1), id
-	}
-	id := uint32(len(e.names))
-	e.names[s] = id
-	dst = binc.AppendUvarint(dst, 0)
-	dst = binc.AppendUvarint(dst, uint64(len(s)))
-	dst = append(dst, s...)
-	return dst, id
+	return &BinaryEncoder{roundCodec: roundCodec{
+		ids:   make(map[string]uint32),
+		nodes: make(map[uint32]*nodeChains),
+	}}
 }
 
 // AppendRound appends one single-round frame (preceded by the stream
@@ -230,70 +306,7 @@ func (e *BinaryEncoder) PendingRounds() int { return e.pending }
 // BufferRound encodes one round onto the pending BATCH frame. The
 // round's Samples are fully consumed before it returns.
 func (e *BinaryEncoder) BufferRound(r Round) {
-	p := e.batch
-	var nodeID uint32
-	p, nodeID = e.appendString(p, r.Node)
-	st := e.nodes[nodeID]
-	if st == nil {
-		st = newNodeCodecState()
-		e.nodes[nodeID] = st
-	}
-	p = binc.AppendVarint(p, step(&st.prevSeq, &st.dSeq, r.Seq))
-	p = binc.AppendVarint(p, step(&st.prevTime, &st.dTime, r.Time.UnixNano()))
-	p = binc.AppendUvarint(p, uint64(len(r.Samples)))
-	for _, s := range r.Samples {
-		var compID uint32
-		p, compID = e.appendString(p, s.Component)
-		prev := st.prev[compID]
-		if prev == nil {
-			prev = &prevSample{}
-			st.prev[compID] = prev
-		}
-		var flags byte
-		if s.SizeOK {
-			flags |= flagSizeOK
-		}
-		nanos, quantised := cpuNanos(s.CPUSeconds)
-		if quantised {
-			flags |= flagCPUNanos
-		}
-		latN, latQuantised := cpuNanos(s.LatencySeconds)
-		if latQuantised {
-			flags |= flagLatNanos
-		}
-		p = append(p, flags)
-		p = binc.AppendVarint(p, step(&prev.size, &prev.dSize, s.Size))
-		p = binc.AppendVarint(p, step(&prev.usage, &prev.dUsage, s.Usage))
-		p = binc.AppendVarint(p, step(&prev.threads, &prev.dThreads, s.Threads))
-		p = binc.AppendVarint(p, step(&prev.handles, &prev.dHandles, s.Handles))
-		p = binc.AppendVarint(p, step(&prev.delta, &prev.dDelta, s.Delta))
-		cpuBits := math.Float64bits(s.CPUSeconds)
-		if quantised {
-			// Steady-state CPU advances by a near-constant per-round
-			// nanosecond delta: the second-order residual is a one-byte
-			// zigzag where the XOR of two entropy-dense mantissas costs
-			// 8-10 bytes.
-			p = binc.AppendVarint(p, step(&prev.cpuNanos, &prev.dCPUNanos, nanos))
-		} else {
-			p = binc.AppendUvarint(p, cpuBits^prev.cpuBits)
-			// Reset the nanosecond chain at the (identically derived)
-			// fallback base so a later quantised sample deltas against the
-			// same state on both ends.
-			prev.cpuNanos, _ = cpuNanos(s.CPUSeconds)
-			prev.dCPUNanos = 0
-		}
-		prev.cpuBits = cpuBits
-		latBits := math.Float64bits(s.LatencySeconds)
-		if latQuantised {
-			p = binc.AppendVarint(p, step(&prev.latNanos, &prev.dLatNanos, latN))
-		} else {
-			p = binc.AppendUvarint(p, latBits^prev.latBits)
-			prev.latNanos, _ = cpuNanos(s.LatencySeconds)
-			prev.dLatNanos = 0
-		}
-		prev.latBits = latBits
-	}
-	e.batch = p
+	e.codeRound(&r)
 	e.pending++
 }
 
@@ -311,15 +324,25 @@ func (e *BinaryEncoder) FlushFrame(dst []byte) []byte {
 		dst = append(dst, wireMagic[:]...)
 		e.started = true
 	}
-	var scratch [binary.MaxVarintLen64]byte
-	cnt := binc.AppendUvarint(scratch[:0], uint64(e.pending))
-	dst = binc.AppendUvarint(dst, uint64(1+len(cnt)+len(e.batch)))
-	dst = append(dst, frameBatch)
-	dst = append(dst, cnt...)
-	dst = append(dst, e.batch...)
-	e.batch = e.batch[:0]
+	start := len(dst)
+	dst = binc.AppendUvarint(append(dst, frameBatch), uint64(e.pending))
+	rounds := e.c.Buffer()
+	dst = prefixLength(append(dst, rounds...), start)
+	e.c.ResetEncoder(rounds[:0])
 	e.pending = 0
 	return dst
+}
+
+// prefixLength slides the uvarint length of the frame payload buf[start:]
+// in front of it, so a frame is coded in place, after whatever buf held,
+// with no buffer of its own.
+func prefixLength(buf []byte, start int) []byte {
+	var n [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(n[:], uint64(len(buf)-start))
+	buf = append(buf, n[:w]...)
+	copy(buf[start+w:], buf[start:len(buf)-w])
+	copy(buf[start:], n[:w])
+	return buf
 }
 
 // BinaryDecoder decodes frames produced by a BinaryEncoder over one
@@ -327,37 +350,19 @@ func (e *BinaryEncoder) FlushFrame(dst []byte) []byte {
 // valid until the next Decode — exactly the borrow contract
 // Aggregator.Ingest honours by copying what it retains. Not safe for
 // concurrent use.
+//
+// After a decode error the stream is dead: fields read past the first
+// failure read as zero values and may still have stepped the delta
+// chains, so a later frame would decode against corrupt state. That is
+// safe only because ServeBinaryConn closes the connection on the first
+// error; any other caller must drop the decoder with the stream.
 type BinaryDecoder struct {
-	names   []string
-	nodes   map[uint32]*nodeCodecState
-	samples []core.ComponentSample
+	roundCodec
 }
 
 // NewBinaryDecoder creates a decoder for one fresh stream.
 func NewBinaryDecoder() *BinaryDecoder {
-	return &BinaryDecoder{nodes: make(map[uint32]*nodeCodecState)}
-}
-
-// readString resolves a string reference, interning first sightings.
-func (d *BinaryDecoder) readString(p *binc.Parser) (string, uint32, error) {
-	ref := p.Uvarint()
-	var raw []byte
-	if ref == 0 {
-		raw = p.Bytes(p.Remaining())
-	}
-	if err := p.Err(); err != nil {
-		return "", 0, err
-	}
-	if ref == 0 {
-		id := uint32(len(d.names))
-		d.names = append(d.names, string(raw))
-		return d.names[id], id, nil
-	}
-	id := ref - 1
-	if id >= uint64(len(d.names)) {
-		return "", 0, fmt.Errorf("cluster: dangling string reference %d", id)
-	}
-	return d.names[id], uint32(id), nil
+	return &BinaryDecoder{roundCodec{nodes: make(map[uint32]*nodeChains)}}
 }
 
 // DecodeFrame decodes one frame payload (without its length prefix)
@@ -366,17 +371,14 @@ func (d *BinaryDecoder) readString(p *binc.Parser) (string, uint32, error) {
 // by the next decode.
 func (d *BinaryDecoder) DecodeFrame(payload []byte) (Round, error) {
 	var out Round
-	got := false
+	rounds := 0
 	err := d.DecodeBatch(payload, func(r Round) error {
-		if got {
+		if rounds++; rounds > 1 {
 			return fmt.Errorf("cluster: BATCH frame carries several rounds; decode with DecodeBatch")
 		}
-		out, got = r, true
+		out = r
 		return nil
 	})
-	if err == nil && !got {
-		err = fmt.Errorf("cluster: empty BATCH frame")
-	}
 	return out, err
 }
 
@@ -393,9 +395,11 @@ func (d *BinaryDecoder) DecodeBatch(payload []byte, emit func(Round) error) erro
 	if payload[0] != frameBatch {
 		return fmt.Errorf("cluster: frame type %d is not a BATCH frame", payload[0])
 	}
-	p := binc.NewParser(payload[1:])
-	count := p.Uvarint()
-	if err := p.Err(); err != nil {
+	c := &d.c
+	c.ResetDecoder(payload[1:])
+	var count uint64
+	c.Uvarint(&count)
+	if err := c.Err(); err != nil {
 		return err
 	}
 	if count == 0 || count > uint64(len(payload)) {
@@ -404,108 +408,14 @@ func (d *BinaryDecoder) DecodeBatch(payload []byte, emit func(Round) error) erro
 		return fmt.Errorf("cluster: BATCH round count %d is corrupt for a %d-byte frame", count, len(payload))
 	}
 	for i := uint64(0); i < count; i++ {
-		r, err := d.decodeRound(p)
-		if err != nil {
+		var r Round
+		d.codeRound(&r)
+		if err := c.Err(); err != nil {
 			return err
 		}
 		if err := emit(r); err != nil {
 			return err
 		}
 	}
-	return p.Done()
-}
-
-// decodeRound decodes one round at the parser's cursor. The round's
-// Samples slice is reused by the next call. The parser's error is sticky,
-// so each group of fields is read linearly and checked once, before any
-// of it touches the delta state.
-func (d *BinaryDecoder) decodeRound(p *binc.Parser) (Round, error) {
-	var r Round
-	node, nodeID, err := d.readString(p)
-	if err != nil {
-		return r, err
-	}
-	dseq, dt, n := p.Varint(), p.Varint(), p.Uvarint()
-	if err := p.Err(); err != nil {
-		return r, err
-	}
-	if n > uint64(p.Remaining()) {
-		// Each sample needs at least a handful of bytes; a count larger
-		// than the frame's remaining bytes is corruption, not a big round.
-		return r, fmt.Errorf("cluster: sample count %d exceeds frame size", n)
-	}
-	r.Node = node
-	st := d.nodes[nodeID]
-	if st == nil {
-		st = newNodeCodecState()
-		d.nodes[nodeID] = st
-	}
-	r.Seq = unstep(&st.prevSeq, &st.dSeq, dseq)
-	r.Time = time.Unix(0, unstep(&st.prevTime, &st.dTime, dt)).UTC()
-	samples := d.samples[:0]
-	for i := uint64(0); i < n; i++ {
-		comp, compID, err := d.readString(p)
-		if err != nil {
-			return r, err
-		}
-		flags := p.Byte()
-		ds, du, dth, dh, dd := p.Varint(), p.Varint(), p.Varint(), p.Varint(), p.Varint()
-		// CPU and latency each ride as a zigzag nanosecond residual or,
-		// off the nanosecond grid, as XOR'd raw bits (see the flag bits).
-		var cpuRes, latRes int64
-		var cpuXor, latXor uint64
-		if flags&flagCPUNanos != 0 {
-			cpuRes = p.Varint()
-		} else {
-			cpuXor = p.Uvarint()
-		}
-		if flags&flagLatNanos != 0 {
-			latRes = p.Varint()
-		} else {
-			latXor = p.Uvarint()
-		}
-		if err := p.Err(); err != nil {
-			return r, err
-		}
-		prev := st.prev[compID]
-		if prev == nil {
-			prev = &prevSample{}
-			st.prev[compID] = prev
-		}
-		samples = append(samples, core.ComponentSample{
-			Component: comp,
-			Size:      unstep(&prev.size, &prev.dSize, ds),
-			SizeOK:    flags&flagSizeOK != 0,
-			Usage:     unstep(&prev.usage, &prev.dUsage, du),
-			CPUSeconds: unquantise(flags&flagCPUNanos != 0, cpuRes, cpuXor,
-				&prev.cpuNanos, &prev.dCPUNanos, &prev.cpuBits),
-			Threads: unstep(&prev.threads, &prev.dThreads, dth),
-			Handles: unstep(&prev.handles, &prev.dHandles, dh),
-			LatencySeconds: unquantise(flags&flagLatNanos != 0, latRes, latXor,
-				&prev.latNanos, &prev.dLatNanos, &prev.latBits),
-			Delta: unstep(&prev.delta, &prev.dDelta, dd),
-		})
-	}
-	d.samples = samples
-	r.Samples = samples
-	return r, nil
-}
-
-// unquantise reconstructs one seconds field (CPU or latency) from its
-// wire form and advances both of the field's chains: a quantised field
-// folds its residual into the nanosecond chain; a raw field XORs its bits
-// and resets the nanosecond chain at the identically derived base —
-// mirroring the encoder, so a later quantised sample deltas against the
-// same state on both ends.
-func unquantise(quantised bool, res int64, xor uint64, nanos, dNanos *int64, bits *uint64) float64 {
-	if quantised {
-		v := cpuFromNanos(unstep(nanos, dNanos, res))
-		*bits = math.Float64bits(v)
-		return v
-	}
-	*bits ^= xor
-	v := math.Float64frombits(*bits)
-	*nanos, _ = cpuNanos(v)
-	*dNanos = 0
-	return v
+	return c.Done()
 }

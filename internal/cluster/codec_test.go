@@ -6,6 +6,9 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"errors"
+	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -301,6 +304,17 @@ func TestBinaryDecoderRejectsCorruption(t *testing.T) {
 	if err := NewBinaryDecoder().DecodeBatch(huge, discardRound); err == nil {
 		t.Fatal("oversized batch count decoded without error")
 	}
+	// Names take binc's 4 KiB string bound: 4096 bytes decode, 4097 do
+	// not.
+	for _, n := range []int{4096, 4097} {
+		r := sampleRounds()[0]
+		r.Samples = append([]core.ComponentSample(nil), r.Samples...)
+		r.Samples[0].Component = strings.Repeat("x", n)
+		_, err := NewBinaryDecoder().DecodeFrame(framePayload(t, NewBinaryEncoder().AppendRound(nil, r)[4:]))
+		if (err == nil) != (n <= 4096) {
+			t.Fatalf("%d-byte name: err = %v", n, err)
+		}
+	}
 	// A multi-round batch must be rejected by the single-round shorthand.
 	enc2 := NewBinaryEncoder()
 	rounds := sampleRounds()
@@ -314,6 +328,45 @@ func TestBinaryDecoderRejectsCorruption(t *testing.T) {
 }
 
 func discardRound(Round) error { return nil }
+
+// framePayload strips one frame's length prefix, failing unless it
+// covers exactly the rest of frame.
+func framePayload(t *testing.T, frame []byte) []byte {
+	t.Helper()
+	n, w := binary.Uvarint(frame)
+	if w <= 0 || n != uint64(len(frame)-w) {
+		t.Fatalf("bad frame length prefix %d for %d bytes", n, len(frame)-w)
+	}
+	return frame[w:]
+}
+
+// TestBinaryDecoderBoundsDictionary holds what one connection can make
+// the decoder keep: a stream may intern maxWireNames names, and the
+// first sighting past them is refused before it is interned, so neither
+// the dictionary nor the delta state keyed by it grows without bound.
+func TestBinaryDecoderBoundsDictionary(t *testing.T) {
+	round := func(seq int64, first, n int) Round {
+		r := Round{Node: "node1", Seq: seq, Time: time.Unix(0, seq)}
+		for i := first; i < first+n; i++ {
+			r.Samples = append(r.Samples, core.ComponentSample{Component: strconv.Itoa(i)})
+		}
+		return r
+	}
+	enc, dec := NewBinaryEncoder(), NewBinaryDecoder()
+	// The node's name and maxWireNames-1 components fill the dictionary.
+	full := framePayload(t, enc.AppendRound(nil, round(1, 0, maxWireNames-1))[4:])
+	if _, err := dec.DecodeFrame(full); err != nil {
+		t.Fatalf("a stream of exactly %d names: %v", maxWireNames, err)
+	}
+	// Known names still decode; one more new name does not.
+	if _, err := dec.DecodeFrame(framePayload(t, enc.AppendRound(nil, round(2, 0, 3)))); err != nil {
+		t.Fatalf("interned names after the dictionary filled: %v", err)
+	}
+	_, err := dec.DecodeFrame(framePayload(t, enc.AppendRound(nil, round(3, maxWireNames-1, 1))))
+	if want := fmt.Sprintf("cluster: stream interns more than %d names", maxWireNames); err == nil || err.Error() != want {
+		t.Fatalf("name %d: err = %v, want %q", maxWireNames+1, err, want)
+	}
+}
 
 // TestBinaryCodecBatchRoundTrip drives the BATCH path across flush sizes
 // that tile the stream unevenly: every grouping must reproduce the same

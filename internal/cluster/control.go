@@ -81,38 +81,47 @@ type ControlAck struct {
 // and Kind are filled in by the plumbing).
 type ControlHandler func(ControlCommand) ControlAck
 
-// maxControlString bounds node/component/error strings in control
-// frames; anything longer is corruption, not a long name.
-const maxControlString = 4096
+// code is the CONTROL frame's field list, after its type byte.
+func (cmd *ControlCommand) code(c *binc.Codec) {
+	codeKind(c, &cmd.Kind)
+	c.Uvarint(&cmd.Seq)
+	c.String(&cmd.Node)
+	c.String(&cmd.Component)
+	c.Varint(&cmd.Weight)
+}
+
+// code is the CONTROL-ACK frame's field list, after its type byte.
+func (ack *ControlAck) code(c *binc.Codec) {
+	codeKind(c, &ack.Kind)
+	c.Uvarint(&ack.Seq)
+	c.Bool(&ack.OK)
+	c.Varint(&ack.Freed)
+	c.String(&ack.Err)
+}
+
+// codeKind codes a control frame's kind byte; a decoded kind must name
+// a command.
+func codeKind(c *binc.Codec, k *ControlKind) {
+	c.Byte((*byte)(k))
+	c.Check(*k >= ControlDrain && *k <= ControlReadmit, "cluster: unknown control kind %d", *k)
+}
 
 // AppendControlFrame appends one length-prefixed CONTROL frame to dst.
 // Control frames carry no stream state, so they need no header and may
 // interleave anywhere between BATCH frames.
 func AppendControlFrame(dst []byte, cmd ControlCommand) []byte {
-	var p []byte
-	p = append(p, frameControl, byte(cmd.Kind))
-	p = binc.AppendUvarint(p, cmd.Seq)
-	p = binc.AppendString(p, cmd.Node)
-	p = binc.AppendString(p, cmd.Component)
-	p = binc.AppendVarint(p, cmd.Weight)
-	dst = binc.AppendUvarint(dst, uint64(len(p)))
-	return append(dst, p...)
+	var c binc.Codec
+	c.ResetEncoder(append(dst, frameControl))
+	cmd.code(&c)
+	return prefixLength(c.Buffer(), len(dst))
 }
 
 // AppendControlAckFrame appends one length-prefixed ACK frame to dst.
 func AppendControlAckFrame(dst []byte, ack ControlAck) []byte {
-	var p []byte
-	p = append(p, frameControlAck, byte(ack.Kind))
-	p = binc.AppendUvarint(p, ack.Seq)
-	p = binc.AppendBool(p, ack.OK)
-	p = binc.AppendVarint(p, ack.Freed)
-	p = binc.AppendString(p, ack.Err)
-	dst = binc.AppendUvarint(dst, uint64(len(p)))
-	return append(dst, p...)
-}
-
-func controlKindValid(k ControlKind) bool {
-	return k == ControlDrain || k == ControlRejuvenate || k == ControlReadmit
+	var c binc.Codec
+	c.ResetEncoder(append(dst, frameControlAck))
+	ack.code(&c)
+	return prefixLength(c.Buffer(), len(dst))
 }
 
 // DecodeControlCommand decodes one CONTROL frame payload (without its
@@ -122,19 +131,10 @@ func DecodeControlCommand(payload []byte) (ControlCommand, error) {
 	if len(payload) == 0 || payload[0] != frameControl {
 		return cmd, fmt.Errorf("cluster: not a CONTROL frame")
 	}
-	p := binc.NewParser(payload[1:])
-	cmd.Kind = ControlKind(p.Byte())
-	cmd.Seq = p.Uvarint()
-	cmd.Node = p.String(maxControlString)
-	cmd.Component = p.String(maxControlString)
-	cmd.Weight = p.Varint()
-	if err := p.Done(); err != nil {
-		return cmd, err
-	}
-	if !controlKindValid(cmd.Kind) {
-		return cmd, fmt.Errorf("cluster: unknown control kind %d", cmd.Kind)
-	}
-	return cmd, nil
+	var c binc.Codec
+	c.ResetDecoder(payload[1:])
+	cmd.code(&c)
+	return cmd, c.Done()
 }
 
 // DecodeControlAck decodes one ACK frame payload (without its length
@@ -144,19 +144,10 @@ func DecodeControlAck(payload []byte) (ControlAck, error) {
 	if len(payload) == 0 || payload[0] != frameControlAck {
 		return ack, fmt.Errorf("cluster: not an ACK frame")
 	}
-	p := binc.NewParser(payload[1:])
-	ack.Kind = ControlKind(p.Byte())
-	ack.Seq = p.Uvarint()
-	ack.OK = p.Bool()
-	ack.Freed = p.Varint()
-	ack.Err = p.String(maxControlString)
-	if err := p.Done(); err != nil {
-		return ack, err
-	}
-	if !controlKindValid(ack.Kind) {
-		return ack, fmt.Errorf("cluster: unknown control kind %d", ack.Kind)
-	}
-	return ack, nil
+	var c binc.Codec
+	c.ResetDecoder(payload[1:])
+	ack.code(&c)
+	return ack, c.Done()
 }
 
 // controlConn is the aggregator's writing half of one node connection's

@@ -27,7 +27,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -45,24 +44,23 @@ type StandbySnapshot struct {
 	Controller []byte
 }
 
-// AppendSnapshotFrame appends one length-prefixed SNAPSHOT frame to dst:
-// the frame type, the generation and the two length-prefixed blobs. The
-// length prefix is computed from the part sizes, so the frame is built in
-// place with no temporary buffer.
-func AppendSnapshotFrame(dst []byte, s StandbySnapshot) []byte {
-	n := 1 + uvarintLen(s.Generation) +
-		uvarintLen(uint64(len(s.Aggregator))) + len(s.Aggregator) +
-		uvarintLen(uint64(len(s.Controller))) + len(s.Controller)
-	dst = binc.AppendUvarint(dst, uint64(n))
-	dst = append(dst, frameSnapshot)
-	dst = binc.AppendUvarint(dst, s.Generation)
-	dst = binc.AppendBytes(dst, s.Aggregator)
-	return binc.AppendBytes(dst, s.Controller)
+// code is the SNAPSHOT frame's field list, after its type byte: the
+// generation and the two length-prefixed blobs. Decoded blobs alias the
+// payload.
+func (s *StandbySnapshot) code(c *binc.Codec) {
+	c.Uvarint(&s.Generation)
+	c.Bytes(&s.Aggregator)
+	c.Bytes(&s.Controller)
 }
 
-// uvarintLen is the encoded width of u as a uvarint: one byte per 7
-// significant bits, at least one.
-func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
+// AppendSnapshotFrame appends one length-prefixed SNAPSHOT frame to dst,
+// built in place with no temporary buffer.
+func AppendSnapshotFrame(dst []byte, s StandbySnapshot) []byte {
+	var c binc.Codec
+	c.ResetEncoder(append(dst, frameSnapshot))
+	s.code(&c)
+	return prefixLength(c.Buffer(), len(dst))
+}
 
 // DecodeSnapshotFrame decodes one SNAPSHOT frame payload (without its
 // length prefix, including the leading frame-type byte). The returned
@@ -73,11 +71,10 @@ func DecodeSnapshotFrame(payload []byte) (StandbySnapshot, error) {
 	if len(payload) == 0 || payload[0] != frameSnapshot {
 		return s, fmt.Errorf("cluster: not a SNAPSHOT frame")
 	}
-	p := binc.NewParser(payload[1:])
-	s.Generation = p.Uvarint()
-	s.Aggregator = p.Bytes(p.Remaining())
-	s.Controller = p.Bytes(p.Remaining())
-	return s, p.Done()
+	var c binc.Codec
+	c.ResetDecoder(payload[1:])
+	s.code(&c)
+	return s, c.Done()
 }
 
 // Snapshotter is the durable-state surface a shipper bundles alongside

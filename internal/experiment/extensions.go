@@ -159,9 +159,9 @@ func E9PinpointCoupled(cfg Config) Result {
 	}
 }
 
-// Recovery model constants for E10 (documented in DESIGN.md): a full
-// Tomcat restart vs a targeted micro-reboot, following the micro-reboot
-// motivation the paper cites.
+// Recovery model constants for E10: a full Tomcat restart (a minute of
+// downtime) vs a targeted micro-reboot (half a second), following the
+// micro-reboot motivation the paper cites.
 const (
 	fullRestartMTTR = 60 * time.Second
 	microRebootMTTR = 500 * time.Millisecond

@@ -39,7 +39,8 @@ const (
 )
 
 // TableI reproduces Table I: the testbed description — necessarily the
-// simulated equivalents, per the substitution rules in DESIGN.md.
+// simulated equivalents: each paper row beside the package that stands
+// in for that machine or product here.
 func TableI(cfg Config) Result {
 	cfg = cfg.withDefaults()
 	t := NewTable("role", "paper (Table I)", "this reproduction")

@@ -7,7 +7,8 @@ import (
 
 // Result is the outcome of one experiment runner.
 type Result struct {
-	// ID is the experiment identifier from DESIGN.md (T1, F3, E9, ...).
+	// ID is the experiment identifier, as listed in Experiments (T1,
+	// F3, E9, ...).
 	ID string
 	// Title names the paper artifact being reproduced.
 	Title string
@@ -53,8 +54,9 @@ type Experiment struct {
 	Run func(Config) Result
 }
 
-// Experiments is every runner in DESIGN.md order: the paper's table and
-// figures, the extension and ablation studies, then the scenario table.
+// Experiments is every runner, in report order: the paper's table (T1)
+// and figures (F2–F7), the extension (E8–E11) and ablation (A1–A3)
+// studies, then the scenario table (S1–S22).
 // cmd/experiments and the repro facade iterate it.
 var Experiments = append([]Experiment{
 	{"T1", TableI}, {"F2", Fig2}, {"F3", Fig3}, {"F4", Fig4}, {"F5", Fig5}, {"F6", Fig6}, {"F7", Fig7},

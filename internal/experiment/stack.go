@@ -1,6 +1,6 @@
 // Package experiment contains one runner per table and figure of the
-// paper's evaluation (plus the extension and ablation studies listed in
-// DESIGN.md). Each runner assembles the full system — TPC-W over the
+// paper's evaluation, plus the extension and ablation studies (the IDs
+// are listed in Experiments, results.go). Each runner assembles the full system — TPC-W over the
 // servlet container, emulated browsers, the monitoring framework — runs a
 // deterministic virtual-time scenario, and reports the observed result
 // against the paper's expectation.
